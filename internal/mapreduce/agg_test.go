@@ -1,6 +1,8 @@
 package mapreduce
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"rcmp/internal/cluster"
@@ -92,5 +94,232 @@ func TestAggMatchesExactFailureFree(t *testing.T) {
 	if ratio < 0.5 || ratio > 1.1 {
 		t.Fatalf("aggregated total %v vs exact %v (ratio %.2f); aggregation drifted beyond its documented approximation",
 			agg.Total, exact.Total, ratio)
+	}
+}
+
+// pinCase is one failing chain of the pinned matrix: recovery strategy ×
+// shuffle tier × cluster size × reducer waves × failure offset into run 2
+// × batch size, on a three-job chain long enough (8 map waves per job, 3 s
+// detection) that the offset lands the loss in every phase window.
+type pinCase struct {
+	mode   Mode
+	exact  bool // exact shuffle tier; aggregated otherwise
+	nodes  int
+	redMul int // NumReducers = redMul × nodes
+	after  des.Time
+	count  int // nodes killed at the injection instant
+}
+
+func (c pinCase) String() string {
+	tier := "agg"
+	if c.exact {
+		tier = "exact"
+	}
+	return fmt.Sprintf("%v/%s/n%d/r%dx/after%v/kill%d", c.mode, tier, c.nodes, c.redMul, c.after, c.count)
+}
+
+func (c pinCase) configs() (cluster.Config, ChainConfig) {
+	ccfg, cfg := aggChain(c.nodes, []Injection{{AtRun: 2, After: c.after, Node: 3, Count: c.count}})
+	ccfg.FailureDetectionTimeout = 3
+	cfg.NumJobs = 3
+	cfg.InputPerNode = 256 * cluster.MB
+	cfg.NumReducers = c.redMul * c.nodes
+	cfg.Mode = c.mode
+	if c.mode == ModeHadoop {
+		cfg.OutputRepl = 3
+	} else {
+		cfg.Split = true
+	}
+	if c.exact {
+		cfg.ShuffleAggregation = ShuffleAggOff
+	}
+	return ccfg, cfg
+}
+
+// pinStats is everything a chain reports that the shuffle accounting can
+// move: the simulated time (compared with ==), the simulation's own event
+// and flow counts, and the run sequence as "job:kind" words, "!" marking a
+// cancelled run.
+type pinStats struct {
+	total   float64
+	events  uint64
+	flows   uint64
+	started int
+	runs    string
+}
+
+func pinStatsOf(res *Result) pinStats {
+	var runs []string
+	for _, r := range res.Runs {
+		w := fmt.Sprintf("%d:%s", r.Job, r.Kind)
+		if r.Cancelled {
+			w += "!"
+		}
+		runs = append(runs, w)
+	}
+	return pinStats{float64(res.Total), res.Events, res.Flows, res.StartedRuns, strings.Join(runs, " ")}
+}
+
+func (s pinStats) literal() string {
+	return fmt.Sprintf("pinStats{%v, %d, %d, %d, %q}", s.total, s.events, s.flows, s.started, s.runs)
+}
+
+// TestPinnedFailureMatrix holds the failing-chain shuffle accounting to
+// values recorded before the seen bitmaps were replaced by the sequence
+// rule (shuffle_phase.go): any change to which bytes a reducer is offered,
+// to the order the offers are summed in, or to when a fetch is kicked moves
+// at least one of these numbers. The rows are a trimmed cut of the full
+// mode × tier × size × waves × offset × batch matrix, every row distinct.
+func TestPinnedFailureMatrix(t *testing.T) {
+	rows := []struct {
+		pinCase
+		want pinStats
+	}{
+		{pinCase{ModeRCMP, false, 16, 1, 0.1, 1}, pinStats{47.479999787751154, 1199, 1903, 5, "1:initial 2:initial! 1:recompute 2:restart 3:initial"}},
+		{pinCase{ModeRCMP, false, 16, 1, 5, 2}, pinStats{55.462761824586515, 1430, 2274, 6, "1:initial 2:initial! 1:recompute! 1:recompute 2:restart 3:initial"}},
+		{pinCase{ModeRCMP, false, 16, 1, 11, 1}, pinStats{41.29899996532664, 1280, 2012, 6, "1:initial 2:initial 3:initial! 1:recompute 2:recompute 3:restart"}},
+		{pinCase{ModeRCMP, false, 16, 3, 1, 2}, pinStats{55.225699389966415, 1691, 1948, 6, "1:initial 2:initial! 1:recompute! 1:recompute 2:restart 3:initial"}},
+		{pinCase{ModeRCMP, false, 16, 3, 7, 1}, pinStats{55.88333305791013, 1717, 2131, 5, "1:initial 2:initial! 1:recompute 2:restart 3:initial"}},
+		{pinCase{ModeRCMP, false, 16, 3, 14, 2}, pinStats{58.730972703640454, 1939, 2218, 7, "1:initial 2:initial 3:initial! 1:recompute! 1:recompute 2:recompute 3:restart"}},
+		{pinCase{ModeRCMP, false, 48, 1, 3, 1}, pinStats{49.84036622991337, 3593, 6209, 5, "1:initial 2:initial! 1:recompute 2:restart 3:initial"}},
+		{pinCase{ModeRCMP, false, 48, 1, 9, 2}, pinStats{58.42016886821399, 3868, 6770, 6, "1:initial 2:initial! 1:recompute! 1:recompute 2:restart 3:initial"}},
+		{pinCase{ModeRCMP, false, 48, 1, 19, 1}, pinStats{48.905945597517814, 3860, 6683, 6, "1:initial 2:initial 3:initial! 1:recompute 2:recompute 3:restart"}},
+		{pinCase{ModeRCMP, false, 48, 3, 7, 2}, pinStats{60.15492183460794, 5056, 6682, 6, "1:initial 2:initial! 1:recompute! 1:recompute 2:restart 3:initial"}},
+		{pinCase{ModeRCMP, false, 48, 3, 14, 1}, pinStats{49.95125414400889, 4757, 6191, 6, "1:initial 2:initial 3:initial! 1:recompute 2:recompute 3:restart"}},
+		{pinCase{ModeRCMP, false, 48, 3, 1, 2}, pinStats{54.15492183460796, 4645, 5948, 6, "1:initial 2:initial! 1:recompute! 1:recompute 2:restart 3:initial"}},
+		{pinCase{ModeRCMP, false, 100, 1, 9, 1}, pinStats{55.74896950050947, 7600, 13781, 5, "1:initial 2:initial! 1:recompute 2:restart 3:initial"}},
+		{pinCase{ModeRCMP, false, 100, 1, 19, 2}, pinStats{51.87189656837647, 8242, 14314, 7, "1:initial 2:initial 3:initial! 1:recompute! 1:recompute 2:recompute 3:restart"}},
+		{pinCase{ModeRCMP, false, 100, 1, 3, 1}, pinStats{49.74896950050947, 7285, 12969, 5, "1:initial 2:initial! 1:recompute 2:restart 3:initial"}},
+		{pinCase{ModeRCMP, false, 100, 3, 11, 2}, pinStats{63.941814144369495, 10817, 14564, 6, "1:initial 2:initial! 1:recompute! 1:recompute 2:restart 3:initial"}},
+		{pinCase{ModeRCMP, false, 100, 3, 0.1, 1}, pinStats{48.39809536362974, 8672, 11580, 5, "1:initial 2:initial! 1:recompute 2:restart 3:initial"}},
+		{pinCase{ModeRCMP, false, 100, 3, 5, 2}, pinStats{57.941814144369516, 10305, 13948, 6, "1:initial 2:initial! 1:recompute! 1:recompute 2:restart 3:initial"}},
+		{pinCase{ModeHadoop, false, 16, 1, 19, 1}, pinStats{79.33968724279833, 1054, 1871, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 16, 1, 3, 2}, pinStats{90.72313246753244, 1085, 1846, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 16, 1, 9, 1}, pinStats{81.79373903743314, 1067, 1884, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 16, 3, 0.1, 2}, pinStats{87.52052330529425, 1631, 1848, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 16, 3, 5, 1}, pinStats{86.93237638736187, 1539, 1884, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 16, 3, 11, 2}, pinStats{82.7889577696756, 1595, 1915, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 48, 1, 1, 1}, pinStats{75.01099999999998, 2760, 5344, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 48, 1, 7, 2}, pinStats{89.48277777777776, 2816, 5457, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 48, 1, 14, 1}, pinStats{75.08132620320853, 2797, 5471, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 48, 3, 5, 2}, pinStats{83.97319482969885, 4097, 5659, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 48, 3, 11, 1}, pinStats{75.0888813490886, 3846, 5718, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 48, 3, 0.1, 2}, pinStats{83.64072566557127, 4062, 5624, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 100, 1, 7, 1}, pinStats{76.02239999999998, 5588, 11096, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 100, 1, 14, 2}, pinStats{93.06121721415835, 5637, 11102, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 100, 1, 1, 1}, pinStats{75.01759999999996, 5566, 10970, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 100, 3, 9, 2}, pinStats{80.37422555046797, 7857, 11912, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 100, 3, 19, 1}, pinStats{72.35681241814127, 7386, 11810, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, false, 100, 3, 3, 2}, pinStats{81.7235005503592, 7700, 11778, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeRCMP, true, 16, 1, 14, 1}, pinStats{74.69182299500319, 1461, 3417, 5, "1:initial 2:initial! 1:recompute 2:restart 3:initial"}},
+		{pinCase{ModeRCMP, true, 16, 1, 1, 2}, pinStats{63.89554547641055, 1375, 2960, 6, "1:initial 2:initial! 1:recompute! 1:recompute 2:restart 3:initial"}},
+		{pinCase{ModeRCMP, true, 16, 3, 19, 2}, pinStats{67.71556781963761, 2076, 5966, 7, "1:initial 2:initial 3:initial! 1:recompute! 1:recompute 2:recompute 3:restart"}},
+		{pinCase{ModeRCMP, true, 16, 3, 3, 1}, pinStats{63.40583796271252, 1718, 4136, 5, "1:initial 2:initial! 1:recompute 2:restart 3:initial"}},
+		{pinCase{ModeHadoop, true, 16, 1, 0.1, 1}, pinStats{84.42469571399744, 1209, 2594, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, true, 16, 1, 5, 2}, pinStats{101.54003838607095, 1278, 2655, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, true, 16, 3, 3, 2}, pinStats{94.85382519145931, 2360, 3389, 3, "1:initial 2:initial 3:initial"}},
+		{pinCase{ModeHadoop, true, 16, 3, 9, 1}, pinStats{91.03735119799641, 2393, 3515, 3, "1:initial 2:initial 3:initial"}},
+	}
+	for _, row := range rows {
+		ccfg, cfg := row.configs()
+		res, err := RunChain(ccfg, cfg)
+		if err != nil {
+			t.Errorf("%v: %v", row.pinCase, err)
+			continue
+		}
+		if got := pinStatsOf(res); got != row.want {
+			t.Errorf("%v:\n got  %s\n want %s", row.pinCase, got.literal(), row.want.literal())
+		}
+	}
+}
+
+// TestPinnedScaleFailShape pins the bench/ scale_fail workload's chain —
+// the weak-scaling configuration plus Split and a node lost one second
+// into run 2 — at sizes tier-1 can afford: 256 nodes, and 1024 where
+// fast-forward resolves on and the failure has to park it.
+func TestPinnedScaleFailShape(t *testing.T) {
+	for nodes, want := range map[int]pinStats{
+		256:  {44.72755547545976, 4903, 7415, 4, "1:initial 2:initial! 1:recompute 2:restart"},
+		1024: {44.71687844365959, 19496, 29687, 4, "1:initial 2:initial! 1:recompute 2:restart"},
+	} {
+		cfg := ChainConfig{
+			Mode:               ModeRCMP,
+			NumJobs:            2,
+			NumReducers:        nodes,
+			InputPerNode:       128 * cluster.MB,
+			BlockSize:          64 * cluster.MB,
+			ShuffleAggregation: ShuffleAggOn,
+			NoTaskSamples:      true,
+			Split:              true,
+			Failures:           []Injection{{AtRun: 2, After: 1, Node: 3}},
+		}
+		res, err := RunChain(cluster.DCOConfig(nodes, 1, 1), cfg)
+		if err != nil {
+			t.Fatalf("%d nodes: %v", nodes, err)
+		}
+		if got := pinStatsOf(res); got != want {
+			t.Errorf("%d nodes:\n got  %s\n want %s", nodes, got.literal(), want.literal())
+		}
+	}
+}
+
+// TestReducerEntitlementConserved checks the dedup rule end to end under
+// Hadoop within-job recovery: with three reducer waves per job, reducers
+// start shuffling before the loss, between its detection and the
+// re-executions, and after them, and every one of them must finish its
+// shuffle having fetched exactly its share of the job's map output — a
+// re-execution counted twice shows as a surplus, a skipped one as a
+// shortfall. The chain is stepped event by event so each reducer is read
+// between the end of its shuffle and the run's recycling.
+func TestReducerEntitlementConserved(t *testing.T) {
+	for _, exact := range []bool{false, true} {
+		for _, count := range []int{1, 2} {
+			for _, after := range []des.Time{1, 5, 8, 9, 10, 11, 12, 14} {
+				c := pinCase{ModeHadoop, exact, 16, 3, after, count}
+				ccfg, cfg := c.configs()
+				cfg = cfg.withDefaults()
+				topo, err := buildTopology(linearJobs(cfg.NumJobs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := NewContext(ccfg)
+				ctx.reset(cfg.BlockSize)
+				d := newDriver(ctx, cfg, topo, true)
+				if err := d.createInput(); err != nil {
+					t.Fatal(err)
+				}
+				d.startInitial(1)
+				type key struct{ run, reducer int }
+				checked := map[key]bool{}
+				for ctx.sim.Step() {
+					r := d.current
+					if r == nil || r.done {
+						continue
+					}
+					var mapOut float64
+					for _, mt := range r.maps {
+						mapOut += float64(mt.outBytes)
+					}
+					for _, rt := range r.reduces {
+						k := key{r.runIndex, rt.reducer}
+						if rt.state != taskRunning || rt.shuffling || rt.step != rtStepCPU || checked[k] {
+							continue
+						}
+						checked[k] = true
+						want := mapOut * rt.shareFrac(cfg.NumReducers)
+						if diff := rt.fetched - want; diff > 1e-6 || diff < -1e-6 {
+							t.Errorf("%v: run %d reducer %d fetched %v, entitled to %v (off by %g)",
+								c, r.runIndex, rt.reducer, rt.fetched, want, diff)
+						}
+					}
+				}
+				if _, err := d.finish(); err != nil {
+					t.Fatalf("%v: %v", c, err)
+				}
+				if len(checked) != cfg.NumJobs*cfg.NumReducers {
+					t.Errorf("%v: read %d reducers after their shuffle, want %d", c, len(checked), cfg.NumJobs*cfg.NumReducers)
+				}
+			}
+		}
 	}
 }
