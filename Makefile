@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-smoke bench bench-scale bench-serve bench-full benchdiff profile-scale verify
+.PHONY: all build test race bench-smoke bench bench-scale bench-serve bench-full benchdiff profile-scale profile-scale-fail verify
 
 all: build test
 
@@ -54,6 +54,17 @@ profile-scale:
 		-cpuprofile profiles/scale4096.cpu.pprof \
 		-memprofile profiles/scale4096.mem.pprof .
 	$(GO) tool pprof -top -nodecount=10 profiles/scale4096.cpu.pprof
+
+# profile-scale-fail is the same for the failing tail: the 4096-node
+# chain that loses a node in run 2 (BenchmarkClusterScalingFail, the chain
+# bench/'s scale_fail workload runs), where the post-failure shuffle
+# accounting is what shows. The captures stay local (.gitignore).
+profile-scale-fail:
+	@mkdir -p profiles
+	$(GO) test -run xxx -bench 'BenchmarkClusterScalingFail/4096' -benchtime 10x \
+		-cpuprofile profiles/scalefail4096.cpu.pprof \
+		-memprofile profiles/scalefail4096.mem.pprof .
+	$(GO) tool pprof -top -nodecount=10 profiles/scalefail4096.cpu.pprof
 
 # bench-serve load-tests the sweep server (cmd/serveload): two phases of
 # 1000 fully concurrent smoke-tier sweep requests against an in-process

@@ -170,14 +170,31 @@ func BenchmarkCostModels(b *testing.B) { runFigBenchmark(b, experiments.CostMode
 // keep verify fast; `make bench-scale` records the full sweep in
 // BENCH_flow.json.
 func BenchmarkClusterScaling(b *testing.B) {
+	benchClusterScaling(b, []int{64, 256, 1024, 4096, 8192}, false)
+}
+
+// BenchmarkClusterScalingFail is the failing tail of the same sweep: the
+// weak-scaling chain with reducer splitting on and node 3 lost one second
+// into run 2 — the chain bench/'s scale_fail workload runs — so the
+// post-failure shuffle accounting (docs/perf.md) has a root-level
+// ns/event number and `make profile-scale-fail` something to profile.
+// Recorded in BENCH_flow.json, not yet gated by benchdiff.
+func BenchmarkClusterScalingFail(b *testing.B) {
+	benchClusterScaling(b, []int{1024, 4096}, true)
+}
+
+func benchClusterScaling(b *testing.B, sizes []int, fail bool) {
 	cfg := benchCfg()
-	sizes := []int{64, 256, 1024, 4096, 8192}
 	if cfg.Scale == experiments.ScaleSmoke && os.Getenv("RCMP_BENCH_SCALE") != "" {
 		sizes = []int{64, 256}
 	}
 	for _, nodes := range sizes {
 		b.Run(fmt.Sprintf("%d", nodes), func(b *testing.B) {
 			ccfg, ccfg2 := experiments.WeakScalingSetup(cfg, nodes)
+			if fail {
+				ccfg2.Split = true
+				ccfg2.Failures = []mapreduce.Injection{{AtRun: 2, After: 1, Node: 3}}
+			}
 			var events uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -42,9 +42,12 @@
 // recovery) around the explicit task-lifecycle state machine in
 // lifecycle.go.
 //
-// See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for paper-versus-measured results. The benchmarks in
-// bench_test.go regenerate every table and figure of the paper's
+// See docs/experiments.md for the registry and the paper-versus-measured
+// results, docs/perf.md, docs/flow.md and docs/dag.md for the simulator's
+// design, docs/serving.md and docs/crossval.md for the sweep server and
+// the sim-versus-real harness, and bench/README.md for the end-to-end
+// benchmark BENCHMARK.json declares. The benchmarks in bench_test.go
+// regenerate every table and figure of the paper's
 // evaluation (BenchmarkAllParallel measures the runner's wall-clock win
 // over serial execution); `go run ./cmd/rcmpd demo` exercises failure
 // recovery on the distributed runtime, and `make verify` runs the build,

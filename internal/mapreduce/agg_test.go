@@ -9,10 +9,10 @@ import (
 	"rcmp/internal/des"
 )
 
-// agg_test.go exercises the aggregated shuffle tier's failure fallback:
-// the fast path skips per-output seen bitmaps, and the drop to exact
-// accounting must rebuild them for every reducer incarnation — including
-// the windows the fast path had already touched.
+// agg_test.go exercises shuffle accounting under failure: the aggregated
+// tier's switch from volume sweeps to per-completion offers in every phase
+// window, and — on both tiers — pinned simulated outputs and reducer
+// entitlements for the re-execution dedup rule (shuffle_phase.go).
 
 func aggChain(nodes int, inj []Injection) (cluster.Config, ChainConfig) {
 	ccfg := cluster.DCOConfig(nodes, 1, 1)
@@ -30,10 +30,9 @@ func aggChain(nodes int, inj []Injection) (cluster.Config, ChainConfig) {
 }
 
 // TestAggFailureDuringReducerStartup pins the fallback window a reducer
-// sitting in its TaskStartup delay occupies when the failure lands: its
-// seen bitmap was truncated by the fast-path launch, aggSlowFallback
-// cannot see it (not shuffling yet), and the slow-path shuffle start must
-// size the bitmap itself before any map completion is accounted.
+// sitting in its TaskStartup delay occupies when the failure lands:
+// aggSlowFallback cannot settle it (not shuffling yet), so its shuffle
+// start must account every completed output itself, from aggOut.
 func TestAggFailureDuringReducerStartup(t *testing.T) {
 	// DCO TaskStartup is 0.3s; 0.1s into run 1 every reducer is mid-startup.
 	ccfg, cfg := aggChain(16, []Injection{{AtRun: 1, After: 0.1, Node: 3}})
@@ -222,14 +221,61 @@ func TestPinnedFailureMatrix(t *testing.T) {
 	}
 	for _, row := range rows {
 		ccfg, cfg := row.configs()
-		res, err := RunChain(ccfg, cfg)
-		if err != nil {
-			t.Errorf("%v: %v", row.pinCase, err)
-			continue
-		}
-		if got := pinStatsOf(res); got != row.want {
-			t.Errorf("%v:\n got  %s\n want %s", row.pinCase, got.literal(), row.want.literal())
-		}
+		checkPinned(t, row.pinCase, ccfg, cfg, row.want)
+	}
+}
+
+func checkPinned(t *testing.T, label any, ccfg cluster.Config, cfg ChainConfig, want pinStats) {
+	t.Helper()
+	res, err := RunChain(ccfg, cfg)
+	if err != nil {
+		t.Errorf("%v: %v", label, err)
+		return
+	}
+	if got := pinStatsOf(res); got != want {
+		t.Errorf("%v:\n got  %s\n want %s", label, got.literal(), want.literal())
+	}
+}
+
+// specRerunChain is a Hadoop chain on a six-node cluster with one slow
+// disk and speculation on, losing node 3 (and count-1 more) in run 2: the
+// shape where a speculative duplicate of a re-executed mapper wins, so the
+// completing task is not the one that carries the re-execution mark.
+func specRerunChain(exact bool, slowNode int, after des.Time, count int) (cluster.Config, ChainConfig) {
+	cfg := tinyChain(3, 18, 384)
+	cfg.Mode = ModeHadoop
+	cfg.OutputRepl = 3
+	cfg.InputRepl = 3
+	cfg.Speculation = true
+	cfg.ShuffleAggregation = ShuffleAggOn
+	if exact {
+		cfg.ShuffleAggregation = ShuffleAggOff
+	}
+	cfg.Failures = []Injection{{AtRun: 2, After: after, Node: 3, Count: count}}
+	ccfg := stragglerCluster(6, slowNode, 0.2)
+	ccfg.FailureDetectionTimeout = 3
+	return ccfg, cfg
+}
+
+// TestPinnedSpeculativeRerun pins chains in which a duplicate of a
+// re-executed mapper completes first, on both tiers.
+func TestPinnedSpeculativeRerun(t *testing.T) {
+	const runs = "1:initial 2:initial 3:initial"
+	for _, row := range []struct {
+		exact bool
+		slow  int
+		after des.Time
+		count int
+		want  pinStats
+	}{
+		{false, 2, 3, 2, pinStats{510.5738821444941, 596, 540, 3, runs}},
+		{false, 4, 8, 1, pinStats{462.21863398057576, 593, 557, 3, runs}},
+		{true, 4, 3, 1, pinStats{523.1411590635315, 640, 735, 3, runs}},
+		{true, 4, 12, 2, pinStats{569.4042710706284, 719, 714, 3, runs}},
+	} {
+		ccfg, cfg := specRerunChain(row.exact, row.slow, row.after, row.count)
+		label := fmt.Sprintf("exact=%v/slow%d/after%v/kill%d", row.exact, row.slow, row.after, row.count)
+		checkPinned(t, label, ccfg, cfg, row.want)
 	}
 }
 
@@ -253,13 +299,7 @@ func TestPinnedScaleFailShape(t *testing.T) {
 			Split:              true,
 			Failures:           []Injection{{AtRun: 2, After: 1, Node: 3}},
 		}
-		res, err := RunChain(cluster.DCOConfig(nodes, 1, 1), cfg)
-		if err != nil {
-			t.Fatalf("%d nodes: %v", nodes, err)
-		}
-		if got := pinStatsOf(res); got != want {
-			t.Errorf("%d nodes:\n got  %s\n want %s", nodes, got.literal(), want.literal())
-		}
+		checkPinned(t, fmt.Sprintf("%d nodes", nodes), cluster.DCOConfig(nodes, 1, 1), cfg, want)
 	}
 }
 
@@ -269,57 +309,67 @@ func TestPinnedScaleFailShape(t *testing.T) {
 // re-executions, and after them, and every one of them must finish its
 // shuffle having fetched exactly its share of the job's map output — a
 // re-execution counted twice shows as a surplus, a skipped one as a
-// shortfall. The chain is stepped event by event so each reducer is read
-// between the end of its shuffle and the run's recycling.
+// shortfall. The speculative chains add re-executions won by a duplicate.
 func TestReducerEntitlementConserved(t *testing.T) {
 	for _, exact := range []bool{false, true} {
 		for _, count := range []int{1, 2} {
 			for _, after := range []des.Time{1, 5, 8, 9, 10, 11, 12, 14} {
 				c := pinCase{ModeHadoop, exact, 16, 3, after, count}
 				ccfg, cfg := c.configs()
-				cfg = cfg.withDefaults()
-				topo, err := buildTopology(linearJobs(cfg.NumJobs))
-				if err != nil {
-					t.Fatal(err)
-				}
-				ctx := NewContext(ccfg)
-				ctx.reset(cfg.BlockSize)
-				d := newDriver(ctx, cfg, topo, true)
-				if err := d.createInput(); err != nil {
-					t.Fatal(err)
-				}
-				d.startInitial(1)
-				type key struct{ run, reducer int }
-				checked := map[key]bool{}
-				for ctx.sim.Step() {
-					r := d.current
-					if r == nil || r.done {
-						continue
-					}
-					var mapOut float64
-					for _, mt := range r.maps {
-						mapOut += float64(mt.outBytes)
-					}
-					for _, rt := range r.reduces {
-						k := key{r.runIndex, rt.reducer}
-						if rt.state != taskRunning || rt.shuffling || rt.step != rtStepCPU || checked[k] {
-							continue
-						}
-						checked[k] = true
-						want := mapOut * rt.shareFrac(cfg.NumReducers)
-						if diff := rt.fetched - want; diff > 1e-6 || diff < -1e-6 {
-							t.Errorf("%v: run %d reducer %d fetched %v, entitled to %v (off by %g)",
-								c, r.runIndex, rt.reducer, rt.fetched, want, diff)
-						}
-					}
-				}
-				if _, err := d.finish(); err != nil {
-					t.Fatalf("%v: %v", c, err)
-				}
-				if len(checked) != cfg.NumJobs*cfg.NumReducers {
-					t.Errorf("%v: read %d reducers after their shuffle, want %d", c, len(checked), cfg.NumJobs*cfg.NumReducers)
-				}
+				checkEntitlements(t, c, ccfg, cfg)
+			}
+			for _, after := range []des.Time{3, 8, 12, 16} {
+				ccfg, cfg := specRerunChain(exact, 4, after, count)
+				checkEntitlements(t, fmt.Sprintf("spec/exact=%v/after%v/kill%d", exact, after, count), ccfg, cfg)
 			}
 		}
+	}
+}
+
+// checkEntitlements steps the chain event by event so each reducer is read
+// between the end of its shuffle and the run's recycling.
+func checkEntitlements(t *testing.T, label any, ccfg cluster.Config, cfg ChainConfig) {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	topo, err := buildTopology(linearJobs(cfg.NumJobs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := NewContext(ccfg)
+	ctx.reset(cfg.BlockSize)
+	d := newDriver(ctx, cfg, topo, true)
+	if err := d.createInput(); err != nil {
+		t.Fatal(err)
+	}
+	d.startInitial(1)
+	type key struct{ run, reducer int }
+	checked := map[key]bool{}
+	for ctx.sim.Step() {
+		r := d.current
+		if r == nil || r.done {
+			continue
+		}
+		var mapOut float64
+		for _, mt := range r.maps {
+			mapOut += float64(mt.outBytes)
+		}
+		for _, rt := range r.reduces {
+			k := key{r.runIndex, rt.reducer}
+			if rt.state != taskRunning || rt.shuffling || rt.step != rtStepCPU || checked[k] {
+				continue
+			}
+			checked[k] = true
+			want := mapOut * rt.shareFrac(cfg.NumReducers)
+			if diff := rt.fetched - want; diff > 1e-6 || diff < -1e-6 {
+				t.Errorf("%v: run %d reducer %d fetched %v, entitled to %v (off by %g)",
+					label, r.runIndex, rt.reducer, rt.fetched, want, diff)
+			}
+		}
+	}
+	if _, err := d.finish(); err != nil {
+		t.Fatalf("%v: %v", label, err)
+	}
+	if len(checked) != cfg.NumJobs*cfg.NumReducers {
+		t.Errorf("%v: read %d reducers after their shuffle, want %d", label, len(checked), cfg.NumJobs*cfg.NumReducers)
 	}
 }

@@ -234,8 +234,8 @@ func (ctx *Context) recycleMap(mt *mapTask) {
 }
 
 // allocRed pops a recycled reduce task or makes a fresh one. The recycled
-// task keeps its slice capacities (buckets, seen bitmap, output
-// bookkeeping) — launchReduce re-zeros what a launch needs.
+// task keeps its slice capacities (exact-tier buckets, output bookkeeping)
+// — launchReduce re-zeros what a launch needs.
 func (ctx *Context) allocRed() *reduceTask {
 	if k := len(ctx.freeReds); k > 0 {
 		rt := ctx.freeReds[k-1]
@@ -248,13 +248,11 @@ func (ctx *Context) allocRed() *reduceTask {
 
 func (ctx *Context) recycleRed(rt *reduceTask) {
 	buckets := rt.buckets[:0]
-	seen := rt.seen[:0]
 	outFlows := rt.outFlows[:0]
 	owed := rt.owedRewrites[:0]
 	outRep := rt.outReplicas[:0]
 	*rt = reduceTask{}
 	rt.buckets = buckets
-	rt.seen = seen
 	rt.outFlows = outFlows
 	rt.owedRewrites = owed
 	rt.outReplicas = outRep
@@ -286,12 +284,17 @@ func (ctx *Context) recycleRun(r *jobRun) {
 		ctx.recycleMap(dup)
 	}
 	for _, rt := range r.reduces {
+		if r.d.agg {
+			// A window into this run's aggBuckets, not the task's own
+			// storage: an exact-tier chain on this context must not reuse it.
+			rt.buckets = nil
+		}
 		ctx.recycleRed(rt)
 	}
 	maps := r.maps[:0]
 	reduces := r.reduces[:0]
 	aggOut := r.aggOut[:0]
-	persisted := r.persistedSeen[:0]
+	aggBuckets := r.aggBuckets[:0]
 	pendingMaps := r.pendingMaps[:0]
 	pendingReds := r.pendingReds[:0]
 	commits := r.commits[:0]
@@ -301,7 +304,7 @@ func (ctx *Context) recycleRun(r *jobRun) {
 	r.maps = maps
 	r.reduces = reduces
 	r.aggOut = aggOut
-	r.persistedSeen = persisted
+	r.aggBuckets = aggBuckets
 	r.pendingMaps = pendingMaps
 	r.pendingReds = pendingReds
 	r.commits = commits

@@ -477,15 +477,7 @@ func (d *Driver) startRecompute(step core.JobStep) {
 		inFiles[i] = d.fs.File(name)
 	}
 
-	// Mapper tasks keep their original indices so shuffle accounting (the
-	// seen bitmap) spans recomputed and persisted outputs uniformly.
-	maxIdx := 0
-	for _, m := range rec.Mappers {
-		if m.Index > maxIdx {
-			maxIdx = m.Index
-		}
-	}
-	r.persistedSeen = grow(r.persistedSeen, maxIdx+1)
+	// Mapper tasks keep their original indices, the ones lineage knows.
 	rerun := make(map[int]bool, len(step.Mappers))
 	for _, mi := range step.Mappers {
 		rerun[mi] = true
@@ -505,7 +497,6 @@ func (d *Driver) startRecompute(step core.JobStep) {
 			r.maps = append(r.maps, mt)
 		} else {
 			// Reused persisted output: a shuffle source with no map work.
-			r.persistedSeen[m.Index] = true
 			r.aggOut[m.Node] += float64(m.OutputBytes)
 		}
 	}

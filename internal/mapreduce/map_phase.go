@@ -157,20 +157,26 @@ func (r *jobRun) mapDone(mt *mapTask) {
 	r.mapDoneCount++
 	r.mapDoneSum += float64(r.sim().Now() - mt.start)
 	r.aggOut[mt.node] += float64(mt.outBytes)
+	r.aggLaunch.valid = false
 	if !r.cfg().NoTaskSamples {
 		r.d.rec.AddTask(metrics.TaskSample{
 			RunIndex: r.runIndex, Job: r.job, RunKind: r.kind, Kind: metrics.TaskMap,
 			Index: mt.index, Node: mt.node, Start: mt.start, End: r.sim().Now(),
 		})
 	}
-	// Feed every shuffling reducer — through the O(1) entitlement counter
-	// on the aggregated tier, per reducer otherwise.
-	if r.d.agg && !r.aggSlow {
-		r.offerAggOutput(mt)
-	} else {
+	// Feed every shuffling reducer (cost classes in shuffle_phase.go). The
+	// offer is the primary's: a winning duplicate shares its bytes and, by
+	// now, its node, but only the primary knows whether this is a
+	// re-execution.
+	switch {
+	case r.d.agg && !r.aggSlow:
+		r.offerAggOutput(prim)
+	case r.d.agg && prim.lostSeq == 0:
+		r.offerAggDense(prim)
+	default:
 		for _, rt := range r.reduces {
 			if rt.state == taskRunning && rt.shuffling {
-				r.offerMapOutput(rt, mt)
+				r.offerMapOutput(rt, prim)
 			}
 		}
 	}

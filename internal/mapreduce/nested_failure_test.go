@@ -141,7 +141,7 @@ func TestLaunchReduceClearsPreviousIncarnation(t *testing.T) {
 	ccfg := tinyCluster(4, 1, 1)
 	chain := tinyChain(1, 2, 64)
 	d := &Driver{sim: sim, clus: cluster.New(sim, ccfg), cfg: chain.withDefaults()}
-	r := &jobRun{d: d, slots: &slotTable{redFree: []int{1, 0, 0, 0}}, seenSize: 1}
+	r := &jobRun{d: d, slots: &slotTable{redFree: []int{1, 0, 0, 0}}}
 
 	rt := &reduceTask{reducer: 0, splits: 1, node: 2}
 	rt.outFlows = []outFlow{{nil, 3}}

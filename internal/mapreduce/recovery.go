@@ -17,7 +17,7 @@ func (r *jobRun) nodeDown(n int) {
 		return
 	}
 	r.slots.nodeDown(n)
-	// An aggregated run reverts to exact per-reducer offer accounting the
+	// An aggregated run leaves the sweep path for per-completion offers the
 	// moment any failure can make outputs disappear.
 	r.aggSlowFallback()
 	for _, mt := range r.maps {
@@ -52,16 +52,15 @@ func (r *jobRun) nodeDown(n int) {
 		// through the pooled path (one node among hundreds barely moves the
 		// pool capacities) and only the exact tier stalls per source.
 		if !r.d.agg {
-			if b := &rt.buckets[n]; b.used {
-				if b.fl != nil {
-					r.net().Abort(b.fl)
-					b.fl = nil
-					b.pending += b.inflight
-					b.inflight = 0
-					rt.inflight--
-				}
-				b.stalled = true
+			b := &rt.buckets[n]
+			if b.fl != nil {
+				r.net().Abort(b.fl)
+				b.fl = nil
+				b.pending += b.inflight
+				b.inflight = 0
+				rt.inflight--
 			}
+			b.stalled = true
 		}
 		// Output-write replicas targeting n will be retargeted at detection.
 		kept := rt.outFlows[:0]
@@ -89,7 +88,7 @@ func (r *jobRun) abortMapWork(mt *mapTask) {
 func (r *jobRun) abortReduceWork(rt *reduceTask) {
 	for i := range rt.buckets {
 		b := &rt.buckets[i]
-		if b.used && b.fl != nil {
+		if b.fl != nil {
 			r.net().Abort(b.fl)
 			b.fl = nil
 			b.pending += b.inflight
@@ -105,7 +104,7 @@ func (r *jobRun) abortReduceWork(rt *reduceTask) {
 		}
 	}
 	rt.outFlows = rt.outFlows[:0]
-	rt.shuffling = false
+	rt.setShuffling(false)
 }
 
 // handleDetection performs Hadoop-style within-job recovery once the master
@@ -116,6 +115,7 @@ func (r *jobRun) handleDetection(n int) {
 	if r.done {
 		return
 	}
+	r.seq++
 	for _, mt := range r.maps {
 		switch {
 		case mt.state == taskBlocked:
@@ -129,8 +129,9 @@ func (r *jobRun) handleDetection(n int) {
 			// Output lost: re-execute. Reducers that already fetched keep
 			// their bytes; the rest arrives via needResupply.
 			r.aggOut[n] = 0
+			r.aggLaunch.valid = false
 			mt.to(taskPending)
-			mt.rerun = true
+			mt.lostSeq = r.seq
 			mt.node = -1
 			r.mapsRemaining++
 			r.pendingMaps = append(r.pendingMaps, mt)
@@ -147,13 +148,11 @@ func (r *jobRun) handleDetection(n int) {
 			continue
 		}
 		if !r.d.agg {
-			if b := &rt.buckets[n]; b.used {
-				rt.needResupply += b.pending
-				// Forget the bucket entirely, the way the old map delete did:
-				// a later re-execution offering bytes from another node starts
-				// it fresh, and the dead source never contributes again.
-				*b = srcBucket{rt: rt, src: n}
-			}
+			// Forget the bucket entirely, the way the old map delete did: a
+			// later re-execution offering bytes from another node starts it
+			// fresh, and the dead source never contributes again.
+			rt.needResupply += rt.buckets[n].pending
+			rt.buckets[n] = srcBucket{rt: rt, src: n}
 		}
 		// Replace aborted replica writes with a new target.
 		var stillOwed []int

@@ -66,8 +66,11 @@ type mapTask struct {
 	// fast-forward timer (0 = none) — the engine-side counterpart of ev,
 	// kept current by the heap. At most one of ev/ffSlot is live.
 	ffSlot int
-	rerun  bool // re-executed after its first output was lost (Hadoop recovery)
-	start  des.Time
+	// lostSeq is nonzero on a task re-executed after its output was lost
+	// (Hadoop recovery): the run's sequence stamp (jobRun.seq) of the
+	// detection that declared it lost — the latest one, if it was lost again.
+	lostSeq int
+	start   des.Time
 
 	// Speculative execution: a straggling original holds a pointer to its
 	// duplicate and vice versa. Only one of the pair ever completes.
@@ -105,15 +108,19 @@ func (mt *mapTask) primary() *mapTask {
 // srcBucket tracks shuffle bytes a reduce task owes to / has pulled from
 // one source node. Buckets live in a per-task slice indexed by source
 // node; rt/src are the back-references the fetch-completion dispatch
-// needs (see FlowDone in shuffle_phase.go).
+// needs (see FlowDone in shuffle_phase.go). On the aggregated tier a
+// reducer's single bucket is an element of the run-level jobRun.aggBuckets
+// array and carries what the dense offer loop reads, frac and live, so
+// that loop never leaves the array.
 type srcBucket struct {
 	rt       *reduceTask
 	src      int
-	used     bool // source node contributes bytes to this reducer
 	pending  float64
 	inflight float64
 	fl       *flow.Flow
-	stalled  bool // source node down, no new fetches
+	frac     float64 // aggregated tier: the reducer's shareFrac
+	stalled  bool    // source node down, no new fetches
+	live     bool    // aggregated tier: the reducer is shuffling
 }
 
 // reduceTask is one reducer (or one split of a split reducer) execution.
@@ -125,9 +132,13 @@ type reduceTask struct {
 	split   int
 	splits  int
 
-	node    int
-	buckets []srcBucket // indexed by source node, fixed length while running
-	seen    []bool      // map outputs accounted, by mapper index
+	node int
+	// buckets is indexed by source node and fixed length while running; on
+	// the aggregated tier it is a one-element window into jobRun.aggBuckets.
+	buckets []srcBucket
+	// shufSeq is the run's sequence stamp (jobRun.seq) of this incarnation's
+	// shuffle start, compared against mapTask.lostSeq by offerMapOutput.
+	shufSeq int
 	// needResupply is bytes lost with dead source nodes that re-executed
 	// mappers must re-provide (Hadoop within-job recovery).
 	needResupply float64
@@ -242,8 +253,10 @@ type jobRun struct {
 	// aggOut aggregates available map-output bytes per holder node
 	// (indexed by node ID), including persisted outputs reused from the
 	// initial run.
-	aggOut        []float64
-	persistedSeen []bool // mapper indices whose outputs are reused
+	aggOut []float64
+	// seq orders shuffle starts against loss detections within the run: each
+	// stamps the next value, from 1 (reduceTask.shufSeq, mapTask.lostSeq).
+	seq int
 
 	mapsRemaining int
 	redRemaining  int
@@ -270,7 +283,6 @@ type jobRun struct {
 	pumpScanFrom int
 
 	commits   []partCommit // indexed by reducer ID, opened when the first split lands
-	seenSize  int          // 1 + max mapper index, for reducers' seen bitmaps
 	done      bool
 	cancelled bool
 
@@ -282,6 +294,19 @@ type jobRun struct {
 	aggOfferBytes float64
 	aggSweepNext  float64
 	aggSlow       bool
+	// aggBuckets holds every reducer's single aggregated-tier bucket, indexed
+	// by position in reduces. Sized once in begin and never reallocated
+	// while the run lives: in-flight fetches hold &aggBuckets[i] as their
+	// Completion.
+	aggBuckets []srcBucket
+	// aggLaunch memoises the aggregated tier's launch-time aggOut scan (see
+	// aggLaunchShare); every aggOut write clears valid.
+	aggLaunch struct {
+		valid             bool
+		alive             int
+		frac              float64
+		pending, resupply float64
+	}
 
 	// Speculation state: mean completed-mapper duration feeds the
 	// straggler threshold; specDups tracks live duplicates for failure
@@ -290,9 +315,7 @@ type jobRun struct {
 	mapDoneSum   float64
 	specDups     []*mapTask
 	specEv       *des.Event
-	// rerunOutputs are maps re-executed during Hadoop recovery whose shares
-	// feed reducers' needResupply instead of full new contributions.
-	onComplete func()
+	onComplete   func()
 
 	locBuf []int // scratch for inputLocations, reused across calls
 }
@@ -426,16 +449,11 @@ func (r *jobRun) begin() {
 		}
 		r.aggSweepNext = r.aggOfferBytes + r.aggSweepStep()
 		r.aggSlow = false
-	}
-	// Mapper indices are the job's original indices (recompute runs hold a
-	// subset), so seen bitmaps must span the largest index.
-	for _, mt := range r.maps {
-		if mt.index >= r.seenSize {
-			r.seenSize = mt.index + 1
+		r.aggBuckets = grow(r.aggBuckets, len(r.reduces))
+		for i, rt := range r.reduces {
+			r.aggBuckets[i].frac = rt.shareFrac(r.cfg().NumReducers)
+			rt.buckets = r.aggBuckets[i : i+1 : i+1]
 		}
-	}
-	if len(r.persistedSeen) > r.seenSize {
-		r.seenSize = len(r.persistedSeen)
 	}
 	r.pump()
 }

@@ -22,21 +22,20 @@ import (
 // cluster-wide shuffle pools (cluster.AggShuffleUses) instead of the
 // per-pair trunks, so per-reducer state and flow-network arbitration
 // units stop growing with cluster size. Byte accounting (entitlements,
-// re-supply debts, seen bitmaps) is unchanged; what the aggregate gives
-// up is per-source attribution of endpoint contention and of in-flight
-// bytes at failure time — see recovery.go.
+// re-supply debts, re-execution dedup) is unchanged; what the aggregate
+// gives up is per-source attribution of endpoint contention and of
+// in-flight bytes at failure time — see recovery.go.
 
 // FlowDone implements flow.Completion for the bucket's in-flight fetch.
 func (b *srcBucket) FlowDone(*flow.Flow) { b.rt.run.fetchDone(b.rt, b.src) }
 
-// bucket returns the reducer's bucket for source node src, marking it
-// used on first touch.
-func (rt *reduceTask) bucket(src int) *srcBucket {
-	b := &rt.buckets[src]
-	if !b.used {
-		b.used = true
+// setShuffling flips the reducer's shuffle-phase flag and mirrors it into
+// its aggregated-tier bucket, where offerAggDense reads it.
+func (rt *reduceTask) setShuffling(on bool) {
+	rt.shuffling = on
+	if rt.run.d.agg {
+		rt.buckets[0].live = on
 	}
-	return b
 }
 
 // shuffleTrunk returns the coalescing trunk for fetches from src to dst.
@@ -51,31 +50,38 @@ func (r *jobRun) shuffleTrunk(src, dst int) *flow.Trunk {
 	return r.d.ctx.shuffleTrunk(r.clus(), src, dst)
 }
 
-// srcBucketOf maps a source node to the reducer's bucket index: its own
-// slot on the exact tier, the single per-destination aggregate slot on
-// the aggregated tier.
-func (r *jobRun) srcBucketOf(src int) int {
-	if r.d.agg {
-		return 0
-	}
-	return src
-}
+// Re-execution dedup is a sequence rule, not a per-reducer bitmap. Every
+// map index is offered to a shuffling reducer once — speculation kills the
+// losing copy, persisted outputs are never in r.maps — unless Hadoop
+// recovery re-executes it. A reducer has already counted a re-executed
+// output exactly when it began shuffling before that output was declared
+// lost: it was then either offered the first completion or took it from
+// aggOut at its own shuffle start. Shuffle starts and loss detections
+// stamp one run-level counter (rt.shufSeq ≥ 1; mt.lostSeq, 0 while the
+// output was never lost), so
+//
+//	already counted  ⇔  rt.shufSeq < mt.lostSeq
+//
+// on both tiers; a relaunched reducer restamps, an output lost twice
+// keeps its latest stamp.
 
 // offerMapOutput accounts one completed map output to one shuffling reducer.
 func (r *jobRun) offerMapOutput(rt *reduceTask, mt *mapTask) {
 	share := float64(mt.outBytes) * rt.shareFrac(r.cfg().NumReducers)
-	if rt.seen[mt.index] {
+	if rt.shufSeq < mt.lostSeq {
 		// A re-execution of an output this reducer already counted: it only
 		// covers bytes the reducer lost with the dead node.
 		if share > rt.needResupply {
 			share = rt.needResupply
 		}
 		rt.needResupply -= share
-	} else {
-		rt.seen[mt.index] = true
 	}
 	if share > 0 {
-		rt.bucket(r.srcBucketOf(mt.node)).pending += share
+		src := mt.node
+		if r.d.agg {
+			src = 0 // the single per-destination aggregate
+		}
+		rt.buckets[src].pending += share
 	}
 	r.kickFetch(rt)
 	r.maybeFinishShuffle(rt)
@@ -83,25 +89,52 @@ func (r *jobRun) offerMapOutput(rt *reduceTask, mt *mapTask) {
 
 // The aggregated tier replaces the per-map-completion broadcast — every
 // completed mapper offering its share to every running reducer, an
-// O(maps × reducers) loop that dominates thousand-node profiles — with
-// run-level entitlement accounting: aggOfferBytes accumulates the
-// offered volume in O(1) per completion, each reducer holds a watermark
-// of the volume it has taken its share of, and reducers are synced (and
-// their fetches kicked) in bounded sweeps: once per chunk-per-reducer of
-// new volume, and finally when the map phase ends. Failure-free
-// simulations — the entire scaling tier — produce byte-identical fetch
-// flows this way, since kickFetch batches below the chunk threshold
-// anyway, so fetch flows keep their chunk granularity (sweeps hand each
-// reducer exactly one chunk of new share); on the first failure the run
-// falls back to exact per-reducer offers (aggSlowFallback), because loss
-// accounting needs the per-output seen bitmap the fast path skips.
+// O(maps × reducers) chain of calls that dominates thousand-node profiles
+// — with three cost classes:
+//
+//   - Failure-free, O(1) per completion: aggOfferBytes accumulates the
+//     offered volume, each reducer holds a watermark of the volume it has
+//     taken its share of, and reducers are synced (and their fetches
+//     kicked) in bounded sweeps: once per chunk-per-reducer of new volume,
+//     and finally when the map phase ends. kickFetch batches below the
+//     chunk threshold anyway, so fetch flows keep their chunk granularity.
+//   - After a node died under the run (aggSlow), one dense pass per
+//     completion: offerAggDense adds the output's share to every live
+//     bucket of the contiguous run-level array and kicks only the
+//     reducers that crossed the chunk threshold.
+//   - Per lost output, O(reducers) calls: a Hadoop re-execution goes
+//     through offerMapOutput per reducer, for its needResupply cap.
+//
+// The sweep path and the dense path kick fetches at different volumes, so
+// they are not interchangeable mid-run — the run switches once, at its
+// first failure (aggSlowFallback). Within a path the floating-point work
+// per reducer is fixed: pending grows by float64(outBytes) × frac, one add
+// per offer, in completion order. Chain totals are compared with == and
+// split reducers have non-power-of-two fractions, so the adds must not be
+// regrouped into Δvolume × frac.
 
-// aggFastShuffle reports whether the run is on the aggregated tier's
-// failure-free fast path: entitlement-counter offers, no per-output seen
-// bitmaps. Any failure in the chain (a dead DFS node, or this run's
-// fallback already taken) drops to the exact accounting.
-func (r *jobRun) aggFastShuffle() bool {
-	return r.d.agg && !r.aggSlow && !r.fs().AnyFailed()
+// offerAggDense is the post-failure aggregated-tier feeding loop for a
+// first-time completion.
+func (r *jobRun) offerAggDense(mt *mapTask) {
+	out := float64(mt.outBytes)
+	last := r.mapsRemaining == 0
+	minChunk := float64(r.cfg().BlockSize) / 4
+	buckets := r.aggBuckets
+	for i := range buckets {
+		b := &buckets[i]
+		if !b.live {
+			continue
+		}
+		if share := out * b.frac; share > 0 {
+			b.pending += share
+		}
+		// kickFetch starts nothing below the chunk threshold while maps
+		// remain, and maybeFinishShuffle waits for the last map.
+		if last || (b.fl == nil && b.pending >= minChunk) {
+			r.kickFetch(b.rt)
+			r.maybeFinishShuffle(b.rt)
+		}
+	}
 }
 
 // aggSweepStep is the offered-volume interval between reducer sweeps:
@@ -135,39 +168,22 @@ func (r *jobRun) aggSweep() {
 // aggSync credits rt its share of the volume offered since its watermark.
 func (r *jobRun) aggSync(rt *reduceTask) {
 	if delta := r.aggOfferBytes - rt.aggAccounted; delta > 0 {
-		rt.bucket(0).pending += delta * rt.shareFrac(r.cfg().NumReducers)
+		rt.buckets[0].pending += delta * rt.shareFrac(r.cfg().NumReducers)
 		rt.aggAccounted = r.aggOfferBytes
 	}
 }
 
-// aggSlowFallback switches an aggregated run to exact per-reducer offers
-// at its first failure: watermarks are settled and the seen bitmaps
-// caught up to every completed output, so the slow path's re-execution
-// dedup (and needResupply capping) works from here on.
+// aggSlowFallback switches an aggregated run from sweeps to per-completion
+// offers at its first failure, settling every shuffling reducer's
+// watermark first.
 func (r *jobRun) aggSlowFallback() {
 	if r.aggSlow || !r.d.agg {
 		return
 	}
 	r.aggSlow = true
 	for _, rt := range r.reduces {
-		if rt.state != taskRunning || !rt.shuffling {
-			continue
-		}
-		r.aggSync(rt)
-		// Fast-path launches skipped the seen bitmap entirely; rebuild it
-		// before the slow path's per-output dedup relies on it.
-		rt.seen = grow(rt.seen, r.seenSize)
-		for _, mt := range r.maps {
-			if mt.state == taskDone {
-				rt.seen[mt.index] = true
-			}
-		}
-		if r.persistedSeen != nil {
-			for i, p := range r.persistedSeen {
-				if p {
-					rt.seen[i] = true
-				}
-			}
+		if rt.state == taskRunning && rt.shuffling {
+			r.aggSync(rt)
 		}
 	}
 }
@@ -198,27 +214,24 @@ func (r *jobRun) launchReduce(rt *reduceTask, node int) {
 	rt.to(taskRunning)
 	rt.node = node
 	rt.start = r.sim().Now()
-	// One bucket slot per potential source node — or a single aggregate
-	// slot on the aggregated tier. All idle until bytes are accounted. The
-	// slice must not be reallocated while fetches are in flight (each
-	// bucket is its own flow Completion), so it is sized here, before any
-	// fetch starts, and never grown.
-	numNodes := r.clus().NumNodes()
+	// One bucket slot per potential source node, all idle until bytes are
+	// accounted. The slice must not be reallocated while fetches are in
+	// flight (each bucket is its own flow Completion), so it is sized here,
+	// before any fetch starts, and never grown — or, on the aggregated tier,
+	// is the single aggregate slot begin carved out of aggBuckets.
 	if r.d.agg {
-		numNodes = 1
-	}
-	if cap(rt.buckets) < numNodes {
-		rt.buckets = make([]srcBucket, numNodes)
+		b := &rt.buckets[0]
+		*b = srcBucket{rt: rt, frac: b.frac}
 	} else {
-		rt.buckets = rt.buckets[:numNodes]
-	}
-	for i := range rt.buckets {
-		rt.buckets[i] = srcBucket{rt: rt, src: i}
-	}
-	if r.aggFastShuffle() {
-		rt.seen = rt.seen[:0] // unused until a failure; fallback rebuilds it
-	} else {
-		rt.seen = grow(rt.seen, r.seenSize)
+		numNodes := r.clus().NumNodes()
+		if cap(rt.buckets) < numNodes {
+			rt.buckets = make([]srcBucket, numNodes)
+		} else {
+			rt.buckets = rt.buckets[:numNodes]
+		}
+		for i := range rt.buckets {
+			rt.buckets[i] = srcBucket{rt: rt, src: i}
+		}
 	}
 	rt.fetched = 0
 	rt.needResupply = 0
@@ -239,59 +252,71 @@ func (r *jobRun) launchReduce(rt *reduceTask, node int) {
 
 func (r *jobRun) reduceShuffle(rt *reduceTask) {
 	rt.ev = nil
-	rt.shuffling = true
+	r.seq++
+	rt.shufSeq = r.seq
+	rt.setShuffling(true)
 	frac := rt.shareFrac(r.cfg().NumReducers)
-	if r.aggFastShuffle() {
-		// Failure-free aggregated launch: every offered byte is on an
-		// alive node, so the reducer's entitlement is one multiply — no
-		// per-node scan, no per-output bitmap.
-		if r.aggOfferBytes > 0 {
-			rt.bucket(0).pending += r.aggOfferBytes * frac
+	if r.d.agg {
+		pending, resupply := r.aggLaunchShare(frac)
+		if pending > 0 {
+			rt.buckets[0].pending += pending
 		}
-		rt.aggAccounted = r.aggOfferBytes
-		r.kickFetch(rt)
-		r.maybeFinishShuffle(rt)
-		return
-	}
-	// The launch may have taken the fast path (seen truncated) before a
-	// failure dropped the run to exact accounting while this reducer sat
-	// in its startup window — aggSlowFallback only rebuilds bitmaps of
-	// reducers already shuffling, so size it here. Nothing is marked yet
-	// at this point in any mode, making the (re-)grow a no-op otherwise.
-	rt.seen = grow(rt.seen, r.seenSize)
-	// Persisted (reused) outputs and any mappers that completed before this
-	// reducer launched. Outputs on a node that died but is not yet detected
-	// become a resupply debt settled by the post-detection re-executions.
-	// Ascending node order, as every sweep that reaches the flow network
-	// must be. Failure-free runs skip the per-node liveness lookups.
-	anyFailed := r.fs().AnyFailed()
-	for n, bytes := range r.aggOut {
-		if bytes <= 0 {
-			continue
-		}
-		if anyFailed && !r.fs().NodeAlive(n) {
-			rt.needResupply += bytes * frac
-			continue
-		}
-		rt.bucket(r.srcBucketOf(n)).pending += bytes * frac
-	}
-	for _, mt := range r.maps {
-		if mt.state == taskDone {
-			rt.seen[mt.index] = true
-		}
-	}
-	if r.persistedSeen != nil {
-		for i, p := range r.persistedSeen {
-			if p {
-				rt.seen[i] = true
+		rt.needResupply += resupply
+	} else {
+		// Persisted (reused) outputs and any mappers that completed before
+		// this reducer launched. Outputs on a node that died but is not yet
+		// detected become a resupply debt settled by the post-detection
+		// re-executions. Ascending node order, as every sweep that reaches
+		// the flow network must be. Failure-free runs skip the per-node
+		// liveness lookups.
+		anyFailed := r.fs().AnyFailed()
+		for n, bytes := range r.aggOut {
+			if bytes <= 0 {
+				continue
 			}
+			if anyFailed && !r.fs().NodeAlive(n) {
+				rt.needResupply += bytes * frac
+				continue
+			}
+			rt.buckets[n].pending += bytes * frac
 		}
 	}
-	// The launch-time aggOut scan above accounted every byte offered so
-	// far, so the aggregated tier's watermark starts at the current total.
+	// Every byte offered so far is now accounted, so the aggregated tier's
+	// watermark starts at the current total.
 	rt.aggAccounted = r.aggOfferBytes
 	r.kickFetch(rt)
 	r.maybeFinishShuffle(rt)
+}
+
+// aggLaunchShare is the launch-time accounting above collapsed to the
+// aggregated tier's single bucket: the bytes a reducer with share fraction
+// frac starts its shuffle owed from alive holders, and its resupply debt
+// for outputs on dead, not yet detected ones. While no node of the chain
+// has failed every offered byte is on an alive node and the entitlement is
+// one multiply. After a failure it is the aggOut scan, each sum taken from
+// zero in ascending node order; the sums depend only on aggOut, the alive
+// set and frac, so they are computed once per burst of launches — mapDone
+// and handleDetection invalidate on their aggOut writes, a node death
+// changes the alive count.
+func (r *jobRun) aggLaunchShare(frac float64) (pending, resupply float64) {
+	if !r.fs().AnyFailed() {
+		return r.aggOfferBytes * frac, 0
+	}
+	m := &r.aggLaunch
+	if alive := r.clus().NumAlive(); !m.valid || m.alive != alive || m.frac != frac {
+		m.valid, m.alive, m.frac = true, alive, frac
+		m.pending, m.resupply = 0, 0
+		for n, bytes := range r.aggOut {
+			switch {
+			case bytes <= 0:
+			case r.fs().NodeAlive(n):
+				m.pending += bytes * frac
+			default:
+				m.resupply += bytes * frac
+			}
+		}
+	}
+	return m.pending, m.resupply
 }
 
 // kickFetch starts fetch flows for rt up to the parallelism bound. While
@@ -314,9 +339,6 @@ func (r *jobRun) kickFetch(rt *reduceTask) {
 	// shared.)
 	for n := range rt.buckets {
 		b := &rt.buckets[n]
-		if !b.used {
-			continue
-		}
 		if rt.inflight >= r.cfg().FetchParallelism {
 			return
 		}
@@ -358,11 +380,11 @@ func (r *jobRun) maybeFinishShuffle(rt *reduceTask) {
 	}
 	for i := range rt.buckets {
 		b := &rt.buckets[i]
-		if b.used && (b.pending > 1e-6 || b.fl != nil) {
+		if b.pending > 1e-6 || b.fl != nil {
 			return
 		}
 	}
-	rt.shuffling = false
+	rt.setShuffling(false)
 	d := des.Time(0)
 	if cpu := r.ccfg().ReduceCPU; cpu > 0 {
 		d = des.Time(rt.fetched / cpu)

@@ -37,7 +37,7 @@ i=0
 while [ "$i" -lt "$COUNT" ]; do
     RCMP_BENCH_SCALE=smoke go test -run xxx -bench 'BenchmarkAll(Serial|Parallel)$' \
         -benchtime "${E2E_ITERS}x" -benchmem . >>"$tmp"
-    go test -run xxx -bench 'BenchmarkClusterScaling' \
+    go test -run xxx -bench 'BenchmarkClusterScaling$' \
         -benchtime "${E2E_ITERS}x" -benchmem . >>"$tmp"
     go test -run xxx -bench 'BenchmarkRebalance' \
         -benchtime "${MICRO_ITERS}x" -benchmem ./internal/flow >>"$tmp"
