@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-smoke bench bench-scale bench-serve bench-full benchdiff profile-scale profile-scale-fail verify
+.PHONY: all build test race bench-smoke bench bench-scale bench-serve bench-full benchdiff profile-scale profile-scale-fail profile-figs verify
 
 all: build test
 
@@ -21,10 +21,11 @@ bench-smoke:
 	RCMP_BENCH_SCALE=smoke $(GO) test -run xxx -bench . -benchtime 1x ./...
 
 # bench runs the perf-trajectory benchmarks of the simulation core
-# (BenchmarkRebalance*, BenchmarkAllSerial, BenchmarkAllParallel and the
-# BenchmarkClusterScaling weak-scaling sweep) and emits their ns/op,
-# bytes/op, allocs/op (and ns/event for the scaling sweep) as
-# BENCH_flow.json, so successive PRs can diff the trajectory. Run it (on
+# (BenchmarkRebalance*, BenchmarkAllSerial, BenchmarkAllParallel, the
+# BenchmarkClusterScaling weak-scaling sweep with its failing tail
+# BenchmarkClusterScalingFail, and BenchmarkAnalyticWhatIf) and emits their
+# ns/op, bytes/op, allocs/op (and ns/event for the scaling sweeps,
+# ns/answer for the what-if) as BENCH_flow.json, so successive PRs can diff the trajectory. Run it (on
 # an idle machine) to regenerate the baseline after intentional perf
 # changes.
 bench:
@@ -65,6 +66,18 @@ profile-scale-fail:
 		-cpuprofile profiles/scalefail4096.cpu.pprof \
 		-memprofile profiles/scalefail4096.mem.pprof .
 	$(GO) tool pprof -top -nodecount=10 profiles/scalefail4096.cpu.pprof
+
+# profile-figs profiles the layer that owns bench/'s figs_paper workload:
+# one paper-scale pass over every registered figure (BenchmarkAllSerial) —
+# des, strict flow accounting and the exact shuffle tier on 10-60
+# node clusters, a couple of seconds in all. The captures stay local
+# (.gitignore).
+profile-figs:
+	@mkdir -p profiles
+	$(GO) test -run xxx -bench 'BenchmarkAllSerial$$' -benchtime 1x \
+		-cpuprofile profiles/figs.cpu.pprof \
+		-memprofile profiles/figs.mem.pprof .
+	$(GO) tool pprof -top -nodecount=10 profiles/figs.cpu.pprof
 
 # bench-serve load-tests the sweep server (cmd/serveload): two phases of
 # 1000 fully concurrent smoke-tier sweep requests against an in-process

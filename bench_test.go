@@ -178,7 +178,8 @@ func BenchmarkClusterScaling(b *testing.B) {
 // into run 2 — the chain bench/'s scale_fail workload runs — so the
 // post-failure shuffle accounting (docs/perf.md) has a root-level
 // ns/event number and `make profile-scale-fail` something to profile.
-// Recorded in BENCH_flow.json, not yet gated by benchdiff.
+// Measured into BENCH_flow.json by scripts/bench_json.sh and gated by
+// benchdiff like the failure-free sweep.
 func BenchmarkClusterScalingFail(b *testing.B) {
 	benchClusterScaling(b, []int{1024, 4096}, true)
 }
@@ -215,9 +216,9 @@ func benchClusterScaling(b *testing.B, sizes []int, fail bool) {
 // one weak-scaling what-if answer at 131072 nodes — 8x beyond the DES
 // ceiling — per iteration, reported as ns/answer. The acceptance bar is
 // <1 ms per config point (docs/perf.md records the measured value against
-// the DES's ns/run at its own ceiling); the benchmark is recorded in
-// BENCH_flow.json but not yet gated by benchdiff, per the new-benchmark
-// policy there.
+// the DES's ns/run at its own ceiling); scripts/bench_json.sh measures it
+// into BENCH_flow.json (with ns_per_answer) and benchdiff gates its ns/op
+// and allocs/op.
 func BenchmarkAnalyticWhatIf(b *testing.B) {
 	cfg := experiments.Config{Scale: experiments.ScaleQuick, Nodes: 131072, Engine: experiments.EngineAnalytic}
 	sp, ok := experiments.Lookup("weak-scaling")
