@@ -50,6 +50,17 @@
 // Timer (one Fire method on an object that already exists, dispatching on
 // its own phase state) and schedule with AtTimer/AfterTimer: together
 // with the free list this makes the schedule–fire cycle allocation-free.
+//
+// # Settling deferred model state
+//
+// A model layer may defer recomputing derived state (the flow network's
+// max-min rates and its completion event) until the end of the instant
+// that invalidated it. BeforeNext registers a one-shot Settler the kernel
+// runs before it next inspects its queue — Step, RunUntil, NextAt and
+// SetNow all observe settled state — and ReserveSeq/AtTimerSeq let that
+// settler schedule its event under the sequence number it would have been
+// given had it been scheduled at the point the work became owed, so
+// deferring never changes a same-time tie.
 package des
 
 import (
@@ -70,6 +81,12 @@ const Forever Time = Time(math.MaxFloat64)
 // not allocate the way a capturing closure does.
 type Timer interface {
 	Fire()
+}
+
+// Settler is model state that owes a recomputation before the kernel next
+// inspects its queue; see BeforeNext.
+type Settler interface {
+	Settle()
 }
 
 // Event tier markers, stored in Event.tier. Non-negative values are rung
@@ -142,6 +159,9 @@ type Simulator struct {
 	seq     uint64
 	stopped bool
 	free    []*Event // recycled events, see the package comment
+	// owing holds the settlers registered since the kernel last inspected
+	// its queue (BeforeNext); ensureFront runs and clears it.
+	owing []Settler
 
 	// Two-tier ladder queue state. Invariant: every event in front has
 	// at < frontEnd; every event in buckets[cur:] or far has at >= frontEnd;
@@ -211,6 +231,8 @@ func (s *Simulator) Reset() {
 	s.now = 0
 	s.seq = 0
 	s.stopped = false
+	clear(s.owing)
+	s.owing = s.owing[:0]
 	s.Processed = 0
 	s.Absorbed = 0
 }
@@ -218,9 +240,9 @@ func (s *Simulator) Reset() {
 // Now returns the current virtual time.
 func (s *Simulator) Now() Time { return s.now }
 
-// alloc pops a recycled event or makes a fresh one.
-func (s *Simulator) alloc(t Time, fn func(), tm Timer) *Event {
-	s.seq++
+// alloc pops a recycled event or makes a fresh one, ordered by seq among
+// same-time events.
+func (s *Simulator) alloc(t Time, seq uint64, fn func(), tm Timer) *Event {
 	var e *Event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
@@ -232,7 +254,7 @@ func (s *Simulator) alloc(t Time, fn func(), tm Timer) *Event {
 		e = &Event{}
 	}
 	e.at = t
-	e.seq = s.seq
+	e.seq = seq
 	e.fn = fn
 	e.tm = tm
 	e.index = -1
@@ -325,8 +347,13 @@ func swapRemove(list []*Event, i int) []*Event {
 
 // ensureFront makes the front heap hold the globally earliest event,
 // sweeping rung buckets (and re-bucketing the far list) as needed. It
-// reports whether any event is pending.
+// reports whether any event is pending. Every inspection of the queue goes
+// through here, so this is where owing settlers run first: whatever they
+// schedule is in place before the earliest event is chosen.
 func (s *Simulator) ensureFront() bool {
+	if len(s.owing) > 0 {
+		s.settle()
+	}
 	for len(s.front) == 0 {
 		if s.sweepBucket() {
 			continue
@@ -337,6 +364,16 @@ func (s *Simulator) ensureFront() bool {
 		s.reRung()
 	}
 	return true
+}
+
+// settle runs the registered settlers once each, in registration order.
+func (s *Simulator) settle() {
+	for i := 0; i < len(s.owing); i++ {
+		x := s.owing[i]
+		s.owing[i] = nil
+		x.Settle()
+	}
+	s.owing = s.owing[:0]
 }
 
 // sweepBucket moves the next non-empty rung bucket into the front heap,
@@ -449,7 +486,7 @@ func (s *Simulator) At(t Time, fn func()) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, s.now))
 	}
-	e := s.alloc(t, fn, nil)
+	e := s.alloc(t, s.ReserveSeq(), fn, nil)
 	s.push(e)
 	return e
 }
@@ -458,12 +495,38 @@ func (s *Simulator) At(t Time, fn func()) *Event {
 // the allocation-free form of At for callbacks that live on an existing
 // model object. Scheduling in the past panics.
 func (s *Simulator) AtTimer(t Time, tm Timer) *Event {
+	return s.AtTimerSeq(t, tm, s.ReserveSeq())
+}
+
+// ReserveSeq consumes and returns the next scheduling sequence number
+// without scheduling anything. A settler (BeforeNext) calls it at the point
+// its event would have been scheduled eagerly and hands the number to
+// AtTimerSeq once the event's time is known.
+func (s *Simulator) ReserveSeq() uint64 {
+	s.seq++
+	return s.seq
+}
+
+// AtTimerSeq is AtTimer under a sequence number obtained from ReserveSeq:
+// among same-time events, tm fires as if it had been scheduled at the
+// moment of the reservation. A reservation orders at most one queued event.
+func (s *Simulator) AtTimerSeq(t Time, tm Timer, seq uint64) *Event {
 	if t < s.now {
 		panic(fmt.Sprintf("des: scheduling event at %v before now %v", t, s.now))
 	}
-	e := s.alloc(t, nil, tm)
+	e := s.alloc(t, seq, nil, tm)
 	s.push(e)
 	return e
+}
+
+// BeforeNext registers x.Settle to run once, before the kernel next
+// inspects its queue (Step, RunUntil, NextAt, SetNow) and so before any
+// further event fires or the clock moves. It is how a model layer coalesces
+// the recomputations one instant's callbacks owe into a single one at the
+// end of the instant. Settle may schedule and cancel events; it must not
+// call back into the queue-inspecting methods.
+func (s *Simulator) BeforeNext(x Settler) {
+	s.owing = append(s.owing, x)
 }
 
 // Reschedule moves a pending event to absolute time t without allocating a
@@ -481,8 +544,7 @@ func (s *Simulator) Reschedule(e *Event, t Time) {
 	}
 	s.remove(e)
 	e.at = t
-	s.seq++
-	e.seq = s.seq
+	e.seq = s.ReserveSeq()
 	s.push(e)
 }
 

@@ -3,6 +3,7 @@ package des
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -450,4 +451,87 @@ func TestProcessedCount(t *testing.T) {
 	if s.Processed != 5 {
 		t.Fatalf("Processed = %d, want 5", s.Processed)
 	}
+}
+
+// settleFunc adapts a closure to Settler.
+type settleFunc func()
+
+func (f settleFunc) Settle() { f() }
+
+// TestBeforeNextRunsAheadOfEveryQueueInspection checks the settle hook: a
+// registered settler runs exactly once, before Step, RunUntil, NextAt or
+// SetNow looks at the queue, and what it schedules takes part in that very
+// inspection.
+func TestBeforeNextRunsAheadOfEveryQueueInspection(t *testing.T) {
+	inspect := map[string]func(*Simulator){
+		"Step":     func(s *Simulator) { s.Step() },
+		"RunUntil": func(s *Simulator) { s.RunUntil(1) },
+		"NextAt":   func(s *Simulator) { s.NextAt() },
+		"SetNow":   func(s *Simulator) { s.SetNow(1) },
+	}
+	for name, look := range inspect {
+		s := New()
+		settled, fired := 0, false
+		s.At(2, func() {})
+		s.BeforeNext(settleFunc(func() {
+			settled++
+			s.At(1, func() { fired = true })
+		}))
+		if settled != 0 {
+			t.Fatalf("%s: settler ran at registration", name)
+		}
+		look(s)
+		if settled != 1 {
+			t.Fatalf("%s: settler ran %d times before the queue was inspected, want 1", name, settled)
+		}
+		if at, _ := s.NextAt(); name == "NextAt" && at != 1 {
+			t.Fatalf("NextAt = %v, want the event the settler scheduled at 1", at)
+		}
+		s.Run()
+		if !fired || settled != 1 {
+			t.Fatalf("%s: fired=%v settled=%d after Run, want the settler's event fired and no second settle", name, fired, settled)
+		}
+	}
+}
+
+// TestBeforeNextSettlesBetweenSameTimeEvents: a settler registered by one
+// handler runs before the next event fires, even at the same instant.
+func TestBeforeNextSettlesBetweenSameTimeEvents(t *testing.T) {
+	s := New()
+	var got []string
+	s.At(1, func() {
+		got = append(got, "a")
+		s.BeforeNext(settleFunc(func() { got = append(got, "settle") }))
+	})
+	s.At(1, func() { got = append(got, "b") })
+	s.Run()
+	if want := "a settle b"; strings.Join(got, " ") != want {
+		t.Fatalf("order %v, want %q", got, want)
+	}
+}
+
+// TestAtTimerSeqOrdersByReservation: an event scheduled late under a
+// sequence number reserved early fires where the reservation was made
+// among same-time events, and reserving consumes the number (later events
+// order after it).
+func TestAtTimerSeqOrdersByReservation(t *testing.T) {
+	s := New()
+	var got []string
+	s.At(5, func() { got = append(got, "first") })
+	seq := s.ReserveSeq()
+	s.At(5, func() { got = append(got, "third") })
+	s.AtTimerSeq(5, timerFunc(func() { got = append(got, "reserved") }), seq)
+	s.Run()
+	if want := "first reserved third"; strings.Join(got, " ") != want {
+		t.Fatalf("order %v, want %q", got, want)
+	}
+}
+
+// TestResetDropsSettlers: a settler registered before Reset never runs.
+func TestResetDropsSettlers(t *testing.T) {
+	s := New()
+	s.BeforeNext(settleFunc(func() { t.Fatal("settler survived Reset") }))
+	s.Reset()
+	s.At(1, func() {})
+	s.Run()
 }

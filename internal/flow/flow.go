@@ -6,7 +6,11 @@
 // NIC -> core -> destination NIC -> destination disk). At any instant every
 // active flow progresses at its max-min fair rate, computed by progressive
 // water-filling. Whenever the set of active flows changes, accrued progress
-// is banked and rates are recomputed.
+// is banked and the structure (trunks, components, resource claims) is
+// updated on the spot; the rates themselves, and the completion event, are
+// then owed and recomputed once — on the instant's final structure — before
+// the simulator next looks at its queue, however many flows the instant's
+// callbacks started (see "settling" below and in docs/flow.md).
 //
 // Rebalancing is incremental: the network partitions active flows into
 // connected components of the flow/resource sharing graph and confines
@@ -14,10 +18,21 @@
 // Progress is banked lazily per component (a component's flows are only
 // advanced when one of its own flows starts, aborts or completes), each
 // component caches its earliest-completion candidate, and a single
-// simulator event — rescheduled in place — covers the network-wide minimum.
-// Flows in untouched components keep their rates, which is sound because
-// max-min allocations decompose across connected components. See
+// simulator event — re-pointed once per instant — covers the network-wide
+// minimum. Flows in untouched components keep their rates, which is sound
+// because max-min allocations decompose across connected components. See
 // docs/flow.md for the algorithm and the determinism argument.
+//
+// Settling: a water-fill is a pure function of a component's structure and
+// no simulated time passes inside an instant, so starts and removals only
+// mark their component as owing a fill and the network as owing one
+// completion reschedule; Network.settle pays both, from the simulator's
+// des.BeforeNext hook and from the few places that read a rate or an ETA.
+// Two rules keep this bit-identical to recomputing after every operation:
+// each owed point reserves the event sequence number the eager reschedule
+// would have consumed there (the last one is applied), and a removal on a
+// component that already owes a fill pays it first, because a removal lets
+// the groups it does not dirty keep their previous rates.
 //
 // Transfers that share an identical resource path can be coalesced onto a
 // Trunk: the water-filler then arbitrates the trunk as one unit while each
@@ -283,7 +298,11 @@ func (f *Flow) Done() float64 {
 
 // Rate returns the flow's current max-min fair rate in bytes/sec.
 func (f *Flow) Rate() float64 {
-	if f.net != nil && f.net.classAcct && f.tr != nil && f.mindex >= 0 {
+	if f.net == nil {
+		return f.rate
+	}
+	f.net.settle()
+	if f.net.classAcct && f.tr != nil && f.mindex >= 0 {
 		return f.tr.rate
 	}
 	return f.rate
@@ -312,6 +331,14 @@ type component struct {
 	affGen      uint64
 	affDirty    bool
 	affMaySplit bool
+
+	// owesFill: the structure changed since the last water-fill, so member
+	// rates and the cached candidate are stale until Network.settle (or a
+	// removal on this component) pays it. listed: the component sits in
+	// Network.owing, so a fill paid early and owed again does not list it
+	// twice.
+	owesFill bool
+	listed   bool
 }
 
 // bank accrues member progress up to now at the current rates. Under
@@ -401,6 +428,21 @@ type Network struct {
 
 	compTimer completionTimer
 
+	// Settling state. owing lists the components that may owe a water-fill
+	// (each at most once, see component.listed); owesSched says the
+	// completion event must be re-pointed, under schedSeq — the sequence
+	// number reserved at the last owed point, i.e. the one the reschedule
+	// would have consumed had it run there. registered is true while
+	// settler is queued with the simulator.
+	owing      []*component
+	owesSched  bool
+	schedSeq   uint64
+	registered bool
+	settler    settler
+	// fills and scheds count water-fills and completion reschedules, for
+	// the tests that pin the once-per-instant property.
+	fills, scheds uint64
+
 	// horizon, when non-nil, diverts completion scheduling to an external
 	// controller (see SetCompletionHorizon): instead of keeping its own
 	// simulator event, the network notifies the controller whenever the
@@ -417,12 +459,18 @@ type Network struct {
 // whenever it changes, in place of the network's own simulator event. The
 // registered controller owns the schedule: it must arrange for
 // RunCompletions to be called with the simulator clock at the notified
-// time (des.Forever means no completion is pending). Notifications fire
-// from inside flow operations — including from inside RunCompletions
-// itself as the batch reschedules — so implementations must only adjust
-// their own timer state, never re-enter the network.
+// time (des.Forever means no completion is pending). Like the network's
+// own event, the notification is paid when the network settles, not at the
+// operation that moved the time: ReserveCompletionSeq is called at each such
+// operation and must consume the ordering number the controller would give
+// a timer scheduled there; CompletionHorizonChanged then carries the last
+// number reserved, which the controller must order its stand-in entry by
+// (seq is meaningless when at is des.Forever). Both fire from inside
+// network code, so implementations must only adjust their own timer
+// state, never re-enter the network.
 type CompletionHorizon interface {
-	CompletionHorizonChanged(at des.Time)
+	ReserveCompletionSeq() uint64
+	CompletionHorizonChanged(at des.Time, seq uint64)
 }
 
 // SetCompletionHorizon registers h as the external completion scheduler
@@ -440,6 +488,7 @@ func (n *Network) SetCompletionHorizon(h CompletionHorizon) {
 // class accounting this is the completion index root in O(1); other modes
 // fall back to the same scans scheduleCompletion performs.
 func (n *Network) NextCompletionAt() des.Time {
+	n.settle()
 	if n.classAcct {
 		if len(n.compHeap) > 0 {
 			return n.compHeap[0].nextAt
@@ -479,6 +528,16 @@ type completionTimer struct{ n *Network }
 
 func (ct *completionTimer) Fire() { ct.n.complete() }
 
+// settler is the network's des.Settler: the simulator runs it once before
+// it next inspects its queue after the network registered an owed
+// recomputation.
+type settler struct{ n *Network }
+
+func (s *settler) Settle() {
+	s.n.registered = false
+	s.n.settle()
+}
+
 // lazyDefault, when set, makes every Network created by NewNetwork start
 // in lazy banking mode (see EnableLazyBanking). It exists so whole stacks
 // that build their networks deep inside constructors — a simulated cluster,
@@ -496,6 +555,7 @@ func SetDefaultLazyBanking(on bool) bool { return lazyDefault.Swap(on) }
 func NewNetwork(sim *des.Simulator) *Network {
 	n := &Network{sim: sim, lazy: lazyDefault.Load()}
 	n.compTimer.n = n
+	n.settler.n = n
 	return n
 }
 
@@ -520,6 +580,13 @@ func (n *Network) Reset() {
 	n.completion = nil
 	n.nextFlow = nil
 	n.horizon = nil
+	for i, c := range n.owing {
+		c.owesFill, c.listed = false, false
+		n.owing[i] = nil
+	}
+	n.owing = n.owing[:0]
+	n.owesSched = false
+	n.registered = false
 	n.lazy = lazyDefault.Load()
 	n.classAcct = false
 	n.lastUpdate = 0
@@ -764,9 +831,9 @@ func (n *Network) allocTrunk(label string, uses []Use) *Trunk {
 	return t
 }
 
-// startFlow attaches an initialized flow to its trunk's component, claims
-// resources, re-fills rates and reschedules completion — the shared tail
-// of every Start variant.
+// startFlow attaches an initialized flow to its trunk's component and claims
+// resources; the re-fill of the component's rates and the completion
+// reschedule are owed to settle — the shared tail of every Start variant.
 func (n *Network) startFlow(t *Trunk, f *Flow) *Flow {
 	now := n.sim.Now()
 	c := t.comp
@@ -791,9 +858,66 @@ func (n *Network) startFlow(t *Trunk, f *Flow) *Flow {
 	for _, u := range t.uses {
 		u.R.active++
 	}
-	n.waterfill(c, now)
-	n.scheduleCompletion()
+	n.oweFill(c)
+	n.oweSchedule()
 	return f
+}
+
+// oweFill marks c's rates stale: its structure changed, and settle (or a
+// removal on c) re-fills it.
+func (n *Network) oweFill(c *component) {
+	c.owesFill = true
+	if !c.listed {
+		c.listed = true
+		n.owing = append(n.owing, c)
+	}
+	n.register()
+}
+
+// oweSchedule marks the completion event stale and reserves, at this exact
+// point of the handler, the sequence number the eager reschedule consumed
+// here — so the event settle schedules ties against same-time timers
+// precisely as before. An empty network needs no event, hence no number.
+func (n *Network) oweSchedule() {
+	n.owesSched = true
+	if len(n.flows) > 0 {
+		if n.horizon != nil {
+			n.schedSeq = n.horizon.ReserveCompletionSeq()
+		} else {
+			n.schedSeq = n.sim.ReserveSeq()
+		}
+	}
+	n.register()
+}
+
+func (n *Network) register() {
+	if !n.registered {
+		n.registered = true
+		n.sim.BeforeNext(&n.settler)
+	}
+}
+
+// settle pays what the operations since the last settle owe: one water-fill
+// per component whose structure changed, on its final structure, then one
+// completion reschedule. It runs before the simulator next inspects its
+// queue (so before the clock can move: every owing component was banked to
+// now by the operation that marked it) and before any read of a rate or an
+// ETA. Settling more often than necessary is harmless — settling after
+// every operation is exactly the eager recomputation.
+func (n *Network) settle() {
+	now := n.sim.Now()
+	for i, c := range n.owing {
+		n.owing[i] = nil
+		c.listed = false
+		if c.owesFill {
+			n.waterfill(c, now)
+		}
+	}
+	n.owing = n.owing[:0]
+	if n.owesSched {
+		n.owesSched = false
+		n.scheduleCompletion()
+	}
 }
 
 // pushDone inserts into the trunk's completion min-heap (keyed by the
@@ -966,6 +1090,7 @@ func (n *Network) removeComp(c *component) {
 	n.comps[last] = nil
 	n.comps = n.comps[:last]
 	c.next = nil
+	c.owesFill = false
 	n.freeComps = append(n.freeComps, c)
 }
 
@@ -1122,6 +1247,12 @@ func (n *Network) Abort(f *Flow) {
 	}
 	now := n.sim.Now()
 	c := f.tr.comp
+	if c.owesFill {
+		// Pay before removing: refresh lets the groups this removal does
+		// not dirty keep their rates, and those must be the rates of the
+		// structure as it stands, not of some earlier one.
+		n.waterfill(c, now)
+	}
 	n.bankFor(c, now)
 	f.finished = true
 	dirtyGen := n.nextGen()
@@ -1129,14 +1260,14 @@ func (n *Network) Abort(f *Flow) {
 	maySplit := n.detachMember(f, c, dirtyGen, &dirty)
 	n.refresh(c, dirtyGen, len(dirty) > 0, maySplit, now)
 	n.scratchDirty = dirty[:0]
-	n.scheduleCompletion()
+	n.oweSchedule()
 	if f.pooled {
 		n.recycleFlow(f)
 	}
 }
 
 // refresh re-establishes the component invariant after removals: it splits
-// c into its true connected groups, re-fills rates only in groups that
+// c into its true connected groups, owes a re-fill only to groups that
 // contain a dirty resource (one whose capacity split changed), and rescans
 // completion candidates for the rest. Groups untouched by the removal keep
 // their rates — the max-min allocation of a connected group is independent
@@ -1149,7 +1280,7 @@ func (n *Network) refresh(c *component, dirtyGen uint64, anyDirty, maySplit bool
 	if !maySplit {
 		// No bridge was removed, so the component is still connected.
 		if anyDirty {
-			n.waterfill(c, now)
+			n.oweFill(c)
 		} else if n.lazy {
 			n.rescanNext(c, now)
 		}
@@ -1192,7 +1323,7 @@ func (n *Network) refresh(c *component, dirtyGen uint64, anyDirty, maySplit bool
 	if len(bounds) == 2 {
 		// Still one connected component.
 		if anyDirty {
-			n.waterfill(c, now)
+			n.oweFill(c)
 		} else if n.lazy {
 			n.rescanNext(c, now)
 		}
@@ -1230,7 +1361,7 @@ func (n *Network) refresh(c *component, dirtyGen uint64, anyDirty, maySplit bool
 			}
 		}
 		if dirtyGroup {
-			n.waterfill(gc, now)
+			n.oweFill(gc)
 		} else if n.lazy {
 			n.rescanNext(gc, now)
 		}
@@ -1238,11 +1369,16 @@ func (n *Network) refresh(c *component, dirtyGen uint64, anyDirty, maySplit bool
 }
 
 // waterfill recomputes max-min fair rates for one component by progressive
-// water-filling and refreshes its completion candidate. A trunk with k
+// water-filling and refreshes its completion candidate. It reads only the
+// component's structure (trunk order, members, resource active counts) and,
+// for the candidate, progress banked to now — never the previous rates —
+// which is what lets settle run it once per instant. A trunk with k
 // members contributes exactly like k identical flows: weights accumulate
 // and capacity drains one member at a time, so coalesced and separate
 // transfers produce bit-identical arithmetic.
 func (n *Network) waterfill(c *component, now des.Time) {
+	c.owesFill = false
+	n.fills++
 	gen := n.nextGen()
 	for _, t := range c.trunks {
 		t.frozen = false
@@ -1497,12 +1633,15 @@ func (n *Network) rescanNext(c *component, now des.Time) {
 }
 
 // scheduleCompletion points the network's single completion event at the
-// earliest candidate, rescheduling in place. It must be called after every
-// operation that can change a completion time. Lazy mode takes the minimum
+// earliest candidate. Every operation that can change a completion time
+// owes one (oweSchedule); settle calls it once, with rates current, and the
+// event carries the sequence number reserved at the last such operation.
+// Lazy mode takes the minimum
 // over the components' cached candidates; strict mode rescans every flow
 // with freshly banked progress so the scheduled instant is bit-identical to
 // what the historical global rebalance produced.
 func (n *Network) scheduleCompletion() {
+	n.scheds++
 	var next *Flow
 	nextAt := des.Forever
 	if n.classAcct {
@@ -1540,26 +1679,30 @@ func (n *Network) scheduleCompletion() {
 		}
 		n.nextFlow = nil
 		if n.horizon != nil {
-			n.horizon.CompletionHorizonChanged(des.Forever)
+			n.horizon.CompletionHorizonChanged(des.Forever, 0)
 		}
 		return
 	}
 	n.nextFlow = next
 	if n.horizon != nil {
-		n.horizon.CompletionHorizonChanged(nextAt)
+		n.horizon.CompletionHorizonChanged(nextAt, n.schedSeq)
 		return
 	}
 	if n.completion != nil {
-		n.sim.Reschedule(n.completion, nextAt)
-	} else {
-		n.completion = n.sim.AtTimer(nextAt, &n.compTimer)
+		n.sim.Cancel(n.completion)
 	}
+	n.completion = n.sim.AtTimerSeq(nextAt, &n.compTimer, n.schedSeq)
 }
 
 // complete fires when the network believes the target flow has finished; it
-// finalizes every flow that is (numerically) done, refreshes the affected
-// components and reschedules.
+// finalizes every flow that is (numerically) done and refreshes the affected
+// components; their re-fills and the reschedule are owed to settle, together
+// with whatever the completion callbacks start.
 func (n *Network) complete() {
+	// The batch reads rates and candidates. Reached through the network's
+	// own event or a controller honouring the horizon contract this is a
+	// no-op: the kernel settled before it chose the event.
+	n.settle()
 	n.completion = nil
 	target := n.nextFlow
 	n.nextFlow = nil
@@ -1689,7 +1832,7 @@ func (n *Network) complete() {
 	}
 	n.scratchComps = affected[:0]
 	n.scratchDirty = dirty[:0]
-	n.scheduleCompletion()
+	n.oweSchedule()
 	for _, f := range doneFlows {
 		f.pendingFinish = false
 		if f.finished {

@@ -1,6 +1,7 @@
 package flow
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -125,20 +126,23 @@ func refRates(net *Network) map[*Flow]float64 {
 //   - max-min fairness: every flow is pinned by a saturated resource on
 //     which no competing flow runs faster (so no flow's rate can be raised
 //     without lowering a slower-or-equal one).
+//
+// Rates are read through Flow.Rate, which settles the network first and
+// resolves class accounting's per-trunk rate.
 func checkInvariants(t *testing.T, net *Network, where string) {
 	t.Helper()
 	ref := refRates(net)
 	load := make(map[*Resource]float64)
 	maxRate := make(map[*Resource]float64)
 	for _, f := range net.flows {
-		want := ref[f]
-		if diff := math.Abs(f.rate - want); diff > 1e-9*math.Max(1, want) {
-			t.Fatalf("%s: flow %q rate %g diverges from reference %g", where, f.Label, f.rate, want)
+		want, rate := ref[f], f.Rate()
+		if diff := math.Abs(rate - want); diff > 1e-9*math.Max(1, want) {
+			t.Fatalf("%s: flow %q rate %g diverges from reference %g", where, f.Label, rate, want)
 		}
 		for _, u := range f.tr.uses {
-			load[u.R] += f.rate * u.Weight
-			if f.rate > maxRate[u.R] {
-				maxRate[u.R] = f.rate
+			load[u.R] += rate * u.Weight
+			if rate > maxRate[u.R] {
+				maxRate[u.R] = rate
 			}
 		}
 	}
@@ -148,97 +152,257 @@ func checkInvariants(t *testing.T, net *Network, where string) {
 		}
 	}
 	for _, f := range net.flows {
-		if f.rate >= math.MaxFloat64/8 {
+		rate := f.Rate()
+		if rate >= math.MaxFloat64/8 {
 			continue // unconstrained flow: nothing pins it
 		}
 		pinned := false
 		for _, u := range f.tr.uses {
 			eff := u.R.Effective(u.R.active)
 			saturated := load[u.R] >= eff*(1-1e-9)
-			if saturated && maxRate[u.R] <= f.rate*(1+1e-9) {
+			if saturated && maxRate[u.R] <= rate*(1+1e-9) {
 				pinned = true
 				break
 			}
 		}
 		if !pinned {
 			t.Fatalf("%s: flow %q rate %g has no saturated bottleneck where it is fastest; "+
-				"it could be increased without hurting a slower flow (max-min violated)", where, f.Label, f.rate)
+				"it could be increased without hurting a slower flow (max-min violated)", where, f.Label, rate)
 		}
 	}
 }
 
-// TestPropertyRandomChurn drives random start/abort/complete sequences
-// through the incremental rebalance, in strict and lazy mode, re-checking
-// conservation, max-min fairness and the reference cross-check after every
-// step.
+// accountingModes are the three ways a network keeps its books; every
+// churn property must hold in each.
+var accountingModes = []struct {
+	name   string
+	enable func(*Network)
+}{
+	{"strict", func(*Network) {}},
+	{"lazy", (*Network).EnableLazyBanking},
+	{"class", (*Network).EnableClassAccounting},
+}
+
+// churnTrace is everything a churn run makes observable: which flow
+// completed when (in callback order), every live flow's rate at every
+// checkpoint, and the final completion count. Two runs of one seed that
+// differ only in when they settle must produce equal traces.
+type churnTrace struct {
+	doneID    []int
+	doneAt    []des.Time
+	rates     []float64
+	completed uint64
+}
+
+// churn drives one random start/abort/complete sequence. Operations come
+// in bursts — at top level, inside a timer handler, and inside completion
+// callbacks — so several starts, aborts and completions share one instant
+// and the network owes (and coalesces) their recomputation; sizes repeat so
+// that completions tie. With settleEachOp every operation is followed by a
+// forced settle, which is the eager recomputation the deferred one must
+// match bit for bit.
+type churn struct {
+	rng          *rand.Rand
+	sim          *des.Simulator
+	net          *Network
+	resources    []*Resource
+	trunks       []*Trunk
+	live         []*Flow
+	started      int
+	settleEachOp bool
+	trace        churnTrace
+}
+
+func newChurn(seed int64, enable func(*Network), settleEachOp bool) *churn {
+	c := &churn{rng: rand.New(rand.NewSource(seed)), sim: des.New(), settleEachOp: settleEachOp}
+	c.net = NewNetwork(c.sim)
+	enable(c.net)
+	c.resources = make([]*Resource, 3+c.rng.Intn(8))
+	for i := range c.resources {
+		c.resources[i] = &Resource{Name: "r", Capacity: 20 + c.rng.Float64()*300, SeekPenalty: c.rng.Float64() * 0.4}
+		if c.rng.Intn(2) == 0 {
+			c.resources[i].PenaltyCap = 0.5 + c.rng.Float64()
+		}
+	}
+	// A few caller-owned trunks, so members join and leave shared
+	// arbitration units as well as singleton ones.
+	for i := 0; i < 3; i++ {
+		c.trunks = append(c.trunks, c.net.NewTrunk("shared", c.randomUses()))
+	}
+	return c
+}
+
+func (c *churn) randomUses() []Use {
+	k := 1 + c.rng.Intn(3)
+	uses := make([]Use, 0, k)
+	seen := map[int]bool{}
+	for len(uses) < k {
+		j := c.rng.Intn(len(c.resources))
+		if seen[j] {
+			continue
+		}
+		seen[j] = true
+		uses = append(uses, Use{c.resources[j], []float64{0.25, 0.5, 1, 2}[c.rng.Intn(4)]})
+	}
+	return uses
+}
+
+func (c *churn) drop(f *Flow) {
+	for i, g := range c.live {
+		if g == f {
+			c.live = append(c.live[:i], c.live[i+1:]...)
+			return
+		}
+	}
+}
+
+// op starts a flow or aborts a live one. depth bounds the recursion of
+// callbacks that run further operations.
+func (c *churn) op(depth int) {
+	if c.rng.Intn(10) < 6 || len(c.live) == 0 {
+		size := []float64{100, 400, 1600}[c.rng.Intn(3)]
+		if c.rng.Intn(2) == 0 {
+			size = 100 + c.rng.Float64()*5000
+		}
+		var extra des.Time
+		if c.rng.Intn(4) == 0 {
+			extra = 0.5
+		}
+		id := c.started
+		c.started++
+		onDone := func(f *Flow) {
+			c.trace.doneID = append(c.trace.doneID, id)
+			c.trace.doneAt = append(c.trace.doneAt, c.sim.Now())
+			c.drop(f)
+			if depth < 2 && c.rng.Intn(2) == 0 {
+				c.burst(depth + 1)
+			}
+		}
+		var f *Flow
+		if c.rng.Intn(3) == 0 {
+			f = c.trunks[c.rng.Intn(len(c.trunks))].Start("f", size, extra, onDone)
+		} else {
+			f = c.net.Start("f", size, c.randomUses(), extra, onDone)
+		}
+		c.live = append(c.live, f)
+	} else {
+		f := c.live[c.rng.Intn(len(c.live))]
+		c.net.Abort(f)
+		c.drop(f)
+	}
+	if c.settleEachOp {
+		c.net.settle()
+	}
+}
+
+func (c *churn) burst(depth int) {
+	for k := 1 + c.rng.Intn(4); k > 0; k-- {
+		c.op(depth)
+	}
+}
+
+// step runs one burst (top-level or inside a timer handler) or lets the
+// earliest completion fire, then records a checkpoint.
+func (c *churn) step() {
+	switch r := c.rng.Intn(10); {
+	case r < 4 || len(c.live) == 0:
+		c.burst(0)
+	case r < 7:
+		fired := false
+		c.sim.After(des.Time(c.rng.Float64()*3), func() { fired = true; c.burst(0) })
+		for !fired && c.sim.Step() {
+		}
+	default:
+		before := c.net.Completed
+		for c.sim.Step() && c.net.Completed == before {
+		}
+	}
+	for _, f := range c.net.flows {
+		c.trace.rates = append(c.trace.rates, f.Rate())
+	}
+}
+
+// finish aborts what is left and reports leaks.
+func (c *churn) finish(t *testing.T, where string) {
+	t.Helper()
+	for len(c.live) > 0 {
+		c.net.Abort(c.live[0])
+		c.drop(c.live[0])
+	}
+	c.sim.Run()
+	c.trace.completed = c.net.Completed
+	if c.net.ActiveFlows() != 0 || c.net.Components() != 0 {
+		t.Fatalf("%s: leaked %d flows / %d components", where, c.net.ActiveFlows(), c.net.Components())
+	}
+	for _, r := range c.resources {
+		if r.Active() != 0 {
+			t.Fatalf("%s: resource leaked %d active members", where, r.Active())
+		}
+	}
+}
+
+// TestPropertyRandomChurn drives random start/abort/complete bursts through
+// the incremental rebalance in every accounting mode, re-checking
+// conservation, max-min fairness and the reference cross-check at every
+// checkpoint.
 func TestPropertyRandomChurn(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		mode := map[bool]string{false: "strict", true: "lazy"}[lazy]
-		rng := rand.New(rand.NewSource(23))
+	for _, mode := range accountingModes {
 		for trial := 0; trial < 20; trial++ {
-			sim := des.New()
-			net := NewNetwork(sim)
-			if lazy {
-				net.EnableLazyBanking()
-			}
-			nres := 3 + rng.Intn(8)
-			resources := make([]*Resource, nres)
-			for i := range resources {
-				resources[i] = &Resource{
-					Name:        "r",
-					Capacity:    20 + rng.Float64()*300,
-					SeekPenalty: rng.Float64() * 0.4,
-				}
-				if rng.Intn(2) == 0 {
-					resources[i].PenaltyCap = 0.5 + rng.Float64()
-				}
-			}
-			var live []*Flow
+			c := newChurn(int64(23+trial), mode.enable, false)
 			for step := 0; step < 120; step++ {
-				where := mode + " trial/step"
-				switch op := rng.Intn(10); {
-				case op < 5 || len(live) == 0: // start
-					k := 1 + rng.Intn(3)
-					uses := make([]Use, 0, k)
-					seen := map[int]bool{}
-					for len(uses) < k {
-						j := rng.Intn(nres)
-						if seen[j] {
-							continue
-						}
-						seen[j] = true
-						uses = append(uses, Use{resources[j], []float64{0.25, 0.5, 1, 2}[rng.Intn(4)]})
-					}
-					live = append(live, net.Start("f", 100+rng.Float64()*5000, uses, 0, nil))
-				case op < 8: // abort a random live flow
-					j := rng.Intn(len(live))
-					net.Abort(live[j])
-					live = append(live[:j], live[j+1:]...)
-				default: // let the earliest completion fire
-					before := net.Completed
-					for sim.Step() && net.Completed == before {
-					}
-					kept := live[:0]
-					for _, f := range live {
-						if !f.finished {
-							kept = append(kept, f)
-						}
-					}
-					live = kept
+				c.step()
+				checkInvariants(t, c.net, mode.name+" trial/step")
+			}
+			c.finish(t, mode.name)
+		}
+	}
+}
+
+// TestPropertySettleEquivalence is the exactness claim of deferred
+// settling: the same churn, once as written (recomputation owed, paid once
+// per instant) and once with a settle forced after every operation (the
+// eager recomputation), must agree bit for bit on every rate, completion
+// time, completion order and the final count — in every accounting mode.
+func TestPropertySettleEquivalence(t *testing.T) {
+	for _, mode := range accountingModes {
+		for trial := 0; trial < 40; trial++ {
+			var traces [2]churnTrace
+			var fills [2]uint64
+			for i, eager := range []bool{false, true} {
+				c := newChurn(int64(1000+trial), mode.enable, eager)
+				for step := 0; step < 150; step++ {
+					c.step()
 				}
-				checkInvariants(t, net, where)
+				c.finish(t, mode.name)
+				traces[i], fills[i] = c.trace, c.net.fills
 			}
-			for _, f := range live {
-				net.Abort(f)
+			where := fmt.Sprintf("%s trial %d", mode.name, trial)
+			compareTraces(t, where, &traces[0], &traces[1])
+			if fills[0] >= fills[1] {
+				t.Fatalf("%s: %d water-fills deferred vs %d eager: bursts are not coalescing", where, fills[0], fills[1])
 			}
-			if net.ActiveFlows() != 0 || net.Components() != 0 {
-				t.Fatalf("%s: leaked %d flows / %d components", mode, net.ActiveFlows(), net.Components())
-			}
-			for _, r := range resources {
-				if r.Active() != 0 {
-					t.Fatalf("%s: resource leaked %d active members", mode, r.Active())
-				}
-			}
+		}
+	}
+}
+
+func compareTraces(t *testing.T, where string, got, want *churnTrace) {
+	t.Helper()
+	if got.completed != want.completed || len(got.doneID) != len(want.doneID) {
+		t.Fatalf("%s: %d completions (%d callbacks) deferred vs %d (%d) eager",
+			where, got.completed, len(got.doneID), want.completed, len(want.doneID))
+	}
+	for i := range got.doneID {
+		if got.doneID[i] != want.doneID[i] || got.doneAt[i] != want.doneAt[i] {
+			t.Fatalf("%s: completion %d is flow %d at %v deferred, flow %d at %v eager",
+				where, i, got.doneID[i], got.doneAt[i], want.doneID[i], want.doneAt[i])
+		}
+	}
+	if len(got.rates) != len(want.rates) {
+		t.Fatalf("%s: %d rate samples deferred vs %d eager", where, len(got.rates), len(want.rates))
+	}
+	for i := range got.rates {
+		if got.rates[i] != want.rates[i] {
+			t.Fatalf("%s: rate sample %d is %v deferred vs %v eager", where, i, got.rates[i], want.rates[i])
 		}
 	}
 }

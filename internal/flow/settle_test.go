@@ -1,0 +1,165 @@
+package flow
+
+import (
+	"testing"
+
+	"rcmp/internal/des"
+)
+
+// settle_test.go pins the two rules that keep deferred settling identical
+// to recomputing after every operation, and the property that makes it
+// worth having: one water-fill and one reschedule per instant.
+
+// TestSettleKeepsCompletionAheadOfLaterTimer: a handler starts a flow and
+// then schedules a timer landing on exactly the flow's completion time.
+// Recomputing eagerly, the completion event was scheduled at the Start and
+// so fires first; the deferred reschedule must carry the sequence number
+// reserved at the Start, not one taken when settle runs.
+func TestSettleKeepsCompletionAheadOfLaterTimer(t *testing.T) {
+	sim := des.New()
+	net := NewNetwork(sim)
+	r := &Resource{Name: "disk", Capacity: 100}
+	var order []string
+	sim.At(1, func() {
+		net.Start("f", 1000, []Use{{r, 1}}, 0, func(*Flow) { order = append(order, "flow") })
+		sim.At(11, func() { order = append(order, "timer") }) // 1 + 1000/100, exact in float64
+	})
+	sim.Run()
+	if len(order) != 2 || order[0] != "flow" || order[1] != "timer" {
+		t.Fatalf("fired %v at t=%v, want the flow's completion before the later-scheduled timer", order, sim.Now())
+	}
+}
+
+// stubHorizon is a CompletionHorizon that numbers entries the way the
+// fast-forward controller does and remembers the last notification.
+type stubHorizon struct {
+	seq      uint64
+	at       des.Time
+	entrySeq uint64
+}
+
+func (h *stubHorizon) ReserveCompletionSeq() uint64 { h.seq++; return h.seq }
+func (h *stubHorizon) CompletionHorizonChanged(at des.Time, seq uint64) {
+	h.at, h.entrySeq = at, seq
+}
+
+// TestSettleHorizonCarriesReservedSeq is the same tie through an external
+// completion horizon: the stand-in entry is ordered by the number reserved
+// at the Start, ahead of a controller timer numbered afterwards.
+func TestSettleHorizonCarriesReservedSeq(t *testing.T) {
+	sim := des.New()
+	net := NewNetwork(sim)
+	h := &stubHorizon{}
+	net.SetCompletionHorizon(h)
+	r := &Resource{Name: "disk", Capacity: 100}
+	net.Start("f", 1000, []Use{{r, 1}}, 0, nil)
+	timerSeq := h.ReserveCompletionSeq() // the controller numbers one of its own timers
+	if h.entrySeq != 0 {
+		t.Fatal("horizon notified before the network settled")
+	}
+	sim.NextAt() // the kernel inspecting its queue settles the network
+	if h.at != 10 {
+		t.Fatalf("horizon notified of %v, want 10", h.at)
+	}
+	if h.entrySeq == 0 || h.entrySeq >= timerSeq {
+		t.Fatalf("completion entry ordered by seq %d, want the one reserved at Start (< %d)", h.entrySeq, timerSeq)
+	}
+}
+
+// bridged builds two disk-sharing groups joined by one bridge flow:
+//
+//	a1, a2 over (dA, x)   bridge over (x, y)   b1, b2 over (y, dB)
+//
+// and advances the clock so every flow carries banked progress.
+func bridged(enable func(*Network)) (sim *des.Simulator, net *Network, dA *Resource, bridge *Flow, rest []*Flow) {
+	sim = des.New()
+	net = NewNetwork(sim)
+	enable(net)
+	dA = &Resource{Name: "dA", Capacity: 90, SeekPenalty: 0.3}
+	dB := &Resource{Name: "dB", Capacity: 70, SeekPenalty: 0.2}
+	x := &Resource{Name: "x", Capacity: 110}
+	y := &Resource{Name: "y", Capacity: 130}
+	start := func(uses ...Use) *Flow { return net.Start("f", 1e6, uses, 0, nil) }
+	rest = append(rest,
+		start(Use{dA, 1}, Use{x, 0.5}), start(Use{dA, 2}, Use{x, 1}),
+		start(Use{y, 1}, Use{dB, 1}), start(Use{y, 0.25}, Use{dB, 2}))
+	bridge = start(Use{x, 1}, Use{y, 1})
+	sim.RunUntil(3)
+	return
+}
+
+// TestSettlePaysBeforeRemoval: in one instant a flow starts on a component
+// (which now owes a fill) and the bridge holding the component together is
+// aborted. refresh lets the groups a removal does not dirty keep their
+// rates, so the owed fill has to be paid on the pre-removal structure; the
+// survivors' rates must equal, bit for bit, those of settling after every
+// operation.
+func TestSettlePaysBeforeRemoval(t *testing.T) {
+	for _, mode := range accountingModes {
+		run := func(eager bool) (rates []float64, paidAtAbort uint64) {
+			_, net, dA, bridge, rest := bridged(mode.enable)
+			rest = append(rest, net.Start("late", 1e6, []Use{{dA, 1}}, 0, nil))
+			if eager {
+				net.settle()
+			}
+			before := net.fills
+			net.Abort(bridge)
+			paidAtAbort = net.fills - before
+			if net.Components() != 2 {
+				t.Fatalf("%s: %d components after the bridge left, want 2", mode.name, net.Components())
+			}
+			for _, f := range rest {
+				rates = append(rates, f.Rate())
+			}
+			return
+		}
+		deferred, paid := run(false)
+		eager, _ := run(true)
+		for i := range deferred {
+			if deferred[i] != eager[i] {
+				t.Fatalf("%s: survivor %d runs at %v deferred vs %v settling after every op", mode.name, i, deferred[i], eager[i])
+			}
+		}
+		if paid != 1 {
+			t.Fatalf("%s: the removal paid %d water-fills on the owing component, want exactly 1", mode.name, paid)
+		}
+	}
+}
+
+// TestSettleOncePerInstant: a completion whose callback starts R flows
+// into one component costs one water-fill and one completion reschedule
+// for the instant, not R+1 of each.
+func TestSettleOncePerInstant(t *testing.T) {
+	const R = 8
+	for _, mode := range accountingModes {
+		sim := des.New()
+		net := NewNetwork(sim)
+		mode.enable(net)
+		core := &Resource{Name: "core", Capacity: 1000}
+		disk := func() *Resource { return &Resource{Name: "disk", Capacity: 400} }
+		net.Start("standing", 1e9, []Use{{disk(), 1}, {core, 1}}, 0, nil)
+		var started []*Flow
+		net.Start("first", 1000, []Use{{disk(), 1}, {core, 1}}, 0, func(*Flow) {
+			for i := 0; i < R; i++ {
+				started = append(started, net.Start("fetch", 1e6, []Use{{disk(), 1}, {core, 1}}, 0, nil))
+			}
+		})
+		sim.NextAt() // settle the two starts
+		fills, scheds := net.fills, net.scheds
+		if !sim.Step() || len(started) != R {
+			t.Fatalf("%s: the first completion did not fire its callback", mode.name)
+		}
+		sim.NextAt() // end of the instant: the kernel looks at its queue
+		if df, ds := net.fills-fills, net.scheds-scheds; df != 1 || ds != 1 {
+			t.Fatalf("%s: completion + %d starts cost %d water-fills and %d reschedules, want 1 and 1", mode.name, R, df, ds)
+		}
+		if net.Components() != 1 {
+			t.Fatalf("%s: %d components, want the one shared through the core", mode.name, net.Components())
+		}
+		for _, f := range started {
+			if got, want := f.Rate(), 1000.0/(R+1); got != want {
+				t.Fatalf("%s: fetch rate %v, want the core split %d ways = %v", mode.name, got, R+1, want)
+			}
+		}
+	}
+}

@@ -136,17 +136,25 @@ func (c *ffController) cancel(slot *int) {
 	c.resync()
 }
 
+// ReserveCompletionSeq implements flow.CompletionHorizon: a micro-heap
+// sequence number taken at the operation that moved the network's earliest
+// completion, exactly where the queue would number the network's own event
+// in exact mode.
+func (c *ffController) ReserveCompletionSeq() uint64 {
+	c.seq++
+	return c.seq
+}
+
 // CompletionHorizonChanged implements flow.CompletionHorizon: the entry
-// standing in for the network's completion event is re-pushed with a fresh
-// sequence number, mirroring the unconditional Reschedule the network
-// performs on its own event in exact mode.
-func (c *ffController) CompletionHorizonChanged(at des.Time) {
+// standing in for the network's completion event is re-pushed under the
+// sequence number the network reserved for it, so completion batches tie
+// against task timers as the exact-mode event would.
+func (c *ffController) CompletionHorizonChanged(at des.Time, seq uint64) {
 	if c.compSlot != 0 {
 		c.removeAt(c.compSlot - 1)
 	}
 	if at != des.Forever {
-		c.seq++
-		c.push(ffEntry{at: at, seq: c.seq, tm: &c.comp, slot: &c.compSlot})
+		c.push(ffEntry{at: at, seq: seq, tm: &c.comp, slot: &c.compSlot})
 	}
 	c.resync()
 }
@@ -167,9 +175,15 @@ func (c *ffController) Fire() {
 // timers they coincide with, so the queue's order is the exact-mode one).
 func (c *ffController) drain() {
 	c.inDrain = true
-	for len(c.heap) > 0 {
-		at := c.heap[0].at
+	for {
+		// NextAt first: inspecting the queue settles the flow network, which
+		// is what (re)places the completion entry after the micro-event just
+		// fired — the heap root is only meaningful after it.
 		horizon, pending := c.sim.NextAt()
+		if len(c.heap) == 0 {
+			break
+		}
+		at := c.heap[0].at
 		if p := c.clus.NextPulseAt(c.sim.Now()); !pending || p < horizon {
 			horizon, pending = p, true
 		}
