@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-smoke bench bench-scale bench-serve bench-full benchdiff profile-scale profile-scale-fail profile-figs verify
+.PHONY: all build test race bench-smoke bench bench-scale bench-serve bench-full benchdiff profile-scale profile-scale-fail profile-figs profile-dmr verify
 
 all: build test
 
@@ -27,7 +27,8 @@ bench-smoke:
 # ns/op, bytes/op, allocs/op (and ns/event for the scaling sweeps,
 # ns/answer for the what-if) as BENCH_flow.json, so successive PRs can diff the trajectory. Run it (on
 # an idle machine) to regenerate the baseline after intentional perf
-# changes.
+# changes. The same rounds record the real TCP runtime (BenchmarkDMRChain,
+# BenchmarkRecordBatchCodec) into BENCH_dmr.json, which nothing gates.
 bench:
 	./scripts/bench_json.sh
 
@@ -78,6 +79,18 @@ profile-figs:
 		-cpuprofile profiles/figs.cpu.pprof \
 		-memprofile profiles/figs.mem.pprof .
 	$(GO) tool pprof -top -nodecount=10 profiles/figs.cpu.pprof
+
+# profile-dmr profiles the layer that owns bench/'s dmr_clean workload: the
+# failure-free 5-job chain on four in-process workers over loopback TCP
+# (BenchmarkDMRChain) — wire and dmr, no simulator. Cluster start and
+# LoadInput run with the benchmark timer stopped but still show in the
+# profile (a few percent). The captures stay local (.gitignore).
+profile-dmr:
+	@mkdir -p profiles
+	$(GO) test -run xxx -bench 'BenchmarkDMRChain$$' -benchtime 20x \
+		-cpuprofile profiles/dmr.cpu.pprof \
+		-memprofile profiles/dmr.mem.pprof .
+	$(GO) tool pprof -top -nodecount=10 profiles/dmr.cpu.pprof
 
 # bench-serve load-tests the sweep server (cmd/serveload): two phases of
 # 1000 fully concurrent smoke-tier sweep requests against an in-process

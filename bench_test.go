@@ -8,6 +8,8 @@
 package rcmp_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"runtime"
@@ -332,24 +334,36 @@ func BenchmarkSimulatedChainSTIC(b *testing.B) {
 	}
 }
 
+// startDMR brings up a master and four workers on loopback TCP; the
+// returned function tears them down.
+func startDMR(b *testing.B, slots, blockRecords int) (*dmr.Master, []*dmr.Worker, func()) {
+	m, err := dmr.StartMaster(dmr.MasterConfig{SlotsPerWorker: slots, Timing: dmr.TestTiming()}, blockRecords)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ws []*dmr.Worker
+	for w := 0; w < 4; w++ {
+		wk, err := dmr.StartWorker(dmr.WorkerConfig{ID: w, MasterAddr: m.Addr(), Timing: dmr.TestTiming()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ws = append(ws, wk)
+	}
+	return m, ws, func() {
+		for _, wk := range ws {
+			wk.Kill()
+		}
+		m.Close()
+	}
+}
+
 // BenchmarkDistributedChain measures the distributed runtime end to end on
 // loopback TCP: a 4-worker cluster, a 3-job chain, one worker killed after
 // job 2, heartbeat detection, cascading recomputation with splitting, and
 // output digest collection.
 func BenchmarkDistributedChain(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		m, err := dmr.StartMaster(dmr.MasterConfig{SlotsPerWorker: 2, Timing: dmr.TestTiming()}, 40)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var ws []*dmr.Worker
-		for w := 0; w < 4; w++ {
-			wk, err := dmr.StartWorker(dmr.WorkerConfig{ID: w, MasterAddr: m.Addr(), Timing: dmr.TestTiming()})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ws = append(ws, wk)
-		}
+		m, ws, stop := startDMR(b, 2, 40)
 		d, err := dmr.NewDriver(m, dmr.ChainConfig{
 			Jobs: 3, NumReducers: 6, RecordsPerPartition: 80, Seed: 1, Split: true,
 			AfterJob: func(job int) {
@@ -373,10 +387,102 @@ func BenchmarkDistributedChain(b *testing.B) {
 		if _, err := d.OutputDigests(); err != nil {
 			b.Fatal(err)
 		}
-		for _, wk := range ws {
-			wk.Kill()
+		stop()
+	}
+}
+
+// BenchmarkDMRChain is bench/'s dmr_clean workload as a Go benchmark, for
+// profiling (`make profile-dmr`) and BENCH_dmr.json: a failure-free 5-job
+// chain of 4 x 6000 records over 250-record blocks, 8 reducers, on a fresh
+// 4-worker, 1-slot cluster per iteration. Like dmr_clean it times RunChain
+// and OutputDigests, not cluster start or LoadInput. shuffle-rpcs/op is
+// read off the lineage, not counted on the wire: a reducer sends one fetch
+// to every other worker that holds map outputs of its job (the contract
+// internal/dmr's shuffle tests pin on the request stream), so it is the sum
+// of that over all reducers of all jobs.
+func BenchmarkDMRChain(b *testing.B) {
+	cfg := dmr.ChainConfig{Jobs: 5, NumReducers: 8, RecordsPerPartition: 6000, Split: true}
+	if os.Getenv("RCMP_BENCH_SCALE") != "" {
+		cfg.RecordsPerPartition = 300
+	}
+	var rpcs int
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m, _, stop := startDMR(b, 1, 250)
+		d, err := dmr.NewDriver(m, cfg)
+		if err != nil {
+			b.Fatal(err)
 		}
-		m.Close()
+		if err := d.LoadInput(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := d.RunChain(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.OutputDigests(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		for j := 1; j <= d.Chain().Len(); j++ {
+			job := d.Chain().Job(j)
+			holders := map[int]bool{}
+			for _, mp := range job.Mappers {
+				holders[mp.Node] = true
+			}
+			for _, red := range job.Reducers {
+				for _, node := range red.Nodes {
+					rpcs += len(holders)
+					if holders[node] {
+						rpcs--
+					}
+				}
+			}
+		}
+		stop()
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(rpcs)/float64(b.N), "shuffle-rpcs/op")
+}
+
+// plainShuffleResp is the pre-RecordBatch shape of a shuffle reply: records
+// as a reflected gob slice.
+type plainShuffleResp struct{ Records []workload.Record }
+
+func init() { gob.Register(plainShuffleResp{}) }
+
+// BenchmarkRecordBatchCodec measures what one shuffle reply of the
+// BenchmarkDMRChain shape (750 records: one reducer's share of one worker's
+// map outputs) costs to cross a warm gob stream the way wire carries it —
+// as an interface-typed body, decoded into a fresh envelope — packed as
+// the RecordBatch frame the runtime sends, and as the reflected
+// []workload.Record it used to send.
+func BenchmarkRecordBatchCodec(b *testing.B) {
+	type envelope struct{ Body any }
+	rows := workload.Generate(750, 1)
+	for _, c := range []struct {
+		name string
+		body any
+	}{
+		{"packed", dmr.FetchMapOutResp{Records: rows, Counts: []int{len(rows)}}},
+		{"gob", plainShuffleResp{Records: rows}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var stream bytes.Buffer
+			enc, dec := gob.NewEncoder(&stream), gob.NewDecoder(&stream)
+			msg := envelope{Body: c.body}
+			b.SetBytes(int64(len(rows) * (8 + workload.ValueSize)))
+			for i := 0; i < b.N; i++ {
+				var back envelope
+				if err := enc.Encode(&msg); err != nil {
+					b.Fatal(err)
+				}
+				if err := dec.Decode(&back); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)), "ns/record")
+		})
 	}
 }
 

@@ -20,6 +20,17 @@
 //     tagged with the reducer outputs to regenerate — including reducer
 //     splitting and the Figure 5 split-invalidation rule.
 //
+// The shuffle follows the paper's model of a reducer pulling from nodes
+// (Section II): a reducer groups its map sources by the worker holding
+// them and sends each remote worker one FetchMapOutReq listing every map
+// output it wants from there, all workers concurrently, while reading its
+// own outputs straight from the local store. The replies are ingested in
+// the order the master listed the sources, never in the order they arrive,
+// so the reducer's output does not depend on network timing. Record
+// payloads — blocks and shuffle batches alike — cross the wire as one
+// packed frame per message (RecordBatch in codec.go) rather than as one
+// reflected gob struct per record.
+//
 // The runtime is chaos-hardened: every connection can carry a fault
 // injector (wire.Chaos — deterministic latency, jitter, drops, one-way
 // partitions, mid-stream resets), RPCs retry transport errors with
@@ -142,7 +153,7 @@ type PutBlockReq struct {
 	File    string
 	Part    int
 	Block   int
-	Records []workload.Record
+	Records RecordBatch
 }
 
 // PutBlockResp acknowledges a stored block.
@@ -157,25 +168,38 @@ type FetchBlockReq struct {
 
 // FetchBlockResp carries the block payload.
 type FetchBlockResp struct {
-	Records []workload.Record
+	Records RecordBatch
 }
 
-// FetchMapOutReq reads the slice of a persisted map output destined for
-// one reducer — and, when Splits > 1, for one split of that reducer. The
-// split filter runs at the source so a split shuffles only its share of
-// the data, like the paper's split reducers.
+// BlockRef names one input block; a persisted map output is addressed by
+// the block its mapper consumed.
+type BlockRef struct {
+	Part  int
+	Block int
+}
+
+// FetchMapOutReq is the shuffle fetch: one request per (reducer, source
+// worker), the way the paper's reducers pull from nodes (Section II). It
+// reads, from every persisted map output of Job listed in Refs, the slice
+// destined for one reducer — and, when Splits > 1, for one split of that
+// reducer. The split filter runs at the source so a split shuffles only
+// its share of the data, like the paper's split reducers. A missing map
+// output fails the whole request with an error naming it.
 type FetchMapOutReq struct {
 	Job     int
-	Part    int // input partition the mapper consumed
-	Block   int // input block the mapper consumed
+	Refs    []BlockRef // map outputs wanted, by the input block consumed
 	Reducer int
 	Split   int
 	Splits  int
 }
 
-// FetchMapOutResp carries the shuffle payload.
+// FetchMapOutResp carries the shuffle payload of one FetchMapOutReq: the
+// slices of all its Refs concatenated in Refs order as one packed frame,
+// and how many records each ref contributed. The requester rejects a reply
+// whose Counts do not pair up with its Refs or do not sum to len(Records).
 type FetchMapOutResp struct {
-	Records []workload.Record
+	Records RecordBatch
+	Counts  []int
 }
 
 // DropPartitionReq deletes all locally stored blocks of a partition, ahead

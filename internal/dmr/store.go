@@ -61,14 +61,6 @@ func (s *store) GetBlock(file string, part, block int) ([]workload.Record, error
 	return rows, nil
 }
 
-// HasBlock reports whether a block is stored locally.
-func (s *store) HasBlock(file string, part, block int) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.blocks[blockKey{file, part, block}]
-	return ok
-}
-
 // DropPartition deletes every block of a partition.
 func (s *store) DropPartition(file string, part int) {
 	s.mu.Lock()

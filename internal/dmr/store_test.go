@@ -6,13 +6,18 @@ import (
 	"rcmp/internal/workload"
 )
 
+func hasBlock(s *store, file string, part, block int) bool {
+	_, err := s.GetBlock(file, part, block)
+	return err == nil
+}
+
 func TestStoreBlockRoundTrip(t *testing.T) {
 	s := newStore()
 	rows := workload.Generate(10, 1)
 	s.PutBlock("f", 2, 3, rows)
 
-	if !s.HasBlock("f", 2, 3) {
-		t.Fatal("HasBlock = false after Put")
+	if !hasBlock(s, "f", 2, 3) {
+		t.Fatal("block missing after Put")
 	}
 	got, err := s.GetBlock("f", 2, 3)
 	if err != nil {
@@ -24,8 +29,8 @@ func TestStoreBlockRoundTrip(t *testing.T) {
 	if _, err := s.GetBlock("f", 2, 4); err == nil {
 		t.Fatal("missing block read succeeded")
 	}
-	if s.HasBlock("g", 2, 3) {
-		t.Fatal("HasBlock = true for other file")
+	if hasBlock(s, "g", 2, 3) {
+		t.Fatal("block present under another file")
 	}
 }
 
@@ -38,18 +43,18 @@ func TestStoreDropPartitionAndFile(t *testing.T) {
 	s.PutBlock("g", 0, 0, rows)
 
 	s.DropPartition("f", 0)
-	if s.HasBlock("f", 0, 0) || s.HasBlock("f", 0, 1) {
+	if hasBlock(s, "f", 0, 0) || hasBlock(s, "f", 0, 1) {
 		t.Fatal("DropPartition left blocks behind")
 	}
-	if !s.HasBlock("f", 1, 0) || !s.HasBlock("g", 0, 0) {
+	if !hasBlock(s, "f", 1, 0) || !hasBlock(s, "g", 0, 0) {
 		t.Fatal("DropPartition dropped unrelated blocks")
 	}
 
 	s.DropFile("f")
-	if s.HasBlock("f", 1, 0) {
+	if hasBlock(s, "f", 1, 0) {
 		t.Fatal("DropFile left a block behind")
 	}
-	if !s.HasBlock("g", 0, 0) {
+	if !hasBlock(s, "g", 0, 0) {
 		t.Fatal("DropFile dropped another file's block")
 	}
 }

@@ -347,11 +347,7 @@ func (w *Worker) handle(_ net.Addr, req any) (any, error) {
 		}
 		return FetchBlockResp{Records: rows}, nil
 	case FetchMapOutReq:
-		rows, err := w.store.MapOutputSlice(r.Job, r.Part, r.Block, r.Reducer, r.Split, r.Splits)
-		if err != nil {
-			return nil, err
-		}
-		return FetchMapOutResp{Records: rows}, nil
+		return w.serveShuffle(r)
 	case DropPartitionReq:
 		w.store.DropPartition(r.File, r.Part)
 		return DropPartitionResp{}, nil
@@ -384,9 +380,10 @@ func (w *Worker) handle(_ net.Addr, req any) (any, error) {
 // readInput returns the mapper's input block, fetching from a peer when it
 // is not stored locally (a data-non-local task).
 func (w *Worker) readInput(r RunMapperReq) ([]workload.Record, bool, error) {
-	if w.store.HasBlock(r.InFile, r.Part, r.Block) {
-		rows, err := w.store.GetBlock(r.InFile, r.Part, r.Block)
-		return rows, false, err
+	// One read decides local or remote: a DropPartitionReq can land at any
+	// moment, and a block that is gone here may still be served by a holder.
+	if rows, err := w.store.GetBlock(r.InFile, r.Part, r.Block); err == nil {
+		return rows, false, nil
 	}
 	var lastErr error
 	for _, addr := range r.Holders {
@@ -398,7 +395,12 @@ func (w *Worker) readInput(r RunMapperReq) ([]workload.Record, bool, error) {
 			lastErr = err
 			continue
 		}
-		return resp.(FetchBlockResp).Records, true, nil
+		blk, err := replyAs[FetchBlockResp](resp, addr)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		return blk.Records, true, nil
 	}
 	if lastErr == nil {
 		lastErr = fmt.Errorf("dmr: no holders listed")
@@ -413,6 +415,124 @@ func reducerOfRecord(r workload.Record, numReducers int) int {
 
 func splitOfRecord(r workload.Record, splits int) int {
 	return core.SplitOf(core.HashKey(workload.KeyBytes(r.Key)), splits)
+}
+
+// replyAs checks the concrete type of a peer's reply, so a mistyped one is
+// an error naming the peer rather than a panic in a handler goroutine.
+func replyAs[T any](resp any, peer string) (T, error) {
+	v, ok := resp.(T)
+	if !ok {
+		return v, fmt.Errorf("dmr: peer %s replied %T, want %T", peer, resp, v)
+	}
+	return v, nil
+}
+
+// serveShuffle answers one batched shuffle fetch from the local store.
+func (w *Worker) serveShuffle(r FetchMapOutReq) (any, error) {
+	var batch RecordBatch
+	counts := make([]int, len(r.Refs))
+	for i, ref := range r.Refs {
+		rows, err := w.store.MapOutputSlice(r.Job, ref.Part, ref.Block, r.Reducer, r.Split, r.Splits)
+		if err != nil {
+			return nil, err
+		}
+		batch = append(batch, rows...)
+		counts[i] = len(rows)
+	}
+	return FetchMapOutResp{Records: batch, Counts: counts}, nil
+}
+
+// splitShuffleReply checks a source worker's reply to a fetch of nrefs map
+// outputs and cuts its batch back into one slice per ref.
+func splitShuffleReply(resp any, peer string, nrefs int) ([][]workload.Record, error) {
+	reply, err := replyAs[FetchMapOutResp](resp, peer)
+	if err != nil {
+		return nil, err
+	}
+	if len(reply.Counts) != nrefs {
+		return nil, fmt.Errorf("dmr: peer %s answered %d map outputs, asked for %d", peer, len(reply.Counts), nrefs)
+	}
+	out := make([][]workload.Record, nrefs)
+	rest := []workload.Record(reply.Records)
+	for i, n := range reply.Counts {
+		if n < 0 || n > len(rest) {
+			return nil, fmt.Errorf("dmr: peer %s: shuffle reply counts %v do not fit its %d records", peer, reply.Counts, len(reply.Records))
+		}
+		out[i], rest = rest[:n:n], rest[n:]
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("dmr: peer %s: shuffle reply counts %v leave %d of its %d records over", peer, reply.Counts, len(rest), len(reply.Records))
+	}
+	return out, nil
+}
+
+// shuffleParallelCopies bounds how many source workers one reducer fetches
+// from at once (Hadoop's reduce.shuffle.parallelcopies), so a reducer on a
+// large cluster does not hold a goroutine and a reply buffer per peer.
+const shuffleParallelCopies = 8
+
+// shuffle returns, per entry of r.Sources, the records that map output
+// holds for this (reducer, split). Local sources are read straight from the
+// store; remote ones are grouped by worker and fetched with one
+// FetchMapOutReq each, concurrently. The result is indexed like Sources, so
+// what the reducer sees does not depend on the order replies arrive in.
+func (w *Worker) shuffle(r RunReducerReq) ([][]workload.Record, error) {
+	type fetch struct {
+		addr string
+		idx  []int // positions in r.Sources, ascending
+		req  FetchMapOutReq
+		err  error
+	}
+	out := make([][]workload.Record, len(r.Sources))
+	var fetches []*fetch
+	byAddr := make(map[string]*fetch)
+	for i, src := range r.Sources {
+		if src.Addr == w.Addr() {
+			rows, err := w.store.MapOutputSlice(r.Job, src.Part, src.Block, r.Reducer, r.Split, r.Splits)
+			if err != nil {
+				return nil, err
+			}
+			out[i] = rows
+			continue
+		}
+		f := byAddr[src.Addr]
+		if f == nil {
+			f = &fetch{addr: src.Addr, req: FetchMapOutReq{Job: r.Job, Reducer: r.Reducer, Split: r.Split, Splits: r.Splits}}
+			byAddr[src.Addr] = f
+			fetches = append(fetches, f)
+		}
+		f.idx = append(f.idx, i)
+		f.req.Refs = append(f.req.Refs, BlockRef{Part: src.Part, Block: src.Block})
+	}
+
+	var wg sync.WaitGroup
+	sem := make(chan struct{}, shuffleParallelCopies)
+	for _, f := range fetches {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			resp, err := w.peers.Call(f.addr, f.req, w.cfg.Timing.CallTimeout)
+			var parts [][]workload.Record
+			if err == nil {
+				parts, err = splitShuffleReply(resp, f.addr, len(f.idx))
+			}
+			if err != nil {
+				f.err = fmt.Errorf("shuffle from %s: %w", f.addr, err)
+				return
+			}
+			for k, i := range f.idx {
+				out[i] = parts[k] // each fetch fills its own elements: no lock needed
+			}
+		}()
+	}
+	wg.Wait()
+	for _, f := range fetches {
+		if f.err != nil {
+			return nil, f.err
+		}
+	}
+	return out, nil
 }
 
 // runMapper executes one mapper task.
@@ -456,34 +576,21 @@ func (w *Worker) runReducer(r RunReducerReq) (any, error) {
 	if w.cfg.TaskDelay > 0 {
 		time.Sleep(w.cfg.TaskDelay)
 	}
-	// Shuffle: pull this (reducer, split)'s records from every map source.
+	// Shuffle: pull this (reducer, split)'s records from every map source
+	// and group them in Sources order, whichever reply landed first.
+	shuffled, err := w.shuffle(r)
+	if err != nil {
+		return nil, fmt.Errorf("dmr: worker %d reducer %d.%d: %w", w.cfg.ID, r.Reducer, r.Split, err)
+	}
 	grouped := make(map[uint64][][]byte)
 	var keys []uint64
-	ingest := func(rows []workload.Record) {
+	for _, rows := range shuffled {
 		for _, rec := range rows {
 			if _, ok := grouped[rec.Key]; !ok {
 				keys = append(keys, rec.Key)
 			}
 			grouped[rec.Key] = append(grouped[rec.Key], rec.Value)
 		}
-	}
-	for _, src := range r.Sources {
-		if src.Addr == w.Addr() {
-			rows, err := w.store.MapOutputSlice(r.Job, src.Part, src.Block, r.Reducer, r.Split, r.Splits)
-			if err != nil {
-				return nil, err
-			}
-			ingest(rows)
-			continue
-		}
-		resp, err := w.peers.Call(src.Addr, FetchMapOutReq{
-			Job: r.Job, Part: src.Part, Block: src.Block, Reducer: r.Reducer, Split: r.Split, Splits: r.Splits,
-		}, w.cfg.Timing.CallTimeout)
-		if err != nil {
-			return nil, fmt.Errorf("dmr: worker %d reducer %d.%d: shuffle from %s map output p%d/b%d: %w",
-				w.cfg.ID, r.Reducer, r.Split, src.Addr, src.Part, src.Block, err)
-		}
-		ingest(resp.(FetchMapOutResp).Records)
 	}
 
 	// Reduce in deterministic key order.

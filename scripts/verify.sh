@@ -31,8 +31,11 @@
 #      flow core on (their defaults), plus the fast-forward engine's
 #      chain-level property tests forced through -race; then the
 #      analytic-vs-DES tolerance suite over the whole registry
-#   7. benchmark smoke pass: every benchmark once at the smoke tier
-#   8. perf-regression gate: re-measure the perf-trajectory benchmarks and
+#   7. native fuzzing: a few seconds of FuzzRecordBatchDecode, the dmr
+#      record-frame decoder that reads bytes off a socket, on top of its
+#      committed seed corpus (which plain `go test` already replays)
+#   8. benchmark smoke pass: every benchmark once at the smoke tier
+#   9. perf-regression gate: re-measure the perf-trajectory benchmarks and
 #      diff against the committed BENCH_flow.json (scripts/benchdiff.sh;
 #      >10% ns/op or allocs/op regressions fail)
 set -eu
@@ -132,6 +135,9 @@ go test -count=1 -run 'TestGoldenDigests|TestGoldenResultsEquivalentUnderLazyBan
 
 echo "== analytic-vs-DES tolerance suite (registry-wide, 2 seeds per spec) =="
 go test -count=1 -run 'TestAnalyticEngineToleranceRegistryWide' ./internal/experiments
+
+echo "== fuzz (dmr record-batch frame decoder, 5 s) =="
+go test -run xxx -fuzz 'FuzzRecordBatchDecode$' -fuzztime 5s ./internal/dmr
 
 echo "== bench-smoke =="
 RCMP_BENCH_SCALE=smoke go test -run xxx -bench . -benchtime 1x ./...
