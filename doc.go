@@ -37,10 +37,10 @@
 // docs/flow.md describes the algorithm, its invariants and how the default
 // strict mode preserves the historical global rebalance's rounding
 // behaviour (the golden-digest suite pins the resulting outputs) while
-// lazy mode trades that for per-component banking. The mapreduce layer is
-// decomposed into phase modules (map_phase, shuffle_phase, output_phase,
-// recovery) around the explicit task-lifecycle state machine in
-// lifecycle.go.
+// class accounting, which the scaling tier runs, trades that for O(rate
+// classes) bookkeeping per event. The mapreduce layer is decomposed into
+// phase modules (map_phase, shuffle_phase, output_phase, recovery) around
+// the explicit task-lifecycle state machine in lifecycle.go.
 //
 // See docs/experiments.md for the registry and the paper-versus-measured
 // results, docs/perf.md, docs/flow.md and docs/dag.md for the simulator's

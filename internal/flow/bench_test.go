@@ -8,11 +8,11 @@ import (
 
 // benchNet builds a cluster-shaped resource set: one disk per node plus a
 // shared core switch, mirroring what internal/cluster hands the network.
-func benchNet(nodes int, lazy bool) (*des.Simulator, *Network, []*Resource, *Resource) {
+func benchNet(nodes int, class bool) (*des.Simulator, *Network, []*Resource, *Resource) {
 	sim := des.New()
 	net := NewNetwork(sim)
-	if lazy {
-		net.EnableLazyBanking()
+	if class {
+		net.EnableClassAccounting()
 	}
 	disks := make([]*Resource, nodes)
 	for i := range disks {
@@ -23,15 +23,16 @@ func benchNet(nodes int, lazy bool) (*des.Simulator, *Network, []*Resource, *Res
 }
 
 // modes runs the benchmark body once in strict mode (bit-compatible global
-// banking) and once in lazy mode (per-component banking and cached
-// completion candidates).
-func modes(b *testing.B, body func(b *testing.B, lazy bool)) {
-	for _, lazy := range []bool{false, true} {
+// banking) and once under class accounting (per-component, per-trunk
+// banking and heap-backed completion candidates — what the ≥128-node tier
+// runs).
+func modes(b *testing.B, body func(b *testing.B, class bool)) {
+	for _, class := range []bool{false, true} {
 		name := "strict"
-		if lazy {
-			name = "lazy"
+		if class {
+			name = "class"
 		}
-		b.Run(name, func(b *testing.B) { body(b, lazy) })
+		b.Run(name, func(b *testing.B) { body(b, class) })
 	}
 }
 
@@ -39,12 +40,12 @@ func modes(b *testing.B, body func(b *testing.B, lazy bool)) {
 // node-local disk read, so the flow graph is N disjoint single-disk
 // components. A start/abort pair on one disk should cost O(flows on that
 // disk) for the water-filler, not O(all flows) — the headline case for the
-// incremental rebalance. Lazy mode additionally skips the global banking
-// and completion rescan.
+// incremental rebalance. Class accounting additionally skips the global
+// banking and completion rescan.
 func BenchmarkRebalanceLocal(b *testing.B) {
-	modes(b, func(b *testing.B, lazy bool) {
+	modes(b, func(b *testing.B, class bool) {
 		const nodes = 64
-		_, net, disks, _ := benchNet(nodes, lazy)
+		_, net, disks, _ := benchNet(nodes, class)
 		var flows []*Flow
 		for i := 0; i < nodes*4; i++ {
 			flows = append(flows, net.Start("local", 1e15, []Use{{R: disks[i%nodes], Weight: 1}}, 0, nil))
@@ -67,9 +68,9 @@ func BenchmarkRebalanceLocal(b *testing.B) {
 // to the global one, with the connectivity sweep as pure overhead. This
 // bounds the cost of the bookkeeping.
 func BenchmarkRebalanceSharedCore(b *testing.B) {
-	modes(b, func(b *testing.B, lazy bool) {
+	modes(b, func(b *testing.B, class bool) {
 		const nodes = 64
-		_, net, disks, core := benchNet(nodes, lazy)
+		_, net, disks, core := benchNet(nodes, class)
 		var flows []*Flow
 		for i := 0; i < nodes*4; i++ {
 			uses := []Use{{R: disks[i%nodes], Weight: 1}, {R: core, Weight: 1}, {R: disks[(i+7)%nodes], Weight: 1}}
@@ -92,9 +93,9 @@ func BenchmarkRebalanceSharedCore(b *testing.B) {
 // confines local churn to small components while the cross-traffic
 // component stays isolated.
 func BenchmarkRebalanceMixed(b *testing.B) {
-	modes(b, func(b *testing.B, lazy bool) {
+	modes(b, func(b *testing.B, class bool) {
 		const nodes = 64
-		_, net, disks, core := benchNet(nodes, lazy)
+		_, net, disks, core := benchNet(nodes, class)
 		var flows []*Flow
 		for i := 0; i < nodes*4; i++ {
 			var uses []Use
@@ -122,9 +123,9 @@ func BenchmarkRebalanceMixed(b *testing.B) {
 // progress banking and the event (re)scheduling — the full per-event cost a
 // simulation pays, not just the water-filler.
 func BenchmarkRebalanceCompletionChurn(b *testing.B) {
-	modes(b, func(b *testing.B, lazy bool) {
+	modes(b, func(b *testing.B, class bool) {
 		const nodes = 64
-		sim, net, disks, _ := benchNet(nodes, lazy)
+		sim, net, disks, _ := benchNet(nodes, class)
 		for i := 0; i < nodes*4; i++ {
 			net.Start("base", 1e15, []Use{{R: disks[i%nodes], Weight: 1}}, 0, nil)
 		}

@@ -14,14 +14,15 @@
 //
 // Rebalancing is incremental: the network partitions active flows into
 // connected components of the flow/resource sharing graph and confines
-// every recomputation to the component actually touched by a change.
-// Progress is banked lazily per component (a component's flows are only
-// advanced when one of its own flows starts, aborts or completes), each
-// component caches its earliest-completion candidate, and a single
-// simulator event — re-pointed once per instant — covers the network-wide
-// minimum. Flows in untouched components keep their rates, which is sound
-// because max-min allocations decompose across connected components. See
-// docs/flow.md for the algorithm and the determinism argument.
+// every recomputation to the component actually touched by a change, and a
+// single simulator event — re-pointed once per instant — covers the
+// network-wide earliest completion. Flows in untouched components keep
+// their rates, which is sound because max-min allocations decompose across
+// connected components. Progress accounting has two modes: strict (the
+// default) banks and scans for completions globally, bit-identical to the
+// historical global rebalance; class accounting (EnableClassAccounting)
+// banks per component and per trunk and keeps completion candidates in
+// heaps. See docs/flow.md for the algorithm and the determinism argument.
 //
 // Settling: a water-fill is a pure function of a component's structure and
 // no simulated time passes inside an instant, so starts and removals only
@@ -53,7 +54,6 @@ package flow
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"rcmp/internal/des"
 )
@@ -321,7 +321,6 @@ type component struct {
 	lastBank  des.Time    // member progress is banked up to here
 	nextAt    des.Time    // cached earliest completion among members
 	next      *Flow       // member achieving nextAt, nil if none has rate > 0
-	classAcct bool        // mirrors the owning network's mode at alloc time
 	hindex    int         // slot in Network.compHeap, -1 when absent (class accounting)
 
 	// Completion-batch scratch: affGen stamps membership in the current
@@ -341,25 +340,15 @@ type component struct {
 	listed   bool
 }
 
-// bank accrues member progress up to now at the current rates. Under
-// class accounting the accrual is one addition per trunk (the shared-rate
-// integral); members materialize their progress from it when they leave.
+// bank accrues progress up to now at the current rates — class accounting
+// only; strict mode banks globally (bankAll). The accrual is one addition
+// per trunk (the shared-rate integral); members materialize their progress
+// from it when they leave.
 func (c *component) bank(now des.Time) {
 	dt := float64(now - c.lastBank)
 	if dt > 0 {
-		if c.classAcct {
-			for _, t := range c.trunks {
-				t.cum += t.rate * dt
-			}
-		} else {
-			for _, t := range c.trunks {
-				for _, f := range t.members {
-					f.done += f.rate * dt
-					if f.done > f.size {
-						f.done = f.size
-					}
-				}
-			}
+		for _, t := range c.trunks {
+			t.cum += t.rate * dt
 		}
 	}
 	c.lastBank = now
@@ -377,20 +366,16 @@ type Network struct {
 	completion *des.Event // single event at the earliest completion network-wide
 	nextFlow   *Flow      // flow the completion event targets
 	gen        uint64
-	// lazy selects per-component progress banking and cached per-component
-	// completion candidates (see EnableLazyBanking). Off by default: strict
-	// mode banks globally and rescans completions globally so float
-	// accumulation chunks and event times keep the historical global
-	// rebalance's rounding behaviour (see docs/flow.md for the exact
-	// contract and its limits).
-	lazy bool
-	// classAcct selects class-level accounting on top of lazy banking (see
-	// EnableClassAccounting): per-trunk shared rates, O(1) trunk banking
-	// and heap-backed completion candidates, so per-event cost depends on
-	// the number of rate classes, not members. Rates and completion times
-	// are mathematically identical to strict mode but accumulate in
-	// different floating-point chunks (closed-form drains); the scaling
-	// tier runs on it.
+	// classAcct selects class-level accounting (see EnableClassAccounting):
+	// per-component banking, per-trunk shared rates, O(1) trunk banking and
+	// heap-backed completion candidates, so per-event cost depends on the
+	// number of rate classes, not members. Off by default: strict mode
+	// banks globally and rescans completions globally so float accumulation
+	// chunks and event times keep the historical global rebalance's
+	// rounding behaviour (see docs/flow.md for the exact contract and its
+	// limits). Rates and completion times are mathematically identical in
+	// both modes but accumulate in different floating-point chunks
+	// (closed-form drains); the scaling tier runs on class accounting.
 	classAcct  bool
 	lastUpdate des.Time // strict mode: progress banked up to here, globally
 
@@ -483,39 +468,6 @@ func (n *Network) SetCompletionHorizon(h CompletionHorizon) {
 	n.horizon = h
 }
 
-// NextCompletionAt returns the earliest pending completion time the
-// network currently knows, or des.Forever when no flow is in flight. Under
-// class accounting this is the completion index root in O(1); other modes
-// fall back to the same scans scheduleCompletion performs.
-func (n *Network) NextCompletionAt() des.Time {
-	n.settle()
-	if n.classAcct {
-		if len(n.compHeap) > 0 {
-			return n.compHeap[0].nextAt
-		}
-		return des.Forever
-	}
-	at := des.Forever
-	if n.lazy {
-		for _, c := range n.comps {
-			if c.next != nil && c.nextAt < at {
-				at = c.nextAt
-			}
-		}
-		return at
-	}
-	now := n.sim.Now()
-	for _, f := range n.flows {
-		if f.rate <= 0 {
-			continue
-		}
-		if eta := now + des.Time((f.size-f.done)/f.rate); eta < at {
-			at = eta
-		}
-	}
-	return at
-}
-
 // RunCompletions finalizes every flow due at the current simulator time —
 // the external-horizon counterpart of the network's own completion event
 // firing. The registered CompletionHorizon calls it after advancing the
@@ -538,22 +490,9 @@ func (s *settler) Settle() {
 	s.n.settle()
 }
 
-// lazyDefault, when set, makes every Network created by NewNetwork start
-// in lazy banking mode (see EnableLazyBanking). It exists so whole stacks
-// that build their networks deep inside constructors — a simulated cluster,
-// an experiment harness — can be flipped to lazy accounting without
-// threading a flag through every layer, e.g. to re-run the golden-digest
-// suite under the lazy path.
-var lazyDefault atomic.Bool
-
-// SetDefaultLazyBanking toggles lazy banking for networks created after
-// the call and returns the previous setting, so callers can restore it.
-// Existing networks are unaffected.
-func SetDefaultLazyBanking(on bool) bool { return lazyDefault.Swap(on) }
-
 // NewNetwork returns an empty network bound to the simulator clock.
 func NewNetwork(sim *des.Simulator) *Network {
-	n := &Network{sim: sim, lazy: lazyDefault.Load()}
+	n := &Network{sim: sim}
 	n.compTimer.n = n
 	n.settler.n = n
 	return n
@@ -587,7 +526,6 @@ func (n *Network) Reset() {
 	n.owing = n.owing[:0]
 	n.owesSched = false
 	n.registered = false
-	n.lazy = lazyDefault.Load()
 	n.classAcct = false
 	n.lastUpdate = 0
 	n.Completed = 0
@@ -611,40 +549,23 @@ func (n *Network) ActiveFlows() int { return len(n.flows) }
 // for tests and diagnostics.
 func (n *Network) Components() int { return len(n.comps) }
 
-// EnableLazyBanking switches the network to fully lazy accounting: member
-// progress is banked per component only when that component changes, and
-// each component caches its earliest-completion candidate so scheduling
-// scans components instead of flows. Rates and completion times are
-// mathematically identical to strict mode, but progress accumulates in
-// different floating-point chunks, so simulated timestamps can drift by
-// ulps relative to a strict-mode run. Use it for sweeps that do not need
-// bit-compatibility with recorded strict-mode traces; it must be called
-// before the first flow starts.
-func (n *Network) EnableLazyBanking() {
-	if len(n.flows) > 0 {
-		panic("flow: EnableLazyBanking after flows started")
-	}
-	n.lazy = true
-}
-
-// EnableClassAccounting switches the network to class-level accounting —
-// lazy banking plus per-trunk shared rates, O(1) trunk progress banking
-// and heap-backed completion candidates. A trunk's members provably share
-// one max-min rate, so their relative completion order is fixed at join
-// time (by joined-progress + size); the heap exploits that to keep every
-// per-event cost proportional to the number of rate classes instead of
-// the number of in-flight transfers. Results are mathematically the
+// EnableClassAccounting switches the network to class-level accounting:
+// progress is banked per component, only when that component changes, as
+// one per-trunk shared-rate integral, and completion candidates sit in
+// heaps. A trunk's members provably share one max-min rate, so their
+// relative completion order is fixed at join time (by joined-progress +
+// size); the heaps exploit that to keep every per-event cost proportional
+// to the number of rate classes instead of the number of in-flight
+// transfers. Results are mathematically the
 // strict-mode ones, but drains and progress accumulate in closed form
-// rather than member at a time, so timestamps can drift by ulps — the
-// same contract lazy banking carries, which is why the aggregated
-// scaling tier (the only in-tree user) pins its own golden digest on
-// this mode. Must be called before the first flow starts; Reset clears
-// it.
+// rather than member at a time, so timestamps can drift by ulps relative
+// to a strict-mode run, which is why the aggregated scaling tier (the only
+// in-tree user) pins its own golden digest on this mode. Must be called
+// before the first flow starts; Reset clears it.
 func (n *Network) EnableClassAccounting() {
 	if len(n.flows) > 0 {
 		panic("flow: EnableClassAccounting after flows started")
 	}
-	n.lazy = true
 	n.classAcct = true
 }
 
@@ -666,7 +587,7 @@ func (n *Network) bankAll(now des.Time) {
 
 // bankFor banks whatever the current mode requires before c changes.
 func (n *Network) bankFor(c *component, now des.Time) {
-	if n.lazy {
+	if n.classAcct {
 		c.bank(now)
 	} else {
 		n.bankAll(now)
@@ -837,12 +758,12 @@ func (n *Network) allocTrunk(label string, uses []Use) *Trunk {
 func (n *Network) startFlow(t *Trunk, f *Flow) *Flow {
 	now := n.sim.Now()
 	c := t.comp
-	if !n.lazy {
+	if !n.classAcct {
 		n.bankAll(now)
 	}
 	if c == nil {
 		c = n.placeTrunk(t, now)
-	} else if n.lazy {
+	} else if n.classAcct {
 		c.bank(now)
 	}
 	f.mindex = len(t.members)
@@ -1007,14 +928,14 @@ func (n *Network) placeTrunk(t *Trunk, now des.Time) *component {
 				c = o
 			}
 		}
-		if n.lazy {
+		if n.classAcct {
 			c.bank(now)
 		}
 		for _, o := range comps {
 			if o == c {
 				continue
 			}
-			if n.lazy {
+			if n.classAcct {
 				o.bank(now)
 			}
 			for _, ot := range o.trunks {
@@ -1075,7 +996,6 @@ func (n *Network) allocComp(now des.Time) *component {
 	}
 	c.cindex = len(n.comps)
 	c.lastBank = now
-	c.classAcct = n.classAcct
 	c.hindex = -1
 	n.comps = append(n.comps, c)
 	return c
@@ -1281,7 +1201,7 @@ func (n *Network) refresh(c *component, dirtyGen uint64, anyDirty, maySplit bool
 		// No bridge was removed, so the component is still connected.
 		if anyDirty {
 			n.oweFill(c)
-		} else if n.lazy {
+		} else if n.classAcct {
 			n.rescanNext(c, now)
 		}
 		return
@@ -1324,7 +1244,7 @@ func (n *Network) refresh(c *component, dirtyGen uint64, anyDirty, maySplit bool
 		// Still one connected component.
 		if anyDirty {
 			n.oweFill(c)
-		} else if n.lazy {
+		} else if n.classAcct {
 			n.rescanNext(c, now)
 		}
 		return
@@ -1362,7 +1282,7 @@ func (n *Network) refresh(c *component, dirtyGen uint64, anyDirty, maySplit bool
 		}
 		if dirtyGroup {
 			n.oweFill(gc)
-		} else if n.lazy {
+		} else if n.classAcct {
 			n.rescanNext(gc, now)
 		}
 	}
@@ -1479,7 +1399,7 @@ func (n *Network) waterfill(c *component, now des.Time) {
 			n.freezeTrunk(worst, worstLimit)
 		}
 	}
-	if n.lazy {
+	if n.classAcct {
 		n.rescanNext(c, now)
 	}
 }
@@ -1592,54 +1512,38 @@ func (n *Network) compHeapSiftDown(i int) {
 }
 
 // rescanNext refreshes the component's cached earliest-completion
-// candidate from current rates and progress. Class accounting reads one
-// heap root per trunk; the member loops remain for plain lazy mode.
+// candidate from current rates and progress (class accounting only): one
+// heap root per trunk.
 func (n *Network) rescanNext(c *component, now des.Time) {
 	c.next = nil
 	c.nextAt = des.Forever
-	if n.classAcct {
-		for _, t := range c.trunks {
-			if t.rate <= 0 {
-				continue
-			}
-			e := t.validRoot()
-			if e == nil {
-				continue
-			}
-			eta := now + des.Time((e.key-t.cum)/t.rate)
-			if eta < now {
-				eta = now // completion-epsilon overshoot rounds to now
-			}
-			if eta < c.nextAt {
-				c.nextAt = eta
-				c.next = e.f
-			}
-		}
-		n.compHeapUpdate(c)
-		return
-	}
 	for _, t := range c.trunks {
-		for _, f := range t.members {
-			if f.rate <= 0 {
-				continue
-			}
-			eta := now + des.Time((f.size-f.done)/f.rate)
-			if eta < c.nextAt {
-				c.nextAt = eta
-				c.next = f
-			}
+		if t.rate <= 0 {
+			continue
+		}
+		e := t.validRoot()
+		if e == nil {
+			continue
+		}
+		eta := now + des.Time((e.key-t.cum)/t.rate)
+		if eta < now {
+			eta = now // completion-epsilon overshoot rounds to now
+		}
+		if eta < c.nextAt {
+			c.nextAt = eta
+			c.next = e.f
 		}
 	}
+	n.compHeapUpdate(c)
 }
 
 // scheduleCompletion points the network's single completion event at the
 // earliest candidate. Every operation that can change a completion time
 // owes one (oweSchedule); settle calls it once, with rates current, and the
 // event carries the sequence number reserved at the last such operation.
-// Lazy mode takes the minimum
-// over the components' cached candidates; strict mode rescans every flow
-// with freshly banked progress so the scheduled instant is bit-identical to
-// what the historical global rebalance produced.
+// Class accounting reads the completion index root; strict mode rescans
+// every flow with freshly banked progress so the scheduled instant is
+// bit-identical to what the historical global rebalance produced.
 func (n *Network) scheduleCompletion() {
 	n.scheds++
 	var next *Flow
@@ -1648,13 +1552,6 @@ func (n *Network) scheduleCompletion() {
 		if len(n.compHeap) > 0 {
 			nextAt = n.compHeap[0].nextAt
 			next = n.compHeap[0].next
-		}
-	} else if n.lazy {
-		for _, c := range n.comps {
-			if c.next != nil && c.nextAt < nextAt {
-				nextAt = c.nextAt
-				next = c.next
-			}
 		}
 	} else {
 		now := n.sim.Now()
@@ -1710,9 +1607,9 @@ func (n *Network) complete() {
 	// Finish all flows within epsilon of completion, not just the target:
 	// equal-rate flows finish simultaneously and must all be finalized now,
 	// in global start/swap-remove order, even across components. Strict mode
-	// banks everyone first; lazy mode compares virtual progress so
-	// lazily-banked components need no banking writes.
-	if !n.lazy {
+	// banks everyone first; class accounting compares virtual progress so
+	// untouched components need no banking writes.
+	if !n.classAcct {
 		n.bankAll(now)
 	}
 	doneFlows := n.scratchDone[:0]
@@ -1720,7 +1617,7 @@ func (n *Network) complete() {
 		// Drain the components due now off the completion index (they are
 		// its smallest keys), popping each trunk's heap down to the
 		// members within epsilon of done, then restore the global start
-		// order the flow-scan modes produce by construction. Heap keys
+		// order strict mode's flow scan produces by construction. Heap keys
 		// are exactly size minus virtual progress shifted by the trunk
 		// integral, so the epsilon test matches the scan's per-flow test;
 		// an epsilon-done flow in a component whose candidate sits a hair
@@ -1761,9 +1658,7 @@ func (n *Network) complete() {
 				// unconstrained-rate trunk whose huge rate collapses any
 				// remaining volume to a zero time delta). Re-register it
 				// and stop draining: it finalizes at its own event, where
-				// the candidate is the target and pops unconditionally —
-				// the same defer-to-own-event convergence plain lazy mode
-				// has.
+				// the candidate is the target and pops unconditionally.
 				c.bank(now)
 				n.rescanNext(c, now)
 				break
@@ -1781,16 +1676,7 @@ func (n *Network) complete() {
 		sortFlowsByStart(doneFlows)
 	} else {
 		for _, f := range n.flows {
-			vdone := f.done
-			if n.lazy {
-				if dt := float64(now - f.tr.comp.lastBank); dt > 0 {
-					vdone += f.rate * dt
-					if vdone > f.size {
-						vdone = f.size
-					}
-				}
-			}
-			if f == target || f.size-vdone <= 1e-6*math.Max(1, f.size) {
+			if f == target || f.size-f.done <= 1e-6*math.Max(1, f.size) {
 				f.pendingFinish = true
 				doneFlows = append(doneFlows, f)
 			}
@@ -1812,7 +1698,7 @@ func (n *Network) complete() {
 			c.affGen = affGen
 			c.affDirty = false
 			c.affMaySplit = false
-			if n.lazy {
+			if n.classAcct {
 				c.bank(now)
 			}
 			affected = append(affected, c)

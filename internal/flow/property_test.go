@@ -172,14 +172,13 @@ func checkInvariants(t *testing.T, net *Network, where string) {
 	}
 }
 
-// accountingModes are the three ways a network keeps its books; every
+// accountingModes are the two ways a network keeps its books; every
 // churn property must hold in each.
 var accountingModes = []struct {
 	name   string
 	enable func(*Network)
 }{
 	{"strict", func(*Network) {}},
-	{"lazy", (*Network).EnableLazyBanking},
 	{"class", (*Network).EnableClassAccounting},
 }
 

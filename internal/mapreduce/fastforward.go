@@ -41,11 +41,10 @@ import (
 )
 
 // ffForced, when set, makes every subsequently started chain run the
-// fast-forward engine regardless of its FastForward setting. Like
-// flow.SetDefaultLazyBanking it exists so whole stacks — the experiment
-// registry, the CLI — can be flipped without threading a flag through
-// every layer, e.g. to re-run the golden experiments under fast-forward
-// for the equivalence suite.
+// fast-forward engine regardless of its FastForward setting. It exists so
+// whole stacks — the experiment registry, the CLI — can be flipped without
+// threading a flag through every layer, e.g. to re-run the golden
+// experiments under fast-forward for the equivalence suite.
 var ffForced atomic.Bool
 
 // EnableFastForward forces the fast-forward engine on (or releases the

@@ -26,7 +26,7 @@
 #      must miss then hit the result cache, and SIGTERM must drain
 #      cleanly — plus a small serveload pass (concurrent clients, cache
 #      hit-rate and zero-dropped-jobs checks in-process)
-#   6. golden-digest + lazy-equivalence + fast-forward-equivalence
+#   6. golden-digest + fast-forward-equivalence
 #      suites, explicitly, with the ladder event queue and rate-class
 #      flow core on (their defaults), plus the fast-forward engine's
 #      chain-level property tests forced through -race; then the
@@ -130,8 +130,8 @@ wait "$serve_pid"
 echo "== serveload smoke (concurrent clients, cache hit rate, zero dropped jobs) =="
 go run ./cmd/serveload -requests 200 -grids 16 -out "$tmp/BENCH_serve_smoke.json" > /dev/null
 
-echo "== golden digests + lazy + fast-forward equivalence (ladder queue + rate-class flow core on) =="
-go test -count=1 -run 'TestGoldenDigests|TestGoldenResultsEquivalentUnderLazyBanking|TestGoldenResultsEquivalentUnderFastForward' ./internal/experiments
+echo "== golden digests + fast-forward equivalence (ladder queue + rate-class flow core on) =="
+go test -count=1 -run 'TestGoldenDigests|TestGoldenResultsEquivalentUnderFastForward' ./internal/experiments
 
 echo "== analytic-vs-DES tolerance suite (registry-wide, 2 seeds per spec) =="
 go test -count=1 -run 'TestAnalyticEngineToleranceRegistryWide' ./internal/experiments
