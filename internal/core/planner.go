@@ -22,9 +22,11 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 
 	"rcmp/internal/dfs"
 	"rcmp/internal/lineage"
+	"rcmp/internal/middleware"
 )
 
 // Options controls how recomputation runs are executed.
@@ -256,4 +258,32 @@ func ReusedMapOutputs(ch *lineage.Chain, step JobStep) []lineage.MapperMeta {
 		}
 	}
 	return out
+}
+
+// frontierOutput names the output of a job that has no lineage record yet.
+// Nothing reads it; it only has to differ from every recorded file name.
+const frontierOutput = "\x00frontier"
+
+// chainTopology lowers jobs 1..upTo of a linear lineage onto the graph
+// planner's Topology, over the records' own file names (Chain.Append has
+// checked that each job reads its predecessor's output, so the graph's
+// topological order is the chain order). upTo may exceed the lineage by
+// one: the interrupted job is recorded only on completion, so it is stood
+// in for by a job reading the last recorded output.
+func chainTopology(ch *lineage.Chain, upTo int) (*Topology, error) {
+	jobs := make([]middleware.Job, 0, upTo)
+	for j := 1; j <= upTo; j++ {
+		job := middleware.Job{ID: middleware.JobID(strconv.Itoa(j)), Outputs: []string{frontierOutput}}
+		if rec := ch.Job(j); rec != nil {
+			job.Inputs, job.Outputs[0] = []string{rec.InputFile}, rec.OutputFile
+		} else if j > 1 {
+			job.Inputs = []string{ch.Job(j - 1).OutputFile}
+		}
+		jobs = append(jobs, job)
+	}
+	g, err := middleware.NewGraph(jobs)
+	if err != nil {
+		return nil, err
+	}
+	return NewTopology(g)
 }
