@@ -1,11 +1,13 @@
-// graphplan.go generalizes the chain planner to arbitrary job DAGs. The
-// job-level skeleton of a recovery comes from the middleware's file-level
-// cascade (middleware.PlanRecovery); this file refines it to partitions and
-// tasks: which output partitions each skeleton job must regenerate, which
-// mappers must re-execute, and which surviving persisted outputs a split
-// recomputation invalidates. On a linear chain the refined plan is exactly
-// BuildPlan's (pinned by tests), which is what lets the execution engine
-// run every workload — chain or DAG — through one planning path.
+// graphplan.go holds the recovery cascade — the package's one planner —
+// over arbitrary job DAGs. The job-level skeleton of a recovery comes from
+// the middleware's file-level cascade (middleware.PlanRecovery); this file
+// refines it to partitions and tasks: which output partitions each skeleton
+// job must regenerate, which mappers must re-execute, and which surviving
+// persisted outputs a split recomputation invalidates. A linear chain is
+// the degenerate DAG: BuildPlan and ReclaimableBefore (planner.go,
+// reclaim.go) only build the chain's linear Topology and call the functions
+// here, so every workload — chain or DAG, simulated or real — is planned by
+// one path (planner_test.go is the chain oracle).
 package core
 
 import (
@@ -92,8 +94,9 @@ func (t *Topology) ConsumersOf(file string, buf []int) []int {
 // arbitrary job DAG. failedJob is the 1-based topological position of the
 // job that was running when the loss was detected; jobs before it in the
 // order have completed (the engine submits in topological order), jobs at
-// or after it are pending. failed is the accumulated set of failed nodes,
-// exactly as in BuildPlan.
+// or after it are pending. failed is the accumulated set of failed nodes:
+// a plan built while earlier failures are still being repaired folds in all
+// their damage (Section IV-A).
 //
 // The job-level skeleton comes from the middleware's file-level cascade:
 // damaged completed outputs plus the forced set (the cancelled frontier
@@ -102,8 +105,8 @@ func (t *Topology) ConsumersOf(file string, buf []int) []int {
 // walks the skeleton in reverse topological order, seeding demand from the
 // files the frontier and pending jobs will re-read in full, and extending
 // it through re-executed mappers' lost inputs. Skeleton jobs none of whose
-// lost partitions end up demanded are pruned. On a linear chain the result
-// equals BuildPlan's exactly.
+// lost partitions end up demanded are pruned. On a linear chain the steps
+// form a contiguous range ending at failedJob-1.
 func BuildGraphPlan(ch *lineage.Chain, topo *Topology, fs *dfs.FS, failedJob int, failed map[int]bool, opts Options) (*Plan, error) {
 	if failedJob < 1 || failedJob > ch.Len()+1 {
 		return nil, fmt.Errorf("core: failed job %d outside chain of %d jobs", failedJob, ch.Len())
@@ -139,7 +142,7 @@ func BuildGraphPlan(ch *lineage.Chain, topo *Topology, fs *dfs.FS, failedJob int
 	// be regenerated. The frontier restart and every pending job re-read
 	// their inputs in full, so each lost partition of a completed input
 	// seeds the cascade (on a chain only the frontier's previous job
-	// qualifies — the BuildPlan seed).
+	// qualifies).
 	need := make(map[int]map[int]bool)
 	addNeed := func(job, part int) {
 		if need[job] == nil {
@@ -197,7 +200,7 @@ func BuildGraphPlan(ch *lineage.Chain, topo *Topology, fs *dfs.FS, failedJob int
 				p := topo.ProducerOf(in)
 				if p == 0 {
 					// External inputs are the replicated original; losing one
-					// is unrecoverable, exactly as in the chain planner.
+					// is unrecoverable.
 					return nil, fmt.Errorf("core: original input partition %d of %q lost; computation unrecoverable",
 						m.InputPartition, in)
 				}
@@ -269,16 +272,16 @@ func BuildGraphPlan(ch *lineage.Chain, topo *Topology, fs *dfs.FS, failedJob int
 	return plan, nil
 }
 
-// GraphReclaimableBefore generalizes ReclaimableBefore to a DAG: a
-// completed, replicated checkpoint bounds every future cascade through it,
-// so the persisted artifacts of its ancestry can be dropped — but only
-// where no surviving branch still reaches them. A proper ancestor's output
-// file is reclaimable when every consumer of that file is itself an
-// ancestor (or the checkpoint); its map outputs are reclaimable exactly
-// when its file is (the checkpoint's own map outputs always are — its
-// replicated output survives any single loss). On a linear chain every job
-// up to the checkpoint is an ancestor with in-chain consumers, collapsing
-// to ReclaimableBefore's answer exactly.
+// GraphReclaimableBefore computes what a checkpoint makes reclaimable on a
+// DAG: a completed, replicated checkpoint bounds every future cascade
+// through it, so the persisted artifacts of its ancestry can be dropped —
+// but only where no surviving branch still reaches them. A proper
+// ancestor's output file is reclaimable when every consumer of that file is
+// itself an ancestor (or the checkpoint); its map outputs are reclaimable
+// exactly when its file is (the checkpoint's own map outputs always are —
+// its replicated output survives any single loss). On a linear chain every
+// job up to the checkpoint is an ancestor with in-chain consumers, so all
+// their map outputs and every file before the checkpoint's are reclaimable.
 func GraphReclaimableBefore(ch *lineage.Chain, topo *Topology, checkpoint int) (Reclamation, error) {
 	var out Reclamation
 	cp := ch.Job(checkpoint)

@@ -3,7 +3,6 @@ package core
 import (
 	"reflect"
 	"testing"
-	"testing/quick"
 
 	"rcmp/internal/dfs"
 	"rcmp/internal/lineage"
@@ -142,98 +141,6 @@ func diamondTopology(t testing.TB) *Topology {
 		}
 	}
 	return topo
-}
-
-// The graph planner on a linear chain must produce exactly BuildPlan's plan
-// (or exactly its error), across the same randomized scenario space as
-// TestPlanMinimalAndSufficientProperty, split on and off.
-func TestGraphPlanEqualsChainPlan(t *testing.T) {
-	check := func(seed uint16, failA, failB uint8, split bool) bool {
-		nodes := 4 + int(seed)%5 // 4..8
-		jobs := 2 + int(seed)%5  // 2..6
-		bpp := 1 + int(seed)%3
-		failedJob := 1 + int(seed>>4)%jobs
-		ch, fs := buildChain(t, nodes, jobs, bpp, failedJob-1, 1)
-
-		failedNodes := map[int]bool{int(failA) % nodes: true}
-		if failB%2 == 0 {
-			failedNodes[int(failB)%nodes] = true
-		}
-		if len(failedNodes) == nodes {
-			return true
-		}
-		for n := range failedNodes {
-			fs.FailNode(n)
-		}
-		opts := Options{Split: split, AliveNodes: nodes - len(failedNodes)}
-		want, wantErr := BuildPlan(ch, fs, failedJob, failedNodes, opts)
-		// The topology covers pending jobs too; the lineage-only chain above
-		// stops at failedJob-1, so the graph spans the full job count.
-		got, gotErr := BuildGraphPlan(ch, linearTopology(t, jobs), fs, failedJob, failedNodes, opts)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Logf("err mismatch: chain=%v graph=%v", wantErr, gotErr)
-			return false
-		}
-		if wantErr != nil {
-			if wantErr.Error() != gotErr.Error() {
-				t.Logf("err text mismatch: chain=%v graph=%v", wantErr, gotErr)
-				return false
-			}
-			return true
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Logf("plan mismatch:\nchain: %+v\ngraph: %+v", want, got)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGraphPlanEqualsChainPlanNoReuse(t *testing.T) {
-	const nodes, jobs, bpp = 6, 5, 2
-	ch, fs := buildChain(t, nodes, jobs, bpp, 4, 1)
-	fs.FailNode(2)
-	failed := map[int]bool{2: true}
-	opts := Options{AliveNodes: nodes - 1, NoMapOutputReuse: true}
-	want, err := BuildPlan(ch, fs, 5, failed, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := BuildGraphPlan(ch, linearTopology(t, jobs), fs, 5, failed, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("plan mismatch:\nchain: %+v\ngraph: %+v", want, got)
-	}
-}
-
-func TestGraphReclaimEqualsChainReclaim(t *testing.T) {
-	const nodes, jobs, bpp = 4, 6, 2
-	ch, _ := buildChain(t, nodes, jobs, bpp, 5, 1)
-	topo := linearTopology(t, jobs)
-	for cp := 1; cp <= 5; cp++ {
-		want, err := ReclaimableBefore(ch, cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := GraphReclaimableBefore(ch, topo, cp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("checkpoint %d mismatch:\nchain: %+v\ngraph: %+v", cp, want, got)
-		}
-	}
-	if _, err := GraphReclaimableBefore(ch, topo, 99); err == nil {
-		t.Fatal("missing checkpoint accepted")
-	}
-	if _, err := GraphReclaimableBefore(ch, topo, 6); err == nil {
-		t.Fatal("incomplete checkpoint job accepted")
-	}
 }
 
 // A fan-in failure whose damage is confined to one branch must not re-run

@@ -21,7 +21,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 
 	"rcmp/internal/dfs"
@@ -116,130 +115,31 @@ func (p *Plan) TotalRecomputedTasks() (mappers, reducers int) {
 	return
 }
 
-// BuildPlan computes the minimal recovery plan after data loss.
+// BuildPlan computes the minimal recovery plan after data loss on a linear
+// chain. It is a lowering: the cascade, the split rule and the pruning live
+// in BuildGraphPlan (graphplan.go); this validates failedJob, builds the
+// linear topology over the lineage's own file names and plans on that.
 //
 // failedJob is the 1-based index of the job that was running (or about to
 // run) when the loss was detected; jobs failedJob..end have not completed.
-// failed is the set of all failed nodes so far — a plan built while earlier
-// failures are still being repaired naturally folds in all accumulated
-// damage, which is how RCMP services nested failures with a single
-// recomputation pass (Section IV-A).
+// The interrupted job has no lineage record yet (records are written on
+// completion), so failedJob may exceed the chain by exactly one. failed is
+// the set of all failed nodes so far — a plan built while earlier failures
+// are still being repaired naturally folds in all accumulated damage, which
+// is how RCMP services nested failures with a single recomputation pass
+// (Section IV-A).
 //
 // The plan's steps form a contiguous range ending at failedJob-1: the
 // cascade extends backwards exactly as far as lost data forces it to.
 func BuildPlan(ch *lineage.Chain, fs *dfs.FS, failedJob int, failed map[int]bool, opts Options) (*Plan, error) {
-	// The interrupted job has no lineage record yet (records are written on
-	// completion), so failedJob may exceed the chain by exactly one.
 	if failedJob < 1 || failedJob > ch.Len()+1 {
 		return nil, fmt.Errorf("core: failed job %d outside chain of %d jobs", failedJob, ch.Len())
 	}
-	plan := &Plan{RestartJob: failedJob}
-
-	// need[j] is the set of output partitions of job j that must be
-	// regenerated. The restarted job needs its complete input, so every
-	// lost partition of job failedJob-1's output seeds the cascade.
-	need := make(map[int]map[int]bool)
-	addNeed := func(job, part int) {
-		if need[job] == nil {
-			need[job] = make(map[int]bool)
-		}
-		need[job][part] = true
+	topo, err := chainTopology(ch, failedJob)
+	if err != nil {
+		return nil, err
 	}
-	if failedJob > 1 {
-		prev := ch.Job(failedJob - 1)
-		if !prev.Completed {
-			return nil, fmt.Errorf("core: job %d ran before its input job %d completed", failedJob, prev.ID)
-		}
-		for _, r := range prev.Reducers {
-			if !fs.PartitionAvailable(prev.OutputFile, r.Index) {
-				addNeed(prev.ID, r.Index)
-			}
-		}
-	}
-
-	// Backward pass: for each job that must regenerate output partitions,
-	// its lost map outputs must be re-executed (recomputed reducers shuffle
-	// from every mapper), and the re-executed mappers' lost input
-	// partitions extend the cascade one job further back.
-	var steps []JobStep
-	for j := failedJob - 1; j >= 1; j-- {
-		parts := need[j]
-		if len(parts) == 0 {
-			break // nothing upstream can be required: the cascade has bottomed out
-		}
-		rec := ch.Job(j)
-		step := JobStep{Job: j}
-		for p := range parts {
-			step.Reducers = append(step.Reducers, ReducerRun{Reducer: p, Splits: opts.splitsFor(rec)})
-		}
-		sort.Slice(step.Reducers, func(a, b int) bool { return step.Reducers[a].Reducer < step.Reducers[b].Reducer })
-
-		if opts.NoMapOutputReuse {
-			step.Mappers = step.Mappers[:0]
-			for _, m := range rec.Mappers {
-				step.Mappers = append(step.Mappers, m.Index)
-			}
-		} else {
-			step.Mappers = rec.UnavailableMappers(failed)
-		}
-		for _, mi := range step.Mappers {
-			m := rec.Mappers[mi]
-			if !fs.PartitionAvailable(rec.InputFile, m.InputPartition) {
-				if j == 1 {
-					// Job 1 reads the original (replicated) computation input;
-					// if that is gone, no recomputation can recover.
-					return nil, fmt.Errorf("core: original input partition %d of %q lost; computation unrecoverable",
-						m.InputPartition, rec.InputFile)
-				}
-				addNeed(j-1, m.InputPartition)
-			}
-		}
-		steps = append(steps, step)
-	}
-	// Reverse into execution (ascending) order.
-	for i, k := 0, len(steps)-1; i < k; i, k = i+1, k-1 {
-		steps[i], steps[k] = steps[k], steps[i]
-	}
-
-	// Forward pass: apply the split-correctness rule. If job j regenerates
-	// partition p with >1 splits, every mapper of job j+1 that consumed p
-	// must re-run even if its output survived; reusing it would duplicate
-	// the keys hashed to other splits and drop the rest (Figure 5). The
-	// restarted job re-runs all its mappers anyway, so only steps matter.
-	for i := range steps {
-		if i+1 >= len(steps) {
-			break
-		}
-		cur, next := &steps[i], &steps[i+1]
-		if next.Job != cur.Job+1 {
-			return nil, fmt.Errorf("core: internal error: non-contiguous steps %d,%d", cur.Job, next.Job)
-		}
-		splitParts := make(map[int]bool)
-		for _, r := range cur.Reducers {
-			if r.Splits > 1 {
-				splitParts[r.Reducer] = true
-			}
-		}
-		if len(splitParts) == 0 {
-			continue
-		}
-		already := make(map[int]bool, len(next.Mappers))
-		for _, m := range next.Mappers {
-			already[m] = true
-		}
-		nextRec := ch.Job(next.Job)
-		for _, m := range nextRec.Mappers {
-			if splitParts[m.InputPartition] && !already[m.Index] {
-				next.Mappers = append(next.Mappers, m.Index)
-				next.SplitInvalidated = append(next.SplitInvalidated, m.Index)
-			}
-		}
-		sort.Ints(next.Mappers)
-		sort.Ints(next.SplitInvalidated)
-	}
-
-	plan.Steps = steps
-	return plan, nil
+	return BuildGraphPlan(ch, topo, fs, failedJob, failed, opts)
 }
 
 // ReusedMapOutputs returns, for a given step, the mappers of that job whose

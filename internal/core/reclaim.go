@@ -26,37 +26,21 @@ type Reclamation struct {
 }
 
 // ReclaimableBefore computes what a completed, replicated checkpoint job
-// makes reclaimable: the map outputs of every job up to and including the
-// checkpoint (a cascade stops at the checkpoint's surviving output, so
-// those jobs are never partially re-executed), and the output files of
-// jobs strictly before it (only the checkpoint file itself can ever be
-// read again, by the checkpoint's consumer).
+// makes reclaimable on a linear chain: the map outputs of every job up to
+// and including the checkpoint (a cascade stops at the checkpoint's
+// surviving output, so those jobs are never partially re-executed), and the
+// output files of jobs strictly before it (only the checkpoint file itself
+// can ever be read again, by the checkpoint's consumer). It is a lowering
+// onto GraphReclaimableBefore over the chain's linear topology.
 func ReclaimableBefore(ch *lineage.Chain, checkpoint int) (Reclamation, error) {
-	var out Reclamation
-	cp := ch.Job(checkpoint)
-	if cp == nil {
-		return out, fmt.Errorf("core: checkpoint job %d not in lineage", checkpoint)
+	if ch.Job(checkpoint) == nil {
+		return Reclamation{}, fmt.Errorf("core: checkpoint job %d not in lineage", checkpoint)
 	}
-	if !cp.Completed {
-		return out, fmt.Errorf("core: checkpoint job %d has not completed", checkpoint)
+	topo, err := chainTopology(ch, checkpoint)
+	if err != nil {
+		return Reclamation{}, err
 	}
-	for j := 1; j <= checkpoint; j++ {
-		rec := ch.Job(j)
-		persisted := false
-		for _, m := range rec.Mappers {
-			if m.Node >= 0 {
-				persisted = true
-				out.Bytes += m.OutputBytes
-			}
-		}
-		if persisted {
-			out.MapOutputJobs = append(out.MapOutputJobs, j)
-		}
-		if j < checkpoint {
-			out.Files = append(out.Files, rec.OutputFile)
-		}
-	}
-	return out, nil
+	return GraphReclaimableBefore(ch, topo, checkpoint)
 }
 
 // ApplyReclamation marks the reclaimed map outputs as gone in the lineage
