@@ -59,7 +59,7 @@ func benchCfg() experiments.Config {
 	case "smoke", "quick":
 		return experiments.Config{Scale: experiments.ScaleSmoke}
 	default:
-		return experiments.Paper()
+		return experiments.Config{Scale: experiments.ScalePaper}
 	}
 }
 
@@ -73,11 +73,11 @@ func BenchmarkAllSerial(b *testing.B) {
 	scale := benchCfg().Scale
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := experiments.AllSpecs(specs, scale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, res := range results {
+		for _, sp := range specs {
+			res, err := sp.Run(experiments.Config{Scale: scale, Seed: sp.Seed})
+			if err != nil {
+				b.Fatalf("%s: %v", sp.Name, err)
+			}
 			if res == nil {
 				b.Fatal("nil experiment result")
 			}

@@ -27,11 +27,6 @@ func (p PerJob) Validate() error {
 	return nil
 }
 
-// NoFailureTotal is the chain total without failures.
-func NoFailureTotal(jobs int, p PerJob) float64 {
-	return float64(jobs) * p.Full
-}
-
 // OptimisticTotal models OPTIMISTIC under a single failure during job
 // failAt: the jobs completed before the failure, the time wasted inside the
 // failed job (reaction = injection offset + detection timeout), then the
@@ -78,20 +73,4 @@ func SlowdownSeries(lengths []int, totalFn, baselineFn func(jobs int) float64) [
 		out[i] = totalFn(L) / baselineFn(L)
 	}
 	return out
-}
-
-// WaveSpeedup is the Section IV-B first-order model of recomputation
-// speed-up from wave reduction: a job whose W waves of tasks shrink to
-// ceil(W*lost/(alive)) waves during recomputation. It backs the sanity
-// checks on Figures 13 and 14.
-func WaveSpeedup(wavesInitial, slotsPerNode, nodesAlive, tasksRecomputed int) float64 {
-	if wavesInitial <= 0 || slotsPerNode <= 0 || nodesAlive <= 0 {
-		return 0
-	}
-	slots := slotsPerNode * nodesAlive
-	wavesRecompute := (tasksRecomputed + slots - 1) / slots
-	if wavesRecompute < 1 {
-		wavesRecompute = 1
-	}
-	return float64(wavesInitial) / float64(wavesRecompute)
 }

@@ -20,8 +20,8 @@
 // A Model carries the handful of constants the closed form cannot derive
 // (a global stretch for queueing effects the water-filling averages out,
 // and a per-run overhead for startup/teardown event trains). DefaultModel
-// holds frozen constants fitted against quick-scale DES runs; Calibrate
-// refits them for a new cluster shape from two short DES measurements.
+// holds the frozen constants every analytic answer uses: the identity
+// model, so an answer never depends on ambient DES runs.
 //
 // Every entry point returns the same result types the simulator produces
 // (*mapreduce.Result, *mapreduce.MultiResult) with synthetic run stats and
@@ -55,10 +55,9 @@ type Model struct {
 	RecoveryStretch float64
 }
 
-// DefaultModel returns the frozen constants baked in for digest purity:
-// they were fitted once (see Calibrate and docs/perf.md) against quick-scale
-// DES runs on the STIC and DCO shapes and are committed, so an analytic
-// answer never depends on ambient DES runs.
+// DefaultModel returns the frozen constants baked in for digest purity —
+// the identity model (no stretch, no per-run overhead), committed so an
+// analytic answer never depends on ambient DES runs.
 func DefaultModel() Model {
 	return Model{TimeStretch: 1.0, RunOverhead: 0.0, RecoveryStretch: 1.0}
 }

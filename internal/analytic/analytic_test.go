@@ -1,7 +1,6 @@
 package analytic
 
 import (
-	"math"
 	"testing"
 
 	"rcmp/internal/cluster"
@@ -175,52 +174,4 @@ func TestRecoveryMonotoneInUtilization(t *testing.T) {
 
 func out(i int) string {
 	return "out" + string(rune('0'+i))
-}
-
-// TestCalibrate fits the model on quick STIC and checks the fit is sane
-// and tightens (or at least does not worsen) the 4-job prediction the
-// probes did not see.
-func TestCalibrate(t *testing.T) {
-	cc, cfg := sticQuick(1, 1, 4)
-	cfg.Failures = []mapreduce.Injection{{AtRun: 3, After: 15, Node: 3}}
-	meas, err := MeasureDES(cc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meas.OneJob <= 0 || meas.TwoJob <= meas.OneJob || meas.Recovery <= 0 {
-		t.Fatalf("implausible measurements: %+v", meas)
-	}
-	m, err := Calibrate(cc, cfg, meas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.TimeStretch < 0.5 || m.TimeStretch > 2 || m.RunOverhead < 0 || m.RecoveryStretch < 0.5 || m.RecoveryStretch > 3 {
-		t.Fatalf("fit out of clamp range: %+v", m)
-	}
-
-	des, err := mapreduce.RunChain(cc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawRes, err := Default.RunChain(cc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fitRes, err := m.RunChain(cc, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rawErr := math.Abs(float64(rawRes.Total) - float64(des.Total))
-	fitErr := math.Abs(float64(fitRes.Total) - float64(des.Total))
-	// The probes (1 job, 2 jobs, failure run) never saw the full 4-job
-	// chain; allow a sliver of slack for the extrapolation.
-	if fitErr > rawErr+0.05*float64(des.Total) {
-		t.Errorf("calibration worsened the 4-job fit: raw err %.2f, fitted err %.2f (DES total %.2f, fit %+v)",
-			rawErr, fitErr, float64(des.Total), m)
-	}
-
-	// Degenerate input is an error, not a garbage fit.
-	if _, err := Calibrate(cc, cfg, Measurements{}); err == nil {
-		t.Error("Calibrate accepted zero measurements")
-	}
 }

@@ -92,15 +92,11 @@ type Node struct {
 	Up   *flow.Resource // NIC transmit
 	Down *flow.Resource // NIC receive
 
-	failed   bool
-	failedAt des.Time
+	failed bool
 }
 
 // Failed reports whether the node has failed.
 func (n *Node) Failed() bool { return n.failed }
-
-// FailedAt returns the time of failure (meaningful only if Failed).
-func (n *Node) FailedAt() des.Time { return n.failedAt }
 
 // Cluster is a live topology bound to a simulator and flow network.
 type Cluster struct {
@@ -216,7 +212,6 @@ func (c *Cluster) Reset() {
 	c.Net.Reset()
 	for i, n := range c.nodes {
 		n.failed = false
-		n.failedAt = 0
 		resetResource(n.Disk, c.diskBW(i))
 		resetResource(n.Up, c.Cfg.NICBW)
 		resetResource(n.Down, c.Cfg.NICBW)
@@ -310,7 +305,6 @@ func (c *Cluster) Fail(id int) {
 		return
 	}
 	n.failed = true
-	n.failedAt = c.Sim.Now()
 	i := c.alivePos[id]
 	last := len(c.alive) - 1
 	if i != last {
@@ -322,24 +316,6 @@ func (c *Cluster) Fail(id int) {
 	c.alive = c.alive[:last]
 	c.alivePos[id] = -1
 	c.sizeShufflePools()
-}
-
-// TransferUses returns the resource path for moving bytes from node src to
-// node dst, reading from src's disk and writing to dst's disk.
-//
-// A local transfer (src == dst) touches the single disk twice: once for the
-// read and once for the write, hence weight 2.
-func (c *Cluster) TransferUses(src, dst int) []flow.Use {
-	if src == dst {
-		return []flow.Use{{R: c.nodes[src].Disk, Weight: 2}}
-	}
-	return []flow.Use{
-		{R: c.nodes[src].Disk, Weight: 1},
-		{R: c.nodes[src].Up, Weight: 1},
-		{R: c.Core, Weight: 1},
-		{R: c.nodes[dst].Down, Weight: 1},
-		{R: c.nodes[dst].Disk, Weight: 1},
-	}
 }
 
 // ShuffleUses returns the path for a reducer on node dst fetching map
@@ -362,40 +338,6 @@ func (c *Cluster) ShuffleUses(src, dst int) []flow.Use {
 	}
 }
 
-// ReadUses returns the path for a task on node dst reading bytes that live
-// on node src, without writing them back to dst's disk (e.g. a mapper
-// streaming its input into the UDF).
-func (c *Cluster) ReadUses(src, dst int) []flow.Use {
-	if src == dst {
-		return []flow.Use{{R: c.nodes[src].Disk, Weight: 1}}
-	}
-	return []flow.Use{
-		{R: c.nodes[src].Disk, Weight: 1},
-		{R: c.nodes[src].Up, Weight: 1},
-		{R: c.Core, Weight: 1},
-		{R: c.nodes[dst].Down, Weight: 1},
-	}
-}
-
-// WriteUses returns the path for a task on node src writing bytes to node
-// dst's disk (e.g. a replica of a reducer output). Remote writes charge the
-// receiving disk the configured replica-write amplification.
-func (c *Cluster) WriteUses(src, dst int) []flow.Use {
-	if src == dst {
-		return []flow.Use{{R: c.nodes[src].Disk, Weight: 1}}
-	}
-	amp := c.Cfg.ReplicaWriteAmp
-	if amp <= 0 {
-		amp = 1.0
-	}
-	return []flow.Use{
-		{R: c.nodes[src].Up, Weight: 1},
-		{R: c.Core, Weight: 1},
-		{R: c.nodes[dst].Down, Weight: 1},
-		{R: c.nodes[dst].Disk, Weight: amp},
-	}
-}
-
 // The *UsesScratch variants below return a slice backed by a single
 // per-cluster scratch buffer: the result is valid only until the next
 // *UsesScratch call. They exist for the simulation hot path, paired with
@@ -403,7 +345,9 @@ func (c *Cluster) WriteUses(src, dst int) []flow.Use {
 // allocating forms above stay for callers that retain the slice, e.g.
 // trunks built once per topology.
 
-// ReadUsesScratch is ReadUses into the cluster's scratch buffer.
+// ReadUsesScratch returns, in the cluster's scratch buffer, the path for a
+// task on node dst reading bytes that live on node src, without writing
+// them back to dst's disk (e.g. a mapper streaming its input into the UDF).
 func (c *Cluster) ReadUsesScratch(src, dst int) []flow.Use {
 	if src == dst {
 		c.usesBuf[0] = flow.Use{R: c.nodes[src].Disk, Weight: 1}
@@ -416,7 +360,10 @@ func (c *Cluster) ReadUsesScratch(src, dst int) []flow.Use {
 	return c.usesBuf[:4]
 }
 
-// WriteUsesScratch is WriteUses into the cluster's scratch buffer.
+// WriteUsesScratch returns, in the cluster's scratch buffer, the path for a
+// task on node src writing bytes to node dst's disk (e.g. a replica of a
+// reducer output). Remote writes charge the receiving disk the configured
+// replica-write amplification.
 func (c *Cluster) WriteUsesScratch(src, dst int) []flow.Use {
 	if src == dst {
 		c.usesBuf[0] = flow.Use{R: c.nodes[src].Disk, Weight: 1}
@@ -431,13 +378,6 @@ func (c *Cluster) WriteUsesScratch(src, dst int) []flow.Use {
 	c.usesBuf[2] = flow.Use{R: c.nodes[dst].Down, Weight: 1}
 	c.usesBuf[3] = flow.Use{R: c.nodes[dst].Disk, Weight: amp}
 	return c.usesBuf[:4]
-}
-
-// DiskUseScratch is the single-disk write path (a local map output spill)
-// into the cluster's scratch buffer.
-func (c *Cluster) DiskUseScratch(node int) []flow.Use {
-	c.usesBuf[0] = flow.Use{R: c.nodes[node].Disk, Weight: 1}
-	return c.usesBuf[:1]
 }
 
 // AggShuffleUses is the aggregated shuffle path: ShuffleUses with both

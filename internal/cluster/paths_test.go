@@ -42,18 +42,18 @@ func TestWriteUsesReplicaAmp(t *testing.T) {
 	cfg := STICConfig(1, 1)
 	cfg.ReplicaWriteAmp = 2.5
 	c := New(des.New(), cfg)
-	uses := c.WriteUses(0, 3)
+	uses := c.WriteUsesScratch(0, 3)
 	if uses[3].R != c.Node(3).Disk || uses[3].Weight != 2.5 {
 		t.Fatalf("remote write dst disk %+v, want weight 2.5", uses[3])
 	}
 	// Local writes are sequential: no amplification.
-	if got := c.WriteUses(2, 2)[0].Weight; got != 1 {
+	if got := c.WriteUsesScratch(2, 2)[0].Weight; got != 1 {
 		t.Fatalf("local write weight %v, want 1", got)
 	}
 	// Zero amp defaults to 1 (no amplification).
 	cfg.ReplicaWriteAmp = 0
 	c = New(des.New(), cfg)
-	if got := c.WriteUses(0, 3)[3].Weight; got != 1 {
+	if got := c.WriteUsesScratch(0, 3)[3].Weight; got != 1 {
 		t.Fatalf("default amp weight %v, want 1", got)
 	}
 }

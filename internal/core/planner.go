@@ -142,24 +142,6 @@ func BuildPlan(ch *lineage.Chain, fs *dfs.FS, failedJob int, failed map[int]bool
 	return BuildGraphPlan(ch, topo, fs, failedJob, failed, opts)
 }
 
-// ReusedMapOutputs returns, for a given step, the mappers of that job whose
-// persisted outputs are reused (i.e. not re-executed). These are the shuffle
-// sources the recomputed reducers read without any new map work.
-func ReusedMapOutputs(ch *lineage.Chain, step JobStep) []lineage.MapperMeta {
-	rec := ch.Job(step.Job)
-	rerun := make(map[int]bool, len(step.Mappers))
-	for _, m := range step.Mappers {
-		rerun[m] = true
-	}
-	var out []lineage.MapperMeta
-	for _, m := range rec.Mappers {
-		if !rerun[m.Index] {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
 // frontierOutput names the output of a job that has no lineage record yet.
 // Nothing reads it; it only has to differ from every recorded file name.
 const frontierOutput = "\x00frontier"

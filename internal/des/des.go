@@ -29,7 +29,8 @@
 // whatever tier an event sits in, the order events fire is bit-identical
 // to the old single binary heap (white-box tests pin this parity). Each
 // event remembers its tier and slot, so Cancel and Reschedule remain
-// eager O(1)/O(log front) removals and Pending stays an O(1) counter.
+// eager O(1)/O(log front) removals and the live-event count stays an O(1)
+// counter.
 //
 // # Event recycling
 //
@@ -653,9 +654,3 @@ func (s *Simulator) SetNow(t Time) {
 	}
 	s.now = t
 }
-
-// Pending returns the number of queued (uncancelled) events in O(1).
-// Cancel removes events from their tier eagerly and Step pops fired ones,
-// so every queued event is live and the maintained count IS the pending
-// count — no separately drifting counter, no scan.
-func (s *Simulator) Pending() int { return s.count }

@@ -389,21 +389,6 @@ func (fs *FS) FailNode(n int) []LostPartition {
 	return lost
 }
 
-// LostPartitions returns every currently-lost written partition across all
-// files (useful when multiple failures accumulate).
-func (fs *FS) LostPartitions() []LostPartition {
-	var lost []LostPartition
-	for _, name := range fs.Files() {
-		f := fs.files[name]
-		for _, p := range f.Partitions {
-			if p.Written() && !fs.PartitionAvailable(name, p.Index) {
-				lost = append(lost, LostPartition{File: name, Partition: p.Index})
-			}
-		}
-	}
-	return lost
-}
-
 // PartitionAvailable reports whether the partition has been written and
 // every block has at least one live replica.
 func (fs *FS) PartitionAvailable(name string, idx int) bool {
@@ -423,30 +408,12 @@ func (fs *FS) PartitionAvailable(name string, idx int) bool {
 	return true
 }
 
-// BlockReplicas appends the live replica nodes of one block to buf and
-// returns the extended slice. A missing file, partition or block yields buf
-// unchanged. This is the allocation-free form of BlockLocations for hot
-// scheduler paths: callers own buf and typically reuse it across calls.
-func (fs *FS) BlockReplicas(name string, idx, block int, buf []int) []int {
-	f := fs.files[name]
-	if f == nil || idx < 0 || idx >= len(f.Partitions) {
-		return buf
-	}
-	p := f.Partitions[idx]
-	if block < 0 || block >= len(p.Blocks) {
-		return buf
-	}
-	for _, n := range p.Blocks[block].Replicas {
-		if fs.NodeAlive(n) {
-			buf = append(buf, n)
-		}
-	}
-	return buf
-}
-
-// FileBlockReplicas is BlockReplicas for a file handle the caller already
-// resolved (File is stable for the lifetime of a job run), sparing hot
-// scheduler scans the per-call name lookup.
+// FileBlockReplicas appends the live replica nodes of one block to buf and
+// returns the extended slice; a missing file, partition or block yields buf
+// unchanged. It is the allocation-free form of BlockLocations for hot
+// scheduler scans: callers own buf and reuse it across calls, and pass the
+// file handle they already resolved (File is stable for the lifetime of a
+// job run), sparing the per-call name lookup.
 func (fs *FS) FileBlockReplicas(f *File, idx, block int, buf []int) []int {
 	if f == nil || idx < 0 || idx >= len(f.Partitions) {
 		return buf

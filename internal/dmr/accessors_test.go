@@ -15,18 +15,8 @@ func TestAccessorsAndTeardown(t *testing.T) {
 	if w.ID() != 0 {
 		t.Fatalf("ID = %d", w.ID())
 	}
-	if w.TasksRun() == 0 {
-		t.Fatal("worker 0 ran no tasks in a 2-worker chain")
-	}
 	if w.RemoteReads() < 0 {
 		t.Fatal("negative remote reads")
-	}
-	addr, err := c.m.WorkerAddr(0)
-	if err != nil || addr != w.Addr() {
-		t.Fatalf("WorkerAddr = %q, %v; want %q", addr, err, w.Addr())
-	}
-	if _, err := c.m.WorkerAddr(99); err == nil {
-		t.Fatal("WorkerAddr(99) succeeded")
 	}
 
 	loss := &DataLossError{Victims: []int{3, 5}}

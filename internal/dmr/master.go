@@ -213,17 +213,6 @@ func (m *Master) aliveLocked() []int {
 	return out
 }
 
-// WorkerAddr returns the data address of a worker (dead or alive).
-func (m *Master) WorkerAddr(id int) (string, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	w := m.workers[id]
-	if w == nil {
-		return "", fmt.Errorf("dmr: unknown worker %d", id)
-	}
-	return w.addr, nil
-}
-
 // Close shuts the master down.
 func (m *Master) Close() {
 	m.mu.Lock()

@@ -150,9 +150,7 @@ type Worker struct {
 	stopHB    chan struct{}
 	hbStopped sync.WaitGroup
 
-	// counters for observability and tests
-	remoteReads int
-	tasksRun    int
+	remoteReads int // observability and tests
 }
 
 // StartWorker binds the worker's server, registers with the master, and
@@ -314,22 +312,12 @@ func (w *Worker) Kill() {
 // Shutdown is a graceful Kill (same teardown; named for intent at call sites).
 func (w *Worker) Shutdown() { w.Kill() }
 
-// StoreStats snapshots the worker's storage (tests, observability).
-func (w *Worker) StoreStats() Stats { return w.store.Stats() }
-
 // RemoteReads returns how many mapper inputs this worker fetched from peers
 // (each one is a would-be hot-spot access during recomputation).
 func (w *Worker) RemoteReads() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.remoteReads
-}
-
-// TasksRun returns how many map/reduce tasks this worker executed.
-func (w *Worker) TasksRun() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.tasksRun
 }
 
 // handle dispatches one request on the worker's server.
@@ -563,7 +551,6 @@ func (w *Worker) runMapper(r RunMapperReq) (any, error) {
 		counts[i] = int64(len(b))
 	}
 	w.mu.Lock()
-	w.tasksRun++
 	if remote {
 		w.remoteReads++
 	}
@@ -649,8 +636,5 @@ func (w *Worker) runReducer(r RunReducerReq) (any, error) {
 			}
 		}
 	}
-	w.mu.Lock()
-	w.tasksRun++
-	w.mu.Unlock()
 	return RunReducerResp{BlockRecords: sizes, OutputBytes: outBytes}, nil
 }

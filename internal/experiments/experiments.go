@@ -158,12 +158,6 @@ func (c Config) validateTenants() error {
 	return nil
 }
 
-// Paper returns the default paper-scale configuration.
-func Paper() Config { return Config{Scale: ScalePaper} }
-
-// Quick returns the reduced-scale configuration used by fast tests.
-func Quick() Config { return Config{Scale: ScaleQuick} }
-
 // Result is one executed experiment.
 type Result struct {
 	Name   string

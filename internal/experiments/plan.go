@@ -3,8 +3,8 @@
 // T tenants?" answered by the analytic twin, so a planning sweep over
 // cluster sizes the DES refuses (10⁵–10⁶ nodes) costs microseconds per
 // point. CapacityPlan is deliberately NOT in the registry: it is not a
-// figure of the paper, and registering it would drag it into All(), the
-// golden digests and every registry-wide sweep.
+// figure of the paper, and registering it would drag it into the golden
+// digests and every registry-wide sweep.
 package experiments
 
 import (

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Spec is one registered experiment artifact: a figure, table or ablation
@@ -94,37 +93,4 @@ func Lookup(key string) (Spec, bool) {
 		}
 	}
 	return Spec{}, false
-}
-
-// Keys returns every registered CLI key, sorted.
-func Keys() []string {
-	var out []string
-	for _, sp := range Registry() {
-		out = append(out, sp.Key)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// All runs every experiment serially at the given scale with each spec's
-// default seed, in presentation order — the pre-runner execution path,
-// kept as the baseline the parallel runner is benchmarked against. The
-// default configs are always valid, so any error is a harness bug.
-func All(s Scale) ([]*Result, error) {
-	return AllSpecs(Registry(), s)
-}
-
-// AllSpecs is All over a caller-supplied spec list, so benchmarks can
-// hoist the registry construction out of their timed loops and measure
-// simulation alone.
-func AllSpecs(specs []Spec, s Scale) ([]*Result, error) {
-	out := make([]*Result, 0, len(specs))
-	for _, sp := range specs {
-		res, err := sp.Run(Config{Scale: s, Seed: sp.Seed})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s: %w", sp.Name, err)
-		}
-		out = append(out, res)
-	}
-	return out, nil
 }

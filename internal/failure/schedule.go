@@ -44,15 +44,6 @@ type Schedule struct {
 // Empty reports whether the schedule carries no pulses.
 func (s Schedule) Empty() bool { return len(s.Pulses) == 0 }
 
-// TotalNodes returns the number of node failures the schedule injects.
-func (s Schedule) TotalNodes() int {
-	total := 0
-	for _, p := range s.Pulses {
-		total += p.Nodes
-	}
-	return total
-}
-
 // Validate reports schedule errors: pulses must target run >= 1 with a
 // non-negative offset and at least one node, in non-decreasing run order.
 func (s Schedule) Validate() error {

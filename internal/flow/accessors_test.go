@@ -9,16 +9,10 @@ import (
 func TestFlowAccessors(t *testing.T) {
 	sim := des.New()
 	net := NewNetwork(sim)
-	if net.Sim() != sim {
-		t.Fatal("Sim() returned a different simulator")
-	}
 	r := &Resource{Name: "disk", Capacity: 100}
 	f := net.Start("xfer", 500, []Use{{R: r, Weight: 1}}, 0, nil)
 	if f.Size() != 500 {
 		t.Fatalf("Size = %g, want 500", f.Size())
-	}
-	if f.Started() != sim.Now() {
-		t.Fatalf("Started = %v, want %v", f.Started(), sim.Now())
 	}
 	if f.Rate() != 100 {
 		t.Fatalf("Rate = %g, want full capacity 100", f.Rate())

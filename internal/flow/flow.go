@@ -28,7 +28,7 @@
 // no simulated time passes inside an instant, so starts and removals only
 // mark their component as owing a fill and the network as owing one
 // completion reschedule; Network.settle pays both, from the simulator's
-// des.BeforeNext hook and from the few places that read a rate or an ETA.
+// des.BeforeNext hook and from complete, which reads rates and ETAs.
 // Two rules keep this bit-identical to recomputing after every operation:
 // each owed point reserves the event sequence number the eager reschedule
 // would have consumed there (the last one is applied), and a removal on a
@@ -246,7 +246,6 @@ type Flow struct {
 	net      *Network
 	mindex   int // position in tr.members, -1 when inactive
 	gindex   int // position in Network.flows, -1 when inactive
-	started  des.Time
 	finished bool
 	pooled   bool // recycle into Network.freeFlows when done
 	// joinCum is the owning trunk's cum at join time and epoch the pooled
@@ -295,21 +294,6 @@ func (f *Flow) Done() float64 {
 	}
 	return f.done
 }
-
-// Rate returns the flow's current max-min fair rate in bytes/sec.
-func (f *Flow) Rate() float64 {
-	if f.net == nil {
-		return f.rate
-	}
-	f.net.settle()
-	if f.net.classAcct && f.tr != nil && f.mindex >= 0 {
-		return f.tr.rate
-	}
-	return f.rate
-}
-
-// Started returns the virtual time the flow was started.
-func (f *Flow) Started() des.Time { return f.started }
 
 // component is one connected piece of the flow/resource sharing graph.
 // Rates, banking and completion candidates are maintained per component;
@@ -539,16 +523,6 @@ func clearPointers[T any](s []*T) {
 	}
 }
 
-// Sim returns the simulator the network is bound to.
-func (n *Network) Sim() *des.Simulator { return n.sim }
-
-// ActiveFlows returns the number of in-flight flows.
-func (n *Network) ActiveFlows() int { return len(n.flows) }
-
-// Components returns the number of connected components currently tracked,
-// for tests and diagnostics.
-func (n *Network) Components() int { return len(n.comps) }
-
 // EnableClassAccounting switches the network to class-level accounting:
 // progress is banked per component, only when that component changes, as
 // one per-trunk shared-rate integral, and completion candidates sit in
@@ -672,15 +646,14 @@ func (t *Trunk) Start(label string, size float64, extraLatency des.Time, onDone 
 		panic(fmt.Sprintf("flow: negative size %v", size))
 	}
 	f := &Flow{
-		Label:   label,
-		size:    size,
-		tr:      t,
-		net:     n,
-		mindex:  -1,
-		gindex:  -1,
-		started: n.sim.Now(),
-		onDone:  onDone,
-		extra:   extraLatency,
+		Label:  label,
+		size:   size,
+		tr:     t,
+		net:    n,
+		mindex: -1,
+		gindex: -1,
+		onDone: onDone,
+		extra:  extraLatency,
 	}
 	if size == 0 {
 		// Nothing to transfer; complete after the fixed latency without
@@ -712,7 +685,6 @@ func (n *Network) allocFlow(label string, size float64, t *Trunk, extra des.Time
 	f.net = n
 	f.mindex = -1
 	f.gindex = -1
-	f.started = n.sim.Now()
 	f.onDoneC = c
 	f.extra = extra
 	f.pooled = true

@@ -62,18 +62,6 @@ func (j *JobRecord) InputFileAt(i int) string {
 	return j.InputFile
 }
 
-// LostMappers returns the indices of mappers whose persisted outputs are on
-// failed nodes, ascending.
-func (j *JobRecord) LostMappers(failed map[int]bool) []int {
-	var out []int
-	for _, m := range j.Mappers {
-		if m.Node >= 0 && failed[m.Node] {
-			out = append(out, m.Index)
-		}
-	}
-	return out
-}
-
 // UnavailableMappers returns the indices of mappers whose outputs cannot be
 // reused during a recomputation: lost with a failed node, or reclaimed /
 // evicted (Node < 0), ascending. These must re-execute whenever the job's

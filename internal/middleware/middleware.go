@@ -124,9 +124,6 @@ func (g *Graph) Job(id JobID) (Job, bool) {
 	return j, ok
 }
 
-// Producer returns the job producing a file ("" for external inputs).
-func (g *Graph) Producer(file string) JobID { return g.producer[file] }
-
 // Consumers returns the jobs reading a file, in topological order.
 func (g *Graph) Consumers(file string) []JobID {
 	return append([]JobID(nil), g.consumers[file]...)

@@ -61,7 +61,7 @@ func TestTopologicalOrder(t *testing.T) {
 
 func TestProducerConsumers(t *testing.T) {
 	g, _ := NewGraph(diamond())
-	if g.Producer("fa") != "a" || g.Producer("input") != "" {
+	if g.producer["fa"] != "a" || g.producer["input"] != "" {
 		t.Fatal("producer lookup wrong")
 	}
 	cons := g.Consumers("fa")

@@ -63,15 +63,6 @@ type Report struct {
 	OK    bool
 }
 
-// Run cross-validates the spec's own schedule (a baseline-only report when
-// the schedule is empty).
-func Run(spec Spec) (*Report, error) {
-	if spec.Schedule.Empty() {
-		return Sweep(spec, nil)
-	}
-	return Sweep(spec, []failure.Schedule{spec.Schedule})
-}
-
 // Sweep runs the failure-free baselines once, then cross-validates every
 // schedule against them.
 func Sweep(spec Spec, schedules []failure.Schedule) (*Report, error) {
