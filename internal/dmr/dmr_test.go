@@ -268,15 +268,40 @@ func TestFailureMidJobCancelsAndRecovers(t *testing.T) {
 	want := referenceDigests(t, 5, 1, 30, cfg)
 
 	c := startCluster(t, 5, 1, 30)
+	mapOutputs := func() int {
+		n := 0
+		for _, w := range c.workers {
+			n += w.StoreStats().MapOutputs
+		}
+		return n
+	}
+	// The death must land while job 3 is running, so the master has a run to
+	// cancel and the driver one to recover: the kill waits for job 3's first
+	// persisted map output (tasks are in flight, most of the job is still to
+	// come). A sleep after job 2 instead could, on a loaded box, land after
+	// the last job committed — single-replica final output on the victim
+	// with nothing left to recover it — or so late that the chain finished
+	// before detection.
+	killed := make(chan struct{})
 	cfg2 := cfg
+	cfg2.OnRunStart = func(_, job int, kind string) {
+		if job != 3 || kind != "initial" {
+			return
+		}
+		before := mapOutputs()
+		go func() {
+			defer close(killed)
+			for mapOutputs() == before {
+				time.Sleep(time.Millisecond)
+			}
+			c.workers[4].Kill()
+		}()
+	}
 	cfg2.AfterJob = func(job int) {
-		if job == 2 {
-			// Kill asynchronously so the death lands while job 3 is running:
-			// the master must cancel the run and the driver must recover.
-			go func() {
-				time.Sleep(5 * time.Millisecond)
-				c.workers[4].Kill()
-			}()
+		if job == 3 {
+			// Only reached if job 3 outran the goroutine above: the kill
+			// then lands here, and detection interrupts job 4 instead.
+			<-killed
 		}
 	}
 	d := runChain(t, c, cfg2)
@@ -287,6 +312,9 @@ func TestFailureMidJobCancelsAndRecovers(t *testing.T) {
 	assertDigestsEqual(t, digs, want)
 	if !c.m.FailedNodes()[4] {
 		t.Fatal("worker 4 was never declared dead")
+	}
+	if d.RecoveryEpisodes == 0 {
+		t.Fatal("no run was interrupted: the kill did not land mid-chain")
 	}
 }
 

@@ -468,7 +468,12 @@ func (m *Master) PartitionDigest(file string, part int) (workload.Digest, error)
 				last = err
 				continue
 			}
-			d.Merge(resp.(DigestResp).Digest)
+			reply, err := replyAs[DigestResp](resp, w.addr)
+			if err != nil {
+				last = err
+				continue
+			}
+			d.Merge(reply.Digest)
 			ok = true
 			break
 		}

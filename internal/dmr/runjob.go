@@ -265,7 +265,8 @@ func (m *Master) runMapPhase(spec JobSpec, descs []lineage.MapperMeta, cancel <-
 					ch <- outcome{w: w, err: err}
 					return
 				}
-				ch <- outcome{w: w, resp: resp.(RunMapperResp)}
+				reply, err := replyAs[RunMapperResp](resp, w.addr)
+				ch <- outcome{w: w, resp: reply, err: err}
 			}()
 		}
 		start := time.Now()
@@ -430,10 +431,13 @@ func (m *Master) runReducePhase(spec JobSpec, places []reducePlacement, sources 
 			ReplicaAddrs: replicaAddrs,
 			ScatterAddrs: p.scatterAddrs,
 		}, m.cfg.Timing.TaskTimeout)
+		var r RunReducerResp
+		if err == nil {
+			r, err = replyAs[RunReducerResp](resp, p.worker.addr)
+		}
 		if err != nil {
 			return fmt.Errorf("dmr: job %d reducer %d.%d on worker %d: %w", spec.ID, p.reducer, p.split, p.worker.id, err)
 		}
-		r := resp.(RunReducerResp)
 		outcomes[i] = reduceOutcome{place: p, sizes: r.BlockRecords, nBytes: r.OutputBytes}
 		return nil
 	})

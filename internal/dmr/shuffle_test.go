@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"rcmp/internal/dfs"
 	"rcmp/internal/engine"
+	"rcmp/internal/lineage"
 	"rcmp/internal/wire"
 	"rcmp/internal/workload"
 )
@@ -233,6 +235,68 @@ func TestMistypedPeerRepliesAreErrors(t *testing.T) {
 	_, err = w.runReducer(RunReducerReq{Job: 1, Splits: 1, NumReducers: 1, Sources: []MapSrc{{Addr: confused.Addr()}}})
 	if err == nil || !strings.Contains(err.Error(), "peer "+confused.Addr()+" replied dmr.PingResp") {
 		t.Fatalf("shuffle fetch: error %v, want one naming the peer and its reply type", err)
+	}
+}
+
+// TestMistypedWorkerRepliesAreMasterErrors is the master's side of the same
+// rule: a registered worker that answers a digest, mapper or reducer call
+// with the wrong message yields an error naming it at each of the three
+// call sites; each used to be an unchecked assertion that panicked the
+// master process.
+func TestMistypedWorkerRepliesAreMasterErrors(t *testing.T) {
+	timing := TestTiming()
+	timing.DetectionTimeout = time.Minute // the impostor never heartbeats
+	m, err := StartMaster(MasterConfig{SlotsPerWorker: 1, Timing: timing}, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	confused := wire.NewServer(ln, func(net.Addr, any) (any, error) { return PingResp{}, nil })
+	defer confused.Close()
+	if _, err := m.register(RegisterReq{Worker: 0, Addr: confused.Addr()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.WithFS(func(fs *dfs.FS) error {
+		if _, err := fs.Create("f", 1); err != nil {
+			return err
+		}
+		_, err := fs.SetPartitionBlocks("f", 0, []int64{1}, [][]int{{0}})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	spec := JobSpec{ID: 1, InFile: "f", OutFile: "g", NumReducers: 1}
+	cases := []struct {
+		name string
+		want string
+		call func() error
+	}{
+		{"digest", "DigestResp", func() error {
+			_, err := m.PartitionDigest("f", 0)
+			return err
+		}},
+		{"mapper", "RunMapperResp", func() error {
+			_, _, err := m.runMapPhase(spec, []lineage.MapperMeta{{}}, nil)
+			return err
+		}},
+		{"reducer", "RunReducerResp", func() error {
+			place := reducePlacement{splits: 1, worker: m.workerIfAlive(0), set: []int{0}}
+			_, err := m.runReducePhase(spec, []reducePlacement{place}, nil, nil)
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.call()
+			want := "peer " + confused.Addr() + " replied dmr.PingResp, want dmr." + tc.want
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %v, want one containing %q", err, want)
+			}
+		})
 	}
 }
 
