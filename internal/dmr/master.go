@@ -464,11 +464,10 @@ func (m *Master) PartitionDigest(file string, part int) (workload.Digest, error)
 				continue
 			}
 			resp, err := m.peers.Call(w.addr, DigestReq{File: file, Part: part, Block: b}, m.cfg.Timing.CallTimeout)
-			if err != nil {
-				last = err
-				continue
+			var reply DigestResp
+			if err == nil {
+				reply, err = replyAs[DigestResp](resp, w.addr)
 			}
-			reply, err := replyAs[DigestResp](resp, w.addr)
 			if err != nil {
 				last = err
 				continue

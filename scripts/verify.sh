@@ -1,7 +1,10 @@
 #!/bin/sh
 # verify.sh — the repo's one-command gate:
 #   1. tier-1: go build ./... && go test ./...
-#   2. static checks: go vet and gofmt -l over the whole module
+#   2. static checks: go vet and gofmt -l over the whole module, then the
+#      frozen benchmark module (bench/, its own go.mod, which tier-1 never
+#      builds): vet and its tests, so an internal API deletion that breaks
+#      the benchmark is caught here and not first by the pipeline
 #   3. race detector over the full suite, plus a focused -race pass on the
 #      simulation core (internal/flow, internal/mapreduce — including
 #      the graph/session paths — and the graph planner's
@@ -54,6 +57,9 @@ if [ -n "$unformatted" ]; then
     echo "$unformatted" >&2
     exit 1
 fi
+
+echo "== bench module (vet + test against the current internal API) =="
+(cd bench && go vet ./... && go test ./...)
 
 echo "== test =="
 go test ./...

@@ -55,8 +55,9 @@ var surfaceAllowed = map[string]string{
 
 // surfaceScan returns the exported functions and methods declared in
 // non-test files under declRoot that no non-test file under refRoots
-// references, as sorted "pkg.Func" / "pkg.Type.Method" keys. module is the
-// import-path prefix that maps to the directory the roots are relative to.
+// references, as sorted "pkg.Func" / "pkg.Type.Method" keys. declRoot must
+// lie under one of refRoots; module is the import-path prefix that maps to
+// the directory the roots are relative to.
 func surfaceScan(module, declRoot string, refRoots []string) ([]string, error) {
 	type export struct {
 		key, pkgPath, name string
@@ -67,33 +68,29 @@ func surfaceScan(module, declRoot string, refRoots []string) ([]string, error) {
 	methodRefs := map[string]int{} // "Name": selector uses and interface declarations
 	fset := token.NewFileSet()
 
-	walk := func(root string, visit func(pkgPath string, f *ast.File)) error {
-		return filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
-			if err != nil {
-				return err
+	scanFile := func(p string) error {
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		pkgPath := path.Join(module, filepath.ToSlash(filepath.Dir(p)))
+		imports := map[string]string{} // local name -> import path
+		for _, im := range f.Imports {
+			ip := strings.Trim(im.Path.Value, `"`)
+			name := path.Base(ip)
+			if im.Name != nil {
+				name = im.Name.Name
 			}
-			if d.IsDir() {
-				if d.Name() == "testdata" && p != root {
-					return filepath.SkipDir
-				}
-				return nil
-			}
-			if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
-				return nil
-			}
-			f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
-			}
-			visit(path.Join(module, filepath.ToSlash(filepath.Dir(p))), f)
-			return nil
-		})
-	}
-
-	err := walk(declRoot, func(pkgPath string, f *ast.File) {
+			imports[name] = ip
+		}
+		notRef := map[*ast.Ident]bool{} // declared names and selector fields: not bare references
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !fd.Name.IsExported() {
+			if !ok {
+				continue
+			}
+			notRef[fd.Name] = true
+			if !fd.Name.IsExported() || !strings.HasPrefix(p, declRoot+string(filepath.Separator)) {
 				continue
 			}
 			e := export{key: f.Name.Name + "." + fd.Name.Name, pkgPath: pkgPath, name: fd.Name.Name}
@@ -103,51 +100,42 @@ func surfaceScan(module, declRoot string, refRoots []string) ([]string, error) {
 			}
 			exports = append(exports, e)
 		}
-	})
-	if err != nil {
-		return nil, err
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if x, ok := n.X.(*ast.Ident); ok {
+					if ip, ok := imports[x.Name]; ok {
+						funcRefs[ip+"."+n.Sel.Name]++
+					}
+				}
+				methodRefs[n.Sel.Name]++
+				notRef[n.Sel] = true // visited next
+			case *ast.InterfaceType:
+				for _, m := range n.Methods.List {
+					for _, name := range m.Names {
+						methodRefs[name.Name]++
+					}
+				}
+			case *ast.Ident:
+				if !notRef[n] {
+					funcRefs[pkgPath+"."+n.Name]++
+				}
+			}
+			return true
+		})
+		return nil
 	}
-
 	for _, root := range refRoots {
-		err := walk(root, func(pkgPath string, f *ast.File) {
-			imports := map[string]string{} // local name -> import path
-			for _, im := range f.Imports {
-				ip := strings.Trim(im.Path.Value, `"`)
-				name := path.Base(ip)
-				if im.Name != nil {
-					name = im.Name.Name
-				}
-				imports[name] = ip
+		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+			switch {
+			case err != nil:
+				return err
+			case d.IsDir() && d.Name() == "testdata" && p != root:
+				return filepath.SkipDir
+			case d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go"):
+				return nil
 			}
-			declared := map[*ast.Ident]bool{} // idents that are not bare references
-			for _, decl := range f.Decls {
-				if fd, ok := decl.(*ast.FuncDecl); ok {
-					declared[fd.Name] = true
-				}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.SelectorExpr:
-					if x, ok := n.X.(*ast.Ident); ok {
-						if ip, ok := imports[x.Name]; ok {
-							funcRefs[ip+"."+n.Sel.Name]++
-						}
-					}
-					methodRefs[n.Sel.Name]++
-					declared[n.Sel] = true // visited next; not a bare reference
-				case *ast.InterfaceType:
-					for _, m := range n.Methods.List {
-						for _, name := range m.Names {
-							methodRefs[name.Name]++
-						}
-					}
-				case *ast.Ident:
-					if !declared[n] {
-						funcRefs[pkgPath+"."+n.Name]++
-					}
-				}
-				return true
-			})
+			return scanFile(p)
 		})
 		if err != nil {
 			return nil, err
