@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-smoke bench bench-scale bench-serve bench-full benchdiff profile-scale profile-scale-fail profile-figs profile-dmr verify
+.PHONY: all build test race bench-smoke bench-compare bench-full profile-scale profile-scale-fail profile-figs profile-dmr verify
 
 all: build test
 
@@ -20,34 +20,16 @@ race:
 bench-smoke:
 	RCMP_BENCH_SCALE=smoke $(GO) test -run xxx -bench . -benchtime 1x ./...
 
-# bench runs the perf-trajectory benchmarks of the simulation core
-# (BenchmarkRebalance*, BenchmarkAllSerial, BenchmarkAllParallel, the
-# BenchmarkClusterScaling weak-scaling sweep with its failing tail
-# BenchmarkClusterScalingFail, and BenchmarkAnalyticWhatIf) and emits their
-# ns/op, bytes/op, allocs/op (and ns/event for the scaling sweeps,
-# ns/answer for the what-if) as BENCH_flow.json, so successive PRs can diff the trajectory. Run it (on
-# an idle machine) to regenerate the baseline after intentional perf
-# changes. The same rounds record the real TCP runtime (BenchmarkDMRChain,
-# BenchmarkRecordBatchCodec) into BENCH_dmr.json, which nothing gates.
-bench:
-	./scripts/bench_json.sh
-
-# bench-scale regenerates the same file with the cluster-size scaling
-# benchmarks in it (BenchmarkClusterScaling/{64,256,1024,4096}, ns per
-# simulated event — the regression surface for the ≤1.5x 64→1024
-# ns/event growth target, docs/perf.md). The scaling rows only gate
-# meaningfully against peers measured in the same session, so this is
-# the whole-trajectory run under its scaling-focused name.
-bench-scale: bench
-
-# benchdiff re-measures the same benchmarks and diffs against the
-# committed BENCH_flow.json, failing on >10% ns/op regressions — the gate
-# verify.sh runs.
-benchdiff:
-	./scripts/benchdiff.sh
+# bench-compare measures a change against BASE (any git revision): bench/'s
+# seven workloads, ROUNDS alternated rounds on each side, one `bench
+# compare` table. It exits non-zero only on a regressed row or a fail_share
+# rise (docs/perf.md, "Measuring a change"). About three minutes a round.
+ROUNDS ?= 10
+bench-compare:
+	./scripts/benchcmp.sh "$(BASE)" $(ROUNDS)
 
 # profile-scale profiles the 4096-node weak-scaling benchmark — the tail
-# the ns/event growth target gates — into profiles/ and prints the top-10
+# of the ns/event growth target — into profiles/ and prints the top-10
 # flat CPU list, so a scaling regression is diagnosable in one command.
 # Inspect interactively with `go tool pprof profiles/scale4096.cpu.pprof`.
 profile-scale:
@@ -91,15 +73,6 @@ profile-dmr:
 		-cpuprofile profiles/dmr.cpu.pprof \
 		-memprofile profiles/dmr.mem.pprof .
 	$(GO) tool pprof -top -nodecount=10 profiles/dmr.cpu.pprof
-
-# bench-serve load-tests the sweep server (cmd/serveload): two phases of
-# 1000 fully concurrent smoke-tier sweep requests against an in-process
-# rcmpserve instance, verifying zero dropped/duplicated jobs, byte-identical
-# payloads per grid and a >=90% repeat cache hit rate, then writes
-# throughput + p50/p95/p99 latency + hit rate to BENCH_serve.json
-# (docs/serving.md). Exits non-zero if any serving guarantee is violated.
-bench-serve:
-	$(GO) run ./cmd/serveload
 
 # bench-full runs every benchmark at paper scale (seconds of wall time each).
 bench-full:

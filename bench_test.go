@@ -167,10 +167,9 @@ func BenchmarkCostModels(b *testing.B) { runFigBenchmark(b, experiments.CostMode
 // weak-scaling experiment pins) at growing cluster sizes and reports ns
 // per simulated event, the size-comparable cost metric docs/perf.md
 // tracks: the target is ≤1.5x growth from 64 to 4096 nodes (fast-forward
-// kicks in automatically at 1024). The 8192 row is recorded for the
-// paper-scale trend but not gated. The smoke tier stops at 256 nodes to
-// keep verify fast; `make bench-scale` records the full sweep in
-// BENCH_flow.json.
+// kicks in automatically at 1024). The smoke tier stops at 256 nodes to
+// keep verify fast. bench/'s scale_ff workload measures the same chains
+// end to end, and `make profile-scale` profiles the 4096 row.
 func BenchmarkClusterScaling(b *testing.B) {
 	benchClusterScaling(b, []int{64, 256, 1024, 4096, 8192}, false)
 }
@@ -180,8 +179,6 @@ func BenchmarkClusterScaling(b *testing.B) {
 // into run 2 — the chain bench/'s scale_fail workload runs — so the
 // post-failure shuffle accounting (docs/perf.md) has a root-level
 // ns/event number and `make profile-scale-fail` something to profile.
-// Measured into BENCH_flow.json by scripts/bench_json.sh and gated by
-// benchdiff like the failure-free sweep.
 func BenchmarkClusterScalingFail(b *testing.B) {
 	benchClusterScaling(b, []int{1024, 4096}, true)
 }
@@ -218,9 +215,8 @@ func benchClusterScaling(b *testing.B, sizes []int, fail bool) {
 // one weak-scaling what-if answer at 131072 nodes — 8x beyond the DES
 // ceiling — per iteration, reported as ns/answer. The acceptance bar is
 // <1 ms per config point (docs/perf.md records the measured value against
-// the DES's ns/run at its own ceiling); scripts/bench_json.sh measures it
-// into BENCH_flow.json (with ns_per_answer) and benchdiff gates its ns/op
-// and allocs/op.
+// the DES's ns/run at its own ceiling); bench/ reports the same answer as
+// analytic.whatif_us.
 func BenchmarkAnalyticWhatIf(b *testing.B) {
 	cfg := experiments.Config{Scale: experiments.ScaleQuick, Nodes: 131072, Engine: experiments.EngineAnalytic}
 	sp, ok := experiments.Lookup("weak-scaling")
@@ -392,9 +388,9 @@ func BenchmarkDistributedChain(b *testing.B) {
 }
 
 // BenchmarkDMRChain is bench/'s dmr_clean workload as a Go benchmark, for
-// profiling (`make profile-dmr`) and BENCH_dmr.json: a failure-free 5-job
-// chain of 4 x 6000 records over 250-record blocks, 8 reducers, on a fresh
-// 4-worker, 1-slot cluster per iteration. Like dmr_clean it times RunChain
+// profiling (`make profile-dmr`): a failure-free 5-job chain of 4 x 6000
+// records over 250-record blocks, 8 reducers, on a fresh 4-worker, 1-slot
+// cluster per iteration. Like dmr_clean it times RunChain
 // and OutputDigests, not cluster start or LoadInput. shuffle-rpcs/op is
 // read off the lineage, not counted on the wire: a reducer sends one fetch
 // to every other worker that holds map outputs of its job (the contract

@@ -177,14 +177,18 @@ func (fs *FS) BlockSize() int64 { return fs.blockSize }
 
 // Reset empties the file system — all files, failure marks and placement
 // cursors gone — while keeping its allocated tables, so a reused FS
-// behaves exactly like New(blockSize).
+// behaves exactly like New(blockSize). Partitions and blocks go back onto
+// the free lists in file-name order, not map order: a recycled block keeps
+// its Replicas capacity, so which block the next write gets decides whether
+// that write allocates, and map order would make a chain's allocations vary
+// from one fresh FS to the next.
 func (fs *FS) Reset(blockSize int64) {
 	if blockSize <= 0 {
 		panic(fmt.Sprintf("dfs: block size %d", blockSize))
 	}
 	fs.blockSize = blockSize
-	for _, f := range fs.files {
-		for _, p := range f.Partitions {
+	for _, name := range fs.Files() {
+		for _, p := range fs.files[name].Partitions {
 			fs.recyclePartition(p)
 		}
 	}

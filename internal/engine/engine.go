@@ -12,8 +12,6 @@
 package engine
 
 import (
-	"crypto/md5"
-	"encoding/binary"
 	"fmt"
 	"runtime"
 	"sort"
@@ -512,42 +510,19 @@ func (e *Engine) ReclaimThrough(checkpoint int) error {
 	return nil
 }
 
-// Digest is an order-independent fingerprint of one output partition.
-type Digest struct {
-	Count  int
-	XorMD5 [16]byte
-	Sum    uint64
-}
-
 // OutputDigests fingerprints the final job's output partitions. The XOR of
 // per-record MD5s and the byte sum are order-independent, so a split
 // recomputation (which reorders records within a partition) compares equal
 // to the failure-free run exactly when the record multisets match.
-func (e *Engine) OutputDigests() ([]Digest, error) {
+func (e *Engine) OutputDigests() ([]workload.Digest, error) {
 	_, outFile := jobFiles(e.cfg.Jobs)
 	parts, ok := e.content[outFile]
 	if !ok {
 		return nil, fmt.Errorf("engine: chain output %q missing (chain not run?)", outFile)
 	}
-	out := make([]Digest, len(parts))
+	out := make([]workload.Digest, len(parts))
 	for p, rows := range parts {
-		d := &out[p]
-		for _, r := range rows {
-			d.Count++
-			var buf [8]byte
-			binary.LittleEndian.PutUint64(buf[:], r.Key)
-			h := md5.New()
-			h.Write(buf[:])
-			h.Write(r.Value)
-			var sum [16]byte
-			copy(sum[:], h.Sum(nil))
-			for i := range d.XorMD5 {
-				d.XorMD5[i] ^= sum[i]
-			}
-			for _, b := range r.Value {
-				d.Sum += uint64(b)
-			}
-		}
+		out[p] = workload.DigestRecords(rows)
 	}
 	return out, nil
 }

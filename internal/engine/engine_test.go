@@ -3,6 +3,8 @@ package engine
 import (
 	"testing"
 	"testing/quick"
+
+	"rcmp/internal/workload"
 )
 
 func base() Config {
@@ -16,7 +18,7 @@ func base() Config {
 }
 
 // golden runs the failure-free chain and returns its output digests.
-func golden(t *testing.T, cfg Config) []Digest {
+func golden(t *testing.T, cfg Config) []workload.Digest {
 	t.Helper()
 	cfg.Failures = nil
 	e, err := New(cfg)
@@ -33,7 +35,7 @@ func golden(t *testing.T, cfg Config) []Digest {
 	return d
 }
 
-func mustEqual(t *testing.T, got, want []Digest) {
+func mustEqual(t *testing.T, got, want []workload.Digest) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("partition count %d vs %d", len(got), len(want))
@@ -45,7 +47,7 @@ func mustEqual(t *testing.T, got, want []Digest) {
 	}
 }
 
-func runWith(t *testing.T, cfg Config) (*Engine, []Digest) {
+func runWith(t *testing.T, cfg Config) (*Engine, []workload.Digest) {
 	t.Helper()
 	e, err := New(cfg)
 	if err != nil {

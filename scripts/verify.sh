@@ -5,15 +5,11 @@
 #      frozen benchmark module (bench/, its own go.mod, which tier-1 never
 #      builds): vet and its tests, so an internal API deletion that breaks
 #      the benchmark is caught here and not first by the pipeline
-#   3. race detector over the full suite, plus a focused -race pass on the
-#      simulation core (internal/flow, internal/mapreduce — including
-#      the graph/session paths — and the graph planner's
-#      internal/middleware + internal/core), the pooled runner path
-#      (internal/runner, internal/experiments — worker goroutines share
-#      the per-config context pool) and the distributed runtime
-#      (internal/dmr) with -count=2 so pool/scratch-state reuse across
-#      runs stays honest; the cross-validation harness (internal/xval)
-#      rides in the same repeated -race tier
+#   3. race detector over the full suite, then -count=2 under -race on the
+#      packages whose state is reused across runs or shared between
+#      goroutines: the simulation core and graph planner, the pooled
+#      runner, the distributed runtime, the sweep server (including its
+#      concurrent-load test) and the cross-validation harness
 #   4. rcmpsim smoke: the schedule-engine experiments, the scaling
 #      tier (weak-scaling, -nodes override), the analytic twin
 #      (-engine analytic at 131072 nodes, -seed-set dispersion) and the
@@ -26,21 +22,17 @@
 #      rcmpserve smoke: the sweep server end to end on an ephemeral port —
 #      a sweep over HTTP must be byte-identical to the rcmpsim CLI report,
 #      the cached repeat byte-identical again, a /v1/plan capacity answer
-#      must miss then hit the result cache, and SIGTERM must drain
-#      cleanly — plus a small serveload pass (concurrent clients, cache
-#      hit-rate and zero-dropped-jobs checks in-process)
-#   6. golden-digest + fast-forward-equivalence
-#      suites, explicitly, with the ladder event queue and rate-class
-#      flow core on (their defaults), plus the fast-forward engine's
-#      chain-level property tests forced through -race; then the
-#      analytic-vs-DES tolerance suite over the whole registry
+#      must miss then hit the result cache, and SIGTERM must drain cleanly
+#   6. golden-digest + fast-forward-equivalence suites, explicitly, plus
+#      the fast-forward engine's chain-level property tests forced through
+#      -race; then the analytic-vs-DES tolerance suite over the registry
 #   7. native fuzzing: a few seconds of FuzzRecordBatchDecode, the dmr
 #      record-frame decoder that reads bytes off a socket, on top of its
 #      committed seed corpus (which plain `go test` already replays)
 #   8. benchmark smoke pass: every benchmark once at the smoke tier
-#   9. perf-regression gate: re-measure the perf-trajectory benchmarks and
-#      diff against the committed BENCH_flow.json (scripts/benchdiff.sh;
-#      >10% ns/op or allocs/op regressions fail)
+# No step times anything: wall-clock comparisons need paired rounds on
+# both sides of a change, which `make bench-compare BASE=<rev>` runs
+# (docs/perf.md, "Measuring a change").
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -133,9 +125,6 @@ curl -sf -X POST -d "$plan" "$base/v1/plan" | grep -q '"cache": *"hit"'
 kill -TERM "$serve_pid"
 wait "$serve_pid"
 
-echo "== serveload smoke (concurrent clients, cache hit rate, zero dropped jobs) =="
-go run ./cmd/serveload -requests 200 -grids 16 -out "$tmp/BENCH_serve_smoke.json" > /dev/null
-
 echo "== golden digests + fast-forward equivalence (ladder queue + rate-class flow core on) =="
 go test -count=1 -run 'TestGoldenDigests|TestGoldenResultsEquivalentUnderFastForward' ./internal/experiments
 
@@ -147,8 +136,5 @@ go test -run xxx -fuzz 'FuzzRecordBatchDecode$' -fuzztime 5s ./internal/dmr
 
 echo "== bench-smoke =="
 RCMP_BENCH_SCALE=smoke go test -run xxx -bench . -benchtime 1x ./...
-
-echo "== benchdiff (perf-regression gate vs BENCH_flow.json) =="
-./scripts/benchdiff.sh
 
 echo "verify: OK"
