@@ -164,10 +164,11 @@ func BenchmarkCostModels(b *testing.B) { runFigBenchmark(b, experiments.CostMode
 
 // BenchmarkClusterScaling runs the weak-scaling workload (fixed per-node
 // work, aggregated shuffle tier — the exact configuration the registered
-// weak-scaling experiment pins) at growing cluster sizes and reports ns
-// per simulated event, the size-comparable cost metric docs/perf.md
-// tracks: the target is ≤1.5x growth from 64 to 4096 nodes (fast-forward
-// kicks in automatically at 1024). The smoke tier stops at 256 nodes to
+// weak-scaling experiment pins) at growing cluster sizes, each size on a
+// warm Context of its own, and reports ns per simulated event, the
+// size-comparable cost metric docs/perf.md tracks: the target is ≤1.5x
+// growth from 64 to 4096 nodes (fast-forward kicks in automatically at
+// 1024). The smoke tier stops at 256 nodes to
 // keep verify fast. bench/'s scale_ff workload measures the same chains
 // end to end, and `make profile-scale` profiles the 4096 row.
 func BenchmarkClusterScaling(b *testing.B) {
@@ -190,15 +191,16 @@ func benchClusterScaling(b *testing.B, sizes []int, fail bool) {
 	}
 	for _, nodes := range sizes {
 		b.Run(fmt.Sprintf("%d", nodes), func(b *testing.B) {
-			ccfg, ccfg2 := experiments.WeakScalingSetup(cfg, nodes)
+			ccfg, chain := experiments.WeakScalingSetup(cfg, nodes)
 			if fail {
-				ccfg2.Split = true
-				ccfg2.Failures = []mapreduce.Injection{{AtRun: 2, After: 1, Node: 3}}
+				chain.Split = true
+				chain.Failures = []mapreduce.Injection{{AtRun: 2, After: 1, Node: 3}}
 			}
+			ctx := warmContext(b, ccfg, chain)
 			var events uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := mapreduce.RunChain(ccfg, ccfg2)
+				res, err := ctx.RunChain(chain)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -317,17 +319,36 @@ func BenchmarkFunctionalChain(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatedChainSTIC measures one paper-scale 7-job simulator run.
+// BenchmarkSimulatedChainSTIC measures one paper-scale 7-job simulator run
+// on a warm Context.
 func BenchmarkSimulatedChainSTIC(b *testing.B) {
+	chain := mapreduce.ChainConfig{
+		Mode: mapreduce.ModeRCMP, NumJobs: 7, NumReducers: 10,
+		InputPerNode: 4 * cluster.GB,
+	}
+	ctx := warmContext(b, cluster.STICConfig(1, 1), chain)
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := mapreduce.RunChain(cluster.STICConfig(1, 1), mapreduce.ChainConfig{
-			Mode: mapreduce.ModeRCMP, NumJobs: 7, NumReducers: 10,
-			InputPerNode: 4 * cluster.GB,
-		})
-		if err != nil {
+		if _, err := ctx.RunChain(chain); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// warmContext builds the Context a benchmark loops on and runs the chain
+// on it twice, so the timed iterations measure a warm chain — topology
+// built, free lists filled, what every sweep worker's reused Context runs —
+// and allocs/op repeats exactly. (The second chain on a Context still
+// fills free lists; TestWeakScalingAllocsDeterministic warms the same way.)
+func warmContext(b *testing.B, ccfg cluster.Config, chain mapreduce.ChainConfig) *mapreduce.Context {
+	b.Helper()
+	ctx := mapreduce.NewContext(ccfg)
+	for range 2 {
+		if _, err := ctx.RunChain(chain); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return ctx
 }
 
 // startDMR brings up a master and four workers on loopback TCP; the

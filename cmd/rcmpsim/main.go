@@ -21,8 +21,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -32,51 +34,61 @@ import (
 
 	"rcmp/internal/experiments"
 	"rcmp/internal/failure"
-	"rcmp/internal/mapreduce"
 	"rcmp/internal/runner"
 )
 
-func main() {
-	fig := flag.String("fig", "", "figure key to run (see -list), or 'all'")
-	runPat := flag.String("run", "", "regexp selecting experiments by name or key (e.g. 'Fig8|Hybrid')")
-	quick := flag.Bool("quick", false, "run at reduced scale (fast)")
-	seed := flag.Int64("seed", 0, "experiment seed (0 reproduces the paper harness)")
-	seeds := flag.String("seeds", "", "comma-separated seed sweep, overrides -seed (e.g. '0,1,2')")
-	failAt := flag.Int("failure-at", 0, "override the single-failure injection run (0 = figure default)")
-	nodesOverride := flag.Int("nodes", 0, "override the simulated cluster size for any experiment (0 = figure default; Fig11 ignores it, weak-scaling runs just that size)")
-	tenants := flag.Int("tenants", 0, "tenant count for multi-tenant experiments (0 = figure's own sweep; >1 is an error on single-tenant figures)")
-	speculation := flag.Bool("speculation", false, "enable speculative task execution in every simulated run and report launched/wasted counters")
-	schedule := flag.String("schedule", "", "failure schedule for schedule-aware figures: pulses 'RUN[@SEC][xNODES],...' (e.g. '2@15,4@5x2'), or 'stic[:SEED]'/'sugar[:SEED]' to sample one from the paper's traces")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "worker count for the experiment runner")
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON instead of text figures")
-	timing := flag.Bool("timing", false, "include per-run wall-clock timings in -json output (non-deterministic)")
-	list := flag.Bool("list", false, "list available experiments")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the experiment run to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write an allocation profile after the experiment run to this file (go tool pprof)")
-	ff := flag.Bool("ff", false, "force the fast-forward engine on at every cluster size (normally automatic at >=1024 nodes); results are equivalent, only wall-clock changes")
-	engine := flag.String("engine", "", "execution engine: 'des' (default, the simulator) or 'analytic' (calibrated closed-form twin; instant answers, -nodes up to 1048576)")
-	seedSet := flag.Int("seed-set", 0, "expand every seed into N consecutive seeds and add mean/CI95 aggregates to -json output (0 or 1 = off)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	if *ff {
-		mapreduce.EnableFastForward(true)
+// run is the whole command behind main: it parses args, runs the selected
+// experiments and writes the report to stdout, and returns the exit code —
+// 0 on success, 1 when some job failed (or the report could not be
+// written), 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("rcmpsim", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	fig := flags.String("fig", "", "figure key to run (see -list), or 'all'")
+	runPat := flags.String("run", "", "regexp selecting experiments by name or key (e.g. 'Fig8|Hybrid')")
+	quick := flags.Bool("quick", false, "run at reduced scale (fast)")
+	seed := flags.Int64("seed", 0, "experiment seed (0 reproduces the paper harness)")
+	seeds := flags.String("seeds", "", "comma-separated seed sweep, overrides -seed (e.g. '0,1,2')")
+	failAt := flags.Int("failure-at", 0, "override the single-failure injection run (0 = figure default)")
+	nodesOverride := flags.Int("nodes", 0, "override the simulated cluster size for any experiment (0 = figure default; Fig11 ignores it, weak-scaling runs just that size)")
+	tenants := flags.Int("tenants", 0, "tenant count for multi-tenant experiments (0 = figure's own sweep; >1 is an error on single-tenant figures)")
+	speculation := flags.Bool("speculation", false, "enable speculative task execution in every simulated run and report launched/wasted counters")
+	schedule := flags.String("schedule", "", "failure schedule for schedule-aware figures: pulses 'RUN[@SEC][xNODES],...' (e.g. '2@15,4@5x2'), or 'stic[:SEED]'/'sugar[:SEED]' to sample one from the paper's traces")
+	parallel := flags.Int("parallel", runtime.GOMAXPROCS(0), "worker count for the experiment runner")
+	jsonOut := flags.Bool("json", false, "emit machine-readable JSON instead of text figures")
+	timing := flags.Bool("timing", false, "include per-run wall-clock timings in -json output (non-deterministic)")
+	list := flags.Bool("list", false, "list available experiments")
+	cpuProfile := flags.String("cpuprofile", "", "write a CPU profile of the experiment run to this file (go tool pprof)")
+	memProfile := flags.String("memprofile", "", "write an allocation profile after the experiment run to this file (go tool pprof)")
+	engine := flags.String("engine", "", "execution engine: 'des' (default, the simulator) or 'analytic' (calibrated closed-form twin; instant answers, -nodes up to 1048576)")
+	seedSet := flags.Int("seed-set", 0, "expand every seed into N consecutive seeds and add mean/CI95 aggregates to -json output (0 or 1 = off)")
+	if err := flags.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	usage := func(err error) int {
+		fmt.Fprintf(stderr, "rcmpsim: %v\n", err)
+		return 2
 	}
 
 	if *list || (*fig == "" && *runPat == "") {
-		fmt.Println("available experiments (-fig KEY or -run REGEXP):")
+		fmt.Fprintln(stdout, "available experiments (-fig KEY or -run REGEXP):")
 		for _, sp := range experiments.Registry() {
-			fmt.Printf("  %-21s %s\n", sp.Key, sp.Desc)
+			fmt.Fprintf(stdout, "  %-21s %s\n", sp.Key, sp.Desc)
 		}
 		if !*list {
-			os.Exit(2)
+			return 2
 		}
-		return
+		return 0
 	}
 
 	specs, err := selectSpecs(*fig, *runPat)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rcmpsim: %v\n", err)
-		os.Exit(2)
+		return usage(err)
 	}
 
 	scale := experiments.ScalePaper
@@ -85,28 +97,27 @@ func main() {
 	}
 	seedList, err := parseSeeds(*seeds, *seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rcmpsim: %v\n", err)
-		os.Exit(2)
+		return usage(err)
 	}
 	var scheds []failure.Schedule
 	if *schedule != "" {
 		if *failAt > 0 {
-			fmt.Fprintln(os.Stderr, "rcmpsim: -failure-at and -schedule are mutually exclusive")
-			os.Exit(2)
+			return usage(errors.New("-failure-at and -schedule are mutually exclusive"))
 		}
 		sched, err := failure.ParseSchedule(*schedule)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rcmpsim: %v\n", err)
-			os.Exit(2)
+			return usage(err)
 		}
 		scheds = []failure.Schedule{sched}
 	}
+	// Any non-zero override reaches the grid: an out-of-range value is a
+	// per-job error (exit 1), exactly as the sweep server reports it.
 	var nodesDim []int
-	if *nodesOverride > 0 {
+	if *nodesOverride != 0 {
 		nodesDim = []int{*nodesOverride}
 	}
 	var tenantsDim []int
-	if *tenants > 0 {
+	if *tenants != 0 {
 		tenantsDim = []int{*tenants}
 	}
 	var speclDim []bool
@@ -115,8 +126,7 @@ func main() {
 	}
 	eng, err := experiments.ParseEngine(*engine)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rcmpsim: %v\n", err)
-		os.Exit(2)
+		return usage(err)
 	}
 	var engineDim []experiments.Engine
 	if eng != experiments.EngineDES {
@@ -143,22 +153,20 @@ func main() {
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rcmpsim: -cpuprofile: %v\n", err)
-			os.Exit(2)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "rcmpsim: -cpuprofile: %v\n", err)
-			os.Exit(2)
+			return usage(fmt.Errorf("-cpuprofile: %v", err))
 		}
 		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return usage(fmt.Errorf("-cpuprofile: %v", err))
+		}
 	}
 	var memOut *os.File
 	if *memProfile != "" {
 		f, err := os.Create(*memProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rcmpsim: -memprofile: %v\n", err)
-			os.Exit(2)
+			return usage(fmt.Errorf("-memprofile: %v", err))
 		}
+		defer f.Close()
 		memOut = f
 	}
 
@@ -171,35 +179,31 @@ func main() {
 	if memOut != nil {
 		runtime.GC() // flush accounting so alloc_space is accurate
 		if err := pprof.WriteHeapProfile(memOut); err != nil {
-			fmt.Fprintf(os.Stderr, "rcmpsim: -memprofile: %v\n", err)
-			os.Exit(2)
+			return usage(fmt.Errorf("-memprofile: %v", err))
 		}
-		memOut.Close()
 	}
 
 	if *jsonOut {
-		if err := runner.WriteJSON(os.Stdout, results, *timing); err != nil {
-			fmt.Fprintf(os.Stderr, "rcmpsim: %v\n", err)
-			os.Exit(1)
+		if err := runner.WriteJSON(stdout, results, *timing); err != nil {
+			fmt.Fprintf(stderr, "rcmpsim: %v\n", err)
+			return 1
 		}
 	} else {
 		for _, res := range results {
 			if res.Err != "" {
 				continue
 			}
-			fmt.Println(res.Res.Text)
+			fmt.Fprintln(stdout, res.Res.Text)
 		}
 	}
-	failed := false
+	code := 0
 	for _, res := range results {
 		if res.Err != "" {
-			fmt.Fprintf(os.Stderr, "rcmpsim: %s: %s\n", res.Name, res.Err)
-			failed = true
+			fmt.Fprintf(stderr, "rcmpsim: %s: %s\n", res.Name, res.Err)
+			code = 1
 		}
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return code
 }
 
 // selectSpecs filters the registry by the -fig key and/or -run regexp.

@@ -84,7 +84,7 @@ func (m Model) RunChain(ccfg cluster.Config, cfg mapreduce.ChainConfig) (*mapred
 }
 
 // RunGraph evaluates a DAG of jobs analytically, mirroring
-// mapreduce.RunGraph.
+// mapreduce.Context.RunGraph.
 func (m Model) RunGraph(ccfg cluster.Config, cfg mapreduce.GraphConfig) (*mapreduce.Result, error) {
 	cfg.ChainConfig = cfg.ChainConfig.WithDefaults()
 	cfg.NumJobs = len(cfg.Jobs)
@@ -127,10 +127,10 @@ func linearGraph(n int) []mapreduce.GraphJob {
 }
 
 // RunMultiTenant evaluates `tenants` copies of the graph sharing one
-// cluster, mirroring mapreduce.RunMultiTenant. The single-tenant schedule is
-// evaluated once; contention scales it by the session's resource-bound lower
-// envelope, so makespan and recovery cost are non-decreasing in the tenant
-// count by construction.
+// cluster, mirroring mapreduce.Context.RunMultiTenant. The single-tenant
+// schedule is evaluated once; contention scales it by the session's
+// resource-bound lower envelope, so makespan and recovery cost are
+// non-decreasing in the tenant count by construction.
 func (m Model) RunMultiTenant(ccfg cluster.Config, cfg mapreduce.GraphConfig, tenants int) (*mapreduce.MultiResult, error) {
 	se, err := m.evalSession(ccfg, cfg, tenants)
 	if err != nil {

@@ -30,7 +30,7 @@ func diamondJobs() []mapreduce.GraphJob {
 // runGraph executes one graph on the setup's engine, panicking on
 // configuration errors the way run does for chains.
 func runGraph(st setup, jobs []mapreduce.GraphJob) *mapreduce.Result {
-	res, err := runGraphEngine(st.engine, st.ccfg, mapreduce.GraphConfig{ChainConfig: st.cfg, Jobs: jobs})
+	res, err := st.w.runGraph(st.engine, st.ccfg, mapreduce.GraphConfig{ChainConfig: st.cfg, Jobs: jobs})
 	if err != nil {
 		panic(fmt.Sprintf("experiment %s: %v", st.name, err))
 	}
@@ -149,7 +149,7 @@ func MultiTenant(c Config) (*Result, error) {
 		if failed {
 			cfg.Failures = fails
 		}
-		mr, err := runMultiTenantEngine(st.engine, st.ccfg, mapreduce.GraphConfig{ChainConfig: cfg, Jobs: jobs}, tenants)
+		mr, err := st.w.runMultiTenant(st.engine, st.ccfg, mapreduce.GraphConfig{ChainConfig: cfg, Jobs: jobs}, tenants)
 		if err != nil {
 			panic(fmt.Sprintf("experiment %s (tenants=%d): %v", st.name, tenants, err))
 		}

@@ -1,12 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"rcmp/internal/analytic"
-	"rcmp/internal/cluster"
-	"rcmp/internal/mapreduce"
-)
+import "fmt"
 
 // Engine selects how an experiment's simulated runs are executed: by the
 // discrete-event simulator (the default, and the source of every golden
@@ -55,29 +49,4 @@ func (c Config) validateEngine() error {
 		return fmt.Errorf("experiments: Engine=%d out of range", int(c.Engine))
 	}
 	return nil
-}
-
-// runChainEngine dispatches one chain execution to the configured engine.
-func runChainEngine(e Engine, ccfg cluster.Config, cfg mapreduce.ChainConfig) (*mapreduce.Result, error) {
-	if e == EngineAnalytic {
-		return analytic.Default.RunChain(ccfg, cfg)
-	}
-	return mapreduce.RunChain(ccfg, cfg)
-}
-
-// runGraphEngine dispatches one graph execution to the configured engine.
-func runGraphEngine(e Engine, ccfg cluster.Config, cfg mapreduce.GraphConfig) (*mapreduce.Result, error) {
-	if e == EngineAnalytic {
-		return analytic.Default.RunGraph(ccfg, cfg)
-	}
-	return mapreduce.RunGraph(ccfg, cfg)
-}
-
-// runMultiTenantEngine dispatches one shared-cluster session to the
-// configured engine.
-func runMultiTenantEngine(e Engine, ccfg cluster.Config, cfg mapreduce.GraphConfig, tenants int) (*mapreduce.MultiResult, error) {
-	if e == EngineAnalytic {
-		return analytic.Default.RunMultiTenant(ccfg, cfg, tenants)
-	}
-	return mapreduce.RunMultiTenant(ccfg, cfg, tenants)
 }

@@ -107,6 +107,10 @@ type Config struct {
 	// microseconds and therefore accepts Nodes overrides far beyond the
 	// DES ceiling (see validateNodes).
 	Engine Engine
+
+	// worker owns the simulation context the experiment's DES runs reuse
+	// (see WithWorker). It never reaches a digest or a report.
+	worker *Worker
 }
 
 // Cluster-size override bounds: below minNodesOverride the fixed failure
@@ -170,12 +174,14 @@ func newResult(name string) *Result {
 }
 
 // setup bundles a cluster and chain configuration under a display name,
-// plus the engine every run of the experiment dispatches to.
+// plus the engine every run of the experiment dispatches to and the Worker
+// whose context the DES runs reuse.
 type setup struct {
 	name   string
 	ccfg   cluster.Config
 	cfg    mapreduce.ChainConfig
 	engine Engine
+	w      *Worker
 }
 
 // sticSetup builds the paper's STIC configuration: 10 nodes, 4 GB/node
@@ -203,7 +209,7 @@ func sticSetup(c Config, mapSlots, redSlots int) setup {
 		cfg.NumReducers = ccfg.Nodes * redSlots
 		name = fmt.Sprintf("%s @%d nodes", name, c.Nodes)
 	}
-	return setup{name: name, ccfg: ccfg, cfg: cfg, engine: c.Engine}
+	return setup{name: name, ccfg: ccfg, cfg: cfg, engine: c.Engine, w: c.owner()}
 }
 
 // dcoSetup builds the DCO configuration: 60 nodes, one reducer wave.
@@ -233,7 +239,7 @@ func dcoSetup(c Config, nodes int) setup {
 		cfg.NumReducers = ccfg.Nodes
 		name = fmt.Sprintf("%s @%d nodes", name, c.Nodes)
 	}
-	return setup{name: name, ccfg: ccfg, cfg: cfg, engine: c.Engine}
+	return setup{name: name, ccfg: ccfg, cfg: cfg, engine: c.Engine, w: c.owner()}
 }
 
 // splitRatioFor returns the paper's reducer split ratios: 8 on STIC, N-1 on
@@ -342,7 +348,7 @@ func failureNote(c Config, name string) string {
 // run executes one chain on the setup's engine, panicking on configuration
 // errors (experiment definitions are code, not input).
 func run(st setup) *mapreduce.Result {
-	res, err := runChainEngine(st.engine, st.ccfg, st.cfg)
+	res, err := st.w.runChain(st.engine, st.ccfg, st.cfg)
 	if err != nil {
 		panic(fmt.Sprintf("experiment %s: %v", st.name, err))
 	}

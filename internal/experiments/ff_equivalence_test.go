@@ -3,12 +3,11 @@ package experiments
 import (
 	"math"
 	"testing"
-
-	"rcmp/internal/mapreduce"
 )
 
 // TestGoldenResultsEquivalentUnderFastForward runs the full registry a
-// second time with the mapreduce fast-forward engine forced on and asserts
+// second time with the mapreduce fast-forward engine forced on (through a
+// Worker whose every chain and graph fast-forwards) and asserts
 // result-level equivalence with the exact-mode run. Fast-forward absorbs
 // failure-free task timers into a micro-scheduler instead of the DES queue,
 // so the event *stream* differs — but the engine replays the exact total
@@ -22,6 +21,7 @@ import (
 // so the sweep also covers failure schedules (multi-pulse, trace-sampled)
 // landing at different offsets inside otherwise-skippable phases.
 func TestGoldenResultsEquivalentUnderFastForward(t *testing.T) {
+	t.Parallel()
 	const relTol = 1e-6
 	for _, sp := range Registry() {
 		sp := sp
@@ -29,12 +29,7 @@ func TestGoldenResultsEquivalentUnderFastForward(t *testing.T) {
 			for _, seed := range []int64{sp.Seed, sp.Seed + 7} {
 				cfg := Config{Scale: ScaleQuick, Seed: seed}
 				exact := runOK(t, sp.Run, cfg)
-
-				ff := func() *Result {
-					prev := mapreduce.EnableFastForward(true)
-					defer mapreduce.EnableFastForward(prev)
-					return runOK(t, sp.Run, cfg)
-				}()
+				ff := runOK(t, sp.Run, cfg.WithWorker(&Worker{forceFF: true}))
 
 				if exact.Name != ff.Name {
 					t.Fatalf("seed %d: names differ: %q vs %q", seed, exact.Name, ff.Name)

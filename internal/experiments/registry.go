@@ -35,7 +35,9 @@ type Spec struct {
 // same per-job convention out-of-range FailureAt overrides follow —
 // instead of a deep panic inside a setup. The runner grid executes jobs
 // through Exec; Run stays the raw registered function so tooling can
-// resolve it back to its experiment.
+// resolve it back to its experiment. A Config without a Worker (see
+// WithWorker) runs on a fresh one, so the figure's runs still share
+// contexts within this call.
 func (sp Spec) Exec(c Config) (*Result, error) {
 	if err := c.validateEngine(); err != nil {
 		return nil, err
@@ -49,6 +51,9 @@ func (sp Spec) Exec(c Config) (*Result, error) {
 	if c.Tenants > 1 && !sp.MultiTenant {
 		return nil, fmt.Errorf("experiments: %s is single-tenant; Tenants=%d only applies to multi-tenant experiments",
 			sp.Name, c.Tenants)
+	}
+	if c.worker == nil {
+		c.worker = new(Worker)
 	}
 	return sp.Run(c)
 }

@@ -65,10 +65,11 @@ func WeakScaling(c Config) (*Result, error) {
 	if c.Nodes > 0 {
 		sizes = []int{c.Nodes}
 	}
+	w := c.owner()
 	var rows [][]string
 	for _, n := range sizes {
 		ccfg, cfg := WeakScalingSetup(c, n)
-		res, err := runChainEngine(c.Engine, ccfg, cfg)
+		res, err := w.runChain(c.Engine, ccfg, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: weak-scaling @%d nodes: %w", n, err)
 		}

@@ -1,21 +1,19 @@
 // context.go holds the reusable simulation context: the simulator,
-// cluster topology, DFS and object pools that RunChain reuses across
-// executions with the same cluster configuration. Building a topology
-// (3N+1 flow resources, node structs, a network) and throwing it away per
-// chain dominated the sweep-level allocation profile; a Reset()-able
-// context makes grid jobs at the same scale reuse the template instead.
+// cluster topology, DFS and object free lists that Context.RunChain reuses
+// across executions with the same cluster configuration. Building a
+// topology (3N+1 flow resources, node structs, a network) and throwing it
+// away per chain dominated the sweep-level allocation profile; a caller
+// that runs chains one after another keeps its Context and reuses the
+// template instead (experiments.Worker is that caller for every sweep).
 //
 // Reuse never trades determinism: Reset restores every piece of
 // behavior-relevant state (virtual clock, event sequence numbers, node
 // liveness, resource bookkeeping, DFS namespace, placement cursors), so a
 // run on a reused context is byte-identical to one on a fresh context —
-// the golden-digest suite runs entirely on pooled contexts and pins this.
+// the golden-digest suite runs on reused contexts and pins this.
 package mapreduce
 
 import (
-	"fmt"
-	"sync"
-
 	"rcmp/internal/cluster"
 	"rcmp/internal/des"
 	"rcmp/internal/dfs"
@@ -26,13 +24,12 @@ import (
 // Context is a reusable simulation substrate for one cluster
 // configuration: simulator + cluster + DFS, plus free lists for runs,
 // tasks and shuffle trunks. A Context is single-threaded (like the
-// simulator it wraps); the package-level pool hands each goroutine its
-// own.
+// simulator it wraps): whoever holds it runs one computation at a time on
+// it, and concurrent callers each hold their own.
 type Context struct {
 	sim  *des.Simulator
 	clus *cluster.Cluster
 	fs   *dfs.FS
-	key  string // canonical cluster-config identity, for pooling
 
 	// shufTrunks coalesces exact-tier shuffle fetches per (source,
 	// destination) node pair, indexed [dst][src]. The outer slice is one
@@ -141,7 +138,6 @@ func NewContext(ccfg cluster.Config) *Context {
 		sim:  sim,
 		clus: cluster.New(sim, ccfg),
 		fs:   dfs.New(256 * cluster.MB),
-		key:  configKey(ccfg),
 	}
 }
 
@@ -153,9 +149,9 @@ func (ctx *Context) reset(blockSize int64) {
 	ctx.fs.Reset(blockSize)
 	ctx.harvestLineage()
 	// Shuffle trunks survive reset dormant. A trunk still holding members
-	// (a chain that ended in an error mid-flight) must not be reused; such
-	// contexts are dropped by RunChain rather than pooled, so by the time
-	// reset runs every trunk is dormant — verify cheaply all the same.
+	// (a chain that ended in an error mid-flight) must not be reused; owners
+	// drop such contexts rather than run on them again, so by the time reset
+	// runs every trunk is dormant — verify cheaply all the same.
 	for _, row := range ctx.shufTrunks {
 		for i, t := range row {
 			if t != nil && t.Members() != 0 {
@@ -311,35 +307,4 @@ func (ctx *Context) recycleRun(r *jobRun) {
 	r.specDups = specDups
 	r.locBuf = locBuf
 	ctx.freeRuns = append(ctx.freeRuns, r)
-}
-
-// configKey canonicalizes a cluster config. fmt prints map fields
-// (NodeDiskScale) in sorted key order, so equal configs always produce
-// equal keys.
-func configKey(ccfg cluster.Config) string {
-	return fmt.Sprintf("%+v", ccfg)
-}
-
-// ctxPools pools contexts per cluster configuration, so sweep jobs at the
-// same scale reuse a topology instead of rebuilding it, across all worker
-// goroutines. sync.Pool may drop contexts under memory pressure; a fresh
-// one is built transparently.
-var ctxPools sync.Map // string -> *sync.Pool
-
-func acquireContext(ccfg cluster.Config) *Context {
-	key := configKey(ccfg)
-	p, ok := ctxPools.Load(key)
-	if !ok {
-		p, _ = ctxPools.LoadOrStore(key, &sync.Pool{})
-	}
-	if v := p.(*sync.Pool).Get(); v != nil {
-		return v.(*Context)
-	}
-	return NewContext(ccfg)
-}
-
-func releaseContext(ctx *Context) {
-	if p, ok := ctxPools.Load(ctx.key); ok {
-		p.(*sync.Pool).Put(ctx)
-	}
 }

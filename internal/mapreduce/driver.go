@@ -61,11 +61,10 @@ type Driver struct {
 	specWasted   int
 }
 
-// RunChain executes the chain on a simulation context for ccfg — drawn
-// from the per-configuration context pool, so repeated executions at the
-// same scale reuse the cluster/DFS topology — and returns the timing
-// result. The execution is fully deterministic for a given (ccfg, cfg)
-// pair, reused context or fresh.
+// RunChain executes the chain on a fresh simulation context for ccfg and
+// returns the timing result. The execution is fully deterministic for a
+// given (ccfg, cfg) pair. Callers that run many chains at one scale keep a
+// Context instead (NewContext, Context.RunChain) and reuse its topology.
 func RunChain(ccfg cluster.Config, cfg ChainConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
@@ -74,14 +73,7 @@ func RunChain(ccfg cluster.Config, cfg ChainConfig) (*Result, error) {
 	if err := ccfg.Validate(); err != nil {
 		return nil, err
 	}
-	ctx := acquireContext(ccfg)
-	res, err := ctx.RunChain(cfg)
-	if err == nil {
-		// An errored run may leave events or flows mid-flight; drop the
-		// context rather than reason about partial cleanup.
-		releaseContext(ctx)
-	}
-	return res, err
+	return NewContext(ccfg).RunChain(cfg)
 }
 
 // RunChain executes one chain on the context: the linear special case of
@@ -123,14 +115,14 @@ func newDriver(ctx *Context, cfg ChainConfig, topo *core.Topology, attachEngines
 			// The aggregated tier rides the flow network's class accounting:
 			// per-trunk shared rates and heap-backed completion candidates, so
 			// per-event cost tracks rate classes, not in-flight transfers.
-			// (Reset clears the mode, so pooled contexts flip per chain.)
+			// (Reset clears the mode, so a reused context flips per chain.)
 			ctx.clus.Net.EnableClassAccounting()
 			d.agg = true
 		}
 		if cfg.fastForwarded(ctx.clus.NumNodes()) {
 			// The engine attaches to the freshly reset context before any flow
 			// or event exists, mirroring the accounting-mode switch above; a
-			// pooled context runs exact again next chain unless re-attached.
+			// reused context runs exact again next chain unless re-attached.
 			ctx.ff.attach(ctx.sim, ctx.clus.Net, ctx.clus)
 			d.ff = &ctx.ff
 		}
@@ -285,7 +277,7 @@ func (d *Driver) outputRepl(job int) int {
 
 // newRun assembles the shared parts of any job run and registers
 // injections. The previous run — always done or cancelled by the time a
-// new one starts — goes back to the context pools here.
+// new one starts — goes back to the context's free lists here.
 func (d *Driver) newRun(job int, kind metrics.RunKind) *jobRun {
 	if d.current != nil {
 		d.ctx.recycleRun(d.current)

@@ -33,24 +33,10 @@
 package mapreduce
 
 import (
-	"sync/atomic"
-
 	"rcmp/internal/cluster"
 	"rcmp/internal/des"
 	"rcmp/internal/flow"
 )
-
-// ffForced, when set, makes every subsequently started chain run the
-// fast-forward engine regardless of its FastForward setting. It exists so
-// whole stacks — the experiment registry, the CLI — can be flipped without
-// threading a flag through every layer, e.g. to re-run the golden
-// experiments under fast-forward for the equivalence suite.
-var ffForced atomic.Bool
-
-// EnableFastForward forces the fast-forward engine on (or releases the
-// force) for chains started after the call and returns the previous
-// setting, so callers can restore it.
-func EnableFastForward(on bool) bool { return ffForced.Swap(on) }
 
 // ffEntry is one pending micro-event: a des.Timer to fire at a virtual
 // time, ordered by (at, seq) exactly like queue events. slot points at the

@@ -11,7 +11,6 @@ package mapreduce
 import (
 	"fmt"
 
-	"rcmp/internal/cluster"
 	"rcmp/internal/core"
 	"rcmp/internal/middleware"
 )
@@ -68,25 +67,6 @@ func buildTopology(jobs []GraphJob) (*core.Topology, error) {
 		return nil, err
 	}
 	return core.NewTopology(g)
-}
-
-// RunGraph executes the graph on a pooled simulation context for ccfg and
-// returns the timing result, exactly like RunChain does for chains.
-func RunGraph(ccfg cluster.Config, cfg GraphConfig) (*Result, error) {
-	cfg.ChainConfig = cfg.ChainConfig.withDefaults()
-	cfg.NumJobs = len(cfg.Jobs)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ccfg.Validate(); err != nil {
-		return nil, err
-	}
-	ctx := acquireContext(ccfg)
-	res, err := ctx.RunGraph(cfg)
-	if err == nil {
-		releaseContext(ctx)
-	}
-	return res, err
 }
 
 // RunGraph executes one graph computation on the context.

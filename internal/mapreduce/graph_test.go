@@ -29,15 +29,16 @@ func diamondGraph(cfg ChainConfig) GraphConfig {
 // times, same event and flow counts — under both the exact and the
 // fast-forward engine.
 func TestChainEqualsLinearGraph(t *testing.T) {
+	t.Parallel()
 	ccfg := tinyCluster(4, 2, 2)
 	cfg := tinyChain(3, 4, 128)
 	cfg.Failures = []Injection{{AtRun: 2, After: 5, Node: 1}}
 
-	for _, ff := range []bool{false, true} {
-		prev := EnableFastForward(ff)
+	for _, mode := range []FastForwardMode{FastForwardOff, FastForwardOn} {
+		cfg.FastForward = mode
+		ff := mode == FastForwardOn
 		chainRes, err1 := RunChain(ccfg, cfg)
-		graphRes, err2 := RunGraph(ccfg, GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)})
-		EnableFastForward(prev)
+		graphRes, err2 := NewContext(ccfg).RunGraph(GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)})
 		if err1 != nil || err2 != nil {
 			t.Fatalf("ff=%v: chain err=%v graph err=%v", ff, err1, err2)
 		}
@@ -56,14 +57,14 @@ func TestChainEqualsLinearGraph(t *testing.T) {
 // TestDiamondFailureFree runs the diamond without failures: four jobs in
 // topological order, deterministically.
 func TestDiamondFailureFree(t *testing.T) {
-	res, err := RunGraph(tinyCluster(4, 2, 2), diamondGraph(tinyChain(4, 4, 128)))
+	res, err := NewContext(tinyCluster(4, 2, 2)).RunGraph(diamondGraph(tinyChain(4, 4, 128)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.StartedRuns != 4 {
 		t.Fatalf("started %d runs, want 4", res.StartedRuns)
 	}
-	again, err := RunGraph(tinyCluster(4, 2, 2), diamondGraph(tinyChain(4, 4, 128)))
+	again, err := NewContext(tinyCluster(4, 2, 2)).RunGraph(diamondGraph(tinyChain(4, 4, 128)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestDiamondRecoveryCheaperThanRestart(t *testing.T) {
 	base.Seed = 11
 	base.Failures = []Injection{{AtRun: 4, After: 3, Node: 2}}
 
-	res, err := RunGraph(tinyCluster(4, 2, 2), base)
+	res, err := NewContext(tinyCluster(4, 2, 2)).RunGraph(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestDiamondRecoveryCheaperThanRestart(t *testing.T) {
 	// strictly cheaper in total work (task count).
 	full := base
 	full.NoMapOutputReuse = true
-	fullRes, err := RunGraph(tinyCluster(4, 2, 2), full)
+	fullRes, err := NewContext(tinyCluster(4, 2, 2)).RunGraph(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +116,11 @@ func TestMultiTenantSingleMatchesSolo(t *testing.T) {
 	cfg := diamondGraph(tinyChain(4, 4, 128))
 	cfg.Failures = []Injection{{AtRun: 2, After: 5, Node: 1}}
 
-	solo, err := RunGraph(ccfg, cfg)
+	solo, err := NewContext(ccfg).RunGraph(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	multi, err := RunMultiTenant(ccfg, cfg, 1)
+	multi, err := NewContext(ccfg).RunMultiTenant(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,16 +138,17 @@ func TestMultiTenantSingleMatchesSolo(t *testing.T) {
 
 // TestMultiTenantContention pins the economics of sharing: two tenants on
 // one cluster each finish no earlier than a lone tenant would, the session
-// is deterministic across pooled-context reuse, and both tenants finish.
+// is deterministic across context reuse, and both tenants finish.
 func TestMultiTenantContention(t *testing.T) {
 	ccfg := tinyCluster(4, 2, 2)
 	cfg := diamondGraph(tinyChain(4, 4, 128))
 
-	solo, err := RunMultiTenant(ccfg, cfg, 1)
+	solo, err := NewContext(ccfg).RunMultiTenant(cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	duo, err := RunMultiTenant(ccfg, cfg, 2)
+	ctx := NewContext(ccfg)
+	duo, err := ctx.RunMultiTenant(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,8 +161,8 @@ func TestMultiTenantContention(t *testing.T) {
 				i, tr.Total, solo.Makespan)
 		}
 	}
-	// Pooled-context re-execution must reproduce the session exactly.
-	again, err := RunMultiTenant(ccfg, cfg, 2)
+	// Re-execution on the same context must reproduce the session exactly.
+	again, err := ctx.RunMultiTenant(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +184,7 @@ func TestMultiTenantFailureRecovery(t *testing.T) {
 	cfg.Seed = 3
 	cfg.Failures = []Injection{{AtRun: 3, After: 4, Node: 1}}
 
-	res, err := RunMultiTenant(ccfg, cfg, 2)
+	res, err := NewContext(ccfg).RunMultiTenant(cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,6 @@ package mapreduce
 import (
 	"fmt"
 
-	"rcmp/internal/cluster"
 	"rcmp/internal/des"
 )
 
@@ -44,31 +43,20 @@ type MultiResult struct {
 	Flows   uint64
 }
 
-// RunMultiTenant executes `tenants` copies of the graph concurrently on one
-// shared cluster. Each tenant's files live under a "t<i>/" prefix, so the
-// tenants share nothing but the machines. Tenant 0's failure schedule (and
-// seed) drives injections; a failed node is failed for everyone.
-func RunMultiTenant(ccfg cluster.Config, cfg GraphConfig, tenants int) (*MultiResult, error) {
+// RunMultiTenant executes `tenants` copies of the graph concurrently on the
+// context's shared cluster. Each tenant's files live under a "t<i>/"
+// prefix, so the tenants share nothing but the machines. Tenant 0's failure
+// schedule (and seed) drives injections; a failed node is failed for
+// everyone.
+func (ctx *Context) RunMultiTenant(cfg GraphConfig, tenants int) (*MultiResult, error) {
 	cfg.ChainConfig = cfg.ChainConfig.withDefaults()
 	cfg.NumJobs = len(cfg.Jobs)
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := ccfg.Validate(); err != nil {
-		return nil, err
-	}
 	if tenants < 1 {
 		return nil, fmt.Errorf("mapreduce: tenants=%d", tenants)
 	}
-	ctx := acquireContext(ccfg)
-	res, err := ctx.runMultiTenant(cfg, tenants)
-	if err == nil {
-		releaseContext(ctx)
-	}
-	return res, err
-}
-
-func (ctx *Context) runMultiTenant(cfg GraphConfig, tenants int) (*MultiResult, error) {
 	ctx.reset(cfg.BlockSize)
 	s := &session{ctx: ctx, failedNodes: make(map[int]bool)}
 	agg := cfg.aggregatedShuffle(ctx.clus.NumNodes())

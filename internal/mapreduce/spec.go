@@ -230,9 +230,6 @@ const FastForwardThreshold = 1024
 
 // fastForwarded resolves the engine for a cluster of the given size.
 func (c *ChainConfig) fastForwarded(nodes int) bool {
-	if ffForced.Load() {
-		return true
-	}
 	switch c.FastForward {
 	case FastForwardOn:
 		return true

@@ -1,12 +1,14 @@
 // Package runner executes sets of experiment artifacts concurrently.
 //
 // Each experiment in internal/experiments is a pure function of its Config:
-// every simulation builds a fresh des.Simulator, cluster and recorder, and
-// all randomness flows from per-run seeded RNGs, so runs share no mutable
-// state. The Runner exploits that: it fans jobs out across a fixed-size
-// worker pool (GOMAXPROCS by default) while keeping results in input order,
-// so a parallel run is byte-identical to a serial run of the same jobs —
-// reproducibility is never traded for wall-clock speed.
+// every simulation runs on a context reset to its just-built state, and all
+// randomness flows from per-run seeded RNGs. Each pool worker owns one
+// experiments.Worker, the only mutable simulation state it reuses across
+// its jobs, so workers share no mutable state. The Runner exploits that: it
+// fans jobs out across a fixed-size worker pool (GOMAXPROCS by default)
+// while keeping results in input order, so a parallel run is byte-identical
+// to a serial run of the same jobs — reproducibility is never traded for
+// wall-clock speed.
 package runner
 
 import (
@@ -92,8 +94,9 @@ func (r *Runner) Run(jobs []Job) []Result {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var w experiments.Worker
 			for i := range idx {
-				out[i] = runOne(jobs[i])
+				out[i] = RunOne(jobs[i], &w)
 			}
 		}()
 	}
@@ -129,14 +132,13 @@ func (r Result) ErrMessage() string {
 	return r.Err
 }
 
-// RunOne executes a single job outside any pool, with the same panic
-// confinement Run gives pool workers: a panicking experiment becomes that
-// job's Err — message first, then the stack at the panic site — and never
-// unwinds the caller. Long-running services schedule jobs one at a time
-// through this.
-func RunOne(j Job) Result { return runOne(j) }
-
-func runOne(j Job) (res Result) {
+// RunOne executes a single job on w, the caller's experiments.Worker (nil
+// for a fresh one), with the panic confinement every pool worker uses: a
+// panicking experiment becomes that job's Err — message first, then the
+// stack at the panic site — and never unwinds the caller. Long-running
+// services schedule jobs one at a time through this, one Worker per
+// service goroutine. Result.Config is the job's Config, without w.
+func RunOne(j Job, w *experiments.Worker) (res Result) {
 	res.Name = j.Name
 	res.Config = j.Config
 	start := time.Now()
@@ -152,7 +154,7 @@ func runOne(j Job) (res Result) {
 			res.Err = fmt.Sprintf("%v\n%s", p, debug.Stack())
 		}
 	}()
-	r, err := j.Run(j.Config)
+	r, err := j.Run(j.Config.WithWorker(w))
 	if err != nil {
 		res.Err = err.Error()
 		return res

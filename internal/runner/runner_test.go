@@ -316,7 +316,7 @@ func TestPanicStackCapturedAndStrippedFromReports(t *testing.T) {
 			panic("simulated simulator bug")
 		},
 	}
-	res := RunOne(job)
+	res := RunOne(job, nil)
 	if res.Res != nil {
 		t.Fatalf("panicking job produced a result: %+v", res.Res)
 	}
@@ -342,7 +342,7 @@ func TestPanicStackCapturedAndStrippedFromReports(t *testing.T) {
 	if !bytes.Contains(b1, []byte(`"error": "simulated simulator bug"`)) {
 		t.Fatalf("report lost the panic message:\n%s", b1)
 	}
-	b2, err := MarshalJSONDeterministic([]Result{RunOne(job)})
+	b2, err := MarshalJSONDeterministic([]Result{RunOne(job, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"rcmp/internal/experiments"
 	"rcmp/internal/runner"
 )
 
@@ -136,6 +137,7 @@ func (s *scheduler) pop() (string, schedJob) {
 
 func (s *scheduler) worker() {
 	defer s.wg.Done()
+	var w experiments.Worker // this worker's simulation context, reused across jobs
 	for {
 		s.mu.Lock()
 		for s.queued == 0 && !s.closed {
@@ -149,7 +151,7 @@ func (s *scheduler) worker() {
 		s.mu.Unlock()
 
 		if s.cache.markStarted(j.e) {
-			res := runner.RunOne(j.job)
+			res := runner.RunOne(j.job, &w)
 			s.cache.fulfill(j.e, res)
 			s.mu.Lock()
 			s.executed++

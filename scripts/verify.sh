@@ -7,32 +7,31 @@
 #      the benchmark is caught here and not first by the pipeline
 #   3. race detector over the full suite, then -count=2 under -race on the
 #      packages whose state is reused across runs or shared between
-#      goroutines: the simulation core and graph planner, the pooled
-#      runner, the distributed runtime, the sweep server (including its
-#      concurrent-load test) and the cross-validation harness
-#   4. rcmpsim smoke: the schedule-engine experiments, the scaling
-#      tier (weak-scaling, -nodes override), the analytic twin
-#      (-engine analytic at 131072 nodes, -seed-set dispersion) and the
-#      graph-driven tier (dag-recovery, multi-tenant with
-#      -tenants/-speculation) end to end through the CLI and the
-#      parallel runner
-#   5. rcmpxval smoke: the sim<->dmr cross-validation harness end to end
+#      goroutines: the simulation core and graph planner, the runner
+#      (each worker reuses its own context), the distributed runtime, the
+#      sweep server (including its concurrent-load test) and the
+#      cross-validation harness
+#   4. rcmpxval smoke: the sim<->dmr cross-validation harness end to end
 #      through the CLI — one failure offset plain, one under the chaos
 #      transport — failing on any recovery-decision divergence; then
 #      rcmpserve smoke: the sweep server end to end on an ephemeral port —
 #      a sweep over HTTP must be byte-identical to the rcmpsim CLI report,
 #      the cached repeat byte-identical again, a /v1/plan capacity answer
 #      must miss then hit the result cache, and SIGTERM must drain cleanly
-#   6. golden-digest + fast-forward-equivalence suites, explicitly, plus
-#      the fast-forward engine's chain-level property tests forced through
-#      -race; then the analytic-vs-DES tolerance suite over the registry
-#   7. native fuzzing: a few seconds of FuzzRecordBatchDecode, the dmr
+#   5. golden-digest + fast-forward-equivalence suites, explicitly (the
+#      equivalence suite forces fast-forward per run, through its own
+#      experiments.Worker), plus the fast-forward engine's chain-level
+#      property tests repeated under -race; then the analytic-vs-DES
+#      tolerance suite over the registry
+#   6. native fuzzing: a few seconds of FuzzRecordBatchDecode, the dmr
 #      record-frame decoder that reads bytes off a socket, on top of its
 #      committed seed corpus (which plain `go test` already replays)
-#   8. benchmark smoke pass: every benchmark once at the smoke tier
-# No step times anything: wall-clock comparisons need paired rounds on
-# both sides of a change, which `make bench-compare BASE=<rev>` runs
-# (docs/perf.md, "Measuring a change").
+#   7. benchmark smoke pass: every benchmark once at the smoke tier
+# The rcmpsim CLI has no smoke step: cmd/rcmpsim's tests drive its flags
+# in-process under tier-1. No step times anything: wall-clock comparisons
+# need paired rounds on both sides of a change, which
+# `make bench-compare BASE=<rev>` runs (docs/perf.md, "Measuring a
+# change").
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -59,34 +58,11 @@ go test ./...
 echo "== race (full suite) =="
 go test -race ./...
 
-echo "== race (simulation core + pooled runner + distributed runtime + sweep server + cross-validation, repeated) =="
+echo "== race (simulation core + runner + distributed runtime + sweep server + cross-validation, repeated) =="
 go test -race -count=2 ./internal/flow ./internal/mapreduce ./internal/middleware ./internal/core ./internal/runner ./internal/experiments ./internal/dmr ./internal/wire ./internal/server ./internal/xval
 
 echo "== race (fast-forward mode, repeated) =="
 go test -race -count=2 -run 'TestFF|TestGoldenResultsEquivalentUnderFastForward' ./internal/mapreduce ./internal/experiments
-
-echo "== rcmpsim smoke (failure-schedule engine) =="
-go run ./cmd/rcmpsim -fig double-failure -quick -parallel 2 > /dev/null
-go run ./cmd/rcmpsim -fig trace-replay -quick -parallel 2 -json > /dev/null
-go run ./cmd/rcmpsim -fig 12 -quick -schedule '2@15,3@20' > /dev/null
-
-echo "== rcmpsim smoke (scaling tier: weak-scaling + -nodes override) =="
-go run ./cmd/rcmpsim -fig weak-scaling -quick > /dev/null
-go run ./cmd/rcmpsim -fig 8b -quick -nodes 16 > /dev/null
-
-echo "== rcmpsim smoke (analytic twin: 131072 nodes beyond the DES ceiling, seed-set dispersion) =="
-go run ./cmd/rcmpsim -fig weak-scaling -quick -engine analytic -nodes 131072 > /dev/null
-go run ./cmd/rcmpsim -fig 8b -quick -engine analytic -seed-set 3 -json > /dev/null
-
-echo "== rcmpsim smoke (graph-driven tier: DAG recovery + multi-tenant sessions) =="
-go run ./cmd/rcmpsim -fig dag-recovery -quick > /dev/null
-go run ./cmd/rcmpsim -fig multi-tenant -quick -parallel 2 -json > /dev/null
-go run ./cmd/rcmpsim -fig multi-tenant -quick -tenants 3 > /dev/null
-go run ./cmd/rcmpsim -fig dag-recovery -quick -speculation > /dev/null
-
-echo "== rcmpsim smoke (fast-forward forced on at every size) =="
-go run ./cmd/rcmpsim -fig weak-scaling -quick -ff > /dev/null
-go run ./cmd/rcmpsim -fig trace-replay -quick -ff -parallel 2 -json > /dev/null
 
 echo "== rcmpxval smoke (sim vs dmr cross-validation: one offset, plus one chaos case) =="
 go run ./cmd/rcmpxval -offsets 0.25 -task-delay 60ms > /dev/null

@@ -34,6 +34,7 @@ import (
 // library interfaces.
 var surfaceInterfaceMethods = map[string]string{
 	"Less":      "sort.Interface",
+	"Swap":      "sort.Interface, through container/heap.Interface: des's event heap",
 	"GobEncode": "gob.GobEncoder: dmr.RecordBatch's packed wire frame",
 	"GobDecode": "gob.GobDecoder: dmr.RecordBatch's packed wire frame",
 	"Unwrap":    "errors.Is / errors.As",
