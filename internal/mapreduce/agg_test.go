@@ -373,3 +373,115 @@ func checkEntitlements(t *testing.T, label any, ccfg cluster.Config, cfg ChainCo
 		t.Errorf("%v: read %d reducers after their shuffle, want %d", label, len(checked), cfg.NumJobs*cfg.NumReducers)
 	}
 }
+
+// scaleFailConfigs is TestPinnedScaleFailShape's chain at any size, with
+// its own failure schedule: the weak-scaling configuration plus Split on
+// the aggregated tier, where every completion after a node death is a
+// dense offer to all shuffling reducers.
+func scaleFailConfigs(nodes int, inj ...Injection) (cluster.Config, ChainConfig) {
+	return cluster.DCOConfig(nodes, 1, 1), ChainConfig{
+		Mode:               ModeRCMP,
+		NumJobs:            2,
+		NumReducers:        nodes,
+		InputPerNode:       128 * cluster.MB,
+		BlockSize:          64 * cluster.MB,
+		ShuffleAggregation: ShuffleAggOn,
+		NoTaskSamples:      true,
+		Split:              true,
+		Failures:           inj,
+	}
+}
+
+// TestPinnedDenseOfferShapes pins failing aggregated-tier chains whose
+// dense offers see reducers that differ in share fraction or in pending
+// bytes: a split ratio of 3 (non-power-of-two fractions) with a second
+// failure inside the split recomputation, speculation with splitting on a
+// cluster with one slow disk, and a second node lost inside run 2's
+// dense window (between the first loss and its detection).
+func TestPinnedDenseOfferShapes(t *testing.T) {
+	for _, row := range []struct {
+		label string
+		nodes int
+		ratio int
+		slow  bool // node 7's disk at a fifth of full speed, speculation on
+		inj   []Injection
+		want  pinStats
+	}{
+		{"ratio3/run2", 128, 3, false, []Injection{{AtRun: 2, After: 2, Node: 3}}, pinStats{46.14931098634734, 2224, 3460, 4, "1:initial 2:initial! 1:recompute 2:restart"}},
+		{"ratio3/run2+run3", 128, 3, false, []Injection{{AtRun: 2, After: 1, Node: 3}, {AtRun: 3, After: 1, Node: 5}}, pinStats{77.06536369212874, 2888, 4479, 6, "1:initial 2:initial! 1:recompute 2:restart! 1:recompute 2:restart"}},
+		{"spec/run2", 128, 0, true, []Injection{{AtRun: 2, After: 1, Node: 3}}, pinStats{59.124913320899935, 2494, 3832, 4, "1:initial 2:initial! 1:recompute 2:restart"}},
+		{"spec/ratio3/run2+run3", 128, 3, true, []Injection{{AtRun: 2, After: 6, Node: 3}, {AtRun: 3, After: 2, Node: 5}}, pinStats{96.49873937263193, 3046, 4869, 6, "1:initial 2:initial! 1:recompute 2:restart! 1:recompute 2:restart"}},
+		{"second-loss/256", 256, 0, false, []Injection{{AtRun: 2, After: 1, Node: 3}, {AtRun: 2, After: 10, Node: 5}}, pinStats{53.15590411663053, 6963, 10215, 5, "1:initial 2:initial! 1:recompute 2:restart! 2:restart"}},
+		{"second-loss/1024", 1024, 0, false, []Injection{{AtRun: 2, After: 1, Node: 3}, {AtRun: 2, After: 4, Node: 5}}, pinStats{47.14896279017128, 23592, 31729, 5, "1:initial 2:initial! 1:recompute 2:restart! 2:restart"}},
+	} {
+		ccfg, cfg := scaleFailConfigs(row.nodes, row.inj...)
+		cfg.SplitRatio = row.ratio
+		if row.slow {
+			ccfg.NodeDiskScale = map[int]float64{7: 0.2}
+			cfg.Speculation = true
+		}
+		checkPinned(t, row.label, ccfg, cfg, row.want)
+	}
+}
+
+// sessionPin is everything a multi-tenant session reports that the
+// shuffle accounting can move: the makespan and the shared event and flow
+// counts, compared with ==, and each tenant's "total/started-runs".
+type sessionPin struct {
+	makespan float64
+	events   uint64
+	flows    uint64
+	tenants  string
+}
+
+func (p sessionPin) literal() string {
+	return fmt.Sprintf("sessionPin{%v, %d, %d, %q}", p.makespan, p.events, p.flows, p.tenants)
+}
+
+// TestPinnedSessionDenseOffers pins 128-node multi-tenant sessions on the
+// aggregated tier losing a node in tenant 0's run 2: every tenant's running
+// job falls back to dense offers at the same instant, so reducers of
+// several runs are offered bytes between one failure and its detection.
+// The split-ratio-3 rows add speculation on a cluster with one slow disk.
+func TestPinnedSessionDenseOffers(t *testing.T) {
+	for _, row := range []struct {
+		tenants int
+		ratio   int
+		after   des.Time
+		want    sessionPin
+	}{
+		{2, 0, 1, sessionPin{58.63890864795329, 4825, 6511, "48.705935378233804/4 58.63890864795329/3"}},
+		{2, 0, 6, sessionPin{63.63890864795329, 4975, 6777, "53.705935378233804/4 63.63890864795329/3"}},
+		{2, 0, 15, sessionPin{60.989973075589454, 4195, 6268, "13.832889973958334/2 60.989973075589454/4"}},
+		{2, 3, 1, sessionPin{61.9295093520118, 4373, 5772, "61.844364979350274/4 61.9295093520118/4"}},
+		{2, 3, 6, sessionPin{73.3087581583139, 4667, 6159, "73.3087581583139/4 73.3087581583139/4"}},
+		{2, 3, 15, sessionPin{69.99876637824497, 3970, 5513, "28.568610911493423/2 69.99876637824497/4"}},
+		{3, 0, 1, sessionPin{67.29045211450452, 7040, 8680, "52.992081940773/4 63.57503914264438/3 67.29045211450452/3"}},
+		{3, 0, 6, sessionPin{75.97025637180622, 7232, 9222, "61.50863678110967/4 74.3717786815175/3 75.97025637180622/3"}},
+		{3, 0, 15, sessionPin{72.63034005816007, 6564, 9078, "16.10182330729167/2 63.00913370888324/4 72.63034005816007/3"}},
+		{3, 3, 1, sessionPin{102.35237531469689, 7182, 9196, "83.6327737973248/4 94.78921258503811/3 102.35237531469689/3"}},
+		{3, 3, 6, sessionPin{96.74845218454202, 7238, 8838, "73.21075694375754/4 87.5069425240184/4 96.74845218454202/3"}},
+		{3, 3, 15, sessionPin{90.63528062478926, 6553, 8194, "30.84333263194387/2 73.64941957063719/4 90.63528062478926/3"}},
+	} {
+		ccfg, cfg := scaleFailConfigs(128, Injection{AtRun: 2, After: row.after, Node: 3})
+		cfg.SplitRatio = row.ratio
+		if row.ratio == 3 {
+			ccfg.NodeDiskScale = map[int]float64{7: 0.2}
+			cfg.Speculation = true
+		}
+		label := fmt.Sprintf("tenants%d/ratio%d/after%v", row.tenants, row.ratio, row.after)
+		res, err := NewContext(ccfg).RunMultiTenant(GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)}, row.tenants)
+		if err != nil {
+			t.Errorf("%s: %v", label, err)
+			continue
+		}
+		var tenants []string
+		for _, tr := range res.Tenants {
+			tenants = append(tenants, fmt.Sprintf("%v/%d", float64(tr.Total), tr.StartedRuns))
+		}
+		got := sessionPin{float64(res.Makespan), res.Events, res.Flows, strings.Join(tenants, " ")}
+		if got != row.want {
+			t.Errorf("%s:\n got  %s\n want %s", label, got.literal(), row.want.literal())
+		}
+	}
+}
