@@ -67,6 +67,17 @@ func usage() {
 run "rcmpd <subcommand> -h" for the flags of each subcommand`)
 }
 
+// parseFlags parses a subcommand's flags. The flag set exits 2 on a bad
+// flag itself (ExitOnError); a stray positional argument, which would end
+// parsing and silently drop every flag after it, exits 2 the same way.
+func parseFlags(fs *flag.FlagSet, args []string) {
+	_ = fs.Parse(args) // ExitOnError: returns only on success
+	if fs.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "rcmpd: unexpected argument %q\n", fs.Arg(0))
+		os.Exit(2)
+	}
+}
+
 // chainFlags registers the flags shared by demo and master.
 func chainFlags(fs *flag.FlagSet, cfg *dmr.ChainConfig) {
 	fs.IntVar(&cfg.Jobs, "jobs", 4, "chain length (the paper uses 7)")
@@ -127,9 +138,7 @@ func runDemo(args []string) error {
 	slots := fs.Int("slots", 2, "mapper and reducer slots per worker")
 	blockRecords := fs.Int("block-records", 50, "records per DFS block")
 	killSpec := fs.String("kill", "job=2,worker=1", "worker kills, e.g. \"job=2,worker=1;job=4,worker=3\" (empty = failure-free)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	parseFlags(fs, args)
 	kills, err := parseKills(*killSpec)
 	if err != nil {
 		return err
@@ -221,9 +230,7 @@ func runCompare(args []string) error {
 	slots := fs.Int("slots", 2, "mapper and reducer slots per worker")
 	blockRecords := fs.Int("block-records", 50, "records per DFS block")
 	killSpec := fs.String("kill", "job=3,worker=1", "worker kills (same syntax as demo)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	parseFlags(fs, args)
 	if cfg.Split || cfg.ScatterOnly {
 		return fmt.Errorf("compare sets the strategy itself; drop -split/-scatter")
 	}
@@ -295,9 +302,7 @@ func runMaster(args []string) error {
 	slots := fs.Int("slots", 2, "mapper and reducer slots per worker")
 	blockRecords := fs.Int("block-records", 50, "records per DFS block")
 	detect := fs.Duration("detect", 30*time.Second, "failure detection timeout (paper: 30s)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	parseFlags(fs, args)
 
 	timing := dmr.DefaultTiming()
 	timing.DetectionTimeout = *detect
@@ -345,9 +350,7 @@ func runWorker(args []string) error {
 	listen := fs.String("listen", "127.0.0.1:0", "data/task listen address")
 	dieAfter := fs.Duration("die-after", 0, "kill self after this duration (0 = run until interrupted)")
 	heartbeat := fs.Duration("heartbeat", 3*time.Second, "heartbeat interval (keep <= 1/4 of the master's -detect)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
+	parseFlags(fs, args)
 	timing := dmr.DefaultTiming()
 	timing.HeartbeatInterval = *heartbeat
 	w, err := dmr.StartWorker(dmr.WorkerConfig{ID: *id, MasterAddr: *master, ListenAddr: *listen, Timing: timing})

@@ -51,6 +51,10 @@ func main() {
 	var fails failList
 	flag.Var(&fails, "fail", "failure as JOB:NODE (repeatable)")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "rcmpfunc: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	if *reducers == 0 {
 		*reducers = *nodes

@@ -42,6 +42,10 @@ func main() {
 	reqTimeout := flag.Duration("request-timeout", 0, "upper bound on one sweep's wait (0 = default 120s)")
 	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "how long shutdown waits for admitted jobs before failing them")
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "rcmpserve: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	srv := server.New(server.Config{
 		Workers:           *workers,

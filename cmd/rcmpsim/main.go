@@ -74,6 +74,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rcmpsim: %v\n", err)
 		return 2
 	}
+	// A positional argument ends flag parsing: every flag after it would
+	// be silently ignored.
+	if flags.NArg() > 0 {
+		return usage(fmt.Errorf("unexpected argument %q", flags.Arg(0)))
+	}
 
 	if *list || (*fig == "" && *runPat == "") {
 		fmt.Fprintln(stdout, "available experiments (-fig KEY or -run REGEXP):")

@@ -28,6 +28,7 @@ func TestRun(t *testing.T) {
 		{"bad seeds", []string{"-fig", "8b", "-seeds", "0,x"}, 2, `rcmpsim: bad -seeds entry "x"`},
 		{"bad engine", []string{"-fig", "8b", "-engine", "gpu"}, 2, `rcmpsim: experiments: unknown engine "gpu"`},
 		{"ff is gone", []string{"-fig", "8b", "-ff"}, 2, "flag provided but not defined: -ff"},
+		{"stray argument", []string{"-fig", "8a", "-quick", "extra", "-json"}, 2, `rcmpsim: unexpected argument "extra"`},
 		{"negative nodes", []string{"-fig", "8b", "-quick", "-nodes", "-5"}, 1, "rcmpsim: Fig8b/quick: experiments: Nodes=-5 out of range"},
 		{"negative tenants", []string{"-fig", "multi-tenant", "-quick", "-tenants", "-1"}, 1,
 			"rcmpsim: MultiTenant/quick: experiments: Tenants=-1 out of range"},

@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -30,35 +31,56 @@ import (
 	"rcmp/internal/xval"
 )
 
-func main() {
-	nodes := flag.Int("nodes", 4, "cluster size (simulator nodes / dmr workers)")
-	jobs := flag.Int("jobs", 3, "chain length")
-	reducers := flag.Int("reducers", 0, "reducers per job (0 = one per node)")
-	blocks := flag.Int("blocks", 2, "input blocks per partition (= map tasks per partition)")
-	blockRecords := flag.Int("block-records", 40, "records per dmr block")
-	slots := flag.Int("slots", 4, "task slots per node")
-	repl := flag.Int("repl", 3, "input replication factor")
-	split := flag.Bool("split", false, "split recomputed reducers over surviving nodes")
-	splitRatio := flag.Int("split-ratio", 0, "split count (0 = one per surviving node)")
-	scatter := flag.Bool("scatter", false, "scatter recomputed reducer output instead of splitting")
-	noReuse := flag.Bool("no-map-reuse", false, "re-run every mapper of a recomputed job")
-	atRun := flag.Int("run", 2, "1-based run the failure pulses land in")
-	offsets := flag.String("offsets", "0.25,0.5", "comma-separated kill offsets as fractions of the run")
-	detectFrac := flag.Float64("detect-frac", 0, "detection timeout as a fraction of the shortest run (0 = default 0.3)")
-	band := flag.Float64("band", 0, "slowdown-ratio tolerance band (0 = default 4)")
-	seed := flag.Int64("seed", 7, "victim-selection and workload seed")
-	taskDelay := flag.Duration("task-delay", 0, "per-task sleep on dmr workers (0 = default 150ms)")
-	chaos := flag.Bool("chaos", false, "interpose the fault-injecting transport on the dmr side")
-	chaosSeed := flag.Int64("chaos-seed", 1, "chaos fault-stream seed")
-	drop := flag.Float64("drop", 0, "chaos write-drop probability")
-	retries := flag.Int("retries", 0, "RPC retry budget under chaos (0 = default 3)")
-	asJSON := flag.Bool("json", false, "emit the report as JSON")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind main: it parses args, runs the sweep and
+// writes the report to stdout, and returns the exit code — 0 when the
+// engines agree on every case, 1 when they diverge, 2 on a usage or spec
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("rcmpxval", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	nodes := flags.Int("nodes", 4, "cluster size (simulator nodes / dmr workers)")
+	jobs := flags.Int("jobs", 3, "chain length")
+	reducers := flags.Int("reducers", 0, "reducers per job (0 = one per node)")
+	blocks := flags.Int("blocks", 2, "input blocks per partition (= map tasks per partition)")
+	blockRecords := flags.Int("block-records", 40, "records per dmr block")
+	slots := flags.Int("slots", 4, "task slots per node")
+	repl := flags.Int("repl", 3, "input replication factor")
+	split := flags.Bool("split", false, "split recomputed reducers over surviving nodes")
+	splitRatio := flags.Int("split-ratio", 0, "split count (0 = one per surviving node)")
+	scatter := flags.Bool("scatter", false, "scatter recomputed reducer output instead of splitting")
+	noReuse := flags.Bool("no-map-reuse", false, "re-run every mapper of a recomputed job")
+	atRun := flags.Int("run", 2, "1-based run the failure pulses land in")
+	offsets := flags.String("offsets", "0.25,0.5", "comma-separated kill offsets as fractions of the run")
+	detectFrac := flags.Float64("detect-frac", 0, "detection timeout as a fraction of the shortest run (0 = default 0.3)")
+	band := flags.Float64("band", 0, "slowdown-ratio tolerance band (0 = default 4)")
+	seed := flags.Int64("seed", 7, "victim-selection and workload seed")
+	taskDelay := flags.Duration("task-delay", 0, "per-task sleep on dmr workers (0 = default 150ms)")
+	chaos := flags.Bool("chaos", false, "interpose the fault-injecting transport on the dmr side")
+	chaosSeed := flags.Int64("chaos-seed", 1, "chaos fault-stream seed")
+	drop := flags.Float64("drop", 0, "chaos write-drop probability")
+	retries := flags.Int("retries", 0, "RPC retry budget under chaos (0 = default 3)")
+	asJSON := flags.Bool("json", false, "emit the report as JSON")
+	if err := flags.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, "rcmpxval:", err)
+		return code
+	}
+	// A positional argument ends flag parsing: every flag after it would
+	// be silently ignored.
+	if flags.NArg() > 0 {
+		return fail(2, fmt.Errorf("unexpected argument %q", flags.Arg(0)))
+	}
 
 	fracs, err := parseFracs(*offsets)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rcmpxval:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 
 	spec := xval.Spec{
@@ -85,23 +107,22 @@ func main() {
 	start := time.Now()
 	rep, err := xval.Sweep(spec, xval.OffsetSweep(*atRun, fracs))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "rcmpxval:", err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 	if *asJSON {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "rcmpxval:", err)
-			os.Exit(2)
+			return fail(2, err)
 		}
 	} else {
-		fmt.Print(rep.Format())
-		fmt.Printf("(%d cases in %.1fs)\n", len(rep.Cases), time.Since(start).Seconds())
+		fmt.Fprint(stdout, rep.Format())
+		fmt.Fprintf(stdout, "(%d cases in %.1fs)\n", len(rep.Cases), time.Since(start).Seconds())
 	}
 	if !rep.OK {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 func parseFracs(s string) ([]float64, error) {

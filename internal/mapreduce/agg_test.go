@@ -485,3 +485,49 @@ func TestPinnedSessionDenseOffers(t *testing.T) {
 		}
 	}
 }
+
+// TestDenseOffersVisitFewCohorts guards offerAggDense's cost on
+// TestPinnedScaleFailShape's 1024-node chain, where every dense offer
+// finds the live reducers holding one bit-identical (frac, pending): an
+// offer visits each pooled cohort once, so the mean pool size per offer
+// must stay at most 2, and a regression to per-reducer work fails here
+// without a timer. The pool never shrinks within a run, so its size after
+// the step that made an offer bounds what that offer visited.
+func TestDenseOffersVisitFewCohorts(t *testing.T) {
+	ccfg, cfg := scaleFailConfigs(1024, Injection{AtRun: 2, After: 1, Node: 3})
+	cfg = cfg.withDefaults()
+	topo, err := buildTopology(linearJobs(cfg.NumJobs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := NewContext(ccfg)
+	ctx.reset(cfg.BlockSize)
+	d := newDriver(ctx, cfg, topo, true)
+	if err := d.createInput(); err != nil {
+		t.Fatal(err)
+	}
+	d.startInitial(1)
+	var last *jobRun
+	remaining, offers, visits := 0, 0, 0
+	for ctx.sim.Step() {
+		r := d.current
+		if r == nil || r.done {
+			continue
+		}
+		if r == last && r.aggSlow && r.mapsRemaining < remaining {
+			n := remaining - r.mapsRemaining
+			offers += n
+			visits += n * len(r.cohorts)
+		}
+		last, remaining = r, r.mapsRemaining
+	}
+	if _, err := d.finish(); err != nil {
+		t.Fatal(err)
+	}
+	if offers < 1000 {
+		t.Fatalf("%d dense offers, want the run-2 window's ≈2000", offers)
+	}
+	if mean := float64(visits) / float64(offers); mean > 2 {
+		t.Errorf("dense offers visit %.2f cohorts on average (%d offers), want ≤ 2", mean, offers)
+	}
+}

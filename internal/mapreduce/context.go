@@ -291,6 +291,9 @@ func (ctx *Context) recycleRun(r *jobRun) {
 	reduces := r.reduces[:0]
 	aggOut := r.aggOut[:0]
 	aggBuckets := r.aggBuckets[:0]
+	cohorts := r.cohorts[:0]
+	looseBuckets := r.looseBuckets[:0]
+	aggKicks := r.aggKicks[:0]
 	pendingMaps := r.pendingMaps[:0]
 	pendingReds := r.pendingReds[:0]
 	commits := r.commits[:0]
@@ -301,6 +304,9 @@ func (ctx *Context) recycleRun(r *jobRun) {
 	r.reduces = reduces
 	r.aggOut = aggOut
 	r.aggBuckets = aggBuckets
+	r.cohorts = cohorts
+	r.looseBuckets = looseBuckets
+	r.aggKicks = aggKicks
 	r.pendingMaps = pendingMaps
 	r.pendingReds = pendingReds
 	r.commits = commits

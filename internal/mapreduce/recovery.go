@@ -86,6 +86,7 @@ func (r *jobRun) abortMapWork(mt *mapTask) {
 }
 
 func (r *jobRun) abortReduceWork(rt *reduceTask) {
+	r.loosen(rt)
 	for i := range rt.buckets {
 		b := &rt.buckets[i]
 		if b.fl != nil {

@@ -110,8 +110,8 @@ func (mt *mapTask) primary() *mapTask {
 // node; rt/src are the back-references the fetch-completion dispatch
 // needs (see FlowDone in shuffle_phase.go). On the aggregated tier a
 // reducer's single bucket is an element of the run-level jobRun.aggBuckets
-// array and carries what the dense offer loop reads, frac and live, so
-// that loop never leaves the array.
+// array, src is its index there, and it carries what the dense offers
+// group buckets by: frac, live and its offer cohort.
 type srcBucket struct {
 	rt       *reduceTask
 	src      int
@@ -119,8 +119,21 @@ type srcBucket struct {
 	inflight float64
 	fl       *flow.Flow
 	frac     float64 // aggregated tier: the reducer's shareFrac
-	stalled  bool    // source node down, no new fetches
-	live     bool    // aggregated tier: the reducer is shuffling
+	// cohort is 1 + its jobRun.cohorts index while a member (pending is
+	// then the cohort's), 0 while loose; slot is its member-list position.
+	cohort  int32
+	slot    int32
+	stalled bool // source node down, no new fetches
+	live    bool // aggregated tier: the reducer is shuffling
+}
+
+// offerCohort is a set of live aggregated-tier buckets whose frac and
+// pending are bit-identical, so one add per dense offer serves them all.
+// members holds aggBuckets indices, the idle ones (no fetch in flight) in
+// [0] and the busy ones in [1].
+type offerCohort struct {
+	frac, pending float64
+	members       [2][]int32
 }
 
 // reduceTask is one reducer (or one split of a split reducer) execution.
@@ -299,6 +312,12 @@ type jobRun struct {
 	// while the run lives: in-flight fetches hold &aggBuckets[i] as their
 	// Completion.
 	aggBuckets []srcBucket
+	// cohorts pools the dense offers' cohorts (offerAggDense), empty ones
+	// included; looseBuckets queues buckets to regroup at the next dense
+	// offer; aggKicks is that offer's kick list.
+	cohorts      []offerCohort
+	looseBuckets []int32
+	aggKicks     []int32
 	// aggLaunch memoises the aggregated tier's launch-time aggOut scan (see
 	// aggLaunchShare); every aggOut write clears valid.
 	aggLaunch struct {
@@ -452,6 +471,7 @@ func (r *jobRun) begin() {
 		r.aggBuckets = grow(r.aggBuckets, len(r.reduces))
 		for i, rt := range r.reduces {
 			r.aggBuckets[i].frac = rt.shareFrac(r.cfg().NumReducers)
+			r.aggBuckets[i].src = i
 			rt.buckets = r.aggBuckets[i : i+1 : i+1]
 		}
 	}

@@ -1,6 +1,9 @@
 package mapreduce
 
 import (
+	"math"
+	"slices"
+
 	"rcmp/internal/des"
 	"rcmp/internal/flow"
 )
@@ -27,14 +30,19 @@ import (
 // in-flight bytes at failure time — see recovery.go.
 
 // FlowDone implements flow.Completion for the bucket's in-flight fetch.
-func (b *srcBucket) FlowDone(*flow.Flow) { b.rt.run.fetchDone(b.rt, b.src) }
+func (b *srcBucket) FlowDone(*flow.Flow) { b.rt.run.fetchDone(b) }
 
 // setShuffling flips the reducer's shuffle-phase flag and mirrors it into
-// its aggregated-tier bucket, where offerAggDense reads it.
+// its aggregated-tier bucket, where the dense offers read it; a bucket
+// going live after a failure queues to join a cohort.
 func (rt *reduceTask) setShuffling(on bool) {
 	rt.shuffling = on
-	if rt.run.d.agg {
+	if r := rt.run; r.d.agg {
+		r.loosen(rt)
 		rt.buckets[0].live = on
+		if on && r.aggSlow {
+			r.looseBuckets = append(r.looseBuckets, int32(rt.buckets[0].src))
+		}
 	}
 }
 
@@ -80,6 +88,7 @@ func (r *jobRun) offerMapOutput(rt *reduceTask, mt *mapTask) {
 		src := mt.node
 		if r.d.agg {
 			src = 0 // the single per-destination aggregate
+			r.loosen(rt)
 		}
 		rt.buckets[src].pending += share
 	}
@@ -98,10 +107,10 @@ func (r *jobRun) offerMapOutput(rt *reduceTask, mt *mapTask) {
 //     kicked) in bounded sweeps: once per chunk-per-reducer of new volume,
 //     and finally when the map phase ends. kickFetch batches below the
 //     chunk threshold anyway, so fetch flows keep their chunk granularity.
-//   - After a node died under the run (aggSlow), one dense pass per
-//     completion: offerAggDense adds the output's share to every live
-//     bucket of the contiguous run-level array and kicks only the
-//     reducers that crossed the chunk threshold.
+//   - After a node died under the run (aggSlow), one add per offer cohort
+//     per completion: offerAggDense adds the output's share once for each
+//     set of live buckets holding bit-identical (frac, pending) and kicks
+//     only the idle members of cohorts that crossed the chunk threshold.
 //   - Per lost output, O(reducers) calls: a Hadoop re-execution goes
 //     through offerMapOutput per reducer, for its needResupply cap.
 //
@@ -111,30 +120,116 @@ func (r *jobRun) offerMapOutput(rt *reduceTask, mt *mapTask) {
 // per reducer is fixed: pending grows by float64(outBytes) × frac, one add
 // per offer, in completion order. Chain totals are compared with == and
 // split reducers have non-power-of-two fractions, so the adds must not be
-// regrouped into Δvolume × frac.
+// regrouped into Δvolume × frac; a cohort's one add is the bit-identical
+// add each member would have made.
 
 // offerAggDense is the post-failure aggregated-tier feeding loop for a
-// first-time completion.
+// first-time completion. Buckets that left their cohort since the last
+// offer regroup first, so every live bucket is in a cohort; then each
+// cohort takes one add, and the kicks run afterwards in ascending bucket
+// index (every live bucket on the last map) — the order of a per-bucket
+// add-and-kick loop, and the same outcome, because a kick only starts
+// flows and schedules timers: no completion fires synchronously, so no
+// kick can see or change another bucket mid-offer.
 func (r *jobRun) offerAggDense(mt *mapTask) {
+	r.regroup()
 	out := float64(mt.outBytes)
 	last := r.mapsRemaining == 0
 	minChunk := float64(r.cfg().BlockSize) / 4
-	buckets := r.aggBuckets
-	for i := range buckets {
-		b := &buckets[i]
-		if !b.live {
-			continue
-		}
-		if share := out * b.frac; share > 0 {
-			b.pending += share
+	kicks := r.aggKicks[:0]
+	for i := range r.cohorts { // empty pooled cohorts add and kick nothing
+		c := &r.cohorts[i]
+		if share := out * c.frac; share > 0 {
+			c.pending += share
 		}
 		// kickFetch starts nothing below the chunk threshold while maps
-		// remain, and maybeFinishShuffle waits for the last map.
-		if last || (b.fl == nil && b.pending >= minChunk) {
-			r.kickFetch(b.rt)
-			r.maybeFinishShuffle(b.rt)
+		// remain, and a busy bucket waits for its fetch to complete.
+		if !last && c.pending >= minChunk {
+			kicks = append(kicks, c.members[0]...)
 		}
 	}
+	if last { // maybeFinishShuffle waited for the last map
+		for i := range r.aggBuckets {
+			if r.aggBuckets[i].live {
+				kicks = append(kicks, int32(i))
+			}
+		}
+	}
+	slices.Sort(kicks)
+	r.aggKicks = kicks
+	for _, i := range kicks {
+		rt := r.aggBuckets[i].rt
+		r.kickFetch(rt)
+		r.maybeFinishShuffle(rt)
+	}
+}
+
+// loosen takes rt's aggregated-tier bucket out of its offer cohort,
+// writing the cohort's pending back, and queues it to regroup at the next
+// dense offer. Every read or write of the bucket's pending, fl or live
+// loosens it first.
+func (r *jobRun) loosen(rt *reduceTask) {
+	if !r.d.agg || rt.buckets[0].cohort == 0 {
+		return
+	}
+	b := &rt.buckets[0]
+	c := &r.cohorts[b.cohort-1]
+	b.pending = c.pending
+	k := b.memberList()
+	m := c.members[k]
+	moved := m[len(m)-1]
+	m[b.slot] = moved
+	r.aggBuckets[moved].slot = b.slot
+	c.members[k] = m[:len(m)-1]
+	b.cohort = 0
+	r.looseBuckets = append(r.looseBuckets, int32(b.src))
+}
+
+// memberList is the offerCohort.members list b belongs in: 0 idle, 1 busy.
+func (b *srcBucket) memberList() int {
+	if b.fl != nil {
+		return 1
+	}
+	return 0
+}
+
+// regroup puts every queued live bucket (once) into the cohort whose
+// (frac, pending) bits match its own, else into an empty or new one.
+func (r *jobRun) regroup() {
+	for _, i := range r.looseBuckets {
+		b := &r.aggBuckets[i]
+		if !b.live || b.cohort != 0 {
+			continue
+		}
+		frac, pending := math.Float64bits(b.frac), math.Float64bits(b.pending)
+		at, free := -1, -1
+		for j := range r.cohorts {
+			c := &r.cohorts[j]
+			if len(c.members[0])+len(c.members[1]) == 0 {
+				if free < 0 {
+					free = j
+				}
+			} else if math.Float64bits(c.frac) == frac && math.Float64bits(c.pending) == pending {
+				at = j
+				break
+			}
+		}
+		if at < 0 {
+			if at = free; at < 0 {
+				// Within capacity: a recycled run's cohort, member slices kept.
+				at = len(r.cohorts)
+				r.cohorts = slices.Grow(r.cohorts, 1)[:at+1]
+			}
+			c := &r.cohorts[at]
+			c.frac, c.pending = b.frac, b.pending
+			c.members[0], c.members[1] = c.members[0][:0], c.members[1][:0]
+		}
+		c := &r.cohorts[at]
+		k := b.memberList()
+		b.cohort, b.slot = int32(at+1), int32(len(c.members[k]))
+		c.members[k] = append(c.members[k], i)
+	}
+	r.looseBuckets = r.looseBuckets[:0]
 }
 
 // aggSweepStep is the offered-volume interval between reducer sweeps:
@@ -167,6 +262,7 @@ func (r *jobRun) aggSweep() {
 
 // aggSync credits rt its share of the volume offered since its watermark.
 func (r *jobRun) aggSync(rt *reduceTask) {
+	r.loosen(rt)
 	if delta := r.aggOfferBytes - rt.aggAccounted; delta > 0 {
 		rt.buckets[0].pending += delta * rt.shareFrac(r.cfg().NumReducers)
 		rt.aggAccounted = r.aggOfferBytes
@@ -175,7 +271,7 @@ func (r *jobRun) aggSync(rt *reduceTask) {
 
 // aggSlowFallback switches an aggregated run from sweeps to per-completion
 // offers at its first failure, settling every shuffling reducer's
-// watermark first.
+// watermark first and queueing its bucket for the first dense offer.
 func (r *jobRun) aggSlowFallback() {
 	if r.aggSlow || !r.d.agg {
 		return
@@ -184,6 +280,7 @@ func (r *jobRun) aggSlowFallback() {
 	for _, rt := range r.reduces {
 		if rt.state == taskRunning && rt.shuffling {
 			r.aggSync(rt)
+			r.looseBuckets = append(r.looseBuckets, int32(rt.buckets[0].src))
 		}
 	}
 }
@@ -220,8 +317,9 @@ func (r *jobRun) launchReduce(rt *reduceTask, node int) {
 	// before any fetch starts, and never grown — or, on the aggregated tier,
 	// is the single aggregate slot begin carved out of aggBuckets.
 	if r.d.agg {
+		r.loosen(rt)
 		b := &rt.buckets[0]
-		*b = srcBucket{rt: rt, frac: b.frac}
+		*b = srcBucket{rt: rt, src: b.src, frac: b.frac}
 	} else {
 		numNodes := r.clus().NumNodes()
 		if cap(rt.buckets) < numNodes {
@@ -328,6 +426,7 @@ func (r *jobRun) kickFetch(rt *reduceTask) {
 	if rt.state != taskRunning || !rt.shuffling {
 		return
 	}
+	r.loosen(rt)
 	minChunk := 0.0
 	if r.mapsRemaining > 0 {
 		minChunk = float64(r.cfg().BlockSize) / 4
@@ -359,8 +458,9 @@ func (r *jobRun) kickFetch(rt *reduceTask) {
 	}
 }
 
-func (r *jobRun) fetchDone(rt *reduceTask, src int) {
-	b := &rt.buckets[src]
+func (r *jobRun) fetchDone(b *srcBucket) {
+	rt := b.rt
+	r.loosen(rt)
 	rt.fetched += b.inflight
 	b.inflight = 0
 	b.fl = nil
@@ -378,6 +478,7 @@ func (r *jobRun) maybeFinishShuffle(rt *reduceTask) {
 	if r.mapsRemaining > 0 || rt.inflight > 0 || rt.needResupply > 1e-6 {
 		return
 	}
+	r.loosen(rt)
 	for i := range rt.buckets {
 		b := &rt.buckets[i]
 		if b.pending > 1e-6 || b.fl != nil {

@@ -11,10 +11,7 @@
 #      (each worker reuses its own context), the distributed runtime, the
 #      sweep server (including its concurrent-load test) and the
 #      cross-validation harness
-#   4. rcmpxval smoke: the sim<->dmr cross-validation harness end to end
-#      through the CLI — one failure offset plain, one under the chaos
-#      transport — failing on any recovery-decision divergence; then
-#      rcmpserve smoke: the sweep server end to end on an ephemeral port —
+#   4. rcmpserve smoke: the sweep server end to end on an ephemeral port —
 #      a sweep over HTTP must be byte-identical to the rcmpsim CLI report,
 #      the cached repeat byte-identical again, a /v1/plan capacity answer
 #      must miss then hit the result cache, and SIGTERM must drain cleanly
@@ -27,8 +24,10 @@
 #      record-frame decoder that reads bytes off a socket, on top of its
 #      committed seed corpus (which plain `go test` already replays)
 #   7. benchmark smoke pass: every benchmark once at the smoke tier
-# The rcmpsim CLI has no smoke step: cmd/rcmpsim's tests drive its flags
-# in-process under tier-1. No step times anything: wall-clock comparisons
+# The rcmpsim and rcmpxval CLIs have no smoke step: their tests drive
+# their flags in-process under tier-1 (cmd/rcmpxval's runs the
+# cross-validation smokes, one failure offset plain and one under the
+# chaos transport). No step times anything: wall-clock comparisons
 # need paired rounds on both sides of a change, which
 # `make bench-compare BASE=<rev>` runs (docs/perf.md, "Measuring a
 # change").
@@ -63,10 +62,6 @@ go test -race -count=2 ./internal/flow ./internal/mapreduce ./internal/middlewar
 
 echo "== race (fast-forward mode, repeated) =="
 go test -race -count=2 -run 'TestFF|TestGoldenResultsEquivalentUnderFastForward' ./internal/mapreduce ./internal/experiments
-
-echo "== rcmpxval smoke (sim vs dmr cross-validation: one offset, plus one chaos case) =="
-go run ./cmd/rcmpxval -offsets 0.25 -task-delay 60ms > /dev/null
-go run ./cmd/rcmpxval -offsets 0.25 -task-delay 60ms -chaos -chaos-seed 3 > /dev/null
 
 echo "== rcmpserve smoke (sweep server end to end: HTTP vs CLI byte-identity, cache, SIGTERM drain) =="
 tmp="${TMPDIR:-/tmp}/rcmp-verify-$$"
