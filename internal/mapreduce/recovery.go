@@ -153,7 +153,7 @@ func (r *jobRun) handleDetection(n int) {
 			// later re-execution offering bytes from another node starts it
 			// fresh, and the dead source never contributes again.
 			rt.needResupply += rt.buckets[n].pending
-			rt.buckets[n] = srcBucket{rt: rt, src: n}
+			rt.buckets[n] = srcBucket{rt: rt}
 		}
 		// Replace aborted replica writes with a new target.
 		var stillOwed []int

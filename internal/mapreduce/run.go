@@ -107,18 +107,18 @@ func (mt *mapTask) primary() *mapTask {
 
 // srcBucket tracks shuffle bytes a reduce task owes to / has pulled from
 // one source node. Buckets live in a per-task slice indexed by source
-// node; rt/src are the back-references the fetch-completion dispatch
-// needs (see FlowDone in shuffle_phase.go). On the aggregated tier a
-// reducer's single bucket is an element of the run-level jobRun.aggBuckets
-// array, src is its index there, and it carries what the dense offers
-// group buckets by: frac, live and its offer cohort.
+// node; rt is the back-reference the fetch-completion dispatch needs (see
+// FlowDone in shuffle_phase.go). On the aggregated tier a reducer's single
+// bucket is element idx of the run-level jobRun.aggBuckets array and
+// carries what the dense offers group buckets by: frac, live and its
+// offer cohort.
 type srcBucket struct {
 	rt       *reduceTask
-	src      int
 	pending  float64
 	inflight float64
 	fl       *flow.Flow
 	frac     float64 // aggregated tier: the reducer's shareFrac
+	idx      int32   // aggregated tier: the bucket's index in aggBuckets
 	// cohort is 1 + its jobRun.cohorts index while a member (pending is
 	// then the cohort's), 0 while loose; slot is its member-list position.
 	cohort  int32
@@ -471,7 +471,7 @@ func (r *jobRun) begin() {
 		r.aggBuckets = grow(r.aggBuckets, len(r.reduces))
 		for i, rt := range r.reduces {
 			r.aggBuckets[i].frac = rt.shareFrac(r.cfg().NumReducers)
-			r.aggBuckets[i].src = i
+			r.aggBuckets[i].idx = int32(i)
 			rt.buckets = r.aggBuckets[i : i+1 : i+1]
 		}
 	}

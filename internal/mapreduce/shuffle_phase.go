@@ -41,7 +41,7 @@ func (rt *reduceTask) setShuffling(on bool) {
 		r.loosen(rt)
 		rt.buckets[0].live = on
 		if on && r.aggSlow {
-			r.looseBuckets = append(r.looseBuckets, int32(rt.buckets[0].src))
+			r.looseBuckets = append(r.looseBuckets, rt.buckets[0].idx)
 		}
 	}
 }
@@ -167,12 +167,15 @@ func (r *jobRun) offerAggDense(mt *mapTask) {
 // loosen takes rt's aggregated-tier bucket out of its offer cohort,
 // writing the cohort's pending back, and queues it to regroup at the next
 // dense offer. Every read or write of the bucket's pending, fl or live
-// loosens it first.
+// loosens it first. The check inlines, so the exact tier and the sweep
+// path, whose buckets never join a cohort, pay no call.
 func (r *jobRun) loosen(rt *reduceTask) {
-	if !r.d.agg || rt.buckets[0].cohort == 0 {
-		return
+	if r.d.agg && rt.buckets[0].cohort != 0 {
+		r.leaveCohort(&rt.buckets[0])
 	}
-	b := &rt.buckets[0]
+}
+
+func (r *jobRun) leaveCohort(b *srcBucket) {
 	c := &r.cohorts[b.cohort-1]
 	b.pending = c.pending
 	k := b.memberList()
@@ -182,7 +185,7 @@ func (r *jobRun) loosen(rt *reduceTask) {
 	r.aggBuckets[moved].slot = b.slot
 	c.members[k] = m[:len(m)-1]
 	b.cohort = 0
-	r.looseBuckets = append(r.looseBuckets, int32(b.src))
+	r.looseBuckets = append(r.looseBuckets, b.idx)
 }
 
 // memberList is the offerCohort.members list b belongs in: 0 idle, 1 busy.
@@ -280,7 +283,7 @@ func (r *jobRun) aggSlowFallback() {
 	for _, rt := range r.reduces {
 		if rt.state == taskRunning && rt.shuffling {
 			r.aggSync(rt)
-			r.looseBuckets = append(r.looseBuckets, int32(rt.buckets[0].src))
+			r.looseBuckets = append(r.looseBuckets, rt.buckets[0].idx)
 		}
 	}
 }
@@ -319,7 +322,7 @@ func (r *jobRun) launchReduce(rt *reduceTask, node int) {
 	if r.d.agg {
 		r.loosen(rt)
 		b := &rt.buckets[0]
-		*b = srcBucket{rt: rt, src: b.src, frac: b.frac}
+		*b = srcBucket{rt: rt, frac: b.frac, idx: b.idx}
 	} else {
 		numNodes := r.clus().NumNodes()
 		if cap(rt.buckets) < numNodes {
@@ -328,7 +331,7 @@ func (r *jobRun) launchReduce(rt *reduceTask, node int) {
 			rt.buckets = rt.buckets[:numNodes]
 		}
 		for i := range rt.buckets {
-			rt.buckets[i] = srcBucket{rt: rt, src: i}
+			rt.buckets[i] = srcBucket{rt: rt}
 		}
 	}
 	rt.fetched = 0
