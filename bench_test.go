@@ -167,9 +167,8 @@ func BenchmarkCostModels(b *testing.B) { runFigBenchmark(b, experiments.CostMode
 // weak-scaling experiment pins) at growing cluster sizes, each size on a
 // warm Context of its own, and reports ns per simulated event, the
 // size-comparable cost metric docs/perf.md tracks: the target is ≤1.5x
-// growth from 64 to 4096 nodes (fast-forward kicks in automatically at
-// 1024). The smoke tier stops at 256 nodes to
-// keep verify fast. bench/'s scale_ff workload measures the same chains
+// growth from 64 to 4096 nodes. The smoke tier stops at 256 nodes to keep
+// verify fast. bench/'s scale_ff workload measures the same chains
 // end to end, and `make profile-scale` profiles the 4096 row.
 func BenchmarkClusterScaling(b *testing.B) {
 	benchClusterScaling(b, []int{64, 256, 1024, 4096, 8192}, false)

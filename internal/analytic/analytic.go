@@ -4,18 +4,20 @@
 // recovery seconds) directly from cluster.Config + ChainConfig/GraphConfig
 // and a failure schedule, with no event loop.
 //
-// The model has two parts. The failure-free schedule derives from the same
-// closed-form facts the fast-forward engine exploits: map waves gated by the
-// slot table, water-filled aggregate shuffle rates per rate class (source
-// NICs, destination NICs, the oversubscribed core, and seek-capped disks at
-// the shuffle weight f), merge at ReduceCPU, and replication-pipelined
-// output writes. The recovery part replays the planner's need-propagation
-// analytically: a failure kills the running job at detection, the victim
-// count fixes how many persisted partitions of every ancestor are lost
-// (round-robin reducer placement puts ~R·v/N partitions of each job on v
-// victims), and the cascade regenerates those partitions ancestor by
-// ancestor — optionally split s ways — before the frontier job restarts and
-// the remainder of the chain runs on the degraded cluster.
+// The model has two parts. The failure-free schedule derives from the
+// closed-form facts of a failure-free run — task phase timers are pure
+// delays, and class accounting knows each trunk's rate ahead: map waves
+// gated by the slot table, water-filled aggregate shuffle rates per rate
+// class (source NICs, destination NICs, the oversubscribed core, and
+// seek-capped disks at the shuffle weight f), merge at ReduceCPU, and
+// replication-pipelined output writes. The recovery part replays the
+// planner's need-propagation analytically: a failure kills the running job
+// at detection, the victim count fixes how many persisted partitions of
+// every ancestor are lost (round-robin reducer placement puts ~R·v/N
+// partitions of each job on v victims), and the cascade regenerates those
+// partitions ancestor by ancestor — optionally split s ways — before the
+// frontier job restarts and the remainder of the chain runs on the degraded
+// cluster.
 //
 // A Model carries the handful of constants the closed form cannot derive
 // (a global stretch for queueing effects the water-filling averages out,

@@ -128,41 +128,6 @@ type Cluster struct {
 	// usesBuf backs the *UsesScratch path helpers: one shared buffer,
 	// valid until the next *UsesScratch call. See ReadUsesScratch.
 	usesBuf [5]flow.Use
-
-	// pulses holds the registered perturbation times (failure injections,
-	// detection deadlines) that have not passed yet — the cluster's
-	// contribution to the fast-forward quiescence horizon. Kept as an
-	// unsorted min-tracked slice: registrations per chain are few (one per
-	// injection plus one per detection), so a linear min scan on query is
-	// cheaper than keeping a heap. Stale entries are pruned on query.
-	pulses []des.Time
-}
-
-// RegisterPulse records an upcoming externally driven perturbation at the
-// given virtual time — a failure pulse or a detection deadline. The
-// fast-forward engine consults NextPulseAt as a second, model-level bound
-// on how far it may skip, independent of the event queue's own horizon.
-func (c *Cluster) RegisterPulse(at des.Time) {
-	c.pulses = append(c.pulses, at)
-}
-
-// NextPulseAt returns the earliest registered pulse strictly after now, or
-// des.Forever when none is pending. Entries at or before now are dropped:
-// their perturbation has fired and been handled exactly by then.
-func (c *Cluster) NextPulseAt(now des.Time) des.Time {
-	next := des.Forever
-	kept := c.pulses[:0]
-	for _, at := range c.pulses {
-		if at <= now {
-			continue
-		}
-		kept = append(kept, at)
-		if at < next {
-			next = at
-		}
-	}
-	c.pulses = kept
-	return next
 }
 
 // New builds a cluster. It panics on an invalid config: configs are
@@ -220,7 +185,6 @@ func (c *Cluster) Reset() {
 	c.ShufSrc.ResetUsage()
 	c.ShufDst.ResetUsage()
 	c.ShufDisk.ResetUsage()
-	c.pulses = c.pulses[:0]
 	c.initAlive()
 }
 

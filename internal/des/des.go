@@ -57,8 +57,8 @@
 // A model layer may defer recomputing derived state (the flow network's
 // max-min rates and its completion event) until the end of the instant
 // that invalidated it. BeforeNext registers a one-shot Settler the kernel
-// runs before it next inspects its queue — Step, RunUntil, NextAt and
-// SetNow all observe settled state — and ReserveSeq/AtTimerSeq let that
+// runs before it next inspects its queue — Step and RunUntil both observe
+// settled state — and ReserveSeq/AtTimerSeq let that
 // settler schedule its event under the sequence number it would have been
 // given had it been scheduled at the point the work became owed, so
 // deferring never changes a same-time tie.
@@ -180,13 +180,6 @@ type Simulator struct {
 
 	// Processed counts events that have fired, for diagnostics.
 	Processed uint64
-
-	// Absorbed counts semantic events a fast-forward layer completed in
-	// closed form instead of scheduling through the queue. The kernel only
-	// stores it (cleared by Reset alongside Processed) so that
-	// Processed+Absorbed stays the total model-event count whatever mix of
-	// exact and fast-forwarded execution produced a run.
-	Absorbed uint64
 }
 
 // New returns a simulator with the clock at zero and an empty queue.
@@ -235,7 +228,6 @@ func (s *Simulator) Reset() {
 	clear(s.owing)
 	s.owing = s.owing[:0]
 	s.Processed = 0
-	s.Absorbed = 0
 }
 
 // Now returns the current virtual time.
@@ -521,10 +513,10 @@ func (s *Simulator) AtTimerSeq(t Time, tm Timer, seq uint64) *Event {
 }
 
 // BeforeNext registers x.Settle to run once, before the kernel next
-// inspects its queue (Step, RunUntil, NextAt, SetNow) and so before any
-// further event fires or the clock moves. It is how a model layer coalesces
-// the recomputations one instant's callbacks owe into a single one at the
-// end of the instant. Settle may schedule and cancel events; it must not
+// inspects its queue (Step, RunUntil) and so before any further event
+// fires or the clock moves. It is how a model layer coalesces the
+// recomputations one instant's callbacks owe into a single one at the end
+// of the instant. Settle may schedule and cancel events; it must not
 // call back into the queue-inspecting methods.
 func (s *Simulator) BeforeNext(x Settler) {
 	s.owing = append(s.owing, x)
@@ -627,30 +619,3 @@ func (s *Simulator) RunUntil(t Time) {
 
 // Stop makes the current Run/RunUntil return after the current event.
 func (s *Simulator) Stop() { s.stopped = true }
-
-// NextAt reports the time of the earliest pending event without firing it —
-// the queue's quiescence horizon: nothing scheduled through the kernel can
-// happen before it. It sweeps ladder tiers as needed (the same work Step
-// would do), so the peek is amortized O(1) and leaves the pop order
-// untouched. The second result is false when the queue is empty.
-func (s *Simulator) NextAt() (Time, bool) {
-	if !s.ensureFront() {
-		return 0, false
-	}
-	return s.front[0].at, true
-}
-
-// SetNow advances the clock to t without firing anything — the clock jump
-// of a fast-forward layer that has completed the interval's work in closed
-// form. Moving the clock backwards, or past the earliest pending event,
-// panics: either would break the monotonic-time invariant every scheduled
-// callback relies on.
-func (s *Simulator) SetNow(t Time) {
-	if t < s.now {
-		panic(fmt.Sprintf("des: SetNow to %v before now %v", t, s.now))
-	}
-	if next, ok := s.NextAt(); ok && t > next {
-		panic(fmt.Sprintf("des: SetNow to %v past pending event at %v", t, next))
-	}
-	s.now = t
-}

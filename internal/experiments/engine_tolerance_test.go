@@ -8,9 +8,7 @@ import (
 
 // engineToleranceBands is the stated per-spec relative-error bound between
 // the DES and the analytic twin at quick scale — the analytic engine's
-// accuracy contract, mirroring how ff_equivalence_test.go pins the
-// fast-forward engine (there the bound is zero; a closed form earns a
-// band instead).
+// accuracy contract: a closed form earns a band, not exact agreement.
 //
 // Bands were set empirically at roughly 1.5–2x the worst deviation
 // observed across the registry at seeds {default, default+7}, so a model
@@ -77,9 +75,8 @@ const toleranceSlack = 5.0
 
 // TestAnalyticEngineToleranceRegistryWide runs every registered experiment
 // on both engines at quick scale, two seeds each, and requires every
-// comparable Value to agree within the spec's stated band. It is the
-// analytic counterpart of the fast-forward equivalence suite: the spec
-// list and the band table must stay in lockstep, so registering a new
+// comparable Value to agree within the spec's stated band. The spec list
+// and the band table must stay in lockstep, so registering a new
 // experiment without stating its analytic accuracy fails the test.
 func TestAnalyticEngineToleranceRegistryWide(t *testing.T) {
 	seen := make(map[string]bool)

@@ -116,10 +116,10 @@ type Config struct {
 // Cluster-size override bounds: below minNodesOverride the fixed failure
 // victim and replica placement degenerate; above maxNodesOverride a single
 // in-process simulation stops being a sane request. The ceiling sits at
-// 2x the benchmarked 8192-node sweep point: with fast-forward absorbing
-// failure-free stretches in closed form, 16k-node what-if runs complete
-// in seconds, and headroom above the recorded trend row keeps the CLI
-// usable for extrapolation without opening the door to absurd sizes.
+// 2x the benchmarked 8192-node sweep point: with class accounting and the
+// aggregated shuffle tier, 16k-node what-if runs complete in seconds, and
+// headroom above the recorded trend row keeps the CLI usable for
+// extrapolation without opening the door to absurd sizes.
 const (
 	minNodesOverride = 5
 	maxNodesOverride = 16384

@@ -19,10 +19,6 @@ import (
 type Worker struct {
 	key string // fmt "%+v" of the cluster.Config ctx was built for
 	ctx *mapreduce.Context
-
-	// forceFF runs every chain and graph on the fast-forward engine,
-	// whatever its cluster size; the fast-forward equivalence suite sets it.
-	forceFF bool
 }
 
 // WithWorker returns a copy of c whose simulations run on w's context. The
@@ -70,9 +66,6 @@ func (w *Worker) runChain(e Engine, ccfg cluster.Config, cfg mapreduce.ChainConf
 	if e == EngineAnalytic {
 		return analytic.Default.RunChain(ccfg, cfg)
 	}
-	if w.forceFF {
-		cfg.FastForward = mapreduce.FastForwardOn
-	}
 	return onContext(w, ccfg, func(ctx *mapreduce.Context) (*mapreduce.Result, error) { return ctx.RunChain(cfg) })
 }
 
@@ -81,14 +74,11 @@ func (w *Worker) runGraph(e Engine, ccfg cluster.Config, cfg mapreduce.GraphConf
 	if e == EngineAnalytic {
 		return analytic.Default.RunGraph(ccfg, cfg)
 	}
-	if w.forceFF {
-		cfg.FastForward = mapreduce.FastForwardOn
-	}
 	return onContext(w, ccfg, func(ctx *mapreduce.Context) (*mapreduce.Result, error) { return ctx.RunGraph(cfg) })
 }
 
 // runMultiTenant executes one shared-cluster session on the configured
-// engine. Sessions never fast-forward (see mapreduce's session.go).
+// engine.
 func (w *Worker) runMultiTenant(e Engine, ccfg cluster.Config, cfg mapreduce.GraphConfig, tenants int) (*mapreduce.MultiResult, error) {
 	if e == EngineAnalytic {
 		return analytic.Default.RunMultiTenant(ccfg, cfg, tenants)

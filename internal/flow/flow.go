@@ -412,51 +412,9 @@ type Network struct {
 	// the tests that pin the once-per-instant property.
 	fills, scheds uint64
 
-	// horizon, when non-nil, diverts completion scheduling to an external
-	// controller (see SetCompletionHorizon): instead of keeping its own
-	// simulator event, the network notifies the controller whenever the
-	// earliest completion time changes and the controller decides when to
-	// call RunCompletions. The fast-forward layer uses this to fold flow
-	// completions into its closed-form clock jumps.
-	horizon CompletionHorizon
-
 	// Completed counts flows that have finished, for diagnostics.
 	Completed uint64
 }
-
-// CompletionHorizon receives the network's earliest-completion time
-// whenever it changes, in place of the network's own simulator event. The
-// registered controller owns the schedule: it must arrange for
-// RunCompletions to be called with the simulator clock at the notified
-// time (des.Forever means no completion is pending). Like the network's
-// own event, the notification is paid when the network settles, not at the
-// operation that moved the time: ReserveCompletionSeq is called at each such
-// operation and must consume the ordering number the controller would give
-// a timer scheduled there; CompletionHorizonChanged then carries the last
-// number reserved, which the controller must order its stand-in entry by
-// (seq is meaningless when at is des.Forever). Both fire from inside
-// network code, so implementations must only adjust their own timer
-// state, never re-enter the network.
-type CompletionHorizon interface {
-	ReserveCompletionSeq() uint64
-	CompletionHorizonChanged(at des.Time, seq uint64)
-}
-
-// SetCompletionHorizon registers h as the external completion scheduler
-// (nil restores the network's own event). Like the accounting-mode
-// switches it must happen before the first flow starts; Reset clears it.
-func (n *Network) SetCompletionHorizon(h CompletionHorizon) {
-	if len(n.flows) > 0 {
-		panic("flow: SetCompletionHorizon after flows started")
-	}
-	n.horizon = h
-}
-
-// RunCompletions finalizes every flow due at the current simulator time —
-// the external-horizon counterpart of the network's own completion event
-// firing. The registered CompletionHorizon calls it after advancing the
-// clock to the notified time.
-func (n *Network) RunCompletions() { n.complete() }
 
 // completionTimer fires the network's single completion event without the
 // method-value closure that n.complete as a callback would allocate.
@@ -502,7 +460,6 @@ func (n *Network) Reset() {
 	n.compHeap = n.compHeap[:0]
 	n.completion = nil
 	n.nextFlow = nil
-	n.horizon = nil
 	for i, c := range n.owing {
 		c.owesFill, c.listed = false, false
 		n.owing[i] = nil
@@ -774,11 +731,7 @@ func (n *Network) oweFill(c *component) {
 func (n *Network) oweSchedule() {
 	n.owesSched = true
 	if len(n.flows) > 0 {
-		if n.horizon != nil {
-			n.schedSeq = n.horizon.ReserveCompletionSeq()
-		} else {
-			n.schedSeq = n.sim.ReserveSeq()
-		}
+		n.schedSeq = n.sim.ReserveSeq()
 	}
 	n.register()
 }
@@ -1547,16 +1500,9 @@ func (n *Network) scheduleCompletion() {
 			n.completion = nil
 		}
 		n.nextFlow = nil
-		if n.horizon != nil {
-			n.horizon.CompletionHorizonChanged(des.Forever, 0)
-		}
 		return
 	}
 	n.nextFlow = next
-	if n.horizon != nil {
-		n.horizon.CompletionHorizonChanged(nextAt, n.schedSeq)
-		return
-	}
 	if n.completion != nil {
 		n.sim.Cancel(n.completion)
 	}
@@ -1569,8 +1515,8 @@ func (n *Network) scheduleCompletion() {
 // with whatever the completion callbacks start.
 func (n *Network) complete() {
 	// The batch reads rates and candidates. Reached through the network's
-	// own event or a controller honouring the horizon contract this is a
-	// no-op: the kernel settled before it chose the event.
+	// own event this is a no-op: the kernel settled before it chose the
+	// event.
 	n.settle()
 	n.completion = nil
 	target := n.nextFlow

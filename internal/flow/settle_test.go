@@ -30,42 +30,6 @@ func TestSettleKeepsCompletionAheadOfLaterTimer(t *testing.T) {
 	}
 }
 
-// stubHorizon is a CompletionHorizon that numbers entries the way the
-// fast-forward controller does and remembers the last notification.
-type stubHorizon struct {
-	seq      uint64
-	at       des.Time
-	entrySeq uint64
-}
-
-func (h *stubHorizon) ReserveCompletionSeq() uint64 { h.seq++; return h.seq }
-func (h *stubHorizon) CompletionHorizonChanged(at des.Time, seq uint64) {
-	h.at, h.entrySeq = at, seq
-}
-
-// TestSettleHorizonCarriesReservedSeq is the same tie through an external
-// completion horizon: the stand-in entry is ordered by the number reserved
-// at the Start, ahead of a controller timer numbered afterwards.
-func TestSettleHorizonCarriesReservedSeq(t *testing.T) {
-	sim := des.New()
-	net := NewNetwork(sim)
-	h := &stubHorizon{}
-	net.SetCompletionHorizon(h)
-	r := &Resource{Name: "disk", Capacity: 100}
-	net.Start("f", 1000, []Use{{r, 1}}, 0, nil)
-	timerSeq := h.ReserveCompletionSeq() // the controller numbers one of its own timers
-	if h.entrySeq != 0 {
-		t.Fatal("horizon notified before the network settled")
-	}
-	sim.NextAt() // the kernel inspecting its queue settles the network
-	if h.at != 10 {
-		t.Fatalf("horizon notified of %v, want 10", h.at)
-	}
-	if h.entrySeq == 0 || h.entrySeq >= timerSeq {
-		t.Fatalf("completion entry ordered by seq %d, want the one reserved at Start (< %d)", h.entrySeq, timerSeq)
-	}
-}
-
 // bridged builds two disk-sharing groups joined by one bridge flow:
 //
 //	a1, a2 over (dA, x)   bridge over (x, y)   b1, b2 over (y, dB)
@@ -144,12 +108,12 @@ func TestSettleOncePerInstant(t *testing.T) {
 				started = append(started, net.Start("fetch", 1e6, []Use{{disk(), 1}, {core, 1}}, 0, nil))
 			}
 		})
-		sim.NextAt() // settle the two starts
+		sim.RunUntil(sim.Now()) // the kernel looks at its queue: settle the two starts
 		fills, scheds := net.fills, net.scheds
 		if !sim.Step() || len(started) != R {
 			t.Fatalf("%s: the first completion did not fire its callback", mode.name)
 		}
-		sim.NextAt() // end of the instant: the kernel looks at its queue
+		sim.RunUntil(sim.Now()) // end of the instant: the kernel looks at its queue
 		if df, ds := net.fills-fills, net.scheds-scheds; df != 1 || ds != 1 {
 			t.Fatalf("%s: completion + %d starts cost %d water-fills and %d reschedules, want 1 and 1", mode.name, R, df, ds)
 		}

@@ -281,8 +281,7 @@ func TestPinnedSpeculativeRerun(t *testing.T) {
 
 // TestPinnedScaleFailShape pins the bench/ scale_fail workload's chain —
 // the weak-scaling configuration plus Split and a node lost one second
-// into run 2 — at sizes tier-1 can afford: 256 nodes, and 1024 where
-// fast-forward resolves on and the failure has to park it.
+// into run 2 — at sizes tier-1 can afford: 256 and 1024 nodes.
 func TestPinnedScaleFailShape(t *testing.T) {
 	for nodes, want := range map[int]pinStats{
 		256:  {44.72755547545976, 4903, 7415, 4, "1:initial 2:initial! 1:recompute 2:restart"},

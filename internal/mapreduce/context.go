@@ -62,12 +62,6 @@ type Context struct {
 	// here so the per-node slices survive run and chain boundaries.
 	slots slotTable
 
-	// ff is the chain-scoped fast-forward engine. RunChain attaches it (and
-	// points Driver.ff at it) only for chains that resolve the mode on;
-	// otherwise the field is dormant — nothing reads it, and the simulator
-	// reset already dropped any wake event a previous chain left behind.
-	ff ffController
-
 	// Lineage records die with their chain (a Result never exposes the
 	// chain), so the context recycles them: chainRecs tracks the records
 	// the running chain allocated, harvested into freeRecs at the next

@@ -35,8 +35,7 @@ type Driver struct {
 	topo *core.Topology
 	jobs []graphJob
 	rng  *rand.Rand
-	agg  bool          // aggregated shuffle tier resolved for this chain
-	ff   *ffController // fast-forward engine, nil when off for this chain
+	agg  bool // aggregated shuffle tier resolved for this chain
 
 	// session is the multi-tenant coordinator when this driver shares the
 	// context (and its slot table) with other tenants; nil single-tenant.
@@ -88,10 +87,9 @@ func (ctx *Context) RunChain(cfg ChainConfig) (*Result, error) {
 
 // newDriver assembles a driver on a freshly reset context. The config must
 // be defaulted and validated, with NumJobs equal to the topology's job
-// count. attachEngines resolves the aggregated-shuffle and fast-forward
-// modes; a multi-tenant session passes false and arbitrates those modes
-// itself.
-func newDriver(ctx *Context, cfg ChainConfig, topo *core.Topology, attachEngines bool) *Driver {
+// count. resolveTier picks the shuffle tier for the chain; a multi-tenant
+// session passes false and picks one tier for all its tenants itself.
+func newDriver(ctx *Context, cfg ChainConfig, topo *core.Topology, resolveTier bool) *Driver {
 	d := &Driver{
 		ctx:         ctx,
 		sim:         ctx.sim,
@@ -110,22 +108,13 @@ func newDriver(ctx *Context, cfg ChainConfig, topo *core.Topology, attachEngines
 		jobs[j-1] = graphJob{name: topo.Name(j), inputs: topo.Inputs(j), output: topo.Output(j)}
 	}
 	d.jobs = jobs
-	if attachEngines {
-		if cfg.aggregatedShuffle(ctx.clus.NumNodes()) {
-			// The aggregated tier rides the flow network's class accounting:
-			// per-trunk shared rates and heap-backed completion candidates, so
-			// per-event cost tracks rate classes, not in-flight transfers.
-			// (Reset clears the mode, so a reused context flips per chain.)
-			ctx.clus.Net.EnableClassAccounting()
-			d.agg = true
-		}
-		if cfg.fastForwarded(ctx.clus.NumNodes()) {
-			// The engine attaches to the freshly reset context before any flow
-			// or event exists, mirroring the accounting-mode switch above; a
-			// reused context runs exact again next chain unless re-attached.
-			ctx.ff.attach(ctx.sim, ctx.clus.Net, ctx.clus)
-			d.ff = &ctx.ff
-		}
+	if resolveTier && cfg.aggregatedShuffle(ctx.clus.NumNodes()) {
+		// The aggregated tier rides the flow network's class accounting:
+		// per-trunk shared rates and heap-backed completion candidates, so
+		// per-event cost tracks rate classes, not in-flight transfers.
+		// (Reset clears the mode, so a reused context flips per chain.)
+		ctx.clus.Net.EnableClassAccounting()
+		d.agg = true
 	}
 	return d
 }
@@ -157,15 +146,6 @@ func (d *Driver) finish() (*Result, error) {
 		d.ctx.recycleRun(d.current)
 		d.current = nil
 	}
-	// Semantic event count: queue events plus absorbed micro-events, minus
-	// the engine's wake firings (pure orchestration). The correction makes
-	// Events identical between an exact and a fast-forwarded run of the
-	// same chain — every absorbed micro-event replaces exactly one queue
-	// event — so scaling diagnostics stay comparable across modes.
-	events := d.sim.Processed + d.sim.Absorbed
-	if d.ff != nil {
-		events -= d.ff.wakes
-	}
 	return &Result{
 		Total:               d.endTime,
 		Runs:                d.rec.Runs,
@@ -173,7 +153,7 @@ func (d *Driver) finish() (*Result, error) {
 		StartedRuns:         d.runCounter,
 		SpeculativeLaunched: d.specLaunched,
 		SpeculativeWasted:   d.specWasted,
-		Events:              events,
+		Events:              d.sim.Processed,
 		Flows:               d.clus.Net.Completed,
 	}, nil
 }
@@ -299,7 +279,6 @@ func (d *Driver) newRun(job int, kind metrics.RunKind) *jobRun {
 		for _, inj := range d.cfg.Failures {
 			if inj.AtRun == d.runCounter {
 				inj := inj
-				d.clus.RegisterPulse(d.sim.Now() + inj.After)
 				d.sim.After(inj.After, func() {
 					// A multi-node injection kills its whole batch at one
 					// simulated instant, the way an outage day loses machines
@@ -565,7 +544,6 @@ func (d *Driver) injectFailure(node int) {
 	if d.current != nil {
 		d.current.nodeDown(node)
 	}
-	d.clus.RegisterPulse(d.sim.Now() + d.clus.Cfg.FailureDetectionTimeout)
 	d.pendingDetect++
 	d.sim.After(d.clus.Cfg.FailureDetectionTimeout, func() { d.onDetect(node) })
 }

@@ -26,31 +26,26 @@ func diamondGraph(cfg ChainConfig) GraphConfig {
 // TestChainEqualsLinearGraph pins the degenerate case both ways: running a
 // chain through RunChain and running the explicitly spelled-out linear
 // graph through RunGraph must produce the exact same Result — same virtual
-// times, same event and flow counts — under both the exact and the
-// fast-forward engine.
+// times, same event and flow counts.
 func TestChainEqualsLinearGraph(t *testing.T) {
 	t.Parallel()
 	ccfg := tinyCluster(4, 2, 2)
 	cfg := tinyChain(3, 4, 128)
 	cfg.Failures = []Injection{{AtRun: 2, After: 5, Node: 1}}
 
-	for _, mode := range []FastForwardMode{FastForwardOff, FastForwardOn} {
-		cfg.FastForward = mode
-		ff := mode == FastForwardOn
-		chainRes, err1 := RunChain(ccfg, cfg)
-		graphRes, err2 := NewContext(ccfg).RunGraph(GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)})
-		if err1 != nil || err2 != nil {
-			t.Fatalf("ff=%v: chain err=%v graph err=%v", ff, err1, err2)
-		}
-		if chainRes.Total != graphRes.Total {
-			t.Fatalf("ff=%v: chain total %v != graph total %v", ff, chainRes.Total, graphRes.Total)
-		}
-		if chainRes.StartedRuns != graphRes.StartedRuns ||
-			chainRes.Events != graphRes.Events || chainRes.Flows != graphRes.Flows {
-			t.Fatalf("ff=%v: chain (runs=%d events=%d flows=%d) != graph (runs=%d events=%d flows=%d)",
-				ff, chainRes.StartedRuns, chainRes.Events, chainRes.Flows,
-				graphRes.StartedRuns, graphRes.Events, graphRes.Flows)
-		}
+	chainRes, err1 := RunChain(ccfg, cfg)
+	graphRes, err2 := NewContext(ccfg).RunGraph(GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)})
+	if err1 != nil || err2 != nil {
+		t.Fatalf("chain err=%v graph err=%v", err1, err2)
+	}
+	if chainRes.Total != graphRes.Total {
+		t.Fatalf("chain total %v != graph total %v", chainRes.Total, graphRes.Total)
+	}
+	if chainRes.StartedRuns != graphRes.StartedRuns ||
+		chainRes.Events != graphRes.Events || chainRes.Flows != graphRes.Flows {
+		t.Fatalf("chain (runs=%d events=%d flows=%d) != graph (runs=%d events=%d flows=%d)",
+			chainRes.StartedRuns, chainRes.Events, chainRes.Flows,
+			graphRes.StartedRuns, graphRes.Events, graphRes.Flows)
 	}
 }
 

@@ -74,7 +74,7 @@ func (r *jobRun) launchMap(mt *mapTask, node int, queueIdx int) {
 	mt.node = node
 	mt.start = r.sim().Now()
 	mt.step = mtStepStartup
-	mt.ev = r.schedTimer(r.ccfg().TaskStartup, mt, &mt.ffSlot)
+	mt.ev = r.sim().AfterTimer(r.ccfg().TaskStartup, mt)
 }
 
 func (r *jobRun) mapRead(mt *mapTask) {
@@ -123,7 +123,7 @@ func (r *jobRun) mapCompute(mt *mapTask) {
 		d = des.Time(float64(mt.inputBytes) / cpu)
 	}
 	mt.step = mtStepCPU
-	mt.ev = r.schedTimer(d, mt, &mt.ffSlot)
+	mt.ev = r.sim().AfterTimer(d, mt)
 }
 
 func (r *jobRun) mapWrite(mt *mapTask) {

@@ -81,7 +81,7 @@ func (r *jobRun) abortMapWork(mt *mapTask) {
 		r.net().Abort(mt.fl)
 		mt.fl = nil
 	}
-	r.cancelTimer(mt.ev, &mt.ffSlot)
+	r.sim().Cancel(mt.ev)
 	mt.ev = nil
 }
 
@@ -97,7 +97,7 @@ func (r *jobRun) abortReduceWork(rt *reduceTask) {
 			rt.inflight--
 		}
 	}
-	r.cancelTimer(rt.ev, &rt.ffSlot)
+	r.sim().Cancel(rt.ev)
 	rt.ev = nil
 	for _, of := range rt.outFlows {
 		if of.fl != nil {

@@ -62,10 +62,6 @@ type mapTask struct {
 	node int
 	fl   *flow.Flow
 	ev   *des.Event
-	// ffSlot is the 1-based micro-heap position of the task's pending
-	// fast-forward timer (0 = none) — the engine-side counterpart of ev,
-	// kept current by the heap. At most one of ev/ffSlot is live.
-	ffSlot int
 	// lostSeq is nonzero on a task re-executed after its output was lost
 	// (Hadoop recovery): the run's sequence stamp (jobRun.seq) of the
 	// detection that declared it lost — the latest one, if it was lost again.
@@ -162,9 +158,6 @@ type reduceTask struct {
 	fetched      float64
 	shuffling    bool
 	ev           *des.Event
-	// ffSlot mirrors mapTask.ffSlot: the pending fast-forward timer's
-	// 1-based micro-heap position, 0 when none.
-	ffSlot int
 	// outFlows tracks in-progress output writes and their target nodes in
 	// start order — a slice, not a map, so abort/retarget sweeps touch the
 	// flow network in a deterministic order.
@@ -352,30 +345,6 @@ func (r *jobRun) net() *flow.Network     { return r.d.clus.Net }
 func (r *jobRun) fs() *dfs.FS            { return r.d.fs }
 func (r *jobRun) cfg() *ChainConfig      { return &r.d.cfg }
 func (r *jobRun) ccfg() *cluster.Config  { return &r.d.clus.Cfg }
-
-// schedTimer schedules a task's single phase timer: through the
-// fast-forward micro-scheduler when the engine is attached (returning nil
-// and recording the heap position in *ffSlot), else through the simulator
-// queue. Phase callbacks clear whichever handle fired, so exactly one of
-// the two is ever live.
-func (r *jobRun) schedTimer(d des.Time, tm des.Timer, ffSlot *int) *des.Event {
-	if r.d.ff != nil {
-		r.d.ff.after(d, tm, ffSlot)
-		return nil
-	}
-	return r.sim().AfterTimer(d, tm)
-}
-
-// cancelTimer cancels a task's pending phase timer, whichever form it
-// took. Safe when neither is pending.
-func (r *jobRun) cancelTimer(ev *des.Event, ffSlot *int) {
-	if ev != nil {
-		r.sim().Cancel(ev)
-	}
-	if *ffSlot != 0 {
-		r.d.ff.cancel(ffSlot)
-	}
-}
 
 // Slot bookkeeping goes through these four helpers so the per-node slices
 // and the cluster-wide totals can never drift apart.

@@ -10,9 +10,9 @@
 // running job reacts instantly, and one detection timer triggers each
 // tenant's recovery planning in tenant order.
 //
-// Sessions always execute event-by-event: the fast-forward engine models a
-// single failure-free computation's closed-form schedule, which cross-
-// tenant slot contention invalidates, so it is never attached here.
+// Tenants share one event queue as well: the session resolves the shuffle
+// tier once for the cluster, and every tenant's timers, flows and
+// failure pulses interleave in that queue's (time, sequence) order.
 package mapreduce
 
 import (
@@ -86,7 +86,7 @@ func (ctx *Context) RunMultiTenant(cfg GraphConfig, tenants int) (*MultiResult, 
 	ctx.sim.Run()
 
 	out := &MultiResult{
-		Events: ctx.sim.Processed + ctx.sim.Absorbed,
+		Events: ctx.sim.Processed,
 		Flows:  ctx.clus.Net.Completed,
 	}
 	for t, d := range s.drivers {
@@ -188,7 +188,6 @@ func (s *session) injectFailure(node int) {
 			d.current.nodeDown(node)
 		}
 	}
-	s.ctx.clus.RegisterPulse(s.ctx.sim.Now() + s.ctx.clus.Cfg.FailureDetectionTimeout)
 	s.ctx.sim.After(s.ctx.clus.Cfg.FailureDetectionTimeout, func() {
 		// Every tenant's master notices at the same detection deadline;
 		// recovery planning runs in tenant order over the same damage.

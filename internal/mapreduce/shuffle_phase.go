@@ -348,7 +348,7 @@ func (r *jobRun) launchReduce(rt *reduceTask, node int) {
 	rt.outBytes = 0
 	rt.outReplicas = rt.outReplicas[:0]
 	rt.step = rtStepStartup
-	rt.ev = r.schedTimer(r.ccfg().TaskStartup, rt, &rt.ffSlot)
+	rt.ev = r.sim().AfterTimer(r.ccfg().TaskStartup, rt)
 }
 
 func (r *jobRun) reduceShuffle(rt *reduceTask) {
@@ -494,7 +494,7 @@ func (r *jobRun) maybeFinishShuffle(rt *reduceTask) {
 		d = des.Time(rt.fetched / cpu)
 	}
 	rt.step = rtStepCPU
-	rt.ev = r.schedTimer(d, rt, &rt.ffSlot)
+	rt.ev = r.sim().AfterTimer(d, rt)
 }
 
 var _ flow.Completion = (*srcBucket)(nil)

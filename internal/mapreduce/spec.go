@@ -152,19 +152,6 @@ type ChainConfig struct {
 	// thousand-node runs stay tractable.
 	ShuffleAggregation ShuffleAggregation
 
-	// FastForward selects whether the chain runs the failure-free
-	// fast-forward engine (fastforward.go): deterministic task timers and
-	// flow completions are absorbed by a micro-scheduler that advances the
-	// clock in closed form between them, and the event queue is consulted
-	// only as the quiescence horizon — any real event (failure pulse,
-	// detection deadline, speculation check) processes exactly, event by
-	// event, before skipping resumes. Results carry the same contract as
-	// class accounting (identical arithmetic at identical times), so
-	// FastForwardAuto (the zero value) enables it only at or above
-	// FastForwardThreshold nodes, keeping every paper-scale experiment on
-	// the historical event-by-event path and its golden digests.
-	FastForward FastForwardMode
-
 	// Speculation enables speculative execution of straggling mappers
 	// (Section II): a mapper running longer than SpeculationFactor times
 	// the mean completed-mapper duration is duplicated on another node; the
@@ -207,38 +194,6 @@ const (
 // experiments use (STIC: 10, DCO: up to 60) stays well below it, so the
 // golden digests never see the aggregated model unless asked for.
 const ShuffleAggThreshold = 128
-
-// FastForwardMode selects the fast-forward engine; see the ChainConfig
-// field.
-type FastForwardMode int
-
-const (
-	// FastForwardAuto fast-forwards at or above FastForwardThreshold nodes.
-	FastForwardAuto FastForwardMode = iota
-	// FastForwardOff forces exact event-by-event execution.
-	FastForwardOff
-	// FastForwardOn forces the fast-forward engine at any cluster size.
-	FastForwardOn
-)
-
-// FastForwardThreshold is the cluster size at which FastForwardAuto turns
-// the fast-forward engine on — the scaling tier's sizes, where event count
-// (not per-event cost) dominates wall-clock. Like ShuffleAggThreshold it
-// sits far above every cluster shape the paper's experiments use, so the
-// golden digests never see the engine unless asked for.
-const FastForwardThreshold = 1024
-
-// fastForwarded resolves the engine for a cluster of the given size.
-func (c *ChainConfig) fastForwarded(nodes int) bool {
-	switch c.FastForward {
-	case FastForwardOn:
-		return true
-	case FastForwardOff:
-		return false
-	default:
-		return nodes >= FastForwardThreshold
-	}
-}
 
 // aggregatedShuffle resolves the tier for a cluster of the given size.
 func (c *ChainConfig) aggregatedShuffle(nodes int) bool {
@@ -325,11 +280,8 @@ type Result struct {
 	// benefit".
 	SpeculativeLaunched int
 	SpeculativeWasted   int
-	// Events is the number of model events the chain executed — queue
-	// events fired plus events the fast-forward engine absorbed in closed
-	// form, minus the engine's own wake-ups — and Flows the number of
-	// transfers completed. Events counts the same work whether a stretch
-	// ran exactly or fast-forwarded, so it stays the denominator scaling
+	// Events is the number of simulator events the chain fired and Flows
+	// the number of transfers completed; Events is the denominator scaling
 	// benchmarks normalize wall-clock by (ns per simulated event).
 	Events uint64
 	Flows  uint64
