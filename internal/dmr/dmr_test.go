@@ -318,6 +318,10 @@ func TestFailureMidJobCancelsAndRecovers(t *testing.T) {
 	}
 }
 
+// TestNestedFailureDuringRecovery is the FAIL 4,7-style nested case: a
+// second worker dies while the first failure's recomputation runs. Worker
+// 5 is killed as the first recompute run is submitted, so that run fails
+// and the driver has to fold the second loss into a new plan.
 func TestNestedFailureDuringRecovery(t *testing.T) {
 	cfg := ChainConfig{Jobs: 5, NumReducers: 8, RecordsPerPartition: 120, Seed: 11, Split: true}
 	want := referenceDigests(t, 6, 1, 40, cfg)
@@ -327,13 +331,13 @@ func TestNestedFailureDuringRecovery(t *testing.T) {
 	cfg2.AfterJob = func(job int) {
 		if job == 4 {
 			c.killAndAwaitDetection(t, 2)
-			// Second kill slightly later, aimed at the recovery window (the
-			// FAIL 4,7-style nested case). Wherever it lands, the driver
-			// must fold it in and still produce correct output.
-			go func() {
-				time.Sleep(20 * time.Millisecond)
-				c.workers[5].Kill()
-			}()
+		}
+	}
+	killed := false
+	cfg2.OnRunStart = func(run, job int, kind string) {
+		if kind == "recompute" && !killed {
+			killed = true
+			c.workers[5].Kill()
 		}
 	}
 	d := runChain(t, c, cfg2)
@@ -342,12 +346,15 @@ func TestNestedFailureDuringRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertDigestsEqual(t, digs, want)
-	// The second kill is asynchronous and may land so late in the run that
-	// the chain completes before worker 5's heartbeats go stale; detection
-	// keeps running after RunChain, so wait for it rather than racing it.
-	deadline := time.Now().Add(5 * time.Second)
-	for !c.m.FailedNodes()[5] && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	if !killed {
+		t.Fatal("no recompute run started: the first kill did not land after job 4")
+	}
+	replanned := false
+	for _, r := range d.RunLog {
+		replanned = replanned || (r.Kind == "recompute" && r.Err)
+	}
+	if !replanned {
+		t.Fatalf("no recompute run ended in error (run log %+v): the second kill missed the recovery", d.RunLog)
 	}
 	failed := c.m.FailedNodes()
 	if !failed[2] || !failed[5] {
