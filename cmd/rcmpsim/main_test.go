@@ -32,6 +32,8 @@ func TestRun(t *testing.T) {
 		{"negative nodes", []string{"-fig", "8b", "-quick", "-nodes", "-5"}, 1, "rcmpsim: Fig8b/quick: experiments: Nodes=-5 out of range"},
 		{"negative tenants", []string{"-fig", "multi-tenant", "-quick", "-tenants", "-1"}, 1,
 			"rcmpsim: MultiTenant/quick: experiments: Tenants=-1 out of range"},
+		{"schedule losing every replica", []string{"-fig", "8b", "-quick", "-schedule", "2@15,4@5x2"}, 1,
+			"rcmpsim: Fig8b/quick/sched=2@15x1,4@5x2: experiment SLOTS 1-1, STIC: hadoop: input out3/p4 lost; replication 2 insufficient"},
 
 		{"double failure", []string{"-fig", "double-failure", "-quick", "-parallel", "2"}, 0, ""},
 		{"trace replay json", []string{"-fig", "trace-replay", "-quick", "-parallel", "2", "-json"}, 0, ""},
@@ -54,6 +56,9 @@ func TestRun(t *testing.T) {
 			}
 			if c.stderr == "" && first != "" || !strings.HasPrefix(first, c.stderr) {
 				t.Fatalf("stderr first line %q, want prefix %q", first, c.stderr)
+			}
+			if strings.Contains(stderr.String(), "goroutine ") {
+				t.Fatalf("stderr carries a stack trace:\n%s", stderr.String())
 			}
 			if code == 0 && stdout.Len() == 0 {
 				t.Fatal("exit 0 with no output")

@@ -27,12 +27,12 @@ func diamondJobs() []mapreduce.GraphJob {
 	}
 }
 
-// runGraph executes one graph on the setup's engine, panicking on
-// configuration errors the way run does for chains.
+// runGraph executes one graph on the setup's engine; an error leaves the
+// figure as a chainError, the way run does for chains.
 func runGraph(st setup, jobs []mapreduce.GraphJob) *mapreduce.Result {
 	res, err := st.w.runGraph(st.engine, st.ccfg, mapreduce.GraphConfig{ChainConfig: st.cfg, Jobs: jobs})
 	if err != nil {
-		panic(fmt.Sprintf("experiment %s: %v", st.name, err))
+		panic(chainError{fmt.Errorf("experiment %s: %w", st.name, err)})
 	}
 	return res
 }
@@ -151,7 +151,7 @@ func MultiTenant(c Config) (*Result, error) {
 		}
 		mr, err := st.w.runMultiTenant(st.engine, st.ccfg, mapreduce.GraphConfig{ChainConfig: cfg, Jobs: jobs}, tenants)
 		if err != nil {
-			panic(fmt.Sprintf("experiment %s (tenants=%d): %v", st.name, tenants, err))
+			panic(chainError{fmt.Errorf("experiment %s (tenants=%d): %w", st.name, tenants, err)})
 		}
 		return mr
 	}

@@ -345,12 +345,22 @@ func failureNote(c Config, name string) string {
 	return name
 }
 
-// run executes one chain on the setup's engine, panicking on configuration
-// errors (experiment definitions are code, not input).
+// chainError carries a simulation's error out of a figure's nested loops.
+// The error can come from input — a failure schedule given on the command
+// line or to the server may lose every replica of a file — so it is the
+// job's error, not a bug: run, runGraph and the multi-tenant session panic
+// with it, and Spec.Exec recovers this type and no other, so a genuine
+// panic keeps its stack.
+type chainError struct{ err error }
+
+func (e chainError) Error() string { return e.err.Error() }
+
+// run executes one chain on the setup's engine; an error leaves the figure
+// as a chainError.
 func run(st setup) *mapreduce.Result {
 	res, err := st.w.runChain(st.engine, st.ccfg, st.cfg)
 	if err != nil {
-		panic(fmt.Sprintf("experiment %s: %v", st.name, err))
+		panic(chainError{fmt.Errorf("experiment %s: %w", st.name, err)})
 	}
 	return res
 }

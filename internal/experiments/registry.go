@@ -33,12 +33,14 @@ type Spec struct {
 // Exec runs the experiment with the cross-cutting Config checks applied
 // first: an out-of-range Nodes override becomes the job's error — the
 // same per-job convention out-of-range FailureAt overrides follow —
-// instead of a deep panic inside a setup. The runner grid executes jobs
+// instead of a deep panic inside a setup. A simulation that fails inside
+// the figure (see chainError) is the job's error as well; any other panic
+// propagates with its stack. The runner grid executes jobs
 // through Exec; Run stays the raw registered function so tooling can
 // resolve it back to its experiment. A Config without a Worker (see
 // WithWorker) runs on a fresh one, so the figure's runs still share
 // contexts within this call.
-func (sp Spec) Exec(c Config) (*Result, error) {
+func (sp Spec) Exec(c Config) (res *Result, err error) {
 	if err := c.validateEngine(); err != nil {
 		return nil, err
 	}
@@ -55,6 +57,15 @@ func (sp Spec) Exec(c Config) (*Result, error) {
 	if c.worker == nil {
 		c.worker = new(Worker)
 	}
+	defer func() {
+		if p := recover(); p != nil {
+			ce, ok := p.(chainError)
+			if !ok {
+				panic(p)
+			}
+			res, err = nil, ce.err
+		}
+	}()
 	return sp.Run(c)
 }
 
