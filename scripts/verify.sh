@@ -15,11 +15,9 @@
 #      a sweep over HTTP must be byte-identical to the rcmpsim CLI report,
 #      the cached repeat byte-identical again, a /v1/plan capacity answer
 #      must miss then hit the result cache, and SIGTERM must drain cleanly
-#   5. golden-digest + fast-forward-equivalence suites, explicitly (the
-#      equivalence suite forces fast-forward per run, through its own
-#      experiments.Worker), plus the fast-forward engine's chain-level
-#      property tests repeated under -race; then the analytic-vs-DES
-#      tolerance suite over the registry
+#   5. the pinned chain outcomes (mapreduce's TestPinned*) and the golden
+#      digests repeated under -race, the golden-digest suite explicitly,
+#      then the analytic-vs-DES tolerance suite over the registry
 #   6. native fuzzing: a few seconds of FuzzRecordBatchDecode, the dmr
 #      record-frame decoder that reads bytes off a socket, on top of its
 #      committed seed corpus (which plain `go test` already replays)
@@ -60,8 +58,8 @@ go test -race ./...
 echo "== race (simulation core + runner + distributed runtime + sweep server + cross-validation, repeated) =="
 go test -race -count=2 ./internal/flow ./internal/mapreduce ./internal/middleware ./internal/core ./internal/runner ./internal/experiments ./internal/dmr ./internal/wire ./internal/server ./internal/xval
 
-echo "== race (fast-forward mode, repeated) =="
-go test -race -count=2 -run 'TestFF|TestGoldenResultsEquivalentUnderFastForward' ./internal/mapreduce ./internal/experiments
+echo "== race (pinned chain outcomes + golden digests, repeated) =="
+go test -race -count=2 -run 'TestPinned|TestGoldenDigests' ./internal/mapreduce ./internal/experiments
 
 echo "== rcmpserve smoke (sweep server end to end: HTTP vs CLI byte-identity, cache, SIGTERM drain) =="
 tmp="${TMPDIR:-/tmp}/rcmp-verify-$$"
@@ -96,8 +94,8 @@ curl -sf -X POST -d "$plan" "$base/v1/plan" | grep -q '"cache": *"hit"'
 kill -TERM "$serve_pid"
 wait "$serve_pid"
 
-echo "== golden digests + fast-forward equivalence (ladder queue + rate-class flow core on) =="
-go test -count=1 -run 'TestGoldenDigests|TestGoldenResultsEquivalentUnderFastForward' ./internal/experiments
+echo "== golden digests (ladder queue + rate-class flow core on) =="
+go test -count=1 -run 'TestGoldenDigests' ./internal/experiments
 
 echo "== analytic-vs-DES tolerance suite (registry-wide, 2 seeds per spec) =="
 go test -count=1 -run 'TestAnalyticEngineToleranceRegistryWide' ./internal/experiments
