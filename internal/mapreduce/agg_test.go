@@ -302,38 +302,61 @@ func TestPinnedScaleFailShape(t *testing.T) {
 	}
 }
 
-// TestPinnedChainShapes pins the small aggregated-tier chain (aggChain)
-// failure-free, with one node lost at offsets swept across the first run
-// (reducer startup, map phase, shuffle, output write, and past the chain's
-// end), with a two-node outage, and with pulses aimed at two different
-// runs; plus the failure-free chain at 4096 nodes, the size bench/'s
-// scale_ff workload times.
-func TestPinnedChainShapes(t *testing.T) {
-	const clean, restart = "1:initial 2:initial", "1:initial! 1:restart 2:initial"
+// chainRow is one pinned run of the small aggregated-tier chain (aggChain).
+type chainRow struct {
+	label string
+	nodes int
+	inj   []Injection
+	want  pinStats
+}
+
+const pinClean = "1:initial 2:initial"
+
+// checkChainRows runs each row's aggChain and checks it against its pin.
+func checkChainRows(t *testing.T, rows []chainRow) {
+	t.Helper()
+	for _, row := range rows {
+		ccfg, cfg := aggChain(row.nodes, row.inj)
+		checkPinned(t, row.label, ccfg, cfg, row.want)
+	}
+}
+
+// TestPinnedChainFailureFree pins the small aggregated-tier chain
+// failure-free at 16 nodes and at 4096, the size bench/'s scale_ff
+// workload times.
+func TestPinnedChainFailureFree(t *testing.T) {
+	checkChainRows(t, []chainRow{
+		{"failure-free/16", 16, nil, pinStats{5.413333333333332, 210, 288, 2, pinClean}},
+		{"failure-free/4096", 4096, nil, pinStats{5.413333333333332, 49170, 73728, 2, pinClean}},
+	})
+}
+
+// TestPinnedChainPulseOffsets pins the chain with one node lost at offsets
+// swept across the first run: reducer startup, map phase, shuffle, output
+// write, and past the chain's end.
+func TestPinnedChainPulseOffsets(t *testing.T) {
+	const restart = "1:initial! 1:restart 2:initial"
 	pulse := func(after des.Time) []Injection { return []Injection{{AtRun: 1, After: after, Node: 3}} }
-	for _, row := range []struct {
-		label string
-		nodes int
-		inj   []Injection
-		want  pinStats
-	}{
-		{"failure-free/16", 16, nil, pinStats{5.413333333333332, 210, 288, 2, clean}},
+	checkChainRows(t, []chainRow{
 		{"pulse/0.1", 16, pulse(0.1), pinStats{39.2582222222222, 309, 434, 3, restart}},
 		{"pulse/0.25", 16, pulse(0.25), pinStats{39.4082222222222, 309, 434, 3, restart}},
 		{"pulse/1", 16, pulse(1), pinStats{40.1582222222222, 308, 435, 3, restart}},
 		{"pulse/2.5", 16, pulse(2.5), pinStats{41.65822222222219, 327, 455, 3, restart}},
 		{"pulse/5", 16, pulse(5), pinStats{41.33488888888887, 333, 450, 4, "1:initial 2:initial! 1:recompute 2:restart"}},
-		{"pulse/10", 16, pulse(10), pinStats{5.413333333333332, 211, 288, 2, clean}},
-		{"pulse/20", 16, pulse(20), pinStats{5.413333333333332, 211, 288, 2, clean}},
-		{"pulse/40", 16, pulse(40), pinStats{5.413333333333332, 211, 288, 2, clean}},
-		{"pulse/60", 16, pulse(60), pinStats{5.413333333333332, 211, 288, 2, clean}},
-		{"double", 16, []Injection{{AtRun: 1, After: 10, Node: 3, Count: 2}}, pinStats{5.413333333333332, 211, 288, 2, clean}},
-		{"two-runs", 16, []Injection{{AtRun: 0, After: 5, Node: 7}, {AtRun: 1, After: 15, Node: 3}}, pinStats{5.413333333333332, 211, 288, 2, clean}},
-		{"failure-free/4096", 4096, nil, pinStats{5.413333333333332, 49170, 73728, 2, clean}},
-	} {
-		ccfg, cfg := aggChain(row.nodes, row.inj)
-		checkPinned(t, row.label, ccfg, cfg, row.want)
-	}
+		{"pulse/10", 16, pulse(10), pinStats{5.413333333333332, 211, 288, 2, pinClean}},
+		{"pulse/20", 16, pulse(20), pinStats{5.413333333333332, 211, 288, 2, pinClean}},
+		{"pulse/40", 16, pulse(40), pinStats{5.413333333333332, 211, 288, 2, pinClean}},
+		{"pulse/60", 16, pulse(60), pinStats{5.413333333333332, 211, 288, 2, pinClean}},
+	})
+}
+
+// TestPinnedChainMultiPulse pins the shapes trace schedules produce: a
+// two-node simultaneous outage, and pulses aimed at two different runs.
+func TestPinnedChainMultiPulse(t *testing.T) {
+	checkChainRows(t, []chainRow{
+		{"double", 16, []Injection{{AtRun: 1, After: 10, Node: 3, Count: 2}}, pinStats{5.413333333333332, 211, 288, 2, pinClean}},
+		{"two-runs", 16, []Injection{{AtRun: 0, After: 5, Node: 7}, {AtRun: 1, After: 15, Node: 3}}, pinStats{5.413333333333332, 211, 288, 2, pinClean}},
+	})
 }
 
 // TestReducerEntitlementConserved checks the dedup rule end to end under
