@@ -587,3 +587,70 @@ func TestDenseOffersVisitFewCohorts(t *testing.T) {
 		t.Errorf("dense offers visit %.2f cohorts on average (%d offers), want ≤ 2", mean, offers)
 	}
 }
+
+// exactFetchChain is a two-job Hadoop chain on the exact shuffle tier with
+// one reducer per node and the given fetch parallelism, losing victim
+// after seconds into run 2 (failure-free when after is 0). A victim among
+// the lowest-numbered sources is lost with fetches in flight to every
+// healthy reducer (stall and abort, then the detection reset); every
+// victim hosts a reducer, which is zombied and relaunched.
+func exactFetchChain(nodes, par int, after des.Time, victim int) (cluster.Config, ChainConfig) {
+	ccfg := cluster.DCOConfig(nodes, 1, 1)
+	ccfg.FailureDetectionTimeout = 3
+	cfg := ChainConfig{
+		Mode:               ModeHadoop,
+		NumJobs:            2,
+		NumReducers:        nodes,
+		InputPerNode:       128 * cluster.MB,
+		BlockSize:          32 * cluster.MB,
+		InputRepl:          3,
+		OutputRepl:         3,
+		FetchParallelism:   par,
+		ShuffleAggregation: ShuffleAggOff,
+	}
+	if after > 0 {
+		cfg.Failures = []Injection{{AtRun: 2, After: after, Node: victim}}
+	}
+	return ccfg, cfg
+}
+
+// TestPinnedExactFetchOrder pins exact-tier chains in which the order
+// kickFetch visits sources decides which fetch flows exist: clusters whose
+// source indices fall on both sides of a 64-bit word, fetch parallelism 1,
+// 2 and the default 5, failure-free and losing a node mid-shuffle.
+func TestPinnedExactFetchOrder(t *testing.T) {
+	const runs = "1:initial 2:initial"
+	for _, row := range []struct {
+		nodes, par int
+		after      des.Time
+		victim     int
+		want       pinStats
+	}{
+		{16, 1, 0, 0, pinStats{38.34666666666668, 376, 864, 2, runs}},
+		{16, 2, 0, 0, pinStats{28.960000000000008, 360, 864, 2, runs}},
+		{16, 5, 0, 0, pinStats{24.266666666666673, 355, 864, 2, runs}},
+		{65, 1, 0, 0, pinStats{98.0266661699613, 1454, 9880, 2, runs}},
+		{65, 2, 0, 0, pinStats{60.479999625144785, 1390, 9880, 2, runs}},
+		{65, 5, 0, 0, pinStats{37.01333304979864, 1350, 9880, 2, runs}},
+		{100, 1, 0, 0, pinStats{139.0933333333336, 2224, 22200, 2, runs}},
+		{100, 2, 0, 0, pinStats{80.42666666666659, 2124, 22200, 2, runs}},
+		{100, 5, 0, 0, pinStats{45.22666666666665, 2064, 22200, 2, runs}},
+		{127, 1, 0, 0, pinStats{170.77333260615748, 2818, 35052, 2, runs}},
+		{127, 2, 0, 0, pinStats{96.85333286377096, 2692, 35052, 2, runs}},
+		{127, 5, 0, 0, pinStats{52.26666636733246, 2616, 35052, 2, runs}},
+		{16, 1, 4, 0, pinStats{40.183322835390115, 406, 886, 2, runs}},
+		{16, 2, 4, 3, pinStats{32.70285947712419, 395, 916, 2, runs}},
+		{16, 5, 4, 1, pinStats{29.230833333333337, 381, 916, 2, runs}},
+		{65, 1, 5, 0, pinStats{103.53743545315203, 1531, 9823, 2, runs}},
+		{65, 2, 5, 1, pinStats{64.47805097220497, 1497, 10015, 2, runs}},
+		{65, 5, 5, 64, pinStats{40.353992904834875, 1402, 9951, 2, runs}},
+		{100, 2, 5, 0, pinStats{83.20893333333335, 2193, 22306, 2, runs}},
+		{100, 5, 5, 70, pinStats{49.759625183150156, 2164, 22207, 2, runs}},
+		{127, 1, 5, 0, pinStats{176.28209907074108, 2957, 34933, 2, runs}},
+		{127, 5, 5, 3, pinStats{56.23123339831432, 2709, 35311, 2, runs}},
+	} {
+		ccfg, cfg := exactFetchChain(row.nodes, row.par, row.after, row.victim)
+		label := fmt.Sprintf("n%d/par%d/after%v/victim%d", row.nodes, row.par, row.after, row.victim)
+		checkPinned(t, label, ccfg, cfg, row.want)
+	}
+}
