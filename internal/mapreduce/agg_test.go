@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -427,6 +428,93 @@ func checkEntitlements(t *testing.T, label any, ccfg cluster.Config, cfg ChainCo
 	}
 	if len(checked) != cfg.NumJobs*cfg.NumReducers {
 		t.Errorf("%v: read %d reducers after their shuffle, want %d", label, len(checked), cfg.NumJobs*cfg.NumReducers)
+	}
+}
+
+// TestReadyBitsMatchBuckets checks the exact tier's ready index against
+// the bucket state it summarises after every simulated event: on
+// TestPinnedFailureMatrix's exact rows, the speculative re-execution
+// chains, and two TestPinnedExactFetchOrder failures whose sources span
+// two bitset words. A write to a bucket's pending, fl or stalled that is
+// not followed by markReady leaves a bit stale, and kickFetch would then
+// skip a fetchable source or start a fetch it must not.
+func TestReadyBitsMatchBuckets(t *testing.T) {
+	for _, c := range []pinCase{
+		{ModeRCMP, true, 16, 1, 14, 1},
+		{ModeRCMP, true, 16, 1, 1, 2},
+		{ModeRCMP, true, 16, 3, 19, 2},
+		{ModeRCMP, true, 16, 3, 3, 1},
+		{ModeHadoop, true, 16, 1, 0.1, 1},
+		{ModeHadoop, true, 16, 1, 5, 2},
+		{ModeHadoop, true, 16, 3, 3, 2},
+		{ModeHadoop, true, 16, 3, 9, 1},
+	} {
+		ccfg, cfg := c.configs()
+		checkReadyBits(t, c, ccfg, cfg)
+	}
+	for _, count := range []int{1, 2} {
+		for _, after := range []des.Time{3, 8, 12, 16} {
+			ccfg, cfg := specRerunChain(true, 4, after, count)
+			checkReadyBits(t, fmt.Sprintf("spec/after%v/kill%d", after, count), ccfg, cfg)
+		}
+	}
+	ccfg, cfg := exactFetchChain(65, 2, 5, 1)
+	checkReadyBits(t, "n65/par2/after5/victim1", ccfg, cfg)
+	ccfg, cfg = exactFetchChain(100, 5, 5, 70)
+	checkReadyBits(t, "n100/par5/after5/victim70", ccfg, cfg)
+}
+
+// checkReadyBits steps the chain event by event and, after each step,
+// recomputes every running reducer's ready bits from its buckets; it
+// reports the first mismatch.
+func checkReadyBits(t *testing.T, label any, ccfg cluster.Config, cfg ChainConfig) {
+	t.Helper()
+	cfg = cfg.withDefaults()
+	topo, err := buildTopology(linearJobs(cfg.NumJobs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := NewContext(ccfg)
+	ctx.reset(cfg.BlockSize)
+	d := newDriver(ctx, cfg, topo, true)
+	if err := d.createInput(); err != nil {
+		t.Fatal(err)
+	}
+	d.startInitial(1)
+	chunk := float64(cfg.BlockSize) / 4
+	var want [2][]uint64
+	for ctx.sim.Step() {
+		r := d.current
+		if r == nil || r.done {
+			continue
+		}
+		for _, rt := range r.reduces {
+			if rt.state != taskRunning {
+				continue
+			}
+			for k := range want {
+				want[k] = make([]uint64, (len(rt.buckets)+63)/64)
+			}
+			for n := range rt.buckets {
+				b := &rt.buckets[n]
+				if !b.stalled && b.fl == nil && b.pending > 0 {
+					want[0][n/64] |= 1 << (n % 64)
+					if b.pending >= chunk {
+						want[1][n/64] |= 1 << (n % 64)
+					}
+				}
+			}
+			for k := range want {
+				if !slices.Equal(rt.ready[k], want[k]) {
+					t.Errorf("%v: at %v run %d reducer %d: ready[%d] = %x, buckets say %x",
+						label, ctx.sim.Now(), r.runIndex, rt.reducer, k, rt.ready[k], want[k])
+					return
+				}
+			}
+		}
+	}
+	if _, err := d.finish(); err != nil {
+		t.Fatalf("%v: %v", label, err)
 	}
 }
 

@@ -224,8 +224,8 @@ func (ctx *Context) recycleMap(mt *mapTask) {
 }
 
 // allocRed pops a recycled reduce task or makes a fresh one. The recycled
-// task keeps its slice capacities (exact-tier buckets, output bookkeeping)
-// — launchReduce re-zeros what a launch needs.
+// task keeps its slice capacities (exact-tier buckets and ready bits,
+// output bookkeeping) — launchReduce re-zeros what a launch needs.
 func (ctx *Context) allocRed() *reduceTask {
 	if k := len(ctx.freeReds); k > 0 {
 		rt := ctx.freeReds[k-1]
@@ -238,11 +238,13 @@ func (ctx *Context) allocRed() *reduceTask {
 
 func (ctx *Context) recycleRed(rt *reduceTask) {
 	buckets := rt.buckets[:0]
+	ready := [2][]uint64{rt.ready[0][:0], rt.ready[1][:0]}
 	outFlows := rt.outFlows[:0]
 	owed := rt.owedRewrites[:0]
 	outRep := rt.outReplicas[:0]
 	*rt = reduceTask{}
 	rt.buckets = buckets
+	rt.ready = ready
 	rt.outFlows = outFlows
 	rt.owedRewrites = owed
 	rt.outReplicas = outRep

@@ -61,6 +61,7 @@ func (r *jobRun) nodeDown(n int) {
 				rt.inflight--
 			}
 			b.stalled = true
+			r.markReady(rt, n)
 		}
 		// Output-write replicas targeting n will be retargeted at detection.
 		kept := rt.outFlows[:0]
@@ -95,6 +96,7 @@ func (r *jobRun) abortReduceWork(rt *reduceTask) {
 			b.pending += b.inflight
 			b.inflight = 0
 			rt.inflight--
+			r.markReady(rt, i)
 		}
 	}
 	r.sim().Cancel(rt.ev)
@@ -153,7 +155,8 @@ func (r *jobRun) handleDetection(n int) {
 			// later re-execution offering bytes from another node starts it
 			// fresh, and the dead source never contributes again.
 			rt.needResupply += rt.buckets[n].pending
-			rt.buckets[n] = srcBucket{rt: rt}
+			rt.buckets[n] = srcBucket{rt: rt, idx: int32(n)}
+			r.markReady(rt, n)
 		}
 		// Replace aborted replica writes with a new target.
 		var stillOwed []int

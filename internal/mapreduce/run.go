@@ -114,7 +114,7 @@ type srcBucket struct {
 	inflight float64
 	fl       *flow.Flow
 	frac     float64 // aggregated tier: the reducer's shareFrac
-	idx      int32   // aggregated tier: the bucket's index in aggBuckets
+	idx      int32   // source node (exact tier) or aggBuckets index (aggregated)
 	// cohort is 1 + its jobRun.cohorts index while a member (pending is
 	// then the cohort's), 0 while loose; slot is its member-list position.
 	cohort  int32
@@ -145,6 +145,9 @@ type reduceTask struct {
 	// buckets is indexed by source node and fixed length while running; on
 	// the aggregated tier it is a one-element window into jobRun.aggBuckets.
 	buckets []srcBucket
+	// ready is the exact tier's index of the buckets kickFetch may start,
+	// one bit per source node (see markReady in shuffle_phase.go).
+	ready [2][]uint64
 	// shufSeq is the run's sequence stamp (jobRun.seq) of this incarnation's
 	// shuffle start, compared against mapTask.lostSeq by offerMapOutput.
 	shufSeq int

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 
 	"rcmp/internal/des"
@@ -85,12 +86,13 @@ func (r *jobRun) offerMapOutput(rt *reduceTask, mt *mapTask) {
 		rt.needResupply -= share
 	}
 	if share > 0 {
-		src := mt.node
 		if r.d.agg {
-			src = 0 // the single per-destination aggregate
 			r.loosen(rt)
+			rt.buckets[0].pending += share // the single per-destination aggregate
+		} else {
+			rt.buckets[mt.node].pending += share
+			r.markReady(rt, mt.node)
 		}
-		rt.buckets[src].pending += share
 	}
 	r.kickFetch(rt)
 	r.maybeFinishShuffle(rt)
@@ -135,7 +137,7 @@ func (r *jobRun) offerAggDense(mt *mapTask) {
 	r.regroup()
 	out := float64(mt.outBytes)
 	last := r.mapsRemaining == 0
-	minChunk := float64(r.cfg().BlockSize) / 4
+	minChunk := r.fetchChunk()
 	kicks := r.aggKicks[:0]
 	for i := range r.cohorts { // empty pooled cohorts add and kick nothing
 		c := &r.cohorts[i]
@@ -238,7 +240,7 @@ func (r *jobRun) regroup() {
 // aggSweepStep is the offered-volume interval between reducer sweeps:
 // one fetch chunk per reducer.
 func (r *jobRun) aggSweepStep() float64 {
-	return float64(r.cfg().BlockSize) / 4 * float64(r.cfg().NumReducers)
+	return r.fetchChunk() * float64(r.cfg().NumReducers)
 }
 
 // offerAggOutput is the aggregated-tier fast path of mapDone's feeding
@@ -331,7 +333,10 @@ func (r *jobRun) launchReduce(rt *reduceTask, node int) {
 			rt.buckets = rt.buckets[:numNodes]
 		}
 		for i := range rt.buckets {
-			rt.buckets[i] = srcBucket{rt: rt}
+			rt.buckets[i] = srcBucket{rt: rt, idx: int32(i)}
+		}
+		for k := range rt.ready {
+			rt.ready[k] = grow(rt.ready[k], (numNodes+63)/64)
 		}
 	}
 	rt.fetched = 0
@@ -380,6 +385,7 @@ func (r *jobRun) reduceShuffle(rt *reduceTask) {
 				continue
 			}
 			rt.buckets[n].pending += bytes * frac
+			r.markReady(rt, n)
 		}
 	}
 	// Every byte offered so far is now accounted, so the aggregated tier's
@@ -429,34 +435,66 @@ func (r *jobRun) kickFetch(rt *reduceTask) {
 	if rt.state != taskRunning || !rt.shuffling {
 		return
 	}
-	r.loosen(rt)
-	minChunk := 0.0
-	if r.mapsRemaining > 0 {
-		minChunk = float64(r.cfg().BlockSize) / 4
+	par := r.cfg().FetchParallelism
+	if r.d.agg { // one bucket, never stalled (nodeDown stalls exact-tier sources)
+		r.loosen(rt)
+		b := &rt.buckets[0]
+		if rt.inflight < par && b.fl == nil && b.pending > 0 &&
+			(r.mapsRemaining == 0 || b.pending >= r.fetchChunk()) {
+			r.startFetch(rt, b, r.d.ctx.aggShuffleTrunk())
+		}
+		return
 	}
-	// Sources are visited in node order: with a bounded fetch parallelism
-	// the visit order decides which flows exist, so it must stay the
-	// ascending sweep the old sorted-map iteration produced. (On the
-	// aggregated tier there is exactly one bucket, so the loop shape is
-	// shared.)
-	for n := range rt.buckets {
-		b := &rt.buckets[n]
-		if rt.inflight >= r.cfg().FetchParallelism {
-			return
+	// Sources are visited in ascending node order: with a bounded fetch
+	// parallelism the visit order decides which flows exist. Only the
+	// ready bits are visited (see markReady), which is the same sweep with
+	// the buckets that could not start skipped.
+	ready := rt.ready[1]
+	if r.mapsRemaining == 0 {
+		ready = rt.ready[0]
+	}
+	for w, word := range ready {
+		for ; word != 0; word &= word - 1 {
+			if rt.inflight >= par {
+				return
+			}
+			n := w<<6 | bits.TrailingZeros64(word)
+			r.startFetch(rt, &rt.buckets[n], r.shuffleTrunk(n, rt.node))
+			r.markReady(rt, n)
 		}
-		if b.stalled || b.fl != nil || b.pending <= 0 || b.pending < minChunk {
-			continue
-		}
-		bytes := b.pending
-		b.pending = 0
-		b.inflight = bytes
-		rt.inflight++
-		if r.d.agg {
-			b.fl = r.d.ctx.aggShuffleTrunk().StartC("shuffle", bytes,
-				r.ccfg().ShuffleTransferDelay, b)
-		} else {
-			b.fl = r.shuffleTrunk(n, rt.node).StartC("shuffle", bytes,
-				r.ccfg().ShuffleTransferDelay, b)
+	}
+}
+
+// fetchChunk is the bytes a bucket batches before a fetch starts while
+// maps remain.
+func (r *jobRun) fetchChunk() float64 { return float64(r.cfg().BlockSize) / 4 }
+
+// startFetch moves b's pending bytes into one fetch flow over tr.
+func (r *jobRun) startFetch(rt *reduceTask, b *srcBucket, tr *flow.Trunk) {
+	b.inflight = b.pending
+	b.pending = 0
+	rt.inflight++
+	b.fl = tr.StartC("shuffle", b.inflight, r.ccfg().ShuffleTransferDelay, b)
+}
+
+// markReady re-derives exact-tier source n's ready bits from its bucket,
+// and must follow every write to the bucket's pending, fl or stalled:
+// rt.ready[0] holds the buckets kickFetch may start once the last map is
+// done (not stalled, no fetch in flight, bytes pending), rt.ready[1] the
+// subset holding a full chunk, which it may start while maps remain. The
+// aggregated tier's single bucket has no ready bits.
+func (r *jobRun) markReady(rt *reduceTask, n int) {
+	if r.d.agg {
+		return
+	}
+	b := &rt.buckets[n]
+	w, bit := n>>6, uint64(1)<<(n&63)
+	rt.ready[0][w] &^= bit
+	rt.ready[1][w] &^= bit
+	if !b.stalled && b.fl == nil && b.pending > 0 {
+		rt.ready[0][w] |= bit
+		if b.pending >= r.fetchChunk() {
+			rt.ready[1][w] |= bit
 		}
 	}
 }
@@ -468,6 +506,7 @@ func (r *jobRun) fetchDone(b *srcBucket) {
 	b.inflight = 0
 	b.fl = nil
 	rt.inflight--
+	r.markReady(rt, int(b.idx))
 	r.kickFetch(rt)
 	r.maybeFinishShuffle(rt)
 }

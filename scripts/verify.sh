@@ -15,7 +15,8 @@
 #      a sweep over HTTP must be byte-identical to the rcmpsim CLI report,
 #      the cached repeat byte-identical again, a /v1/plan capacity answer
 #      must miss then hit the result cache, and SIGTERM must drain cleanly
-#   5. the pinned chain outcomes (mapreduce's TestPinned*) and the golden
+#   5. the pinned chain outcomes (mapreduce's TestPinned*), the exact
+#      tier's ready-bit check (TestReadyBitsMatchBuckets) and the golden
 #      digests repeated under -race, the golden-digest suite explicitly,
 #      then the analytic-vs-DES tolerance suite over the registry
 #   6. native fuzzing: a few seconds of FuzzRecordBatchDecode, the dmr
@@ -58,8 +59,8 @@ go test -race ./...
 echo "== race (simulation core + runner + distributed runtime + sweep server + cross-validation, repeated) =="
 go test -race -count=2 ./internal/flow ./internal/mapreduce ./internal/middleware ./internal/core ./internal/runner ./internal/experiments ./internal/dmr ./internal/wire ./internal/server ./internal/xval
 
-echo "== race (pinned chain outcomes + golden digests, repeated) =="
-go test -race -count=2 -run 'TestPinned|TestGoldenDigests' ./internal/mapreduce ./internal/experiments
+echo "== race (pinned chain outcomes + ready bits + golden digests, repeated) =="
+go test -race -count=2 -run 'TestPinned|TestGoldenDigests|TestReadyBitsMatchBuckets' ./internal/mapreduce ./internal/experiments
 
 echo "== rcmpserve smoke (sweep server end to end: HTTP vs CLI byte-identity, cache, SIGTERM drain) =="
 tmp="${TMPDIR:-/tmp}/rcmp-verify-$$"
