@@ -96,7 +96,9 @@ func (r *jobRun) abortReduceWork(rt *reduceTask) {
 			b.pending += b.inflight
 			b.inflight = 0
 			rt.inflight--
-			r.markReady(rt, i)
+			if !r.d.agg {
+				r.markReady(rt, i)
+			}
 		}
 	}
 	r.sim().Cancel(rt.ev)

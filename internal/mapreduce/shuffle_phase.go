@@ -484,9 +484,6 @@ func (r *jobRun) startFetch(rt *reduceTask, b *srcBucket, tr *flow.Trunk) {
 // subset holding a full chunk, which it may start while maps remain. The
 // aggregated tier's single bucket has no ready bits.
 func (r *jobRun) markReady(rt *reduceTask, n int) {
-	if r.d.agg {
-		return
-	}
 	b := &rt.buckets[n]
 	w, bit := n>>6, uint64(1)<<(n&63)
 	rt.ready[0][w] &^= bit
@@ -506,7 +503,9 @@ func (r *jobRun) fetchDone(b *srcBucket) {
 	b.inflight = 0
 	b.fl = nil
 	rt.inflight--
-	r.markReady(rt, int(b.idx))
+	if !r.d.agg {
+		r.markReady(rt, int(b.idx))
+	}
 	r.kickFetch(rt)
 	r.maybeFinishShuffle(rt)
 }
