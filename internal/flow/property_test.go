@@ -197,9 +197,17 @@ type churnTrace struct {
 // in bursts — at top level, inside a timer handler, and inside completion
 // callbacks — so several starts, aborts and completions share one instant
 // and the network owes (and coalesces) their recomputation; sizes repeat so
-// that completions tie. With settleEachOp every operation is followed by a
-// forced settle, which is the eager recomputation the deferred one must
-// match bit for bit.
+// that completions tie. Same-instant storms put several events at one
+// time: timers scheduled for one identical instant, After(0) timers
+// scheduled from handlers and completion callbacks, and tied extra-latency
+// finishes (repeated sizes and zero-size flows share one latency), storms
+// landing on the pending completion's instant, and flows with no finite
+// bottleneck, which complete at the instant they start. Rates
+// are sampled only when the clock has moved since the last sample, so a
+// sample's forced settle does not mask deferral across an instant's
+// events. With settleEachOp every operation is followed by a forced
+// settle, which is the eager recomputation the deferred one must match
+// bit for bit.
 type churn struct {
 	rng          *rand.Rand
 	sim          *des.Simulator
@@ -210,6 +218,8 @@ type churn struct {
 	started      int
 	settleEachOp bool
 	trace        churnTrace
+	sampled      bool     // a rate sample has been taken
+	sampledAt    des.Time // clock at the last rate sample
 }
 
 func newChurn(seed int64, enable func(*Network), settleEachOp bool) *churn {
@@ -222,6 +232,11 @@ func newChurn(seed int64, enable func(*Network), settleEachOp bool) *churn {
 		if c.rng.Intn(2) == 0 {
 			c.resources[i].PenaltyCap = 0.5 + c.rng.Float64()
 		}
+	}
+	if c.rng.Intn(2) == 0 {
+		// A flow over this resource alone has no finite bottleneck and
+		// completes at the instant it starts.
+		c.resources[0].Capacity = math.Inf(1)
 	}
 	// A few caller-owned trunks, so members join and leave shared
 	// arbitration units as well as singleton ones.
@@ -260,7 +275,10 @@ func (c *churn) drop(f *Flow) {
 func (c *churn) op(depth int) {
 	if c.rng.Intn(10) < 6 || len(c.live) == 0 {
 		size := []float64{100, 400, 1600}[c.rng.Intn(3)]
-		if c.rng.Intn(2) == 0 {
+		switch c.rng.Intn(8) {
+		case 0:
+			size = 0 // finishes after its latency alone, tied with its peers'
+		case 1, 2, 3:
 			size = 100 + c.rng.Float64()*5000
 		}
 		var extra des.Time
@@ -273,8 +291,13 @@ func (c *churn) op(depth int) {
 			c.trace.doneID = append(c.trace.doneID, id)
 			c.trace.doneAt = append(c.trace.doneAt, c.sim.Now())
 			c.drop(f)
-			if depth < 2 && c.rng.Intn(2) == 0 {
-				c.burst(depth + 1)
+			if depth < 2 {
+				switch c.rng.Intn(4) {
+				case 0, 1:
+					c.burst(depth + 1)
+				case 2:
+					c.sim.After(0, func() { c.burst(depth + 1) })
+				}
 			}
 		}
 		var f *Flow
@@ -294,30 +317,64 @@ func (c *churn) op(depth int) {
 	}
 }
 
+// burst runs a few operations; inside a handler (depth > 0) it may also
+// leave an After(0) timer that runs another burst later in the instant.
 func (c *churn) burst(depth int) {
 	for k := 1 + c.rng.Intn(4); k > 0; k-- {
 		c.op(depth)
 	}
+	if depth > 0 && depth < 2 && c.rng.Intn(3) == 0 {
+		c.sim.After(0, func() { c.burst(depth + 1) })
+	}
 }
 
-// step runs one burst (top-level or inside a timer handler) or lets the
-// earliest completion fire, then records a checkpoint.
+// step runs one burst (top-level, inside a timer handler, or inside each
+// of a storm of timers due at one identical time) or lets the earliest
+// completion fire, then records a checkpoint if the clock has moved.
 func (c *churn) step() {
-	switch r := c.rng.Intn(10); {
+	switch r := c.rng.Intn(12); {
 	case r < 4 || len(c.live) == 0:
 		c.burst(0)
-	case r < 7:
+	case r < 6:
 		fired := false
-		c.sim.After(des.Time(c.rng.Float64()*3), func() { fired = true; c.burst(0) })
+		c.sim.After(des.Time(c.rng.Float64()*3), func() { fired = true; c.burst(1) })
 		for !fired && c.sim.Step() {
+		}
+	case r < 9:
+		at := c.sim.Now()
+		switch c.rng.Intn(3) {
+		case 0:
+			at += des.Time(c.rng.Float64() * 3)
+		case 1:
+			// Land on the pending completion's instant (settled first,
+			// so both runs read the same event).
+			c.net.settle()
+			if c.net.completion != nil {
+				at = c.net.completion.At()
+			}
+		}
+		k := 2 + c.rng.Intn(4)
+		fired := 0
+		for i := 0; i < k; i++ {
+			c.sim.At(at, func() { fired++; c.burst(1) })
+		}
+		if c.rng.Intn(2) == 0 {
+			// Re-point the completion event under a later sequence number,
+			// so the storm is ordered ahead of it when they share an instant.
+			c.burst(0)
+		}
+		for fired < k && c.sim.Step() {
 		}
 	default:
 		before := c.net.Completed
 		for c.sim.Step() && c.net.Completed == before {
 		}
 	}
-	for _, f := range c.net.flows {
-		c.trace.rates = append(c.trace.rates, f.Rate())
+	if now := c.sim.Now(); !c.sampled || now > c.sampledAt {
+		c.sampled, c.sampledAt = true, now
+		for _, f := range c.net.flows {
+			c.trace.rates = append(c.trace.rates, f.Rate())
+		}
 	}
 }
 
