@@ -56,12 +56,19 @@
 //
 // A model layer may defer recomputing derived state (the flow network's
 // max-min rates and its completion event) until the end of the instant
-// that invalidated it. BeforeNext registers a one-shot Settler the kernel
-// runs before it next inspects its queue — Step and RunUntil both observe
-// settled state — and ReserveSeq/AtTimerSeq let that
-// settler schedule its event under the sequence number it would have been
-// given had it been scheduled at the point the work became owed, so
-// deferring never changes a same-time tie.
+// that invalidated it. BeforeNext registers a one-shot Settler, and
+// ReserveSeq/AtTimerSeq let that settler schedule its event under the
+// sequence number it would have been given had it been scheduled at the
+// point the work became owed, so deferring never changes a same-time tie.
+//
+// The kernel rule: an owing settler runs before the clock moves, when the
+// queue is empty, and before any event it says it must precede
+// (SettleBefore). Otherwise the kernel fires the next event — at the
+// current instant — with the settler still owing, so the events of one
+// instant can share one settle. A settler answers "before" for every event
+// that could observe the difference: its own stale event, or one that the
+// event it owes could be ordered ahead of. When any owing settler answers
+// "before", all of them run, and the kernel inspects its queue again.
 package des
 
 import (
@@ -84,10 +91,16 @@ type Timer interface {
 	Fire()
 }
 
-// Settler is model state that owes a recomputation before the kernel next
-// inspects its queue; see BeforeNext.
+// Settler is model state that owes a recomputation; see BeforeNext and
+// the kernel rule in the package comment.
 type Settler interface {
+	// Settle pays the owed recomputation.
 	Settle()
+	// SettleBefore reports whether Settle must run before next, the
+	// queue's head at the current instant. Answering false lets next fire
+	// first, so it must only do so when next would also have fired first,
+	// and observed the same state, had Settle run at once.
+	SettleBefore(next *Event) bool
 }
 
 // Event tier markers, stored in Event.tier. Non-negative values are rung
@@ -115,6 +128,11 @@ type Event struct {
 
 // At returns the virtual time the event is scheduled for.
 func (e *Event) At() Time { return e.at }
+
+// Seq returns the event's sequence number: among events at one time, the
+// lower number fires first. ReserveSeq hands out numbers from the same
+// counter.
+func (e *Event) Seq() uint64 { return e.seq }
 
 type eventHeap []*Event
 
@@ -160,8 +178,8 @@ type Simulator struct {
 	seq     uint64
 	stopped bool
 	free    []*Event // recycled events, see the package comment
-	// owing holds the settlers registered since the kernel last inspected
-	// its queue (BeforeNext); ensureFront runs and clears it.
+	// owing holds the settlers registered since the kernel last settled
+	// (BeforeNext); ensureFront runs and clears it.
 	owing []Settler
 
 	// Two-tier ladder queue state. Invariant: every event in front has
@@ -341,22 +359,35 @@ func swapRemove(list []*Event, i int) []*Event {
 // ensureFront makes the front heap hold the globally earliest event,
 // sweeping rung buckets (and re-bucketing the far list) as needed. It
 // reports whether any event is pending. Every inspection of the queue goes
-// through here, so this is where owing settlers run first: whatever they
-// schedule is in place before the earliest event is chosen.
+// through here, so this is where owing settlers run (the kernel rule in
+// the package comment); a settle can cancel and schedule events, so the
+// queue is inspected again after it.
 func (s *Simulator) ensureFront() bool {
-	if len(s.owing) > 0 {
-		s.settle()
-	}
-	for len(s.front) == 0 {
-		if s.sweepBucket() {
+	for {
+		for len(s.front) == 0 && s.sweepBucket() {
+		}
+		if len(s.front) == 0 && len(s.far) > 0 {
+			s.reRung()
 			continue
 		}
-		if len(s.far) == 0 {
-			return false
+		if len(s.owing) == 0 {
+			return len(s.front) > 0
 		}
-		s.reRung()
+		if len(s.front) > 0 && s.front[0].at == s.now && !s.mustSettle(s.front[0]) {
+			return true
+		}
+		s.settle()
 	}
-	return true
+}
+
+// mustSettle reports whether some owing settler must run before h.
+func (s *Simulator) mustSettle(h *Event) bool {
+	for _, x := range s.owing {
+		if x.SettleBefore(h) {
+			return true
+		}
+	}
+	return false
 }
 
 // settle runs the registered settlers once each, in registration order.
@@ -512,12 +543,13 @@ func (s *Simulator) AtTimerSeq(t Time, tm Timer, seq uint64) *Event {
 	return e
 }
 
-// BeforeNext registers x.Settle to run once, before the kernel next
-// inspects its queue (Step, RunUntil) and so before any further event
-// fires or the clock moves. It is how a model layer coalesces the
-// recomputations one instant's callbacks owe into a single one at the end
-// of the instant. Settle may schedule and cancel events; it must not
-// call back into the queue-inspecting methods.
+// BeforeNext registers x.Settle to run once, when the kernel next inspects
+// its queue (Step, RunUntil) and finds the clock about to move, the queue
+// empty, or a head event x.SettleBefore says it must precede. Same-time
+// events x lets go first fire with x still owing. It is how a model layer
+// coalesces the recomputations one instant's events owe into a single one
+// at the end of the instant. Settle may schedule and cancel events; it
+// must not call back into the queue-inspecting methods.
 func (s *Simulator) BeforeNext(x Settler) {
 	s.owing = append(s.owing, x)
 }

@@ -453,10 +453,13 @@ func TestProcessedCount(t *testing.T) {
 	}
 }
 
-// settleFunc adapts a closure to Settler.
+// settleFunc adapts a closure to a Settler that settles before every
+// event.
 type settleFunc func()
 
 func (f settleFunc) Settle() { f() }
+
+func (f settleFunc) SettleBefore(*Event) bool { return true }
 
 // TestBeforeNextRunsAheadOfEveryQueueInspection checks the settle hook: a
 // registered settler runs exactly once, before Step or RunUntil looks at

@@ -166,3 +166,32 @@ func TestAlwaysBeforeSettlerSettlesPerEvent(t *testing.T) {
 		t.Fatalf("log %q, want %q", got, want)
 	}
 }
+
+// TestDeferringSettlerRunsPastEarlierOrderedEvent: a settler owing work
+// reserved at sequence number seq lets a same-time event ordered before
+// seq fire first, then settles ahead of the first event ordered after it
+// — one settle for the instant where settling before every event would
+// have paid it twice.
+func TestDeferringSettlerRunsPastEarlierOrderedEvent(t *testing.T) {
+	s := New()
+	var log []string
+	var seq uint64
+	x := &scriptedSettler{s: s, log: &log, before: func(e *Event) bool { return e.Seq() > seq }}
+	s.At(1, func() {
+		logEvent(s, &log, "a")()
+		seq = s.ReserveSeq()
+		s.BeforeNext(x)
+		if e := s.At(1, logEvent(s, &log, "after")); e.Seq() <= seq {
+			t.Fatalf("event scheduled after the reservation has seq %d <= %d", e.Seq(), seq)
+		}
+	})
+	b := s.At(1, logEvent(s, &log, "b"))
+	s.At(2, logEvent(s, &log, "c"))
+	s.Run()
+	if got, want := strings.Join(log, " "), "a@1 b@1 settle@1 after@1 c@2"; got != want {
+		t.Fatalf("log %q, want %q", got, want)
+	}
+	if len(x.asked) != 2 || x.asked[0] != b {
+		t.Fatalf("settler asked about %d events, want 2: b (let go) and the later one (settled before)", len(x.asked))
+	}
+}

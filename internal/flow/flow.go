@@ -9,8 +9,8 @@
 // is banked and the structure (trunks, components, resource claims) is
 // updated on the spot; the rates themselves, and the completion event, are
 // then owed and recomputed once — on the instant's final structure — before
-// the simulator next looks at its queue, however many flows the instant's
-// callbacks started (see "settling" below and in docs/flow.md).
+// the simulator's clock moves, however many flows the instant's events
+// started (see "settling" below and in docs/flow.md).
 //
 // Rebalancing is incremental: the network partitions active flows into
 // connected components of the flow/resource sharing graph and confines
@@ -28,7 +28,10 @@
 // no simulated time passes inside an instant, so starts and removals only
 // mark their component as owing a fill and the network as owing one
 // completion reschedule; Network.settle pays both, from the simulator's
-// des.BeforeNext hook and from complete, which reads rates and ETAs.
+// des.BeforeNext hook and from complete, which reads rates and ETAs. The
+// hook runs once per instant, not once per event: the settler lets the
+// simulator fire a same-time event first whenever that event would also
+// have fired first under eager recomputation (settler.SettleBefore).
 // Two rules keep this bit-identical to recomputing after every operation:
 // each owed point reserves the event sequence number the eager reschedule
 // would have consumed there (the last one is applied), and a removal on a
@@ -422,14 +425,27 @@ type completionTimer struct{ n *Network }
 
 func (ct *completionTimer) Fire() { ct.n.complete() }
 
-// settler is the network's des.Settler: the simulator runs it once before
-// it next inspects its queue after the network registered an owed
-// recomputation.
+// settler is the network's des.Settler: the simulator runs it once after
+// the network registered an owed recomputation, before the clock moves or
+// the queue runs dry, and before any same-time event SettleBefore names.
 type settler struct{ n *Network }
 
 func (s *settler) Settle() {
 	s.n.registered = false
 	s.n.settle()
+}
+
+// SettleBefore lets a same-time event fire ahead of the owed settle
+// exactly when it would also have fired first had every operation settled
+// at once: unless it is the stale completion event settle will cancel, or
+// is ordered after schedSeq, where the owed completion (due at now or
+// later, under that number) could precede it. What the event's handler can
+// observe is unchanged: banking within the instant accrues nothing, the
+// completion batch settles on entry, Abort pays an owed fill before
+// detaching (see the package comment), and rates are read after a settle.
+func (s *settler) SettleBefore(next *des.Event) bool {
+	n := s.n
+	return next == n.completion || (len(n.flows) > 0 && next.Seq() > n.schedSeq)
 }
 
 // NewNetwork returns an empty network bound to the simulator clock.
@@ -745,10 +761,10 @@ func (n *Network) register() {
 
 // settle pays what the operations since the last settle owe: one water-fill
 // per component whose structure changed, on its final structure, then one
-// completion reschedule. It runs before the simulator next inspects its
-// queue (so before the clock can move: every owing component was banked to
-// now by the operation that marked it) and before any read of a rate or an
-// ETA. Settling more often than necessary is harmless — settling after
+// completion reschedule. It runs before the simulator's clock moves (every
+// owing component was banked to now by the operation that marked it),
+// before any event that could tell (settler.SettleBefore) and before any
+// read of a rate or an ETA. Settling more often than necessary is harmless — settling after
 // every operation is exactly the eager recomputation.
 func (n *Network) settle() {
 	now := n.sim.Now()

@@ -1,6 +1,9 @@
 package flow
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"rcmp/internal/des"
@@ -27,6 +30,55 @@ func TestSettleKeepsCompletionAheadOfLaterTimer(t *testing.T) {
 	sim.Run()
 	if len(order) != 2 || order[0] != "flow" || order[1] != "timer" {
 		t.Fatalf("fired %v at t=%v, want the flow's completion before the later-scheduled timer", order, sim.Now())
+	}
+}
+
+// TestSettleKeepsInstantCompletionAheadOfSameTimeTimer: a flow with no
+// finite bottleneck completes at the instant it starts. Recomputing
+// eagerly, its completion event was scheduled at the Start, ahead of a
+// timer the same handler schedules for the same instant; the settle owed
+// by the Start must therefore run before that timer fires, not only
+// before the clock moves.
+func TestSettleKeepsInstantCompletionAheadOfSameTimeTimer(t *testing.T) {
+	for _, mode := range accountingModes {
+		sim := des.New()
+		net := NewNetwork(sim)
+		mode.enable(net)
+		wire := &Resource{Name: "unlimited", Capacity: math.Inf(1)}
+		var order []string
+		sim.At(1, func() {
+			net.Start("f", 1000, []Use{{wire, 1}}, 0, func(*Flow) { order = append(order, "flow") })
+			sim.After(0, func() { order = append(order, "timer") })
+		})
+		sim.Run()
+		if len(order) != 2 || order[0] != "flow" || order[1] != "timer" || sim.Now() != 1 {
+			t.Fatalf("%s: fired %v ending at t=%v, want the flow's completion, then the timer, both at 1", mode.name, order, sim.Now())
+		}
+	}
+}
+
+// TestSettleBeforeStaleCompletion: a timer ordered ahead of a flow's
+// completion, at the same instant, starts a second flow on the flow's
+// disk. The completion event is then stale — settle cancels it and
+// schedules its replacement — so the kernel must settle before choosing
+// it: each flow completes once, the first at the instant, the second a
+// full transfer later.
+func TestSettleBeforeStaleCompletion(t *testing.T) {
+	for _, mode := range accountingModes {
+		sim := des.New()
+		net := NewNetwork(sim)
+		mode.enable(net)
+		disk := &Resource{Name: "disk", Capacity: 100}
+		var done []string
+		record := func(name string) func(*Flow) {
+			return func(*Flow) { done = append(done, fmt.Sprintf("%s@%v", name, sim.Now())) }
+		}
+		sim.At(10, func() { net.Start("b", 1000, []Use{{disk, 1}}, 0, record("b")) })
+		net.Start("a", 1000, []Use{{disk, 1}}, 0, record("a"))
+		sim.Run()
+		if got, want := strings.Join(done, " "), "a@10 b@20"; got != want {
+			t.Fatalf("%s: completions %q, want %q", mode.name, got, want)
+		}
 	}
 }
 
@@ -119,6 +171,43 @@ func TestSettleOncePerInstant(t *testing.T) {
 		}
 		if net.Components() != 1 {
 			t.Fatalf("%s: %d components, want the one shared through the core", mode.name, net.Components())
+		}
+		for _, f := range started {
+			if got, want := f.Rate(), 1000.0/(R+1); got != want {
+				t.Fatalf("%s: fetch rate %v, want the core split %d ways = %v", mode.name, got, R+1, want)
+			}
+		}
+	}
+}
+
+// TestSettleOncePerInstantAcrossEvents: R timers due at one instant, each
+// starting a flow into one shared component, cost one water-fill and one
+// completion reschedule for the instant — the settle is not paid between
+// the timers, which were all ordered before the first start reserved its
+// sequence number — and the rates it leaves are the R+1-way core split.
+func TestSettleOncePerInstantAcrossEvents(t *testing.T) {
+	const R = 8
+	for _, mode := range accountingModes {
+		sim := des.New()
+		net := NewNetwork(sim)
+		mode.enable(net)
+		core := &Resource{Name: "core", Capacity: 1000}
+		disk := func() *Resource { return &Resource{Name: "disk", Capacity: 400} }
+		net.Start("standing", 1e9, []Use{{disk(), 1}, {core, 1}}, 0, nil)
+		var started []*Flow
+		for i := 0; i < R; i++ {
+			sim.At(1, func() {
+				started = append(started, net.Start("fetch", 1e6, []Use{{disk(), 1}, {core, 1}}, 0, nil))
+			})
+		}
+		sim.RunUntil(0) // settle the standing flow's start
+		fills, scheds := net.fills, net.scheds
+		sim.RunUntil(1) // the R timers, then the end of the instant
+		if len(started) != R {
+			t.Fatalf("%s: %d timers fired, want %d", mode.name, len(started), R)
+		}
+		if df, ds := net.fills-fills, net.scheds-scheds; df != 1 || ds != 1 {
+			t.Fatalf("%s: %d same-time starts cost %d water-fills and %d reschedules, want 1 and 1", mode.name, R, df, ds)
 		}
 		for _, f := range started {
 			if got, want := f.Rate(), 1000.0/(R+1); got != want {
