@@ -33,14 +33,24 @@ func init() {
 	Register(slowReq{})
 }
 
-func testHandler(_ net.Addr, req any) (any, error) {
+func testHandler(_ net.Addr, req any) (any, error) { return handleTest(req, nil) }
+
+// handleTest serves the test requests. A slowReq waits out its delay or
+// until release is closed, whichever comes first (a nil release never
+// is).
+func handleTest(req any, release <-chan struct{}) (any, error) {
 	switch r := req.(type) {
 	case echoReq:
 		return echoResp{N: r.N, Payload: r.Payload}, nil
 	case failReq:
 		return nil, errors.New(r.Msg)
 	case slowReq:
-		time.Sleep(r.Delay)
+		delay := time.NewTimer(r.Delay)
+		defer delay.Stop()
+		select {
+		case <-delay.C:
+		case <-release:
+		}
 		return echoResp{N: -1}, nil
 	default:
 		return nil, fmt.Errorf("unknown request %T", req)
@@ -49,11 +59,27 @@ func testHandler(_ net.Addr, req any) (any, error) {
 
 func startServer(t *testing.T) *Server {
 	t.Helper()
+	return startServerWith(t, testHandler)
+}
+
+// startReleasableServer is startServer whose parked slowReq handlers
+// return once the returned channel is closed. Server.Close waits for its
+// handlers, so a test that parks one closes the channel after its
+// assertions instead of waiting out the delay.
+func startReleasableServer(t *testing.T) (*Server, chan struct{}) {
+	t.Helper()
+	release := make(chan struct{})
+	s := startServerWith(t, func(_ net.Addr, req any) (any, error) { return handleTest(req, release) })
+	return s, release
+}
+
+func startServerWith(t *testing.T, h Handler) *Server {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(ln, testHandler)
+	s := NewServer(ln, h)
 	t.Cleanup(func() { s.Close() })
 	return s
 }
@@ -148,7 +174,8 @@ func TestLargePayload(t *testing.T) {
 }
 
 func TestCallTimeout(t *testing.T) {
-	s := startServer(t)
+	s, release := startReleasableServer(t)
+	defer close(release)
 	cl := dial(t, s.Addr())
 	start := time.Now()
 	_, err := cl.Call(slowReq{Delay: 2 * time.Second}, 50*time.Millisecond)
@@ -164,7 +191,7 @@ func TestCallTimeout(t *testing.T) {
 }
 
 func TestServerCloseFailsPendingCalls(t *testing.T) {
-	s := startServer(t)
+	s, release := startReleasableServer(t)
 	cl := dial(t, s.Addr())
 	done := make(chan error, 1)
 	go func() {
@@ -172,7 +199,9 @@ func TestServerCloseFailsPendingCalls(t *testing.T) {
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond) // let the call reach the server
-	s.Close()
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }() // returns once the handler does
+	defer func() { close(release); <-closed }()
 	select {
 	case err := <-done:
 		if err == nil {
@@ -444,7 +473,8 @@ func newTestClient(nc net.Conn) *Client {
 }
 
 func TestSendFailurePoisonsClient(t *testing.T) {
-	s := startServer(t)
+	s, release := startReleasableServer(t)
+	defer close(release)
 	nc, err := net.DialTimeout("tcp", s.Addr(), time.Second)
 	if err != nil {
 		t.Fatal(err)

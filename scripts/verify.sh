@@ -7,10 +7,11 @@
 #      the benchmark is caught here and not first by the pipeline
 #   3. race detector over the full suite, then -count=2 under -race on the
 #      packages whose state is reused across runs or shared between
-#      goroutines: the simulation core and graph planner, the runner
-#      (each worker reuses its own context), the distributed runtime, the
-#      sweep server (including its concurrent-load test) and the
-#      cross-validation harness
+#      goroutines: the simulation core (the des kernel and its settler
+#      contract, the flow network and its settle tests) and graph
+#      planner, the runner (each worker reuses its own context), the
+#      distributed runtime, the sweep server (including its
+#      concurrent-load test) and the cross-validation harness
 #   4. rcmpserve smoke: the sweep server end to end on an ephemeral port —
 #      a sweep over HTTP must be byte-identical to the rcmpsim CLI report,
 #      the cached repeat byte-identical again, a /v1/plan capacity answer
@@ -57,7 +58,7 @@ echo "== race (full suite) =="
 go test -race ./...
 
 echo "== race (simulation core + runner + distributed runtime + sweep server + cross-validation, repeated) =="
-go test -race -count=2 ./internal/flow ./internal/mapreduce ./internal/middleware ./internal/core ./internal/runner ./internal/experiments ./internal/dmr ./internal/wire ./internal/server ./internal/xval
+go test -race -count=2 ./internal/des ./internal/flow ./internal/mapreduce ./internal/middleware ./internal/core ./internal/runner ./internal/experiments ./internal/dmr ./internal/wire ./internal/server ./internal/xval
 
 echo "== race (pinned chain outcomes + ready bits + golden digests, repeated) =="
 go test -race -count=2 -run 'TestPinned|TestGoldenDigests|TestReadyBitsMatchBuckets' ./internal/mapreduce ./internal/experiments
