@@ -435,12 +435,13 @@ func (s *settler) Settle() {
 	s.n.settle()
 }
 
-// SettleBefore lets a same-time event fire ahead of the owed settle
-// exactly when it would also have fired first had every operation settled
-// at once: unless it is the stale completion event settle will cancel, or
-// is ordered after schedSeq, where the owed completion (due at now or
-// later, under that number) could precede it. What the event's handler can
-// observe is unchanged: banking within the instant accrues nothing, the
+// SettleBefore answers "before" for the two kinds of same-time event that
+// could tell a deferred settle from an eager one: the network's stale
+// completion event, which settle cancels, and, while flows are active, any
+// event ordered after schedSeq, which the owed completion (due at now or
+// later, under that number) could precede. Any other event would also have
+// fired first had every operation settled at once, and its handler
+// observes the same state: banking within the instant accrues nothing, the
 // completion batch settles on entry, Abort pays an owed fill before
 // detaching (see the package comment), and rates are read after a settle.
 func (s *settler) SettleBefore(next *des.Event) bool {
@@ -764,8 +765,9 @@ func (n *Network) register() {
 // completion reschedule. It runs before the simulator's clock moves (every
 // owing component was banked to now by the operation that marked it),
 // before any event that could tell (settler.SettleBefore) and before any
-// read of a rate or an ETA. Settling more often than necessary is harmless — settling after
-// every operation is exactly the eager recomputation.
+// read of a rate or an ETA. Settling more often than necessary is
+// harmless — settling after every operation is exactly the eager
+// recomputation.
 func (n *Network) settle() {
 	now := n.sim.Now()
 	for i, c := range n.owing {
