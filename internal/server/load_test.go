@@ -149,12 +149,12 @@ func TestSweepUnderConcurrentLoad(t *testing.T) {
 
 	pool := runner.Runner{Workers: 1}
 	for grid, body := range bodies {
-		req := SweepRequest{Specs: []string{"cost"}, Scale: "quick", Seeds: []int64{int64(jobs * grid), int64(jobs*grid + 1)}}
-		js, err := buildJobs(req)
+		req, _ := json.Marshal(SweepRequest{Specs: []string{"cost"}, Scale: "quick", Seeds: []int64{int64(jobs * grid), int64(jobs*grid + 1)}})
+		_, g, err := decodeSweep(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := runner.MarshalJSONDeterministic(pool.Run(js))
+		want, err := runner.MarshalJSONDeterministic(pool.Run(g.Jobs()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -181,10 +181,20 @@ type SweepRequest struct {
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 }
 
-// buildJobs lowers a SweepRequest onto the runner grid.
-func buildJobs(req SweepRequest) ([]runner.Job, error) {
+// decodeSweep decodes a /v1/sweep body and lowers it onto the runner grid.
+func decodeSweep(body []byte) (SweepRequest, runner.Grid, error) {
+	var req SweepRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return req, runner.Grid{}, fmt.Errorf("bad request body: %v", err)
+	}
+	g, err := buildGrid(req)
+	return req, g, err
+}
+
+// buildGrid lowers a SweepRequest onto the runner grid.
+func buildGrid(req SweepRequest) (runner.Grid, error) {
 	if len(req.Specs) == 0 {
-		return nil, fmt.Errorf("specs is required (registry keys or \"all\")")
+		return runner.Grid{}, fmt.Errorf("specs is required (registry keys or \"all\")")
 	}
 	var specs []experiments.Spec
 	for _, key := range req.Specs {
@@ -195,7 +205,7 @@ func buildJobs(req SweepRequest) ([]runner.Job, error) {
 		}
 		sp, ok := experiments.Lookup(strings.TrimPrefix(k, "fig"))
 		if !ok {
-			return nil, fmt.Errorf("unknown spec %q (see /v1/experiments)", key)
+			return runner.Grid{}, fmt.Errorf("unknown spec %q (see /v1/experiments)", key)
 		}
 		specs = append(specs, sp)
 	}
@@ -207,13 +217,13 @@ func buildJobs(req SweepRequest) ([]runner.Job, error) {
 	case "quick", "smoke":
 		scales = []experiments.Scale{experiments.ScaleQuick}
 	default:
-		return nil, fmt.Errorf("unknown scale %q (want \"paper\", \"quick\" or \"smoke\")", req.Scale)
+		return runner.Grid{}, fmt.Errorf("unknown scale %q (want \"paper\", \"quick\" or \"smoke\")", req.Scale)
 	}
 	var scheds []failure.Schedule
 	for _, spec := range req.Schedules {
 		sched, err := failure.ParseSchedule(spec)
 		if err != nil {
-			return nil, err
+			return runner.Grid{}, err
 		}
 		scheds = append(scheds, sched)
 	}
@@ -221,12 +231,12 @@ func buildJobs(req SweepRequest) ([]runner.Job, error) {
 	for _, name := range req.Engines {
 		eng, err := experiments.ParseEngine(strings.ToLower(strings.TrimSpace(name)))
 		if err != nil {
-			return nil, err
+			return runner.Grid{}, err
 		}
 		engines = append(engines, eng)
 	}
 	if req.SeedSet < 0 || req.SeedSet > 1024 {
-		return nil, fmt.Errorf("seed_set=%d out of range [0, 1024]", req.SeedSet)
+		return runner.Grid{}, fmt.Errorf("seed_set=%d out of range [0, 1024]", req.SeedSet)
 	}
 	return runner.Grid{
 		Specs:       specs,
@@ -239,7 +249,7 @@ func buildJobs(req SweepRequest) ([]runner.Job, error) {
 		Speculation: req.Speculation,
 		Engines:     engines,
 		SeedSet:     req.SeedSet,
-	}.Jobs(), nil
+	}, nil
 }
 
 // clientID identifies the requester for fair scheduling: the X-Client-ID
@@ -329,20 +339,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "server draining", http.StatusServiceUnavailable)
 		return
 	}
-	var req SweepRequest
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err == nil {
-		err = json.Unmarshal(body, &req)
-	}
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return
 	}
-	jobs, err := buildJobs(req)
+	req, grid, err := decodeSweep(body)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	jobs := grid.Jobs()
 	if len(jobs) == 0 {
 		http.Error(w, "empty sweep grid", http.StatusBadRequest)
 		return
