@@ -33,7 +33,6 @@ import (
 	"strings"
 
 	"rcmp/internal/experiments"
-	"rcmp/internal/failure"
 	"rcmp/internal/runner"
 )
 
@@ -48,21 +47,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	flags.SetOutput(stderr)
 	fig := flags.String("fig", "", "figure key to run (see -list), or 'all'")
 	runPat := flags.String("run", "", "regexp selecting experiments by name or key (e.g. 'Fig8|Hybrid')")
-	quick := flags.Bool("quick", false, "run at reduced scale (fast)")
-	seed := flags.Int64("seed", 0, "experiment seed (0 reproduces the paper harness)")
 	seeds := flags.String("seeds", "", "comma-separated seed sweep, overrides -seed (e.g. '0,1,2')")
-	failAt := flags.Int("failure-at", 0, "override the single-failure injection run (0 = figure default)")
-	nodesOverride := flags.Int("nodes", 0, "override the simulated cluster size for any experiment (0 = figure default; Fig11 ignores it, weak-scaling runs just that size)")
-	tenants := flags.Int("tenants", 0, "tenant count for multi-tenant experiments (0 = figure's own sweep; >1 is an error on single-tenant figures)")
-	speculation := flags.Bool("speculation", false, "enable speculative task execution in every simulated run and report launched/wasted counters")
-	schedule := flags.String("schedule", "", "failure schedule for schedule-aware figures: pulses 'RUN[@SEC][xNODES],...' (e.g. '2@15,4@5x2'), or 'stic[:SEED]'/'sugar[:SEED]' to sample one from the paper's traces")
+	dims := dimFlags(flags)
 	parallel := flags.Int("parallel", runtime.GOMAXPROCS(0), "worker count for the experiment runner")
 	jsonOut := flags.Bool("json", false, "emit machine-readable JSON instead of text figures")
 	timing := flags.Bool("timing", false, "include per-run wall-clock timings in -json output (non-deterministic)")
 	list := flags.Bool("list", false, "list available experiments")
 	cpuProfile := flags.String("cpuprofile", "", "write a CPU profile of the experiment run to this file (go tool pprof)")
 	memProfile := flags.String("memprofile", "", "write an allocation profile after the experiment run to this file (go tool pprof)")
-	engine := flags.String("engine", "", "execution engine: 'des' (default, the simulator) or 'analytic' (calibrated closed-form twin; instant answers, -nodes up to 1048576)")
 	seedSet := flags.Int("seed-set", 0, "expand every seed into N consecutive seeds and add mean/CI95 aggregates to -json output (0 or 1 = off)")
 	if err := flags.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -96,59 +88,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage(err)
 	}
 
-	scale := experiments.ScalePaper
-	if *quick {
-		scale = experiments.ScaleQuick
+	// Every dimension flag set off its default becomes a one-value axis;
+	// an out-of-range value is a per-job error (exit 1), exactly as the
+	// sweep server reports it.
+	axes := experiments.Axes{}
+	var parseErr error
+	for _, f := range dims {
+		if f.Name == "seed" && *seeds != "" {
+			for _, part := range strings.Split(*seeds, ",") {
+				c, err := f.Parse(strings.TrimSpace(part))
+				if err != nil {
+					return usage(fmt.Errorf("bad -seeds entry %q: %v", part, err))
+				}
+				axes[f.Name] = append(axes[f.Name], c)
+			}
+			continue
+		}
+		v := f.value()
+		if v == "" {
+			continue
+		}
+		c, err := f.Parse(v)
+		if err != nil && parseErr == nil {
+			parseErr = err
+		}
+		axes[f.Name] = []experiments.Config{c}
 	}
-	seedList, err := parseSeeds(*seeds, *seed)
-	if err != nil {
+	if fa := axes["failure-at"]; len(fa) > 0 && fa[0].FailureAt > 0 && len(axes["schedule"]) > 0 {
+		return usage(errors.New("-failure-at and -schedule are mutually exclusive"))
+	}
+	if parseErr != nil {
+		return usage(parseErr)
+	}
+	grid := runner.Grid{Specs: specs, Axes: axes, SeedSet: *seedSet}
+	if err := grid.Validate(); err != nil {
 		return usage(err)
 	}
-	var scheds []failure.Schedule
-	if *schedule != "" {
-		if *failAt > 0 {
-			return usage(errors.New("-failure-at and -schedule are mutually exclusive"))
-		}
-		sched, err := failure.ParseSchedule(*schedule)
-		if err != nil {
-			return usage(err)
-		}
-		scheds = []failure.Schedule{sched}
-	}
-	// Any non-zero override reaches the grid: an out-of-range value is a
-	// per-job error (exit 1), exactly as the sweep server reports it.
-	var nodesDim []int
-	if *nodesOverride != 0 {
-		nodesDim = []int{*nodesOverride}
-	}
-	var tenantsDim []int
-	if *tenants != 0 {
-		tenantsDim = []int{*tenants}
-	}
-	var speclDim []bool
-	if *speculation {
-		speclDim = []bool{true}
-	}
-	eng, err := experiments.ParseEngine(*engine)
-	if err != nil {
-		return usage(err)
-	}
-	var engineDim []experiments.Engine
-	if eng != experiments.EngineDES {
-		engineDim = []experiments.Engine{eng}
-	}
-	jobs := runner.Grid{
-		Specs:       specs,
-		Scales:      []experiments.Scale{scale},
-		Seeds:       seedList,
-		FailureAts:  []int{*failAt},
-		Schedules:   scheds,
-		Nodes:       nodesDim,
-		Tenants:     tenantsDim,
-		Speculation: speclDim,
-		Engines:     engineDim,
-		SeedSet:     *seedSet,
-	}.Jobs()
+	jobs := grid.Jobs()
 
 	// Profiling covers exactly the simulation work (the pool run), not
 	// argument parsing or report encoding, so paper-scale runs can be
@@ -241,18 +217,36 @@ func selectSpecs(fig, pattern string) ([]experiments.Spec, error) {
 	return specs, nil
 }
 
-// parseSeeds expands the -seeds list, falling back to the single -seed.
-func parseSeeds(list string, single int64) ([]int64, error) {
-	if list == "" {
-		return []int64{single}, nil
-	}
-	var out []int64
-	for _, part := range strings.Split(list, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(part), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -seeds entry %q: %v", part, err)
+// dimFlag is a sweep dimension's flag, registered from its row.
+type dimFlag struct {
+	experiments.Dim
+	// value returns the flag's value in the row's spelling, "" when a
+	// bool flag is off.
+	value func() string
+}
+
+// dimFlags registers one flag per experiments.Dims row, in table order.
+func dimFlags(flags *flag.FlagSet) []dimFlag {
+	var out []dimFlag
+	for _, d := range experiments.Dims() {
+		f := dimFlag{Dim: d}
+		switch d.Kind {
+		case experiments.KindBool:
+			on := flags.Bool(d.Flag, false, d.Usage)
+			f.value = func() string {
+				if *on {
+					return d.On
+				}
+				return ""
+			}
+		case experiments.KindInt:
+			n := flags.Int64(d.Flag, 0, d.Usage)
+			f.value = func() string { return strconv.FormatInt(*n, 10) }
+		default:
+			v := flags.String(d.Flag, "", d.Usage)
+			f.value = func() string { return *v }
 		}
-		out = append(out, v)
+		out = append(out, f)
 	}
-	return out, nil
+	return out
 }

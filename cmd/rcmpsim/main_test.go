@@ -27,6 +27,8 @@ func TestRun(t *testing.T) {
 		{"bad schedule", []string{"-fig", "8b", "-schedule", "2@x"}, 2, `rcmpsim: failure: bad schedule pulse "2@x"`},
 		{"bad seeds", []string{"-fig", "8b", "-seeds", "0,x"}, 2, `rcmpsim: bad -seeds entry "x"`},
 		{"bad engine", []string{"-fig", "8b", "-engine", "gpu"}, 2, `rcmpsim: experiments: unknown engine "gpu"`},
+		{"seed set below range", []string{"-fig", "8b", "-quick", "-seed-set", "-3"}, 2, "rcmpsim: seed_set=-3 out of range [0, 1024]"},
+		{"seed set above range", []string{"-fig", "8b", "-quick", "-seed-set", "1025"}, 2, "rcmpsim: seed_set=1025 out of range [0, 1024]"},
 		{"ff is gone", []string{"-fig", "8b", "-ff"}, 2, "flag provided but not defined: -ff"},
 		{"stray argument", []string{"-fig", "8a", "-quick", "extra", "-json"}, 2, `rcmpsim: unexpected argument "extra"`},
 		{"negative nodes", []string{"-fig", "8b", "-quick", "-nodes", "-5"}, 1, "rcmpsim: Fig8b/quick: experiments: Nodes=-5 out of range"},
@@ -46,6 +48,7 @@ func TestRun(t *testing.T) {
 		{"multi-tenant json", []string{"-fig", "multi-tenant", "-quick", "-parallel", "2", "-json"}, 0, ""},
 		{"tenants override", []string{"-fig", "multi-tenant", "-quick", "-tenants", "3"}, 0, ""},
 		{"speculation", []string{"-fig", "dag-recovery", "-quick", "-speculation"}, 0, ""},
+		{"engine in the server's spelling", []string{"-fig", "cost", "-quick", "-engine", " DES "}, 0, ""},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer

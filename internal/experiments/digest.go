@@ -3,7 +3,6 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 )
 
 // ConfigDigest returns a stable cache key for one experiment execution:
@@ -28,13 +27,22 @@ import (
 //     different trace names produce byte-different Result.Text and must
 //     not share a cache slot.
 //
-// Each field is framed with its name and a newline, and the label (the
-// only free-form field, but one ParseSchedule restricts to name[:seed]
-// forms) goes last, so no two distinct Configs can collide by
-// concatenation.
+// Each field is framed with its name and a newline, in the dimension
+// table's order (see Dims), and the label (the only free-form field, but
+// one ParseSchedule restricts to name[:seed] forms) goes last, so no two
+// distinct Configs can collide by concatenation.
 func ConfigDigest(specKey string, c Config) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "spec=%s\nscale=%d\nseed=%d\nfailure-at=%d\nschedule=%s\nnodes=%d\ntenants=%d\nspeculation=%t\nengine=%s\nschedule-label=%s",
-		specKey, int(c.Scale), c.Seed, c.FailureAt, c.Schedule.String(), c.Nodes, c.Tenants, c.Speculation, c.Engine, c.Schedule.Label())
-	return hex.EncodeToString(h.Sum(nil))
+	b := make([]byte, 0, 256)
+	b = append(b, "spec="...)
+	b = append(b, specKey...)
+	for i := range dims {
+		b = append(b, '\n')
+		b = append(b, dims[i].Name...)
+		b = append(b, '=')
+		b = dims[i].digest(b, c)
+	}
+	b = append(b, "\nschedule-label="...)
+	b = append(b, c.Schedule.Label()...)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
 }

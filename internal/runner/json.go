@@ -11,22 +11,10 @@ import (
 
 // ReportResult is the machine-readable form of one Result.
 type ReportResult struct {
-	Name      string `json:"name"`
-	Scale     string `json:"scale"`
-	Seed      int64  `json:"seed"`
-	FailureAt int    `json:"failure_at,omitempty"`
-	// Schedule is the canonical pulse syntax of the failure-schedule
-	// override, when one was set (see failure.Schedule.String).
-	Schedule string `json:"schedule,omitempty"`
-	// Tenants echoes the multi-tenant override, when one was set.
-	Tenants int `json:"tenants,omitempty"`
-	// Speculation marks runs executed with speculative tasks enabled;
-	// their Values carry the speculative launched/wasted counters.
-	Speculation bool `json:"speculation,omitempty"`
-	// Engine names the execution engine when it is not the DES
-	// ("analytic"); empty — and omitted — for DES rows, so reports
-	// predating the engine dimension are byte-identical.
-	Engine string `json:"engine,omitempty"`
+	Name string `json:"name"`
+	// Echo states the job's Config: scale, seed and every other sweep
+	// dimension off its default (see experiments.Dims).
+	experiments.Echo
 	// Error is the job's error message line. Recovered panics carry a
 	// stack trace in Result.Err, but stacks are nondeterministic (frame
 	// addresses, goroutine IDs), so the report keeps the message only —
@@ -89,15 +77,9 @@ func NewReport(results []Result, withTiming bool) Report {
 	rep := Report{Results: make([]ReportResult, 0, len(results))}
 	for _, res := range results {
 		rr := ReportResult{
-			Name:        res.Name,
-			Scale:       res.Config.Scale.String(),
-			Seed:        res.Config.Seed,
-			FailureAt:   res.Config.FailureAt,
-			Schedule:    res.Config.Schedule.String(),
-			Tenants:     res.Config.Tenants,
-			Speculation: res.Config.Speculation,
-			Engine:      engineLabel(res.Config.Engine),
-			Error:       res.ErrMessage(),
+			Name:  res.Name,
+			Echo:  res.Config.Echo(),
+			Error: res.ErrMessage(),
 		}
 		if res.Res != nil {
 			rr.Experiment = res.Res.Name
@@ -111,15 +93,6 @@ func NewReport(results []Result, withTiming bool) Report {
 	}
 	rep.Aggregates = aggregateSeedSets(results)
 	return rep
-}
-
-// engineLabel is the report spelling of an engine: empty for the DES so
-// pre-engine reports stay byte-identical, the engine name otherwise.
-func engineLabel(e experiments.Engine) string {
-	if e == experiments.EngineDES {
-		return ""
-	}
-	return e.String()
 }
 
 // aggregateSeedSets groups successful results by job name modulo the seed

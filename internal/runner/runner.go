@@ -162,34 +162,3 @@ func RunOne(j Job, w *experiments.Worker) (res Result) {
 	res.Res = r
 	return res
 }
-
-// jobName names a job after its spec, suffixed with any non-default scale,
-// seed and failure position so sweep output stays self-describing.
-func jobName(sp experiments.Spec, c experiments.Config) string {
-	name := sp.Name
-	if c.Scale != experiments.ScalePaper {
-		name += "/" + c.Scale.String()
-	}
-	if c.Seed != 0 {
-		name += fmt.Sprintf("/seed=%d", c.Seed)
-	}
-	if c.FailureAt > 0 {
-		name += fmt.Sprintf("/fail@%d", c.FailureAt)
-	}
-	if !c.Schedule.Empty() {
-		name += "/sched=" + c.Schedule.Label()
-	}
-	if c.Nodes > 0 {
-		name += fmt.Sprintf("/nodes=%d", c.Nodes)
-	}
-	if c.Tenants > 0 {
-		name += fmt.Sprintf("/tenants=%d", c.Tenants)
-	}
-	if c.Speculation {
-		name += "/spec"
-	}
-	if c.Engine != experiments.EngineDES {
-		name += "/engine=" + c.Engine.String()
-	}
-	return name
-}

@@ -167,10 +167,10 @@ func TestPanicIsIsolated(t *testing.T) {
 func TestGridExpansion(t *testing.T) {
 	specs := experiments.Registry()[:3]
 	g := Grid{
-		Specs:      specs,
-		Scales:     []experiments.Scale{experiments.ScalePaper, experiments.ScaleQuick},
-		Seeds:      []int64{0, 1, 2},
-		FailureAts: []int{0, 3},
+		Specs:  specs,
+		Scales: []experiments.Scale{experiments.ScalePaper, experiments.ScaleQuick},
+		Seeds:  []int64{0, 1, 2},
+		Axes:   experiments.Axes{"failure-at": {{FailureAt: 0}, {FailureAt: 3}}},
 	}
 	jobs := g.Jobs()
 	want := 3 * 2 * 3 * 2
@@ -206,9 +206,9 @@ func TestBadGridPointReportsErrorNotPanic(t *testing.T) {
 		t.Fatal("spec 8b missing")
 	}
 	g := Grid{
-		Specs:      []experiments.Spec{sp},
-		Scales:     []experiments.Scale{experiments.ScaleQuick},
-		FailureAts: []int{2, 99}, // 99 exceeds every quick-scale chain
+		Specs:  []experiments.Spec{sp},
+		Scales: []experiments.Scale{experiments.ScaleQuick},
+		Axes:   experiments.Axes{"failure-at": {{FailureAt: 2}, {FailureAt: 99}}}, // 99 exceeds every quick-scale chain
 	}
 	results := (&Runner{Workers: 2}).Run(g.Jobs())
 	if len(results) != 2 {
@@ -244,9 +244,9 @@ func TestGridScheduleDimension(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := Grid{
-		Specs:     []experiments.Spec{sp},
-		Scales:    []experiments.Scale{experiments.ScaleQuick},
-		Schedules: []failure.Schedule{{}, double},
+		Specs:  []experiments.Spec{sp},
+		Scales: []experiments.Scale{experiments.ScaleQuick},
+		Axes:   experiments.Axes{"schedule": {{}, {Schedule: double}}},
 	}
 	jobs := g.Jobs()
 	if len(jobs) != 2 {

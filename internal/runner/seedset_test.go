@@ -48,8 +48,8 @@ func TestGridSeedSetExpansion(t *testing.T) {
 
 func TestGridEngineDimension(t *testing.T) {
 	g := Grid{
-		Specs:   []experiments.Spec{fakeSeedSpec()},
-		Engines: []experiments.Engine{experiments.EngineDES, experiments.EngineAnalytic},
+		Specs: []experiments.Spec{fakeSeedSpec()},
+		Axes:  experiments.Axes{"engine": {{Engine: experiments.EngineDES}, {Engine: experiments.EngineAnalytic}}},
 	}
 	jobs := g.Jobs()
 	if len(jobs) != 2 {

@@ -1,46 +1,30 @@
 package runner
 
 import (
+	"fmt"
+	"maps"
+	"math"
+
 	"rcmp/internal/experiments"
-	"rcmp/internal/failure"
 )
 
-// Grid expands a (spec × scale × seed × failure-scenario × cluster-size)
-// grid into runner jobs. An empty dimension falls back to a single
-// default per spec: the spec's registered Scale and Seed, each figure's
-// own failure position, no schedule override, and the figure's own
-// cluster shape.
+// Grid expands a spec × sweep-dimension grid into runner jobs. The
+// dimensions are experiments.Dims' rows; an empty one falls back to a
+// single default per spec: the spec's registered Scale and Seed, and the
+// zero value of every other dimension (each figure's own failure
+// position and cluster shape, no schedule override, the DES).
 type Grid struct {
-	Specs  []experiments.Spec
+	Specs []experiments.Spec
+	// Scales and Seeds, when set, are the scale and seed axes; they take
+	// precedence over Axes' "scale" and "seed" entries.
 	Scales []experiments.Scale
 	Seeds  []int64
-	// Nodes overrides the simulated cluster size (see
-	// experiments.Config.Nodes); 0 keeps each figure's own shape.
-	// Out-of-range sizes are legal grid entries recorded as per-job
-	// errors.
-	Nodes []int
-	// FailureAts overrides the single-failure injection run; 0 keeps each
-	// figure's default (see experiments.Config.FailureAt). Out-of-range
-	// points are legal grid entries: their jobs complete with a recorded
-	// error instead of a result.
-	FailureAts []int
-	// Schedules overrides the failure scenario with multi-failure
-	// schedules in schedule-aware figures (see experiments.Config.Schedule).
-	// An empty Schedule entry means "no override"; combining a non-empty
-	// schedule with a non-zero FailureAt produces per-job config errors.
-	Schedules []failure.Schedule
-	// Tenants overrides the tenant count of multi-tenant experiments (see
-	// experiments.Config.Tenants); 0 keeps each figure's own tenant sweep.
-	// Values above 1 on single-tenant specs are legal grid entries
-	// recorded as per-job errors.
-	Tenants []int
-	// Speculation toggles speculative execution (see
-	// experiments.Config.Speculation) as a sweep dimension.
-	Speculation []bool
-	// Engines selects the execution engine per grid point (see
-	// experiments.Config.Engine): the DES, the analytic twin, or both
-	// side by side. Empty means DES only, keeping default grids unchanged.
-	Engines []experiments.Engine
+	// Axes holds the values of every swept dimension, keyed by
+	// experiments.Dim.Name. Invalid values (a failure position beyond the
+	// chain, an out-of-range cluster size, a schedule combined with a
+	// failure position) are legal grid entries: their jobs complete with
+	// a recorded error instead of a result.
+	Axes experiments.Axes
 	// SeedSet, when > 1, expands every seed in the grid into that many
 	// consecutive seeds (base, base+1, ...). The JSON report aggregates
 	// each such dispersion set into mean and CI95 columns (see
@@ -50,90 +34,101 @@ type Grid struct {
 	SeedSet int
 }
 
+// maxSeedSet bounds Grid.SeedSet: a seed set multiplies every job of the
+// grid, so a runaway value must fail the request, not fill memory.
+const maxSeedSet = 1024
+
+// Validate checks the grid's own options; dimension values are checked per
+// job (see Grid.Axes).
+func (g Grid) Validate() error {
+	if g.SeedSet < 0 || g.SeedSet > maxSeedSet {
+		return fmt.Errorf("seed_set=%d out of range [0, %d]", g.SeedSet, maxSeedSet)
+	}
+	return nil
+}
+
+// Size returns how many jobs Jobs builds, without building them; it
+// saturates at math.MaxInt.
+func (g Grid) Size() int {
+	axes := g.axes()
+	n := mulSat(len(g.Specs), max(g.SeedSet, 1))
+	for _, d := range experiments.Dims() {
+		n = mulSat(n, max(len(axes[d.Name]), 1))
+	}
+	return n
+}
+
+func mulSat(a, b int) int {
+	if b != 0 && a > math.MaxInt/b {
+		return math.MaxInt
+	}
+	return a * b
+}
+
 // Jobs materializes the grid in deterministic order: specs outermost, then
-// scales, seeds (each expanded SeedSet-fold), failure positions,
-// schedules, cluster sizes, tenant counts, speculation and engines — the
-// order Run reports results in. Jobs execute through Spec.Exec, so grid
-// points with invalid overrides complete with recorded errors.
+// the cross product of the dimensions in table order (each seed expanded
+// SeedSet-fold) — the order Run reports results in. Jobs execute through
+// Spec.Exec, so grid points with invalid overrides complete with recorded
+// errors.
 func (g Grid) Jobs() []Job {
-	fails := g.FailureAts
-	if len(fails) == 0 {
-		fails = []int{0}
-	}
-	scheds := g.Schedules
-	if len(scheds) == 0 {
-		scheds = []failure.Schedule{{}}
-	}
-	nodes := g.Nodes
-	if len(nodes) == 0 {
-		nodes = []int{0}
-	}
-	tenants := g.Tenants
-	if len(tenants) == 0 {
-		tenants = []int{0}
-	}
-	specl := g.Speculation
-	if len(specl) == 0 {
-		specl = []bool{false}
-	}
-	engines := g.Engines
-	if len(engines) == 0 {
-		engines = []experiments.Engine{experiments.EngineDES}
-	}
+	axes := g.axes()
+	scales, seeds := axes["scale"], axes["seed"]
 	var out []Job
 	for _, sp := range g.Specs {
-		scales := g.Scales
+		axes["scale"], axes["seed"] = scales, seeds
 		if len(scales) == 0 {
-			scales = []experiments.Scale{sp.Scale}
+			axes["scale"] = []experiments.Config{{Scale: sp.Scale}}
 		}
-		seeds := g.Seeds
 		if len(seeds) == 0 {
-			seeds = []int64{sp.Seed}
+			axes["seed"] = []experiments.Config{{Seed: sp.Seed}}
 		}
-		seeds = expandSeedSet(seeds, g.SeedSet)
-		for _, sc := range scales {
-			for _, seed := range seeds {
-				for _, fa := range fails {
-					for _, sched := range scheds {
-						for _, n := range nodes {
-							for _, tn := range tenants {
-								for _, spec := range specl {
-									for _, eng := range engines {
-										c := experiments.Config{
-											Scale: sc, Seed: seed, FailureAt: fa, Schedule: sched,
-											Nodes: n, Tenants: tn, Speculation: spec, Engine: eng,
-										}
-										out = append(out, Job{
-											Name:   jobName(sp, c),
-											Key:    sp.Key,
-											Config: c,
-											Run:    sp.Exec,
-											Cost:   relativeCost(sp.Key, c),
-										})
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
+		axes["seed"] = expandSeedSet(axes["seed"], g.SeedSet)
+		axes.Product(func(c experiments.Config) {
+			out = append(out, Job{
+				Name:   experiments.JobName(sp.Name, c),
+				Key:    sp.Key,
+				Config: c,
+				Run:    sp.Exec,
+				Cost:   relativeCost(sp.Key, c),
+			})
+		})
 	}
 	return out
+}
+
+// axes returns a copy of Axes with the typed Scales and Seeds folded in.
+func (g Grid) axes() experiments.Axes {
+	axes := maps.Clone(g.Axes)
+	if axes == nil {
+		axes = experiments.Axes{}
+	}
+	if len(g.Scales) > 0 {
+		axes["scale"] = nil
+		for _, sc := range g.Scales {
+			axes["scale"] = append(axes["scale"], experiments.Config{Scale: sc})
+		}
+	}
+	if len(g.Seeds) > 0 {
+		axes["seed"] = nil
+		for _, seed := range g.Seeds {
+			axes["seed"] = append(axes["seed"], experiments.Config{Seed: seed})
+		}
+	}
+	return axes
 }
 
 // expandSeedSet widens each base seed into `set` consecutive seeds, in
 // base order. Duplicates from overlapping bases are kept: the grid is a
 // literal cross product and the report's aggregation groups by value, so
 // repeats are harmless (and visible).
-func expandSeedSet(seeds []int64, set int) []int64 {
+func expandSeedSet(seeds []experiments.Config, set int) []experiments.Config {
 	if set <= 1 {
 		return seeds
 	}
-	out := make([]int64, 0, len(seeds)*set)
+	out := make([]experiments.Config, 0, len(seeds)*set)
 	for _, base := range seeds {
 		for i := 0; i < set; i++ {
-			out = append(out, base+int64(i))
+			out = append(out, experiments.Config{Seed: base.Seed + int64(i)})
 		}
 	}
 	return out

@@ -13,11 +13,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
-	"strconv"
-	"strings"
-	"time"
 
 	"rcmp/internal/experiments"
 	"rcmp/internal/runner"
@@ -59,31 +55,22 @@ type PlanResponse struct {
 }
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.draining.Load() {
-		http.Error(w, "server draining", http.StatusServiceUnavailable)
+	body, ok := s.readPost(w, r)
+	if !ok {
 		return
 	}
 	var req PlanRequest
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err == nil {
-		err = json.Unmarshal(body, &req)
-	}
-	if err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return
 	}
 	scale := experiments.ScaleQuick
-	switch strings.ToLower(req.Scale) {
-	case "", "quick", "smoke":
-	case "paper":
-		scale = experiments.ScalePaper
-	default:
-		http.Error(w, fmt.Sprintf("unknown scale %q (want \"paper\", \"quick\" or \"smoke\")", req.Scale), http.StatusBadRequest)
-		return
+	if req.Scale != "" {
+		var err error
+		if scale, err = experiments.ParseScale(req.Scale); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
 	}
 	if req.DeadlineSec < 0 {
 		http.Error(w, "deadline_sec must be >= 0", http.StatusBadRequest)
@@ -107,42 +94,16 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutSec > 0 {
-		if d := time.Duration(req.TimeoutSec * float64(time.Second)); d < timeout {
-			timeout = d
-		}
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	ctx, cancel := context.WithTimeout(r.Context(), s.requestTimeout(req.TimeoutSec))
 	defer cancel()
-
-	// Same admission protocol as /v1/sweep, for a one-job grid: register
-	// cache interest, submit on miss, roll back atomically on rejection.
-	if err := s.admitMu.lock(ctx); err != nil {
-		http.Error(w, "canceled before admission", http.StatusServiceUnavailable)
+	// Same admission as /v1/sweep, for a one-job grid.
+	states := s.admit(ctx, w, clientID(r), []runner.Job{job}, func(runner.Job) string {
+		return experiments.PlanDigest(cfg, deadline)
+	})
+	if states == nil {
 		return
 	}
-	key := experiments.PlanDigest(cfg, deadline)
-	e, owner := s.cache.acquire(key)
-	var owned []schedJob
-	if owner {
-		owned = []schedJob{{job: job, e: e}}
-	}
-	if err := s.sched.submit(clientID(r), owned); err != nil {
-		s.cache.release(e)
-		s.admitMu.unlock()
-		switch err {
-		case errDraining:
-			http.Error(w, "server draining", http.StatusServiceUnavailable)
-		case errQueueFull, errClientBacklog:
-			w.Header().Set("Retry-After", strconv.Itoa(s.sched.retryAfterSec()))
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-		default:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
-	}
-	s.admitMu.unlock()
+	e, owner := states[0].e, states[0].owner
 	defer s.cache.release(e)
 
 	select {
@@ -177,22 +138,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// planJobName names a plan job for reports and logs, mirroring the sweep
-// jobName conventions.
+// planJobName names a plan job with the sweep jobs' name builder, except
+// that the scale is always spelled out and the engine never is: every
+// plan runs on the analytic twin.
 func planJobName(c experiments.Config, deadlineSec float64) string {
-	name := "CapacityPlan/" + c.Scale.String()
-	if c.Seed != 0 {
-		name += fmt.Sprintf("/seed=%d", c.Seed)
-	}
-	if c.FailureAt > 0 {
-		name += fmt.Sprintf("/fail@%d", c.FailureAt)
-	}
-	if c.Nodes > 0 {
-		name += fmt.Sprintf("/nodes=%d", c.Nodes)
-	}
-	if c.Tenants > 0 {
-		name += fmt.Sprintf("/tenants=%d", c.Tenants)
-	}
+	prefix := "CapacityPlan/" + c.Scale.String()
+	c.Scale, c.Engine = experiments.ScalePaper, experiments.EngineDES
+	name := experiments.JobName(prefix, c)
 	if deadlineSec > 0 {
 		name += fmt.Sprintf("/deadline=%g", deadlineSec)
 	}

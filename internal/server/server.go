@@ -14,7 +14,6 @@ import (
 	"context"
 
 	"rcmp/internal/experiments"
-	"rcmp/internal/failure"
 	"rcmp/internal/runner"
 )
 
@@ -147,30 +146,32 @@ func (s *Server) statsNow() Stats {
 	}
 }
 
-// SweepRequest is the /v1/sweep body: the same sweep-grid dimensions as
-// the rcmpsim CLI (-fig/-run → specs, -quick → scale, -seeds, -failure-at,
-// -schedule, -nodes). Empty dimensions fall back exactly like
-// runner.Grid: per-spec default scale/seed, each figure's own failure
-// position and cluster shape.
+// SweepRequest is the /v1/sweep body: the same sweep grid as the rcmpsim
+// CLI, with specs for -fig/-run and one key per sweep dimension, spelled
+// as experiments.Dims' JSON keys: scale (-quick), seeds (-seed/-seeds),
+// failure_ats (-failure-at), schedules (-schedule), nodes (-nodes),
+// tenants (-tenants), speculation (-speculation) and engines (-engine).
+// Each dimension key holds a list of values in the CLI's spelling, except
+// scale, which holds one ("paper", "quick" or "smoke"; "" = per-spec
+// default). Empty dimensions fall back exactly like runner.Grid: per-spec
+// default scale/seed, each figure's own failure position and cluster
+// shape. Invalid values of a dimension (tenants>1 on a single-tenant
+// spec, an out-of-range failure position) are per-job errors.
+//
+// The typed fields are the wire schema: decoding into them type-checks a
+// body. The dimension values themselves are parsed from the body's keys
+// through their table rows (see decodeSweep).
 type SweepRequest struct {
 	// Specs lists registry keys ("8b", "trace-replay", ...) or "all".
-	Specs []string `json:"specs"`
-	// Scale is "paper", "quick" or "smoke" ("" = per-spec default).
-	Scale string `json:"scale,omitempty"`
-	// Seeds, FailureAts, Schedules, Nodes, Tenants and Speculation are
-	// sweep dimensions; schedules use the CLI pulse syntax ("2@15,4@5x2",
-	// "stic:1"). Tenants>1 applies to multi-tenant specs only; other specs
-	// record it as a per-job error.
+	Specs       []string `json:"specs"`
+	Scale       string   `json:"scale,omitempty"`
 	Seeds       []int64  `json:"seeds,omitempty"`
 	FailureAts  []int    `json:"failure_ats,omitempty"`
 	Schedules   []string `json:"schedules,omitempty"`
 	Nodes       []int    `json:"nodes,omitempty"`
 	Tenants     []int    `json:"tenants,omitempty"`
 	Speculation []bool   `json:"speculation,omitempty"`
-	// Engines selects execution engines per grid point: "des" and/or
-	// "analytic" (empty = DES only). The analytic engine accepts nodes up
-	// to 1048576 where the DES caps at 16384.
-	Engines []string `json:"engines,omitempty"`
+	Engines     []string `json:"engines,omitempty"`
 	// SeedSet expands every seed into that many consecutive seeds and adds
 	// mean/CI95 aggregates to the final report (see runner.Grid.SeedSet).
 	SeedSet int `json:"seed_set,omitempty"`
@@ -181,75 +182,89 @@ type SweepRequest struct {
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 }
 
-// decodeSweep decodes a /v1/sweep body and lowers it onto the runner grid.
+// decodeSweep decodes a /v1/sweep body and lowers it onto the runner grid:
+// each dimension's values are read from the body under the row's JSON key
+// and parsed by the row, exactly as rcmpsim parses its flags.
 func decodeSweep(body []byte) (SweepRequest, runner.Grid, error) {
 	var req SweepRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	var keys map[string]json.RawMessage
+	err := json.Unmarshal(body, &req)
+	if err == nil {
+		err = json.Unmarshal(body, &keys)
+	}
+	if err != nil {
 		return req, runner.Grid{}, fmt.Errorf("bad request body: %v", err)
 	}
-	g, err := buildGrid(req)
-	return req, g, err
-}
-
-// buildGrid lowers a SweepRequest onto the runner grid.
-func buildGrid(req SweepRequest) (runner.Grid, error) {
 	if len(req.Specs) == 0 {
-		return runner.Grid{}, fmt.Errorf("specs is required (registry keys or \"all\")")
+		return req, runner.Grid{}, fmt.Errorf("specs is required (registry keys or \"all\")")
 	}
-	var specs []experiments.Spec
+	g := runner.Grid{Axes: experiments.Axes{}, SeedSet: req.SeedSet}
 	for _, key := range req.Specs {
 		k := strings.ToLower(strings.TrimSpace(key))
 		if k == "all" {
-			specs = experiments.Registry()
+			g.Specs = experiments.Registry()
 			break
 		}
 		sp, ok := experiments.Lookup(strings.TrimPrefix(k, "fig"))
 		if !ok {
-			return runner.Grid{}, fmt.Errorf("unknown spec %q (see /v1/experiments)", key)
+			return req, runner.Grid{}, fmt.Errorf("unknown spec %q (see /v1/experiments)", key)
 		}
-		specs = append(specs, sp)
+		g.Specs = append(g.Specs, sp)
 	}
-	var scales []experiments.Scale
-	switch strings.ToLower(req.Scale) {
-	case "":
-	case "paper":
-		scales = []experiments.Scale{experiments.ScalePaper}
-	case "quick", "smoke":
-		scales = []experiments.Scale{experiments.ScaleQuick}
-	default:
-		return runner.Grid{}, fmt.Errorf("unknown scale %q (want \"paper\", \"quick\" or \"smoke\")", req.Scale)
-	}
-	var scheds []failure.Schedule
-	for _, spec := range req.Schedules {
-		sched, err := failure.ParseSchedule(spec)
+	for _, d := range experiments.Dims() {
+		vals, err := decodeAxis(d, bodyKey(keys, d.JSON))
 		if err != nil {
-			return runner.Grid{}, err
+			return req, runner.Grid{}, err
 		}
-		scheds = append(scheds, sched)
+		g.Axes[d.Name] = vals
 	}
-	var engines []experiments.Engine
-	for _, name := range req.Engines {
-		eng, err := experiments.ParseEngine(strings.ToLower(strings.TrimSpace(name)))
+	return req, g, g.Validate()
+}
+
+// bodyKey returns the body's value for key, matched as encoding/json
+// matches a struct field: exactly, else case-insensitively.
+func bodyKey(keys map[string]json.RawMessage, key string) json.RawMessage {
+	if v, ok := keys[key]; ok {
+		return v
+	}
+	for k, v := range keys {
+		if strings.EqualFold(k, key) {
+			return v
+		}
+	}
+	return nil
+}
+
+// decodeAxis parses one dimension's request value: a list of values, or
+// a single one (scale). A null list element is the zero value, as typed
+// decoding makes it; a null or empty-string single value is no value.
+func decodeAxis(d experiments.Dim, raw json.RawMessage) ([]experiments.Config, error) {
+	if s := string(raw); s == "" || s == "null" || s == `""` {
+		return nil, nil
+	}
+	var elems []json.RawMessage
+	if err := json.Unmarshal(raw, &elems); err != nil {
+		elems = []json.RawMessage{raw}
+	}
+	vals := make([]experiments.Config, 0, len(elems))
+	for _, e := range elems {
+		s := string(e)
+		if s == "null" {
+			vals = append(vals, experiments.Config{})
+			continue
+		}
+		if e[0] == '"' {
+			if err := json.Unmarshal(e, &s); err != nil {
+				return nil, err
+			}
+		}
+		c, err := d.Parse(s)
 		if err != nil {
-			return runner.Grid{}, err
+			return nil, err
 		}
-		engines = append(engines, eng)
+		vals = append(vals, c)
 	}
-	if req.SeedSet < 0 || req.SeedSet > 1024 {
-		return runner.Grid{}, fmt.Errorf("seed_set=%d out of range [0, 1024]", req.SeedSet)
-	}
-	return runner.Grid{
-		Specs:       specs,
-		Scales:      scales,
-		Seeds:       req.Seeds,
-		FailureAts:  req.FailureAts,
-		Schedules:   scheds,
-		Nodes:       req.Nodes,
-		Tenants:     req.Tenants,
-		Speculation: req.Speculation,
-		Engines:     engines,
-		SeedSet:     req.SeedSet,
-	}, nil
+	return vals, nil
 }
 
 // clientID identifies the requester for fair scheduling: the X-Client-ID
@@ -298,6 +313,72 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// readPost answers anything but a POST to a live server itself, and
+// otherwise returns the request body (at most 1 MiB).
+func (s *Server) readPost(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	if r.Method != http.MethodPost {
+		http.Error(w, "POST only", http.StatusMethodNotAllowed)
+		return nil, false
+	}
+	if s.draining.Load() {
+		http.Error(w, "server draining", http.StatusServiceUnavailable)
+		return nil, false
+	}
+	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	if err != nil {
+		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+		return nil, false
+	}
+	return body, true
+}
+
+// requestTimeout is the server's request timeout, or a request's shorter
+// timeout_sec.
+func (s *Server) requestTimeout(sec float64) time.Duration {
+	if d := time.Duration(sec * float64(time.Second)); sec > 0 && d < s.cfg.RequestTimeout {
+		return d
+	}
+	return s.cfg.RequestTimeout
+}
+
+// admit registers cache interest for every job under its key, then submits
+// the misses as one atomic batch. admitMu makes reject-and-roll-back
+// invisible to concurrent requests (see its field comment). A rejected
+// request gets its error response here, and admit returns nil.
+func (s *Server) admit(ctx context.Context, w http.ResponseWriter, client string, jobs []runner.Job, key func(runner.Job) string) []jobState {
+	if err := s.admitMu.lock(ctx); err != nil {
+		http.Error(w, "canceled before admission", http.StatusServiceUnavailable)
+		return nil
+	}
+	defer s.admitMu.unlock()
+	states := make([]jobState, len(jobs))
+	var owned []schedJob
+	for i, j := range jobs {
+		e, owner := s.cache.acquire(key(j))
+		states[i] = jobState{job: j, e: e, owner: owner}
+		if owner {
+			owned = append(owned, schedJob{job: j, e: e})
+		}
+	}
+	err := s.sched.submit(client, owned)
+	if err == nil {
+		return states
+	}
+	for _, st := range states {
+		s.cache.release(st.e)
+	}
+	switch err {
+	case errDraining:
+		http.Error(w, "server draining", http.StatusServiceUnavailable)
+	case errQueueFull, errClientBacklog:
+		w.Header().Set("Retry-After", strconv.Itoa(s.sched.retryAfterSec()))
+		http.Error(w, err.Error(), http.StatusTooManyRequests)
+	default:
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+	}
+	return nil
+}
+
 // jobState tracks one grid job through a request.
 type jobState struct {
 	job   runner.Job
@@ -331,17 +412,8 @@ type reportEvent struct {
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		return
-	}
-	if s.draining.Load() {
-		http.Error(w, "server draining", http.StatusServiceUnavailable)
-		return
-	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-	if err != nil {
-		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
+	body, ok := s.readPost(w, r)
+	if !ok {
 		return
 	}
 	req, grid, err := decodeSweep(body)
@@ -349,62 +421,25 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	jobs := grid.Jobs()
-	if len(jobs) == 0 {
+	if n := grid.Size(); n == 0 {
 		http.Error(w, "empty sweep grid", http.StatusBadRequest)
 		return
-	}
-	if len(jobs) > s.cfg.MaxJobsPerRequest {
+	} else if n > s.cfg.MaxJobsPerRequest {
 		http.Error(w, fmt.Sprintf("sweep grid of %d jobs exceeds the per-request cap of %d",
-			len(jobs), s.cfg.MaxJobsPerRequest), http.StatusRequestEntityTooLarge)
+			n, s.cfg.MaxJobsPerRequest), http.StatusRequestEntityTooLarge)
 		return
 	}
-
-	timeout := s.cfg.RequestTimeout
-	if req.TimeoutSec > 0 {
-		if d := time.Duration(req.TimeoutSec * float64(time.Second)); d < timeout {
-			timeout = d
-		}
-	}
+	jobs := grid.Jobs()
+	timeout := s.requestTimeout(req.TimeoutSec)
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
-
 	client := clientID(r)
-
-	// Admission: register cache interest for every job, then submit the
-	// misses as one atomic batch. admitMu makes reject-and-roll-back
-	// invisible to concurrent requests (see its field comment).
-	if err := s.admitMu.lock(ctx); err != nil {
-		http.Error(w, "canceled before admission", http.StatusServiceUnavailable)
+	states := s.admit(ctx, w, client, jobs, func(j runner.Job) string {
+		return experiments.ConfigDigest(j.Key, j.Config)
+	})
+	if states == nil {
 		return
 	}
-	states := make([]jobState, len(jobs))
-	var owned []schedJob
-	for i, j := range jobs {
-		key := experiments.ConfigDigest(j.Key, j.Config)
-		e, owner := s.cache.acquire(key)
-		states[i] = jobState{job: j, e: e, owner: owner}
-		if owner {
-			owned = append(owned, schedJob{job: j, e: e})
-		}
-	}
-	if err := s.sched.submit(client, owned); err != nil {
-		for _, st := range states {
-			s.cache.release(st.e)
-		}
-		s.admitMu.unlock()
-		switch err {
-		case errDraining:
-			http.Error(w, "server draining", http.StatusServiceUnavailable)
-		case errQueueFull, errClientBacklog:
-			w.Header().Set("Retry-After", strconv.Itoa(s.sched.retryAfterSec()))
-			http.Error(w, err.Error(), http.StatusTooManyRequests)
-		default:
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-		}
-		return
-	}
-	s.admitMu.unlock()
 
 	// Past admission: every entry is either scheduled or already
 	// in-flight/cached. Release whatever we still hold on the way out

@@ -332,6 +332,10 @@ func TestBadRequests(t *testing.T) {
 		{`{"specs":["cost"],"scale":"huge"}`, http.StatusBadRequest},
 		{`{"specs":["cost"],"schedules":["bogus@@"]}`, http.StatusBadRequest},
 		{`{"specs":["cost"],"scale":"quick","seeds":[0,1,2,3,4]}`, http.StatusRequestEntityTooLarge},
+		{`{"specs":["cost"],"seed_set":-3}`, http.StatusBadRequest},
+		{`{"specs":["cost"],"seed_set":1025}`, http.StatusBadRequest},
+		{`{"specs":["cost"],"engines":["gpu"]}`, http.StatusBadRequest},
+		{`{"specs":["cost"],"scale":"quick","engines":[" DES "],"stream":false}`, http.StatusOK},
 	}
 	for _, tc := range cases {
 		resp, body := postSweep(t, ts.URL, tc.body, nil)
