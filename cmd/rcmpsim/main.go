@@ -29,7 +29,6 @@ import (
 	"regexp"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"rcmp/internal/experiments"
@@ -48,7 +47,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fig := flags.String("fig", "", "figure key to run (see -list), or 'all'")
 	runPat := flags.String("run", "", "regexp selecting experiments by name or key (e.g. 'Fig8|Hybrid')")
 	seeds := flags.String("seeds", "", "comma-separated seed sweep, overrides -seed (e.g. '0,1,2')")
-	dims := dimFlags(flags)
+	for _, d := range experiments.Dims() {
+		switch d.Kind {
+		case experiments.KindBool:
+			flags.Bool(d.Flag, false, d.Usage)
+		case experiments.KindInt:
+			flags.Int64(d.Flag, 0, d.Usage)
+		default:
+			flags.String(d.Flag, "", d.Usage)
+		}
+	}
 	parallel := flags.Int("parallel", runtime.GOMAXPROCS(0), "worker count for the experiment runner")
 	jsonOut := flags.Bool("json", false, "emit machine-readable JSON instead of text figures")
 	timing := flags.Bool("timing", false, "include per-run wall-clock timings in -json output (non-deterministic)")
@@ -88,31 +96,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usage(err)
 	}
 
-	// Every dimension flag set off its default becomes a one-value axis;
-	// an out-of-range value is a per-job error (exit 1), exactly as the
-	// sweep server reports it.
+	// Every dimension flag set off its default becomes a one-value axis; a
+	// bool flag stands for its row's On value. An out-of-range value is a
+	// per-job error (exit 1), exactly as the sweep server reports it.
 	axes := experiments.Axes{}
 	var parseErr error
-	for _, f := range dims {
-		if f.Name == "seed" && *seeds != "" {
+	for _, d := range experiments.Dims() {
+		if d.Name == "seed" && *seeds != "" {
 			for _, part := range strings.Split(*seeds, ",") {
-				c, err := f.Parse(strings.TrimSpace(part))
+				c, err := d.Parse(strings.TrimSpace(part))
 				if err != nil {
 					return usage(fmt.Errorf("bad -seeds entry %q: %v", part, err))
 				}
-				axes[f.Name] = append(axes[f.Name], c)
+				axes[d.Name] = append(axes[d.Name], c)
 			}
 			continue
 		}
-		v := f.value()
+		v := flags.Lookup(d.Flag).Value.String()
+		if d.Kind == experiments.KindBool {
+			if v != "true" {
+				continue
+			}
+			v = d.On
+		}
 		if v == "" {
 			continue
 		}
-		c, err := f.Parse(v)
+		c, err := d.Parse(v)
 		if err != nil && parseErr == nil {
 			parseErr = err
 		}
-		axes[f.Name] = []experiments.Config{c}
+		axes[d.Name] = []experiments.Config{c}
 	}
 	if fa := axes["failure-at"]; len(fa) > 0 && fa[0].FailureAt > 0 && len(axes["schedule"]) > 0 {
 		return usage(errors.New("-failure-at and -schedule are mutually exclusive"))
@@ -215,38 +229,4 @@ func selectSpecs(fig, pattern string) ([]experiments.Spec, error) {
 		specs = kept
 	}
 	return specs, nil
-}
-
-// dimFlag is a sweep dimension's flag, registered from its row.
-type dimFlag struct {
-	experiments.Dim
-	// value returns the flag's value in the row's spelling, "" when a
-	// bool flag is off.
-	value func() string
-}
-
-// dimFlags registers one flag per experiments.Dims row, in table order.
-func dimFlags(flags *flag.FlagSet) []dimFlag {
-	var out []dimFlag
-	for _, d := range experiments.Dims() {
-		f := dimFlag{Dim: d}
-		switch d.Kind {
-		case experiments.KindBool:
-			on := flags.Bool(d.Flag, false, d.Usage)
-			f.value = func() string {
-				if *on {
-					return d.On
-				}
-				return ""
-			}
-		case experiments.KindInt:
-			n := flags.Int64(d.Flag, 0, d.Usage)
-			f.value = func() string { return strconv.FormatInt(*n, 10) }
-		default:
-			v := flags.String(d.Flag, "", d.Usage)
-			f.value = func() string { return *v }
-		}
-		out = append(out, f)
-	}
-	return out
 }

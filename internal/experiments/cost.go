@@ -8,61 +8,6 @@ import (
 	"rcmp/internal/textplot"
 )
 
-// relativeCosts are per-experiment wall-clock weights, by scale, measured
-// on an idle machine (ms per run; only the relative order matters). The
-// runner schedules sweep jobs cost-descending — the classic LPT
-// heuristic — so the long-pole experiments start first and the pool's
-// makespan approaches the width-bound instead of being dragged by a
-// late-starting heavy job. An unknown key gets DefaultCost, which sorts
-// after every measured experiment.
-var relativeCosts = map[string]map[Scale]float64{
-	"2":                    {ScalePaper: 0.3, ScaleQuick: 0.4},
-	"8a":                   {ScalePaper: 950, ScaleQuick: 4.9},
-	"8b":                   {ScalePaper: 1180, ScaleQuick: 2.4},
-	"8c":                   {ScalePaper: 1150, ScaleQuick: 2.3},
-	"9":                    {ScalePaper: 195, ScaleQuick: 9.9},
-	"10":                   {ScalePaper: 46, ScaleQuick: 6.1},
-	"11":                   {ScalePaper: 550, ScaleQuick: 9.2},
-	"12":                   {ScalePaper: 35, ScaleQuick: 2.1},
-	"13":                   {ScalePaper: 15, ScaleQuick: 2.9},
-	"14":                   {ScalePaper: 50, ScaleQuick: 13},
-	"hybrid":               {ScalePaper: 28, ScaleQuick: 1.3},
-	"double-failure":       {ScalePaper: 32, ScaleQuick: 1.8},
-	"trace-replay":         {ScalePaper: 133, ScaleQuick: 5.8},
-	"weak-scaling":         {ScalePaper: 400, ScaleQuick: 1.5},
-	"dag-recovery":         {ScalePaper: 30, ScaleQuick: 1.5},
-	"multi-tenant":         {ScalePaper: 600, ScaleQuick: 8},
-	"ablation-scatter":     {ScalePaper: 35, ScaleQuick: 1.5},
-	"ablation-ratio":       {ScalePaper: 50, ScaleQuick: 1.7},
-	"ablation-reuse":       {ScalePaper: 27, ScaleQuick: 1.1},
-	"ablation-timeout":     {ScalePaper: 51, ScaleQuick: 2.8},
-	"ablation-ioratio":     {ScalePaper: 17, ScaleQuick: 0.8},
-	"ablation-reclaim":     {ScalePaper: 23, ScaleQuick: 1.1},
-	"ablation-speculation": {ScalePaper: 9.5, ScaleQuick: 0.8},
-	"ablation-locality":    {ScalePaper: 13, ScaleQuick: 1.3},
-	"cost":                 {ScalePaper: 0.03, ScaleQuick: 0.04},
-}
-
-// DefaultCost is the scheduling weight for experiments with no measured
-// entry: they sort after every measured one, in input order.
-const DefaultCost = 0.0
-
-// RelativeCost returns the scheduling weight of one experiment at one
-// scale. Higher means longer-running; the absolute unit is meaningless.
-func RelativeCost(key string, scale Scale) float64 {
-	if m, ok := relativeCosts[key]; ok {
-		if c, ok := m[scale]; ok {
-			return c
-		}
-		// An unmeasured scale falls back to any measured tier: relative
-		// order between experiments is broadly stable across scales.
-		if c, ok := m[ScalePaper]; ok {
-			return c
-		}
-	}
-	return DefaultCost
-}
-
 // CostModels quantifies the Section III-B arguments with the paper's own
 // measured anchors: the provisioning overhead replication adds to a cluster
 // sized for a chain rate, and the replication-factor guessing game of

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"slices"
 	"strconv"
@@ -35,11 +37,10 @@ type Dim struct {
 	name   func(b []byte, c Config) []byte // appends its job-name part
 }
 
-// Kind is the value type of a dimension's rcmpsim flag.
+// Kind is the value type of a dimension's rcmpsim flag: any string (Parse
+// checks it), an integer (parsed as flag.Int64 parses it) or no value.
 type Kind int
 
-// The flag kinds: any string (Parse checks it), an integer (parsed as
-// flag.Int64 parses it), or no value.
 const (
 	KindString Kind = iota
 	KindInt
@@ -128,9 +129,34 @@ func nameInt(b []byte, on bool, prefix string, v int64) []byte {
 	return strconv.AppendInt(append(b, prefix...), v, 10)
 }
 
-// Dims returns the dimension table in its order. The slice is a copy;
-// callers may filter it.
+// Dims returns a copy of the dimension table, in its order.
 func Dims() []Dim { return slices.Clone(dims[:]) }
+
+// ConfigDigest returns a stable cache key for one experiment execution:
+// the hex SHA-256 of the spec key and every dimension of c, each framed
+// with its name and a newline in table order, then the schedule's display
+// label. Keying results by it is sound because every registered experiment
+// is a pure function of its Config: equal Configs yield identical Results,
+// bit for bit. The engine is a dimension because DES and analytic answers
+// to one question must not share a cache slot. The schedule enters twice:
+// its canonical pulses fully determine the injected failures, and figure
+// titles embed its label (see failureNote), so schedules with equal pulses
+// but different trace names must not share a slot either. The label, the
+// one free-form field (ParseSchedule restricts it to name[:seed] forms),
+// goes last, so no two Configs can collide by concatenation.
+func ConfigDigest(specKey string, c Config) string {
+	b := make([]byte, 0, 256)
+	b = append(b, "spec="...)
+	b = append(b, specKey...)
+	for i := range dims {
+		b = append(append(append(b, '\n'), dims[i].Name...), '=')
+		b = dims[i].digest(b, c)
+	}
+	b = append(b, "\nschedule-label="...)
+	b = append(b, c.Schedule.Label()...)
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
 
 // ParseScale maps the request spelling of a scale onto a Scale: "paper",
 // or "quick" and its alias "smoke", in any case.
@@ -189,28 +215,18 @@ func JobName(prefix string, c Config) string {
 // always present; every other field is omitted at its default, so
 // reports predating a dimension stay byte-identical.
 type Echo struct {
-	Scale     string `json:"scale"`
-	Seed      int64  `json:"seed"`
-	FailureAt int    `json:"failure_at,omitempty"`
-	// Schedule is the canonical pulse syntax of the failure-schedule
-	// override (see failure.Schedule.String).
-	Schedule    string `json:"schedule,omitempty"`
+	Scale       string `json:"scale"`
+	Seed        int64  `json:"seed"`
+	FailureAt   int    `json:"failure_at,omitempty"`
+	Schedule    string `json:"schedule,omitempty"` // canonical pulses
 	Tenants     int    `json:"tenants,omitempty"`
 	Speculation bool   `json:"speculation,omitempty"`
-	// Engine names the engine when it is not the DES ("analytic").
-	Engine string `json:"engine,omitempty"`
+	Engine      string `json:"engine,omitempty"` // empty for the DES
 }
 
 // Echo returns the report fields that state c.
 func (c Config) Echo() Echo {
-	e := Echo{
-		Scale:       c.Scale.String(),
-		Seed:        c.Seed,
-		FailureAt:   c.FailureAt,
-		Schedule:    c.Schedule.String(),
-		Tenants:     c.Tenants,
-		Speculation: c.Speculation,
-	}
+	e := Echo{c.Scale.String(), c.Seed, c.FailureAt, c.Schedule.String(), c.Tenants, c.Speculation, ""}
 	if c.Engine != EngineDES {
 		e.Engine = c.Engine.String()
 	}

@@ -59,53 +59,36 @@ func (s Scale) String() string {
 type Config struct {
 	// Scale selects experiment sizing.
 	Scale Scale
-	// Seed perturbs every pseudo-random choice an experiment makes: it is
-	// threaded into the chain-level RNG of each simulated run and offsets
-	// the failure-trace generator seeds.
+	// Seed perturbs every pseudo-random choice: it seeds the chain-level
+	// RNG of each simulated run and offsets the failure-trace generators.
 	Seed int64
-	// FailureAt, when positive, overrides the started-run index of the
-	// single-failure injection in figures where "which job fails" is the
-	// experimental knob (Fig8b/8c, Fig10, Fig12, Hybrid, DoubleFailure and
-	// the single-failure ablations). Figures whose chain shape dictates the
-	// failure position (Fig9's double failures, Fig11/13/14's short chains)
-	// ignore it.
+	// FailureAt, when positive, overrides the started run the single
+	// failure hits in figures where "which job fails" is the knob
+	// (Fig8b/8c, Fig10, Fig12, Hybrid, DoubleFailure, the single-failure
+	// ablations); figures whose chain shape fixes it ignore it.
 	FailureAt int
 	// Schedule, when non-empty, replaces the failure injection with an
-	// ordered multi-failure schedule in the figures where the failure
-	// scenario is the experimental knob (the FailureAt set above, minus
-	// Fig10, whose chain-length extrapolation is defined over a single
-	// failure). Mutually exclusive with FailureAt. Victims are drawn
-	// pseudo-randomly from the chain seed, so a schedule sweep composes
-	// with a seed sweep.
+	// ordered multi-failure schedule in the FailureAt figures but Fig10.
+	// Mutually exclusive with FailureAt. Victims are drawn from the chain
+	// seed, so a schedule sweep composes with a seed sweep.
 	Schedule failure.Schedule
 	// Nodes, when positive, overrides the simulated cluster size of the
-	// experiment's base setup (reducer counts scale with it, keeping one
-	// reducer wave), so any registered experiment can be run at an
-	// arbitrary cluster size — the weak-scaling tier runs the golden
-	// experiments at 1024–4096 nodes this way. Out-of-range values are
-	// per-job config errors, not panics (the registry guards every Run).
-	// Fig11 ignores the override: its x-axis IS the cluster size. For
-	// WeakScaling a positive Nodes selects that single sweep point.
+	// experiment's setup, reducer counts following it. Fig11 ignores it
+	// (its x-axis is the cluster size); WeakScaling runs just that point.
+	// Out-of-range values are per-job errors (see validateNodes).
 	Nodes int
-	// Tenants, when positive, selects the tenant count of a multi-tenant
-	// experiment's shared-cluster session (0 keeps the figure's own tenant
-	// sweep). Values above 1 are only meaningful for specs registered as
-	// MultiTenant; the registry turns a tenant sweep over any other figure
-	// into a per-job config error, mirroring the Nodes guard.
+	// Tenants, when positive, selects a multi-tenant experiment's tenant
+	// count (0 keeps its own sweep); above 1 it is a per-job error on any
+	// spec not registered as MultiTenant.
 	Tenants int
-	// Speculation enables speculative task execution (the Section III-A
-	// mechanism) in every simulated run the experiment performs, and adds
-	// "speculative launched"/"speculative wasted" counters to the figure's
-	// Values. Off by default, so default outputs — and their golden
-	// digests — are unchanged.
+	// Speculation enables speculative task execution (Section III-A) in
+	// every simulated run and adds "speculative launched"/"speculative
+	// wasted" counters to the Values.
 	Speculation bool
-	// Engine selects the execution engine for every simulated run the
-	// experiment performs: EngineDES (the zero value, so default outputs
-	// and their golden digests are unchanged) runs the discrete-event
-	// simulator; EngineAnalytic evaluates the calibrated closed-form model
-	// in internal/analytic, which answers the same what-if questions in
-	// microseconds and therefore accepts Nodes overrides far beyond the
-	// DES ceiling (see validateNodes).
+	// Engine selects the evaluator of every simulated run: EngineDES, the
+	// discrete-event simulator, or EngineAnalytic, the calibrated
+	// closed-form model, which answers in microseconds and so accepts
+	// Nodes far beyond the DES ceiling (see validateNodes).
 	Engine Engine
 
 	// worker owns the simulation context the experiment's DES runs reuse
@@ -187,58 +170,33 @@ type setup struct {
 // sticSetup builds the paper's STIC configuration: 10 nodes, 4 GB/node
 // (40 GB jobs), reducers sized for one wave.
 func sticSetup(c Config, mapSlots, redSlots int) setup {
-	ccfg := cluster.STICConfig(mapSlots, redSlots)
-	cfg := mapreduce.ChainConfig{
-		Mode:         mapreduce.ModeRCMP,
-		NumJobs:      7,
-		NumReducers:  ccfg.Nodes * redSlots,
-		InputPerNode: 4 * cluster.GB,
-		Seed:         c.Seed,
-		Speculation:  c.Speculation,
-	}
-	if c.Scale == ScaleQuick {
-		ccfg.Nodes = 5
-		cfg.NumReducers = ccfg.Nodes * redSlots
-		cfg.NumJobs = 4
-		cfg.InputPerNode = 512 * cluster.MB
-		cfg.BlockSize = 128 * cluster.MB
-	}
-	name := fmt.Sprintf("SLOTS %d-%d, STIC", mapSlots, redSlots)
-	if c.Nodes > 0 {
-		ccfg.Nodes = c.Nodes
-		cfg.NumReducers = ccfg.Nodes * redSlots
-		name = fmt.Sprintf("%s @%d nodes", name, c.Nodes)
-	}
-	return setup{name: name, ccfg: ccfg, cfg: cfg, engine: c.Engine, w: c.owner()}
+	return newSetup(c, fmt.Sprintf("SLOTS %d-%d, STIC", mapSlots, redSlots), cluster.STICConfig(mapSlots, redSlots),
+		mapreduce.ChainConfig{InputPerNode: 4 * cluster.GB}, redSlots, 5)
 }
 
 // dcoSetup builds the DCO configuration: 60 nodes, one reducer wave.
 // Per-node volume is 2 GB (vs the paper's 20 GB) to keep simulation event
 // counts tractable; wave structure per node is preserved via block size.
 func dcoSetup(c Config, nodes int) setup {
-	ccfg := cluster.DCOConfig(nodes, 1, 1)
-	cfg := mapreduce.ChainConfig{
-		Mode:         mapreduce.ModeRCMP,
-		NumJobs:      7,
-		NumReducers:  nodes,
-		InputPerNode: 2 * cluster.GB,
-		BlockSize:    256 * cluster.MB,
-		Seed:         c.Seed,
-		Speculation:  c.Speculation,
-	}
+	return newSetup(c, "SLOTS 1-1, DCO", cluster.DCOConfig(nodes, 1, 1),
+		mapreduce.ChainConfig{InputPerNode: 2 * cluster.GB, BlockSize: 256 * cluster.MB}, 1, 8)
+}
+
+// newSetup applies a Config to a base cluster and chain shape: a 7-job
+// RCMP chain, shrunk at ScaleQuick to quickNodes nodes and 4 jobs of
+// 512 MB/node; the Nodes override, with one wave of redSlots reducers per
+// node; the seed, speculation and engine.
+func newSetup(c Config, name string, ccfg cluster.Config, cfg mapreduce.ChainConfig, redSlots, quickNodes int) setup {
+	cfg.Mode, cfg.NumJobs, cfg.Seed, cfg.Speculation = mapreduce.ModeRCMP, 7, c.Seed, c.Speculation
 	if c.Scale == ScaleQuick {
-		ccfg.Nodes = 8
-		cfg.NumReducers = 8
-		cfg.NumJobs = 4
-		cfg.InputPerNode = 512 * cluster.MB
-		cfg.BlockSize = 128 * cluster.MB
+		ccfg.Nodes, cfg.NumJobs = quickNodes, 4
+		cfg.InputPerNode, cfg.BlockSize = 512*cluster.MB, 128*cluster.MB
 	}
-	name := "SLOTS 1-1, DCO"
 	if c.Nodes > 0 {
 		ccfg.Nodes = c.Nodes
-		cfg.NumReducers = ccfg.Nodes
 		name = fmt.Sprintf("%s @%d nodes", name, c.Nodes)
 	}
+	cfg.NumReducers = ccfg.Nodes * redSlots
 	return setup{name: name, ccfg: ccfg, cfg: cfg, engine: c.Engine, w: c.owner()}
 }
 

@@ -38,7 +38,7 @@ type Job struct {
 	// Run executes the experiment (typically a Spec.Run from the registry).
 	Run func(experiments.Config) (*experiments.Result, error)
 	// Cost is the job's relative expected wall-clock weight (see
-	// experiments.RelativeCost). The pool starts jobs cost-descending —
+	// experiments.Spec.Cost). The pool starts jobs cost-descending —
 	// longest first — so a heavy job never starts last and stretches the
 	// makespan; zero-cost jobs run after every weighted one, in input
 	// order. Results are unaffected: they stay in input order and each

@@ -8,22 +8,19 @@ import (
 	"rcmp/internal/experiments"
 )
 
-// Grid expands a spec × sweep-dimension grid into runner jobs. The
-// dimensions are experiments.Dims' rows; an empty one falls back to a
-// single default per spec: the spec's registered Scale and Seed, and the
-// zero value of every other dimension (each figure's own failure
-// position and cluster shape, no schedule override, the DES).
+// Grid expands a spec × sweep-dimension grid into runner jobs, one
+// dimension per experiments.Dims row. An empty dimension falls back to one
+// default per spec: the spec's registered Scale and Seed, and every other
+// dimension's zero value (each figure's own failure position and cluster
+// shape, no schedule override, the DES).
 type Grid struct {
 	Specs []experiments.Spec
-	// Scales and Seeds, when set, are the scale and seed axes; they take
-	// precedence over Axes' "scale" and "seed" entries.
+	// Scales and Seeds, when set, replace Axes' scale and seed entries.
 	Scales []experiments.Scale
 	Seeds  []int64
-	// Axes holds the values of every swept dimension, keyed by
-	// experiments.Dim.Name. Invalid values (a failure position beyond the
-	// chain, an out-of-range cluster size, a schedule combined with a
-	// failure position) are legal grid entries: their jobs complete with
-	// a recorded error instead of a result.
+	// Axes holds the swept values per dimension. Invalid values (a failure
+	// position beyond the chain, an out-of-range cluster size) are legal
+	// grid entries: their jobs complete with a recorded error.
 	Axes experiments.Axes
 	// SeedSet, when > 1, expands every seed in the grid into that many
 	// consecutive seeds (base, base+1, ...). The JSON report aggregates
@@ -89,7 +86,7 @@ func (g Grid) Jobs() []Job {
 				Key:    sp.Key,
 				Config: c,
 				Run:    sp.Exec,
-				Cost:   relativeCost(sp.Key, c),
+				Cost:   relativeCost(sp, c),
 			})
 		})
 	}
@@ -98,20 +95,18 @@ func (g Grid) Jobs() []Job {
 
 // axes returns a copy of Axes with the typed Scales and Seeds folded in.
 func (g Grid) axes() experiments.Axes {
-	axes := maps.Clone(g.Axes)
-	if axes == nil {
-		axes = experiments.Axes{}
-	}
+	axes := experiments.Axes{}
+	maps.Copy(axes, g.Axes)
 	if len(g.Scales) > 0 {
-		axes["scale"] = nil
-		for _, sc := range g.Scales {
-			axes["scale"] = append(axes["scale"], experiments.Config{Scale: sc})
+		axes["scale"] = make([]experiments.Config, len(g.Scales))
+		for i, sc := range g.Scales {
+			axes["scale"][i].Scale = sc
 		}
 	}
 	if len(g.Seeds) > 0 {
-		axes["seed"] = nil
-		for _, seed := range g.Seeds {
-			axes["seed"] = append(axes["seed"], experiments.Config{Seed: seed})
+		axes["seed"] = make([]experiments.Config, len(g.Seeds))
+		for i, seed := range g.Seeds {
+			axes["seed"][i].Seed = seed
 		}
 	}
 	return axes
@@ -137,9 +132,9 @@ func expandSeedSet(seeds []experiments.Config, set int) []experiments.Config {
 // relativeCost is the per-job scheduling weight. Analytic jobs are
 // closed-form evaluations — microseconds regardless of the spec — so they
 // get zero weight and fill pool gaps after every DES job has started.
-func relativeCost(key string, c experiments.Config) float64 {
+func relativeCost(sp experiments.Spec, c experiments.Config) float64 {
 	if c.Engine == experiments.EngineAnalytic {
 		return 0
 	}
-	return experiments.RelativeCost(key, c.Scale)
+	return sp.RelativeCost(c.Scale)
 }

@@ -64,13 +64,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("bad request body: %v", err), http.StatusBadRequest)
 		return
 	}
-	scale := experiments.ScaleQuick
-	if req.Scale != "" {
-		var err error
-		if scale, err = experiments.ParseScale(req.Scale); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
+	if req.Scale == "" {
+		req.Scale = "quick" // capacity planning's calibrated shape
+	}
+	scale, err := experiments.ParseScale(req.Scale)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	if req.DeadlineSec < 0 {
 		http.Error(w, "deadline_sec must be >= 0", http.StatusBadRequest)

@@ -146,21 +146,13 @@ func (s *Server) statsNow() Stats {
 	}
 }
 
-// SweepRequest is the /v1/sweep body: the same sweep grid as the rcmpsim
-// CLI, with specs for -fig/-run and one key per sweep dimension, spelled
-// as experiments.Dims' JSON keys: scale (-quick), seeds (-seed/-seeds),
-// failure_ats (-failure-at), schedules (-schedule), nodes (-nodes),
-// tenants (-tenants), speculation (-speculation) and engines (-engine).
-// Each dimension key holds a list of values in the CLI's spelling, except
-// scale, which holds one ("paper", "quick" or "smoke"; "" = per-spec
-// default). Empty dimensions fall back exactly like runner.Grid: per-spec
-// default scale/seed, each figure's own failure position and cluster
-// shape. Invalid values of a dimension (tenants>1 on a single-tenant
-// spec, an out-of-range failure position) are per-job errors.
-//
-// The typed fields are the wire schema: decoding into them type-checks a
-// body. The dimension values themselves are parsed from the body's keys
-// through their table rows (see decodeSweep).
+// SweepRequest is the /v1/sweep body: the rcmpsim CLI's sweep grid, with
+// specs for -fig/-run and one key per experiments.Dims row holding a list
+// of values in the flag's spelling — except scale, which holds one
+// ("paper", "quick" or "smoke"; "" = per-spec default). Empty dimensions
+// fall back exactly like runner.Grid's. The typed fields are the wire
+// schema, and decoding into them type-checks a body; decodeSweep then
+// parses each dimension's values through its row.
 type SweepRequest struct {
 	// Specs lists registry keys ("8b", "trace-replay", ...) or "all".
 	Specs       []string `json:"specs"`
@@ -182,9 +174,8 @@ type SweepRequest struct {
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 }
 
-// decodeSweep decodes a /v1/sweep body and lowers it onto the runner grid:
-// each dimension's values are read from the body under the row's JSON key
-// and parsed by the row, exactly as rcmpsim parses its flags.
+// decodeSweep decodes a /v1/sweep body and lowers it onto the runner grid,
+// parsing each dimension's values through its row as rcmpsim does.
 func decodeSweep(body []byte) (SweepRequest, runner.Grid, error) {
 	var req SweepRequest
 	var keys map[string]json.RawMessage
@@ -235,22 +226,20 @@ func bodyKey(keys map[string]json.RawMessage, key string) json.RawMessage {
 	return nil
 }
 
-// decodeAxis parses one dimension's request value: a list of values, or
-// a single one (scale). A null list element is the zero value, as typed
-// decoding makes it; a null or empty-string single value is no value.
+// decodeAxis parses one dimension's request value: a list of values, or a
+// single one (scale, where "" is none). A null list element is the zero
+// value, as typed decoding makes it.
 func decodeAxis(d experiments.Dim, raw json.RawMessage) ([]experiments.Config, error) {
-	if s := string(raw); s == "" || s == "null" || s == `""` {
-		return nil, nil
-	}
 	var elems []json.RawMessage
-	if err := json.Unmarshal(raw, &elems); err != nil {
+	if s := string(raw); s == "" || s == `""` {
+		return nil, nil
+	} else if json.Unmarshal(raw, &elems) != nil {
 		elems = []json.RawMessage{raw}
 	}
-	vals := make([]experiments.Config, 0, len(elems))
-	for _, e := range elems {
+	vals := make([]experiments.Config, len(elems))
+	for i, e := range elems {
 		s := string(e)
 		if s == "null" {
-			vals = append(vals, experiments.Config{})
 			continue
 		}
 		if e[0] == '"' {
@@ -258,11 +247,10 @@ func decodeAxis(d experiments.Dim, raw json.RawMessage) ([]experiments.Config, e
 				return nil, err
 			}
 		}
-		c, err := d.Parse(s)
-		if err != nil {
+		var err error
+		if vals[i], err = d.Parse(s); err != nil {
 			return nil, err
 		}
-		vals = append(vals, c)
 	}
 	return vals, nil
 }
@@ -457,7 +445,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	sse := stream && strings.Contains(r.Header.Get("Accept"), "text/event-stream")
 
 	var write func(v any) error
-	var flush func()
 	if stream {
 		if sse {
 			w.Header().Set("Content-Type", "text/event-stream")
@@ -466,11 +453,6 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		w.Header().Set("Cache-Control", "no-store")
 		flusher, _ := w.(http.Flusher)
-		flush = func() {
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
 		write = func(v any) error {
 			b, err := json.Marshal(v)
 			if err != nil {
@@ -481,7 +463,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			} else {
 				_, err = fmt.Fprintf(w, "%s\n", b)
 			}
-			flush()
+			if flusher != nil {
+				flusher.Flush()
+			}
 			return err
 		}
 		_ = write(acceptedEvent{Type: "accepted", Jobs: len(jobs), Client: client, Timeout: timeout.String()})
@@ -502,14 +486,12 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	results := make([]runner.Result, len(states))
-	completed := make([]bool, len(states))
 	timedOut := false
 	for n := 0; n < len(states); n++ {
 		select {
 		case i := <-completions:
 			res := states[i].e.res
 			results[i] = res
-			completed[i] = true
 			s.cache.release(states[i].e)
 			released[i] = true
 			if stream {
@@ -533,7 +515,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 
 	for i := range states {
-		if !completed[i] {
+		if !released[i] {
 			results[i] = runner.Result{
 				Name:   states[i].job.Name,
 				Config: states[i].job.Config,
