@@ -22,6 +22,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -33,20 +34,42 @@ import (
 )
 
 func main() {
-	addr := flag.String("addr", ":8344", "listen address (host:port; port 0 picks an ephemeral port)")
-	workers := flag.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-	maxQueue := flag.Int("max-queue", 0, "global bound on queued jobs before 429 (0 = default 4096)")
-	maxBacklog := flag.Int("max-client-backlog", 0, "per-client queued+running job cap (0 = default 1024)")
-	maxJobs := flag.Int("max-jobs", 0, "per-request sweep grid cap before 413 (0 = default 1024)")
-	cacheEntries := flag.Int("cache-entries", 0, "result cache capacity in entries (0 = default 8192)")
-	reqTimeout := flag.Duration("request-timeout", 0, "upper bound on one sweep's wait (0 = default 120s)")
-	drainTimeout := flag.Duration("drain-timeout", 60*time.Second, "how long shutdown waits for admitted jobs before failing them")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "rcmpserve: unexpected argument %q\n", flag.Arg(0))
-		os.Exit(2)
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr, stop))
+}
+
+// run is the whole command behind main: it parses args, serves until a
+// value arrives on stop (main's SIGINT/SIGTERM), drains, and returns the
+// exit code — 0 after a drain, 1 when the listener or the server fails,
+// 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
+	flags := flag.NewFlagSet("rcmpserve", flag.ContinueOnError)
+	flags.SetOutput(stderr)
+	addr := flags.String("addr", ":8344", "listen address (host:port; port 0 picks an ephemeral port)")
+	workers := flags.Int("workers", 0, "simulation worker pool size (0 = GOMAXPROCS)")
+	maxQueue := flags.Int("max-queue", 0, "global bound on queued jobs before 429 (0 = default 4096)")
+	maxBacklog := flags.Int("max-client-backlog", 0, "per-client queued+running job cap (0 = default 1024)")
+	maxJobs := flags.Int("max-jobs", 0, "per-request sweep grid cap before 413 (0 = default 1024)")
+	cacheEntries := flags.Int("cache-entries", 0, "result cache capacity in entries (0 = default 8192)")
+	reqTimeout := flags.Duration("request-timeout", 0, "upper bound on one sweep's wait (0 = default 120s)")
+	drainTimeout := flags.Duration("drain-timeout", 60*time.Second, "how long shutdown waits for admitted jobs before failing them")
+	if err := flags.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	if flags.NArg() > 0 {
+		fmt.Fprintf(stderr, "rcmpserve: unexpected argument %q\n", flags.Arg(0))
+		return 2
 	}
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		fmt.Fprintf(stderr, "rcmpserve: %v\n", err)
+		return 1
+	}
 	srv := server.New(server.Config{
 		Workers:           *workers,
 		MaxQueuedJobs:     *maxQueue,
@@ -55,28 +78,21 @@ func main() {
 		CacheEntries:      *cacheEntries,
 		RequestTimeout:    *reqTimeout,
 	})
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rcmpserve: %v\n", err)
-		os.Exit(1)
-	}
 	// The resolved address goes to stdout so scripts using -addr :0 can
 	// scrape the ephemeral port.
-	fmt.Printf("rcmpserve: listening on http://%s\n", ln.Addr())
+	fmt.Fprintf(stdout, "rcmpserve: listening on http://%s\n", ln.Addr())
 
 	hs := &http.Server{Handler: srv.Handler()}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	code := 0
 	select {
-	case s := <-sig:
-		fmt.Printf("rcmpserve: %v, draining\n", s)
+	case s := <-stop:
+		fmt.Fprintf(stdout, "rcmpserve: %v, draining\n", s)
 	case err := <-serveErr:
-		fmt.Fprintf(os.Stderr, "rcmpserve: serve: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "rcmpserve: serve: %v\n", err)
+		code = 1
 	}
 
 	// Drain order matters: first stop admitting and finish the simulation
@@ -85,12 +101,15 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		fmt.Fprintf(os.Stderr, "rcmpserve: drain: %v\n", err)
+		fmt.Fprintf(stderr, "rcmpserve: drain: %v\n", err)
 	}
 	httpCtx, httpCancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer httpCancel()
 	if err := hs.Shutdown(httpCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		fmt.Fprintf(os.Stderr, "rcmpserve: http shutdown: %v\n", err)
+		fmt.Fprintf(stderr, "rcmpserve: http shutdown: %v\n", err)
 	}
-	fmt.Println("rcmpserve: drained, exiting")
+	if code == 0 {
+		fmt.Fprintln(stdout, "rcmpserve: drained, exiting")
+	}
+	return code
 }

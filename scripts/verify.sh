@@ -12,21 +12,19 @@
 #      planner, the runner (each worker reuses its own context), the
 #      distributed runtime, the sweep server (including its
 #      concurrent-load test) and the cross-validation harness
-#   4. rcmpserve smoke: the sweep server end to end on an ephemeral port —
-#      a sweep over HTTP must be byte-identical to the rcmpsim CLI report,
-#      the cached repeat byte-identical again, a /v1/plan capacity answer
-#      must miss then hit the result cache, and SIGTERM must drain cleanly
-#   5. the pinned chain outcomes (mapreduce's TestPinned*), the exact
+#   4. the pinned chain outcomes (mapreduce's TestPinned*), the exact
 #      tier's ready-bit check (TestReadyBitsMatchBuckets) and the golden
 #      digests repeated under -race, the golden-digest suite explicitly,
 #      then the analytic-vs-DES tolerance suite over the registry
-#   6. native fuzzing: a few seconds of FuzzRecordBatchDecode, the dmr
+#   5. native fuzzing: a few seconds of FuzzRecordBatchDecode, the dmr
 #      record-frame decoder that reads bytes off a socket, on top of its
 #      committed seed corpus (which plain `go test` already replays)
-#   7. benchmark smoke pass: every benchmark once at the smoke tier
-# The rcmpsim and rcmpxval CLIs have no smoke step: their tests drive
-# their flags in-process under tier-1 (cmd/rcmpxval's runs the
-# cross-validation smokes, one failure offset plain and one under the
+#   6. benchmark smoke pass: every benchmark once at the smoke tier
+# The rcmpsim, rcmpserve and rcmpxval commands have no smoke step: their
+# tests drive them in-process under tier-1 (cmd/rcmpsim's compares the
+# sweep server's stream:false body with its own -json bytes for every
+# sweep dimension, cmd/rcmpserve's serves and drains, cmd/rcmpxval's runs
+# the cross-validation smokes, one failure offset plain and one under the
 # chaos transport). No step times anything: wall-clock comparisons
 # need paired rounds on both sides of a change, which
 # `make bench-compare BASE=<rev>` runs (docs/perf.md, "Measuring a
@@ -62,39 +60,6 @@ go test -race -count=2 ./internal/des ./internal/flow ./internal/mapreduce ./int
 
 echo "== race (pinned chain outcomes + ready bits + golden digests, repeated) =="
 go test -race -count=2 -run 'TestPinned|TestGoldenDigests|TestReadyBitsMatchBuckets' ./internal/mapreduce ./internal/experiments
-
-echo "== rcmpserve smoke (sweep server end to end: HTTP vs CLI byte-identity, cache, SIGTERM drain) =="
-tmp="${TMPDIR:-/tmp}/rcmp-verify-$$"
-mkdir -p "$tmp"
-trap 'rm -rf "$tmp"' EXIT
-go build -o "$tmp/rcmpserve" ./cmd/rcmpserve
-"$tmp/rcmpserve" -addr 127.0.0.1:0 -workers 2 > "$tmp/serve.out" &
-serve_pid=$!
-base=""
-i=0
-while [ $i -lt 100 ]; do
-    base="$(sed -n 's|^rcmpserve: listening on ||p' "$tmp/serve.out")"
-    [ -n "$base" ] && break
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ -z "$base" ]; then
-    echo "rcmpserve never reported its address" >&2
-    kill "$serve_pid" 2>/dev/null || true
-    exit 1
-fi
-curl -sf "$base/healthz" > /dev/null
-sweep='{"specs":["cost"],"scale":"quick","seeds":[1],"stream":false}'
-curl -sf -X POST -d "$sweep" "$base/v1/sweep" > "$tmp/http_report.json"
-go run ./cmd/rcmpsim -fig cost -quick -seed 1 -json > "$tmp/cli_report.json"
-cmp "$tmp/http_report.json" "$tmp/cli_report.json"
-curl -sf -X POST -d "$sweep" "$base/v1/sweep" | cmp - "$tmp/http_report.json"
-plan='{"nodes":131072,"tenants":4,"deadline_sec":700}'
-curl -sf -X POST -d "$plan" "$base/v1/plan" > "$tmp/plan.json"
-grep -q '"cache": *"miss"' "$tmp/plan.json"
-curl -sf -X POST -d "$plan" "$base/v1/plan" | grep -q '"cache": *"hit"'
-kill -TERM "$serve_pid"
-wait "$serve_pid"
 
 echo "== golden digests (ladder queue + rate-class flow core on) =="
 go test -count=1 -run 'TestGoldenDigests' ./internal/experiments
