@@ -28,8 +28,8 @@ func TestPinnedJSONReports(t *testing.T) {
 		{"-fig 12 -quick -schedule stic:3", 0, "c0e3f15affccc1f4dc3dd456aadc9de535ce3efe43a8c1dbe833ce223d3f9883", ""},
 		{"-fig 12 -quick -schedule stic:1", 1, "980ab97975c8ef53644a5e46092acafb9a4f54eaf6da99806b5c176d76af0070", "rcmpsim: Fig12/quick/sched=STIC/s1: experiment SLOTS 2-2, STIC: core: original input partition 0 of \"input\" lost; computation unrecoverable"},
 		{"-fig 12 -quick -schedule 2@15,3@20", 0, "96b81ad1cd4b288b1ad7a42786369e1a984d6f605608857a7d7a2158426a3831", ""},
-		{"-fig 8b -quick -nodes 16", 0, "e03cdc624cc5116d1efabec40c8b7ec5e41b1ccce74d339c14300fac7b5e6733", ""},
-		{"-fig weak-scaling -quick -engine analytic -nodes 131072", 0, "ec95ad5a240dd7c9c3a1b8c375f640506825fcbb2178317a183012cabb877bf8", ""},
+		{"-fig 8b -quick -nodes 16", 0, "a1685e21dfc29d16d3f86cd29ca4f7f4763fefaf135bf34d5963def6b347b3b0", ""},
+		{"-fig weak-scaling -quick -engine analytic -nodes 131072", 0, "0f0789f5cf3f71b76d38a494cac88d2854444b20779a4e5b789f379d5df09a4a", ""},
 		{"-fig 8b -quick -engine analytic -seed-set 2", 0, "71eb4421cc896c9433e7aee791a1515eb1d39024a5634c3780cc7a021085a2ec", ""},
 		{"-fig multi-tenant -quick -tenants 3", 0, "ad40a19e103557850c25b5743340d80a721e70208ced79ed33867f16fdfc4ec6", ""},
 		{"-fig 8b -quick -tenants 3", 1, "f0ff73b654b26981c65d5b3a7f09ad431260d7804887193ac3274c02e26cbce2", "rcmpsim: Fig8b/quick/tenants=3: experiments: Fig8b is single-tenant; Tenants=3 only applies to multi-tenant experiments"},

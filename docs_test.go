@@ -1,6 +1,7 @@
 package rcmp_test
 
 import (
+	"encoding/json"
 	"os"
 	"reflect"
 	"regexp"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"rcmp/internal/experiments"
+	"rcmp/internal/server"
 )
 
 // TestDocsMatchDimensionTable holds the user docs to the sweep-dimension
@@ -49,6 +51,43 @@ func TestDocsMatchDimensionTable(t *testing.T) {
 	}
 	if !reflect.DeepEqual(shown, keys) {
 		t.Errorf("docs/serving.md request example shows dimension keys %v, want %v", shown, keys)
+	}
+}
+
+// TestSchemasMatchDimensionTable holds the typed wire schemas to the
+// table: every dimension's request key is a SweepRequest field, and the
+// report fields experiments.Echo encodes are the dimensions' report keys,
+// in table order.
+func TestSchemasMatchDimensionTable(t *testing.T) {
+	request := map[string]bool{}
+	rt := reflect.TypeOf(server.SweepRequest{})
+	for i := 0; i < rt.NumField(); i++ {
+		name, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		request[name] = true
+	}
+	var reports []string
+	for _, d := range experiments.Dims() {
+		if !request[d.JSON] {
+			t.Errorf("dimension %s: SweepRequest has no %q field", d.Name, d.JSON)
+		}
+		reports = append(reports, d.Report)
+	}
+	var echoed []string
+	et := reflect.TypeOf(experiments.Echo{})
+	for i := 0; i < et.NumField(); i++ {
+		name, _, _ := strings.Cut(et.Field(i).Tag.Get("json"), ",")
+		echoed = append(echoed, name)
+	}
+	if !reflect.DeepEqual(echoed, reports) {
+		t.Errorf("experiments.Echo encodes %v, want the report keys %v", echoed, reports)
+	}
+	// And a report of a Config off every default states each dimension.
+	b, _ := json.Marshal(experiments.Config{Scale: experiments.ScaleQuick, Seed: 1, FailureAt: 2, Nodes: 16, Tenants: 3,
+		Speculation: true, Engine: experiments.EngineAnalytic}.Echo())
+	for _, key := range reports {
+		if key != "schedule" && !strings.Contains(string(b), `"`+key+`":`) {
+			t.Errorf("Echo %s lacks %q", b, key)
+		}
 	}
 }
 

@@ -219,6 +219,7 @@ type Echo struct {
 	Seed        int64  `json:"seed"`
 	FailureAt   int    `json:"failure_at,omitempty"`
 	Schedule    string `json:"schedule,omitempty"` // canonical pulses
+	Nodes       int    `json:"nodes,omitempty"`
 	Tenants     int    `json:"tenants,omitempty"`
 	Speculation bool   `json:"speculation,omitempty"`
 	Engine      string `json:"engine,omitempty"` // empty for the DES
@@ -226,7 +227,7 @@ type Echo struct {
 
 // Echo returns the report fields that state c.
 func (c Config) Echo() Echo {
-	e := Echo{c.Scale.String(), c.Seed, c.FailureAt, c.Schedule.String(), c.Tenants, c.Speculation, ""}
+	e := Echo{c.Scale.String(), c.Seed, c.FailureAt, c.Schedule.String(), c.Nodes, c.Tenants, c.Speculation, ""}
 	if c.Engine != EngineDES {
 		e.Engine = c.Engine.String()
 	}
