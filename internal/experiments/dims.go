@@ -47,6 +47,7 @@ const (
 	KindBool
 )
 
+// dims is the dimension table, in its one order (see Dim).
 var dims = [...]Dim{
 	{Name: "scale", Field: "Scale", Flag: "quick", Kind: KindBool, On: "quick", JSON: "scale", Report: "scale",
 		Usage:  "run at reduced scale (fast)",
@@ -155,7 +156,9 @@ func ConfigDigest(specKey string, c Config) string {
 	b = append(b, "\nschedule-label="...)
 	b = append(b, c.Schedule.Label()...)
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	var out [2 * sha256.Size]byte
+	hex.Encode(out[:], sum[:])
+	return string(out[:])
 }
 
 // ParseScale maps the request spelling of a scale onto a Scale: "paper",
@@ -227,7 +230,15 @@ type Echo struct {
 
 // Echo returns the report fields that state c.
 func (c Config) Echo() Echo {
-	e := Echo{c.Scale.String(), c.Seed, c.FailureAt, c.Schedule.String(), c.Nodes, c.Tenants, c.Speculation, ""}
+	e := Echo{
+		Scale:       c.Scale.String(),
+		Seed:        c.Seed,
+		FailureAt:   c.FailureAt,
+		Schedule:    c.Schedule.String(),
+		Nodes:       c.Nodes,
+		Tenants:     c.Tenants,
+		Speculation: c.Speculation,
+	}
 	if c.Engine != EngineDES {
 		e.Engine = c.Engine.String()
 	}

@@ -11,9 +11,9 @@ import (
 
 // ReportResult is the machine-readable form of one Result.
 type ReportResult struct {
-	Name             string `json:"name"`
-	experiments.Echo        // the job's Config
-
+	Name string `json:"name"`
+	// Echo states the job's Config, one field per sweep dimension.
+	experiments.Echo
 	// Error is the job's error message line. Recovered panics carry a
 	// stack trace in Result.Err, but stacks are nondeterministic (frame
 	// addresses, goroutine IDs), so the report keeps the message only —

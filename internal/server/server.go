@@ -338,7 +338,6 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, client string
 		http.Error(w, "canceled before admission", http.StatusServiceUnavailable)
 		return nil
 	}
-	defer s.admitMu.unlock()
 	states := make([]jobState, len(jobs))
 	var owned []schedJob
 	for i, j := range jobs {
@@ -349,13 +348,15 @@ func (s *Server) admit(ctx context.Context, w http.ResponseWriter, client string
 		}
 	}
 	err := s.sched.submit(client, owned)
-	if err == nil {
-		return states
+	if err != nil {
+		for _, st := range states {
+			s.cache.release(st.e)
+		}
 	}
-	for _, st := range states {
-		s.cache.release(st.e)
-	}
+	s.admitMu.unlock()
 	switch err {
+	case nil:
+		return states
 	case errDraining:
 		http.Error(w, "server draining", http.StatusServiceUnavailable)
 	case errQueueFull, errClientBacklog:
