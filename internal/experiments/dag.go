@@ -27,6 +27,22 @@ func diamondJobs() []mapreduce.GraphJob {
 	}
 }
 
+// chainJobs is the linear n-job chain as a graph: job i reads job i-1's
+// output.
+func chainJobs(n int) []mapreduce.GraphJob {
+	jobs := make([]mapreduce.GraphJob, 0, n)
+	for i := 1; i <= n; i++ {
+		in := "input"
+		if i > 1 {
+			in = fmt.Sprintf("out%d", i-1)
+		}
+		jobs = append(jobs, mapreduce.GraphJob{
+			Name: fmt.Sprintf("job%d", i), Inputs: []string{in}, Output: fmt.Sprintf("out%d", i),
+		})
+	}
+	return jobs
+}
+
 // runGraph executes one graph on the setup's engine; an error leaves the
 // figure as a chainError, the way run does for chains.
 func runGraph(st setup, jobs []mapreduce.GraphJob) *mapreduce.Result {
@@ -129,16 +145,7 @@ func MultiTenant(c Config) (*Result, error) {
 		return nil, err
 	}
 
-	jobs := make([]mapreduce.GraphJob, 0, st.cfg.NumJobs)
-	for i := 1; i <= st.cfg.NumJobs; i++ {
-		in := "input"
-		if i > 1 {
-			in = fmt.Sprintf("out%d", i-1)
-		}
-		jobs = append(jobs, mapreduce.GraphJob{
-			Name: fmt.Sprintf("job%d", i), Inputs: []string{in}, Output: fmt.Sprintf("out%d", i),
-		})
-	}
+	jobs := chainJobs(st.cfg.NumJobs)
 
 	session := func(tenants int, split bool, failed bool) *mapreduce.MultiResult {
 		cfg := st.cfg

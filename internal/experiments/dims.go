@@ -156,9 +156,7 @@ func ConfigDigest(specKey string, c Config) string {
 	b = append(b, "\nschedule-label="...)
 	b = append(b, c.Schedule.Label()...)
 	sum := sha256.Sum256(b)
-	var out [2 * sha256.Size]byte
-	hex.Encode(out[:], sum[:])
-	return string(out[:])
+	return hex.EncodeToString(sum[:])
 }
 
 // ParseScale maps the request spelling of a scale onto a Scale: "paper",

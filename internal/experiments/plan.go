@@ -61,16 +61,7 @@ func CapacityPlan(c Config, deadline PlanDeadline) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs := make([]mapreduce.GraphJob, 0, st.cfg.NumJobs)
-	for i := 1; i <= st.cfg.NumJobs; i++ {
-		in := "input"
-		if i > 1 {
-			in = fmt.Sprintf("out%d", i-1)
-		}
-		jobs = append(jobs, mapreduce.GraphJob{
-			Name: fmt.Sprintf("job%d", i), Inputs: []string{in}, Output: fmt.Sprintf("out%d", i),
-		})
-	}
+	jobs := chainJobs(st.cfg.NumJobs)
 
 	r := newResult(fmt.Sprintf("CapacityPlan: %s, %d tenants", st.name, tenants))
 	plan := func(split bool) (analytic.SessionPlan, error) {
