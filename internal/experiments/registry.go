@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 )
 
 // Spec is one registered experiment artifact: a figure, table or ablation
@@ -81,39 +82,40 @@ func (sp Spec) Exec(c Config) (res *Result, err error) {
 
 // Registry returns every experiment in presentation order. The slice is
 // freshly allocated; callers may filter or reorder it.
-func Registry() []Spec {
-	return []Spec{
-		{Key: "2", Name: "Fig2", Desc: "failure-trace CDFs (STIC, SUG@R)", Run: Fig2, Cost: [2]float64{0.3, 0.4}},
-		{Key: "8a", Name: "Fig8a", Desc: "no-failure slowdowns: RCMP vs REPL-2/3 vs OPTIMISTIC", Run: Fig8a, Cost: [2]float64{950, 4.9}},
-		{Key: "8b", Name: "Fig8b", Desc: "single failure early (job 2)", Run: Fig8b, Cost: [2]float64{1180, 2.4}},
-		{Key: "8c", Name: "Fig8c", Desc: "single failure late (job 7)", Run: Fig8c, Cost: [2]float64{1150, 2.3}},
-		{Key: "9", Name: "Fig9", Desc: "double failures on STIC", Run: Fig9, Cost: [2]float64{195, 9.9}},
-		{Key: "10", Name: "Fig10", Desc: "chain-length extrapolation", Run: Fig10, Cost: [2]float64{46, 6.1}},
-		{Key: "11", Name: "Fig11", Desc: "recomputation speed-up vs nodes", Run: Fig11, Cost: [2]float64{550, 9.2}},
-		{Key: "12", Name: "Fig12", Desc: "hot-spot mapper-time CDFs", Run: Fig12, Cost: [2]float64{35, 2.1}},
-		{Key: "13", Name: "Fig13", Desc: "reducer-wave speed-up", Run: Fig13, Cost: [2]float64{15, 2.9}},
-		{Key: "14", Name: "Fig14", Desc: "mapper-wave speed-up", Run: Fig14, Cost: [2]float64{50, 13}},
-		{Key: "hybrid", Name: "Hybrid", Desc: "hybrid replication every 5 jobs", Run: Hybrid, Cost: [2]float64{28, 1.3}},
-		{Key: "double-failure", Name: "DoubleFailure", Desc: "second failure lands mid-recomputation (schedule engine)", Run: DoubleFailure, Cost: [2]float64{32, 1.8}},
-		{Key: "trace-replay", Name: "TraceReplay", Desc: "recomputation work per day under STIC/SUG@R trace schedules", Run: TraceReplay, Cost: [2]float64{133, 5.8}},
-		{Key: "weak-scaling", Name: "WeakScaling", Desc: "fixed per-node work, cluster size swept 64→4096 (aggregated shuffle)", Run: WeakScaling, Cost: [2]float64{400, 1.5}},
-		{Key: "dag-recovery", Name: "DAGRecovery", Desc: "diamond DAG fan-in cascade: surviving-branch reuse vs replication", Run: DAGRecovery, Cost: [2]float64{30, 1.5}},
-		{Key: "multi-tenant", Name: "MultiTenant", Desc: "shared-cluster tenants: recovery time vs utilization, SPLIT vs NO-SPLIT", Run: MultiTenant, MultiTenant: true, Cost: [2]float64{600, 8}},
-		{Key: "ablation-scatter", Name: "AblationScatterVsSplit", Desc: "split vs scatter-only vs none", Run: AblationScatterVsSplit, Cost: [2]float64{35, 1.5}},
-		{Key: "ablation-ratio", Name: "AblationSplitRatio", Desc: "split ratio sweep", Run: AblationSplitRatio, Cost: [2]float64{50, 1.7}},
-		{Key: "ablation-reuse", Name: "AblationMapReuse", Desc: "map-output reuse on/off", Run: AblationMapReuse, Cost: [2]float64{27, 1.1}},
-		{Key: "ablation-timeout", Name: "AblationDetectionTimeout", Desc: "detection timeout sweep", Run: AblationDetectionTimeout, Cost: [2]float64{51, 2.8}},
-		{Key: "ablation-ioratio", Name: "AblationIORatio", Desc: "input/shuffle/output ratio shapes", Run: AblationIORatio, Cost: [2]float64{17, 0.8}},
-		{Key: "ablation-reclaim", Name: "AblationReclamation", Desc: "checkpoint storage reclamation", Run: AblationReclamation, Cost: [2]float64{23, 1.1}},
-		{Key: "ablation-speculation", Name: "AblationSpeculation", Desc: "speculative execution with a straggler", Run: AblationSpeculation, Cost: [2]float64{9.5, 0.8}},
-		{Key: "ablation-locality", Name: "AblationLocality", Desc: "data locality vs oversubscription", Run: AblationLocality, Cost: [2]float64{13, 1.3}},
-		{Key: "cost", Name: "CostModels", Desc: "Section III-B provisioning and replication-guesswork models", Run: CostModels, Cost: [2]float64{0.03, 0.04}},
-	}
+func Registry() []Spec { return slices.Clone(registry[:]) }
+
+// registry is the experiment table Registry copies and Lookup searches.
+var registry = [...]Spec{
+	{Key: "2", Name: "Fig2", Desc: "failure-trace CDFs (STIC, SUG@R)", Run: Fig2, Cost: [2]float64{0.3, 0.4}},
+	{Key: "8a", Name: "Fig8a", Desc: "no-failure slowdowns: RCMP vs REPL-2/3 vs OPTIMISTIC", Run: Fig8a, Cost: [2]float64{950, 4.9}},
+	{Key: "8b", Name: "Fig8b", Desc: "single failure early (job 2)", Run: Fig8b, Cost: [2]float64{1180, 2.4}},
+	{Key: "8c", Name: "Fig8c", Desc: "single failure late (job 7)", Run: Fig8c, Cost: [2]float64{1150, 2.3}},
+	{Key: "9", Name: "Fig9", Desc: "double failures on STIC", Run: Fig9, Cost: [2]float64{195, 9.9}},
+	{Key: "10", Name: "Fig10", Desc: "chain-length extrapolation", Run: Fig10, Cost: [2]float64{46, 6.1}},
+	{Key: "11", Name: "Fig11", Desc: "recomputation speed-up vs nodes", Run: Fig11, Cost: [2]float64{550, 9.2}},
+	{Key: "12", Name: "Fig12", Desc: "hot-spot mapper-time CDFs", Run: Fig12, Cost: [2]float64{35, 2.1}},
+	{Key: "13", Name: "Fig13", Desc: "reducer-wave speed-up", Run: Fig13, Cost: [2]float64{15, 2.9}},
+	{Key: "14", Name: "Fig14", Desc: "mapper-wave speed-up", Run: Fig14, Cost: [2]float64{50, 13}},
+	{Key: "hybrid", Name: "Hybrid", Desc: "hybrid replication every 5 jobs", Run: Hybrid, Cost: [2]float64{28, 1.3}},
+	{Key: "double-failure", Name: "DoubleFailure", Desc: "second failure lands mid-recomputation (schedule engine)", Run: DoubleFailure, Cost: [2]float64{32, 1.8}},
+	{Key: "trace-replay", Name: "TraceReplay", Desc: "recomputation work per day under STIC/SUG@R trace schedules", Run: TraceReplay, Cost: [2]float64{133, 5.8}},
+	{Key: "weak-scaling", Name: "WeakScaling", Desc: "fixed per-node work, cluster size swept 64→4096 (aggregated shuffle)", Run: WeakScaling, Cost: [2]float64{400, 1.5}},
+	{Key: "dag-recovery", Name: "DAGRecovery", Desc: "diamond DAG fan-in cascade: surviving-branch reuse vs replication", Run: DAGRecovery, Cost: [2]float64{30, 1.5}},
+	{Key: "multi-tenant", Name: "MultiTenant", Desc: "shared-cluster tenants: recovery time vs utilization, SPLIT vs NO-SPLIT", Run: MultiTenant, MultiTenant: true, Cost: [2]float64{600, 8}},
+	{Key: "ablation-scatter", Name: "AblationScatterVsSplit", Desc: "split vs scatter-only vs none", Run: AblationScatterVsSplit, Cost: [2]float64{35, 1.5}},
+	{Key: "ablation-ratio", Name: "AblationSplitRatio", Desc: "split ratio sweep", Run: AblationSplitRatio, Cost: [2]float64{50, 1.7}},
+	{Key: "ablation-reuse", Name: "AblationMapReuse", Desc: "map-output reuse on/off", Run: AblationMapReuse, Cost: [2]float64{27, 1.1}},
+	{Key: "ablation-timeout", Name: "AblationDetectionTimeout", Desc: "detection timeout sweep", Run: AblationDetectionTimeout, Cost: [2]float64{51, 2.8}},
+	{Key: "ablation-ioratio", Name: "AblationIORatio", Desc: "input/shuffle/output ratio shapes", Run: AblationIORatio, Cost: [2]float64{17, 0.8}},
+	{Key: "ablation-reclaim", Name: "AblationReclamation", Desc: "checkpoint storage reclamation", Run: AblationReclamation, Cost: [2]float64{23, 1.1}},
+	{Key: "ablation-speculation", Name: "AblationSpeculation", Desc: "speculative execution with a straggler", Run: AblationSpeculation, Cost: [2]float64{9.5, 0.8}},
+	{Key: "ablation-locality", Name: "AblationLocality", Desc: "data locality vs oversubscription", Run: AblationLocality, Cost: [2]float64{13, 1.3}},
+	{Key: "cost", Name: "CostModels", Desc: "Section III-B provisioning and replication-guesswork models", Run: CostModels, Cost: [2]float64{0.03, 0.04}},
 }
 
 // Lookup returns the spec with the given CLI key.
 func Lookup(key string) (Spec, bool) {
-	for _, sp := range Registry() {
+	for _, sp := range registry {
 		if sp.Key == key {
 			return sp, true
 		}

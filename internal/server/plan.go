@@ -138,7 +138,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, status, resp)
 }
 
-// planJobName names a plan job with the sweep jobs' name builder, except
+// planJobName names a plan job the way JobName names sweep jobs, except
 // that the scale is always spelled out and the engine never is: every
 // plan runs on the analytic twin.
 func planJobName(c experiments.Config, deadlineSec float64) string {

@@ -230,11 +230,13 @@ func bodyKey(keys map[string]json.RawMessage, key string) json.RawMessage {
 // single one (scale, where "" is none). A null list element is the zero
 // value, as typed decoding makes it.
 func decodeAxis(d experiments.Dim, raw json.RawMessage) ([]experiments.Config, error) {
-	var elems []json.RawMessage
+	elems := []json.RawMessage{raw}
 	if s := string(raw); s == "" || s == `""` {
 		return nil, nil
-	} else if json.Unmarshal(raw, &elems) != nil {
-		elems = []json.RawMessage{raw}
+	} else if raw[0] == '[' || s == "null" {
+		if err := json.Unmarshal(raw, &elems); err != nil {
+			return nil, err
+		}
 	}
 	vals := make([]experiments.Config, len(elems))
 	for i, e := range elems {
@@ -525,12 +527,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	report := runner.NewReport(results, false)
 	if stream {
 		if timedOut {
 			_ = write(errorEvent{Type: "error", Error: "request timed out; unfinished jobs reported as errors"})
 		}
-		_ = write(reportEvent{Type: "report", Report: report})
+		_ = write(reportEvent{Type: "report", Report: runner.NewReport(results, false)})
 		return
 	}
 	status := http.StatusOK
