@@ -31,15 +31,12 @@ type Grid struct {
 	SeedSet int
 }
 
-// maxSeedSet bounds Grid.SeedSet: a seed set multiplies every job of the
-// grid, so a runaway value must fail the request, not fill memory.
-const maxSeedSet = 1024
-
 // Validate checks the grid's own options; dimension values are checked per
-// job (see Grid.Axes).
+// job (see Grid.Axes). A seed set multiplies every job of the grid, so a
+// runaway one fails the request instead of filling memory.
 func (g Grid) Validate() error {
-	if g.SeedSet < 0 || g.SeedSet > maxSeedSet {
-		return fmt.Errorf("seed_set=%d out of range [0, %d]", g.SeedSet, maxSeedSet)
+	if g.SeedSet < 0 || g.SeedSet > 1024 {
+		return fmt.Errorf("seed_set=%d out of range [0, 1024]", g.SeedSet)
 	}
 	return nil
 }

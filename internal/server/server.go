@@ -412,10 +412,8 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	if n := grid.Size(); n == 0 {
-		http.Error(w, "empty sweep grid", http.StatusBadRequest)
-		return
-	} else if n > s.cfg.MaxJobsPerRequest {
+	// decodeSweep requires a spec, so the grid has at least one job.
+	if n := grid.Size(); n > s.cfg.MaxJobsPerRequest {
 		http.Error(w, fmt.Sprintf("sweep grid of %d jobs exceeds the per-request cap of %d",
 			n, s.cfg.MaxJobsPerRequest), http.StatusRequestEntityTooLarge)
 		return
