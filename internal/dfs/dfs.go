@@ -114,7 +114,10 @@ func (f *File) Complete() bool {
 type FS struct {
 	blockSize int64
 	files     map[string]*File
-	failed    map[int]bool
+	// failed is indexed by node ID, grown on demand by FailNode;
+	// numFailed counts its true entries so AnyFailed stays O(1).
+	failed    []bool
+	numFailed int
 	// placeCursor provides deterministic round-robin placement of remote
 	// replicas, per writer node, so replicas spread evenly.
 	placeCursor map[int]int
@@ -167,7 +170,6 @@ func New(blockSize int64) *FS {
 	return &FS{
 		blockSize:   blockSize,
 		files:       make(map[string]*File),
-		failed:      make(map[int]bool),
 		placeCursor: make(map[int]int),
 	}
 }
@@ -194,6 +196,7 @@ func (fs *FS) Reset(blockSize int64) {
 	}
 	clear(fs.files)
 	clear(fs.failed)
+	fs.numFailed = 0
 	clear(fs.placeCursor)
 }
 
@@ -240,8 +243,9 @@ func (fs *FS) Files() []string {
 	return names
 }
 
-// NodeAlive reports whether node n has not failed.
-func (fs *FS) NodeAlive(n int) bool { return !fs.failed[n] }
+// NodeAlive reports whether node n has not failed. A node past the end of
+// the failure table (or a negative ID) has never been failed.
+func (fs *FS) NodeAlive(n int) bool { return uint(n) >= uint(len(fs.failed)) || !fs.failed[n] }
 
 // PlanReplicas picks the replica node set for data written by writer with
 // the given replication factor: the writer first (HDFS writer-local rule),
@@ -371,10 +375,14 @@ type LostPartition struct {
 // FailNode marks node n failed and returns the written partitions that
 // became irreversibly lost as a result. Re-failing a node returns nil.
 func (fs *FS) FailNode(n int) []LostPartition {
-	if fs.failed[n] {
+	if !fs.NodeAlive(n) {
 		return nil
 	}
+	if n >= len(fs.failed) {
+		fs.failed = append(fs.failed, make([]bool, n+1-len(fs.failed))...)
+	}
 	fs.failed[n] = true
+	fs.numFailed++
 	var lost []LostPartition
 	for _, name := range fs.Files() {
 		f := fs.files[name]
@@ -436,7 +444,7 @@ func (fs *FS) FileBlockReplicas(f *File, idx, block int, buf []int) []int {
 
 // AnyFailed reports whether any node has failed — the O(1) fast-path
 // check that lets failure-free sweeps skip per-node liveness lookups.
-func (fs *FS) AnyFailed() bool { return len(fs.failed) > 0 }
+func (fs *FS) AnyFailed() bool { return fs.numFailed > 0 }
 
 // BlockLocations returns the live replica nodes for each block of a
 // partition, in block order. Blocks with no live replica yield nil entries.

@@ -62,6 +62,10 @@ type Context struct {
 	// here so the per-node slices survive run and chain boundaries.
 	slots slotTable
 
+	// checkPick, when set, sees every locality-pass decision before it
+	// takes effect; the package's tests check it against a queue scan.
+	checkPick func(r *jobRun, mt *mapTask, node int)
+
 	// Lineage records die with their chain (a Result never exposes the
 	// chain), so the context recycles them: chainRecs tracks the records
 	// the running chain allocated, harvested into freeRecs at the next
@@ -295,6 +299,10 @@ func (ctx *Context) recycleRun(r *jobRun) {
 	commits := r.commits[:0]
 	specDups := r.specDups[:0]
 	locBuf := r.locBuf[:0]
+	byStamp := r.byStamp[:0]
+	locQ := r.locQ
+	locHead := r.locHead
+	locHeap := r.locHeap[:0]
 	*r = jobRun{}
 	r.maps = maps
 	r.reduces = reduces
@@ -308,5 +316,9 @@ func (ctx *Context) recycleRun(r *jobRun) {
 	r.commits = commits
 	r.specDups = specDups
 	r.locBuf = locBuf
+	r.byStamp = byStamp
+	r.locQ = locQ
+	r.locHead = locHead
+	r.locHeap = locHeap
 	ctx.freeRuns = append(ctx.freeRuns, r)
 }

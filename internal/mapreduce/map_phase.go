@@ -19,43 +19,164 @@ func (r *jobRun) assignOneMap() bool {
 		return false
 	}
 	// Pass 1: a node with a free slot holding a pending task's input block.
-	// The scan resumes at the pump's watermark: everything before it was
-	// rejected earlier in this pump and nothing since has freed a slot.
-	// Nil entries are launch tombstones (see dropPendingMap).
 	if !r.cfg().DisableLocality {
-		for qi := r.pumpScanFrom; qi < len(r.pendingMaps); qi++ {
-			mt := r.pendingMaps[qi]
-			if mt == nil {
-				continue
-			}
-			for _, n := range r.inputLocations(mt) {
-				if r.slots.mapFree[n] > 0 && !r.clus().Node(n).Failed() {
-					r.pumpScanFrom = qi
-					r.launchMap(mt, n, qi)
-					return true
-				}
-			}
+		mt, n := r.localPick()
+		if r.d.ctx.checkPick != nil {
+			r.d.ctx.checkPick(r, mt, n)
 		}
-		r.pumpScanFrom = len(r.pendingMaps)
+		if mt != nil {
+			r.launchMap(mt, n)
+			return true
+		}
 	}
 	// Pass 2: any free slot. A speculative duplicate avoids its original's
-	// node — rerunning a straggler in place defeats the purpose.
+	// node — rerunning a straggler in place defeats the purpose. Nil
+	// entries are launch tombstones (see dropPendingMap).
 	for _, n := range r.clus().Alive() {
 		if r.slots.mapFree[n] <= 0 {
 			continue
 		}
-		for qi, mt := range r.pendingMaps {
+		for _, mt := range r.pendingMaps {
 			if mt == nil {
 				continue
 			}
 			if mt.dupOf != nil && mt.dupOf.state == taskRunning && mt.dupOf.node == n {
 				continue
 			}
-			r.launchMap(mt, n, qi)
+			r.launchMap(mt, n)
 			return true
 		}
 	}
 	return false
+}
+
+// enqueueMap appends a task to the pending queue and, unless locality is
+// off, stamps it and files the stamp under every live replica of its input
+// block. That replica list cannot change while the task waits: a job's
+// inputs were written by earlier runs and nothing rewrites them while it
+// runs, and a failure only takes liveness away, which localPick re-checks
+// on every node it considers. Nodes never come back within a chain, so a
+// replica dead at enqueue needs no entry.
+func (r *jobRun) enqueueMap(mt *mapTask) {
+	mt.qpos = len(r.pendingMaps)
+	r.pendingMaps = append(r.pendingMaps, mt)
+	if r.cfg().DisableLocality {
+		return
+	}
+	mt.qstamp = int32(len(r.byStamp))
+	r.byStamp = append(r.byStamp, mt)
+	for _, n := range r.inputLocations(mt) {
+		r.locQ[n] = append(r.locQ[n], mt.qstamp)
+	}
+}
+
+// resetLocIndex empties the locality index for a new run, keeping every
+// per-node queue's capacity.
+func (r *jobRun) resetLocIndex() {
+	r.byStamp = r.byStamp[:0]
+	if r.cfg().DisableLocality {
+		return
+	}
+	n := r.clus().NumNodes()
+	for len(r.locQ) < n {
+		r.locQ = append(r.locQ, nil)
+	}
+	r.locQ = r.locQ[:n]
+	for i := range r.locQ {
+		r.locQ[i] = r.locQ[i][:0]
+	}
+	r.locHead = grow(r.locHead, n)
+}
+
+// locKey is a locality-heap entry: a free node and the first live stamp
+// of its queue as of its last check. Stamps only die during a pump, so a
+// stored key never exceeds the node's true one and the heap may be
+// repaired lazily, at the root.
+type locKey struct{ stamp, node int32 }
+
+// localPick is the data-local choice: the first queued task, in queue
+// order, with an input replica on a node that has a free mapper slot and
+// is alive, and the first such replica in FileBlockReplicas order; nil if
+// there is none. Every eligible (task, node) pair has its stamp in the
+// node's queue, so the heap root, once its key is confirmed live, holds
+// that task's stamp. Nothing frees a slot or enqueues a task within one
+// pump, so the heap built at the pump's first pick serves all its picks.
+func (r *jobRun) localPick() (*mapTask, int) {
+	if !r.locHeapBuilt {
+		h := r.locHeap[:0]
+		for _, n := range r.slots.mapFreeNodes {
+			if s, ok := r.locFront(int(n)); ok && r.takesMap(int(n)) {
+				h = append(h, locKey{s, n})
+			}
+		}
+		for i := len(h)/2 - 1; i >= 0; i-- {
+			siftDown(h, i)
+		}
+		r.locHeap = h
+		r.locHeapBuilt = true
+	}
+	for len(r.locHeap) > 0 {
+		top := &r.locHeap[0]
+		n := int(top.node)
+		s, ok := r.locFront(n)
+		switch {
+		case !ok || !r.takesMap(n):
+			last := len(r.locHeap) - 1
+			r.locHeap[0] = r.locHeap[last]
+			r.locHeap = r.locHeap[:last]
+			siftDown(r.locHeap, 0)
+		case s != top.stamp:
+			top.stamp = s
+			siftDown(r.locHeap, 0)
+		default:
+			mt := r.byStamp[s]
+			for _, m := range r.inputLocations(mt) {
+				if r.slots.mapFree[m] > 0 && !r.clus().Node(m).Failed() {
+					return mt, m
+				}
+			}
+			panic("mapreduce: locality index lists a replica the task does not have")
+		}
+	}
+	return nil, -1
+}
+
+// takesMap reports whether node n can launch a mapper now.
+func (r *jobRun) takesMap(n int) bool {
+	return r.slots.mapFree[n] > 0 && r.fs().NodeAlive(n) && !r.clus().Node(n).Failed()
+}
+
+// locFront returns the first live stamp in node n's queue, dropping the
+// dead entries before it; false when none is left.
+func (r *jobRun) locFront(n int) (int32, bool) {
+	q, h := r.locQ[n], r.locHead[n]
+	for int(h) < len(q) && r.byStamp[q[h]].qstamp != q[h] {
+		h++
+	}
+	if int(h) == len(q) {
+		r.locQ[n], r.locHead[n] = q[:0], 0
+		return 0, false
+	}
+	r.locHead[n] = h
+	return q[h], true
+}
+
+// siftDown restores the min-heap order below position i.
+func siftDown(h []locKey, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c+1].stamp < h[c].stamp {
+			c++
+		}
+		if h[i].stamp <= h[c].stamp {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // inputLocations returns the live replicas of the task's input block. The
@@ -67,8 +188,8 @@ func (r *jobRun) inputLocations(mt *mapTask) []int {
 	return r.locBuf
 }
 
-func (r *jobRun) launchMap(mt *mapTask, node int, queueIdx int) {
-	r.dropPendingMap(queueIdx)
+func (r *jobRun) launchMap(mt *mapTask, node int) {
+	r.dropPendingMap(mt)
 	r.takeMapSlot(node)
 	mt.to(taskRunning)
 	mt.node = node
@@ -213,11 +334,8 @@ func (r *jobRun) killSpeculative(loser *mapTask) {
 			r.d.specWasted++
 		}
 	case taskPending, taskBlocked:
-		for i, p := range r.pendingMaps {
-			if p == loser {
-				r.dropPendingMap(i)
-				break
-			}
+		if loser.state == taskPending { // a blocked task is not queued
+			r.dropPendingMap(loser)
 		}
 		if loser.dupOf != nil {
 			r.d.specWasted++ // queued duplicate never even ran
@@ -269,7 +387,7 @@ func (r *jobRun) speculate() {
 		dup.dupOf = mt
 		mt.dup = dup
 		r.specDups = append(r.specDups, dup)
-		r.pendingMaps = append(r.pendingMaps, dup)
+		r.enqueueMap(dup)
 		r.d.specLaunched++
 	}
 	if nextCheck < des.Forever {

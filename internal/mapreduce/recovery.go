@@ -125,11 +125,11 @@ func (r *jobRun) handleDetection(n int) {
 		switch {
 		case mt.state == taskBlocked:
 			mt.to(taskPending)
-			r.pendingMaps = append(r.pendingMaps, mt)
+			r.enqueueMap(mt)
 		case mt.state == taskZombie && mt.node == n:
 			mt.to(taskPending)
 			mt.node = -1
-			r.pendingMaps = append(r.pendingMaps, mt)
+			r.enqueueMap(mt)
 		case mt.state == taskDone && mt.node == n:
 			// Output lost: re-execute. Reducers that already fetched keep
 			// their bytes; the rest arrives via needResupply.
@@ -139,7 +139,7 @@ func (r *jobRun) handleDetection(n int) {
 			mt.lostSeq = r.seq
 			mt.node = -1
 			r.mapsRemaining++
-			r.pendingMaps = append(r.pendingMaps, mt)
+			r.enqueueMap(mt)
 		}
 	}
 	for _, rt := range r.reduces {

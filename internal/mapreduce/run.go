@@ -62,6 +62,11 @@ type mapTask struct {
 	node int
 	fl   *flow.Flow
 	ev   *des.Event
+	// qpos is the task's index in jobRun.pendingMaps while it is queued
+	// (state pending). qstamp is the stamp of its latest enqueue, which
+	// names its entries in the locality index; -1 once it leaves the queue.
+	qpos   int
+	qstamp int32
 	// lostSeq is nonzero on a task re-executed after its output was lost
 	// (Hadoop recovery): the run's sequence stamp (jobRun.seq) of the
 	// detection that declared it lost — the latest one, if it was lost again.
@@ -218,6 +223,11 @@ type slotTable struct {
 	// cluster is saturated.
 	mapSlotsFree int
 	redSlotsFree int
+	// mapFreeNodes lists the nodes with a free mapper slot, in no
+	// particular order; the locality pass builds its heap from it.
+	// mapFreeAt[n] is n's position there plus one, 0 while n is absent.
+	mapFreeNodes []int32
+	mapFreeAt    []int32
 }
 
 // reset restores every alive node's full slot allotment.
@@ -225,9 +235,12 @@ func (s *slotTable) reset(c *cluster.Cluster, mapSlots, redSlots int) {
 	n := c.NumNodes()
 	s.mapFree = grow(s.mapFree, n)
 	s.redFree = grow(s.redFree, n)
+	s.mapFreeAt = grow(s.mapFreeAt, n)
+	s.mapFreeNodes = s.mapFreeNodes[:0]
 	for _, node := range c.Alive() {
 		s.mapFree[node] = mapSlots
 		s.redFree[node] = redSlots
+		s.listFree(node)
 	}
 	s.mapSlotsFree = c.NumAlive() * mapSlots
 	s.redSlotsFree = c.NumAlive() * redSlots
@@ -240,6 +253,36 @@ func (s *slotTable) nodeDown(n int) {
 	s.redSlotsFree -= s.redFree[n]
 	s.mapFree[n] = 0
 	s.redFree[n] = 0
+	s.listFree(n)
+}
+
+func (s *slotTable) takeMap(n int) {
+	s.mapFree[n]--
+	s.mapSlotsFree--
+	s.listFree(n)
+}
+
+func (s *slotTable) freeMap(n int) {
+	s.mapFree[n]++
+	s.mapSlotsFree++
+	s.listFree(n)
+}
+
+// listFree brings n's membership of mapFreeNodes in line with its free
+// mapper slots.
+func (s *slotTable) listFree(n int) {
+	at := s.mapFreeAt[n]
+	switch {
+	case s.mapFree[n] > 0 && at == 0:
+		s.mapFreeNodes = append(s.mapFreeNodes, int32(n))
+		s.mapFreeAt[n] = int32(len(s.mapFreeNodes))
+	case s.mapFree[n] <= 0 && at != 0:
+		last := s.mapFreeNodes[len(s.mapFreeNodes)-1]
+		s.mapFreeNodes[at-1] = last
+		s.mapFreeAt[last] = at
+		s.mapFreeNodes = s.mapFreeNodes[:len(s.mapFreeNodes)-1]
+		s.mapFreeAt[n] = 0
+	}
 }
 
 // jobRun executes one job run (initial, recompute step, or restart).
@@ -273,9 +316,9 @@ type jobRun struct {
 	// entries become nil tombstones instead of being spliced out: a splice
 	// memmoves the whole tail, which at thousands of nodes turned the map
 	// phase quadratic (the profiled 4096-node tail was ~35% memmove).
-	// Tombstones keep indices stable — so pumpScanFrom stays valid across
-	// launches — and dropPendingMap compacts them away amortized O(1) once
-	// they outnumber live entries. pendingMapNils counts them.
+	// Tombstones keep indices stable — each queued task knows its own
+	// (mapTask.qpos) — and dropPendingMap compacts them away amortized
+	// O(1) once they outnumber live entries. pendingMapNils counts them.
 	pendingMaps    []*mapTask
 	pendingMapNils int
 	pendingReds    []*reduceTask
@@ -283,13 +326,19 @@ type jobRun struct {
 	// (reset at begin) single-tenant, the session's shared one multi-tenant.
 	slots     *slotTable
 	redCursor int // round-robin start for reducer placement
-	// pumpScanFrom is the locality pass's scan watermark within one pump:
-	// a task rejected by assignOneMap stays rejected for the rest of the
-	// pump (launches only consume slots), so re-scanning the blocked
-	// prefix on every assignment is pure waste — the watermark makes a
-	// pump's total scan O(queue), not O(queue × launches). Reset per
-	// pump; remapped when a compaction shifts indices under it.
-	pumpScanFrom int
+
+	// The locality index (localPick in map_phase.go). Every enqueue stamps
+	// its task with its position in byStamp, so stamp order is queue
+	// order. locQ[n] holds, in stamp order from locHead[n] on, the stamps
+	// of queued tasks with a live input replica on node n; an entry whose
+	// task has left the queue or been re-stamped is dead and skipped when
+	// it reaches the head. locHeap is the pump's heap of free nodes keyed
+	// by their first live stamp, built once per pump (locHeapBuilt).
+	byStamp      []*mapTask
+	locQ         [][]int32
+	locHead      []int32
+	locHeap      []locKey
+	locHeapBuilt bool
 
 	commits   []partCommit // indexed by reducer ID, opened when the first split lands
 	done      bool
@@ -352,34 +401,29 @@ func (r *jobRun) ccfg() *cluster.Config  { return &r.d.clus.Cfg }
 // Slot bookkeeping goes through these four helpers so the per-node slices
 // and the cluster-wide totals can never drift apart.
 
-func (r *jobRun) takeMapSlot(n int) { r.slots.mapFree[n]--; r.slots.mapSlotsFree-- }
-func (r *jobRun) freeMapSlot(n int) { r.slots.mapFree[n]++; r.slots.mapSlotsFree++ }
+func (r *jobRun) takeMapSlot(n int) { r.slots.takeMap(n) }
+func (r *jobRun) freeMapSlot(n int) { r.slots.freeMap(n) }
 func (r *jobRun) takeRedSlot(n int) { r.slots.redFree[n]--; r.slots.redSlotsFree-- }
 func (r *jobRun) freeRedSlot(n int) { r.slots.redFree[n]++; r.slots.redSlotsFree++ }
 
-// dropPendingMap tombstones the queue entry at index i (see the
-// pendingMaps field comment) and compacts once tombstones outnumber live
-// entries. Assignment order is untouched: survivors keep their relative
-// order, and the locality watermark is remapped to its compacted position.
-func (r *jobRun) dropPendingMap(i int) {
-	r.pendingMaps[i] = nil
+// dropPendingMap tombstones a queued task's entry (see the pendingMaps
+// field comment), which also kills its locality-index entries, and
+// compacts once tombstones outnumber live entries. Assignment order is
+// untouched: survivors keep their relative order.
+func (r *jobRun) dropPendingMap(mt *mapTask) {
+	r.pendingMaps[mt.qpos] = nil
+	mt.qstamp = -1
 	r.pendingMapNils++
 	if r.pendingMapNils*2 <= len(r.pendingMaps) || len(r.pendingMaps) < 64 {
 		return
 	}
 	kept := 0
-	scanFrom := r.pumpScanFrom
-	for qi, mt := range r.pendingMaps {
-		if qi == scanFrom {
-			r.pumpScanFrom = kept
-		}
+	for _, mt := range r.pendingMaps {
 		if mt != nil {
+			mt.qpos = kept
 			r.pendingMaps[kept] = mt
 			kept++
 		}
-	}
-	if scanFrom >= len(r.pendingMaps) {
-		r.pumpScanFrom = kept
 	}
 	clear(r.pendingMaps[kept:])
 	r.pendingMaps = r.pendingMaps[:kept]
@@ -419,7 +463,10 @@ func (r *jobRun) begin() {
 	r.mapsRemaining = len(r.maps)
 	r.redRemaining = len(r.reduces)
 	r.pendingMapNils = 0
-	r.pendingMaps = append(r.pendingMaps, r.maps...)
+	r.resetLocIndex()
+	for _, mt := range r.maps {
+		r.enqueueMap(mt)
+	}
 	if r.cfg().DisableLocality {
 		// Without the locality preference, index-order assignment would
 		// send every early task to the same input partition and hammer one
@@ -427,7 +474,9 @@ func (r *jobRun) begin() {
 		// randomness, modeled with a deterministic shuffle.
 		rng := rand.New(rand.NewSource(r.cfg().Seed + int64(r.runIndex)))
 		rng.Shuffle(len(r.pendingMaps), func(i, j int) {
-			r.pendingMaps[i], r.pendingMaps[j] = r.pendingMaps[j], r.pendingMaps[i]
+			q := r.pendingMaps
+			q[i], q[j] = q[j], q[i]
+			q[i].qpos, q[j].qpos = i, j
 		})
 	}
 	r.pendingReds = append(r.pendingReds, r.reduces...)
@@ -466,7 +515,7 @@ func (r *jobRun) pump() {
 	if r.done {
 		return
 	}
-	r.pumpScanFrom = 0
+	r.locHeapBuilt = false
 	for r.assignOneMap() {
 	}
 	for r.assignOneReduce() {
