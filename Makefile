@@ -51,13 +51,13 @@ profile-scale-fail:
 	$(GO) tool pprof -top -nodecount=10 profiles/scalefail4096.cpu.pprof
 
 # profile-figs profiles the layer that owns bench/'s figs_paper workload:
-# one paper-scale pass over every registered figure (BenchmarkAllSerial) —
-# des, strict flow accounting and the exact shuffle tier on 10-60
-# node clusters, a couple of seconds in all. The captures stay local
-# (.gitignore).
+# five paper-scale passes over every registered figure
+# (BenchmarkAllSerial) — des, strict flow accounting and the exact shuffle
+# tier on 10-60 node clusters, about a second a pass. The captures stay
+# local (.gitignore).
 profile-figs:
 	@mkdir -p profiles
-	$(GO) test -run xxx -bench 'BenchmarkAllSerial$$' -benchtime 1x \
+	$(GO) test -run xxx -bench 'BenchmarkAllSerial$$' -benchtime 5x \
 		-cpuprofile profiles/figs.cpu.pprof \
 		-memprofile profiles/figs.mem.pprof .
 	$(GO) tool pprof -top -nodecount=10 profiles/figs.cpu.pprof

@@ -26,8 +26,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -37,45 +39,74 @@ import (
 	"rcmp/internal/workload"
 )
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
-		os.Exit(2)
-	}
-	var err error
-	switch os.Args[1] {
-	case "demo":
-		err = runDemo(os.Args[2:])
-	case "compare":
-		err = runCompare(os.Args[2:])
-	case "master":
-		err = runMaster(os.Args[2:])
-	case "worker":
-		err = runWorker(os.Args[2:])
-	default:
-		usage()
-		os.Exit(2)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "rcmpd:", err)
-		os.Exit(1)
-	}
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage: rcmpd <demo|compare|master|worker> [flags]
+// run is the whole command behind main: it dispatches the subcommand,
+// which writes its report to stdout, and returns the exit code — 0 on
+// success or -h, 2 on a usage error, 1 when the subcommand fails.
+func run(args []string, stdout, stderr io.Writer) int {
+	var sub func(args []string, stdout, stderr io.Writer) error
+	if len(args) > 0 {
+		switch args[0] {
+		case "demo":
+			sub = runDemo
+		case "compare":
+			sub = runCompare
+		case "master":
+			sub = runMaster
+		case "worker":
+			sub = runWorker
+		}
+	}
+	if sub == nil {
+		fmt.Fprintln(stderr, `usage: rcmpd <demo|compare|master|worker> [flags]
 run "rcmpd <subcommand> -h" for the flags of each subcommand`)
+		return 2
+	}
+	err := sub(args[1:], stdout, stderr)
+	var usage usageError
+	switch {
+	case err == nil, errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.Is(err, errBadFlag):
+		return 2 // the flag set has printed the problem and the flags
+	case errors.As(err, &usage):
+		fmt.Fprintln(stderr, "rcmpd:", err)
+		return 2
+	default:
+		fmt.Fprintln(stderr, "rcmpd:", err)
+		return 1
+	}
 }
 
-// parseFlags parses a subcommand's flags. The flag set exits 2 on a bad
-// flag itself (ExitOnError); a stray positional argument, which would end
-// parsing and silently drop every flag after it, exits 2 the same way.
-func parseFlags(fs *flag.FlagSet, args []string) {
-	_ = fs.Parse(args) // ExitOnError: returns only on success
-	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "rcmpd: unexpected argument %q\n", fs.Arg(0))
-		os.Exit(2)
+// usageError is a mistake in the command line rather than a failure of
+// the run: run exits 2 on it.
+type usageError struct{ error }
+
+// errBadFlag is a flag the subcommand's flag set rejected and reported.
+var errBadFlag = errors.New("bad flag")
+
+// newFlags returns a subcommand's flag set, reporting to stderr.
+func newFlags(name string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
+}
+
+// parseFlags parses a subcommand's flags. A stray positional argument
+// would end parsing and silently drop every flag after it, so it is a
+// usage error too.
+func parseFlags(fs *flag.FlagSet, args []string) error {
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return err
+		}
+		return errBadFlag
 	}
+	if fs.NArg() > 0 {
+		return usageError{fmt.Errorf("unexpected argument %q", fs.Arg(0))}
+	}
+	return nil
 }
 
 // chainFlags registers the flags shared by demo and master.
@@ -130,29 +161,31 @@ func parseKills(s string) (map[int][]int, error) {
 	return kills, nil
 }
 
-func runDemo(args []string) error {
-	fs := flag.NewFlagSet("demo", flag.ExitOnError)
+func runDemo(args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("demo", stderr)
 	var cfg dmr.ChainConfig
 	chainFlags(fs, &cfg)
 	workers := fs.Int("workers", 5, "number of workers")
 	slots := fs.Int("slots", 2, "mapper and reducer slots per worker")
 	blockRecords := fs.Int("block-records", 50, "records per DFS block")
 	killSpec := fs.String("kill", "job=2,worker=1", "worker kills, e.g. \"job=2,worker=1;job=4,worker=3\" (empty = failure-free)")
-	parseFlags(fs, args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	kills, err := parseKills(*killSpec)
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 
 	// Reference digests from a failure-free run of the identical chain.
-	fmt.Println("== reference run (failure-free) ==")
-	ref, _, err := demoRun(cfg, *workers, *slots, *blockRecords, nil)
+	fmt.Fprintln(stdout, "== reference run (failure-free) ==")
+	ref, _, err := demoRun(stdout, cfg, *workers, *slots, *blockRecords, nil)
 	if err != nil {
 		return err
 	}
 
-	fmt.Println("== run with failure injection ==")
-	got, d, err := demoRun(cfg, *workers, *slots, *blockRecords, kills)
+	fmt.Fprintln(stdout, "== run with failure injection ==")
+	got, d, err := demoRun(stdout, cfg, *workers, *slots, *blockRecords, kills)
 	if err != nil {
 		return err
 	}
@@ -161,16 +194,16 @@ func runDemo(args []string) error {
 			return fmt.Errorf("output partition %d differs from failure-free run: %v vs %v", p, got[p], ref[p])
 		}
 	}
-	fmt.Printf("output verified: %d partitions byte-equivalent to the failure-free run\n", len(ref))
-	fmt.Printf("started runs: %d (failure-free chain would be %d)\n", d.StartedRuns, cfg.Jobs)
-	fmt.Printf("recovery episodes: %d, recomputed mappers: %d, recomputed reducers: %d, remote reads: %d\n",
+	fmt.Fprintf(stdout, "output verified: %d partitions byte-equivalent to the failure-free run\n", len(ref))
+	fmt.Fprintf(stdout, "started runs: %d (failure-free chain would be %d)\n", d.StartedRuns, cfg.Jobs)
+	fmt.Fprintf(stdout, "recovery episodes: %d, recomputed mappers: %d, recomputed reducers: %d, remote reads: %d\n",
 		d.RecoveryEpisodes, d.RecomputedMappers, d.RecomputedReducers, d.RemoteReads)
 	return nil
 }
 
 // demoRun starts a loopback cluster, runs the chain with the given kill
-// schedule, and returns the output digests.
-func demoRun(cfg dmr.ChainConfig, workers, slots, blockRecords int, kills map[int][]int) ([]workloadDigest, *dmr.Driver, error) {
+// schedule, and returns the output digests; progress goes to out.
+func demoRun(out io.Writer, cfg dmr.ChainConfig, workers, slots, blockRecords int, kills map[int][]int) ([]workloadDigest, *dmr.Driver, error) {
 	m, err := dmr.StartMaster(dmr.MasterConfig{SlotsPerWorker: slots, Timing: dmr.TestTiming()}, blockRecords)
 	if err != nil {
 		return nil, nil, err
@@ -193,7 +226,7 @@ func demoRun(cfg dmr.ChainConfig, workers, slots, blockRecords int, kills map[in
 	cfg.AfterJob = func(job int) {
 		for _, victim := range kills[job] {
 			if victim < len(ws) {
-				fmt.Printf("  -- killing worker %d after job %d --\n", victim, job)
+				fmt.Fprintf(out, "  -- killing worker %d after job %d --\n", victim, job)
 				ws[victim].Kill()
 				waitDead(m, victim)
 			}
@@ -210,7 +243,7 @@ func demoRun(cfg dmr.ChainConfig, workers, slots, blockRecords int, kills map[in
 	if err := d.RunChain(); err != nil {
 		return nil, nil, err
 	}
-	fmt.Printf("  chain of %d jobs done in %v (%d runs started)\n", cfg.Jobs, time.Since(start).Round(time.Millisecond), d.StartedRuns)
+	fmt.Fprintf(out, "  chain of %d jobs done in %v (%d runs started)\n", cfg.Jobs, time.Since(start).Round(time.Millisecond), d.StartedRuns)
 	digs, err := d.OutputDigests()
 	if err != nil {
 		return nil, nil, err
@@ -222,24 +255,26 @@ func demoRun(cfg dmr.ChainConfig, workers, slots, blockRecords int, kills map[in
 // strategies of Section IV-B (no-split, split, scatter-only) on the real
 // runtime, verifies each output against a failure-free reference, and
 // prints the work each strategy performed.
-func runCompare(args []string) error {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
+func runCompare(args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("compare", stderr)
 	var cfg dmr.ChainConfig
 	chainFlags(fs, &cfg)
 	workers := fs.Int("workers", 6, "number of workers")
 	slots := fs.Int("slots", 2, "mapper and reducer slots per worker")
 	blockRecords := fs.Int("block-records", 50, "records per DFS block")
 	killSpec := fs.String("kill", "job=3,worker=1", "worker kills (same syntax as demo)")
-	parseFlags(fs, args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	if cfg.Split || cfg.ScatterOnly {
-		return fmt.Errorf("compare sets the strategy itself; drop -split/-scatter")
+		return usageError{errors.New("compare sets the strategy itself; drop -split/-scatter")}
 	}
 	kills, err := parseKills(*killSpec)
 	if err != nil {
-		return err
+		return usageError{err}
 	}
 
-	ref, _, err := demoRun(cfg, *workers, *slots, *blockRecords, nil)
+	ref, _, err := demoRun(stdout, cfg, *workers, *slots, *blockRecords, nil)
 	if err != nil {
 		return fmt.Errorf("reference run: %w", err)
 	}
@@ -261,7 +296,7 @@ func runCompare(args []string) error {
 		c := cfg
 		strat.mutate(&c)
 		start := time.Now()
-		got, d, err := demoRun(c, *workers, *slots, *blockRecords, kills)
+		got, d, err := demoRun(stdout, c, *workers, *slots, *blockRecords, kills)
 		if err != nil {
 			return fmt.Errorf("%s run: %w", strat.name, err)
 		}
@@ -273,14 +308,14 @@ func runCompare(args []string) error {
 		rows = append(rows, row{strat.name, d, time.Since(start)})
 	}
 
-	fmt.Printf("\n%-10s %8s %12s %12s %12s %10s  verified\n",
+	fmt.Fprintf(stdout, "\n%-10s %8s %12s %12s %12s %10s  verified\n",
 		"strategy", "runs", "recomp.maps", "recomp.reds", "remoteReads", "wall")
 	for _, r := range rows {
-		fmt.Printf("%-10s %8d %12d %12d %12d %10v  yes\n",
+		fmt.Fprintf(stdout, "%-10s %8d %12d %12d %12d %10v  yes\n",
 			r.name, r.d.StartedRuns, r.d.RecomputedMappers, r.d.RecomputedReducers,
 			r.d.RemoteReads, r.wall.Round(time.Millisecond))
 	}
-	fmt.Println("\nall three strategies produced output byte-equivalent to the failure-free run")
+	fmt.Fprintln(stdout, "\nall three strategies produced output byte-equivalent to the failure-free run")
 	return nil
 }
 
@@ -293,8 +328,8 @@ func waitDead(m *dmr.Master, id int) {
 	}
 }
 
-func runMaster(args []string) error {
-	fs := flag.NewFlagSet("master", flag.ExitOnError)
+func runMaster(args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("master", stderr)
 	var cfg dmr.ChainConfig
 	chainFlags(fs, &cfg)
 	listen := fs.String("listen", "127.0.0.1:7070", "control listen address")
@@ -302,7 +337,9 @@ func runMaster(args []string) error {
 	slots := fs.Int("slots", 2, "mapper and reducer slots per worker")
 	blockRecords := fs.Int("block-records", 50, "records per DFS block")
 	detect := fs.Duration("detect", 30*time.Second, "failure detection timeout (paper: 30s)")
-	parseFlags(fs, args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 
 	timing := dmr.DefaultTiming()
 	timing.DetectionTimeout = *detect
@@ -314,11 +351,11 @@ func runMaster(args []string) error {
 		return err
 	}
 	defer m.Close()
-	fmt.Printf("master listening on %s, waiting for %d workers...\n", m.Addr(), *workers)
+	fmt.Fprintf(stdout, "master listening on %s, waiting for %d workers...\n", m.Addr(), *workers)
 	for len(m.AliveWorkers()) < *workers {
 		time.Sleep(200 * time.Millisecond)
 	}
-	fmt.Printf("workers registered: %v\n", m.AliveWorkers())
+	fmt.Fprintf(stdout, "workers registered: %v\n", m.AliveWorkers())
 
 	d, err := dmr.NewDriver(m, cfg)
 	if err != nil {
@@ -331,36 +368,38 @@ func runMaster(args []string) error {
 	if err := d.RunChain(); err != nil {
 		return err
 	}
-	fmt.Printf("chain of %d jobs done in %v; runs started: %d, recoveries: %d\n",
+	fmt.Fprintf(stdout, "chain of %d jobs done in %v; runs started: %d, recoveries: %d\n",
 		cfg.Jobs, time.Since(start).Round(time.Millisecond), d.StartedRuns, d.RecoveryEpisodes)
 	digs, err := d.OutputDigests()
 	if err != nil {
 		return err
 	}
 	for p, dg := range digs {
-		fmt.Printf("  out/p%d: %v\n", p, dg)
+		fmt.Fprintf(stdout, "  out/p%d: %v\n", p, dg)
 	}
 	return nil
 }
 
-func runWorker(args []string) error {
-	fs := flag.NewFlagSet("worker", flag.ExitOnError)
+func runWorker(args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("worker", stderr)
 	id := fs.Int("id", 0, "worker node ID (dense, unique)")
 	master := fs.String("master", "127.0.0.1:7070", "master control address")
 	listen := fs.String("listen", "127.0.0.1:0", "data/task listen address")
 	dieAfter := fs.Duration("die-after", 0, "kill self after this duration (0 = run until interrupted)")
 	heartbeat := fs.Duration("heartbeat", 3*time.Second, "heartbeat interval (keep <= 1/4 of the master's -detect)")
-	parseFlags(fs, args)
+	if err := parseFlags(fs, args); err != nil {
+		return err
+	}
 	timing := dmr.DefaultTiming()
 	timing.HeartbeatInterval = *heartbeat
 	w, err := dmr.StartWorker(dmr.WorkerConfig{ID: *id, MasterAddr: *master, ListenAddr: *listen, Timing: timing})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("worker %d serving on %s (master %s)\n", w.ID(), w.Addr(), *master)
+	fmt.Fprintf(stdout, "worker %d serving on %s (master %s)\n", w.ID(), w.Addr(), *master)
 	if *dieAfter > 0 {
 		time.Sleep(*dieAfter)
-		fmt.Printf("worker %d dying now (-die-after %v)\n", w.ID(), *dieAfter)
+		fmt.Fprintf(stdout, "worker %d dying now (-die-after %v)\n", w.ID(), *dieAfter)
 		w.Kill()
 		return nil
 	}
