@@ -300,8 +300,8 @@ func (ctx *Context) recycleRun(r *jobRun) {
 	specDups := r.specDups[:0]
 	locBuf := r.locBuf[:0]
 	byStamp := r.byStamp[:0]
-	locQ := r.locQ
-	locHead := r.locHead
+	locEnt := r.locEnt[:0]
+	locHead, locTail := r.locHead[:0], r.locTail[:0]
 	locHeap := r.locHeap[:0]
 	*r = jobRun{}
 	r.maps = maps
@@ -317,8 +317,8 @@ func (ctx *Context) recycleRun(r *jobRun) {
 	r.specDups = specDups
 	r.locBuf = locBuf
 	r.byStamp = byStamp
-	r.locQ = locQ
-	r.locHead = locHead
+	r.locEnt = locEnt
+	r.locHead, r.locTail = locHead, locTail
 	r.locHeap = locHeap
 	ctx.freeRuns = append(ctx.freeRuns, r)
 }

@@ -66,27 +66,30 @@ func (r *jobRun) enqueueMap(mt *mapTask) {
 	mt.qstamp = int32(len(r.byStamp))
 	r.byStamp = append(r.byStamp, mt)
 	for _, n := range r.inputLocations(mt) {
-		r.locQ[n] = append(r.locQ[n], mt.qstamp)
+		i := int32(len(r.locEnt))
+		r.locEnt = append(r.locEnt, locEntry{stamp: mt.qstamp})
+		if t := r.locTail[n]; t != 0 {
+			r.locEnt[t].next = i
+		} else {
+			r.locHead[n] = i
+		}
+		r.locTail[n] = i
 	}
 }
 
-// resetLocIndex empties the locality index for a new run, keeping every
-// per-node queue's capacity.
+// resetLocIndex empties the locality index for a new run, keeping its
+// capacity.
 func (r *jobRun) resetLocIndex() {
 	r.byStamp = r.byStamp[:0]
-	if r.cfg().DisableLocality {
-		return
-	}
+	r.locEnt = append(r.locEnt[:0], locEntry{}) // index 0 ends a list
 	n := r.clus().NumNodes()
-	for len(r.locQ) < n {
-		r.locQ = append(r.locQ, nil)
-	}
-	r.locQ = r.locQ[:n]
-	for i := range r.locQ {
-		r.locQ[i] = r.locQ[i][:0]
-	}
 	r.locHead = grow(r.locHead, n)
+	r.locTail = grow(r.locTail, n)
 }
+
+// locEntry is one node-queue entry of the locality index: a stamp and the
+// index of the next entry in the same node's queue (0 at the end).
+type locEntry struct{ stamp, next int32 }
 
 // locKey is a locality-heap entry: a free node and the first live stamp
 // of its queue as of its last check. Stamps only die during a pump, so a
@@ -149,16 +152,16 @@ func (r *jobRun) takesMap(n int) bool {
 // locFront returns the first live stamp in node n's queue, dropping the
 // dead entries before it; false when none is left.
 func (r *jobRun) locFront(n int) (int32, bool) {
-	q, h := r.locQ[n], r.locHead[n]
-	for int(h) < len(q) && r.byStamp[q[h]].qstamp != q[h] {
-		h++
+	i := r.locHead[n]
+	for i != 0 && r.byStamp[r.locEnt[i].stamp].qstamp != r.locEnt[i].stamp {
+		i = r.locEnt[i].next
 	}
-	if int(h) == len(q) {
-		r.locQ[n], r.locHead[n] = q[:0], 0
+	r.locHead[n] = i
+	if i == 0 {
+		r.locTail[n] = 0
 		return 0, false
 	}
-	r.locHead[n] = h
-	return q[h], true
+	return r.locEnt[i].stamp, true
 }
 
 // siftDown restores the min-heap order below position i.

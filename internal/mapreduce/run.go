@@ -329,16 +329,17 @@ type jobRun struct {
 
 	// The locality index (localPick in map_phase.go). Every enqueue stamps
 	// its task with its position in byStamp, so stamp order is queue
-	// order. locQ[n] holds, in stamp order from locHead[n] on, the stamps
-	// of queued tasks with a live input replica on node n; an entry whose
-	// task has left the queue or been re-stamped is dead and skipped when
-	// it reaches the head. locHeap is the pump's heap of free nodes keyed
-	// by their first live stamp, built once per pump (locHeapBuilt).
-	byStamp      []*mapTask
-	locQ         [][]int32
-	locHead      []int32
-	locHeap      []locKey
-	locHeapBuilt bool
+	// order. Node n's queue is a list through locEnt, from locHead[n] to
+	// locTail[n], of the stamps of queued tasks with a live input replica
+	// on n, in stamp order; an entry whose task has left the queue or been
+	// re-stamped is dead and skipped when it reaches the head. locHeap is
+	// the pump's heap of free nodes keyed by their first live stamp, built
+	// once per pump (locHeapBuilt).
+	byStamp          []*mapTask
+	locEnt           []locEntry
+	locHead, locTail []int32
+	locHeap          []locKey
+	locHeapBuilt     bool
 
 	commits   []partCommit // indexed by reducer ID, opened when the first split lands
 	done      bool
