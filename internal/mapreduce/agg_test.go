@@ -236,6 +236,18 @@ func checkPinned(t *testing.T, label any, ccfg cluster.Config, cfg ChainConfig, 
 	if got := pinStatsOf(res); got != want {
 		t.Errorf("%v:\n got  %s\n want %s", label, got.literal(), want.literal())
 	}
+	// The same chain as a one-tenant session must reproduce the pin:
+	// tenant 0's total and runs, the session's events and flows.
+	mr, err := NewContext(ccfg).RunMultiTenant(GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)}, 1)
+	if err != nil {
+		t.Errorf("%v (1-tenant session): %v", label, err)
+		return
+	}
+	got := pinStatsOf(mr.Tenants[0])
+	got.events, got.flows = mr.Events, mr.Flows
+	if got != want {
+		t.Errorf("%v (1-tenant session):\n got  %s\n want %s", label, got.literal(), want.literal())
+	}
 }
 
 // specRerunChain is a Hadoop chain on a six-node cluster with one slow
