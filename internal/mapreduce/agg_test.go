@@ -400,17 +400,11 @@ func TestReducerEntitlementConserved(t *testing.T) {
 func checkEntitlements(t *testing.T, label any, ccfg cluster.Config, cfg ChainConfig) {
 	t.Helper()
 	cfg = cfg.withDefaults()
-	topo, err := buildTopology(linearJobs(cfg.NumJobs))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := NewContext(ccfg)
-	ctx.reset(cfg.BlockSize)
-	d := newDriver(ctx, cfg, topo, true)
-	if err := d.createInput(); err != nil {
+	if err := ctx.start(GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)}, 1); err != nil {
 		t.Fatal(err)
 	}
-	d.startInitial(1)
+	d := ctx.session.drivers[0]
 	type key struct{ run, reducer int }
 	checked := map[key]bool{}
 	for ctx.sim.Step() {
@@ -482,17 +476,11 @@ func TestReadyBitsMatchBuckets(t *testing.T) {
 func checkReadyBits(t *testing.T, label any, ccfg cluster.Config, cfg ChainConfig) {
 	t.Helper()
 	cfg = cfg.withDefaults()
-	topo, err := buildTopology(linearJobs(cfg.NumJobs))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := NewContext(ccfg)
-	ctx.reset(cfg.BlockSize)
-	d := newDriver(ctx, cfg, topo, true)
-	if err := d.createInput(); err != nil {
+	if err := ctx.start(GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)}, 1); err != nil {
 		t.Fatal(err)
 	}
-	d.startInitial(1)
+	d := ctx.session.drivers[0]
 	chunk := float64(cfg.BlockSize) / 4
 	var want [2][]uint64
 	for ctx.sim.Step() {
@@ -652,17 +640,11 @@ func TestPinnedSessionDenseOffers(t *testing.T) {
 func TestDenseOffersVisitFewCohorts(t *testing.T) {
 	ccfg, cfg := scaleFailConfigs(1024, Injection{AtRun: 2, After: 1, Node: 3})
 	cfg = cfg.withDefaults()
-	topo, err := buildTopology(linearJobs(cfg.NumJobs))
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx := NewContext(ccfg)
-	ctx.reset(cfg.BlockSize)
-	d := newDriver(ctx, cfg, topo, true)
-	if err := d.createInput(); err != nil {
+	if err := ctx.start(GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)}, 1); err != nil {
 		t.Fatal(err)
 	}
-	d.startInitial(1)
+	d := ctx.session.drivers[0]
 	var last *jobRun
 	remaining, offers, visits := 0, 0, 0
 	for ctx.sim.Step() {

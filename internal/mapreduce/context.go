@@ -57,10 +57,8 @@ type Context struct {
 	freeMaps []*mapTask
 	freeReds []*reduceTask
 
-	// slots is the context's slot table, reset by every single-tenant run's
-	// begin (multi-tenant sessions bring their own shared table). It lives
-	// here so the per-node slices survive run and chain boundaries.
-	slots slotTable
+	// session is the running graph's tenants and their shared slot table.
+	session session
 
 	// checkPick, when set, sees every locality-pass decision before it
 	// takes effect; the package's tests check it against a queue scan.

@@ -22,8 +22,9 @@ type graphJob struct {
 }
 
 // Driver executes one job graph on a simulated cluster under a chosen
-// failure-resilience strategy (the paper's middleware + master together).
-// Chains run through the same driver as the linear degenerate case.
+// failure-resilience strategy (the paper's middleware + master together):
+// one tenant of its context's session. Chains run through the same driver
+// as the linear degenerate case.
 type Driver struct {
 	ctx  *Context
 	sim  *des.Simulator
@@ -36,10 +37,6 @@ type Driver struct {
 	jobs []graphJob
 	rng  *rand.Rand
 	agg  bool // aggregated shuffle tier resolved for this chain
-
-	// session is the multi-tenant coordinator when this driver shares the
-	// context (and its slot table) with other tenants; nil single-tenant.
-	session *session
 
 	frontier    int // 1-based topological position currently being computed
 	runCounter  int
@@ -87,9 +84,8 @@ func (ctx *Context) RunChain(cfg ChainConfig) (*Result, error) {
 
 // newDriver assembles a driver on a freshly reset context. The config must
 // be defaulted and validated, with NumJobs equal to the topology's job
-// count. resolveTier picks the shuffle tier for the chain; a multi-tenant
-// session passes false and picks one tier for all its tenants itself.
-func newDriver(ctx *Context, cfg ChainConfig, topo *core.Topology, resolveTier bool) *Driver {
+// count.
+func newDriver(ctx *Context, cfg ChainConfig, topo *core.Topology) *Driver {
 	d := &Driver{
 		ctx:         ctx,
 		sim:         ctx.sim,
@@ -108,14 +104,6 @@ func newDriver(ctx *Context, cfg ChainConfig, topo *core.Topology, resolveTier b
 		jobs[j-1] = graphJob{name: topo.Name(j), inputs: topo.Inputs(j), output: topo.Output(j)}
 	}
 	d.jobs = jobs
-	if resolveTier && cfg.aggregatedShuffle(ctx.clus.NumNodes()) {
-		// The aggregated tier rides the flow network's class accounting:
-		// per-trunk shared rates and heap-backed completion candidates, so
-		// per-event cost tracks rate classes, not in-flight transfers.
-		// (Reset clears the mode, so a reused context flips per chain.)
-		ctx.clus.Net.EnableClassAccounting()
-		d.agg = true
-	}
 	return d
 }
 
@@ -169,8 +157,9 @@ func (d *Driver) finish() (*Result, error) {
 // detection window legally leaves the chain complete with partitions the
 // master has not noticed losing. Earlier DAG sinks are exempt: a surviving
 // branch's sink may be legitimately unrecoverable without anyone asking
-// for it. Multi-tenant sessions skip conservation (another tenant's chain
-// may still be mid-recovery on the shared cluster).
+// for it. Sessions of more than one tenant skip conservation: a failure
+// another tenant's schedule drives after this tenant finished may take
+// its output with it, and nobody recovers a finished tenant.
 func (d *Driver) checkInvariants() error {
 	aliveSet := make(map[int]bool, d.clus.NumAlive())
 	for _, id := range d.clus.Alive() {
@@ -181,12 +170,12 @@ func (d *Driver) checkInvariants() error {
 			return fmt.Errorf("mapreduce: invariant: node %d cluster-alive=%v but dfs-alive=%v",
 				id, aliveSet[id], d.fs.NodeAlive(id))
 		}
-		if d.session == nil && d.failedNodes[id] == aliveSet[id] {
+		if d.failedNodes[id] == aliveSet[id] {
 			return fmt.Errorf("mapreduce: invariant: node %d failed=%v yet alive=%v",
 				id, d.failedNodes[id], aliveSet[id])
 		}
 	}
-	if d.session != nil || d.pendingDetect > 0 {
+	if len(d.ctx.session.drivers) > 1 || d.pendingDetect > 0 {
 		return nil
 	}
 	out := d.topo.Output(d.cfg.NumJobs)
@@ -256,8 +245,10 @@ func (d *Driver) outputRepl(job int) int {
 }
 
 // newRun assembles the shared parts of any job run and registers
-// injections. The previous run — always done or cancelled by the time a
-// new one starts — goes back to the context's free lists here.
+// injections (tenant 0's only: a failure kills a node for everyone, so
+// tenant 0's schedule is the cluster's). The previous run — always done or
+// cancelled by the time a new one starts — goes back to the context's free
+// lists here.
 func (d *Driver) newRun(job int, kind metrics.RunKind) *jobRun {
 	if d.current != nil {
 		d.ctx.recycleRun(d.current)
@@ -273,20 +264,21 @@ func (d *Driver) newRun(job int, kind metrics.RunKind) *jobRun {
 	r.outputFile = d.jobs[job-1].output
 	r.repl = d.outputRepl(job)
 	r.scatter = d.cfg.ScatterOnly && kind == metrics.RunRecompute
-	r.slots = d.slots()
+	s := &d.ctx.session
+	r.slots = &s.slots
 	r.aggOut = grow(r.aggOut, d.clus.NumNodes())
-	if d.registersInjections() {
+	if d == s.drivers[0] {
 		for _, inj := range d.cfg.Failures {
 			if inj.AtRun == d.runCounter {
-				inj := inj
+				inj := inj // copied only for the injections that fire
 				d.sim.After(inj.After, func() {
 					// A multi-node injection kills its whole batch at one
 					// simulated instant, the way an outage day loses machines
 					// together; injectFailure itself refuses to take the last
 					// alive node.
-					d.injectFailure(inj.Node)
+					s.injectFailure(inj.Node)
 					for extra := 1; extra < inj.Count; extra++ {
-						d.injectFailure(-1)
+						s.injectFailure(-1)
 					}
 				})
 			}
@@ -294,23 +286,6 @@ func (d *Driver) newRun(job int, kind metrics.RunKind) *jobRun {
 	}
 	d.current = r
 	return r
-}
-
-// slots returns the slot table this driver's runs schedule against: the
-// session's shared table when multi-tenant, the context's own otherwise.
-func (d *Driver) slots() *slotTable {
-	if d.session != nil {
-		return &d.session.slots
-	}
-	return &d.ctx.slots
-}
-
-// registersInjections reports whether this driver turns its Failures
-// config into scheduled failures. In a multi-tenant session only tenant 0
-// does — a failure kills a node for everyone, so one tenant's schedule is
-// the cluster's.
-func (d *Driver) registersInjections() bool {
-	return d.session == nil || d.session.drivers[0] == d
 }
 
 // startInitial launches a full run of a graph job: a mapper per input
@@ -518,34 +493,6 @@ func (d *Driver) advanceRecovery() {
 		return
 	}
 	d.startInitial(d.frontier) // kind=restart while recovering
-}
-
-// injectFailure kills a node: compute and storage are gone immediately; the
-// master reacts after the detection timeout. In a multi-tenant session the
-// session-level broadcast replaces this driver-local path.
-func (d *Driver) injectFailure(node int) {
-	if d.session != nil {
-		d.session.injectFailure(node)
-		return
-	}
-	if d.finished || d.err != nil {
-		return
-	}
-	if node < 0 {
-		alive := d.clus.Alive()
-		node = alive[d.rng.Intn(len(alive))]
-	}
-	if d.failedNodes[node] || d.clus.NumAlive() <= 1 {
-		return
-	}
-	d.failedNodes[node] = true
-	d.clus.Fail(node)
-	d.fs.FailNode(node)
-	if d.current != nil {
-		d.current.nodeDown(node)
-	}
-	d.pendingDetect++
-	d.sim.After(d.clus.Cfg.FailureDetectionTimeout, func() { d.onDetect(node) })
 }
 
 // onDetect is the master noticing a dead node.

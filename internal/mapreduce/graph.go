@@ -69,24 +69,12 @@ func buildTopology(jobs []GraphJob) (*core.Topology, error) {
 	return core.NewTopology(g)
 }
 
-// RunGraph executes one graph computation on the context.
+// RunGraph executes one graph computation on the context: the one-tenant
+// session.
 func (ctx *Context) RunGraph(cfg GraphConfig) (*Result, error) {
-	cfg.ChainConfig = cfg.ChainConfig.withDefaults()
-	cfg.NumJobs = len(cfg.Jobs)
-	if err := cfg.Validate(); err != nil {
+	if err := ctx.start(cfg, 1); err != nil {
 		return nil, err
 	}
-	topo, err := buildTopology(cfg.Jobs)
-	if err != nil {
-		return nil, err
-	}
-	ctx.reset(cfg.BlockSize)
-	d := newDriver(ctx, cfg.ChainConfig, topo, true)
-	if err := d.createInput(); err != nil {
-		return nil, err
-	}
-	d.reserveRecorder()
-	d.startInitial(1)
 	ctx.sim.Run()
-	return d.finish()
+	return ctx.session.drivers[0].finish()
 }

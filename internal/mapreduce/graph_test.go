@@ -102,10 +102,9 @@ func TestDiamondRecoveryCheaperThanRestart(t *testing.T) {
 	}
 }
 
-// TestMultiTenantSingleMatchesSolo pins the degenerate session: one tenant
-// in a session must complete at exactly the single-run time — the shared
-// slot table, the pumpAll wake path, and the t0/ namespace are all
-// behaviorally invisible when there is no one to contend with.
+// TestMultiTenantSingleMatchesSolo pins the degenerate session on a DAG:
+// RunMultiTenant with one tenant must complete at exactly RunGraph's time,
+// since both run the same one-tenant session.
 func TestMultiTenantSingleMatchesSolo(t *testing.T) {
 	ccfg := tinyCluster(4, 2, 2)
 	cfg := diamondGraph(tinyChain(4, 4, 128))

@@ -215,10 +215,7 @@ func (r *jobRun) cancel() {
 			if mt.state == taskRunning && !r.clus().Node(mt.node).Failed() {
 				// A cancelled task's slot frees: the node is alive and the
 				// work simply stops. (Zombies' slots were already zeroed
-				// wholesale by nodeDown.) Single-tenant this is invisible —
-				// the next run resets the table — but a session's shared
-				// table must get the slots back or they leak for every
-				// other tenant.
+				// wholesale by nodeDown.)
 				r.freeMapSlot(mt.node)
 			}
 			r.abortMapWork(mt)

@@ -212,8 +212,8 @@ func sortedKeys[V any](m map[int]V) []int {
 // slotTable is the cluster-wide free-slot bookkeeping the scheduler pump
 // assigns against: per-node free counts plus their totals, maintained
 // through the jobRun take/free helpers so the two can never drift apart.
-// Single-tenant execution resets the context's table at every run start;
-// a multi-tenant session owns one shared table its tenants contend on.
+// The session owns one table, reset once per session, that its tenants'
+// runs contend on.
 type slotTable struct {
 	mapFree []int // free mapper slots, indexed by node ID
 	redFree []int // free reducer slots, indexed by node ID
@@ -322,10 +322,8 @@ type jobRun struct {
 	pendingMaps    []*mapTask
 	pendingMapNils int
 	pendingReds    []*reduceTask
-	// slots is the table this run schedules against: the context's own
-	// (reset at begin) single-tenant, the session's shared one multi-tenant.
-	slots     *slotTable
-	redCursor int // round-robin start for reducer placement
+	slots          *slotTable // the session's shared table
+	redCursor      int        // round-robin start for reducer placement
 
 	// The locality index (localPick in map_phase.go). Every enqueue stamps
 	// its task with its position in byStamp, so stamp order is queue
@@ -442,15 +440,9 @@ func grow[T any](s []T, n int) []T {
 	return s
 }
 
-// begin initializes slot state and starts scheduling.
+// begin initializes the run's state and starts scheduling.
 func (r *jobRun) begin() {
 	r.start = r.sim().Now()
-	if r.d.session == nil {
-		// A single-tenant run has the cluster to itself: every alive node's
-		// full allotment is free. A session's shared table carries over —
-		// other tenants' tasks are occupying slots.
-		r.slots.reset(r.clus(), r.ccfg().MapSlots, r.ccfg().ReduceSlots)
-	}
 	// Commits are reset in place, not zeroed: each entry keeps its
 	// replicas slice capacity so steady-state commits allocate nothing.
 	if cap(r.commits) < r.cfg().NumReducers {
@@ -501,15 +493,8 @@ func (r *jobRun) begin() {
 }
 
 // wake is the event-context re-pump: freed slots (or new outputs) may
-// unblock assignments. Single-tenant it pumps this run; in a session any
-// tenant's run may be able to use what just freed, so all of them pump.
-func (r *jobRun) wake() {
-	if s := r.d.session; s != nil {
-		s.pumpAll()
-		return
-	}
-	r.pump()
-}
+// unblock assignments, for any tenant's run, so all of them pump.
+func (r *jobRun) wake() { r.d.ctx.session.pumpAll() }
 
 // pump assigns pending tasks to free slots until no assignment is possible.
 func (r *jobRun) pump() {

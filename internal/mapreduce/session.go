@@ -4,6 +4,7 @@
 // slot table. Scheduling is work-conserving with fixed tenant priority:
 // whenever an event frees capacity, every tenant's run gets an assignment
 // pass in tenant order (pumpAll), so the slot arbitration is deterministic.
+// A graph run (RunGraph, RunChain) is the one-tenant session.
 //
 // Failures are cluster events, not tenant events: one injection (driven by
 // tenant 0's schedule and seed) kills the node for everyone, every tenant's
@@ -21,14 +22,13 @@ import (
 	"rcmp/internal/des"
 )
 
-// session coordinates the tenants sharing one context.
+// session coordinates the tenants sharing one context. It lives in the
+// Context, so the slot table's per-node slices survive across runs.
 type session struct {
-	ctx         *Context
-	drivers     []*Driver
-	slots       slotTable
-	failedNodes map[int]bool
-	pumping     bool
-	again       bool
+	drivers []*Driver
+	slots   slotTable
+	pumping bool
+	again   bool
 }
 
 // MultiResult summarizes one multi-tenant session.
@@ -36,83 +36,85 @@ type MultiResult struct {
 	// Makespan is the virtual time until the last tenant finished.
 	Makespan des.Time
 	// Tenants holds each tenant's own chain result (its Total is that
-	// tenant's completion time). Events/Flows are zero per tenant — the
-	// session-wide totals below count the shared simulation once.
+	// tenant's completion time). Its Events and Flows are the shared
+	// simulation's totals, the same as the session-wide ones below.
 	Tenants []*Result
 	Events  uint64
 	Flows   uint64
 }
 
 // RunMultiTenant executes `tenants` copies of the graph concurrently on the
-// context's shared cluster. Each tenant's files live under a "t<i>/"
-// prefix, so the tenants share nothing but the machines. Tenant 0's failure
-// schedule (and seed) drives injections; a failed node is failed for
-// everyone.
+// context's shared cluster. Above one tenant, each tenant's files live
+// under a "t<i>/" prefix, so the tenants share nothing but the machines.
+// Tenant 0's failure schedule (and seed) drives injections; a failed node
+// is failed for everyone.
 func (ctx *Context) RunMultiTenant(cfg GraphConfig, tenants int) (*MultiResult, error) {
+	if err := ctx.start(cfg, tenants); err != nil {
+		return nil, err
+	}
+	ctx.sim.Run()
+	out := &MultiResult{Events: ctx.sim.Processed, Flows: ctx.clus.Net.Completed}
+	for t, d := range ctx.session.drivers {
+		res, err := d.finish()
+		if err != nil {
+			return nil, fmt.Errorf("tenant %d: %w", t, err)
+		}
+		out.Makespan = max(out.Makespan, res.Total)
+		out.Tenants = append(out.Tenants, res)
+	}
+	return out, nil
+}
+
+// start resets the context and sets up `tenants` copies of the graph as one
+// session, up to the first job of each: it resolves the shuffle tier once
+// for the cluster, builds every tenant's driver, resets the shared slot
+// table, lays out every tenant's inputs and starts their first jobs. The
+// caller runs the simulator.
+func (ctx *Context) start(cfg GraphConfig, tenants int) error {
 	cfg.ChainConfig = cfg.ChainConfig.withDefaults()
 	cfg.NumJobs = len(cfg.Jobs)
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if tenants < 1 {
-		return nil, fmt.Errorf("mapreduce: tenants=%d", tenants)
+		return fmt.Errorf("mapreduce: tenants=%d", tenants)
 	}
 	ctx.reset(cfg.BlockSize)
-	s := &session{ctx: ctx, failedNodes: make(map[int]bool)}
 	agg := cfg.aggregatedShuffle(ctx.clus.NumNodes())
 	if agg {
+		// The aggregated tier rides the flow network's class accounting:
+		// per-trunk shared rates and heap-backed completion candidates, so
+		// per-event cost tracks rate classes, not in-flight transfers.
+		// (Reset clears the mode, so a reused context flips per run.)
 		ctx.clus.Net.EnableClassAccounting()
 	}
+	s := &ctx.session
+	clear(s.drivers)
+	s.drivers = s.drivers[:0]
 	for t := 0; t < tenants; t++ {
-		topo, err := buildTopology(prefixJobs(cfg.Jobs, t))
-		if err != nil {
-			return nil, err
+		jobs := cfg.Jobs
+		if tenants > 1 {
+			jobs = prefixJobs(jobs, t)
 		}
-		d := newDriver(ctx, cfg.ChainConfig, topo, false)
+		topo, err := buildTopology(jobs)
+		if err != nil {
+			return err
+		}
+		d := newDriver(ctx, cfg.ChainConfig, topo)
 		d.agg = agg
-		d.session = s
 		s.drivers = append(s.drivers, d)
 	}
 	s.slots.reset(ctx.clus, ctx.clus.Cfg.MapSlots, ctx.clus.Cfg.ReduceSlots)
 	for _, d := range s.drivers {
 		if err := d.createInput(); err != nil {
-			return nil, err
+			return err
 		}
 		d.reserveRecorder()
 	}
 	for _, d := range s.drivers {
 		d.startInitial(1)
 	}
-	ctx.sim.Run()
-
-	out := &MultiResult{
-		Events: ctx.sim.Processed,
-		Flows:  ctx.clus.Net.Completed,
-	}
-	for t, d := range s.drivers {
-		if d.err != nil {
-			return nil, fmt.Errorf("tenant %d: %w", t, d.err)
-		}
-		if !d.finished {
-			return nil, fmt.Errorf("mapreduce: simulation drained before tenant %d completed (job %d)", t, d.frontier)
-		}
-		if d.current != nil {
-			ctx.recycleRun(d.current)
-			d.current = nil
-		}
-		if d.endTime > out.Makespan {
-			out.Makespan = d.endTime
-		}
-		out.Tenants = append(out.Tenants, &Result{
-			Total:               d.endTime,
-			Runs:                d.rec.Runs,
-			Recorder:            d.rec,
-			StartedRuns:         d.runCounter,
-			SpeculativeLaunched: d.specLaunched,
-			SpeculativeWasted:   d.specWasted,
-		})
-	}
-	return out, nil
+	return nil
 }
 
 // prefixJobs rewrites a tenant's job and file names under "t<i>/", giving
@@ -155,9 +157,10 @@ func (s *session) pumpAll() {
 	s.pumping = false
 }
 
-// injectFailure is the session-wide failure path: one node dies for every
-// tenant at once. Victim selection for Node:-1 draws from tenant 0's rng,
-// mirroring the single-tenant arithmetic.
+// injectFailure kills a node for every tenant at once: compute and storage
+// are gone immediately; each tenant's master reacts after the detection
+// timeout. Victim selection for node -1 draws from tenant 0's rng, and it
+// never takes the last alive node.
 func (s *session) injectFailure(node int) {
 	anyLive := false
 	for _, d := range s.drivers {
@@ -173,22 +176,22 @@ func (s *session) injectFailure(node int) {
 	}
 	d0 := s.drivers[0]
 	if node < 0 {
-		alive := s.ctx.clus.Alive()
+		alive := d0.clus.Alive()
 		node = alive[d0.rng.Intn(len(alive))]
 	}
-	if s.failedNodes[node] || s.ctx.clus.NumAlive() <= 1 {
+	if d0.failedNodes[node] || d0.clus.NumAlive() <= 1 {
 		return
 	}
-	s.failedNodes[node] = true
-	s.ctx.clus.Fail(node)
-	s.ctx.fs.FailNode(node)
+	d0.clus.Fail(node)
+	d0.fs.FailNode(node)
 	for _, d := range s.drivers {
 		d.failedNodes[node] = true
 		if !d.finished && d.current != nil {
 			d.current.nodeDown(node)
 		}
+		d.pendingDetect++
 	}
-	s.ctx.sim.After(s.ctx.clus.Cfg.FailureDetectionTimeout, func() {
+	d0.sim.After(d0.clus.Cfg.FailureDetectionTimeout, func() {
 		// Every tenant's master notices at the same detection deadline;
 		// recovery planning runs in tenant order over the same damage.
 		for _, d := range s.drivers {
