@@ -142,7 +142,7 @@ func BuildGraphPlan(ch *lineage.Chain, topo *Topology, fs *dfs.FS, failedJob int
 	// be regenerated. The frontier restart and every pending job re-read
 	// their inputs in full, so each lost partition of a completed input
 	// seeds the cascade (on a chain only the frontier's previous job
-	// qualifies).
+	// qualifies), and a lost partition of an external input is fatal.
 	need := make(map[int]map[int]bool)
 	addNeed := func(job, part int) {
 		if need[job] == nil {
@@ -153,8 +153,18 @@ func BuildGraphPlan(ch *lineage.Chain, topo *Topology, fs *dfs.FS, failedJob int
 	for c := failedJob; c <= n; c++ {
 		for _, in := range topo.Inputs(c) {
 			p := topo.ProducerOf(in)
-			if p == 0 || p >= failedJob {
-				continue // external input, or produced by a pending job
+			if p == 0 {
+				if f := fs.File(in); f != nil {
+					for _, part := range f.Partitions {
+						if !fs.PartitionAvailable(in, part.Index) {
+							return nil, lostInputError(part.Index, in)
+						}
+					}
+				}
+				continue
+			}
+			if p >= failedJob {
+				continue // produced by a pending job
 			}
 			prev := ch.Job(p)
 			if !prev.Completed {
@@ -199,10 +209,7 @@ func BuildGraphPlan(ch *lineage.Chain, topo *Topology, fs *dfs.FS, failedJob int
 			if !fs.PartitionAvailable(in, m.InputPartition) {
 				p := topo.ProducerOf(in)
 				if p == 0 {
-					// External inputs are the replicated original; losing one
-					// is unrecoverable.
-					return nil, fmt.Errorf("core: original input partition %d of %q lost; computation unrecoverable",
-						m.InputPartition, in)
+					return nil, lostInputError(m.InputPartition, in)
 				}
 				addNeed(p, m.InputPartition)
 			}
@@ -270,6 +277,12 @@ func BuildGraphPlan(ch *lineage.Chain, topo *Topology, fs *dfs.FS, failedJob int
 
 	plan.Steps = steps
 	return plan, nil
+}
+
+// lostInputError reports a lost partition of an external input. External
+// inputs are the replicated original, which nothing can regenerate.
+func lostInputError(part int, file string) error {
+	return fmt.Errorf("core: original input partition %d of %q lost; computation unrecoverable", part, file)
 }
 
 // GraphReclaimableBefore computes what a checkpoint makes reclaimable on a

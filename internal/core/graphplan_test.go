@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"rcmp/internal/dfs"
@@ -264,6 +265,23 @@ func TestPendingConsumerSeedsOldProducer(t *testing.T) {
 	}
 	if len(plan.Steps[0].Reducers) != 1 || plan.Steps[0].Reducers[0].Reducer != 1 {
 		t.Fatalf("job a regenerates %+v, want partition 1", plan.Steps[0].Reducers)
+	}
+}
+
+// TestLostInputAtFrontier loses the sole replica of an original input
+// partition while job 1 runs: job 1 restarts over its whole input, so the
+// planner must report the loss rather than return a plan that restarts it
+// on unreadable blocks.
+func TestLostInputAtFrontier(t *testing.T) {
+	topo := linearTopology(t, 2)
+	fs := dfs.New(100)
+	fs.Create("input", 2)
+	fs.SetPartition("input", 0, 100, [][]int{{0}})
+	fs.SetPartition("input", 1, 100, [][]int{{1}})
+	fs.FailNode(1)
+	_, err := BuildGraphPlan(lineage.NewChain(), topo, fs, 1, map[int]bool{1: true}, Options{AliveNodes: 1})
+	if err == nil || !strings.Contains(err.Error(), `original input partition 1 of "input" lost`) {
+		t.Fatalf("got %v, want the lost-input error", err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"strings"
 	"testing"
 
 	"rcmp/internal/metrics"
@@ -312,6 +313,19 @@ func TestDegradedClusterSlowerAfterFailure(t *testing.T) {
 	}
 	if after <= before {
 		t.Fatalf("post-failure job (%v) not slower than pre-failure (%v) on fewer nodes", after, before)
+	}
+}
+
+// TestLostInputIsPlannerError loses an input block's only replica while
+// job 1 runs: RCMP must end with the planner's lost-input error, not
+// restart job 1 on unreadable blocks and drain.
+func TestLostInputIsPlannerError(t *testing.T) {
+	cfg := tinyChain(2, 4, 128)
+	cfg.InputRepl = 1
+	cfg.Failures = []Injection{{AtRun: 1, After: 5, Node: 2}}
+	_, err := RunChain(tinyCluster(4, 1, 1), cfg)
+	if err == nil || !strings.Contains(err.Error(), "original input partition") {
+		t.Fatalf("got %v, want the planner's lost-input error", err)
 	}
 }
 

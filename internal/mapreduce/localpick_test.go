@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"rcmp/internal/des"
@@ -85,7 +86,8 @@ func (c *pickChecker) check(r *jobRun, mt *mapTask, node int) {
 // 40 nodes, input replication 1 to 3, 1 to 3 map slots, failures landing
 // before and after their detection, speculation over a straggler disk,
 // RCMP and Hadoop recovery, 1 to 3 tenants — and checks every data-local
-// decision against the queue scan it replaces.
+// decision against the queue scan it replaces, and that no RCMP session
+// drains.
 func TestLocalPickMatchesQueueScan(t *testing.T) {
 	var decisions, launches int
 	for seed := int64(0); seed < 120; seed++ {
@@ -114,9 +116,13 @@ func TestLocalPickMatchesQueueScan(t *testing.T) {
 		c := &pickChecker{t: t, label: fmt.Sprintf("seed %d", seed), replicas: map[pickKey][]int{}}
 		ctx := NewContext(ccfg)
 		ctx.checkPick = c.check
-		// A session may end in an error (lost data, or one of the drains
-		// ROADMAP item 12(b) records); every decision it made was checked.
-		_, _ = ctx.RunMultiTenant(graph, tenants)
+		// A session may end in an error: lost data is named, and a Hadoop
+		// session of several tenants may drain (ROADMAP item 17(c)). An RCMP
+		// drain is a fault. Every decision the session made was checked.
+		_, err := ctx.RunMultiTenant(graph, tenants)
+		if err != nil && cfg.Mode == ModeRCMP && strings.Contains(err.Error(), "drained") {
+			t.Errorf("seed %d: %v", seed, err)
+		}
 		decisions += c.decisions
 		launches += c.launches
 	}
