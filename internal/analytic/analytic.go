@@ -82,7 +82,7 @@ func (m Model) RunChain(ccfg cluster.Config, cfg mapreduce.ChainConfig) (*mapred
 	if err := ccfg.Validate(); err != nil {
 		return nil, err
 	}
-	return m.run(ccfg, cfg, linearGraph(cfg.NumJobs))
+	return m.run(ccfg, cfg, mapreduce.LinearJobs(cfg.NumJobs))
 }
 
 // RunGraph evaluates a DAG of jobs analytically, mirroring
@@ -108,24 +108,6 @@ func (m Model) run(ccfg cluster.Config, cfg mapreduce.ChainConfig, jobs []mapred
 	}
 	ev.replay()
 	return ev.result(), nil
-}
-
-// linearGraph lowers an n-job chain onto the graph representation: job j
-// reads job j-1's output (job 1 reads the external input).
-func linearGraph(n int) []mapreduce.GraphJob {
-	jobs := make([]mapreduce.GraphJob, n)
-	for i := range jobs {
-		in := "input"
-		if i > 0 {
-			in = fmt.Sprintf("out%d", i)
-		}
-		jobs[i] = mapreduce.GraphJob{
-			Name:   fmt.Sprintf("job%d", i+1),
-			Inputs: []string{in},
-			Output: fmt.Sprintf("out%d", i+1),
-		}
-	}
-	return jobs
 }
 
 // RunMultiTenant evaluates `tenants` copies of the graph sharing one

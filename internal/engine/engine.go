@@ -200,6 +200,9 @@ func (e *Engine) failAndRecover(node, frontier int) error {
 	if err != nil {
 		return err
 	}
+	if err := core.CheckPlan(e.ch, e.fs, e.failed, plan, true); err != nil {
+		return err
+	}
 	for _, step := range plan.Steps {
 		if err := e.runStep(step); err != nil {
 			return err

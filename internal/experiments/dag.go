@@ -27,22 +27,6 @@ func diamondJobs() []mapreduce.GraphJob {
 	}
 }
 
-// chainJobs is the linear n-job chain as a graph: job i reads job i-1's
-// output.
-func chainJobs(n int) []mapreduce.GraphJob {
-	jobs := make([]mapreduce.GraphJob, 0, n)
-	for i := 1; i <= n; i++ {
-		in := "input"
-		if i > 1 {
-			in = fmt.Sprintf("out%d", i-1)
-		}
-		jobs = append(jobs, mapreduce.GraphJob{
-			Name: fmt.Sprintf("job%d", i), Inputs: []string{in}, Output: fmt.Sprintf("out%d", i),
-		})
-	}
-	return jobs
-}
-
 // runGraph executes one graph on the setup's engine; an error leaves the
 // figure as a chainError, the way run does for chains.
 func runGraph(st setup, jobs []mapreduce.GraphJob) *mapreduce.Result {
@@ -145,7 +129,7 @@ func MultiTenant(c Config) (*Result, error) {
 		return nil, err
 	}
 
-	jobs := chainJobs(st.cfg.NumJobs)
+	jobs := mapreduce.LinearJobs(st.cfg.NumJobs)
 
 	session := func(tenants int, split bool, failed bool) *mapreduce.MultiResult {
 		cfg := st.cfg

@@ -61,7 +61,7 @@ func CapacityPlan(c Config, deadline PlanDeadline) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs := chainJobs(st.cfg.NumJobs)
+	jobs := mapreduce.LinearJobs(st.cfg.NumJobs)
 
 	r := newResult(fmt.Sprintf("CapacityPlan: %s, %d tenants", st.name, tenants))
 	plan := func(split bool) (analytic.SessionPlan, error) {

@@ -238,7 +238,7 @@ func checkPinned(t *testing.T, label any, ccfg cluster.Config, cfg ChainConfig, 
 	}
 	// The same chain as a one-tenant session must reproduce the pin:
 	// tenant 0's total and runs, the session's events and flows.
-	mr, err := NewContext(ccfg).RunMultiTenant(GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)}, 1)
+	mr, err := NewContext(ccfg).RunMultiTenant(GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)}, 1)
 	if err != nil {
 		t.Errorf("%v (1-tenant session): %v", label, err)
 		return
@@ -401,7 +401,7 @@ func checkEntitlements(t *testing.T, label any, ccfg cluster.Config, cfg ChainCo
 	t.Helper()
 	cfg = cfg.withDefaults()
 	ctx := NewContext(ccfg)
-	if err := ctx.start(GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)}, 1); err != nil {
+	if err := ctx.start(GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	d := ctx.session.drivers[0]
@@ -477,7 +477,7 @@ func checkReadyBits(t *testing.T, label any, ccfg cluster.Config, cfg ChainConfi
 	t.Helper()
 	cfg = cfg.withDefaults()
 	ctx := NewContext(ccfg)
-	if err := ctx.start(GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)}, 1); err != nil {
+	if err := ctx.start(GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	d := ctx.session.drivers[0]
@@ -614,7 +614,7 @@ func TestPinnedSessionDenseOffers(t *testing.T) {
 			cfg.Speculation = true
 		}
 		label := fmt.Sprintf("tenants%d/ratio%d/after%v", row.tenants, row.ratio, row.after)
-		res, err := NewContext(ccfg).RunMultiTenant(GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)}, row.tenants)
+		res, err := NewContext(ccfg).RunMultiTenant(GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)}, row.tenants)
 		if err != nil {
 			t.Errorf("%s: %v", label, err)
 			continue
@@ -641,7 +641,7 @@ func TestDenseOffersVisitFewCohorts(t *testing.T) {
 	ccfg, cfg := scaleFailConfigs(1024, Injection{AtRun: 2, After: 1, Node: 3})
 	cfg = cfg.withDefaults()
 	ctx := NewContext(ccfg)
-	if err := ctx.start(GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)}, 1); err != nil {
+	if err := ctx.start(GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	d := ctx.session.drivers[0]

@@ -79,7 +79,7 @@ func (ctx *Context) RunChain(cfg ChainConfig) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return ctx.RunGraph(GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)})
+	return ctx.RunGraph(GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)})
 }
 
 // newDriver assembles a driver on a freshly reset context. The config must

@@ -32,20 +32,21 @@ type GraphConfig struct {
 	Jobs []GraphJob
 }
 
-// linearJobs lowers an n-job chain to its graph form, with the historical
-// chain file names ("input", "out1", ...) so the DFS layout — and therefore
-// every digest — is unchanged.
-func linearJobs(n int) []GraphJob {
+// LinearJobs lowers an n-job chain to its graph form: job i ("job<i>")
+// reads job i-1's output and writes "out<i>"; job 1 reads the external
+// "input". These are the historical chain file names, so the DFS layout —
+// and therefore every digest — is unchanged.
+func LinearJobs(n int) []GraphJob {
 	jobs := make([]GraphJob, 0, n)
 	for i := 1; i <= n; i++ {
-		in := inputFileName
+		in := "input"
 		if i > 1 {
-			in = outputFileName(i - 1)
+			in = fmt.Sprintf("out%d", i-1)
 		}
 		jobs = append(jobs, GraphJob{
 			Name:   fmt.Sprintf("job%d", i),
 			Inputs: []string{in},
-			Output: outputFileName(i),
+			Output: fmt.Sprintf("out%d", i),
 		})
 	}
 	return jobs

@@ -34,7 +34,7 @@ func TestChainEqualsLinearGraph(t *testing.T) {
 	cfg.Failures = []Injection{{AtRun: 2, After: 5, Node: 1}}
 
 	chainRes, err1 := RunChain(ccfg, cfg)
-	graphRes, err2 := NewContext(ccfg).RunGraph(GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)})
+	graphRes, err2 := NewContext(ccfg).RunGraph(GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)})
 	if err1 != nil || err2 != nil {
 		t.Fatalf("chain err=%v graph err=%v", err1, err2)
 	}

@@ -111,7 +111,7 @@ func TestLocalPickMatchesQueueScan(t *testing.T) {
 			})
 		}
 		tenants := 1 + rng.Intn(3)
-		graph := GraphConfig{ChainConfig: cfg, Jobs: linearJobs(cfg.NumJobs)}
+		graph := GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)}
 
 		c := &pickChecker{t: t, label: fmt.Sprintf("seed %d", seed), replicas: map[pickKey][]int{}}
 		ctx := NewContext(ccfg)

@@ -286,9 +286,3 @@ type Result struct {
 	Events uint64
 	Flows  uint64
 }
-
-// inputFileName is the DFS name of the original computation input.
-const inputFileName = "input"
-
-// outputFileName returns the DFS name of a chain job's output.
-func outputFileName(job int) string { return fmt.Sprintf("out%d", job) }
