@@ -316,27 +316,16 @@ func TestDegradedClusterSlowerAfterFailure(t *testing.T) {
 	}
 }
 
-// TestLostInputIsPlannerError loses an input block's only replica while
-// job 1 runs: RCMP must end with the planner's lost-input error, not
-// restart job 1 on unreadable blocks and drain.
-func TestLostInputIsPlannerError(t *testing.T) {
+func TestInputReplicationExhaustionAborts(t *testing.T) {
+	// Input replicated once (repl 1): losing its holder is unrecoverable
+	// even for RCMP (the paper assumes a replicated original input). The
+	// planner must say so, not restart job 1 on unreadable blocks and let
+	// the simulation drain.
 	cfg := tinyChain(2, 4, 128)
 	cfg.InputRepl = 1
 	cfg.Failures = []Injection{{AtRun: 1, After: 5, Node: 2}}
 	_, err := RunChain(tinyCluster(4, 1, 1), cfg)
 	if err == nil || !strings.Contains(err.Error(), "original input partition") {
 		t.Fatalf("got %v, want the planner's lost-input error", err)
-	}
-}
-
-func TestInputReplicationExhaustionAborts(t *testing.T) {
-	// Input replicated once (repl 1): losing its holder is unrecoverable
-	// even for RCMP (the paper assumes a replicated original input).
-	cfg := tinyChain(2, 4, 128)
-	cfg.InputRepl = 1
-	cfg.Failures = []Injection{{AtRun: 1, After: 5, Node: 2}}
-	_, err := RunChain(tinyCluster(4, 1, 1), cfg)
-	if err == nil {
-		t.Fatal("lost sole input replica did not abort")
 	}
 }
