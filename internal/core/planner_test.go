@@ -2,11 +2,13 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"rcmp/internal/dfs"
 	"rcmp/internal/lineage"
+	"rcmp/internal/middleware"
 )
 
 // buildChain constructs a balanced chain of jobs like the paper's 7-job
@@ -313,95 +315,194 @@ func TestFailureAtJob1RestartOnly(t *testing.T) {
 	}
 }
 
-// Property: the plan is minimal and sufficient. Minimal: every recomputed
-// reducer's partition was unavailable, and every recomputed mapper either
-// lost its output or consumed a split partition. Sufficient: replaying the
-// plan (marking regenerated partitions and outputs) leaves the restart
-// job's whole input available and every recomputed task's dependencies met.
+// Property: the plan is minimal and sufficient, on random chains and on
+// random DAGs. Minimal: every recomputed reducer's partition was
+// unavailable and is read by a re-run mapper of a later step or by a job
+// that restarts or is pending (those re-read every input in full), and
+// every recomputed mapper either lost its output or consumed a partition
+// its producer's step regenerated by splits. Sufficient: replaying the
+// plan (marking regenerated partitions) leaves every recomputed mapper's
+// input available when its step runs, and every input the restarted and
+// pending jobs read from completed jobs whole. The DAGs have fan-in,
+// surviving branches (replicated outputs), pending jobs reading
+// long-completed files and mappers that ran off their input's node. Under
+// NoMapOutputReuse every mapper of a step re-runs, so mapper minimality is
+// not checked but sufficiency is.
 func TestPlanMinimalAndSufficientProperty(t *testing.T) {
-	check := func(seed uint16, failA, failB uint8, split bool) bool {
+	chains := func(seed uint16, failA, failB uint8, split bool) bool {
 		nodes := 4 + int(seed)%5 // 4..8
 		jobs := 2 + int(seed)%5  // 2..6
 		bpp := 1 + int(seed)%3
 		failedJob := 1 + int(seed>>4)%jobs
 		ch, fs := buildChain(t, nodes, jobs, bpp, failedJob-1, 1)
-
-		failedNodes := map[int]bool{int(failA) % nodes: true}
-		if failB%2 == 0 {
-			failedNodes[int(failB)%nodes] = true
-		}
-		if len(failedNodes) == nodes {
+		failed := failNodes(fs, nodes, failA, failB)
+		if failed == nil {
 			return true // everything dead; not a recoverable scenario
 		}
-		for n := range failedNodes {
-			fs.FailNode(n)
-		}
-		plan, err := BuildPlan(ch, fs, failedJob, failedNodes, Options{Split: split, AliveNodes: nodes - len(failedNodes)})
+		plan, err := BuildPlan(ch, fs, failedJob, failed, Options{Split: split, AliveNodes: nodes - len(failed)})
 		if err != nil {
+			t.Log(err)
 			return false
 		}
-
-		// Minimality.
-		for si, s := range plan.Steps {
-			rec := ch.Job(s.Job)
-			for _, r := range s.Reducers {
-				if fs.PartitionAvailable(rec.OutputFile, r.Reducer) {
-					return false
-				}
-			}
-			invalid := map[int]bool{}
-			for _, m := range s.SplitInvalidated {
-				invalid[m] = true
-			}
-			prevSplit := map[int]bool{}
-			if si > 0 {
-				for _, r := range plan.Steps[si-1].Reducers {
-					if r.Splits > 1 {
-						prevSplit[r.Reducer] = true
-					}
-				}
-			}
-			for _, mi := range s.Mappers {
-				m := rec.Mappers[mi]
-				lost := failedNodes[m.Node]
-				if !lost && !(invalid[mi] && prevSplit[m.InputPartition]) {
-					return false
-				}
-			}
-		}
-
-		// Sufficiency: replay.
-		regenerated := map[string]map[int]bool{}
-		avail := func(file string, p int) bool {
-			return fs.PartitionAvailable(file, p) || regenerated[file][p]
-		}
-		for _, s := range plan.Steps {
-			rec := ch.Job(s.Job)
-			// Each recomputed mapper's input must be available at this point.
-			for _, mi := range s.Mappers {
-				m := rec.Mappers[mi]
-				if !avail(rec.InputFile, m.InputPartition) {
-					return false
-				}
-			}
-			for _, r := range s.Reducers {
-				if regenerated[rec.OutputFile] == nil {
-					regenerated[rec.OutputFile] = map[int]bool{}
-				}
-				regenerated[rec.OutputFile][r.Reducer] = true
-			}
-		}
-		if plan.RestartJob > 1 {
-			prev := ch.Job(plan.RestartJob - 1)
-			for p := 0; p < prev.NumReducers(); p++ {
-				if !avail(prev.OutputFile, p) {
-					return false
-				}
-			}
-		}
-		return true
+		return planHolds(t, ch, fs, failed, plan, false)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 400}); err != nil {
-		t.Fatal(err)
+	dags := func(seed int64, failA, failB uint8, split, noReuse bool) bool {
+		rng := rand.New(rand.NewSource(seed))
+		nodes, bpp := 4+rng.Intn(5), 1+rng.Intn(3)
+		n := 2 + rng.Intn(5)
+		jobs := make([]middleware.Job, 0, n)
+		repl := map[int]int{}
+		for i := 1; i <= n; i++ {
+			// The first input is most often the previous job's output, the
+			// second (fan-in) any earlier file, the external input included.
+			files := []string{"input"}
+			for k := 1; k < i; k++ {
+				files = append(files, fmt.Sprintf("f%d", k))
+			}
+			in := []string{files[len(files)-1]}
+			if rng.Intn(3) == 0 {
+				in[0] = files[rng.Intn(len(files))]
+			}
+			if other := files[rng.Intn(len(files))]; rng.Intn(2) == 0 && other != in[0] {
+				in = append(in, other)
+			}
+			jobs = append(jobs, middleware.Job{ID: middleware.JobID(fmt.Sprintf("j%d", i)), Inputs: in, Outputs: []string{fmt.Sprintf("f%d", i)}})
+		}
+		g, err := middleware.NewGraph(jobs)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		topo, err := NewTopology(g)
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		for j := 1; j <= n; j++ {
+			if rng.Intn(3) == 0 {
+				repl[j] = 2 // a branch that survives a single loss
+			}
+		}
+		failedJob := 1 + rng.Intn(n)
+		ch, fs := buildGraphLineage(t, topo, nodes, bpp, failedJob-1, repl)
+		// Some mappers ran away from their input, so a lost input partition
+		// does not imply a lost map output.
+		for j := 1; j < failedJob; j++ {
+			for _, m := range ch.Job(j).Mappers {
+				if rng.Intn(4) == 0 {
+					ch.SetMapperOutput(j, m.Index, rng.Intn(nodes), m.OutputBytes)
+				}
+			}
+		}
+		failed := failNodes(fs, nodes, failA, failB)
+		if failed == nil {
+			return true
+		}
+		plan, err := BuildGraphPlan(ch, topo, fs, failedJob, failed,
+			Options{Split: split, AliveNodes: nodes - len(failed), NoMapOutputReuse: noReuse})
+		if err != nil {
+			t.Log(err)
+			return false
+		}
+		return planHolds(t, ch, fs, failed, plan, noReuse)
 	}
+	if err := quick.Check(chains, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal("chain:", err)
+	}
+	if err := quick.Check(dags, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal("DAG:", err)
+	}
+}
+
+// failNodes fails node failA (and failB when it is even) and returns the
+// failed set, or nil when no node is left alive.
+func failNodes(fs *dfs.FS, nodes int, failA, failB uint8) map[int]bool {
+	failed := map[int]bool{int(failA) % nodes: true}
+	if failB%2 == 0 {
+		failed[int(failB)%nodes] = true
+	}
+	if len(failed) == nodes {
+		return nil
+	}
+	for n := range failed {
+		fs.FailNode(n)
+	}
+	return failed
+}
+
+// planViolation reports (through t.Log) and returns false on the first
+// way the plan is not minimal or not sufficient, as the property above
+// states them; every job of ch has a record.
+func planHolds(t *testing.T, ch *lineage.Chain, fs *dfs.FS, failed map[int]bool, plan *Plan, noReuse bool) bool {
+	fail := func(format string, args ...any) bool {
+		t.Logf(format, args...)
+		return false
+	}
+	if err := CheckPlan(ch, fs, failed, plan, !noReuse); err != nil {
+		return fail("%v", err)
+	}
+	inputs := func(rec *lineage.JobRecord) []string {
+		if len(rec.InputFiles) > 0 {
+			return rec.InputFiles
+		}
+		return []string{rec.InputFile}
+	}
+	type part struct {
+		file string
+		p    int
+	}
+	producer := map[string]int{}
+	for j := 1; j <= ch.Len(); j++ {
+		producer[ch.Job(j).OutputFile] = j
+	}
+	// read marks what the restarted and pending jobs and the re-run mappers
+	// read; regenerated and splitRegen what the steps replayed so far made.
+	read := map[part]bool{}
+	regenerated, splitRegen := map[part]bool{}, map[part]bool{}
+	avail := func(x part) bool { return regenerated[x] || fs.PartitionAvailable(x.file, x.p) }
+	for _, s := range plan.Steps {
+		rec := ch.Job(s.Job)
+		invalid := map[int]bool{}
+		for _, m := range s.SplitInvalidated {
+			invalid[m] = true
+		}
+		for _, mi := range s.Mappers {
+			m := rec.Mappers[mi]
+			in := part{rec.InputFileAt(m.InFile), m.InputPartition}
+			read[in] = true
+			if !avail(in) {
+				return fail("job %d mapper %d re-runs before its input %v is regenerated", s.Job, mi, in)
+			}
+			if !noReuse && !failed[m.Node] && !(invalid[mi] && splitRegen[in]) {
+				return fail("job %d re-runs mapper %d, whose output survives and whose input was not split", s.Job, mi)
+			}
+		}
+		for _, r := range s.Reducers {
+			out := part{rec.OutputFile, r.Reducer}
+			regenerated[out] = true
+			if r.Splits > 1 {
+				splitRegen[out] = true
+			}
+		}
+	}
+	for j := plan.RestartJob; j <= ch.Len(); j++ {
+		for _, in := range inputs(ch.Job(j)) {
+			p := producer[in]
+			if p >= plan.RestartJob {
+				continue // written again by a pending job
+			}
+			for x := 0; x < len(fs.File(in).Partitions); x++ {
+				read[part{in, x}] = true
+				if !avail(part{in, x}) {
+					return fail("job %d restarts or is pending with input %s/p%d lost", j, in, x)
+				}
+			}
+		}
+	}
+	for x := range regenerated {
+		if !read[x] {
+			return fail("plan regenerates %s/p%d, which nothing that runs reads", x.file, x.p)
+		}
+	}
+	return true
 }

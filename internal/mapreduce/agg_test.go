@@ -2,6 +2,8 @@ package mapreduce
 
 import (
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -228,26 +230,88 @@ func TestPinnedFailureMatrix(t *testing.T) {
 
 func checkPinned(t *testing.T, label any, ccfg cluster.Config, cfg ChainConfig, want pinStats) {
 	t.Helper()
-	res, err := RunChain(ccfg, cfg)
-	if err != nil {
-		t.Errorf("%v: %v", label, err)
-		return
+	if got := pinOutcome(t, label, ccfg, cfg); got != want.literal() {
+		t.Errorf("%v:\n got  %s\n want %s", label, got, want.literal())
 	}
-	if got := pinStatsOf(res); got != want {
-		t.Errorf("%v:\n got  %s\n want %s", label, got.literal(), want.literal())
+}
+
+// pinOutcome runs a chain and returns its pinStats literal, or "error: "
+// and the error text when the chain fails. The same chain as a one-tenant
+// session must reproduce it — tenant 0's total and runs, the session's
+// events and flows, or the same error under the session's "tenant 0: "
+// prefix — and a session that does not is reported under label.
+func pinOutcome(t *testing.T, label any, ccfg cluster.Config, cfg ChainConfig) string {
+	t.Helper()
+	var chain, session string
+	if res, err := RunChain(ccfg, cfg); err != nil {
+		chain = "error: " + err.Error()
+	} else {
+		chain = pinStatsOf(res).literal()
 	}
-	// The same chain as a one-tenant session must reproduce the pin:
-	// tenant 0's total and runs, the session's events and flows.
-	mr, err := NewContext(ccfg).RunMultiTenant(GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)}, 1)
-	if err != nil {
-		t.Errorf("%v (1-tenant session): %v", label, err)
-		return
+	if mr, err := NewContext(ccfg).RunMultiTenant(GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)}, 1); err != nil {
+		session = "error: " + strings.TrimPrefix(err.Error(), "tenant 0: ")
+	} else {
+		got := pinStatsOf(mr.Tenants[0])
+		got.events, got.flows = mr.Events, mr.Flows
+		session = got.literal()
 	}
-	got := pinStatsOf(mr.Tenants[0])
-	got.events, got.flows = mr.Events, mr.Flows
-	if got != want {
-		t.Errorf("%v (1-tenant session):\n got  %s\n want %s", label, got.literal(), want.literal())
+	if session != chain {
+		t.Errorf("%v (1-tenant session):\n got  %s\n want %s", label, session, chain)
 	}
+	return chain
+}
+
+// noReuseChain draws one seeded random RCMP chain that re-runs every
+// mapper of a recomputed job (NoMapOutputReuse, the Section V-D knob): 4
+// to 23 nodes, input replication 1 to 3, 1 to 3 nodes killed over one or
+// two injections landing in runs 1 to 3, Split on or off.
+func noReuseChain(seed int64) (cluster.Config, ChainConfig) {
+	rng := rand.New(rand.NewSource(seed))
+	nodes := 4 + rng.Intn(20)
+	ccfg := tinyCluster(nodes, 1+rng.Intn(2), 1)
+	ccfg.FailureDetectionTimeout = des.Time(1 + rng.Intn(8))
+	cfg := tinyChain(3+rng.Intn(2), 1+rng.Intn(nodes), int64(64*(1+rng.Intn(3))))
+	cfg.Seed = seed
+	cfg.NoMapOutputReuse = true
+	cfg.InputRepl = 1 + rng.Intn(3)
+	cfg.Split = rng.Intn(2) == 0
+	kills := 1 + rng.Intn(3)
+	for kills > 0 {
+		count := 1 + rng.Intn(kills)
+		cfg.Failures = append(cfg.Failures, Injection{
+			AtRun: 1 + rng.Intn(3), After: des.Time(rng.Float64() * 10), Node: -1, Count: count,
+		})
+		kills -= count
+	}
+	return ccfg, cfg
+}
+
+// TestPinnedNoReuseChains holds no-reuse recovery to its recorded
+// outcomes over noReuseChain's seeds. Each seed's pinOutcome — its
+// pinStats, or the error it ends in (a kill that takes every replica of
+// an input partition is unrecoverable) — is folded into the FNV-1a hash of
+// its block of 50 seeds, so a moved hash names the block to bisect.
+func TestPinnedNoReuseChains(t *testing.T) {
+	want := []uint64{
+		0x48cd5de3272f7b11, 0x710387a482e7bedd, 0x567e4ca3d819a6fe, 0x815014feae9b25b2,
+		0x72c4dde9b15ffe9c, 0x0dc45bd1cc541578, 0xe62100b341247283, 0x49dcfa3f182f11a0,
+	}
+	completed := 0
+	for b, w := range want {
+		h := fnv.New64a()
+		for seed := int64(50 * b); seed < int64(50*(b+1)); seed++ {
+			ccfg, cfg := noReuseChain(seed)
+			out := pinOutcome(t, fmt.Sprintf("seed %d", seed), ccfg, cfg)
+			if !strings.HasPrefix(out, "error: ") {
+				completed++
+			}
+			fmt.Fprintf(h, "%d %s\n", seed, out)
+		}
+		if got := h.Sum64(); got != w {
+			t.Errorf("seeds %d-%d: outcome hash %#x, want %#x", 50*b, 50*b+49, got, w)
+		}
+	}
+	t.Logf("%d of %d chains completed", completed, 50*len(want))
 }
 
 // specRerunChain is a Hadoop chain on a six-node cluster with one slow
