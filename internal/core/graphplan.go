@@ -1,10 +1,10 @@
-// graphplan.go holds the recovery cascade — the package's one planner —
-// over arbitrary job DAGs. The job-level skeleton of a recovery comes from
-// the middleware's file-level cascade (middleware.PlanRecovery); this file
-// refines it to partitions and tasks: which output partitions each skeleton
-// job must regenerate, which mappers must re-execute, and which surviving
-// persisted outputs a split recomputation invalidates. A linear chain is
-// the degenerate DAG: BuildPlan and ReclaimableBefore (planner.go,
+// graphplan.go holds the recovery cascade — the one recovery planner every
+// backend runs — over arbitrary job DAGs. It decides which completed jobs
+// recompute (the middleware's inference, Section IV-A) and narrows each to
+// partitions and tasks (Section IV-B): which output partitions each
+// recomputed job must regenerate, which mappers must re-execute, and which
+// surviving persisted outputs a split recomputation invalidates. A linear
+// chain is the degenerate DAG: BuildPlan and ReclaimableBefore (planner.go,
 // reclaim.go) only build the chain's linear Topology and call the functions
 // here, so every workload — chain or DAG, simulated or real — is planned by
 // one path (planner_test.go is the chain oracle).
@@ -63,9 +63,6 @@ func NewTopology(g *middleware.Graph) (*Topology, error) {
 // NumJobs returns the job count.
 func (t *Topology) NumJobs() int { return len(t.order) }
 
-// JobID returns the graph ID of the job at 1-based topological position j.
-func (t *Topology) JobID(j int) middleware.JobID { return t.order[j-1] }
-
 // Name returns the job's graph ID as a string.
 func (t *Topology) Name(j int) string { return string(t.order[j-1]) }
 
@@ -98,45 +95,19 @@ func (t *Topology) ConsumersOf(file string, buf []int) []int {
 // a plan built while earlier failures are still being repaired folds in all
 // their damage (Section IV-A).
 //
-// The job-level skeleton comes from the middleware's file-level cascade:
-// damaged completed outputs plus the forced set (the cancelled frontier
-// and every pending job — a pending job may consume a long-completed file,
-// which never happens on a chain). The partition-level refinement then
-// walks the skeleton in reverse topological order, seeding demand from the
-// files the frontier and pending jobs will re-read in full, and extending
-// it through re-executed mappers' lost inputs. Skeleton jobs none of whose
-// lost partitions end up demanded are pruned. On a linear chain the steps
-// form a contiguous range ending at failedJob-1.
+// Demand is seeded from the files the cancelled frontier and every pending
+// job will re-read in full — a pending job may consume a long-completed
+// file, which never happens on a chain — and walks the completed jobs in
+// reverse topological order, extending through re-executed mappers' lost
+// inputs. A completed job recomputes only if some partition of its output
+// is demanded, so damage nothing will read is left alone. On a linear
+// chain the steps form a contiguous range ending at failedJob-1.
 func BuildGraphPlan(ch *lineage.Chain, topo *Topology, fs *dfs.FS, failedJob int, failed map[int]bool, opts Options) (*Plan, error) {
 	if failedJob < 1 || failedJob > ch.Len()+1 {
 		return nil, fmt.Errorf("core: failed job %d outside chain of %d jobs", failedJob, ch.Len())
 	}
 	n := topo.NumJobs()
 	plan := &Plan{RestartJob: failedJob}
-
-	// File-level skeleton: which completed outputs are damaged at all.
-	damaged := make(map[string]bool)
-	for j := 1; j < failedJob; j++ {
-		rec := ch.Job(j)
-		for _, r := range rec.Reducers {
-			if !fs.PartitionAvailable(rec.OutputFile, r.Index) {
-				damaged[rec.OutputFile] = true
-				break
-			}
-		}
-	}
-	forced := make([]middleware.JobID, 0, n-failedJob+1)
-	for j := failedJob; j <= n; j++ {
-		forced = append(forced, topo.JobID(j))
-	}
-	skel, err := topo.g.PlanRecovery(damaged, forced)
-	if err != nil {
-		return nil, err
-	}
-	inSkeleton := make(map[int]bool, len(skel.Steps))
-	for _, s := range skel.Steps {
-		inSkeleton[topo.pos[s.Job]] = true
-	}
 
 	// need[j] is the set of output partitions of completed job j that must
 	// be regenerated. The frontier restart and every pending job re-read
@@ -178,16 +149,13 @@ func BuildGraphPlan(ch *lineage.Chain, topo *Topology, fs *dfs.FS, failedJob int
 		}
 	}
 
-	// Refinement pass in reverse topological order: demand only ever flows
-	// from a consumer to a producer, i.e. to a smaller position.
+	// One pass in reverse topological order: demand only ever flows from a
+	// consumer to a producer, i.e. to a smaller position.
 	var steps []JobStep
 	for j := failedJob - 1; j >= 1; j-- {
 		parts := need[j]
 		if len(parts) == 0 {
-			continue // file-level damage nobody demands: pruned
-		}
-		if !inSkeleton[j] {
-			return nil, fmt.Errorf("core: internal error: job %d demanded but outside the middleware skeleton", j)
+			continue // damage nobody demands
 		}
 		rec := ch.Job(j)
 		step := JobStep{Job: j}

@@ -172,6 +172,43 @@ func TestDiamondSurvivingBranchSkip(t *testing.T) {
 	}
 }
 
+// A replicated output bounds the cascade: on a 7-job chain whose first
+// four outputs have two replicas, losing a node while job 7 runs
+// recomputes jobs 5 and 6 only.
+func TestPlanStopsAtUndamaged(t *testing.T) {
+	const nodes, bpp = 4, 1
+	topo := linearTopology(t, 7)
+	ch, fs := buildGraphLineage(t, topo, nodes, bpp, 6, map[int]int{1: 2, 2: 2, 3: 2, 4: 2})
+	fs.FailNode(1)
+	plan, err := BuildGraphPlan(ch, topo, fs, 7, map[int]bool{1: true}, Options{AliveNodes: nodes - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Steps) != 2 || plan.Steps[0].Job != 5 || plan.Steps[1].Job != 6 {
+		t.Fatalf("steps %+v, want jobs 5 and 6", plan.Steps)
+	}
+}
+
+// Damage nothing will read is left alone: out1 and out2 lose a partition
+// while job 7 runs, but out3..out6 are replicated and survive, so no job
+// recomputes.
+func TestPlanIgnoresUnneededDamage(t *testing.T) {
+	const nodes, bpp = 4, 1
+	topo := linearTopology(t, 7)
+	ch, fs := buildGraphLineage(t, topo, nodes, bpp, 6, map[int]int{3: 2, 4: 2, 5: 2, 6: 2})
+	fs.FailNode(1)
+	if fs.PartitionAvailable("out2", 1) {
+		t.Fatal("out2/p1 survived the failure; the scenario needs it lost")
+	}
+	plan, err := BuildGraphPlan(ch, topo, fs, 7, map[int]bool{1: true}, Options{AliveNodes: nodes - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Steps) != 0 || plan.RestartJob != 7 {
+		t.Fatalf("plan %+v, want job 7 restarted with no steps", plan)
+	}
+}
+
 // The Figure 5 rule crossing into a surviving branch: when prep's partition
 // is regenerated by splits, enrich's persisted map outputs computed from it
 // are stale even though enrich itself does not re-run. The plan must name

@@ -93,16 +93,6 @@ func (f *File) Size() int64 {
 	return s
 }
 
-// Complete reports whether every partition has been written.
-func (f *File) Complete() bool {
-	for _, p := range f.Partitions {
-		if !p.Written() {
-			return false
-		}
-	}
-	return true
-}
-
 // FS is the namespace plus replica map.
 //
 // Partition and Block structs are recycled through per-FS free lists when

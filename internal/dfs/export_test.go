@@ -17,3 +17,13 @@ func (fs *FS) LostPartitions() []LostPartition {
 	}
 	return lost
 }
+
+// Complete reports whether every partition has been written.
+func (f *File) Complete() bool {
+	for _, p := range f.Partitions {
+		if !p.Written() {
+			return false
+		}
+	}
+	return true
+}

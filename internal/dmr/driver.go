@@ -9,6 +9,7 @@ import (
 	"rcmp/internal/core"
 	"rcmp/internal/dfs"
 	"rcmp/internal/lineage"
+	"rcmp/internal/middleware"
 	"rcmp/internal/workload"
 )
 
@@ -183,15 +184,6 @@ func (d *Driver) logRun(job int, kind string) func(err error) {
 // Chain exposes the recorded lineage.
 func (d *Driver) Chain() *lineage.Chain { return d.ch }
 
-// inputName and outputName mirror the naming of the other engines.
-func jobFiles(job int) (in, out string) {
-	in = "input"
-	if job > 1 {
-		in = fmt.Sprintf("out%d", job-1)
-	}
-	return in, fmt.Sprintf("out%d", job)
-}
-
 func (d *Driver) repl(job int) int {
 	if d.cfg.OutputRepl > 1 {
 		return d.cfg.OutputRepl
@@ -205,7 +197,8 @@ func (d *Driver) LoadInput() error {
 	for p := range parts {
 		parts[p] = workload.Generate(d.cfg.RecordsPerPartition, d.cfg.Seed+int64(p))
 	}
-	return d.m.LoadFile("input", parts, d.cfg.InputRepl)
+	_, input, _ := middleware.ChainNames(1)
+	return d.m.LoadFile(input, parts, d.cfg.InputRepl)
 }
 
 // RunChain executes the whole chain, recovering from any worker deaths the
@@ -264,7 +257,7 @@ func (d *Driver) markFailuresHandled() {
 
 // runFull submits one full job run (initial or restart).
 func (d *Driver) runFull(job int) (*JobReport, error) {
-	in, out := jobFiles(job)
+	_, in, out := middleware.ChainNames(job)
 	kind := "initial"
 	if d.attempted[job] {
 		kind = "restart"
@@ -287,9 +280,9 @@ func (d *Driver) runFull(job int) (*JobReport, error) {
 
 // commitInitial appends the completed job to the lineage.
 func (d *Driver) commitInitial(job int, rep *JobReport) error {
-	in, out := jobFiles(job)
+	name, in, out := middleware.ChainNames(job)
 	rec := &lineage.JobRecord{
-		ID: job, Name: fmt.Sprintf("job%d", job),
+		ID: job, Name: string(name),
 		InputFile: in, OutputFile: out,
 		Splittable: true, Completed: true,
 		Mappers: rep.Mappers, Reducers: rep.Reducers,
@@ -526,7 +519,7 @@ func (d *Driver) Evict(needBytes int64) error {
 // OutputDigests fingerprints the final job's output partitions, reading
 // blocks from their live replicas.
 func (d *Driver) OutputDigests() ([]workload.Digest, error) {
-	_, out := jobFiles(d.cfg.Jobs)
+	_, _, out := middleware.ChainNames(d.cfg.Jobs)
 	exists := false
 	_ = d.m.WithFS(func(fs *dfs.FS) error { exists = fs.File(out) != nil; return nil })
 	if !exists {

@@ -20,6 +20,7 @@ import (
 	"rcmp/internal/core"
 	"rcmp/internal/dfs"
 	"rcmp/internal/lineage"
+	"rcmp/internal/middleware"
 	"rcmp/internal/workload"
 )
 
@@ -131,7 +132,8 @@ func New(cfg Config) (*Engine, error) {
 		content: make(map[string][][]workload.Record),
 		mapOut:  make(map[int]map[int]buckets),
 	}
-	if _, err := e.fs.Create("input", cfg.Nodes); err != nil {
+	_, input, _ := middleware.ChainNames(1)
+	if _, err := e.fs.Create(input, cfg.Nodes); err != nil {
 		return nil, err
 	}
 	repl := cfg.InputRepl
@@ -142,11 +144,11 @@ func New(cfg Config) (*Engine, error) {
 	for p := 0; p < cfg.Nodes; p++ {
 		parts[p] = workload.Generate(cfg.RecordsPerNode, cfg.Seed+int64(p))
 		sets := [][]int{e.fs.PlanReplicas(p, repl, e.alive())}
-		if _, err := e.fs.SetPartition("input", p, int64(len(parts[p])), sets); err != nil {
+		if _, err := e.fs.SetPartition(input, p, int64(len(parts[p])), sets); err != nil {
 			return nil, err
 		}
 	}
-	e.content["input"] = parts
+	e.content[input] = parts
 	return e, nil
 }
 
@@ -209,15 +211,6 @@ func (e *Engine) failAndRecover(node, frontier int) error {
 		}
 	}
 	return nil
-}
-
-// jobFiles returns the input and output file names of a chain job.
-func jobFiles(job int) (in, out string) {
-	in = "input"
-	if job > 1 {
-		in = fmt.Sprintf("out%d", job-1)
-	}
-	return in, fmt.Sprintf("out%d", job)
 }
 
 func (e *Engine) repl(job int) int {
@@ -314,7 +307,7 @@ func (e *Engine) parallelDo(n int, fn func(i int) error) error {
 
 // runFull executes a complete job (initial run or restart after failure).
 func (e *Engine) runFull(job int) error {
-	inFile, outFile := jobFiles(job)
+	name, inFile, outFile := middleware.ChainNames(job)
 	in := e.fs.File(inFile)
 	if in == nil {
 		return fmt.Errorf("engine: job %d input %q missing", job, inFile)
@@ -360,7 +353,7 @@ func (e *Engine) runFull(job int) error {
 	}
 	parts := make([][]workload.Record, R)
 	rec := &lineage.JobRecord{
-		ID: job, Name: fmt.Sprintf("job%d", job),
+		ID: job, Name: string(name),
 		InputFile: inFile, OutputFile: outFile,
 		Splittable: true, Completed: true,
 	}
@@ -518,7 +511,7 @@ func (e *Engine) ReclaimThrough(checkpoint int) error {
 // recomputation (which reorders records within a partition) compares equal
 // to the failure-free run exactly when the record multisets match.
 func (e *Engine) OutputDigests() ([]workload.Digest, error) {
-	_, outFile := jobFiles(e.cfg.Jobs)
+	_, _, outFile := middleware.ChainNames(e.cfg.Jobs)
 	parts, ok := e.content[outFile]
 	if !ok {
 		return nil, fmt.Errorf("engine: chain output %q missing (chain not run?)", outFile)

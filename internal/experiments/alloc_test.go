@@ -10,7 +10,7 @@ import (
 // TestWeakScalingAllocsDeterministic pins what a weak-scaling chain
 // allocates on a warm Context the caller owns: the same count on every
 // fresh Context, and no more than a committed ceiling (about 10 % above
-// the 86, 103 and 1196 allocs per run measured on go1.24), so an
+// the 86, 103 and 1192 allocs per run measured on go1.24), so an
 // allocation regression on the simulator's hot path fails here
 // deterministically. The count depends on the order dfs.Reset refills its
 // free lists, which is why that order is by file name.

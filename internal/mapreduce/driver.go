@@ -523,26 +523,27 @@ func (d *Driver) onDetect(node int) {
 		return
 	}
 
-	// RCMP: any irreversible loss cancels the running job; the middleware
+	// RCMP: any irreversible loss cancels the running job; the planner
 	// plans a minimal cascade over ALL damage seen so far. A detection that
 	// arrives while a previous recovery is in progress simply re-plans.
 	if d.current != nil && !d.current.done {
 		d.current.cancel()
 	}
 	plan, err := core.BuildGraphPlan(d.ch, d.topo, d.fs, d.frontier, d.failedNodes, core.Options{
-		Split:      d.cfg.Split,
-		SplitRatio: d.cfg.SplitRatio,
-		AliveNodes: d.clus.NumAlive(),
+		Split:            d.cfg.Split,
+		SplitRatio:       d.cfg.SplitRatio,
+		AliveNodes:       d.clus.NumAlive(),
+		NoMapOutputReuse: d.cfg.NoMapOutputReuse,
 	})
 	if err != nil {
 		d.unrecoverable(err)
 		return
 	}
-	// Invariant check on the pure minimal plan, before the policy knobs
-	// below add mappers by fiat: every stepped partition must actually be
-	// unavailable and every re-run mapper justified by loss or split
-	// invalidation.
-	if err := core.CheckPlan(d.ch, d.fs, d.failedNodes, plan, true); err != nil {
+	// Invariant check on the plan as built, before ForceRecomputeMappers
+	// pads it: every stepped partition must actually be unavailable and,
+	// unless NoMapOutputReuse re-runs every mapper by policy, every re-run
+	// mapper justified by loss or split invalidation.
+	if err := core.CheckPlan(d.ch, d.fs, d.failedNodes, plan, !d.cfg.NoMapOutputReuse); err != nil {
 		d.unrecoverable(err)
 		return
 	}
@@ -552,16 +553,6 @@ func (d *Driver) onDetect(node int) {
 	// chains.
 	for _, ref := range plan.Invalidated {
 		d.ch.InvalidateMapperOutput(ref.Job, ref.Mapper)
-	}
-	if d.cfg.NoMapOutputReuse {
-		for i := range plan.Steps {
-			step := &plan.Steps[i]
-			rec := d.ch.Job(step.Job)
-			step.Mappers = step.Mappers[:0]
-			for _, m := range rec.Mappers {
-				step.Mappers = append(step.Mappers, m.Index)
-			}
-		}
 	}
 	if d.cfg.ForceRecomputeMappers > 0 {
 		for i := range plan.Steps {

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rcmp/internal/cluster"
 	"rcmp/internal/metrics"
 )
 
@@ -320,12 +321,21 @@ func TestInputReplicationExhaustionAborts(t *testing.T) {
 	// Input replicated once (repl 1): losing its holder is unrecoverable
 	// even for RCMP (the paper assumes a replicated original input). The
 	// planner must say so, not restart job 1 on unreadable blocks and let
-	// the simulation drain.
+	// the simulation drain. The second chain, under NoMapOutputReuse,
+	// recomputes job 1 and so re-runs a mapper whose output survived but
+	// whose input block lost its only replica: the planner must demand
+	// that input, not re-run the mapper on it.
 	cfg := tinyChain(2, 4, 128)
 	cfg.InputRepl = 1
 	cfg.Failures = []Injection{{AtRun: 1, After: 5, Node: 2}}
-	_, err := RunChain(tinyCluster(4, 1, 1), cfg)
-	if err == nil || !strings.Contains(err.Error(), "original input partition") {
-		t.Fatalf("got %v, want the planner's lost-input error", err)
+	noReuseCluster, noReuse := noReuseChain(1191)
+	for _, c := range []struct {
+		ccfg cluster.Config
+		cfg  ChainConfig
+	}{{tinyCluster(4, 1, 1), cfg}, {noReuseCluster, noReuse}} {
+		_, err := RunChain(c.ccfg, c.cfg)
+		if err == nil || !strings.Contains(err.Error(), "original input partition") {
+			t.Errorf("NoMapOutputReuse=%v: got %v, want the planner's lost-input error", c.cfg.NoMapOutputReuse, err)
+		}
 	}
 }

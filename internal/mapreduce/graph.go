@@ -9,8 +9,6 @@
 package mapreduce
 
 import (
-	"fmt"
-
 	"rcmp/internal/core"
 	"rcmp/internal/middleware"
 )
@@ -32,22 +30,15 @@ type GraphConfig struct {
 	Jobs []GraphJob
 }
 
-// LinearJobs lowers an n-job chain to its graph form: job i ("job<i>")
-// reads job i-1's output and writes "out<i>"; job 1 reads the external
+// LinearJobs lowers an n-job chain to its graph form, named by
+// middleware.ChainNames: job i reads job i-1's output, job 1 the external
 // "input". These are the historical chain file names, so the DFS layout —
 // and therefore every digest — is unchanged.
 func LinearJobs(n int) []GraphJob {
 	jobs := make([]GraphJob, 0, n)
 	for i := 1; i <= n; i++ {
-		in := "input"
-		if i > 1 {
-			in = fmt.Sprintf("out%d", i-1)
-		}
-		jobs = append(jobs, GraphJob{
-			Name:   fmt.Sprintf("job%d", i),
-			Inputs: []string{in},
-			Output: fmt.Sprintf("out%d", i),
-		})
+		id, in, out := middleware.ChainNames(i)
+		jobs = append(jobs, GraphJob{Name: string(id), Inputs: []string{in}, Output: out})
 	}
 	return jobs
 }

@@ -101,9 +101,9 @@ type ChainConfig struct {
 	Split      bool
 	SplitRatio int
 
-	// ReuseMapOutputs controls whether recomputation reuses persisted map
-	// outputs (RCMP's default, true). Disabling it re-runs every mapper of
-	// a recomputed job, which isolates the wave-reduction speed-up the way
+	// NoMapOutputReuse turns off recomputation's reuse of persisted map
+	// outputs (RCMP's default): the planner re-runs every mapper of a
+	// recomputed job, which isolates the wave-reduction speed-up the way
 	// Section V-D does. Only meaningful in ModeRCMP.
 	NoMapOutputReuse bool
 
@@ -169,8 +169,8 @@ type ChainConfig struct {
 	Seed int64
 
 	// PlanObserver, when non-nil, observes every recovery plan right after
-	// it is built, invariant-checked, and adjusted by the policy knobs
-	// (NoMapOutputReuse, ForceRecomputeMappers), before any step runs. The
+	// it is built (NoMapOutputReuse is a planner option), invariant-checked
+	// and padded by ForceRecomputeMappers, before any step runs. The
 	// cross-validation harness captures recovery decisions through it. The
 	// chain argument is the driver's live lineage; do not mutate either.
 	PlanObserver func(frontier int, plan *core.Plan, ch *lineage.Chain)

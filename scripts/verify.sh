@@ -1,34 +1,15 @@
 #!/bin/sh
-# verify.sh — the repo's one-command gate:
-#   1. tier-1: go build ./... && go test ./...
-#   2. static checks: go vet and gofmt -l over the whole module, then the
-#      frozen benchmark module (bench/, its own go.mod, which tier-1 never
-#      builds): vet and its tests, so an internal API deletion that breaks
-#      the benchmark is caught here and not first by the pipeline
-#   3. race detector over the full suite, then -count=2 under -race on the
-#      packages whose state is reused across runs or shared between
-#      goroutines: the simulation core (the des kernel and its settler
-#      contract, the flow network and its settle tests) and graph
-#      planner, the runner (each worker reuses its own context), the
-#      distributed runtime, the sweep server (including its
-#      concurrent-load test) and the cross-validation harness
-#   4. the pinned chain outcomes (mapreduce's TestPinned*), the exact
-#      tier's ready-bit check (TestReadyBitsMatchBuckets) and the golden
-#      digests repeated under -race, the golden-digest suite explicitly,
-#      then the analytic-vs-DES tolerance suite over the registry
-#   5. native fuzzing: a few seconds of FuzzRecordBatchDecode, the dmr
-#      record-frame decoder that reads bytes off a socket, on top of its
-#      committed seed corpus (which plain `go test` already replays)
-#   6. benchmark smoke pass: every benchmark once at the smoke tier
-# The rcmpsim, rcmpserve and rcmpxval commands have no smoke step: their
-# tests drive them in-process under tier-1 (cmd/rcmpsim's compares the
-# sweep server's stream:false body with its own -json bytes for every
-# sweep dimension, cmd/rcmpserve's serves and drains, cmd/rcmpxval's runs
-# the cross-validation smokes, one failure offset plain and one under the
-# chaos transport). No step times anything: wall-clock comparisons
-# need paired rounds on both sides of a change, which
-# `make bench-compare BASE=<rev>` runs (docs/perf.md, "Measuring a
-# change").
+# verify.sh — the repo's one-command gate: build, vet and gofmt; the frozen
+# benchmark module (bench/, its own go.mod, which tier-1 never builds), so
+# an internal API deletion that breaks it is caught here; tier-1; the race
+# detector over the full suite, then twice over the packages whose state
+# is reused across runs or shared between goroutines; the pinned chains
+# and golden digests; the analytic-vs-DES tolerance suite; a few seconds
+# of fuzzing on the dmr record-frame decoder; one smoke pass of every
+# benchmark. The commands have no smoke step: their tests drive them
+# in-process under tier-1. Nothing here is timed; wall-clock comparisons
+# need paired rounds, which `make bench-compare BASE=<rev>` runs
+# (docs/perf.md, "Measuring a change").
 set -eu
 cd "$(dirname "$0")/.."
 
