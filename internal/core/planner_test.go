@@ -351,7 +351,6 @@ func TestPlanMinimalAndSufficientProperty(t *testing.T) {
 		nodes, bpp := 4+rng.Intn(5), 1+rng.Intn(3)
 		n := 2 + rng.Intn(5)
 		jobs := make([]middleware.Job, 0, n)
-		repl := map[int]int{}
 		for i := 1; i <= n; i++ {
 			// The first input is most often the previous job's output, the
 			// second (fan-in) any earlier file, the external input included.
@@ -378,6 +377,7 @@ func TestPlanMinimalAndSufficientProperty(t *testing.T) {
 			t.Log(err)
 			return false
 		}
+		repl := map[int]int{}
 		for j := 1; j <= n; j++ {
 			if rng.Intn(3) == 0 {
 				repl[j] = 2 // a branch that survives a single loss
