@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"rcmp/internal/cluster"
+	"rcmp/internal/core"
 	"rcmp/internal/des"
 	"rcmp/internal/mapreduce"
 	"rcmp/internal/metrics"
@@ -348,10 +349,10 @@ func (ev *eval) jobPhases(j, alive int) phases {
 
 	if scales := sortedNodeScales(&ev.cc); len(scales) > 0 {
 		slowT := ev.mapTaskTime(alive, sh.blockB, scales[0])
-		if ev.cfg.Speculation && slowT > ev.cfg.SpeculationFactor*p.mapTask {
+		if ev.cfg.Speculation && slowT > core.SpeculationFactor*p.mapTask {
 			// A duplicate launches once the straggler exceeds
 			// factor× the mean and finishes one normal task later.
-			capT := (ev.cfg.SpeculationFactor + 1) * p.mapTask
+			capT := (core.SpeculationFactor + 1) * p.mapTask
 			if capT < slowT {
 				// Every straggler-hosted task gets a duplicate.
 				perNode := (sh.mappers + alive - 1) / alive

@@ -53,3 +53,9 @@ func ReplicationForJob(jobID, hybridEveryK, hybridRepl int) int {
 	}
 	return 1
 }
+
+// SpeculationFactor is Hadoop's straggler multiple (Section II): with
+// speculation on, a mapper still running after SpeculationFactor times the
+// mean duration of its job's completed mappers gets a duplicate on another
+// node. Every engine reads this one value.
+const SpeculationFactor = 1.5

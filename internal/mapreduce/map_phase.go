@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"rcmp/internal/core"
 	"rcmp/internal/des"
 	"rcmp/internal/flow"
 	"rcmp/internal/metrics"
@@ -349,7 +350,7 @@ func (r *jobRun) killSpeculative(loser *mapTask) {
 }
 
 // speculate queues duplicates for straggling mappers: running longer than
-// SpeculationFactor times the mean completed duration, with no duplicate
+// core.SpeculationFactor times the mean completed duration, with no duplicate
 // yet. Requires a handful of completions for a stable mean, like Hadoop.
 // Tasks that will cross the threshold later get a wake-up, so stragglers
 // are caught even when no more completions arrive.
@@ -357,7 +358,7 @@ func (r *jobRun) speculate() {
 	if r.mapDoneCount < 5 || r.done {
 		return
 	}
-	threshold := des.Time(r.cfg().SpeculationFactor * r.mapDoneSum / float64(r.mapDoneCount))
+	threshold := des.Time(core.SpeculationFactor * r.mapDoneSum / float64(r.mapDoneCount))
 	now := r.sim().Now()
 	nextCheck := des.Forever
 	for _, mt := range r.maps {

@@ -153,12 +153,12 @@ type ChainConfig struct {
 	ShuffleAggregation ShuffleAggregation
 
 	// Speculation enables speculative execution of straggling mappers
-	// (Section II): a mapper running longer than SpeculationFactor times
-	// the mean completed-mapper duration is duplicated on another node; the
-	// first copy to finish wins and the other is killed. Available in both
-	// modes — the paper treats it as an orthogonal task-level mechanism.
-	Speculation       bool
-	SpeculationFactor float64 // default 1.5
+	// (Section II): a mapper running longer than core.SpeculationFactor
+	// times the mean completed-mapper duration is duplicated on another
+	// node; the first copy to finish wins and the other is killed.
+	// Available in both modes — the paper treats it as an orthogonal
+	// task-level mechanism.
+	Speculation bool
 
 	// DisableLocality removes the scheduler's data-local placement
 	// preference for mappers, for the Section III-A locality experiments.
@@ -229,9 +229,6 @@ func (c *ChainConfig) withDefaults() ChainConfig {
 	}
 	if out.HybridEveryK > 0 && out.HybridRepl == 0 {
 		out.HybridRepl = 2
-	}
-	if out.SpeculationFactor == 0 {
-		out.SpeculationFactor = 1.5
 	}
 	return out
 }
