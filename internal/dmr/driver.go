@@ -50,10 +50,9 @@ type ChainConfig struct {
 	NoMapOutputReuse bool
 
 	// Speculation duplicates straggling mappers on another worker
-	// (Section II); SpeculationFactor is the straggler multiple of the
-	// mean completed-mapper duration (default 1.5).
-	Speculation       bool
-	SpeculationFactor float64
+	// (Section II) once they run core.SpeculationFactor times the mean
+	// completed-mapper duration.
+	Speculation bool
 
 	Seed int64
 
@@ -224,7 +223,7 @@ func (d *Driver) RunChain() error {
 			}
 			return err
 		}
-		if err := d.commitInitial(job, rep); err != nil {
+		if err := d.appendJob(job, rep); err != nil {
 			return err
 		}
 		if d.cfg.ReclaimAtCheckpoints && d.repl(job) > 1 {
@@ -257,40 +256,48 @@ func (d *Driver) markFailuresHandled() {
 
 // runFull submits one full job run (initial or restart).
 func (d *Driver) runFull(job int) (*JobReport, error) {
-	_, in, out := middleware.ChainNames(job)
 	kind := "initial"
 	if d.attempted[job] {
 		kind = "restart"
 	}
 	d.attempted[job] = true
-	done := d.logRun(job, kind)
-	rep, err := d.m.RunJob(JobSpec{
-		ID:                job,
-		InFile:            in,
-		OutFile:           out,
-		NumReducers:       d.cfg.NumReducers,
-		OutputRepl:        d.repl(job),
-		CarveRecords:      d.m.BlockRecords(),
-		Speculation:       d.cfg.Speculation,
-		SpeculationFactor: d.cfg.SpeculationFactor,
-	})
-	done(err)
-	return rep, err
+	return d.submit(job, kind, nil)
 }
 
-// commitInitial appends the completed job to the lineage.
-func (d *Driver) commitInitial(job int, rep *JobReport) error {
-	name, in, out := middleware.ChainNames(job)
-	rec := &lineage.JobRecord{
-		ID: job, Name: string(name),
-		InputFile: in, OutputFile: out,
-		Splittable: true, Completed: true,
-		Mappers: rep.Mappers, Reducers: rep.Reducers,
+// submit runs one job of the chain: the recomputation step rc tags, or a
+// full run when rc is nil.
+func (d *Driver) submit(job int, kind string, rc *RecomputeSpec) (*JobReport, error) {
+	_, in, out := middleware.ChainNames(job)
+	done := d.logRun(job, kind)
+	rep, err := d.m.RunJob(JobSpec{
+		ID:           job,
+		InFile:       in,
+		OutFile:      out,
+		NumReducers:  d.cfg.NumReducers,
+		OutputRepl:   d.repl(job),
+		CarveRecords: d.m.BlockRecords(),
+		Recompute:    rc,
+		Speculation:  d.cfg.Speculation,
+	})
+	done(err)
+	if err != nil {
+		return nil, err
 	}
 	d.RemoteReads += rep.RemoteReads
 	d.SpeculativeLaunched += rep.SpeculativeLaunched
 	d.SpeculativeWasted += rep.SpeculativeWasted
-	return d.ch.Append(rec)
+	return rep, nil
+}
+
+// appendJob appends the completed job to the lineage.
+func (d *Driver) appendJob(job int, rep *JobReport) error {
+	name, in, out := middleware.ChainNames(job)
+	return d.ch.Append(&lineage.JobRecord{
+		ID: job, Name: string(name),
+		InputFile: in, OutputFile: out,
+		Splittable: true, Completed: true,
+		Mappers: rep.Mappers, Reducers: rep.Reducers,
+	})
 }
 
 // recover plans and executes the recomputation cascade so that job
@@ -379,24 +386,12 @@ func (d *Driver) runPlanSteps(plan *core.Plan) error {
 			}
 		}
 
-		done := d.logRun(step.Job, "recompute")
-		rep, err := d.m.RunJob(JobSpec{
-			ID:                step.Job,
-			InFile:            rec.InputFile,
-			OutFile:           rec.OutputFile,
-			NumReducers:       d.cfg.NumReducers,
-			OutputRepl:        d.repl(step.Job),
-			CarveRecords:      d.m.BlockRecords(),
-			Speculation:       d.cfg.Speculation,
-			SpeculationFactor: d.cfg.SpeculationFactor,
-			Recompute: &RecomputeSpec{
-				Mappers:     mappers,
-				Reducers:    step.Reducers,
-				PrevMappers: append([]lineage.MapperMeta(nil), rec.Mappers...),
-				Scatter:     d.cfg.ScatterOnly,
-			},
+		rep, err := d.submit(step.Job, "recompute", &RecomputeSpec{
+			Mappers:  mappers,
+			Reducers: step.Reducers,
+			Table:    append([]lineage.MapperMeta(nil), rec.Mappers...),
+			Scatter:  d.cfg.ScatterOnly,
 		})
-		done(err)
 		if err != nil {
 			return err
 		}
@@ -408,9 +403,6 @@ func (d *Driver) runPlanSteps(plan *core.Plan) error {
 		}
 		d.RecomputedMappers += len(mappers)
 		d.RecomputedReducers += len(step.Reducers)
-		d.RemoteReads += rep.RemoteReads
-		d.SpeculativeLaunched += rep.SpeculativeLaunched
-		d.SpeculativeWasted += rep.SpeculativeWasted
 		relayout = next
 	}
 	return nil
@@ -485,9 +477,11 @@ func (d *Driver) reclaimThrough(checkpoint int) error {
 		return err
 	}
 	core.ApplyReclamation(d.ch, r)
-	d.m.ReclaimMapOutputs(r.MapOutputJobs)
+	if len(r.MapOutputJobs) > 0 {
+		d.m.broadcast(DropMapOutputsReq{Jobs: r.MapOutputJobs})
+	}
 	for _, f := range r.Files {
-		d.m.DropFileEverywhere(f)
+		d.m.dropFileEverywhere(f)
 	}
 	return nil
 }
@@ -512,7 +506,9 @@ func (d *Driver) Evict(needBytes int64) error {
 		}
 	}
 	core.ApplyEviction(d.ch, plan)
-	d.m.EvictMapOutputs(refs)
+	if len(refs) > 0 {
+		d.m.broadcast(EvictMapOutputsReq{Refs: refs})
+	}
 	return nil
 }
 

@@ -66,28 +66,31 @@ type JobSpec struct {
 	CarveRecords int
 
 	// Recompute tags a recomputation run (the middleware's tagging of
-	// Section IV-A). Nil for initial runs and full restarts.
+	// Section IV-A). Nil for initial runs and full restarts, which are the
+	// untagged case: every mapper of the input as laid out now, every
+	// reducer whole.
 	Recompute *RecomputeSpec
 
 	// Speculation duplicates straggling mappers on another worker once a
-	// mapper has run longer than SpeculationFactor times the mean of the
-	// run's completed mappers (Section II; task-level, orthogonal to
+	// mapper has run longer than core.SpeculationFactor times the mean of
+	// the run's completed mappers (Section II; task-level, orthogonal to
 	// recomputation). The first copy to finish wins; map outputs are
 	// content-addressed and deterministic, so the duplicate is idempotent.
-	Speculation       bool
-	SpeculationFactor float64 // default 1.5
+	Speculation bool
 }
 
-// RecomputeSpec carries the planner's step for one recomputed job.
+// RecomputeSpec names the tasks of one job run: the planner's step for a
+// recomputed job, or — built by the master for an untagged run — every
+// task of the job.
 type RecomputeSpec struct {
-	// Mappers lists mapper indices (into PrevMappers) to re-execute; the
-	// rest are reused from their persisted outputs.
+	// Mappers lists mapper indices (into Table) to re-execute; the rest
+	// are reused from their persisted outputs.
 	Mappers []int
 	// Reducers lists the reducer outputs to regenerate, with split counts.
 	Reducers []core.ReducerRun
-	// PrevMappers is the job's full mapper table from its lineage record,
-	// so the master can locate reused outputs and re-run inputs.
-	PrevMappers []lineage.MapperMeta
+	// Table is the job's full mapper table from its lineage record, so the
+	// master can locate reused outputs and re-run inputs.
+	Table []lineage.MapperMeta
 	// Scatter spreads each regenerated (unsplit) reducer's output blocks
 	// over all live workers — the Section IV-B2 alternative to splitting.
 	Scatter bool
@@ -95,7 +98,7 @@ type RecomputeSpec struct {
 
 // JobReport is what a completed run tells the driver, in lineage terms.
 type JobReport struct {
-	Mappers  []lineage.MapperMeta // all mappers (initial) or the re-run subset (recompute)
+	Mappers  []lineage.MapperMeta // the mappers this run executed
 	Reducers []lineage.ReducerMeta
 	// RemoteReads counts mapper inputs fetched from peers during this run.
 	RemoteReads int
@@ -417,26 +420,10 @@ func (m *Master) broadcast(req any) {
 	}
 }
 
-// DropFileEverywhere removes a file's blocks cluster-wide plus its metadata.
-func (m *Master) DropFileEverywhere(name string) {
+// dropFileEverywhere removes a file's blocks cluster-wide plus its metadata.
+func (m *Master) dropFileEverywhere(name string) {
 	m.broadcast(DropFileReq{File: name})
 	_ = m.WithFS(func(fs *dfs.FS) error { fs.Delete(name); return nil })
-}
-
-// ReclaimMapOutputs releases persisted map outputs of the given jobs on
-// every live worker (checkpoint reclamation, Section IV-C).
-func (m *Master) ReclaimMapOutputs(jobs []int) {
-	if len(jobs) > 0 {
-		m.broadcast(DropMapOutputsReq{Jobs: jobs})
-	}
-}
-
-// EvictMapOutputs releases specific persisted map outputs cluster-wide
-// (wave-granularity eviction under storage pressure, Section IV-C).
-func (m *Master) EvictMapOutputs(refs []MapOutRef) {
-	if len(refs) > 0 {
-		m.broadcast(EvictMapOutputsReq{Refs: refs})
-	}
 }
 
 // SlotsPerWorker returns the configured mapper/reducer slots per worker.

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"rcmp/internal/core"
 	"rcmp/internal/dfs"
 	"rcmp/internal/lineage"
 )
@@ -45,12 +46,22 @@ func (m *Master) RunJob(spec JobSpec) (*JobReport, error) {
 		m.mu.Unlock()
 	}()
 
-	var report *JobReport
+	// The preamble is all that tells a full run from a recomputation step.
+	// A full run (initial or restart) rewrites the output from scratch and
+	// maps every block of the input as laid out now; a step drops only the
+	// partitions it regenerates.
+	rc := spec.Recompute
 	var err error
-	if spec.Recompute == nil {
-		report, err = m.runInitial(spec, cancel)
+	if rc == nil {
+		rc, err = m.fullRun(spec)
 	} else {
-		report, err = m.runRecompute(spec, cancel)
+		for _, rr := range rc.Reducers {
+			m.broadcast(DropPartitionReq{File: spec.OutFile, Part: rr.Reducer})
+		}
+	}
+	var report *JobReport
+	if err == nil {
+		report, err = m.execute(spec, rc, cancel)
 	}
 	if err != nil {
 		// A task error may be the first symptom of a death the monitor has
@@ -176,16 +187,16 @@ func (s *mapPhaseStats) record(d time.Duration) {
 	s.mu.Unlock()
 }
 
-// threshold returns factor times the mean completed-mapper duration; not
-// ok until enough mappers completed to trust the mean (the paper's
-// speculation also waits for completed-task statistics).
-func (s *mapPhaseStats) threshold(factor float64) (time.Duration, bool) {
+// threshold returns core.SpeculationFactor times the mean completed-mapper
+// duration; not ok until enough mappers completed to trust the mean (the
+// paper's speculation also waits for completed-task statistics).
+func (s *mapPhaseStats) threshold() (time.Duration, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.n < 3 {
 		return 0, false
 	}
-	return time.Duration(factor * float64(s.total) / float64(s.n)), true
+	return time.Duration(core.SpeculationFactor * float64(s.total) / float64(s.n)), true
 }
 
 // tryPlaceDuplicate grabs a free map slot on any live worker other than
@@ -230,10 +241,6 @@ func (m *Master) runMapPhase(spec JobSpec, descs []lineage.MapperMeta, cancel <-
 		return nil, nil, err
 	}
 
-	factor := spec.SpeculationFactor
-	if factor <= 0 {
-		factor = 1.5
-	}
 	tick := m.cfg.Timing.progressTick()
 	stats := &mapPhaseStats{}
 
@@ -301,7 +308,7 @@ func (m *Master) runMapPhase(spec JobSpec, descs []lineage.MapperMeta, cancel <-
 				if !spec.Speculation || speculated {
 					continue
 				}
-				th, ok := stats.threshold(factor)
+				th, ok := stats.threshold()
 				if !ok || time.Since(start) <= th {
 					continue
 				}
@@ -342,7 +349,7 @@ type reducePlacement struct {
 
 // planReduce precomputes writers and replica sets sequentially (the FS
 // placement cursor is not goroutine-safe).
-func (m *Master) planReduce(runs []reduceRun, repl int, scatter bool) ([]reducePlacement, error) {
+func (m *Master) planReduce(runs []core.ReducerRun, repl int, scatter bool) ([]reducePlacement, error) {
 	m.mu.Lock()
 	alive := m.aliveLocked()
 	m.mu.Unlock()
@@ -361,14 +368,15 @@ func (m *Master) planReduce(runs []reduceRun, repl int, scatter bool) ([]reduceP
 	}
 	var out []reducePlacement
 	for _, rr := range runs {
-		for s := 0; s < rr.splits; s++ {
-			id := alive[(rr.reducer+s)%len(alive)]
+		splits := max(rr.Splits, 1)
+		for s := 0; s < splits; s++ {
+			id := alive[(rr.Reducer+s)%len(alive)]
 			w := m.workerIfAlive(id)
 			if w == nil {
 				return nil, fmt.Errorf("dmr: reduce target %d died during planning", id)
 			}
-			p := reducePlacement{reducer: rr.reducer, split: s, splits: rr.splits, worker: w}
-			if scatter && rr.splits == 1 {
+			p := reducePlacement{reducer: rr.Reducer, split: s, splits: splits, worker: w}
+			if scatter && splits == 1 {
 				p.scatterNodes = alive
 				p.scatterAddrs = scatterAddrs
 				p.set = []int{id} // unused for blocks; kept for invariants
@@ -379,11 +387,6 @@ func (m *Master) planReduce(runs []reduceRun, repl int, scatter bool) ([]reduceP
 		}
 	}
 	return out, nil
-}
-
-type reduceRun struct {
-	reducer int
-	splits  int
 }
 
 // reduceOutcome is one reduce task's written blocks.
@@ -496,13 +499,12 @@ func (m *Master) commitReduceOutcomes(spec JobSpec, outcomes []reduceOutcome) ([
 	return metas, nil
 }
 
-// runInitial executes a full job run (initial submission or post-failure
-// restart): every input block gets a mapper, every reducer runs whole.
-func (m *Master) runInitial(spec JobSpec, cancel <-chan struct{}) (*JobReport, error) {
-	// Restarting rewrites the output from scratch.
-	m.DropFileEverywhere(spec.OutFile)
-	var descs []lineage.MapperMeta
-	if err := m.WithFS(func(fs *dfs.FS) error {
+// fullRun recreates spec's output file and tags every task of the job:
+// one mapper per block of the input as laid out now, every reducer whole.
+func (m *Master) fullRun(spec JobSpec) (*RecomputeSpec, error) {
+	m.dropFileEverywhere(spec.OutFile)
+	rc := &RecomputeSpec{}
+	err := m.WithFS(func(fs *dfs.FS) error {
 		in := fs.File(spec.InFile)
 		if in == nil {
 			return fmt.Errorf("dmr: job %d input %q missing", spec.ID, spec.InFile)
@@ -512,14 +514,31 @@ func (m *Master) runInitial(spec JobSpec, cancel <-chan struct{}) (*JobReport, e
 		}
 		for _, p := range in.Partitions {
 			for b, blk := range p.Blocks {
-				descs = append(descs, lineage.MapperMeta{
-					Index: len(descs), InputPartition: p.Index, InputBlock: b, InputBytes: blk.Size,
+				rc.Mappers = append(rc.Mappers, len(rc.Table))
+				rc.Table = append(rc.Table, lineage.MapperMeta{
+					Index: len(rc.Table), InputPartition: p.Index, InputBlock: b, InputBytes: blk.Size,
 				})
 			}
 		}
 		return nil
-	}); err != nil {
-		return nil, err
+	})
+	for r := 0; r < spec.NumReducers; r++ {
+		rc.Reducers = append(rc.Reducers, core.ReducerRun{Reducer: r, Splits: 1})
+	}
+	return rc, err
+}
+
+// execute runs one job run, full or step alike: the tagged mappers, the
+// shuffle over every mapper output of the job — re-executed ones at their
+// new nodes, the rest reused from the nodes that persisted them — and the
+// tagged reducers, possibly split, through reduce and commit.
+func (m *Master) execute(spec JobSpec, rc *RecomputeSpec, cancel <-chan struct{}) (*JobReport, error) {
+	descs := make([]lineage.MapperMeta, len(rc.Mappers))
+	for i, idx := range rc.Mappers {
+		if idx < 0 || idx >= len(rc.Table) {
+			return nil, fmt.Errorf("dmr: job %d: recompute mapper %d outside table of %d", spec.ID, idx, len(rc.Table))
+		}
+		descs[i] = rc.Table[idx]
 	}
 	mapResults, mapStats, err := m.runMapPhase(spec, descs, cancel)
 	if err != nil {
@@ -527,95 +546,32 @@ func (m *Master) runInitial(spec JobSpec, cancel <-chan struct{}) (*JobReport, e
 	}
 
 	report := &JobReport{SpeculativeLaunched: mapStats.specLaunched, SpeculativeWasted: mapStats.specWasted}
-	sources := make([]MapSrc, len(mapResults))
+	nodes := make([]int, len(rc.Table))
+	reran := make([]bool, len(rc.Table))
+	for i, pm := range rc.Table {
+		nodes[i] = pm.Node
+	}
 	for i, r := range mapResults {
 		report.Mappers = append(report.Mappers, r.meta)
 		if r.remoteRead {
 			report.RemoteReads++
 		}
-		w := m.workerIfAlive(r.meta.Node)
-		if w == nil {
+		nodes[rc.Mappers[i]], reran[rc.Mappers[i]] = r.meta.Node, true
+	}
+	sources := make([]MapSrc, len(rc.Table))
+	for i, pm := range rc.Table {
+		w := m.workerIfAlive(nodes[i])
+		switch {
+		case w == nil && reran[i]:
 			return nil, errCancelled // mapper's node died right after finishing
-		}
-		sources[i] = MapSrc{Part: r.meta.InputPartition, Block: r.meta.InputBlock, Addr: w.addr}
-	}
-
-	runs := make([]reduceRun, spec.NumReducers)
-	for r := range runs {
-		runs[r] = reduceRun{reducer: r, splits: 1}
-	}
-	places, err := m.planReduce(runs, spec.OutputRepl, false)
-	if err != nil {
-		return nil, err
-	}
-	outcomes, err := m.runReducePhase(spec, places, sources, cancel)
-	if err != nil {
-		return nil, err
-	}
-	report.Reducers, err = m.commitReduceOutcomes(spec, outcomes)
-	if err != nil {
-		return nil, err
-	}
-	return report, nil
-}
-
-// runRecompute executes a recomputation run: only the tagged mappers
-// re-execute (others' persisted outputs are reused in place) and only the
-// tagged reducer outputs are regenerated, possibly split.
-func (m *Master) runRecompute(spec JobSpec, cancel <-chan struct{}) (*JobReport, error) {
-	rc := spec.Recompute
-	// The regenerated partitions are rewritten; drop their stale blocks.
-	for _, rr := range rc.Reducers {
-		m.broadcast(DropPartitionReq{File: spec.OutFile, Part: rr.Reducer})
-	}
-
-	var descs []lineage.MapperMeta
-	for _, idx := range rc.Mappers {
-		if idx < 0 || idx >= len(rc.PrevMappers) {
-			return nil, fmt.Errorf("dmr: job %d: recompute mapper %d outside table of %d", spec.ID, idx, len(rc.PrevMappers))
-		}
-		descs = append(descs, rc.PrevMappers[idx])
-	}
-	mapResults, mapStats, err := m.runMapPhase(spec, descs, cancel)
-	if err != nil {
-		return nil, err
-	}
-
-	report := &JobReport{SpeculativeLaunched: mapStats.specLaunched, SpeculativeWasted: mapStats.specWasted}
-	newNode := make(map[int]int, len(mapResults))
-	for _, r := range mapResults {
-		report.Mappers = append(report.Mappers, r.meta)
-		if r.remoteRead {
-			report.RemoteReads++
-		}
-		newNode[r.meta.Index] = r.meta.Node
-	}
-
-	// Shuffle sources: every mapper of the job — re-executed ones at their
-	// new nodes, the rest reused from the nodes that persisted them.
-	sources := make([]MapSrc, 0, len(rc.PrevMappers))
-	for _, pm := range rc.PrevMappers {
-		node := pm.Node
-		if n, ok := newNode[pm.Index]; ok {
-			node = n
-		}
-		w := m.workerIfAlive(node)
-		if w == nil {
+		case w == nil:
 			return nil, fmt.Errorf("dmr: job %d: map output %d needed from dead worker %d (planner should have re-run it)",
-				spec.ID, pm.Index, node)
+				spec.ID, pm.Index, nodes[i])
 		}
-		sources = append(sources, MapSrc{Part: pm.InputPartition, Block: pm.InputBlock, Addr: w.addr})
+		sources[i] = MapSrc{Part: pm.InputPartition, Block: pm.InputBlock, Addr: w.addr}
 	}
 
-	runs := make([]reduceRun, len(rc.Reducers))
-	for i, rr := range rc.Reducers {
-		splits := rr.Splits
-		if splits < 1 {
-			splits = 1
-		}
-		runs[i] = reduceRun{reducer: rr.Reducer, splits: splits}
-	}
-	places, err := m.planReduce(runs, spec.OutputRepl, spec.Recompute.Scatter)
+	places, err := m.planReduce(rc.Reducers, spec.OutputRepl, rc.Scatter)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func startClusterWithStraggler(t *testing.T, n, slots, blockRecords int, delay t
 func TestSpeculationDuplicatesStragglers(t *testing.T) {
 	cfg := ChainConfig{
 		Jobs: 3, NumReducers: 6, RecordsPerPartition: 120, Seed: 53,
-		Speculation: true, SpeculationFactor: 1.5,
+		Speculation: true,
 	}
 	// Reference from a healthy cluster: speculation must not change data.
 	want := referenceDigests(t, 5, 2, 40, cfg)

@@ -102,17 +102,7 @@ func (s *store) MapOutputSlice(job, part, block, reducer, split, splits int) ([]
 	if reducer < 0 || reducer >= len(buckets) {
 		return nil, fmt.Errorf("dmr: map output job %d over p%d/b%d has no reducer %d", job, part, block, reducer)
 	}
-	rows := buckets[reducer]
-	if splits <= 1 {
-		return rows, nil
-	}
-	var out []workload.Record
-	for _, r := range rows {
-		if splitOfRecord(r, splits) == split {
-			out = append(out, r)
-		}
-	}
-	return out, nil
+	return workload.SplitSlice(buckets[reducer], split, splits), nil
 }
 
 // EvictMapOutput releases one persisted map output; evicting an absent one

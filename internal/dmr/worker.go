@@ -3,11 +3,9 @@ package dmr
 import (
 	"fmt"
 	"net"
-	"sort"
 	"sync"
 	"time"
 
-	"rcmp/internal/core"
 	"rcmp/internal/wire"
 	"rcmp/internal/workload"
 )
@@ -397,14 +395,6 @@ func (w *Worker) readInput(r RunMapperReq) ([]workload.Record, bool, error) {
 		w.cfg.ID, r.InFile, r.Part, r.Block, lastErr)
 }
 
-func reducerOfRecord(r workload.Record, numReducers int) int {
-	return core.ReducerOf(core.HashKey(workload.KeyBytes(r.Key)), numReducers)
-}
-
-func splitOfRecord(r workload.Record, splits int) int {
-	return core.SplitOf(core.HashKey(workload.KeyBytes(r.Key)), splits)
-}
-
 // replyAs checks the concrete type of a peer's reply, so a mistyped one is
 // an error naming the peer rather than a panic in a handler goroutine.
 func replyAs[T any](resp any, peer string) (T, error) {
@@ -532,17 +522,9 @@ func (w *Worker) runMapper(r RunMapperReq) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	buckets := make([][]workload.Record, r.NumReducers)
-	var outBytes int64
-	for _, rec := range rows {
-		err := workload.Map(rec, func(o workload.Record) {
-			red := reducerOfRecord(o, r.NumReducers)
-			buckets[red] = append(buckets[red], o)
-			outBytes += int64(8 + len(o.Value))
-		})
-		if err != nil {
-			return nil, fmt.Errorf("dmr: worker %d mapper %d/%d: %w", w.cfg.ID, r.Job, r.Mapper, err)
-		}
+	buckets, outBytes, err := workload.MapBlock(rows, r.NumReducers)
+	if err != nil {
+		return nil, fmt.Errorf("dmr: worker %d mapper %d/%d: %w", w.cfg.ID, r.Job, r.Mapper, err)
 	}
 	w.store.PutMapOutput(r.Job, r.Part, r.Block, buckets)
 
@@ -569,29 +551,9 @@ func (w *Worker) runReducer(r RunReducerReq) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dmr: worker %d reducer %d.%d: %w", w.cfg.ID, r.Reducer, r.Split, err)
 	}
-	grouped := make(map[uint64][][]byte)
-	var keys []uint64
-	for _, rows := range shuffled {
-		for _, rec := range rows {
-			if _, ok := grouped[rec.Key]; !ok {
-				keys = append(keys, rec.Key)
-			}
-			grouped[rec.Key] = append(grouped[rec.Key], rec.Value)
-		}
-	}
-
-	// Reduce in deterministic key order.
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var out []workload.Record
-	var outBytes int64
-	for _, k := range keys {
-		err := workload.Reduce(k, grouped[k], func(rec workload.Record) {
-			out = append(out, rec)
-			outBytes += int64(8 + len(rec.Value))
-		})
-		if err != nil {
-			return nil, fmt.Errorf("dmr: worker %d reducer %d.%d: %w", w.cfg.ID, r.Reducer, r.Split, err)
-		}
+	out, outBytes, err := workload.ReduceGroups(shuffled)
+	if err != nil {
+		return nil, fmt.Errorf("dmr: worker %d reducer %d.%d: %w", w.cfg.ID, r.Reducer, r.Split, err)
 	}
 
 	// Carve into output blocks: one per split, or CarveRecords-sized chunks

@@ -14,7 +14,7 @@ package engine
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 
 	"rcmp/internal/core"
@@ -232,23 +232,11 @@ func (e *Engine) mapperPlacement(inFile string, part, block int) (int, error) {
 // buckets. Pure: safe to run concurrently.
 func (e *Engine) runMapper(inFile string, part, block int) (buckets, error) {
 	rows := e.content[inFile][part]
-	lo := block * e.cfg.RecordsPerBlock
-	hi := lo + e.cfg.RecordsPerBlock
-	if lo > len(rows) {
-		lo = len(rows)
-	}
-	if hi > len(rows) {
-		hi = len(rows)
-	}
-	out := make(buckets, e.cfg.NumReducers)
-	for _, r := range rows[lo:hi] {
-		err := workload.Map(r, func(o workload.Record) {
-			red := core.ReducerOf(core.HashKey(workload.KeyBytes(o.Key)), e.cfg.NumReducers)
-			out[red] = append(out[red], o)
-		})
-		if err != nil {
-			return nil, fmt.Errorf("engine: %s/p%d/b%d: %w", inFile, part, block, err)
-		}
+	lo := min(block*e.cfg.RecordsPerBlock, len(rows))
+	hi := min(lo+e.cfg.RecordsPerBlock, len(rows))
+	out, _, err := workload.MapBlock(rows[lo:hi], e.cfg.NumReducers)
+	if err != nil {
+		return nil, fmt.Errorf("engine: %s/p%d/b%d: %w", inFile, part, block, err)
 	}
 	return out, nil
 }
@@ -256,27 +244,13 @@ func (e *Engine) runMapper(inFile string, part, block int) (buckets, error) {
 // runReducer executes reducer `red` (split `split` of `splits`) over the
 // given mapper outputs, in deterministic key order.
 func (e *Engine) runReducer(mapOuts []buckets, red, split, splits int) ([]workload.Record, error) {
-	grouped := make(map[uint64][][]byte)
-	var keys []uint64
-	for _, mo := range mapOuts {
-		for _, r := range mo[red] {
-			h := core.HashKey(workload.KeyBytes(r.Key))
-			if splits > 1 && core.SplitOf(h, splits) != split {
-				continue
-			}
-			if _, ok := grouped[r.Key]; !ok {
-				keys = append(keys, r.Key)
-			}
-			grouped[r.Key] = append(grouped[r.Key], r.Value)
-		}
+	sources := make([][]workload.Record, len(mapOuts))
+	for i, mo := range mapOuts {
+		sources[i] = workload.SplitSlice(mo[red], split, splits)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var out []workload.Record
-	for _, k := range keys {
-		err := workload.Reduce(k, grouped[k], func(r workload.Record) { out = append(out, r) })
-		if err != nil {
-			return nil, fmt.Errorf("engine: reducer %d.%d: %w", red, split, err)
-		}
+	out, _, err := workload.ReduceGroups(sources)
+	if err != nil {
+		return nil, fmt.Errorf("engine: reducer %d.%d: %w", red, split, err)
 	}
 	return out, nil
 }
@@ -305,167 +279,158 @@ func (e *Engine) parallelDo(n int, fn func(i int) error) error {
 	return nil
 }
 
-// runFull executes a complete job (initial run or restart after failure).
+// runFull executes a complete job (initial run or restart after failure):
+// the run that re-executes every mapper over the input as laid out now and
+// every reducer whole, committed by appending the job to the lineage.
 func (e *Engine) runFull(job int) error {
 	name, inFile, outFile := middleware.ChainNames(job)
 	in := e.fs.File(inFile)
 	if in == nil {
 		return fmt.Errorf("engine: job %d input %q missing", job, inFile)
 	}
-	type mapDesc struct{ part, block int }
-	var descs []mapDesc
-	for _, p := range in.Partitions {
-		for b := range p.Blocks {
-			descs = append(descs, mapDesc{p.Index, b})
-		}
+	// Failures land between jobs, so a job runs in full once and appends.
+	if e.ch.Len() >= job {
+		return fmt.Errorf("engine: job %d already recorded", job)
 	}
-
-	outs := make([]buckets, len(descs))
-	nodes := make([]int, len(descs))
-	err := e.parallelDo(len(descs), func(i int) error {
-		n, err := e.mapperPlacement(inFile, descs[i].part, descs[i].block)
-		if err != nil {
-			return err
-		}
-		nodes[i] = n
-		outs[i], err = e.runMapper(inFile, descs[i].part, descs[i].block)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-
-	alive := e.alive()
-	R := e.cfg.NumReducers
-	redOut := make([][]workload.Record, R)
-	if err := e.parallelDo(R, func(r int) error {
-		var err error
-		redOut[r], err = e.runReducer(outs, r, 0, 1)
-		return err
-	}); err != nil {
-		return err
-	}
-
-	// Commit: output file, partition contents, lineage.
-	e.fs.Delete(outFile)
-	if _, err := e.fs.Create(outFile, R); err != nil {
-		return err
-	}
-	parts := make([][]workload.Record, R)
 	rec := &lineage.JobRecord{
 		ID: job, Name: string(name),
 		InputFile: inFile, OutputFile: outFile,
 		Splittable: true, Completed: true,
 	}
-	e.mapOut[job] = make(map[int]buckets, len(descs))
-	for i, d := range descs {
-		e.mapOut[job][i] = outs[i]
-		var sz int64
-		for _, b := range outs[i] {
-			sz += int64(len(b))
+	var all []int
+	for _, p := range in.Partitions {
+		for b := range p.Blocks {
+			all = append(all, len(rec.Mappers))
+			rec.Mappers = append(rec.Mappers, lineage.MapperMeta{
+				Index: len(rec.Mappers), InputPartition: p.Index, InputBlock: b,
+				InputBytes: int64(e.cfg.RecordsPerBlock),
+			})
 		}
-		rec.Mappers = append(rec.Mappers, lineage.MapperMeta{
-			Index: i, InputPartition: d.part, InputBlock: d.block,
-			InputBytes: int64(e.cfg.RecordsPerBlock), OutputBytes: sz, Node: nodes[i],
-		})
 	}
-	repl := e.repl(job)
-	for r := 0; r < R; r++ {
-		node := alive[r%len(alive)]
-		parts[r] = redOut[r]
-		sets := [][]int{e.fs.PlanReplicas(node, repl, alive)}
-		if _, err := e.fs.SetPartition(outFile, r, int64(len(redOut[r])), sets); err != nil {
-			return err
-		}
-		rec.Reducers = append(rec.Reducers, lineage.ReducerMeta{
-			Index: r, OutputBytes: int64(len(redOut[r])), Nodes: []int{node},
-		})
+	whole := make([]core.ReducerRun, e.cfg.NumReducers)
+	for r := range whole {
+		whole[r] = core.ReducerRun{Reducer: r, Splits: 1}
 	}
-	e.content[outFile] = parts
+	e.fs.Delete(outFile)
+	if _, err := e.fs.Create(outFile, e.cfg.NumReducers); err != nil {
+		return err
+	}
+	e.content[outFile] = make([][]workload.Record, e.cfg.NumReducers)
+	e.mapOut[job] = make(map[int]buckets, len(all))
 
-	// A restarted job replaces its never-completed record; an initial run
-	// appends.
-	if e.ch.Len() >= job {
-		return fmt.Errorf("engine: job %d already recorded", job)
+	var err error
+	rec.Mappers, rec.Reducers, err = e.execute(job, rec, all, whole)
+	if err != nil {
+		return err
 	}
 	return e.ch.Append(rec)
 }
 
-// runStep executes one recomputation step of a recovery plan.
+// runStep executes one recomputation step of a recovery plan, committed by
+// updating the re-run tasks' lineage in place.
 func (e *Engine) runStep(step core.JobStep) error {
-	rec := e.ch.Job(step.Job)
-	inFile, outFile := rec.InputFile, rec.OutputFile
-
-	// Re-execute the planned mappers. Workers fill per-index slots; the
-	// shared maps and lineage are updated only after the wait (concurrent
-	// map writes are unsafe even on distinct keys).
-	outs := make([]buckets, len(step.Mappers))
-	nodes := make([]int, len(step.Mappers))
-	err := e.parallelDo(len(step.Mappers), func(i int) error {
-		m := rec.Mappers[step.Mappers[i]]
-		node, err := e.mapperPlacement(inFile, m.InputPartition, m.InputBlock)
-		if err != nil {
-			return err
-		}
-		nodes[i] = node
-		outs[i], err = e.runMapper(inFile, m.InputPartition, m.InputBlock)
-		return err
-	})
+	mappers, reducers, err := e.execute(step.Job, e.ch.Job(step.Job), step.Mappers, step.Reducers)
 	if err != nil {
 		return err
 	}
-	for i, mi := range step.Mappers {
-		e.mapOut[step.Job][mi] = outs[i]
-		var sz int64
-		for _, b := range outs[i] {
-			sz += int64(len(b))
-		}
-		e.ch.SetMapperOutput(step.Job, mi, nodes[i], sz)
+	for _, m := range mappers {
+		e.ch.SetMapperOutput(step.Job, m.Index, m.Node, m.OutputBytes)
+	}
+	for _, r := range reducers {
+		e.ch.SetReducerOutput(step.Job, r.Index, r.Nodes, r.OutputBytes)
 	}
 	e.RecomputedMappers += len(step.Mappers)
+	e.RecomputedReducers += len(step.Reducers)
+	return nil
+}
 
-	// Shuffle sources: every mapper output of the job (reused + recomputed).
-	var sources []buckets
-	for i := range rec.Mappers {
-		mo, ok := e.mapOut[step.Job][i]
-		if !ok {
-			return fmt.Errorf("engine: job %d mapper %d output missing during recompute", step.Job, i)
+// execute runs one job run, full or step alike: the mappers of rec's table
+// listed in rerun, then the reducer runs over every mapper output of the
+// job — re-run ones fresh, the rest reused from e.mapOut. It persists the
+// new mapper outputs and writes the reducer outputs' content and DFS
+// metadata, and returns the executed tasks in lineage terms for the caller
+// to commit.
+func (e *Engine) execute(job int, rec *lineage.JobRecord, rerun []int, reducers []core.ReducerRun) ([]lineage.MapperMeta, []lineage.ReducerMeta, error) {
+	// Workers fill per-index slots; the shared maps are updated only after
+	// the wait (concurrent map writes are unsafe even on distinct keys).
+	outs := make([]buckets, len(rerun))
+	ran := make([]lineage.MapperMeta, len(rerun))
+	err := e.parallelDo(len(rerun), func(i int) error {
+		m := rec.Mappers[rerun[i]]
+		node, err := e.mapperPlacement(rec.InputFile, m.InputPartition, m.InputBlock)
+		if err != nil {
+			return err
 		}
-		// A reused output must be on a live node; the planner guarantees it.
-		if m := rec.Mappers[i]; e.failed[m.Node] {
-			return fmt.Errorf("engine: job %d reuses mapper %d output from failed node %d", step.Job, i, m.Node)
+		outs[i], err = e.runMapper(rec.InputFile, m.InputPartition, m.InputBlock)
+		m.Node, m.OutputBytes = node, 0
+		for _, b := range outs[i] {
+			m.OutputBytes += int64(len(b))
 		}
-		sources = append(sources, mo)
+		ran[i] = m
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	fresh := make([]bool, len(rec.Mappers))
+	for i, mi := range rerun {
+		e.mapOut[job][mi] = outs[i]
+		fresh[mi] = true
 	}
 
-	alive := e.alive()
-	repl := e.repl(step.Job)
-	for _, rr := range step.Reducers {
-		outs := make([][]workload.Record, rr.Splits)
-		if err := e.parallelDo(rr.Splits, func(s int) error {
-			var err error
-			outs[s], err = e.runReducer(sources, rr.Reducer, s, rr.Splits)
-			return err
-		}); err != nil {
-			return err
+	// Shuffle sources: every mapper output of the job (reused + recomputed).
+	sources := make([]buckets, len(rec.Mappers))
+	for i, m := range rec.Mappers {
+		mo, ok := e.mapOut[job][i]
+		if !ok {
+			return nil, nil, fmt.Errorf("engine: job %d mapper %d output missing during recompute", job, i)
 		}
-		var merged []workload.Record
+		// A reused output must be on a live node; the planner guarantees it.
+		if !fresh[i] && e.failed[m.Node] {
+			return nil, nil, fmt.Errorf("engine: job %d reuses mapper %d output from failed node %d", job, i, m.Node)
+		}
+		sources[i] = mo
+	}
+
+	type task struct{ reducer, split, splits int }
+	var tasks []task
+	for _, rr := range reducers {
+		for s := 0; s < rr.Splits; s++ {
+			tasks = append(tasks, task{rr.Reducer, s, rr.Splits})
+		}
+	}
+	redOut := make([][]workload.Record, len(tasks))
+	if err := e.parallelDo(len(tasks), func(i int) error {
+		var err error
+		redOut[i], err = e.runReducer(sources, tasks[i].reducer, tasks[i].split, tasks[i].splits)
+		return err
+	}); err != nil {
+		return nil, nil, err
+	}
+
+	// Each split writes its own blocks; the partition's content is their
+	// concatenation.
+	alive := e.alive()
+	repl := e.repl(job)
+	var written []lineage.ReducerMeta
+	for _, rr := range reducers {
+		parts := redOut[:rr.Splits]
+		redOut = redOut[rr.Splits:]
+		merged := slices.Concat(parts...)
 		var sets [][]int
 		var nodes []int
-		for s, part := range outs {
-			merged = append(merged, part...)
+		for s := range parts {
 			node := alive[(rr.Reducer+s)%len(alive)]
 			nodes = append(nodes, node)
 			sets = append(sets, e.fs.PlanReplicas(node, repl, alive))
 		}
-		if _, err := e.fs.SetPartition(outFile, rr.Reducer, int64(len(merged)), sets); err != nil {
-			return err
+		if _, err := e.fs.SetPartition(rec.OutputFile, rr.Reducer, int64(len(merged)), sets); err != nil {
+			return nil, nil, err
 		}
-		e.content[outFile][rr.Reducer] = merged
-		e.ch.SetReducerOutput(step.Job, rr.Reducer, nodes, int64(len(merged)))
-		e.RecomputedReducers++
+		e.content[rec.OutputFile][rr.Reducer] = merged
+		written = append(written, lineage.ReducerMeta{Index: rr.Reducer, OutputBytes: int64(len(merged)), Nodes: nodes})
 	}
-	return nil
+	return ran, written, nil
 }
 
 // Evict releases persisted map outputs under storage pressure, using the

@@ -15,6 +15,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sort"
+
+	"rcmp/internal/core"
 )
 
 // Record is one key-value pair.
@@ -143,4 +146,71 @@ func KeyBytes(key uint64) []byte {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], key)
 	return b[:]
+}
+
+// MapBlock runs Map over one input block and deals the output into one
+// bucket per reducer by key hash — the partitioning every runtime shares.
+// It also returns the output's size in bytes (an 8-byte key plus the
+// value, per record).
+func MapBlock(rows []Record, numReducers int) ([][]Record, int64, error) {
+	buckets := make([][]Record, numReducers)
+	var bytes int64
+	for _, r := range rows {
+		err := Map(r, func(o Record) {
+			red := core.ReducerOf(core.HashKey(KeyBytes(o.Key)), numReducers)
+			buckets[red] = append(buckets[red], o)
+			bytes += int64(8 + len(o.Value))
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	return buckets, bytes, nil
+}
+
+// SplitSlice returns the records of one map-output bucket that belong to
+// split `split` of `splits` (all of them when splits <= 1): the share one
+// split task of a recomputed reducer reads.
+func SplitSlice(rows []Record, split, splits int) []Record {
+	if splits <= 1 {
+		return rows
+	}
+	var out []Record
+	for _, r := range rows {
+		if core.SplitOf(core.HashKey(KeyBytes(r.Key)), splits) == split {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// ReduceGroups is one reduce task over its shuffled input: it groups the
+// records of every source by key, values in source order, and runs Reduce
+// on each key in ascending key order, so the output does not depend on
+// the order the sources arrived in. It also returns the output's size in
+// bytes, counted as MapBlock counts it.
+func ReduceGroups(sources [][]Record) ([]Record, int64, error) {
+	grouped := make(map[uint64][][]byte)
+	var keys []uint64
+	for _, rows := range sources {
+		for _, r := range rows {
+			if _, ok := grouped[r.Key]; !ok {
+				keys = append(keys, r.Key)
+			}
+			grouped[r.Key] = append(grouped[r.Key], r.Value)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	var out []Record
+	var bytes int64
+	for _, k := range keys {
+		err := Reduce(k, grouped[k], func(r Record) {
+			out = append(out, r)
+			bytes += int64(8 + len(r.Value))
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+	}
+	return out, bytes, nil
 }
