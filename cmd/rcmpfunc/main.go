@@ -11,13 +11,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"strings"
 
 	"rcmp/internal/engine"
+	"rcmp/internal/workload"
 )
 
 type failList []engine.Failure
@@ -39,21 +41,33 @@ func (f *failList) Set(s string) error {
 	return nil
 }
 
-func main() {
-	nodes := flag.Int("nodes", 6, "cluster nodes")
-	reducers := flag.Int("reducers", 0, "reducers per job (default = nodes)")
-	jobs := flag.Int("jobs", 5, "chain length")
-	records := flag.Int("records", 600, "records per node of job-1 input")
-	seed := flag.Int64("seed", 1, "input generation seed")
-	split := flag.Bool("split", false, "split recomputed reducers")
-	ratio := flag.Int("splitratio", 0, "splits per recomputed reducer (0 = surviving nodes)")
-	hybridK := flag.Int("hybrid", 0, "replicate every k-th job output (0 = off)")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind main. It returns the exit code: 0 when
+// the recovered output is verified (or for -h), 1 when a chain fails or
+// its output differs from the reference, 2 for a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rcmpfunc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	nodes := fs.Int("nodes", 6, "cluster nodes")
+	reducers := fs.Int("reducers", 0, "reducers per job (default = nodes)")
+	jobs := fs.Int("jobs", 5, "chain length")
+	records := fs.Int("records", 600, "records per node of job-1 input")
+	seed := fs.Int64("seed", 1, "input generation seed")
+	split := fs.Bool("split", false, "split recomputed reducers")
+	ratio := fs.Int("splitratio", 0, "splits per recomputed reducer (0 = surviving nodes)")
+	hybridK := fs.Int("hybrid", 0, "replicate every k-th job output (0 = off)")
 	var fails failList
-	flag.Var(&fails, "fail", "failure as JOB:NODE (repeatable)")
-	flag.Parse()
-	if flag.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "rcmpfunc: unexpected argument %q\n", flag.Arg(0))
-		os.Exit(2)
+	fs.Var(&fails, "fail", "failure as JOB:NODE (repeatable)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag set has printed the problem and the flags
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "rcmpfunc: unexpected argument %q\n", fs.Arg(0))
+		return 2
 	}
 
 	if *reducers == 0 {
@@ -69,47 +83,47 @@ func main() {
 		SplitRatio:     *ratio,
 		HybridEveryK:   *hybridK,
 	}
-
-	ref, err := engine.New(base)
+	_, want, err := runChain(base)
 	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(stderr, "rcmpfunc: reference chain:", err)
+		return 1
 	}
-	if err := ref.Run(); err != nil {
-		log.Fatal(err)
-	}
-	want, err := ref.OutputDigests()
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	cfg := base
 	cfg.Failures = fails
-	e, err := engine.New(cfg)
+	e, got, err := runChain(cfg)
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := e.Run(); err != nil {
-		log.Fatalf("chain failed: %v", err)
-	}
-	got, err := e.OutputDigests()
-	if err != nil {
-		log.Fatal(err)
+		fmt.Fprintln(stderr, "rcmpfunc: chain failed:", err)
+		return 1
 	}
 
-	fmt.Printf("chain: %d jobs x %d reducers on %d nodes, %d records/node\n",
+	fmt.Fprintf(stdout, "chain: %d jobs x %d reducers on %d nodes, %d records/node\n",
 		*jobs, *reducers, *nodes, *records)
-	fmt.Printf("failures injected: %d; recovery episodes: %d\n", len(fails), e.RecoveryEpisodes)
-	fmt.Printf("recomputed: %d mappers, %d reducer runs\n", e.RecomputedMappers, e.RecomputedReducers)
+	fmt.Fprintf(stdout, "failures injected: %d; recovery episodes: %d\n", len(fails), e.RecoveryEpisodes)
+	fmt.Fprintf(stdout, "recomputed: %d mappers, %d reducer runs\n", e.RecomputedMappers, e.RecomputedReducers)
 	for p := range want {
 		if got[p] != want[p] {
-			fmt.Printf("FAIL: partition %d differs from failure-free run\n", p)
-			os.Exit(1)
+			fmt.Fprintf(stdout, "FAIL: partition %d differs from failure-free run\n", p)
+			return 1
 		}
 	}
 	total := 0
 	for _, d := range got {
 		total += d.Count
 	}
-	fmt.Printf("VERIFIED: %d partitions, %d records, identical to the failure-free run\n",
+	fmt.Fprintf(stdout, "VERIFIED: %d partitions, %d records, identical to the failure-free run\n",
 		len(got), total)
+	return 0
+}
+
+// runChain runs one chain on a fresh engine and returns its output digests.
+func runChain(cfg engine.Config) (*engine.Engine, []workload.Digest, error) {
+	e, err := engine.New(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := e.Run(); err != nil {
+		return nil, nil, err
+	}
+	d, err := e.OutputDigests()
+	return e, d, err
 }

@@ -5,12 +5,20 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"rcmp/internal/engine"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	base := engine.Config{
 		Nodes:          6,
 		NumReducers:    6,
@@ -22,16 +30,16 @@ func main() {
 	// Reference: the chain without failures.
 	ref, err := engine.New(base)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := ref.Run(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	want, err := ref.OutputDigests()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("failure-free chain complete:", len(want), "output partitions")
+	fmt.Fprintln(w, "failure-free chain complete:", len(want), "output partitions")
 
 	// Same chain, but node 2 dies before job 4; RCMP recomputes the minimum
 	// cascade with reducer splitting and the chain finishes.
@@ -40,22 +48,23 @@ func main() {
 	cfg.Failures = []engine.Failure{{Before: 4, Node: 2}}
 	e, err := engine.New(cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := e.Run(); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	got, err := e.OutputDigests()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("recovered after failure: %d recovery episode(s), %d mappers and %d reducers recomputed\n",
+	fmt.Fprintf(w, "recovered after failure: %d recovery episode(s), %d mappers and %d reducers recomputed\n",
 		e.RecoveryEpisodes, e.RecomputedMappers, e.RecomputedReducers)
 
 	for p := range want {
 		if got[p] != want[p] {
-			log.Fatalf("partition %d differs from the failure-free run", p)
+			return fmt.Errorf("partition %d differs from the failure-free run", p)
 		}
 	}
-	fmt.Println("output verified: identical to the failure-free run, partition by partition")
+	fmt.Fprintln(w, "output verified: identical to the failure-free run, partition by partition")
+	return nil
 }
