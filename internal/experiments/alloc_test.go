@@ -10,12 +10,19 @@ import (
 // TestWeakScalingAllocsDeterministic pins what a weak-scaling chain
 // allocates on a warm Context the caller owns: the same count on every
 // fresh Context, and no more than a committed ceiling (about 10 % above
-// the 86, 103 and 1192 allocs per run measured on go1.24), so an
-// allocation regression on the simulator's hot path fails here
-// deterministically. The count depends on the order dfs.Reset refills its
-// free lists, which is why that order is by file name.
+// the 86, 103 and 1192 allocs per run measured on go1.24 when they were
+// set; the chains now make 84, 101 and 1190), so an allocation regression
+// on the simulator's hot path fails here deterministically. The count
+// depends on the order dfs.Reset refills its free lists, which is why that
+// order is by file name.
 //
-// The one source of variation left is fmt.Sprintf's printer cache, a
+// The measured path must not assert an interface type at a call site whose
+// run-time cache may still be empty: the runtime fills that cache at a
+// random call, about one in a thousand, and the fill allocates. A per-run
+// rand.New (its Source64 assertion) moved one context's count by one in
+// about a third of processes.
+//
+// The other source of variation is fmt.Sprintf's printer cache, a
 // sync.Pool: a garbage collection during the run empties it, and the next
 // Sprintf calls allocate again (+2 per run on the failing chain, and on the
 // others under GOGC=5). The collector is therefore held off while a chain

@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"math/rand"
 
 	"rcmp/internal/cluster"
 	"rcmp/internal/core"
@@ -35,7 +34,6 @@ type Driver struct {
 	cfg  ChainConfig
 	topo *core.Topology
 	jobs []graphJob
-	rng  *rand.Rand
 	agg  bool // aggregated shuffle tier resolved for this chain
 
 	frontier    int // 1-based topological position currently being computed
@@ -95,7 +93,6 @@ func newDriver(ctx *Context, cfg ChainConfig, topo *core.Topology) *Driver {
 		rec:         &metrics.Recorder{},
 		cfg:         cfg,
 		topo:        topo,
-		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		frontier:    1,
 		failedNodes: make(map[int]bool),
 	}

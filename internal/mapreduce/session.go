@@ -18,6 +18,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"math/rand"
 
 	"rcmp/internal/des"
 )
@@ -29,6 +30,11 @@ type session struct {
 	slots   slotTable
 	pumping bool
 	again   bool
+	// victims draws the nodes of node -1 injections, seeded with tenant
+	// 0's seed. It is built on the first such draw: rand.New's interface
+	// assertion fills a run-time type cache at random moments, an
+	// allocation a run that draws nothing should not make.
+	victims *rand.Rand
 }
 
 // MultiResult summarizes one multi-tenant session.
@@ -91,6 +97,7 @@ func (ctx *Context) start(cfg GraphConfig, tenants int) error {
 	s := &ctx.session
 	clear(s.drivers)
 	s.drivers = s.drivers[:0]
+	s.victims = nil
 	for t := 0; t < tenants; t++ {
 		jobs := cfg.Jobs
 		if tenants > 1 {
@@ -159,8 +166,8 @@ func (s *session) pumpAll() {
 
 // injectFailure kills a node for every tenant at once: compute and storage
 // are gone immediately; each tenant's master reacts after the detection
-// timeout. Victim selection for node -1 draws from tenant 0's rng, and it
-// never takes the last alive node.
+// timeout. Victim selection for node -1 draws from s.victims, and it never
+// takes the last alive node.
 func (s *session) injectFailure(node int) {
 	anyLive := false
 	for _, d := range s.drivers {
@@ -176,8 +183,11 @@ func (s *session) injectFailure(node int) {
 	}
 	d0 := s.drivers[0]
 	if node < 0 {
+		if s.victims == nil {
+			s.victims = rand.New(rand.NewSource(d0.cfg.Seed))
+		}
 		alive := d0.clus.Alive()
-		node = alive[d0.rng.Intn(len(alive))]
+		node = alive[s.victims.Intn(len(alive))]
 	}
 	if d0.failedNodes[node] || d0.clus.NumAlive() <= 1 {
 		return
