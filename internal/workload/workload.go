@@ -8,6 +8,9 @@
 // Mappers also re-key every record so data stays load-balanced across
 // tasks in every job; the new key is derived deterministically from the
 // record content so recomputation runs regenerate byte-identical data.
+//
+// MapBlock, SplitSlice and ReduceGroups are the record loops of one map or
+// reduce task, shared by every data-plane runtime.
 package workload
 
 import (
