@@ -5,7 +5,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"rcmp/internal/cluster"
 	"rcmp/internal/mapreduce"
@@ -14,6 +16,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	base := mapreduce.ChainConfig{
 		Mode:         mapreduce.ModeRCMP,
 		NumJobs:      7,
@@ -53,16 +61,17 @@ func main() {
 	for _, v := range variants {
 		res, err := mapreduce.RunChain(ccfg, v.cfg)
 		if err != nil {
-			log.Fatalf("%s: %v", v.name, err)
+			return fmt.Errorf("%s: %w", v.name, err)
 		}
 		labels = append(labels, v.name)
 		totals = append(totals, float64(res.Total))
-		fmt.Printf("%-36s total %7.0fs  runs started: %d  recompute runs: %d\n",
+		fmt.Fprintf(w, "%-36s total %7.0fs  runs started: %d  recompute runs: %d\n",
 			v.name, float64(res.Total), res.StartedRuns,
 			len(res.Recorder.RunsOfKind(metrics.RunRecompute)))
 	}
-	fmt.Println()
-	fmt.Print(textplot.Bars("7-job chain on STIC (simulated seconds)", labels, totals, totals[0]/40))
+	fmt.Fprintln(w)
+	fmt.Fprint(w, textplot.Bars("7-job chain on STIC (simulated seconds)", labels, totals, totals[0]/40))
+	return nil
 }
 
 func with(c mapreduce.ChainConfig, f func(*mapreduce.ChainConfig)) mapreduce.ChainConfig {

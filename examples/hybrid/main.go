@@ -6,7 +6,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"rcmp/internal/cluster"
 	"rcmp/internal/mapreduce"
@@ -15,6 +17,12 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	ccfg := cluster.STICConfig(1, 1)
 	base := mapreduce.ChainConfig{
 		Mode:         mapreduce.ModeRCMP,
@@ -28,34 +36,42 @@ func main() {
 
 	var labels []string
 	var totals []float64
-	addRun := func(label string, cfg mapreduce.ChainConfig) {
+	addRun := func(label string, cfg mapreduce.ChainConfig) error {
 		res, err := mapreduce.RunChain(ccfg, cfg)
 		if err != nil {
-			log.Fatalf("%s: %v", label, err)
+			return fmt.Errorf("%s: %w", label, err)
 		}
 		recomputes := len(res.Recorder.RunsOfKind(metrics.RunRecompute))
-		fmt.Printf("%-24s total %7.0fs  recompute runs: %d\n", label, float64(res.Total), recomputes)
+		fmt.Fprintf(w, "%-24s total %7.0fs  recompute runs: %d\n", label, float64(res.Total), recomputes)
 		labels = append(labels, label)
 		totals = append(totals, float64(res.Total))
+		return nil
 	}
 
-	addRun("pure RCMP", base)
+	if err := addRun("pure RCMP", base); err != nil {
+		return err
+	}
 	for _, k := range []int{5, 3, 2} {
 		cfg := base
 		cfg.HybridEveryK = k
 		cfg.HybridRepl = 2
-		addRun(fmt.Sprintf("hybrid every-%d", k), cfg)
+		if err := addRun(fmt.Sprintf("hybrid every-%d", k), cfg); err != nil {
+			return err
+		}
 	}
 	pureRepl := base
 	pureRepl.Mode = mapreduce.ModeHadoop
 	pureRepl.OutputRepl = 2
 	pureRepl.Split = false
 	pureRepl.SplitRatio = 0
-	addRun("pure REPL-2", pureRepl)
+	if err := addRun("pure REPL-2", pureRepl); err != nil {
+		return err
+	}
 
-	fmt.Println()
-	fmt.Print(textplot.Bars("late single failure, 7-job chain (simulated seconds)",
+	fmt.Fprintln(w)
+	fmt.Fprint(w, textplot.Bars("late single failure, 7-job chain (simulated seconds)",
 		labels, totals, totals[0]/40))
-	fmt.Println("\nReplicating more often shortens the cascade after a failure but taxes")
-	fmt.Println("every failure-free job; the sweet spot depends on the failure rate.")
+	fmt.Fprintln(w, "\nReplicating more often shortens the cascade after a failure but taxes")
+	fmt.Fprintln(w, "every failure-free job; the sweet spot depends on the failure rate.")
+	return nil
 }

@@ -5,33 +5,42 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"rcmp/internal/failure"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+func run(w io.Writer) error {
 	for _, cfg := range []failure.TraceConfig{failure.STICTrace(), failure.SUGARTrace()} {
 		days, err := failure.Generate(cfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		s := failure.Summarize(days)
 		cdf := failure.CDF(days)
-		fmt.Printf("%s: %d nodes, %d days\n", cfg.Name, cfg.Nodes, cfg.Days)
-		fmt.Printf("  days with new failures: %.1f%% (paper: %s)\n",
+		fmt.Fprintf(w, "%s: %d nodes, %d days\n", cfg.Name, cfg.Nodes, cfg.Days)
+		fmt.Fprintf(w, "  days with new failures: %.1f%% (paper: %s)\n",
 			100*s.FailureDayFrac, paperFraction(cfg.Name))
-		fmt.Printf("  mean failures on a failure day: %.2f, worst day: %d nodes\n",
+		fmt.Fprintf(w, "  mean failures on a failure day: %.2f, worst day: %d nodes\n",
 			s.MeanPerFailDay, s.MaxFailures)
-		fmt.Println("  CDF of new failures per day:")
+		fmt.Fprintln(w, "  CDF of new failures per day:")
 		for _, x := range []float64{0, 1, 2, 5, 10, 20, 40} {
-			fmt.Printf("    <= %3.0f failures: %6.2f%%\n", x, 100*cdf.At(x))
+			fmt.Fprintf(w, "    <= %3.0f failures: %6.2f%%\n", x, 100*cdf.At(x))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Println("Reading: failures are an occasional event at moderate cluster sizes,")
-	fmt.Println("not a continuous threat — the premise for making recomputation, not")
-	fmt.Println("always-on replication, the first-order resilience strategy.")
+	fmt.Fprintln(w, "Reading: failures are an occasional event at moderate cluster sizes,")
+	fmt.Fprintln(w, "not a continuous threat — the premise for making recomputation, not")
+	fmt.Fprintln(w, "always-on replication, the first-order resilience strategy.")
+	return nil
 }
 
 func paperFraction(name string) string {
