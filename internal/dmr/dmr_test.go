@@ -499,6 +499,23 @@ func TestRunJobErrorsWithoutWorkers(t *testing.T) {
 	}
 }
 
+// TestRunJobOwnErrorReturnsAtOnce holds that an error no worker death can
+// cause is returned without waiting for a detection: a full run over a
+// missing input fails in less than one detection timeout.
+func TestRunJobOwnErrorReturnsAtOnce(t *testing.T) {
+	c := startCluster(t, 2, 1, 10)
+	start := time.Now()
+	_, err := c.m.RunJob(JobSpec{ID: 1, InFile: "nope", OutFile: "out1", NumReducers: 2})
+	elapsed := time.Since(start)
+	var loss *DataLossError
+	if err == nil || errors.As(err, &loss) {
+		t.Fatalf("RunJob over a missing input: err = %v, want the missing-input error", err)
+	}
+	if limit := TestTiming().DetectionTimeout; elapsed >= limit {
+		t.Fatalf("RunJob returned %q after %v, want under one detection timeout (%v)", err, elapsed, limit)
+	}
+}
+
 func TestDriverValidation(t *testing.T) {
 	c := startCluster(t, 1, 1, 10)
 	bad := []ChainConfig{

@@ -64,10 +64,17 @@ func (m *Master) RunJob(spec JobSpec) (*JobReport, error) {
 		report, err = m.execute(spec, rc, cancel)
 	}
 	if err != nil {
-		// A task error may be the first symptom of a death the monitor has
-		// not yet declared. Give detection a chance so the driver sees a
-		// DataLossError rather than a transport error.
-		if errors.Is(err, errCancelled) || m.waitCancelled(cancel, 2*m.cfg.Timing.DetectionTimeout) {
+		// Any error after a declared death is that death's data loss. A
+		// failed task RPC or mapper placement may also be the first symptom
+		// of a death the monitor has not declared yet: give detection a
+		// chance so the driver sees a DataLossError rather than a transport
+		// error. Every other error is the run's own and returns at once.
+		var wait time.Duration
+		var suspect deathSuspect
+		if errors.As(err, &suspect) {
+			wait = 2 * m.cfg.Timing.DetectionTimeout
+		}
+		if errors.Is(err, errCancelled) || m.waitCancelled(cancel, wait) {
 			m.mu.Lock()
 			v := m.victimsLocked()
 			m.mu.Unlock()
@@ -86,7 +93,16 @@ func (m *Master) RunJob(spec JobSpec) (*JobReport, error) {
 	return report, nil
 }
 
+// waitCancelled reports whether the run is cancelled now or within d.
 func (m *Master) waitCancelled(cancel <-chan struct{}, d time.Duration) bool {
+	select {
+	case <-cancel:
+		return true
+	default:
+	}
+	if d <= 0 {
+		return false
+	}
 	select {
 	case <-cancel:
 		return true
@@ -94,6 +110,13 @@ func (m *Master) waitCancelled(cancel <-chan struct{}, d time.Duration) bool {
 		return false
 	}
 }
+
+// deathSuspect marks an error that a worker death can cause before the
+// monitor declares it: a failed task RPC, or a mapper placement that found
+// no live worker. Its message is the wrapped error's.
+type deathSuspect struct{ error }
+
+func (e deathSuspect) Unwrap() error { return e.error }
 
 // runTasks runs fn(i) for i in [0,n) concurrently and returns the first
 // error. Concurrency is bounded by worker slots, not here.
@@ -156,7 +179,7 @@ func (m *Master) placeMapper(holders []int, rr int, cancel <-chan struct{}) (*wo
 		wait = localCandidates
 	}
 	if len(wait) == 0 {
-		return nil, errors.New("dmr: no live workers to place mapper")
+		return nil, deathSuspect{errors.New("dmr: no live workers to place mapper")}
 	}
 	if err := acquire(wait[0].mapSlots, cancel); err != nil {
 		return nil, err
@@ -287,8 +310,8 @@ func (m *Master) runMapPhase(spec JobSpec, descs []lineage.MapperMeta, cancel <-
 				if o.err != nil {
 					outstanding--
 					if outstanding == 0 {
-						return fmt.Errorf("dmr: job %d mapper %d on worker %d: %w",
-							spec.ID, descs[i].Index, o.w.id, o.err)
+						return deathSuspect{fmt.Errorf("dmr: job %d mapper %d on worker %d: %w",
+							spec.ID, descs[i].Index, o.w.id, o.err)}
 					}
 					continue // the other attempt may still win
 				}
@@ -439,7 +462,7 @@ func (m *Master) runReducePhase(spec JobSpec, places []reducePlacement, sources 
 			r, err = replyAs[RunReducerResp](resp, p.worker.addr)
 		}
 		if err != nil {
-			return fmt.Errorf("dmr: job %d reducer %d.%d on worker %d: %w", spec.ID, p.reducer, p.split, p.worker.id, err)
+			return deathSuspect{fmt.Errorf("dmr: job %d reducer %d.%d on worker %d: %w", spec.ID, p.reducer, p.split, p.worker.id, err)}
 		}
 		outcomes[i] = reduceOutcome{place: p, sizes: r.BlockRecords, nBytes: r.OutputBytes}
 		return nil

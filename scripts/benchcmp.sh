@@ -16,7 +16,11 @@ set -euo pipefail
 root="$(cd "$(dirname "$0")/.." && pwd)"
 base="$(git -C "$root" rev-parse --verify "$1^{commit}")"
 rounds="${2:-10}"
-tmp="$(mktemp -d)"
+# The work directory lives under the checkout's git-ignored .bench_build,
+# beside bench/run.sh's own build, so a comparison writes nothing outside
+# the checkout.
+mkdir -p "$root/.bench_build"
+tmp="$(mktemp -d "$root/.bench_build/cmp.XXXXXX")"
 trap 'rm -rf "$tmp"' EXIT
 # A shared clone reads the repository's objects in place and registers
 # nothing in its .git, so an interrupted run leaves nothing behind there.
