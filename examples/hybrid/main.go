@@ -34,38 +34,32 @@ func run(w io.Writer) error {
 		Failures:     []mapreduce.Injection{{AtRun: 7, After: 15, Node: 3}},
 	}
 
-	var labels []string
-	var totals []float64
-	addRun := func(label string, cfg mapreduce.ChainConfig) error {
-		res, err := mapreduce.RunChain(ccfg, cfg)
-		if err != nil {
-			return fmt.Errorf("%s: %w", label, err)
-		}
-		recomputes := len(res.Recorder.RunsOfKind(metrics.RunRecompute))
-		fmt.Fprintf(w, "%-24s total %7.0fs  recompute runs: %d\n", label, float64(res.Total), recomputes)
-		labels = append(labels, label)
-		totals = append(totals, float64(res.Total))
-		return nil
+	type variant struct {
+		label string
+		cfg   mapreduce.ChainConfig
 	}
-
-	if err := addRun("pure RCMP", base); err != nil {
-		return err
-	}
+	variants := []variant{{"pure RCMP", base}}
 	for _, k := range []int{5, 3, 2} {
 		cfg := base
-		cfg.HybridEveryK = k
-		cfg.HybridRepl = 2
-		if err := addRun(fmt.Sprintf("hybrid every-%d", k), cfg); err != nil {
-			return err
-		}
+		cfg.HybridEveryK, cfg.HybridRepl = k, 2
+		variants = append(variants, variant{fmt.Sprintf("hybrid every-%d", k), cfg})
 	}
 	pureRepl := base
-	pureRepl.Mode = mapreduce.ModeHadoop
-	pureRepl.OutputRepl = 2
-	pureRepl.Split = false
-	pureRepl.SplitRatio = 0
-	if err := addRun("pure REPL-2", pureRepl); err != nil {
-		return err
+	pureRepl.Mode, pureRepl.OutputRepl = mapreduce.ModeHadoop, 2
+	pureRepl.Split, pureRepl.SplitRatio = false, 0
+	variants = append(variants, variant{"pure REPL-2", pureRepl})
+
+	var labels []string
+	var totals []float64
+	for _, v := range variants {
+		res, err := mapreduce.RunChain(ccfg, v.cfg)
+		if err != nil {
+			return fmt.Errorf("%s: %w", v.label, err)
+		}
+		recomputes := len(res.Recorder.RunsOfKind(metrics.RunRecompute))
+		fmt.Fprintf(w, "%-24s total %7.0fs  recompute runs: %d\n", v.label, float64(res.Total), recomputes)
+		labels = append(labels, v.label)
+		totals = append(totals, float64(res.Total))
 	}
 
 	fmt.Fprintln(w)

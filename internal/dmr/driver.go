@@ -114,17 +114,19 @@ func (c *ChainConfig) Validate() error {
 
 // Driver is the paper's middleware (Section IV-A): it knows the job
 // dependencies, submits jobs one at a time, and on data loss infers and
-// submits the recomputation cascade.
+// submits the recomputation cascade. The decisions are its core.Cursor's;
+// the driver runs what the cursor hands out on the master and reports the
+// deaths the master detects.
 type Driver struct {
 	m   *Master
 	cfg ChainConfig
-	ch  *lineage.Chain
+	cur core.Cursor
 
 	// handled tracks worker deaths already folded into a recovery plan.
 	handled map[int]bool
-	// attempted tracks jobs already submitted once, so a re-submission
-	// after data loss is logged as a restart rather than an initial run.
-	attempted map[int]bool
+	// relayout lists the input partitions of the next plan step whose block
+	// layout the previous step changed (see resyncMappers).
+	relayout map[int]bool
 
 	// RunLog records every submitted run in order with wall-clock spans —
 	// the runtime-side analogue of the simulator's per-run stats, consumed
@@ -150,9 +152,18 @@ func NewDriver(m *Master, cfg ChainConfig) (*Driver, error) {
 	if alive == 0 {
 		return nil, errors.New("dmr: no live workers")
 	}
+	topo, err := core.LinearTopology(cfg.Jobs)
+	if err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults(alive)
 	return &Driver{
-		m: m, cfg: cfg.withDefaults(alive), ch: lineage.NewChain(),
-		handled: make(map[int]bool), attempted: make(map[int]bool),
+		m: m, cfg: cfg, handled: make(map[int]bool),
+		cur: core.NewCursor(topo, core.Policy{
+			Options:      core.Options{Split: cfg.Split, SplitRatio: cfg.SplitRatio, NoMapOutputReuse: cfg.NoMapOutputReuse},
+			HybridEveryK: cfg.HybridEveryK, HybridRepl: cfg.HybridRepl,
+			ReclaimAtCheckpoints: cfg.ReclaimAtCheckpoints, PlanObserver: cfg.PlanObserver,
+		}),
 	}, nil
 }
 
@@ -165,23 +176,8 @@ type RunSpan struct {
 	Err        bool // the run ended in an error (typically data loss)
 }
 
-// logRun appends a RunLog entry for a run being submitted and returns the
-// closer that stamps its end.
-func (d *Driver) logRun(job int, kind string) func(err error) {
-	idx := len(d.RunLog)
-	d.RunLog = append(d.RunLog, RunSpan{Run: d.StartedRuns, Job: job, Kind: kind, Start: time.Now()})
-	d.StartedRuns++
-	if d.cfg.OnRunStart != nil {
-		d.cfg.OnRunStart(d.StartedRuns, job, kind)
-	}
-	return func(err error) {
-		d.RunLog[idx].End = time.Now()
-		d.RunLog[idx].Err = err != nil
-	}
-}
-
 // Chain exposes the recorded lineage.
-func (d *Driver) Chain() *lineage.Chain { return d.ch }
+func (d *Driver) Chain() *lineage.Chain { return d.cur.Lineage() }
 
 func (d *Driver) repl(job int) int {
 	if d.cfg.OutputRepl > 1 {
@@ -203,38 +199,27 @@ func (d *Driver) LoadInput() error {
 // RunChain executes the whole chain, recovering from any worker deaths the
 // master detects along the way. Call LoadInput first.
 func (d *Driver) RunChain() error {
-	job := 1
-	for job <= d.cfg.Jobs {
-		// Deaths between jobs (or during a previous recovery) may have
-		// destroyed data this job needs; fold them in before submitting.
-		if d.unhandledFailures() {
-			if err := d.recover(job); err != nil {
+	for !d.cur.Finished() {
+		// Deaths between jobs, or during a recovery's steps, may have
+		// destroyed data the next full run needs; fold them in before
+		// submitting it.
+		if d.cur.Queued() == 0 && d.unhandledFailures() {
+			if err := d.recover(); err != nil {
 				return err
 			}
+			continue
 		}
-		rep, err := d.runFull(job)
-		if err != nil {
+		run, _ := d.cur.Next()
+		if err := d.runOne(run); err != nil {
 			var loss *DataLossError
-			if errors.As(err, &loss) {
-				if err := d.recover(job); err != nil {
-					return err
-				}
-				continue // restart the interrupted job
+			if !errors.As(err, &loss) {
+				return err
 			}
-			return err
-		}
-		if err := d.appendJob(job, rep); err != nil {
-			return err
-		}
-		if d.cfg.ReclaimAtCheckpoints && d.repl(job) > 1 {
-			if err := d.reclaimThrough(job); err != nil {
+			// Cancelled by a death: re-plan, then restart or resume.
+			if err := d.recover(); err != nil {
 				return err
 			}
 		}
-		if d.cfg.AfterJob != nil {
-			d.cfg.AfterJob(job)
-		}
-		job++
 	}
 	return nil
 }
@@ -248,38 +233,125 @@ func (d *Driver) unhandledFailures() bool {
 	return false
 }
 
-func (d *Driver) markFailuresHandled() {
+// recover plans the recomputation cascade over every death detected so far
+// and queues it ahead of the frontier job's (re)start. Deaths found while
+// an earlier plan is still being carried out fold into its recovery
+// episode: a single pass services any number of accumulated data-loss
+// events (Section IV-A).
+func (d *Driver) recover() error {
 	for id := range d.m.FailedNodes() {
 		d.handled[id] = true
 	}
-}
-
-// runFull submits one full job run (initial or restart).
-func (d *Driver) runFull(job int) (*JobReport, error) {
-	kind := "initial"
-	if d.attempted[job] {
-		kind = "restart"
+	alive := d.m.AliveWorkers()
+	if len(alive) == 0 {
+		return errors.New("dmr: all workers dead")
 	}
-	d.attempted[job] = true
-	return d.submit(job, kind, nil)
+	// Read the failed set before entering WithFS: FailedNodes takes the
+	// registry lock, which the monitor holds while it takes fsMu to mark
+	// data lost — taking them in the opposite order here deadlocks.
+	failed := d.m.FailedNodes()
+	var plan *core.Plan
+	if err := d.m.WithFS(func(fs *dfs.FS) (err error) {
+		plan, err = d.cur.Plan(fs, failed, len(alive))
+		return err
+	}); err != nil {
+		return err
+	}
+	d.relayout = nil
+	if d.cur.Recover(plan) {
+		d.RecoveryEpisodes++
+	}
+	return nil
 }
 
-// submit runs one job of the chain: the recomputation step rc tags, or a
-// full run when rc is nil.
-func (d *Driver) submit(job int, kind string, rc *RecomputeSpec) (*JobReport, error) {
-	_, in, out := middleware.ChainNames(job)
-	done := d.logRun(job, kind)
+// runOne submits one run the cursor handed out and commits it. A full run
+// then releases what a completed checkpoint made reclaimable (Section
+// IV-C) and calls AfterJob.
+//
+// Between the steps of a plan the driver tracks partitions whose
+// regeneration changed the block layout of the next job's input: a split
+// regeneration replaces the carved canonical blocks with one block per
+// split, and a whole regeneration over a previously-split layout restores
+// the canonical carving. Either way the next job's mapper table is
+// re-derived from the new layout and all its readers re-run — the
+// block-level generalization of the paper's Figure 5 split-invalidation
+// rule.
+func (d *Driver) runOne(run core.Run) error {
+	var rc *RecomputeSpec
+	var next map[int]bool
+	if step := run.Step; step != nil {
+		rec := d.cur.Lineage().Job(step.Job)
+		mappers := step.Mappers
+		if len(d.relayout) > 0 {
+			var err error
+			if mappers, err = d.resyncMappers(rec, mappers, d.relayout); err != nil {
+				return err
+			}
+		}
+		// Decide the next step's relayout set before the reducer metas
+		// change: it depends on whether the OLD layout was split-written.
+		next = make(map[int]bool)
+		for _, rr := range step.Reducers {
+			prevSplit := rr.Reducer < len(rec.Reducers) && len(rec.Reducers[rr.Reducer].Nodes) > 1
+			if rr.Splits > 1 || prevSplit {
+				next[rr.Reducer] = true
+			}
+		}
+		rc = &RecomputeSpec{
+			Mappers:  mappers,
+			Reducers: step.Reducers,
+			Table:    append([]lineage.MapperMeta(nil), rec.Mappers...),
+			Scatter:  d.cfg.ScatterOnly,
+		}
+	}
+	rep, err := d.submit(run, rc)
+	if err != nil {
+		return err
+	}
+	rcl, err := d.cur.Done(run, &lineage.JobRecord{Mappers: rep.Mappers, Reducers: rep.Reducers})
+	if err != nil {
+		return err
+	}
+	if run.Step != nil {
+		d.RecomputedMappers += len(rep.Mappers)
+		d.RecomputedReducers += len(run.Step.Reducers)
+		d.relayout = next
+		return nil
+	}
+	if len(rcl.MapOutputJobs) > 0 {
+		d.m.broadcast(DropMapOutputsReq{Jobs: rcl.MapOutputJobs})
+	}
+	for _, f := range rcl.Files {
+		d.m.dropFileEverywhere(f)
+	}
+	if d.cfg.AfterJob != nil {
+		d.cfg.AfterJob(run.Job)
+	}
+	return nil
+}
+
+// submit logs one job run and runs it on the master: the recomputation
+// step rc tags, or a full run when rc is nil.
+func (d *Driver) submit(run core.Run, rc *RecomputeSpec) (*JobReport, error) {
+	_, in, out := middleware.ChainNames(run.Job)
+	kind := string(run.Kind)
+	d.RunLog = append(d.RunLog, RunSpan{Run: d.StartedRuns, Job: run.Job, Kind: kind, Start: time.Now()})
+	span := &d.RunLog[len(d.RunLog)-1]
+	d.StartedRuns++
+	if d.cfg.OnRunStart != nil {
+		d.cfg.OnRunStart(d.StartedRuns, run.Job, kind)
+	}
 	rep, err := d.m.RunJob(JobSpec{
-		ID:           job,
+		ID:           run.Job,
 		InFile:       in,
 		OutFile:      out,
 		NumReducers:  d.cfg.NumReducers,
-		OutputRepl:   d.repl(job),
+		OutputRepl:   d.repl(run.Job),
 		CarveRecords: d.m.BlockRecords(),
 		Recompute:    rc,
 		Speculation:  d.cfg.Speculation,
 	})
-	done(err)
+	span.End, span.Err = time.Now(), err != nil
 	if err != nil {
 		return nil, err
 	}
@@ -287,125 +359,6 @@ func (d *Driver) submit(job int, kind string, rc *RecomputeSpec) (*JobReport, er
 	d.SpeculativeLaunched += rep.SpeculativeLaunched
 	d.SpeculativeWasted += rep.SpeculativeWasted
 	return rep, nil
-}
-
-// appendJob appends the completed job to the lineage.
-func (d *Driver) appendJob(job int, rep *JobReport) error {
-	name, in, out := middleware.ChainNames(job)
-	return d.ch.Append(&lineage.JobRecord{
-		ID: job, Name: string(name),
-		InputFile: in, OutputFile: out,
-		Splittable: true, Completed: true,
-		Mappers: rep.Mappers, Reducers: rep.Reducers,
-	})
-}
-
-// recover plans and executes the recomputation cascade so that job
-// `frontier` can (re)start with its input complete. New failures during
-// recovery simply rebuild the plan — a single pass services any number of
-// accumulated data-loss events (Section IV-A).
-func (d *Driver) recover(frontier int) error {
-	d.RecoveryEpisodes++
-	for {
-		d.markFailuresHandled()
-		alive := d.m.AliveWorkers()
-		if len(alive) == 0 {
-			return errors.New("dmr: all workers dead")
-		}
-		// Read the failed set before entering WithFS: FailedNodes takes the
-		// registry lock, which the monitor holds while it takes fsMu to mark
-		// data lost — taking them in the opposite order here deadlocks.
-		failed := d.m.FailedNodes()
-		var plan *core.Plan
-		err := d.m.WithFS(func(fs *dfs.FS) error {
-			var err error
-			plan, err = core.BuildPlan(d.ch, fs, frontier, failed, core.Options{
-				Split:            d.cfg.Split,
-				SplitRatio:       d.cfg.SplitRatio,
-				AliveNodes:       len(alive),
-				NoMapOutputReuse: d.cfg.NoMapOutputReuse,
-			})
-			if err != nil {
-				return err
-			}
-			// Under NoMapOutputReuse every mapper re-runs by policy, so
-			// mapper justification is not checkable.
-			return core.CheckPlan(d.ch, fs, failed, plan, !d.cfg.NoMapOutputReuse)
-		})
-		if err != nil {
-			return err
-		}
-		if d.cfg.PlanObserver != nil {
-			d.cfg.PlanObserver(frontier, plan, d.ch)
-		}
-		if err := d.runPlanSteps(plan); err != nil {
-			var loss *DataLossError
-			if errors.As(err, &loss) {
-				continue // nested failure: fold in and re-plan
-			}
-			return err
-		}
-		if !d.unhandledFailures() {
-			return nil
-		}
-	}
-}
-
-// runPlanSteps executes the plan's partial job re-executions in order,
-// updating the lineage as outputs land on new nodes.
-//
-// Between steps it tracks partitions whose regeneration changed the block
-// layout of the next job's input: a split regeneration replaces the carved
-// canonical blocks with one block per split, and a whole regeneration over
-// a previously-split layout restores the canonical carving. Either way the
-// next job's mapper table is re-derived from the new layout and all its
-// readers re-run — the block-level generalization of the paper's Figure 5
-// split-invalidation rule.
-func (d *Driver) runPlanSteps(plan *core.Plan) error {
-	var relayout map[int]bool // input partitions of the upcoming step with a changed layout
-	for _, step := range plan.Steps {
-		rec := d.ch.Job(step.Job)
-		if rec == nil {
-			return fmt.Errorf("dmr: plan step for unknown job %d", step.Job)
-		}
-		mappers := step.Mappers
-		if len(relayout) > 0 {
-			var err error
-			mappers, err = d.resyncMappers(rec, step.Mappers, relayout)
-			if err != nil {
-				return err
-			}
-		}
-		// Decide next step's relayout set before the reducer metas change:
-		// it depends on whether the OLD layout was split-written.
-		next := make(map[int]bool)
-		for _, rr := range step.Reducers {
-			prevSplit := rr.Reducer < len(rec.Reducers) && len(rec.Reducers[rr.Reducer].Nodes) > 1
-			if rr.Splits > 1 || prevSplit {
-				next[rr.Reducer] = true
-			}
-		}
-
-		rep, err := d.submit(step.Job, "recompute", &RecomputeSpec{
-			Mappers:  mappers,
-			Reducers: step.Reducers,
-			Table:    append([]lineage.MapperMeta(nil), rec.Mappers...),
-			Scatter:  d.cfg.ScatterOnly,
-		})
-		if err != nil {
-			return err
-		}
-		for _, mm := range rep.Mappers {
-			d.ch.SetMapperOutput(step.Job, mm.Index, mm.Node, mm.OutputBytes)
-		}
-		for _, rm := range rep.Reducers {
-			d.ch.SetReducerOutput(step.Job, rm.Index, rm.Nodes, rm.OutputBytes)
-		}
-		d.RecomputedMappers += len(mappers)
-		d.RecomputedReducers += len(step.Reducers)
-		relayout = next
-	}
-	return nil
 }
 
 // resyncMappers rewrites a job's mapper table after its input partitions in
@@ -469,23 +422,6 @@ func (d *Driver) resyncMappers(rec *lineage.JobRecord, stepMappers []int, relayo
 	return rerun, nil
 }
 
-// reclaimThrough applies checkpoint reclamation (Section IV-C) after job
-// `checkpoint` completed with a replicated output.
-func (d *Driver) reclaimThrough(checkpoint int) error {
-	r, err := core.ReclaimableBefore(d.ch, checkpoint)
-	if err != nil {
-		return err
-	}
-	core.ApplyReclamation(d.ch, r)
-	if len(r.MapOutputJobs) > 0 {
-		d.m.broadcast(DropMapOutputsReq{Jobs: r.MapOutputJobs})
-	}
-	for _, f := range r.Files {
-		d.m.dropFileEverywhere(f)
-	}
-	return nil
-}
-
 // Evict releases at least needBytes of persisted map outputs across the
 // cluster, using the wave-granularity, cheapest-expected-recomputation
 // policy of Section IV-C. Later recoveries transparently re-run the
@@ -493,19 +429,20 @@ func (d *Driver) reclaimThrough(checkpoint int) error {
 func (d *Driver) Evict(needBytes int64) error {
 	alive := d.m.AliveWorkers()
 	slots := d.m.SlotsPerWorker()
-	plan, err := core.PlanEviction(d.ch, needBytes, len(alive)*slots)
+	ch := d.cur.Lineage()
+	plan, err := core.PlanEviction(ch, needBytes, len(alive)*slots)
 	if err != nil {
 		return err
 	}
 	var refs []MapOutRef
 	for _, w := range plan.Waves {
-		rec := d.ch.Job(w.Job)
+		rec := ch.Job(w.Job)
 		for _, mi := range w.Mappers {
 			m := rec.Mappers[mi]
 			refs = append(refs, MapOutRef{Job: w.Job, Part: m.InputPartition, Block: m.InputBlock})
 		}
 	}
-	core.ApplyEviction(d.ch, plan)
+	core.ApplyEviction(ch, plan)
 	if len(refs) > 0 {
 		d.m.broadcast(EvictMapOutputsReq{Refs: refs})
 	}

@@ -96,11 +96,12 @@ func (c *Config) withDefaults() Config {
 // buckets is one mapper's output: one record list per reducer.
 type buckets [][]workload.Record
 
-// Engine executes one chain.
+// Engine executes one chain: it runs what its core.Cursor hands out and
+// injects the configured failures at job boundaries.
 type Engine struct {
 	cfg    Config
 	fs     *dfs.FS
-	ch     *lineage.Chain
+	cur    core.Cursor
 	failed map[int]bool
 
 	// content holds partition payloads by file; availability is governed by
@@ -124,10 +125,16 @@ func New(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	topo, err := core.LinearTopology(cfg.Jobs)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
-		cfg:     cfg,
-		fs:      dfs.New(int64(cfg.RecordsPerBlock)),
-		ch:      lineage.NewChain(),
+		cfg: cfg,
+		fs:  dfs.New(int64(cfg.RecordsPerBlock)),
+		cur: core.NewCursor(topo, core.Policy{
+			Options: core.Options{Split: cfg.Split, SplitRatio: cfg.SplitRatio},
+		}),
 		failed:  make(map[int]bool),
 		content: make(map[string][][]workload.Record),
 		mapOut:  make(map[int]map[int]buckets),
@@ -166,24 +173,25 @@ func (e *Engine) alive() []int {
 // them, and returns the first error (a correctness violation or an
 // unrecoverable loss).
 func (e *Engine) Run() error {
-	for job := 1; job <= e.cfg.Jobs; job++ {
+	for !e.cur.Finished() {
 		for _, f := range e.cfg.Failures {
-			if f.Before == job {
-				if err := e.failAndRecover(f.Node, job); err != nil {
+			if f.Before == e.cur.Frontier() {
+				if err := e.failAndRecover(f.Node); err != nil {
 					return err
 				}
 			}
 		}
-		if err := e.runFull(job); err != nil {
+		if err := e.runNext(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// failAndRecover kills a node and replays the recovery cascade so that job
-// `frontier` can (re)start with its full input available.
-func (e *Engine) failAndRecover(node, frontier int) error {
+// failAndRecover kills a node at a job boundary and runs the recovery
+// cascade, so that the frontier job can (re)start with its full input
+// available. Each failure is its own recovery episode.
+func (e *Engine) failAndRecover(node int) error {
 	if e.failed[node] {
 		return nil
 	}
@@ -193,20 +201,13 @@ func (e *Engine) failAndRecover(node, frontier int) error {
 	e.failed[node] = true
 	e.fs.FailNode(node)
 	e.RecoveryEpisodes++
-
-	plan, err := core.BuildPlan(e.ch, e.fs, frontier, e.failed, core.Options{
-		Split:      e.cfg.Split,
-		SplitRatio: e.cfg.SplitRatio,
-		AliveNodes: len(e.alive()),
-	})
+	plan, err := e.cur.Plan(e.fs, e.failed, len(e.alive()))
 	if err != nil {
 		return err
 	}
-	if err := core.CheckPlan(e.ch, e.fs, e.failed, plan, true); err != nil {
-		return err
-	}
-	for _, step := range plan.Steps {
-		if err := e.runStep(step); err != nil {
+	e.cur.Recover(plan)
+	for e.cur.Queued() > 0 {
+		if err := e.runNext(); err != nil {
 			return err
 		}
 	}
@@ -279,68 +280,54 @@ func (e *Engine) parallelDo(n int, fn func(i int) error) error {
 	return nil
 }
 
-// runFull executes a complete job (initial run or restart after failure):
-// the run that re-executes every mapper over the input as laid out now and
-// every reducer whole, committed by appending the job to the lineage.
-func (e *Engine) runFull(job int) error {
-	name, inFile, outFile := middleware.ChainNames(job)
-	in := e.fs.File(inFile)
-	if in == nil {
-		return fmt.Errorf("engine: job %d input %q missing", job, inFile)
-	}
-	// Failures land between jobs, so a job runs in full once and appends.
-	if e.ch.Len() >= job {
-		return fmt.Errorf("engine: job %d already recorded", job)
-	}
-	rec := &lineage.JobRecord{
-		ID: job, Name: string(name),
-		InputFile: inFile, OutputFile: outFile,
-		Splittable: true, Completed: true,
-	}
-	var all []int
-	for _, p := range in.Partitions {
-		for b := range p.Blocks {
-			all = append(all, len(rec.Mappers))
-			rec.Mappers = append(rec.Mappers, lineage.MapperMeta{
-				Index: len(rec.Mappers), InputPartition: p.Index, InputBlock: b,
-				InputBytes: int64(e.cfg.RecordsPerBlock),
-			})
+// runNext executes the cursor's next run and commits it. A full run (an
+// initial run, or a restart after failure) re-executes every mapper over
+// the input as laid out now and every reducer whole; a step re-runs the
+// tasks its plan names.
+func (e *Engine) runNext() error {
+	run, _ := e.cur.Next()
+	rec := e.cur.Lineage().Job(run.Job)
+	var rerun []int
+	var reducers []core.ReducerRun
+	if run.Step != nil {
+		rerun, reducers = run.Step.Mappers, run.Step.Reducers
+	} else {
+		_, inFile, outFile := middleware.ChainNames(run.Job)
+		in := e.fs.File(inFile)
+		if in == nil {
+			return fmt.Errorf("engine: job %d input %q missing", run.Job, inFile)
 		}
+		rec = &lineage.JobRecord{InputFile: inFile, OutputFile: outFile}
+		for _, p := range in.Partitions {
+			for b := range p.Blocks {
+				rerun = append(rerun, len(rec.Mappers))
+				rec.Mappers = append(rec.Mappers, lineage.MapperMeta{
+					Index: len(rec.Mappers), InputPartition: p.Index, InputBlock: b,
+					InputBytes: int64(e.cfg.RecordsPerBlock),
+				})
+			}
+		}
+		for r := 0; r < e.cfg.NumReducers; r++ {
+			reducers = append(reducers, core.ReducerRun{Reducer: r, Splits: 1})
+		}
+		e.fs.Delete(outFile)
+		if _, err := e.fs.Create(outFile, e.cfg.NumReducers); err != nil {
+			return err
+		}
+		e.content[outFile] = make([][]workload.Record, e.cfg.NumReducers)
+		e.mapOut[run.Job] = make(map[int]buckets, len(rerun))
 	}
-	whole := make([]core.ReducerRun, e.cfg.NumReducers)
-	for r := range whole {
-		whole[r] = core.ReducerRun{Reducer: r, Splits: 1}
-	}
-	e.fs.Delete(outFile)
-	if _, err := e.fs.Create(outFile, e.cfg.NumReducers); err != nil {
-		return err
-	}
-	e.content[outFile] = make([][]workload.Record, e.cfg.NumReducers)
-	e.mapOut[job] = make(map[int]buckets, len(all))
-
-	var err error
-	rec.Mappers, rec.Reducers, err = e.execute(job, rec, all, whole)
+	mappers, written, err := e.execute(run.Job, rec, rerun, reducers)
 	if err != nil {
 		return err
 	}
-	return e.ch.Append(rec)
-}
-
-// runStep executes one recomputation step of a recovery plan, committed by
-// updating the re-run tasks' lineage in place.
-func (e *Engine) runStep(step core.JobStep) error {
-	mappers, reducers, err := e.execute(step.Job, e.ch.Job(step.Job), step.Mappers, step.Reducers)
-	if err != nil {
+	if _, err := e.cur.Done(run, &lineage.JobRecord{Mappers: mappers, Reducers: written}); err != nil {
 		return err
 	}
-	for _, m := range mappers {
-		e.ch.SetMapperOutput(step.Job, m.Index, m.Node, m.OutputBytes)
+	if run.Step != nil {
+		e.RecomputedMappers += len(mappers)
+		e.RecomputedReducers += len(reducers)
 	}
-	for _, r := range reducers {
-		e.ch.SetReducerOutput(step.Job, r.Index, r.Nodes, r.OutputBytes)
-	}
-	e.RecomputedMappers += len(step.Mappers)
-	e.RecomputedReducers += len(step.Reducers)
 	return nil
 }
 
@@ -439,11 +426,11 @@ func (e *Engine) execute(job int, rec *lineage.JobRecord, rerun []int, reducers 
 // Later recoveries re-execute the evicted mappers; the chain output is
 // unchanged.
 func (e *Engine) Evict(needRecords int64) error {
-	plan, err := core.PlanEviction(e.ch, needRecords, len(e.alive()))
+	plan, err := core.PlanEviction(e.cur.Lineage(), needRecords, len(e.alive()))
 	if err != nil {
 		return err
 	}
-	core.ApplyEviction(e.ch, plan)
+	core.ApplyEviction(e.cur.Lineage(), plan)
 	for _, w := range plan.Waves {
 		for _, mi := range w.Mappers {
 			delete(e.mapOut[w.Job], mi)
@@ -456,11 +443,11 @@ func (e *Engine) Evict(needRecords int64) error {
 // the caller asserts job `checkpoint` completed with a replicated output,
 // and everything older becomes unreachable for recovery and is released.
 func (e *Engine) ReclaimThrough(checkpoint int) error {
-	r, err := core.ReclaimableBefore(e.ch, checkpoint)
+	r, err := core.ReclaimableBefore(e.cur.Lineage(), checkpoint)
 	if err != nil {
 		return err
 	}
-	core.ApplyReclamation(e.ch, r)
+	core.ApplyReclamation(e.cur.Lineage(), r)
 	for _, j := range r.MapOutputJobs {
 		e.mapOut[j] = make(map[int]buckets)
 	}
@@ -489,7 +476,7 @@ func (e *Engine) OutputDigests() ([]workload.Digest, error) {
 }
 
 // Chain exposes the lineage for tests.
-func (e *Engine) Chain() *lineage.Chain { return e.ch }
+func (e *Engine) Chain() *lineage.Chain { return e.cur.Lineage() }
 
 // FS exposes the DFS metadata for tests.
 func (e *Engine) FS() *dfs.FS { return e.fs }

@@ -16,18 +16,18 @@ func TestEvictionThenFailureStillExact(t *testing.T) {
 	}
 	// Run the first three jobs, evict under storage pressure, then fail a
 	// node and finish: output must still match the failure-free run.
-	for job := 1; job <= 3; job++ {
-		if err := e.runFull(job); err != nil {
+	for range 3 {
+		if err := e.runNext(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := e.Evict(200); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.failAndRecover(2, 4); err != nil {
+	if err := e.failAndRecover(2); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.runFull(4); err != nil {
+	if err := e.runNext(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := e.OutputDigests()
@@ -47,7 +47,7 @@ func TestEvictEverythingIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.runFull(1); err != nil {
+	if err := e.runNext(); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Evict(1 << 50); err == nil {
@@ -66,8 +66,8 @@ func TestReclaimThroughCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for job := 1; job <= 3; job++ {
-		if err := e.runFull(job); err != nil {
+	for range 3 {
+		if err := e.runNext(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -82,13 +82,13 @@ func TestReclaimThroughCheckpoint(t *testing.T) {
 		t.Fatal("checkpoint file reclaimed")
 	}
 	// A failure after reclamation recovers from the checkpoint only.
-	if err := e.failAndRecover(1, 4); err != nil {
+	if err := e.failAndRecover(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.runFull(4); err != nil {
+	if err := e.runNext(); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.runFull(5); err != nil {
+	if err := e.runNext(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := e.OutputDigests()

@@ -68,11 +68,15 @@ type Context struct {
 	// chain), so the context recycles them: chainRecs tracks the records
 	// the running chain allocated, harvested into freeRecs at the next
 	// reset. Each record keeps its Mappers/Reducers slice capacities plus
-	// the nodes backing array initialRunDone packs reducer locations into.
+	// the nodes backing array runDone packs reducer locations into.
 	chainRecs     []*lineage.JobRecord
 	freeRecs      []*lineage.JobRecord
 	chainNodeBufs [][]int
 	freeNodeBufs  [][]int
+	// stepRec and stepNodes carry a finished recomputation step's tasks to
+	// the cursor, which copies them into the chain's records.
+	stepRec   lineage.JobRecord
+	stepNodes []int
 }
 
 // allocJobRec pops a recycled lineage record (empty, with capacities) or

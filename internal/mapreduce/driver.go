@@ -11,32 +11,24 @@ import (
 	"rcmp/internal/metrics"
 )
 
-// graphJob is one job of the executing graph, in topological position
-// order: the driver submits jobs[0], jobs[1], ... and the 1-based frontier
-// indexes into this slice.
-type graphJob struct {
-	name   string
-	inputs []string
-	output string
-}
-
 // Driver executes one job graph on a simulated cluster under a chosen
 // failure-resilience strategy (the paper's middleware + master together):
 // one tenant of its context's session. Chains run through the same driver
-// as the linear degenerate case.
+// as the linear degenerate case. The middleware's decisions — submission
+// order, recovery plans, run kinds, lineage commits and checkpoint
+// reclamation — are its core.Cursor's; the driver executes the runs the
+// cursor hands out and reports losses to it.
 type Driver struct {
 	ctx  *Context
 	sim  *des.Simulator
 	clus *cluster.Cluster
 	fs   *dfs.FS
-	ch   *lineage.Chain
 	rec  *metrics.Recorder
 	cfg  ChainConfig
 	topo *core.Topology
-	jobs []graphJob
+	cur  core.Cursor
 	agg  bool // aggregated shuffle tier resolved for this chain
 
-	frontier    int // 1-based topological position currently being computed
 	runCounter  int
 	failedNodes map[int]bool
 	// pendingDetect counts injected failures whose detection timer has not
@@ -45,9 +37,6 @@ type Driver struct {
 	// invariant only applies when it is zero.
 	pendingDetect int
 	current       *jobRun
-	recovering    bool
-	planQueue     []core.JobStep
-	finished      bool
 	err           error
 	endTime       des.Time
 
@@ -84,24 +73,21 @@ func (ctx *Context) RunChain(cfg ChainConfig) (*Result, error) {
 // be defaulted and validated, with NumJobs equal to the topology's job
 // count.
 func newDriver(ctx *Context, cfg ChainConfig, topo *core.Topology) *Driver {
-	d := &Driver{
-		ctx:         ctx,
-		sim:         ctx.sim,
-		clus:        ctx.clus,
-		fs:          ctx.fs,
-		ch:          lineage.NewChain(),
-		rec:         &metrics.Recorder{},
-		cfg:         cfg,
-		topo:        topo,
-		frontier:    1,
+	return &Driver{
+		ctx:  ctx,
+		sim:  ctx.sim,
+		clus: ctx.clus,
+		fs:   ctx.fs,
+		rec:  &metrics.Recorder{},
+		cfg:  cfg,
+		topo: topo,
+		cur: core.NewCursor(topo, core.Policy{
+			Options:      core.Options{Split: cfg.Split, SplitRatio: cfg.SplitRatio, NoMapOutputReuse: cfg.NoMapOutputReuse},
+			HybridEveryK: cfg.HybridEveryK, HybridRepl: cfg.HybridRepl,
+			ReclaimAtCheckpoints: cfg.ReclaimAtCheckpoints, PlanObserver: cfg.PlanObserver,
+		}),
 		failedNodes: make(map[int]bool),
 	}
-	jobs := make([]graphJob, topo.NumJobs())
-	for j := 1; j <= topo.NumJobs(); j++ {
-		jobs[j-1] = graphJob{name: topo.Name(j), inputs: topo.Inputs(j), output: topo.Output(j)}
-	}
-	d.jobs = jobs
-	return d
 }
 
 // reserveRecorder pre-sizes the recorder for the failure-free sample
@@ -121,8 +107,8 @@ func (d *Driver) finish() (*Result, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	if !d.finished {
-		return nil, fmt.Errorf("mapreduce: simulation drained before chain completed (job %d)", d.frontier)
+	if !d.cur.Finished() {
+		return nil, fmt.Errorf("mapreduce: simulation drained before chain completed (job %d)", d.cur.Frontier())
 	}
 	if err := d.checkInvariants(); err != nil {
 		return nil, err
@@ -199,8 +185,8 @@ func (d *Driver) createInput() error {
 	// blocks, so the loop plans n partitions with a single allocation.
 	var buf []int
 	sets := [][]int{nil}
-	for j := range d.jobs {
-		for _, name := range d.jobs[j].inputs {
+	for j := 1; j <= d.topo.NumJobs(); j++ {
+		for _, name := range d.topo.Inputs(j) {
 			if d.topo.ProducerOf(name) != 0 || d.fs.File(name) != nil {
 				continue // produced by a job, or already laid out
 			}
@@ -230,13 +216,11 @@ func (d *Driver) unrecoverable(err error) {
 }
 
 // outputRepl returns the DFS replication for a job's output under the
-// configured strategy.
+// configured strategy: RCMP writes one replica except at hybrid
+// checkpoints, Hadoop OutputRepl.
 func (d *Driver) outputRepl(job int) int {
 	if d.cfg.Mode == ModeRCMP {
-		if d.cfg.HybridEveryK > 0 {
-			return core.ReplicationForJob(job, d.cfg.HybridEveryK, d.cfg.HybridRepl)
-		}
-		return 1
+		return core.ReplicationForJob(job, d.cfg.HybridEveryK, d.cfg.HybridRepl)
 	}
 	return d.cfg.OutputRepl
 }
@@ -246,7 +230,7 @@ func (d *Driver) outputRepl(job int) int {
 // tenant 0's schedule is the cluster's). The previous run — always done or
 // cancelled by the time a new one starts — goes back to the context's free
 // lists here.
-func (d *Driver) newRun(job int, kind metrics.RunKind) *jobRun {
+func (d *Driver) newRun(run core.Run) *jobRun {
 	if d.current != nil {
 		d.ctx.recycleRun(d.current)
 		d.current = nil
@@ -254,13 +238,14 @@ func (d *Driver) newRun(job int, kind metrics.RunKind) *jobRun {
 	d.runCounter++
 	r := d.ctx.allocRun()
 	r.d = d
-	r.job = job
-	r.kind = kind
+	r.job = run.Job
+	r.kind = run.Kind
+	r.step = run.Step
 	r.runIndex = d.runCounter
-	r.inputs = d.jobs[job-1].inputs
-	r.outputFile = d.jobs[job-1].output
-	r.repl = d.outputRepl(job)
-	r.scatter = d.cfg.ScatterOnly && kind == metrics.RunRecompute
+	r.inputs = d.topo.Inputs(run.Job)
+	r.outputFile = d.topo.Output(run.Job)
+	r.repl = d.outputRepl(run.Job)
+	r.scatter = d.cfg.ScatterOnly && run.Step != nil
 	s := &d.ctx.session
 	r.slots = &s.slots
 	r.aggOut = grow(r.aggOut, d.clus.NumNodes())
@@ -285,71 +270,119 @@ func (d *Driver) newRun(job int, kind metrics.RunKind) *jobRun {
 	return r
 }
 
-// startInitial launches a full run of a graph job: a mapper per input
-// block over every input file, every reducer, fresh output file.
-func (d *Driver) startInitial(job int) {
-	kind := metrics.RunInitial
-	if d.recovering {
-		kind = metrics.RunRestart
-	}
-	// Discard any partial output from an interrupted earlier attempt.
-	out := d.jobs[job-1].output
-	d.fs.Delete(out)
-	if _, err := d.fs.Create(out, d.cfg.NumReducers); err != nil {
-		d.unrecoverable(err)
+// next starts the cursor's next run, or stamps the graph's end.
+func (d *Driver) next() {
+	run, ok := d.cur.Next()
+	if !ok {
+		d.endTime = d.sim.Now()
 		return
 	}
-	r := d.newRun(job, kind)
-	idx := 0
-	for i, name := range r.inputs {
-		in := d.fs.File(name)
-		if in == nil {
-			d.unrecoverable(fmt.Errorf("job %d input %q missing", job, name))
+	d.start(run)
+}
+
+// start launches a run as map and reduce tasks. A full run discards any
+// output of an interrupted earlier attempt and re-runs every task: a
+// mapper per block of every input file as laid out now, every reducer
+// whole. A step re-runs the mappers it names, whose persisted outputs
+// lineage knows, shuffles every other mapper's persisted output from where
+// it lies, and runs its reducers split as planned.
+func (d *Driver) start(run core.Run) {
+	if run.Step == nil {
+		out := d.topo.Output(run.Job)
+		d.fs.Delete(out)
+		if _, err := d.fs.Create(out, d.cfg.NumReducers); err != nil {
+			d.unrecoverable(err)
 			return
 		}
-		for _, p := range in.Partitions {
-			for b, blk := range p.Blocks {
-				mt := d.ctx.allocMap()
-				mt.run = r
-				mt.index = idx
-				mt.in = in
-				mt.inIdx = i
-				mt.part = p.Index
-				mt.block = b
-				mt.inputBytes = blk.Size
-				mt.outBytes = int64(float64(blk.Size) * d.cfg.MapOutputRatio)
-				mt.node = -1
-				r.maps = append(r.maps, mt)
-				idx++
+	}
+	r := d.newRun(run)
+	if run.Step == nil {
+		idx := 0
+		for i, name := range r.inputs {
+			in := d.fs.File(name)
+			if in == nil {
+				d.unrecoverable(fmt.Errorf("job %d input %q missing", run.Job, name))
+				return
+			}
+			for _, p := range in.Partitions {
+				for b, blk := range p.Blocks {
+					d.addMap(r, idx, in, i, p.Index, b, blk.Size, int64(float64(blk.Size)*d.cfg.MapOutputRatio))
+					idx++
+				}
 			}
 		}
+		for i := 0; i < d.cfg.NumReducers; i++ {
+			d.addReduce(r, i, 0, 1)
+		}
+		r.begin()
+		return
 	}
-	for i := 0; i < d.cfg.NumReducers; i++ {
-		rt := d.ctx.allocRed()
-		rt.run = r
-		rt.reducer = i
-		rt.split = 0
-		rt.splits = 1
-		rt.node = -1
-		r.reduces = append(r.reduces, rt)
+	// Resolve the job's input-file handles once; mapper tasks index into
+	// them via their lineage InFile, and keep the indices lineage knows.
+	inFiles := make([]*dfs.File, len(r.inputs))
+	for i, name := range r.inputs {
+		inFiles[i] = d.fs.File(name)
 	}
-	r.onComplete = func() { d.initialRunDone(r) }
+	rerun := make(map[int]bool, len(run.Step.Mappers))
+	for _, mi := range run.Step.Mappers {
+		rerun[mi] = true
+	}
+	for _, m := range d.cur.Lineage().Job(run.Job).Mappers {
+		if rerun[m.Index] {
+			d.addMap(r, m.Index, inFiles[m.InFile], m.InFile, m.InputPartition, m.InputBlock, m.InputBytes, m.OutputBytes)
+		} else {
+			// Reused persisted output: a shuffle source with no map work.
+			r.aggOut[m.Node] += float64(m.OutputBytes)
+		}
+	}
+	for _, rr := range run.Step.Reducers {
+		for s := 0; s < rr.Splits; s++ {
+			d.addReduce(r, rr.Reducer, s, rr.Splits)
+		}
+	}
 	r.begin()
 }
 
-// initialRunDone records lineage for a completed full run and advances the
-// graph frontier.
-func (d *Driver) initialRunDone(r *jobRun) {
-	rec := d.ctx.allocJobRec()
-	rec.ID = r.job
-	rec.Name = d.jobs[r.job-1].name
-	rec.InputFile = r.inputs[0]
-	if len(r.inputs) > 1 {
-		rec.InputFiles = r.inputs
+// addMap adds a pending mapper task to run r.
+func (d *Driver) addMap(r *jobRun, index int, in *dfs.File, inIdx, part, block int, inputBytes, outBytes int64) {
+	mt := d.ctx.allocMap()
+	mt.run = r
+	mt.index = index
+	mt.in = in
+	mt.inIdx = inIdx
+	mt.part = part
+	mt.block = block
+	mt.inputBytes = inputBytes
+	mt.outBytes = outBytes
+	mt.node = -1
+	r.maps = append(r.maps, mt)
+}
+
+// addReduce adds a pending reduce task (split of splits) to run r.
+func (d *Driver) addReduce(r *jobRun, reducer, split, splits int) {
+	rt := d.ctx.allocRed()
+	rt.run = r
+	rt.reducer = reducer
+	rt.split = split
+	rt.splits = splits
+	rt.node = -1
+	r.reduces = append(r.reduces, rt)
+}
+
+// runDone commits a completed run to the lineage through the cursor,
+// deletes the files a completed checkpoint made reclaimable, and starts
+// the next run. A full run's tasks fill a pooled lineage record the
+// lineage keeps; a step's fill the context's scratch record, which the
+// cursor copies from.
+func (d *Driver) runDone(r *jobRun) {
+	rec, nodes := &d.ctx.stepRec, d.ctx.stepNodes
+	if r.step == nil {
+		rec, nodes = d.ctx.allocJobRec(), d.ctx.allocNodeBuf(len(r.reduces))
+	} else {
+		nodes = grow(nodes, len(r.reduces))
+		d.ctx.stepNodes = nodes
 	}
-	rec.OutputFile = r.outputFile
-	rec.Splittable = true
-	rec.Completed = true
+	rec.Mappers, rec.Reducers = rec.Mappers[:0], rec.Reducers[:0]
 	if cap(rec.Mappers) < len(r.maps) {
 		rec.Mappers = make([]lineage.MapperMeta, 0, len(r.maps))
 	}
@@ -371,125 +404,31 @@ func (d *Driver) initialRunDone(r *jobRun) {
 			Node:           node,
 		})
 	}
-	// One backing array for every reducer's single-node location set,
-	// full-capacity sub-slices so a later SetReducerOutput swap can never
-	// alias a neighbour.
-	nodes := d.ctx.allocNodeBuf(len(r.reduces))
-	for i, rt := range r.reduces {
-		nodes[i] = rt.node
+	// A reducer's split tasks sit together in reducer order. Their nodes
+	// share one backing array, each reducer a full-capacity sub-slice, so
+	// a later SetReducerOutput swap can never alias a neighbour.
+	for i := 0; i < len(r.reduces); {
+		k, bytes := i, int64(0)
+		for ; k < len(r.reduces) && r.reduces[k].reducer == r.reduces[i].reducer; k++ {
+			nodes[k] = r.reduces[k].node
+			bytes += r.reduces[k].outBytes
+		}
 		rec.Reducers = append(rec.Reducers, lineage.ReducerMeta{
-			Index:       rt.reducer,
-			OutputBytes: rt.outBytes,
-			Nodes:       nodes[i : i+1 : i+1],
+			Index:       r.reduces[i].reducer,
+			OutputBytes: bytes,
+			Nodes:       nodes[i:k:k],
 		})
+		i = k
 	}
-	if err := d.ch.AppendRecord(rec); err != nil {
+	rcl, err := d.cur.Done(core.Run{Job: r.job, Kind: r.kind, Step: r.step}, rec)
+	if err != nil {
 		d.unrecoverable(err)
 		return
 	}
-	// A completed hybrid checkpoint bounds every future cascade through its
-	// ancestry; reclaim the storage the bound makes unreachable
-	// (Section IV-C), sparing whatever a surviving branch still reads.
-	if d.cfg.ReclaimAtCheckpoints && d.outputRepl(r.job) > 1 {
-		if rcl, err := core.GraphReclaimableBefore(d.ch, d.topo, r.job); err == nil {
-			core.ApplyReclamation(d.ch, rcl)
-			for _, f := range rcl.Files {
-				d.fs.Delete(f)
-			}
-		}
+	for _, f := range rcl.Files {
+		d.fs.Delete(f)
 	}
-	d.recovering = false
-	d.frontier++
-	if d.frontier > d.cfg.NumJobs {
-		d.finished = true
-		d.endTime = d.sim.Now()
-		return
-	}
-	d.startInitial(d.frontier)
-}
-
-// startRecompute launches the partial re-execution of one plan step.
-func (d *Driver) startRecompute(step core.JobStep) {
-	r := d.newRun(step.Job, metrics.RunRecompute)
-	rec := d.ch.Job(step.Job)
-
-	// Resolve the job's input-file handles once; mapper tasks index into
-	// them via their lineage InFile.
-	inFiles := make([]*dfs.File, len(r.inputs))
-	for i, name := range r.inputs {
-		inFiles[i] = d.fs.File(name)
-	}
-
-	// Mapper tasks keep their original indices, the ones lineage knows.
-	rerun := make(map[int]bool, len(step.Mappers))
-	for _, mi := range step.Mappers {
-		rerun[mi] = true
-	}
-	for _, m := range rec.Mappers {
-		if rerun[m.Index] {
-			mt := d.ctx.allocMap()
-			mt.run = r
-			mt.index = m.Index
-			mt.in = inFiles[m.InFile]
-			mt.inIdx = m.InFile
-			mt.part = m.InputPartition
-			mt.block = m.InputBlock
-			mt.inputBytes = m.InputBytes
-			mt.outBytes = m.OutputBytes
-			mt.node = -1
-			r.maps = append(r.maps, mt)
-		} else {
-			// Reused persisted output: a shuffle source with no map work.
-			r.aggOut[m.Node] += float64(m.OutputBytes)
-		}
-	}
-	for _, rr := range step.Reducers {
-		for s := 0; s < rr.Splits; s++ {
-			rt := d.ctx.allocRed()
-			rt.run = r
-			rt.reducer = rr.Reducer
-			rt.split = s
-			rt.splits = rr.Splits
-			rt.node = -1
-			r.reduces = append(r.reduces, rt)
-		}
-	}
-	r.onComplete = func() { d.recomputeRunDone(r, step) }
-	r.begin()
-}
-
-// recomputeRunDone folds the regenerated outputs back into lineage and
-// proceeds with the recovery plan.
-func (d *Driver) recomputeRunDone(r *jobRun, step core.JobStep) {
-	for _, mt := range r.maps {
-		d.ch.SetMapperOutput(r.job, mt.index, mt.node, mt.outBytes)
-	}
-	byReducer := make(map[int][]*reduceTask)
-	for _, rt := range r.reduces {
-		byReducer[rt.reducer] = append(byReducer[rt.reducer], rt)
-	}
-	for _, reducer := range sortedKeys(byReducer) {
-		rts := byReducer[reducer]
-		var nodes []int
-		var bytes int64
-		for _, rt := range rts {
-			nodes = append(nodes, rt.node)
-			bytes += rt.outBytes
-		}
-		d.ch.SetReducerOutput(r.job, reducer, nodes, bytes)
-	}
-	d.advanceRecovery()
-}
-
-// advanceRecovery runs the next plan step, or restarts the frontier job.
-func (d *Driver) advanceRecovery() {
-	if len(d.planQueue) > 0 {
-		step := d.planQueue[0]
-		d.planQueue = d.planQueue[1:]
-		d.startRecompute(step)
-		return
-	}
-	d.startInitial(d.frontier) // kind=restart while recovering
+	d.next()
 }
 
 // onDetect is the master noticing a dead node.
@@ -497,7 +436,7 @@ func (d *Driver) onDetect(node int) {
 	if d.pendingDetect > 0 {
 		d.pendingDetect--
 	}
-	if d.finished || d.err != nil {
+	if d.cur.Finished() || d.err != nil {
 		return
 	}
 	if d.cfg.Mode == ModeHadoop {
@@ -520,48 +459,25 @@ func (d *Driver) onDetect(node int) {
 		return
 	}
 
-	// RCMP: any irreversible loss cancels the running job; the planner
-	// plans a minimal cascade over ALL damage seen so far. A detection that
+	// RCMP: any irreversible loss cancels the running job; the cursor plans
+	// a minimal cascade over ALL damage seen so far. A detection that
 	// arrives while a previous recovery is in progress simply re-plans.
 	if d.current != nil && !d.current.done {
 		d.current.cancel()
 	}
-	plan, err := core.BuildGraphPlan(d.ch, d.topo, d.fs, d.frontier, d.failedNodes, core.Options{
-		Split:            d.cfg.Split,
-		SplitRatio:       d.cfg.SplitRatio,
-		AliveNodes:       d.clus.NumAlive(),
-		NoMapOutputReuse: d.cfg.NoMapOutputReuse,
-	})
+	plan, err := d.cur.Plan(d.fs, d.failedNodes, d.clus.NumAlive())
 	if err != nil {
 		d.unrecoverable(err)
 		return
 	}
-	// Invariant check on the plan as built, before ForceRecomputeMappers
-	// pads it: every stepped partition must actually be unavailable and,
-	// unless NoMapOutputReuse re-runs every mapper by policy, every re-run
-	// mapper justified by loss or split invalidation.
-	if err := core.CheckPlan(d.ch, d.fs, d.failedNodes, plan, !d.cfg.NoMapOutputReuse); err != nil {
-		d.unrecoverable(err)
-		return
-	}
-	// Split regenerations crossing into a surviving branch invalidate that
-	// branch's persisted map outputs (Figure 5 across file edges); mark
-	// them so a later recovery re-executes those mappers. Never fires on
-	// chains.
-	for _, ref := range plan.Invalidated {
-		d.ch.InvalidateMapperOutput(ref.Job, ref.Mapper)
-	}
+	// The plan was checked as built; ForceRecomputeMappers pads it after.
 	if d.cfg.ForceRecomputeMappers > 0 {
 		for i := range plan.Steps {
 			d.padStepMappers(&plan.Steps[i])
 		}
 	}
-	if d.cfg.PlanObserver != nil {
-		d.cfg.PlanObserver(d.frontier, plan, d.ch)
-	}
-	d.recovering = true
-	d.planQueue = plan.Steps
-	d.advanceRecovery()
+	d.cur.Recover(plan)
+	d.next()
 }
 
 // padStepMappers grows a step's mapper set to ForceRecomputeMappers entries
@@ -572,7 +488,7 @@ func (d *Driver) padStepMappers(step *core.JobStep) {
 	for _, m := range step.Mappers {
 		have[m] = true
 	}
-	rec := d.ch.Job(step.Job)
+	rec := d.cur.Lineage().Job(step.Job)
 	for _, m := range rec.Mappers {
 		if len(step.Mappers) >= want {
 			break

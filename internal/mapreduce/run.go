@@ -19,9 +19,9 @@ package mapreduce
 
 import (
 	"math/rand"
-	"sort"
 
 	"rcmp/internal/cluster"
+	"rcmp/internal/core"
 	"rcmp/internal/des"
 	"rcmp/internal/dfs"
 	"rcmp/internal/flow"
@@ -194,21 +194,6 @@ func (rt *reduceTask) shareFrac(numReducers int) float64 {
 	return 1 / (float64(numReducers) * float64(rt.splits))
 }
 
-// sortedKeys returns a node-keyed map's keys in ascending order. Every
-// sweep whose side effects reach the flow network or the event queue must
-// iterate this way: Go's randomized map order would otherwise leak into
-// event sequence numbers and break run-to-run determinism. (The event hot
-// path now uses node-indexed slices, whose ascending iteration is the
-// same order; this helper remains for the cold per-run sweeps.)
-func sortedKeys[V any](m map[int]V) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
 // slotTable is the cluster-wide free-slot bookkeeping the scheduler pump
 // assigns against: per-node free counts plus their totals, maintained
 // through the jobRun take/free helpers so the two can never drift apart.
@@ -378,7 +363,8 @@ type jobRun struct {
 	mapDoneSum   float64
 	specDups     []*mapTask
 	specEv       *des.Event
-	onComplete   func()
+	// step is the plan step the run executes; nil for a full run.
+	step *core.JobStep
 
 	locBuf []int // scratch for inputLocations, reused across calls
 }
@@ -475,7 +461,7 @@ func (r *jobRun) begin() {
 	r.pendingReds = append(r.pendingReds, r.reduces...)
 	if r.d.agg {
 		// The run starts entitled to every already-present output byte
-		// (persisted map outputs registered by startRecompute).
+		// (persisted map outputs a step registered in start).
 		r.aggOfferBytes = 0
 		for _, b := range r.aggOut {
 			r.aggOfferBytes += b
@@ -521,5 +507,5 @@ func (r *jobRun) checkDone() {
 	r.d.rec.AddRun(metrics.RunStat{
 		RunIndex: r.runIndex, Job: r.job, Kind: r.kind, Start: r.start, End: r.sim().Now(),
 	})
-	r.onComplete()
+	r.d.runDone(r)
 }

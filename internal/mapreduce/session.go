@@ -119,7 +119,7 @@ func (ctx *Context) start(cfg GraphConfig, tenants int) error {
 		d.reserveRecorder()
 	}
 	for _, d := range s.drivers {
-		d.startInitial(1)
+		d.next()
 	}
 	return nil
 }
@@ -174,7 +174,7 @@ func (s *session) injectFailure(node int) {
 		if d.err != nil {
 			return // session is failing; no further injections
 		}
-		if !d.finished {
+		if !d.cur.Finished() {
 			anyLive = true
 		}
 	}
@@ -196,7 +196,7 @@ func (s *session) injectFailure(node int) {
 	d0.fs.FailNode(node)
 	for _, d := range s.drivers {
 		d.failedNodes[node] = true
-		if !d.finished && d.current != nil {
+		if !d.cur.Finished() && d.current != nil {
 			d.current.nodeDown(node)
 		}
 		d.pendingDetect++
