@@ -285,7 +285,10 @@ func (e *Engine) parallelDo(n int, fn func(i int) error) error {
 // the input as laid out now and every reducer whole; a step re-runs the
 // tasks its plan names.
 func (e *Engine) runNext() error {
-	run, _ := e.cur.Next()
+	run, ok := e.cur.Next()
+	if !ok {
+		return fmt.Errorf("engine: all %d jobs already ran", e.cfg.Jobs)
+	}
 	rec := e.cur.Lineage().Job(run.Job)
 	var rerun []int
 	var reducers []core.ReducerRun
