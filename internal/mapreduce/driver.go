@@ -283,9 +283,9 @@ func (d *Driver) next() {
 // start launches a run as map and reduce tasks. A full run discards any
 // output of an interrupted earlier attempt and re-runs every task: a
 // mapper per block of every input file as laid out now, every reducer
-// whole. A step re-runs the mappers it names, whose persisted outputs
-// lineage knows, shuffles every other mapper's persisted output from where
-// it lies, and runs its reducers split as planned.
+// whole. A step re-runs the mappers it names from their lineage entries,
+// shuffles every other mapper's persisted output from where it lies, and
+// runs its reducers split as planned.
 func (d *Driver) start(run core.Run) {
 	if run.Step == nil {
 		out := d.topo.Output(run.Job)
