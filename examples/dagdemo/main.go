@@ -16,6 +16,7 @@ import (
 	"rcmp/internal/core"
 	"rcmp/internal/lineage"
 	"rcmp/internal/mapreduce"
+	"rcmp/internal/middleware"
 )
 
 func main() {
@@ -40,14 +41,14 @@ func run(w io.Writer) error {
 			// Node 1 dies 5 s into the fourth run, the join.
 			Failures: []mapreduce.Injection{{AtRun: 4, After: 5, Node: 1}},
 		},
-		Jobs: []mapreduce.GraphJob{
-			{Name: "ingest", Inputs: []string{"raw"}, Output: "clean"},
-			{Name: "enrich", Inputs: []string{"clean"}, Output: "enr"},
-			{Name: "filter", Inputs: []string{"clean"}, Output: "flt"},
-			{Name: "join", Inputs: []string{"flt", "enr"}, Output: "result"},
+		Jobs: []middleware.Job{
+			{ID: "ingest", Inputs: []string{"raw"}, Output: "clean"},
+			{ID: "enrich", Inputs: []string{"clean"}, Output: "enr"},
+			{ID: "filter", Inputs: []string{"clean"}, Output: "flt"},
+			{ID: "join", Inputs: []string{"flt", "enr"}, Output: "result"},
 		},
 	}
-	name := func(job int) string { return cfg.Jobs[job-1].Name }
+	name := func(job int) string { return string(cfg.Jobs[job-1].ID) }
 	cfg.PlanObserver = func(frontier int, plan *core.Plan, ch *lineage.Chain) {
 		fmt.Fprintf(w, "node lost while %s runs; recovery plan:\n", name(frontier))
 		for _, s := range plan.Steps {

@@ -2,7 +2,11 @@
 // simulator: it computes chain/graph makespan, per-phase timings, and
 // recovery cost (cascade depth, regenerated partitions, SPLIT vs NO-SPLIT
 // recovery seconds) directly from cluster.Config + ChainConfig/GraphConfig
-// and a failure schedule, with no event loop.
+// and a failure schedule, with no event loop. It reads the job graph the
+// simulator reads: one core.Topology fixes the job order (so an
+// Injection's AtRun names the same job on both engines), the producer of
+// every file, and the external inputs (ProducerOf == 0, one partition of
+// InputPerNode bytes per node, as the simulator lays them out).
 //
 // The model has two parts. The failure-free schedule derives from the
 // closed-form facts of a failure-free run — task phase timers are pure
@@ -37,8 +41,10 @@ import (
 	"sort"
 
 	"rcmp/internal/cluster"
+	"rcmp/internal/core"
 	"rcmp/internal/des"
 	"rcmp/internal/mapreduce"
+	"rcmp/internal/middleware"
 )
 
 // Model holds the calibrated constants of the analytic twin.
@@ -82,7 +88,7 @@ func (m Model) RunChain(ccfg cluster.Config, cfg mapreduce.ChainConfig) (*mapred
 	if err := ccfg.Validate(); err != nil {
 		return nil, err
 	}
-	return m.run(ccfg, cfg, mapreduce.LinearJobs(cfg.NumJobs))
+	return m.run(ccfg, cfg, middleware.Chain(cfg.NumJobs))
 }
 
 // RunGraph evaluates a DAG of jobs analytically, mirroring
@@ -101,11 +107,12 @@ func (m Model) RunGraph(ccfg cluster.Config, cfg mapreduce.GraphConfig) (*mapred
 
 // run is the shared chain/graph entry: build job shapes, replay the failure
 // schedule over the closed-form schedule, and package a Result.
-func (m Model) run(ccfg cluster.Config, cfg mapreduce.ChainConfig, jobs []mapreduce.GraphJob) (*mapreduce.Result, error) {
-	ev, err := newEval(m, ccfg, cfg, jobs)
+func (m Model) run(ccfg cluster.Config, cfg mapreduce.ChainConfig, jobs []middleware.Job) (*mapreduce.Result, error) {
+	topo, err := core.TopologyOf(jobs)
 	if err != nil {
 		return nil, err
 	}
+	ev := newEval(m, ccfg, cfg, topo)
 	ev.replay()
 	return ev.result(), nil
 }
@@ -163,21 +170,20 @@ func (m Model) evalSession(ccfg cluster.Config, cfg mapreduce.GraphConfig, tenan
 		return se, fmt.Errorf("analytic: tenants=%d", tenants)
 	}
 
-	// One tenant, with the schedule's failures: the per-tenant critical
-	// path, including reaction + cascade + restart.
-	ev, err := newEval(m, ccfg, cfg.ChainConfig, cfg.Jobs)
+	topo, err := core.TopologyOf(cfg.Jobs)
 	if err != nil {
 		return se, err
 	}
+
+	// One tenant, with the schedule's failures: the per-tenant critical
+	// path, including reaction + cascade + restart.
+	ev := newEval(m, ccfg, cfg.ChainConfig, topo)
 	ev.replay()
 
 	// The same tenant failure-free: isolates the recovery delta.
 	freeCfg := cfg.ChainConfig
 	freeCfg.Failures = nil
-	evFree, err := newEval(m, ccfg, freeCfg, cfg.Jobs)
-	if err != nil {
-		return se, err
-	}
+	evFree := newEval(m, ccfg, freeCfg, topo)
 	evFree.replay()
 
 	// Resource-bound session floor: T tenants push T× the disk bytes and

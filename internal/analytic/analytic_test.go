@@ -1,10 +1,13 @@
 package analytic
 
 import (
+	"slices"
 	"testing"
 
 	"rcmp/internal/cluster"
 	"rcmp/internal/mapreduce"
+	"rcmp/internal/metrics"
+	"rcmp/internal/middleware"
 )
 
 // sticQuick mirrors the experiment registry's quick-scale STIC setup: the
@@ -138,12 +141,7 @@ func TestMakespanMonotoneInWork(t *testing.T) {
 func TestRecoveryMonotoneInUtilization(t *testing.T) {
 	cc, cfg := sticQuick(2, 2, 4)
 	cfg.Failures = []mapreduce.Injection{{AtRun: 2, After: 10, Node: 3}}
-	gcfg := mapreduce.GraphConfig{ChainConfig: cfg, Jobs: nil}
-	for i := 1; i <= 4; i++ {
-		gcfg.Jobs = append(gcfg.Jobs, mapreduce.GraphJob{
-			Name: "job", Inputs: []string{map[bool]string{true: "input", false: out(i - 1)}[i == 1]}, Output: out(i),
-		})
-	}
+	gcfg := mapreduce.GraphConfig{ChainConfig: cfg, Jobs: middleware.Chain(4)}
 	freeCfg := gcfg
 	freeCfg.Failures = nil
 
@@ -172,6 +170,65 @@ func TestRecoveryMonotoneInUtilization(t *testing.T) {
 	}
 }
 
-func out(i int) string {
-	return "out" + string(rune('0'+i))
+// TestGraphsAgreeWithDES holds the twin to the simulator's reading of a job
+// graph: both accept or both reject it, and where both run it, job i is
+// the same job on each engine (the same map-task count at every
+// topological position). Both read one core.Topology, so an external input
+// need not be called "input", independent jobs are ordered by name (not
+// as declared), and duplicate job IDs are an error on both.
+func TestGraphsAgreeWithDES(t *testing.T) {
+	cases := []struct {
+		name    string
+		jobs    []middleware.Job
+		wantErr bool
+	}{
+		{name: "dagdemo external input raw", jobs: []middleware.Job{
+			{ID: "ingest", Inputs: []string{"raw"}, Output: "clean"},
+			{ID: "enrich", Inputs: []string{"clean"}, Output: "enr"},
+			{ID: "filter", Inputs: []string{"clean"}, Output: "flt"},
+			{ID: "join", Inputs: []string{"flt", "enr"}, Output: "result"},
+		}},
+		// Declared z, a, j; core.Topology orders a j z (j reads a's output
+		// and the external input, so it is ready before z by name). j's
+		// two inputs make the order show in the map task counts.
+		{name: "declared z a j", jobs: []middleware.Job{
+			{ID: "z", Inputs: []string{"input"}, Output: "fz"},
+			{ID: "a", Inputs: []string{"input"}, Output: "fa"},
+			{ID: "j", Inputs: []string{"fa", "input"}, Output: "fj"},
+		}},
+		{name: "duplicate job ID", wantErr: true, jobs: []middleware.Job{
+			{ID: "a", Inputs: []string{"input"}, Output: "x"},
+			{ID: "a", Inputs: []string{"x"}, Output: "y"},
+		}},
+	}
+	mapsPerJob := func(res *mapreduce.Result, n int) []int {
+		maps := make([]int, n)
+		for _, s := range res.Recorder.Tasks {
+			if s.Kind == metrics.TaskMap && s.RunKind == metrics.RunInitial {
+				maps[s.Job-1]++
+			}
+		}
+		return maps
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cc, cfg := sticQuick(1, 1, 0)
+			gcfg := mapreduce.GraphConfig{ChainConfig: cfg, Jobs: tc.jobs}
+			desRes, desErr := mapreduce.NewContext(cc).RunGraph(gcfg)
+			anRes, anErr := Default.RunGraph(cc, gcfg)
+			if tc.wantErr {
+				if desErr == nil || anErr == nil {
+					t.Fatalf("DES err %v, twin err %v: want both to reject the graph", desErr, anErr)
+				}
+				return
+			}
+			if desErr != nil || anErr != nil {
+				t.Fatalf("DES err %v, twin err %v: want both to run the graph", desErr, anErr)
+			}
+			desMaps, anMaps := mapsPerJob(desRes, len(tc.jobs)), mapsPerJob(anRes, len(tc.jobs))
+			if !slices.Equal(desMaps, anMaps) {
+				t.Fatalf("map tasks per job position: DES %v, twin %v", desMaps, anMaps)
+			}
+		})
+	}
 }

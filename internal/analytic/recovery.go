@@ -163,15 +163,15 @@ func (ev *eval) plan(frontier int) []workItem {
 	return wl
 }
 
-// ancestors marks every transitive producer of job f.
+// ancestors marks every transitive producer of job f (0-based indices).
 func (ev *eval) ancestors(f int) []bool {
 	anc := make([]bool, len(ev.shapes))
 	var visit func(int)
 	visit = func(j int) {
-		for _, in := range ev.shapes[j].inputs {
-			if in >= 0 && !anc[in] {
-				anc[in] = true
-				visit(in)
+		for _, in := range ev.topo.Inputs(j + 1) {
+			if p := ev.topo.ProducerOf(in) - 1; p >= 0 && !anc[p] {
+				anc[p] = true
+				visit(p)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package analytic
 
 import (
-	"fmt"
 	"math"
 
 	"rcmp/internal/cluster"
@@ -15,8 +14,6 @@ import (
 // task counts, and its effective output replication. Shapes depend only on
 // the configuration, never on the failure schedule.
 type jobShape struct {
-	name     string
-	inputs   []int // producer job indices; -1 = the external input
 	inBytes  float64
 	shufByte float64 // map-output == shuffle volume
 	outBytes float64
@@ -44,7 +41,7 @@ type eval struct {
 	m      Model
 	cc     cluster.Config
 	cfg    mapreduce.ChainConfig
-	jobs   []mapreduce.GraphJob
+	topo   *core.Topology
 	shapes []jobShape
 
 	nodes int
@@ -73,105 +70,52 @@ type pulse struct {
 	count int
 }
 
-func newEval(m Model, ccfg cluster.Config, cfg mapreduce.ChainConfig, jobs []mapreduce.GraphJob) (*eval, error) {
+func newEval(m Model, ccfg cluster.Config, cfg mapreduce.ChainConfig, topo *core.Topology) *eval {
 	ev := &eval{
 		m:     m,
 		cc:    ccfg,
 		cfg:   cfg,
+		topo:  topo,
 		nodes: ccfg.Nodes,
 		alive: ccfg.Nodes,
 		rec:   &metrics.Recorder{},
 	}
-	ordered, err := topoSort(jobs)
-	if err != nil {
-		return nil, err
-	}
-	ev.jobs = ordered
-	if err := ev.buildShapes(); err != nil {
-		return nil, err
-	}
+	ev.buildShapes()
 	ev.future = append(ev.future, cfg.Failures...)
 	ev.samples = !cfg.NoTaskSamples && ev.totalTasks() <= sampleCap
-	return ev, nil
+	return ev
 }
 
-// topoSort orders jobs so every producer precedes its consumers, keeping
-// the given order among independent jobs (the graph engine's tie-break).
-func topoSort(jobs []mapreduce.GraphJob) ([]mapreduce.GraphJob, error) {
-	produced := map[string]bool{"input": true}
-	placed := make([]bool, len(jobs))
-	out := make([]mapreduce.GraphJob, 0, len(jobs))
-	for len(out) < len(jobs) {
-		progress := false
-		for i, j := range jobs {
-			if placed[i] {
-				continue
-			}
-			ready := true
-			for _, in := range j.Inputs {
-				if !produced[in] {
-					ready = false
-					break
-				}
-			}
-			if !ready {
-				continue
-			}
-			placed[i] = true
-			produced[j.Output] = true
-			out = append(out, j)
-			progress = true
-		}
-		if !progress {
-			return nil, fmt.Errorf("analytic: job graph has a cycle or unknown input")
-		}
-	}
-	return out, nil
-}
-
-// buildShapes walks the topo order once, tracking file volumes/partition
-// counts, and derives each job's byte volumes and task counts.
-func (ev *eval) buildShapes() error {
-	type fileInfo struct {
-		parts int
-		bytes float64
-	}
-	files := map[string]fileInfo{
-		"input": {parts: ev.nodes, bytes: float64(ev.nodes) * float64(ev.cfg.InputPerNode)},
-	}
+// buildShapes walks the topological order once and derives each job's
+// byte volumes and task counts from its inputs: an external input
+// (ProducerOf == 0) has one partition of InputPerNode bytes per node, as
+// the simulator lays it out; a produced file has its producer's reducer
+// count and output volume.
+func (ev *eval) buildShapes() {
 	block := float64(ev.cfg.BlockSize)
-	byName := map[string]int{}
-	for idx, j := range ev.jobs {
-		sh := jobShape{name: j.Name, reducers: ev.cfg.NumReducers, outRepl: ev.cfg.OutputRepl}
-		if ev.cfg.HybridEveryK > 0 && (idx+1)%ev.cfg.HybridEveryK == 0 {
+	for j := 1; j <= ev.topo.NumJobs(); j++ {
+		sh := jobShape{reducers: ev.cfg.NumReducers, outRepl: ev.cfg.OutputRepl}
+		if ev.cfg.HybridEveryK > 0 && j%ev.cfg.HybridEveryK == 0 {
 			sh.outRepl = ev.cfg.HybridRepl
 		}
-		for _, in := range j.Inputs {
-			fi, ok := files[in]
-			if !ok {
-				return fmt.Errorf("analytic: job %q reads unknown file %q", j.Name, in)
+		for _, in := range ev.topo.Inputs(j) {
+			parts, bytes := ev.nodes, float64(ev.nodes)*float64(ev.cfg.InputPerNode)
+			if p := ev.topo.ProducerOf(in); p > 0 {
+				parts, bytes = ev.shapes[p-1].reducers, ev.shapes[p-1].outBytes
 			}
-			perPart := fi.bytes / float64(fi.parts)
+			perPart := bytes / float64(parts)
 			blocks := int(math.Ceil(perPart / block))
 			if blocks < 1 {
 				blocks = 1
 			}
-			sh.mappers += fi.parts * blocks
-			sh.inBytes += fi.bytes
-			if in == "input" {
-				sh.inputs = append(sh.inputs, -1)
-			} else {
-				sh.inputs = append(sh.inputs, byName[in])
-			}
+			sh.mappers += parts * blocks
+			sh.inBytes += bytes
 		}
 		sh.shufByte = sh.inBytes * ev.cfg.MapOutputRatio
 		sh.outBytes = sh.shufByte * ev.cfg.ReduceOutputRatio
 		sh.blockB = sh.inBytes / float64(sh.mappers)
-		files[j.Output] = fileInfo{parts: sh.reducers, bytes: sh.outBytes}
-		byName[j.Output] = idx
 		ev.shapes = append(ev.shapes, sh)
 	}
-	return nil
 }
 
 // totalTasks estimates the failure-free task count, for the sample cap.

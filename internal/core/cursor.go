@@ -42,7 +42,6 @@ type Cursor struct {
 	ch     *lineage.Chain
 	topo   *Topology
 	policy Policy
-	linear bool // every job reads exactly its predecessor's output
 
 	frontier   int       // the job whose full run is next or running
 	submitted  int       // the last job whose full run was handed out
@@ -52,24 +51,14 @@ type Cursor struct {
 
 // NewCursor starts a walk of topo at its first job, with empty lineage.
 func NewCursor(topo *Topology, p Policy) Cursor {
-	c := Cursor{ch: lineage.NewChain(), topo: topo, policy: p, linear: true, frontier: 1}
-	for j := 1; j <= topo.NumJobs(); j++ {
-		in := topo.Inputs(j)
-		if len(in) != 1 || j > 1 && in[0] != topo.Output(j-1) {
-			c.linear = false
-		}
-	}
-	return c
+	return Cursor{ch: lineage.NewChain(), topo: topo, policy: p, frontier: 1}
 }
 
-// LinearTopology is the topology of middleware.Chain(n), the n-job chain
-// the data-plane runtimes run.
+// LinearTopology is the topology of middleware.Chain(n): the n-job chain
+// the data-plane runtimes run and BuildPlan and ReclaimableBefore plan
+// over.
 func LinearTopology(n int) (*Topology, error) {
-	g, err := middleware.NewGraph(middleware.Chain(n))
-	if err != nil {
-		return nil, err
-	}
-	return NewTopology(g)
+	return TopologyOf(middleware.Chain(n))
 }
 
 // Lineage returns the lineage the cursor commits to.
@@ -162,15 +151,7 @@ func (c *Cursor) Done(run Run, rec *lineage.JobRecord) (Reclamation, error) {
 		rec.InputFiles = in
 	}
 	rec.Splittable, rec.Completed = true, true
-	// A chain keeps Append's linkage check; a DAG's middleware graph
-	// checked its own.
-	var err error
-	if c.linear {
-		err = c.ch.Append(rec)
-	} else {
-		err = c.ch.AppendRecord(rec)
-	}
-	if err != nil {
+	if err := c.ch.AppendRecord(rec); err != nil {
 		return Reclamation{}, err
 	}
 	c.frontier++

@@ -4,10 +4,12 @@
 // partitions and tasks (Section IV-B): which output partitions each
 // recomputed job must regenerate, which mappers must re-execute, and which
 // surviving persisted outputs a split recomputation invalidates. A linear
-// chain is the degenerate DAG: BuildPlan and ReclaimableBefore (planner.go,
-// reclaim.go) only build the chain's linear Topology and call the functions
-// here, so every workload — chain or DAG, simulated or real — is planned by
-// one path (planner_test.go is the chain oracle).
+// chain is the degenerate DAG: BuildPlan (planner.go) plans over
+// LinearTopology(max(ch.Len(), failedJob)) and ReclaimableBefore
+// (reclaim.go) over LinearTopology(checkpoint), so a chain's lineage must
+// use middleware.ChainNames's file names, as every backend's does. Every
+// workload — chain or DAG, simulated or real — is planned by this one path
+// (planner_test.go is the chain oracle).
 package core
 
 import (
@@ -20,8 +22,11 @@ import (
 )
 
 // Topology adapts a validated middleware job graph to the 1-based
-// topological indexing the lineage records and the execution engine use:
-// job i is the i-th job in the graph's deterministic topological order.
+// topological indexing the lineage records and the engines use: job i is
+// the i-th job in the graph's deterministic topological order. It is the
+// one job order, producer map and external-input rule (ProducerOf == 0)
+// that the simulator, the analytic twin, dmr, the engine and the planner
+// share.
 type Topology struct {
 	g       *middleware.Graph
 	order   []middleware.JobID
@@ -33,8 +38,9 @@ type Topology struct {
 	producer map[string]int
 }
 
-// NewTopology indexes a graph whose jobs each produce exactly one file —
-// the shape the MapReduce engine executes (one output file per job).
+// NewTopology indexes a validated graph. Its error is always nil:
+// middleware.NewGraph has checked everything a topology relies on, and the
+// Job type makes every job single-output.
 func NewTopology(g *middleware.Graph) (*Topology, error) {
 	order := g.Order()
 	t := &Topology{
@@ -46,18 +52,23 @@ func NewTopology(g *middleware.Graph) (*Topology, error) {
 		producer: make(map[string]int, len(order)),
 	}
 	for i, id := range order {
-		t.pos[id] = i + 1
 		j, _ := g.Job(id)
-		if len(j.Outputs) != 1 {
-			return nil, fmt.Errorf("core: job %q produces %d files; the execution engine runs single-output jobs", id, len(j.Outputs))
-		}
+		t.pos[id] = i + 1
 		t.inputs = append(t.inputs, j.Inputs)
-		t.outputs = append(t.outputs, j.Outputs[0])
-	}
-	for i, out := range t.outputs {
-		t.producer[out] = i + 1
+		t.outputs = append(t.outputs, j.Output)
+		t.producer[j.Output] = i + 1
 	}
 	return t, nil
+}
+
+// TopologyOf validates a job list as a DAG (middleware.NewGraph) and
+// indexes it.
+func TopologyOf(jobs []middleware.Job) (*Topology, error) {
+	g, err := middleware.NewGraph(jobs)
+	if err != nil {
+		return nil, err
+	}
+	return NewTopology(g)
 }
 
 // NumJobs returns the job count.

@@ -123,10 +123,10 @@ func buildGraphLineage(t testing.TB, topo *Topology, nodes, bpp, completed int, 
 func diamondTopology(t testing.TB) *Topology {
 	t.Helper()
 	g, err := middleware.NewGraph([]middleware.Job{
-		{ID: "join", Inputs: []string{"flt", "enr"}, Outputs: []string{"joined"}},
-		{ID: "prep", Inputs: []string{"input"}, Outputs: []string{"base"}},
-		{ID: "filter", Inputs: []string{"base"}, Outputs: []string{"flt"}},
-		{ID: "enrich", Inputs: []string{"base"}, Outputs: []string{"enr"}},
+		{ID: "join", Inputs: []string{"flt", "enr"}, Output: "joined"},
+		{ID: "prep", Inputs: []string{"input"}, Output: "base"},
+		{ID: "filter", Inputs: []string{"base"}, Output: "flt"},
+		{ID: "enrich", Inputs: []string{"base"}, Output: "enr"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,9 +275,9 @@ func TestDiamondSplitInvalidatesSurvivor(t *testing.T) {
 // frontier's immediate input is fully intact.
 func TestPendingConsumerSeedsOldProducer(t *testing.T) {
 	g, err := middleware.NewGraph([]middleware.Job{
-		{ID: "a", Inputs: []string{"input"}, Outputs: []string{"fa"}},
-		{ID: "b", Inputs: []string{"fa"}, Outputs: []string{"fb"}},
-		{ID: "c", Inputs: []string{"fa", "fb"}, Outputs: []string{"fc"}},
+		{ID: "a", Inputs: []string{"input"}, Output: "fa"},
+		{ID: "b", Inputs: []string{"fa"}, Output: "fb"},
+		{ID: "c", Inputs: []string{"fa", "fb"}, Output: "fc"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -354,18 +354,6 @@ func TestGraphReclaimKeepsSurvivingBranchInputs(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r.MapOutputJobs, []int{1, 2, 3, 4}) {
 		t.Fatalf("map-output jobs %v, want 1..4", r.MapOutputJobs)
-	}
-}
-
-func TestTopologyRejectsMultiOutput(t *testing.T) {
-	g, err := middleware.NewGraph([]middleware.Job{
-		{ID: "a", Inputs: []string{"input"}, Outputs: []string{"x", "y"}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewTopology(g); err == nil {
-		t.Fatal("multi-output job accepted")
 	}
 }
 

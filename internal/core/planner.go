@@ -20,12 +20,8 @@
 package core
 
 import (
-	"fmt"
-	"strconv"
-
 	"rcmp/internal/dfs"
 	"rcmp/internal/lineage"
-	"rcmp/internal/middleware"
 )
 
 // Options controls how recomputation runs are executed.
@@ -117,8 +113,9 @@ func (p *Plan) TotalRecomputedTasks() (mappers, reducers int) {
 
 // BuildPlan computes the minimal recovery plan after data loss on a linear
 // chain. It is a lowering: the cascade, the split rule and the pruning live
-// in BuildGraphPlan (graphplan.go); this validates failedJob, builds the
-// linear topology over the lineage's own file names and plans on that.
+// in BuildGraphPlan (graphplan.go); this plans over the chain's
+// LinearTopology, whose file names (middleware.ChainNames) the lineage
+// must use.
 //
 // failedJob is the 1-based index of the job that was running (or about to
 // run) when the loss was detected; jobs failedJob..end have not completed.
@@ -132,40 +129,9 @@ func (p *Plan) TotalRecomputedTasks() (mappers, reducers int) {
 // The plan's steps form a contiguous range ending at failedJob-1: the
 // cascade extends backwards exactly as far as lost data forces it to.
 func BuildPlan(ch *lineage.Chain, fs *dfs.FS, failedJob int, failed map[int]bool, opts Options) (*Plan, error) {
-	if failedJob < 1 || failedJob > ch.Len()+1 {
-		return nil, fmt.Errorf("core: failed job %d outside chain of %d jobs", failedJob, ch.Len())
-	}
-	topo, err := chainTopology(ch, failedJob)
+	topo, err := LinearTopology(max(ch.Len(), failedJob))
 	if err != nil {
 		return nil, err
 	}
 	return BuildGraphPlan(ch, topo, fs, failedJob, failed, opts)
-}
-
-// frontierOutput names the output of a job that has no lineage record yet.
-// Nothing reads it; it only has to differ from every recorded file name.
-const frontierOutput = "\x00frontier"
-
-// chainTopology lowers jobs 1..upTo of a linear lineage onto the graph
-// planner's Topology, over the records' own file names (Chain.Append has
-// checked that each job reads its predecessor's output, so the graph's
-// topological order is the chain order). upTo may exceed the lineage by
-// one: the interrupted job is recorded only on completion, so it is stood
-// in for by a job reading the last recorded output.
-func chainTopology(ch *lineage.Chain, upTo int) (*Topology, error) {
-	jobs := make([]middleware.Job, 0, upTo)
-	for j := 1; j <= upTo; j++ {
-		job := middleware.Job{ID: middleware.JobID(strconv.Itoa(j)), Outputs: []string{frontierOutput}}
-		if rec := ch.Job(j); rec != nil {
-			job.Inputs, job.Outputs[0] = []string{rec.InputFile}, rec.OutputFile
-		} else if j > 1 {
-			job.Inputs = []string{ch.Job(j - 1).OutputFile}
-		}
-		jobs = append(jobs, job)
-	}
-	g, err := middleware.NewGraph(jobs)
-	if err != nil {
-		return nil, err
-	}
-	return NewTopology(g)
 }

@@ -71,7 +71,7 @@ func buildChain(t testing.TB, nodes, jobs, blocksPerPart, completed, repl int) (
 				Nodes:       []int{p % nodes},
 			})
 		}
-		if err := ch.Append(rec); err != nil {
+		if err := ch.AppendRecord(rec); err != nil {
 			t.Fatal(err)
 		}
 		if j <= completed {
@@ -280,8 +280,8 @@ func TestUnrecoverableInput(t *testing.T) {
 		rec.Mappers = append(rec.Mappers, lineage.MapperMeta{Index: p, InputPartition: p, Node: p})
 		rec.Reducers = append(rec.Reducers, lineage.ReducerMeta{Index: p, Nodes: []int{p}})
 	}
-	ch.Append(rec)
-	ch.Append(&lineage.JobRecord{ID: 2, InputFile: "out1", OutputFile: "out2", Splittable: true,
+	ch.AppendRecord(rec)
+	ch.AppendRecord(&lineage.JobRecord{ID: 2, InputFile: "out1", OutputFile: "out2", Splittable: true,
 		Mappers:  []lineage.MapperMeta{{Index: 0, InputPartition: 0, Node: 0}, {Index: 1, InputPartition: 1, Node: 1}},
 		Reducers: []lineage.ReducerMeta{{Index: 0, Nodes: []int{0}}, {Index: 1, Nodes: []int{1}}}})
 	fs.Create("out1", 2)
@@ -312,6 +312,27 @@ func TestFailureAtJob1RestartOnly(t *testing.T) {
 	}
 	if len(plan.Steps) != 0 || plan.RestartJob != 1 {
 		t.Fatalf("plan for job-1 failure: %+v", plan)
+	}
+}
+
+// TestBuildPlanEmptyLineageLostInput: a loss found before the first job
+// completes leaves an empty lineage, and the interrupted job 1 re-reads
+// the external input in full, so a partition with every replica on failed
+// nodes must make the plan fail, exactly as BuildGraphPlan over the
+// chain's topology does.
+func TestBuildPlanEmptyLineageLostInput(t *testing.T) {
+	fs := dfs.New(100)
+	fs.Create("input", 2)
+	fs.SetPartition("input", 0, 100, [][]int{{0, 1, 2}})
+	fs.SetPartition("input", 1, 100, [][]int{{3, 4, 5}})
+	failed := map[int]bool{0: true, 1: true, 2: true}
+	for n := range failed {
+		fs.FailNode(n)
+	}
+	plan, err := BuildPlan(lineage.NewChain(), fs, 1, failed, Options{AliveNodes: 3})
+	const want = `core: original input partition 0 of "input" lost; computation unrecoverable`
+	if err == nil || err.Error() != want {
+		t.Fatalf("BuildPlan = %+v, %v; want error %q", plan, err, want)
 	}
 }
 
@@ -365,7 +386,7 @@ func TestPlanMinimalAndSufficientProperty(t *testing.T) {
 			if other := files[rng.Intn(len(files))]; rng.Intn(2) == 0 && other != in[0] {
 				in = append(in, other)
 			}
-			jobs = append(jobs, middleware.Job{ID: middleware.JobID(fmt.Sprintf("j%d", i)), Inputs: in, Outputs: []string{fmt.Sprintf("f%d", i)}})
+			jobs = append(jobs, middleware.Job{ID: middleware.JobID(fmt.Sprintf("j%d", i)), Inputs: in, Output: fmt.Sprintf("f%d", i)})
 		}
 		g, err := middleware.NewGraph(jobs)
 		if err != nil {

@@ -31,12 +31,13 @@ type Reclamation struct {
 // surviving output, so those jobs are never partially re-executed), and the
 // output files of jobs strictly before it (only the checkpoint file itself
 // can ever be read again, by the checkpoint's consumer). It is a lowering
-// onto GraphReclaimableBefore over the chain's linear topology.
+// onto GraphReclaimableBefore over LinearTopology(checkpoint), whose file
+// names the lineage must use.
 func ReclaimableBefore(ch *lineage.Chain, checkpoint int) (Reclamation, error) {
 	if ch.Job(checkpoint) == nil {
 		return Reclamation{}, fmt.Errorf("core: checkpoint job %d not in lineage", checkpoint)
 	}
-	topo, err := chainTopology(ch, checkpoint)
+	topo, err := LinearTopology(checkpoint)
 	if err != nil {
 		return Reclamation{}, err
 	}

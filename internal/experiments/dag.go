@@ -10,6 +10,7 @@ import (
 	"rcmp/internal/cluster"
 	"rcmp/internal/mapreduce"
 	"rcmp/internal/metrics"
+	"rcmp/internal/middleware"
 	"rcmp/internal/textplot"
 )
 
@@ -18,18 +19,18 @@ import (
 // while the join runs damages both branch outputs' partitions on the dead
 // node, but the graph planner recomputes only what the join actually lost
 // — partitions a surviving branch still holds are reused as-is.
-func diamondJobs() []mapreduce.GraphJob {
-	return []mapreduce.GraphJob{
-		{Name: "prep", Inputs: []string{"input"}, Output: "base"},
-		{Name: "enrich", Inputs: []string{"base"}, Output: "enr"},
-		{Name: "filter", Inputs: []string{"base"}, Output: "flt"},
-		{Name: "join", Inputs: []string{"flt", "enr"}, Output: "joined"},
+func diamondJobs() []middleware.Job {
+	return []middleware.Job{
+		{ID: "prep", Inputs: []string{"input"}, Output: "base"},
+		{ID: "enrich", Inputs: []string{"base"}, Output: "enr"},
+		{ID: "filter", Inputs: []string{"base"}, Output: "flt"},
+		{ID: "join", Inputs: []string{"flt", "enr"}, Output: "joined"},
 	}
 }
 
 // runGraph executes one graph on the setup's engine; an error leaves the
 // figure as a chainError, the way run does for chains.
-func runGraph(st setup, jobs []mapreduce.GraphJob) *mapreduce.Result {
+func runGraph(st setup, jobs []middleware.Job) *mapreduce.Result {
 	res, err := st.w.runGraph(st.engine, st.ccfg, mapreduce.GraphConfig{ChainConfig: st.cfg, Jobs: jobs})
 	if err != nil {
 		panic(chainError{fmt.Errorf("experiment %s: %w", st.name, err)})
@@ -129,7 +130,7 @@ func MultiTenant(c Config) (*Result, error) {
 		return nil, err
 	}
 
-	jobs := mapreduce.LinearJobs(st.cfg.NumJobs)
+	jobs := middleware.Chain(st.cfg.NumJobs)
 
 	session := func(tenants int, split bool, failed bool) *mapreduce.MultiResult {
 		cfg := st.cfg

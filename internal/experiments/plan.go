@@ -12,6 +12,7 @@ import (
 
 	"rcmp/internal/analytic"
 	"rcmp/internal/mapreduce"
+	"rcmp/internal/middleware"
 	"rcmp/internal/textplot"
 )
 
@@ -61,7 +62,7 @@ func CapacityPlan(c Config, deadline PlanDeadline) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	jobs := mapreduce.LinearJobs(st.cfg.NumJobs)
+	jobs := middleware.Chain(st.cfg.NumJobs)
 
 	r := newResult(fmt.Sprintf("CapacityPlan: %s, %d tenants", st.name, tenants))
 	plan := func(split bool) (analytic.SessionPlan, error) {

@@ -88,9 +88,9 @@ func (j *JobRecord) MappersReading(partition int) []int {
 	return out
 }
 
-// Chain is an ordered multi-job computation: the output of job i is the
-// input of job i+1 (the paper's chain workload; general DAGs reduce to
-// chains per dependency path for the mechanisms studied here).
+// Chain is the lineage of a multi-job computation: one record per
+// completed job, in submission (topological) order. Which file each job
+// reads is the job graph's business, not the chain's.
 type Chain struct {
 	jobs []*JobRecord
 }
@@ -98,25 +98,11 @@ type Chain struct {
 // NewChain returns an empty chain.
 func NewChain() *Chain { return &Chain{} }
 
-// Append adds the next job record; its ID must be len+1 and its input file
-// must match the previous job's output file (for jobs after the first).
-func (c *Chain) Append(j *JobRecord) error {
-	if j.ID != len(c.jobs)+1 {
-		return fmt.Errorf("lineage: job ID %d out of order (have %d jobs)", j.ID, len(c.jobs))
-	}
-	if len(c.jobs) > 0 && j.InputFile != c.jobs[len(c.jobs)-1].OutputFile {
-		return fmt.Errorf("lineage: job %d input %q != job %d output %q",
-			j.ID, j.InputFile, j.ID-1, c.jobs[len(c.jobs)-1].OutputFile)
-	}
-	c.jobs = append(c.jobs, j)
-	return nil
-}
-
-// AppendRecord adds the next job record without the linear input-equals-
-// previous-output check: DAG jobs read arbitrary earlier outputs (and
-// several of them). IDs must still arrive in submission (topological)
-// order. The graph validation in internal/middleware is the DAG-shaped
-// counterpart of Append's linkage check.
+// AppendRecord adds the next job record. Its ID must be len+1: records
+// arrive in submission order. There is no file-linkage check here: every
+// record comes from a core.Topology, whose graph middleware.NewGraph has
+// already validated (single producer per file, no cycle), and a DAG job
+// may read any earlier output, or several.
 func (c *Chain) AppendRecord(j *JobRecord) error {
 	if j.ID != len(c.jobs)+1 {
 		return fmt.Errorf("lineage: job ID %d out of order (have %d jobs)", j.ID, len(c.jobs))

@@ -10,6 +10,7 @@ import (
 
 	"rcmp/internal/cluster"
 	"rcmp/internal/des"
+	"rcmp/internal/middleware"
 )
 
 // agg_test.go exercises shuffle accounting under failure: the aggregated
@@ -248,7 +249,7 @@ func pinOutcome(t *testing.T, label any, ccfg cluster.Config, cfg ChainConfig) s
 	} else {
 		chain = pinStatsOf(res).literal()
 	}
-	if mr, err := NewContext(ccfg).RunMultiTenant(GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)}, 1); err != nil {
+	if mr, err := NewContext(ccfg).RunMultiTenant(GraphConfig{ChainConfig: cfg, Jobs: middleware.Chain(cfg.NumJobs)}, 1); err != nil {
 		session = "error: " + strings.TrimPrefix(err.Error(), "tenant 0: ")
 	} else {
 		got := pinStatsOf(mr.Tenants[0])
@@ -465,7 +466,7 @@ func checkEntitlements(t *testing.T, label any, ccfg cluster.Config, cfg ChainCo
 	t.Helper()
 	cfg = cfg.withDefaults()
 	ctx := NewContext(ccfg)
-	if err := ctx.start(GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)}, 1); err != nil {
+	if err := ctx.start(GraphConfig{ChainConfig: cfg, Jobs: middleware.Chain(cfg.NumJobs)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	d := ctx.session.drivers[0]
@@ -541,7 +542,7 @@ func checkReadyBits(t *testing.T, label any, ccfg cluster.Config, cfg ChainConfi
 	t.Helper()
 	cfg = cfg.withDefaults()
 	ctx := NewContext(ccfg)
-	if err := ctx.start(GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)}, 1); err != nil {
+	if err := ctx.start(GraphConfig{ChainConfig: cfg, Jobs: middleware.Chain(cfg.NumJobs)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	d := ctx.session.drivers[0]
@@ -678,7 +679,7 @@ func TestPinnedSessionDenseOffers(t *testing.T) {
 			cfg.Speculation = true
 		}
 		label := fmt.Sprintf("tenants%d/ratio%d/after%v", row.tenants, row.ratio, row.after)
-		res, err := NewContext(ccfg).RunMultiTenant(GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)}, row.tenants)
+		res, err := NewContext(ccfg).RunMultiTenant(GraphConfig{ChainConfig: cfg, Jobs: middleware.Chain(cfg.NumJobs)}, row.tenants)
 		if err != nil {
 			t.Errorf("%s: %v", label, err)
 			continue
@@ -705,7 +706,7 @@ func TestDenseOffersVisitFewCohorts(t *testing.T) {
 	ccfg, cfg := scaleFailConfigs(1024, Injection{AtRun: 2, After: 1, Node: 3})
 	cfg = cfg.withDefaults()
 	ctx := NewContext(ccfg)
-	if err := ctx.start(GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)}, 1); err != nil {
+	if err := ctx.start(GraphConfig{ChainConfig: cfg, Jobs: middleware.Chain(cfg.NumJobs)}, 1); err != nil {
 		t.Fatal(err)
 	}
 	d := ctx.session.drivers[0]

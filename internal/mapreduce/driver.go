@@ -9,6 +9,7 @@ import (
 	"rcmp/internal/dfs"
 	"rcmp/internal/lineage"
 	"rcmp/internal/metrics"
+	"rcmp/internal/middleware"
 )
 
 // Driver executes one job graph on a simulated cluster under a chosen
@@ -60,13 +61,14 @@ func RunChain(ccfg cluster.Config, cfg ChainConfig) (*Result, error) {
 }
 
 // RunChain executes one chain on the context: the linear special case of
-// RunGraph, lowered with the historical chain file names.
+// RunGraph, lowered over middleware.Chain(n) (the historical chain file
+// names).
 func (ctx *Context) RunChain(cfg ChainConfig) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return ctx.RunGraph(GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)})
+	return ctx.RunGraph(GraphConfig{ChainConfig: cfg, Jobs: middleware.Chain(cfg.NumJobs)})
 }
 
 // newDriver assembles a driver on a freshly reset context. The config must

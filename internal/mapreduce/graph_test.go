@@ -2,6 +2,8 @@ package mapreduce
 
 import (
 	"testing"
+
+	"rcmp/internal/middleware"
 )
 
 // diamondGraph is the canonical fan-out/fan-in DAG: prep's output feeds two
@@ -14,11 +16,11 @@ import (
 func diamondGraph(cfg ChainConfig) GraphConfig {
 	return GraphConfig{
 		ChainConfig: cfg,
-		Jobs: []GraphJob{
-			{Name: "prep", Inputs: []string{"input"}, Output: "base"},
-			{Name: "enrich", Inputs: []string{"base"}, Output: "enr"},
-			{Name: "filter", Inputs: []string{"base"}, Output: "flt"},
-			{Name: "join", Inputs: []string{"flt", "enr"}, Output: "joined"},
+		Jobs: []middleware.Job{
+			{ID: "prep", Inputs: []string{"input"}, Output: "base"},
+			{ID: "enrich", Inputs: []string{"base"}, Output: "enr"},
+			{ID: "filter", Inputs: []string{"base"}, Output: "flt"},
+			{ID: "join", Inputs: []string{"flt", "enr"}, Output: "joined"},
 		},
 	}
 }
@@ -34,7 +36,7 @@ func TestChainEqualsLinearGraph(t *testing.T) {
 	cfg.Failures = []Injection{{AtRun: 2, After: 5, Node: 1}}
 
 	chainRes, err1 := RunChain(ccfg, cfg)
-	graphRes, err2 := NewContext(ccfg).RunGraph(GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)})
+	graphRes, err2 := NewContext(ccfg).RunGraph(GraphConfig{ChainConfig: cfg, Jobs: middleware.Chain(cfg.NumJobs)})
 	if err1 != nil || err2 != nil {
 		t.Fatalf("chain err=%v graph err=%v", err1, err2)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"rcmp/internal/des"
+	"rcmp/internal/middleware"
 )
 
 // scanPick is the locality pass as a plain scan of the pending queue: the
@@ -111,7 +112,7 @@ func TestLocalPickMatchesQueueScan(t *testing.T) {
 			})
 		}
 		tenants := 1 + rng.Intn(3)
-		graph := GraphConfig{ChainConfig: cfg, Jobs: LinearJobs(cfg.NumJobs)}
+		graph := GraphConfig{ChainConfig: cfg, Jobs: middleware.Chain(cfg.NumJobs)}
 
 		c := &pickChecker{t: t, label: fmt.Sprintf("seed %d", seed), replicas: map[pickKey][]int{}}
 		ctx := NewContext(ccfg)

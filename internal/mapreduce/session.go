@@ -20,7 +20,9 @@ import (
 	"fmt"
 	"math/rand"
 
+	"rcmp/internal/core"
 	"rcmp/internal/des"
+	"rcmp/internal/middleware"
 )
 
 // session coordinates the tenants sharing one context. It lives in the
@@ -103,7 +105,7 @@ func (ctx *Context) start(cfg GraphConfig, tenants int) error {
 		if tenants > 1 {
 			jobs = prefixJobs(jobs, t)
 		}
-		topo, err := buildTopology(jobs)
+		topo, err := core.TopologyOf(jobs)
 		if err != nil {
 			return err
 		}
@@ -126,15 +128,15 @@ func (ctx *Context) start(cfg GraphConfig, tenants int) error {
 
 // prefixJobs rewrites a tenant's job and file names under "t<i>/", giving
 // each tenant a private DFS namespace on the shared cluster.
-func prefixJobs(jobs []GraphJob, tenant int) []GraphJob {
+func prefixJobs(jobs []middleware.Job, tenant int) []middleware.Job {
 	p := fmt.Sprintf("t%d/", tenant)
-	out := make([]GraphJob, len(jobs))
+	out := make([]middleware.Job, len(jobs))
 	for i, j := range jobs {
 		ins := make([]string, len(j.Inputs))
 		for k, in := range j.Inputs {
 			ins[k] = p + in
 		}
-		out[i] = GraphJob{Name: p + j.Name, Inputs: ins, Output: p + j.Output}
+		out[i] = middleware.Job{ID: middleware.JobID(p) + j.ID, Inputs: ins, Output: p + j.Output}
 	}
 	return out
 }

@@ -19,13 +19,16 @@ import (
 // JobID names a job within one computation.
 type JobID string
 
-// Job declares one job and the files it consumes and produces. A file is
-// produced by at most one job; files not produced by any job are external
-// inputs (assumed durable, like the paper's triple-replicated input).
+// Job declares one job: the files it reads and the one file it writes,
+// the shape the MapReduce engines execute. A file is produced by at most
+// one job; files no job produces are external inputs (assumed durable and
+// laid out like the paper's triple-replicated input). This is the one job
+// declaration: the simulator, the analytic twin and the planner all run
+// graphs of it.
 type Job struct {
-	ID      JobID
-	Inputs  []string
-	Outputs []string
+	ID     JobID
+	Inputs []string
+	Output string
 }
 
 // Graph is an immutable, validated job DAG.
@@ -37,8 +40,9 @@ type Graph struct {
 	consumers map[string][]JobID
 }
 
-// NewGraph validates the job set and returns the DAG. Errors: duplicate
-// job IDs, a file produced twice, or a dependency cycle.
+// NewGraph validates the job set and returns the DAG. Errors: an empty job
+// ID or output, duplicate job IDs, a file produced twice, or a dependency
+// cycle.
 func NewGraph(jobs []Job) (*Graph, error) {
 	g := &Graph{
 		jobs:      make(map[JobID]Job, len(jobs)),
@@ -52,16 +56,14 @@ func NewGraph(jobs []Job) (*Graph, error) {
 		if _, dup := g.jobs[j.ID]; dup {
 			return nil, fmt.Errorf("middleware: duplicate job %q", j.ID)
 		}
-		if len(j.Outputs) == 0 {
+		if j.Output == "" {
 			return nil, fmt.Errorf("middleware: job %q produces nothing", j.ID)
 		}
-		g.jobs[j.ID] = j
-		for _, out := range j.Outputs {
-			if prev, dup := g.producer[out]; dup {
-				return nil, fmt.Errorf("middleware: file %q produced by both %q and %q", out, prev, j.ID)
-			}
-			g.producer[out] = j.ID
+		if prev, dup := g.producer[j.Output]; dup {
+			return nil, fmt.Errorf("middleware: file %q produced by both %q and %q", j.Output, prev, j.ID)
 		}
+		g.jobs[j.ID] = j
+		g.producer[j.Output] = j.ID
 	}
 
 	// Kahn's algorithm over job-level edges, with deterministic tie-breaks.
@@ -134,7 +136,7 @@ func Chain(n int) []Job {
 	jobs := make([]Job, 0, n)
 	for i := 1; i <= n; i++ {
 		id, in, out := ChainNames(i)
-		jobs = append(jobs, Job{ID: id, Inputs: []string{in}, Outputs: []string{out}})
+		jobs = append(jobs, Job{ID: id, Inputs: []string{in}, Output: out})
 	}
 	return jobs
 }

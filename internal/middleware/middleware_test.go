@@ -7,10 +7,10 @@ func diamond() []Job {
 	// fa -> b -> {fb};  fa -> c -> {fc}
 	// {fb, fc} -> d -> {fd}
 	return []Job{
-		{ID: "d", Inputs: []string{"fb", "fc"}, Outputs: []string{"fd"}},
-		{ID: "b", Inputs: []string{"fa"}, Outputs: []string{"fb"}},
-		{ID: "a", Inputs: []string{"input"}, Outputs: []string{"fa"}},
-		{ID: "c", Inputs: []string{"fa"}, Outputs: []string{"fc"}},
+		{ID: "d", Inputs: []string{"fb", "fc"}, Output: "fd"},
+		{ID: "b", Inputs: []string{"fa"}, Output: "fb"},
+		{ID: "a", Inputs: []string{"input"}, Output: "fa"},
+		{ID: "c", Inputs: []string{"fa"}, Output: "fc"},
 	}
 }
 
@@ -19,13 +19,13 @@ func TestNewGraphValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := [][]Job{
-		{{ID: "", Outputs: []string{"x"}}},
-		{{ID: "a", Outputs: []string{"x"}}, {ID: "a", Outputs: []string{"y"}}},
-		{{ID: "a", Outputs: []string{"x"}}, {ID: "b", Outputs: []string{"x"}}},
-		{{ID: "a", Outputs: nil}},
+		{{ID: "", Output: "x"}},
+		{{ID: "a", Output: "x"}, {ID: "a", Output: "y"}},
+		{{ID: "a", Output: "x"}, {ID: "b", Output: "x"}},
+		{{ID: "a"}},
 		{ // cycle: a -> b -> a
-			{ID: "a", Inputs: []string{"fb"}, Outputs: []string{"fa"}},
-			{ID: "b", Inputs: []string{"fa"}, Outputs: []string{"fb"}},
+			{ID: "a", Inputs: []string{"fb"}, Output: "fa"},
+			{ID: "b", Inputs: []string{"fa"}, Output: "fb"},
 		},
 	}
 	for i, jobs := range bad {

@@ -95,7 +95,7 @@ func TestOffsetSweep(t *testing.T) {
 
 func TestCaptureEpisode(t *testing.T) {
 	ch := lineage.NewChain()
-	if err := ch.Append(&lineage.JobRecord{
+	if err := ch.AppendRecord(&lineage.JobRecord{
 		ID: 1, Name: "j1", InputFile: "in", OutputFile: "f1", Splittable: true, Completed: true,
 		Mappers: []lineage.MapperMeta{
 			{Index: 0, InputPartition: 0, Node: 2},
