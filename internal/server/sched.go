@@ -152,10 +152,12 @@ func (s *scheduler) worker() {
 
 		if s.cache.markStarted(j.e) {
 			res := runner.RunOne(j.job, &w)
-			s.cache.fulfill(j.e, res)
+			// Count the job before fulfilling it: fulfill wakes the
+			// waiters, and a woken request may read the stats at once.
 			s.mu.Lock()
 			s.executed++
 			s.mu.Unlock()
+			s.cache.fulfill(j.e, res)
 		}
 		// else: every waiter abandoned the job before it started — skip
 		// without simulating (the cache already forgot the entry).
