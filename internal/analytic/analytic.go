@@ -14,20 +14,29 @@
 // gated by the slot table, water-filled aggregate shuffle rates per rate
 // class (source NICs, destination NICs, the oversubscribed core, and
 // seek-capped disks at the shuffle weight f), merge at ReduceCPU, and
-// replication-pipelined output writes. The recovery part replays the
-// planner's need-propagation analytically: a failure kills the running job
-// at detection, the victim count fixes how many persisted partitions of
-// every ancestor are lost (round-robin reducer placement puts ~R·v/N
-// partitions of each job on v victims), and the cascade regenerates those
-// partitions ancestor by ancestor — optionally split s ways — before the
-// frontier job restarts and the remainder of the chain runs on the degraded
-// cluster.
+// replication-pipelined output writes. The recovery part drives the
+// middleware every other engine drives: one core.Cursor decides which
+// (job, kind) runs next, and a detection hands it a plan built by
+// core.BuildGraphPlan's rule at job granularity. The twin keeps no
+// per-task layout, so a produced file whose replication is at most the
+// dead count has lost ≈R·v/N of its partitions (round-robin placement of R
+// partitions on v victims out of N nodes), and the plan regenerates those
+// — optionally split s ways — in every completed job a pending job's
+// inputs reach, before the frontier job restarts and the remainder of the
+// graph runs on the degraded cluster. In Hadoop mode the running job
+// absorbs a failure.
 //
-// A Model carries the handful of constants the closed form cannot derive
-// (a global stretch for queueing effects the water-filling averages out,
-// and a per-run overhead for startup/teardown event trains). DefaultModel
-// holds the frozen constants every analytic answer uses: the identity
-// model, so an answer never depends on ambient DES runs.
+// A run ends in the simulator's error (a lost original input; in Hadoop
+// mode, a lost partition of a file the running job reads) only where the
+// twin can pin the loss to victims the schedule names (Injection.Node): an
+// external input laid out as the simulator's createInput lays it, or an
+// output written once per node by round-robin reducers. Victims drawn at
+// random are counted but never named, so they never end a run here,
+// though the simulator may lose data to them.
+//
+// The closed form has no calibration constants: every duration is derived
+// from cluster.Config and the chain configuration, so an answer never
+// depends on ambient DES runs.
 //
 // Every entry point returns the same result types the simulator produces
 // (*mapreduce.Result, *mapreduce.MultiResult) with synthetic run stats and
@@ -38,7 +47,6 @@ package analytic
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"rcmp/internal/cluster"
 	"rcmp/internal/core"
@@ -47,32 +55,6 @@ import (
 	"rcmp/internal/middleware"
 )
 
-// Model holds the calibrated constants of the analytic twin.
-type Model struct {
-	// TimeStretch multiplies every modeled phase duration. It absorbs the
-	// queueing and discretization effects the water-filled closed form
-	// averages out (wave-boundary stalls, fetch-parallelism serialization).
-	TimeStretch float64
-	// RunOverhead is added once per started run: the setup/teardown event
-	// trains (slot table churn, commit barriers) that are latency, not
-	// bandwidth.
-	RunOverhead float64
-	// RecoveryStretch multiplies recomputation-step durations on top of
-	// TimeStretch: recovery runs on a degraded cluster with cold caches
-	// and partial waves, which the DES resolves event by event.
-	RecoveryStretch float64
-}
-
-// DefaultModel returns the frozen constants baked in for digest purity —
-// the identity model (no stretch, no per-run overhead), committed so an
-// analytic answer never depends on ambient DES runs.
-func DefaultModel() Model {
-	return Model{TimeStretch: 1.0, RunOverhead: 0.0, RecoveryStretch: 1.0}
-}
-
-// Default is the model used by the experiment registry's analytic engine.
-var Default = DefaultModel()
-
 // sampleCap bounds the synthetic per-task samples a run emits. Beyond it
 // (and whenever NoTaskSamples is set) the evaluator records run stats only,
 // keeping 10⁵–10⁶-node what-ifs allocation-light.
@@ -80,41 +62,40 @@ const sampleCap = 1 << 17
 
 // RunChain evaluates a linear chain analytically. It mirrors
 // mapreduce.RunChain: same validation, same result contract.
-func (m Model) RunChain(ccfg cluster.Config, cfg mapreduce.ChainConfig) (*mapreduce.Result, error) {
+func RunChain(ccfg cluster.Config, cfg mapreduce.ChainConfig) (*mapreduce.Result, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := ccfg.Validate(); err != nil {
-		return nil, err
-	}
-	return m.run(ccfg, cfg, middleware.Chain(cfg.NumJobs))
+	return RunGraph(ccfg, mapreduce.GraphConfig{ChainConfig: cfg, Jobs: middleware.Chain(cfg.NumJobs)})
 }
 
 // RunGraph evaluates a DAG of jobs analytically, mirroring
 // mapreduce.Context.RunGraph.
-func (m Model) RunGraph(ccfg cluster.Config, cfg mapreduce.GraphConfig) (*mapreduce.Result, error) {
-	cfg.ChainConfig = cfg.ChainConfig.WithDefaults()
-	cfg.NumJobs = len(cfg.Jobs)
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := ccfg.Validate(); err != nil {
-		return nil, err
-	}
-	return m.run(ccfg, cfg.ChainConfig, cfg.Jobs)
-}
-
-// run is the shared chain/graph entry: build job shapes, replay the failure
-// schedule over the closed-form schedule, and package a Result.
-func (m Model) run(ccfg cluster.Config, cfg mapreduce.ChainConfig, jobs []middleware.Job) (*mapreduce.Result, error) {
-	topo, err := core.TopologyOf(jobs)
+func RunGraph(ccfg cluster.Config, cfg mapreduce.GraphConfig) (*mapreduce.Result, error) {
+	chain, topo, err := prepare(ccfg, cfg)
 	if err != nil {
 		return nil, err
 	}
-	ev := newEval(m, ccfg, cfg, topo)
-	ev.replay()
+	ev, err := evaluate(ccfg, chain, topo, 1)
+	if err != nil {
+		return nil, err
+	}
 	return ev.result(), nil
+}
+
+// prepare defaults and validates a graph run and indexes its jobs.
+func prepare(ccfg cluster.Config, cfg mapreduce.GraphConfig) (mapreduce.ChainConfig, *core.Topology, error) {
+	cfg.ChainConfig = cfg.ChainConfig.WithDefaults()
+	cfg.NumJobs = len(cfg.Jobs)
+	if err := cfg.Validate(); err != nil {
+		return cfg.ChainConfig, nil, err
+	}
+	if err := ccfg.Validate(); err != nil {
+		return cfg.ChainConfig, nil, err
+	}
+	topo, err := core.TopologyOf(cfg.Jobs)
+	return cfg.ChainConfig, topo, err
 }
 
 // RunMultiTenant evaluates `tenants` copies of the graph sharing one
@@ -122,8 +103,8 @@ func (m Model) run(ccfg cluster.Config, cfg mapreduce.ChainConfig, jobs []middle
 // schedule is evaluated once; contention scales it by the session's
 // resource-bound lower envelope, so makespan and recovery cost are
 // non-decreasing in the tenant count by construction.
-func (m Model) RunMultiTenant(ccfg cluster.Config, cfg mapreduce.GraphConfig, tenants int) (*mapreduce.MultiResult, error) {
-	se, err := m.evalSession(ccfg, cfg, tenants)
+func RunMultiTenant(ccfg cluster.Config, cfg mapreduce.GraphConfig, tenants int) (*mapreduce.MultiResult, error) {
+	se, err := evalSession(ccfg, cfg, tenants)
 	if err != nil {
 		return nil, err
 	}
@@ -152,39 +133,32 @@ type sessionEval struct {
 	recSpan  float64 // recovery extension under the failure schedule
 	ev       *eval   // single tenant, failures applied
 	evFree   *eval   // single tenant, failure-free
-	tenants  int
 }
 
 // evalSession evaluates `tenants` copies of the graph sharing one cluster.
-func (m Model) evalSession(ccfg cluster.Config, cfg mapreduce.GraphConfig, tenants int) (sessionEval, error) {
+func evalSession(ccfg cluster.Config, cfg mapreduce.GraphConfig, tenants int) (sessionEval, error) {
 	var se sessionEval
-	cfg.ChainConfig = cfg.ChainConfig.WithDefaults()
-	cfg.NumJobs = len(cfg.Jobs)
-	if err := cfg.Validate(); err != nil {
-		return se, err
-	}
-	if err := ccfg.Validate(); err != nil {
+	chain, topo, err := prepare(ccfg, cfg)
+	if err != nil {
 		return se, err
 	}
 	if tenants < 1 {
 		return se, fmt.Errorf("analytic: tenants=%d", tenants)
 	}
 
-	topo, err := core.TopologyOf(cfg.Jobs)
+	// One tenant, with the schedule's failures: the per-tenant critical
+	// path, including reaction + cascade + restart.
+	ev, err := evaluate(ccfg, chain, topo, tenants)
 	if err != nil {
 		return se, err
 	}
 
-	// One tenant, with the schedule's failures: the per-tenant critical
-	// path, including reaction + cascade + restart.
-	ev := newEval(m, ccfg, cfg.ChainConfig, topo)
-	ev.replay()
-
 	// The same tenant failure-free: isolates the recovery delta.
-	freeCfg := cfg.ChainConfig
-	freeCfg.Failures = nil
-	evFree := newEval(m, ccfg, freeCfg, topo)
-	evFree.replay()
+	chain.Failures = nil
+	evFree, err := evaluate(ccfg, chain, topo, tenants)
+	if err != nil {
+		return se, err
+	}
 
 	// Resource-bound session floor: T tenants push T× the disk bytes and
 	// T× the slot-seconds through one cluster. The makespan is the larger
@@ -206,7 +180,7 @@ func (m Model) evalSession(ccfg cluster.Config, cfg mapreduce.GraphConfig, tenan
 	}
 	recRes := math.Min(ev.recoveryResourceSeconds, extra)
 	recSpan := math.Max(extra, t*recRes)
-	return sessionEval{freeSpan: freeSpan, recSpan: recSpan, ev: ev, evFree: evFree, tenants: tenants}, nil
+	return sessionEval{freeSpan: freeSpan, recSpan: recSpan, ev: ev, evFree: evFree}, nil
 }
 
 // SessionPlan is one capacity-planning answer: the shared-cluster session
@@ -231,8 +205,8 @@ type SessionPlan struct {
 // it evaluates the session once and reports makespan, recovery cost and
 // utilization. Unlike RunMultiTenant it allocates nothing per tenant, so
 // sweeping the tenant axis at 10⁵–10⁶ nodes stays microseconds per point.
-func (m Model) PlanSession(ccfg cluster.Config, cfg mapreduce.GraphConfig, tenants int) (SessionPlan, error) {
-	se, err := m.evalSession(ccfg, cfg, tenants)
+func PlanSession(ccfg cluster.Config, cfg mapreduce.GraphConfig, tenants int) (SessionPlan, error) {
+	se, err := evalSession(ccfg, cfg, tenants)
 	if err != nil {
 		return SessionPlan{}, err
 	}
@@ -246,29 +220,4 @@ func (m Model) PlanSession(ccfg cluster.Config, cfg mapreduce.GraphConfig, tenan
 		p.Utilization = math.Min(1, float64(tenants)*se.evFree.busySeconds/capacity)
 	}
 	return p, nil
-}
-
-// minf returns the smallest of its arguments.
-func minf(vs ...float64) float64 {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v < m {
-			m = v
-		}
-	}
-	return m
-}
-
-// sortedNodeScales returns NodeDiskScale values sorted ascending (the
-// slowest straggler first); empty when no per-node scaling is configured.
-func sortedNodeScales(cc *cluster.Config) []float64 {
-	if len(cc.NodeDiskScale) == 0 {
-		return nil
-	}
-	out := make([]float64, 0, len(cc.NodeDiskScale))
-	for _, s := range cc.NodeDiskScale {
-		out = append(out, s)
-	}
-	sort.Float64s(out)
-	return out
 }

@@ -1,7 +1,10 @@
 package analytic
 
 import (
+	"fmt"
+	"regexp"
 	"slices"
+	"strings"
 	"testing"
 
 	"rcmp/internal/cluster"
@@ -36,7 +39,7 @@ func TestFailureFreeAgreesWithDES(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		an, err := Default.RunChain(cc, cfg)
+		an, err := RunChain(cc, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +66,7 @@ func TestRecoveryAgreesWithDES(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		an, err := Default.RunChain(cc, cfg)
+		an, err := RunChain(cc, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +96,7 @@ func TestRecoveryAgreesWithDES(t *testing.T) {
 // engines apart: analytic results carry no event or flow counts.
 func TestNoEventLoopArtifacts(t *testing.T) {
 	cc, cfg := sticQuick(1, 1, 2)
-	res, err := Default.RunChain(cc, cfg)
+	res, err := RunChain(cc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +113,7 @@ func TestMakespanMonotoneInWork(t *testing.T) {
 	for _, mb := range []int64{128, 256, 512, 1024, 2048} {
 		cc, cfg := sticQuick(1, 1, 3)
 		cfg.InputPerNode = mb * cluster.MB
-		res, err := Default.RunChain(cc, cfg)
+		res, err := RunChain(cc, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,7 +125,7 @@ func TestMakespanMonotoneInWork(t *testing.T) {
 	prev = 0
 	for jobs := 1; jobs <= 8; jobs++ {
 		cc, cfg := sticQuick(1, 1, jobs)
-		res, err := Default.RunChain(cc, cfg)
+		res, err := RunChain(cc, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,11 +150,11 @@ func TestRecoveryMonotoneInUtilization(t *testing.T) {
 
 	prevMk, prevRec := 0.0, 0.0
 	for tenants := 1; tenants <= 8; tenants *= 2 {
-		failed, err := Default.RunMultiTenant(cc, gcfg, tenants)
+		failed, err := RunMultiTenant(cc, gcfg, tenants)
 		if err != nil {
 			t.Fatal(err)
 		}
-		free, err := Default.RunMultiTenant(cc, freeCfg, tenants)
+		free, err := RunMultiTenant(cc, freeCfg, tenants)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +218,7 @@ func TestGraphsAgreeWithDES(t *testing.T) {
 			cc, cfg := sticQuick(1, 1, 0)
 			gcfg := mapreduce.GraphConfig{ChainConfig: cfg, Jobs: tc.jobs}
 			desRes, desErr := mapreduce.NewContext(cc).RunGraph(gcfg)
-			anRes, anErr := Default.RunGraph(cc, gcfg)
+			anRes, anErr := RunGraph(cc, gcfg)
 			if tc.wantErr {
 				if desErr == nil || anErr == nil {
 					t.Fatalf("DES err %v, twin err %v: want both to reject the graph", desErr, anErr)
@@ -228,6 +231,152 @@ func TestGraphsAgreeWithDES(t *testing.T) {
 			desMaps, anMaps := mapsPerJob(desRes, len(tc.jobs)), mapsPerJob(anRes, len(tc.jobs))
 			if !slices.Equal(desMaps, anMaps) {
 				t.Fatalf("map tasks per job position: DES %v, twin %v", desMaps, anMaps)
+			}
+		})
+	}
+}
+
+// runSequence renders a result's runs as "<job><kind>[✗]" tokens, e.g.
+// "1ini 2ini✗ 1rec 2res 3ini": what ran, in order, and what was cancelled.
+func runSequence(res *mapreduce.Result) string {
+	var b strings.Builder
+	for i, r := range res.Runs {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "%d%s", r.Job, r.Kind[:3])
+		if r.Cancelled {
+			b.WriteString("✗")
+		}
+	}
+	return b.String()
+}
+
+// errShape is an engine error with its partition index masked: the twin
+// names the partition its loss model pins down, the simulator the first it
+// finds. The constructor, the file and the replication must agree.
+var errShape = regexp.MustCompile(`(partition |/p)[0-9]+`)
+
+// TestDecisionsAgreeWithDES holds the twin to the simulator's recovery
+// decisions: on every case both engines run the same (job, kind,
+// cancelled) sequence, or both end in the same error. Only the pricing of
+// each run may differ. Both engines drive one core.Cursor; the twin plans
+// at job granularity (a produced file whose replication is at most the
+// dead count has lost partitions), the DES over its per-task layout, and
+// each case keeps the failure and its detection inside the same run on
+// both. The twin fails a run only on a loss it can pin to named victims,
+// so scattered and random victims, which the simulator survives, leave it
+// answering; desOnly cases are the losses it cannot pin, where the DES
+// fails and the twin answers.
+func TestDecisionsAgreeWithDES(t *testing.T) {
+	type tc struct {
+		name    string
+		jobs    []middleware.Job
+		edit    func(*mapreduce.ChainConfig)
+		desOnly bool
+	}
+	at := func(run int, injs ...mapreduce.Injection) func(*mapreduce.ChainConfig) {
+		return func(cfg *mapreduce.ChainConfig) {
+			for _, inj := range injs {
+				inj.AtRun, inj.After = run, 15
+				cfg.Failures = append(cfg.Failures, inj)
+			}
+		}
+	}
+	fail := func(run, count int) func(*mapreduce.ChainConfig) {
+		return at(run, mapreduce.Injection{Node: 3, Count: count})
+	}
+	then := func(a, b func(*mapreduce.ChainConfig)) func(*mapreduce.ChainConfig) {
+		return func(cfg *mapreduce.ChainConfig) { a(cfg); b(cfg) }
+	}
+	hadoop := func(repl int) func(*mapreduce.ChainConfig) {
+		return func(cfg *mapreduce.ChainConfig) { cfg.Mode, cfg.OutputRepl = mapreduce.ModeHadoop, repl }
+	}
+	inputRepl := func(r int) func(*mapreduce.ChainConfig) {
+		return func(cfg *mapreduce.ChainConfig) { cfg.InputRepl = r }
+	}
+	scattered := at(2, mapreduce.Injection{Node: 0}, mapreduce.Injection{Node: 2}, mapreduce.Injection{Node: 4})
+	random3 := at(2, mapreduce.Injection{Node: -1}, mapreduce.Injection{Node: -1}, mapreduce.Injection{Node: -1})
+	cases := []tc{
+		// Order a z j: the failure in z's run loses a partition of a's
+		// completed output, which pending j reads, so a recomputes
+		// although it is no ancestor of the frontier z.
+		{name: "fan-in z a j fail 2", jobs: []middleware.Job{
+			{ID: "z", Inputs: []string{"input"}, Output: "fz"},
+			{ID: "a", Inputs: []string{"input"}, Output: "fa"},
+			{ID: "j", Inputs: []string{"fa", "fz"}, Output: "fj"},
+		}, edit: fail(2, 1)},
+		{name: "chain InputRepl 1 fail 3", jobs: middleware.Chain(4), edit: then(fail(3, 1), inputRepl(1))},
+		// Node 3 holds partitions 1–3 of the input at InputRepl 3; with
+		// 2 and 4 it holds all of partition 2's.
+		{name: "chain consecutive 2 3 4 fail 2", jobs: middleware.Chain(4),
+			edit: at(2, mapreduce.Injection{Node: 2}, mapreduce.Injection{Node: 3}, mapreduce.Injection{Node: 4})},
+		// Three dead nodes of five, but no input partition lies on all
+		// three: the simulator recovers, and so must the twin.
+		{name: "chain scattered 0 2 4 fail 2", jobs: middleware.Chain(4), edit: scattered},
+		{name: "chain random 3 fail 2", jobs: middleware.Chain(4), edit: random3},
+		{name: "chain InputRepl 1 random fail 3", jobs: middleware.Chain(4),
+			edit: then(at(3, mapreduce.Injection{Node: -1}), inputRepl(1)), desOnly: true},
+		{name: "hadoop repl 3 scattered 0 2 4", jobs: middleware.Chain(4), edit: then(scattered, hadoop(3))},
+		{name: "hadoop repl 3 random 3", jobs: middleware.Chain(4), edit: then(random3, hadoop(3))},
+		{name: "hadoop InputRepl 1 fail 1", jobs: middleware.Chain(4), edit: then(then(fail(1, 1), hadoop(3)), inputRepl(1))},
+		{name: "hadoop repl 1 pulse 2 at 3", jobs: middleware.Chain(4), edit: then(fail(3, 2), hadoop(1))},
+		// Whether the two victims hold both replicas of one partition
+		// depends on each writer's placement cursor: per-task layout.
+		{name: "hadoop repl 2 pulse 2 at 3", jobs: middleware.Chain(4), edit: then(fail(3, 2), hadoop(2)), desOnly: true},
+	}
+	diamond := []middleware.Job{
+		{ID: "ingest", Inputs: []string{"raw"}, Output: "clean"},
+		{ID: "enrich", Inputs: []string{"clean"}, Output: "enr"},
+		{ID: "filter", Inputs: []string{"clean"}, Output: "flt"},
+		{ID: "join", Inputs: []string{"flt", "enr"}, Output: "result"},
+	}
+	for run := 1; run <= len(diamond); run++ {
+		cases = append(cases, tc{name: fmt.Sprintf("diamond fail %d", run), jobs: diamond, edit: fail(run, 1)})
+	}
+	variants := []struct {
+		name string
+		edit func(*mapreduce.ChainConfig)
+	}{
+		{"no-split", func(*mapreduce.ChainConfig) {}},
+		{"split", func(cfg *mapreduce.ChainConfig) { cfg.Split, cfg.SplitRatio = true, 4 }},
+		{"no-reuse", func(cfg *mapreduce.ChainConfig) { cfg.NoMapOutputReuse = true }},
+	}
+	for _, v := range variants {
+		for run := 1; run <= 4; run++ {
+			cases = append(cases, tc{name: fmt.Sprintf("chain %s fail %d", v.name, run),
+				jobs: middleware.Chain(4), edit: then(fail(run, 1), v.edit)})
+		}
+	}
+
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cc, cfg := sticQuick(1, 1, 0)
+			c.edit(&cfg)
+			gcfg := mapreduce.GraphConfig{ChainConfig: cfg, Jobs: c.jobs}
+			desRes, desErr := mapreduce.NewContext(cc).RunGraph(gcfg)
+			anRes, anErr := RunGraph(cc, gcfg)
+			if c.desOnly {
+				if desErr == nil || anErr != nil {
+					t.Fatalf("DES err %v, twin err %v: want the DES alone to fail", desErr, anErr)
+				}
+				t.Logf("DES failed (%v), twin ran %q", desErr, runSequence(anRes))
+				return
+			}
+			switch {
+			case desErr != nil && anErr != nil:
+				if d, a := errShape.ReplaceAllString(desErr.Error(), "$1#"), errShape.ReplaceAllString(anErr.Error(), "$1#"); d != a {
+					t.Fatalf("errors differ:\n  DES  %v\n  twin %v", desErr, anErr)
+				}
+				t.Logf("both failed: DES %v; twin %v", desErr, anErr)
+				return
+			case desErr != nil:
+				t.Fatalf("DES failed (%v), twin ran %q", desErr, runSequence(anRes))
+			case anErr != nil:
+				t.Fatalf("twin failed (%v), DES ran %q", anErr, runSequence(desRes))
+			}
+			if d, a := runSequence(desRes), runSequence(anRes); d != a {
+				t.Fatalf("run sequences differ:\n  DES  %s\n  twin %s", d, a)
 			}
 		})
 	}

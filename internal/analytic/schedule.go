@@ -1,7 +1,9 @@
 package analytic
 
 import (
+	"maps"
 	"math"
+	"slices"
 
 	"rcmp/internal/cluster"
 	"rcmp/internal/core"
@@ -28,7 +30,7 @@ type phases struct {
 	mapTask  float64 // one map task
 	mapEnd   float64 // map phase end, straggler/speculation applied
 	mapWaves int
-	total    float64 // job duration (without Model.RunOverhead)
+	total    float64 // job duration
 	busy     float64 // Σ task-seconds (slot occupancy)
 	resSec   float64 // bottleneck resource-seconds (contention floor)
 	launched int     // speculative duplicates launched
@@ -38,21 +40,20 @@ type phases struct {
 // eval evaluates one chain/graph execution analytically: shapes once, then
 // a replay of the failure schedule over the closed-form per-run timings.
 type eval struct {
-	m      Model
 	cc     cluster.Config
 	cfg    mapreduce.ChainConfig
 	topo   *core.Topology
 	shapes []jobShape
 
-	nodes int
-	alive int
+	nodes   int
+	alive   int
+	tenants int // sharing the cluster
 
 	now        float64
 	runCounter int
 	rec        *metrics.Recorder
 	samples    bool
 
-	started                 int
 	specLaunched            int
 	specWasted              int
 	resourceSeconds         float64 // failure-free resource demand (contention floor)
@@ -62,28 +63,50 @@ type eval struct {
 	pendingFails []pulse   // armed failures, absolute fire times
 	detects      []float64 // pending detection deadlines
 	future       []mapreduce.Injection
+
+	// named are the victims the schedule names (an injection's Node, its
+	// first victim), in the order they died; victims drawn at random are
+	// counted in alive but not named. inputs are the external inputs in
+	// the order the simulator lays them out, and replBuf is lostInputPart's
+	// scratch replica set.
+	named   []int
+	jobs    []jobState
+	inputs  []string
+	replBuf []int
 }
 
-// pulse is an armed failure: fires at `at`, killing `count` nodes.
+// pulse is an armed failure: fires at `at`, killing `count` nodes, the
+// first of them node when node ≥ 0.
 type pulse struct {
 	at    float64
 	count int
+	node  int
 }
 
-func newEval(m Model, ccfg cluster.Config, cfg mapreduce.ChainConfig, topo *core.Topology) *eval {
+// jobState is what the replay keeps per job: the counts of its queued
+// recompute step, and the alive count at its last full run's start and
+// len(named) at its completion.
+type jobState struct {
+	lost, mappers, splits int
+	alive, named          int
+}
+
+// evaluate builds the job shapes of one tenant's graph execution and
+// replays its failure schedule over them.
+func evaluate(ccfg cluster.Config, cfg mapreduce.ChainConfig, topo *core.Topology, tenants int) (*eval, error) {
 	ev := &eval{
-		m:     m,
-		cc:    ccfg,
-		cfg:   cfg,
-		topo:  topo,
-		nodes: ccfg.Nodes,
-		alive: ccfg.Nodes,
-		rec:   &metrics.Recorder{},
+		cc:      ccfg,
+		cfg:     cfg,
+		topo:    topo,
+		nodes:   ccfg.Nodes,
+		alive:   ccfg.Nodes,
+		tenants: tenants,
+		rec:     &metrics.Recorder{},
 	}
 	ev.buildShapes()
 	ev.future = append(ev.future, cfg.Failures...)
 	ev.samples = !cfg.NoTaskSamples && ev.totalTasks() <= sampleCap
-	return ev
+	return ev, ev.replay()
 }
 
 // buildShapes walks the topological order once and derives each job's
@@ -102,6 +125,8 @@ func (ev *eval) buildShapes() {
 			parts, bytes := ev.nodes, float64(ev.nodes)*float64(ev.cfg.InputPerNode)
 			if p := ev.topo.ProducerOf(in); p > 0 {
 				parts, bytes = ev.shapes[p-1].reducers, ev.shapes[p-1].outBytes
+			} else if !slices.Contains(ev.inputs, in) {
+				ev.inputs = append(ev.inputs, in)
 			}
 			perPart := bytes / float64(parts)
 			blocks := int(math.Ceil(perPart / block))
@@ -142,6 +167,23 @@ func (ev *eval) diskStream(streams int, scale float64) float64 {
 	return ev.cc.DiskBW * scale / (1 + pen) / float64(streams)
 }
 
+// shuffleF is the shuffle disk factor f, 0.25 unless configured, as the
+// simulator's cluster defaults it.
+func (ev *eval) shuffleF() float64 {
+	if f := ev.cc.ShuffleDiskFactor; f > 0 {
+		return f
+	}
+	return 0.25
+}
+
+// writeAmp is the replica-write disk amplification, 1 unless configured.
+func (ev *eval) writeAmp() float64 {
+	if amp := ev.cc.ReplicaWriteAmp; amp > 0 {
+		return amp
+	}
+	return 1
+}
+
 // diskCapped is one disk's aggregate throughput under many streams.
 func (ev *eval) diskCapped() float64 {
 	d := ev.cc.DiskBW
@@ -166,18 +208,15 @@ func (ev *eval) core() float64 {
 // pooled source/destination NICs, and the seek-capped disks at the shuffle
 // disk weight f on both sides.
 func (ev *eval) shuffleRate(alive, hosts int) float64 {
-	f := ev.cc.ShuffleDiskFactor
-	if f <= 0 {
-		f = 0.25
-	}
+	f := ev.shuffleF()
 	a := float64(alive)
 	h := float64(hosts)
 	disk := ev.diskCapped()
-	return minf(
+	return min(
 		ev.core(),
 		a*ev.cc.NICBW,
 		h*ev.cc.NICBW,
-		minf(a, h)*disk/(2*f),
+		min(a, h)*disk/(2*f),
 	)
 }
 
@@ -189,7 +228,7 @@ func (ev *eval) mapTaskTime(alive int, block, scale float64) float64 {
 	read := block / ev.diskStream(s, scale)
 	if ev.cfg.DisableLocality {
 		streams := float64(alive * s)
-		r := minf(
+		r := min(
 			ev.diskStream(s, 1),
 			ev.cc.NICBW/float64(s),
 			ev.core()/streams,
@@ -209,10 +248,7 @@ func (ev *eval) shuffleDelayRounds(alive, mappers int) float64 {
 	if d == 0 {
 		return 0
 	}
-	sources := alive
-	if mappers < sources {
-		sources = mappers
-	}
+	sources := min(alive, mappers)
 	fp := ev.cfg.FetchParallelism
 	rounds := (sources + fp - 1) / fp
 	return d * float64(rounds)
@@ -230,10 +266,7 @@ func (ev *eval) steadyMapTask(alive int, block, scale float64) float64 {
 		// Remote reads dominate; disk interference is second-order.
 		return free
 	}
-	f := ev.cc.ShuffleDiskFactor
-	if f <= 0 {
-		f = 0.25
-	}
+	f := ev.shuffleF()
 	s := ev.cc.MapSlots
 	// Two seek-penalized streams per disk: the map stream and the averaged
 	// shuffle stream.
@@ -291,7 +324,8 @@ func (ev *eval) jobPhases(j, alive int) phases {
 	p.mapWaves = (sh.mappers + slots - 1) / slots
 	p.mapEnd = p.mapTask + float64(p.mapWaves-1)*steady
 
-	if scales := sortedNodeScales(&ev.cc); len(scales) > 0 {
+	// Straggler disk scales, the slowest first.
+	if scales := slices.Sorted(maps.Values(ev.cc.NodeDiskScale)); len(scales) > 0 {
 		slowT := ev.mapTaskTime(alive, sh.blockB, scales[0])
 		if ev.cfg.Speculation && slowT > core.SpeculationFactor*p.mapTask {
 			// A duplicate launches once the straggler exceeds
@@ -300,11 +334,7 @@ func (ev *eval) jobPhases(j, alive int) phases {
 			if capT < slowT {
 				// Every straggler-hosted task gets a duplicate.
 				perNode := (sh.mappers + alive - 1) / alive
-				launch := perNode
-				if launch < ms {
-					launch = ms
-				}
-				p.launched = launch
+				p.launched = max(perNode, ms)
 				slowT = capT
 			}
 		}
@@ -312,10 +342,7 @@ func (ev *eval) jobPhases(j, alive int) phases {
 		// but at least one wave runs on the straggler, so the phase can
 		// end no earlier than one slow task and no earlier than the
 		// work-balance point of the mixed-rate slot pool.
-		slow := len(scales)
-		if slow >= alive {
-			slow = alive - 1
-		}
+		slow := min(len(scales), alive-1)
 		fastRate := float64((alive-slow)*ms) / p.mapTask
 		slowRate := float64(slow*ms) / slowT
 		balance := float64(sh.mappers) / (fastRate + slowRate)
@@ -334,15 +361,9 @@ func (ev *eval) jobPhases(j, alive int) phases {
 	busyRed := 0.0
 	left := sh.reducers
 	for k := 0; k < waves; k++ {
-		wv := redSlots
-		if left < wv {
-			wv = left
-		}
+		wv := min(redSlots, left)
 		left -= wv
-		hosts := alive
-		if wv < hosts {
-			hosts = wv
-		}
+		hosts := min(alive, wv)
 		rate := ev.shuffleRate(alive, hosts)
 		writeT := ev.writeTime(alive, wv, w, sh.outRepl, false)
 		var launch, waveEnd float64
@@ -352,7 +373,7 @@ func (ev *eval) jobPhases(j, alive int) phases {
 			// rate; the last wave's outputs drain afterwards at the
 			// full water-filled rate.
 			prod := float64(slots) * sh.blockB * ev.cfg.MapOutputRatio / steady
-			overlap := minf(rate, prod)
+			overlap := min(rate, prod)
 			fetched := overlap * (p.mapEnd - p.mapTask)
 			remaining := float64(wv)*q - fetched
 			if remaining < 0 {
@@ -378,27 +399,14 @@ func (ev *eval) jobPhases(j, alive int) phases {
 	p.busy = float64(sh.mappers)*p.mapTask + busyRed
 
 	// --- contention floor ---------------------------------------------
-	f := ev.cc.ShuffleDiskFactor
-	if f <= 0 {
-		f = 0.25
-	}
-	amp := ev.cc.ReplicaWriteAmp
-	if amp <= 0 {
-		amp = 1
-	}
+	f := ev.shuffleF()
+	amp := ev.writeAmp()
 	repl := float64(sh.outRepl)
 	diskBytes := sh.inBytes + sh.shufByte + 2*f*sh.shufByte + sh.outBytes*(1+amp*(repl-1))
 	diskSec := diskBytes / (float64(alive) * ev.diskCapped())
 	coreSec := (sh.shufByte + sh.outBytes*(repl-1)) / ev.core()
 	slotSec := float64(sh.mappers) * p.mapTask / float64(alive*ms)
 	p.resSec = math.Max(math.Max(diskSec, coreSec), slotSec)
-
-	ts := ev.m.TimeStretch
-	p.mapTask *= ts
-	p.mapEnd *= ts
-	p.total *= ts
-	p.busy *= ts
-	p.resSec *= ts
 	return p
 }
 
@@ -411,25 +419,21 @@ func (ev *eval) writeTime(alive, wv int, bytes float64, repl int, scatter bool) 
 		return 0
 	}
 	perNode := (wv + alive - 1) / alive
-	amp := ev.cc.ReplicaWriteAmp
-	if amp <= 0 {
-		amp = 1
-	}
+	amp := ev.writeAmp()
 	if scatter {
-		rate := minf(
+		rate := min(
 			ev.cc.NICBW/float64(perNode),
 			ev.core()/float64(wv),
 			float64(alive)*ev.diskCapped()/float64(wv),
 		)
 		return bytes / rate
 	}
-	streams := perNode * 1
-	local := bytes / ev.diskStream(streams, 1)
+	local := bytes / ev.diskStream(perNode, 1)
 	if repl <= 1 {
 		return local
 	}
 	flows := wv * (repl - 1)
-	remoteRate := minf(
+	remoteRate := min(
 		ev.cc.NICBW/float64((repl-1)*perNode),
 		ev.core()/float64(flows),
 		float64(alive)*ev.diskCapped()/(amp*float64(flows)),
@@ -438,25 +442,15 @@ func (ev *eval) writeTime(alive, wv int, bytes float64, repl int, scatter bool) 
 }
 
 // emitRunSamples appends synthetic per-task samples for one full job run.
-func (ev *eval) emitRunSamples(runIdx, job int, kind metrics.RunKind, alive int, start float64, p phases) {
+func (ev *eval) emitRunSamples(runIdx, job int, kind metrics.RunKind, start float64, p phases) {
 	if !ev.samples {
 		return
 	}
-	sh := &ev.shapes[job]
-	ms, rs := ev.cc.MapSlots, ev.cc.ReduceSlots
-	slots := alive * ms
-	for i := 0; i < sh.mappers; i++ {
-		wave := i / slots
-		s := start + float64(wave)*p.mapTask
-		ev.rec.AddTask(metrics.TaskSample{
-			RunIndex: runIdx, Job: job + 1, RunKind: kind, Kind: metrics.TaskMap,
-			Index: i, Node: i % alive,
-			Start: des.Time(s), End: des.Time(s + p.mapTask),
-		})
-	}
+	sh, alive := &ev.shapes[job], ev.alive
+	ev.emitMapSamples(runIdx, job+1, kind, sh.mappers, start, p.mapTask)
 	// Reducer waves re-derive launch/end the way jobPhases walked them:
 	// approximate with even spacing of the post-map span across waves.
-	redSlots := alive * rs
+	redSlots := alive * ev.cc.ReduceSlots
 	waves := (sh.reducers + redSlots - 1) / redSlots
 	span := p.total / float64(waves)
 	for r := 0; r < sh.reducers; r++ {
@@ -470,6 +464,20 @@ func (ev *eval) emitRunSamples(runIdx, job int, kind metrics.RunKind, alive int,
 			RunIndex: runIdx, Job: job + 1, RunKind: kind, Kind: metrics.TaskReduce,
 			Index: r, Node: r % alive,
 			Start: des.Time(launch), End: des.Time(end),
+		})
+	}
+}
+
+// emitMapSamples appends n synthetic map-task samples for one run, wave by
+// wave over the alive map slots.
+func (ev *eval) emitMapSamples(runIdx, job int, kind metrics.RunKind, n int, start, mapTask float64) {
+	slots := ev.alive * ev.cc.MapSlots
+	for i := 0; i < n; i++ {
+		s := start + float64(i/slots)*mapTask
+		ev.rec.AddTask(metrics.TaskSample{
+			RunIndex: runIdx, Job: job, RunKind: kind, Kind: metrics.TaskMap,
+			Index: i, Node: i % ev.alive,
+			Start: des.Time(s), End: des.Time(s + mapTask),
 		})
 	}
 }

@@ -139,7 +139,7 @@ func BuildGraphPlan(ch *lineage.Chain, topo *Topology, fs *dfs.FS, failedJob int
 				if f := fs.File(in); f != nil {
 					for _, part := range f.Partitions {
 						if !fs.PartitionAvailable(in, part.Index) {
-							return nil, lostInputError(part.Index, in)
+							return nil, LostInputError(part.Index, in)
 						}
 					}
 				}
@@ -188,7 +188,7 @@ func BuildGraphPlan(ch *lineage.Chain, topo *Topology, fs *dfs.FS, failedJob int
 			if !fs.PartitionAvailable(in, m.InputPartition) {
 				p := topo.ProducerOf(in)
 				if p == 0 {
-					return nil, lostInputError(m.InputPartition, in)
+					return nil, LostInputError(m.InputPartition, in)
 				}
 				addNeed(p, m.InputPartition)
 			}
@@ -258,9 +258,9 @@ func BuildGraphPlan(ch *lineage.Chain, topo *Topology, fs *dfs.FS, failedJob int
 	return plan, nil
 }
 
-// lostInputError reports a lost partition of an external input. External
+// LostInputError reports a lost partition of an external input. External
 // inputs are the replicated original, which nothing can regenerate.
-func lostInputError(part int, file string) error {
+func LostInputError(part int, file string) error {
 	return fmt.Errorf("core: original input partition %d of %q lost; computation unrecoverable", part, file)
 }
 

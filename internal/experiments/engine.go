@@ -4,7 +4,7 @@ import "fmt"
 
 // Engine selects how an experiment's simulated runs are executed: by the
 // discrete-event simulator (the default, and the source of every golden
-// digest) or by the calibrated closed-form analytic twin, which answers
+// digest) or by the closed-form analytic twin, which answers
 // the same questions with no event loop and therefore sweeps cluster
 // sizes the DES refuses.
 type Engine int
@@ -13,8 +13,8 @@ const (
 	// EngineDES runs the discrete-event simulator.
 	EngineDES Engine = iota
 	// EngineAnalytic runs the closed-form analytic model
-	// (internal/analytic), calibrated against the DES; see docs/perf.md
-	// for the tolerance methodology.
+	// (internal/analytic), held to a per-spec tolerance band of the DES;
+	// see docs/perf.md for the methodology.
 	EngineAnalytic
 )
 

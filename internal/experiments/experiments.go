@@ -86,8 +86,8 @@ type Config struct {
 	// wasted" counters to the Values.
 	Speculation bool
 	// Engine selects the evaluator of every simulated run: EngineDES, the
-	// discrete-event simulator, or EngineAnalytic, the calibrated
-	// closed-form model, which answers in microseconds and so accepts
+	// discrete-event simulator, or EngineAnalytic, the closed-form
+	// model, which answers in microseconds and so accepts
 	// Nodes far beyond the DES ceiling (see validateNodes).
 	Engine Engine
 

@@ -72,7 +72,7 @@ func CapacityPlan(c Config, deadline PlanDeadline) (*Result, error) {
 		if split {
 			cfg.SplitRatio = splitRatioFor(st)
 		}
-		return analytic.Default.PlanSession(st.ccfg, mapreduce.GraphConfig{ChainConfig: cfg, Jobs: jobs}, tenants)
+		return analytic.PlanSession(st.ccfg, mapreduce.GraphConfig{ChainConfig: cfg, Jobs: jobs}, tenants)
 	}
 	splitPlan, err := plan(true)
 	if err != nil {

@@ -64,7 +64,7 @@ func onContext[R any](w *Worker, ccfg cluster.Config, run func(*mapreduce.Contex
 // runChain executes one chain on the configured engine.
 func (w *Worker) runChain(e Engine, ccfg cluster.Config, cfg mapreduce.ChainConfig) (*mapreduce.Result, error) {
 	if e == EngineAnalytic {
-		return analytic.Default.RunChain(ccfg, cfg)
+		return analytic.RunChain(ccfg, cfg)
 	}
 	return onContext(w, ccfg, func(ctx *mapreduce.Context) (*mapreduce.Result, error) { return ctx.RunChain(cfg) })
 }
@@ -72,7 +72,7 @@ func (w *Worker) runChain(e Engine, ccfg cluster.Config, cfg mapreduce.ChainConf
 // runGraph executes one graph on the configured engine.
 func (w *Worker) runGraph(e Engine, ccfg cluster.Config, cfg mapreduce.GraphConfig) (*mapreduce.Result, error) {
 	if e == EngineAnalytic {
-		return analytic.Default.RunGraph(ccfg, cfg)
+		return analytic.RunGraph(ccfg, cfg)
 	}
 	return onContext(w, ccfg, func(ctx *mapreduce.Context) (*mapreduce.Result, error) { return ctx.RunGraph(cfg) })
 }
@@ -81,7 +81,7 @@ func (w *Worker) runGraph(e Engine, ccfg cluster.Config, cfg mapreduce.GraphConf
 // engine.
 func (w *Worker) runMultiTenant(e Engine, ccfg cluster.Config, cfg mapreduce.GraphConfig, tenants int) (*mapreduce.MultiResult, error) {
 	if e == EngineAnalytic {
-		return analytic.Default.RunMultiTenant(ccfg, cfg, tenants)
+		return analytic.RunMultiTenant(ccfg, cfg, tenants)
 	}
 	return onContext(w, ccfg, func(ctx *mapreduce.Context) (*mapreduce.MultiResult, error) {
 		return ctx.RunMultiTenant(cfg, tenants)

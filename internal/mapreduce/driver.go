@@ -179,10 +179,6 @@ func (d *Driver) checkInvariants() error {
 func (d *Driver) createInput() error {
 	n := d.clus.NumNodes()
 	all := d.clus.Alive()
-	repl := d.cfg.InputRepl
-	if repl > n {
-		repl = n
-	}
 	// One reused replica buffer: SetPartition copies the set into its
 	// blocks, so the loop plans n partitions with a single allocation.
 	var buf []int
@@ -195,6 +191,7 @@ func (d *Driver) createInput() error {
 			if _, err := d.fs.Create(name, n); err != nil {
 				return err
 			}
+			repl := d.fileRepl(name)
 			for p := 0; p < n; p++ {
 				buf = d.fs.PlanReplicasInto(buf[:0], p, repl, all)
 				sets[0] = buf
@@ -225,6 +222,16 @@ func (d *Driver) outputRepl(job int) int {
 		return core.ReplicationForJob(job, d.cfg.HybridEveryK, d.cfg.HybridRepl)
 	}
 	return d.cfg.OutputRepl
+}
+
+// fileRepl returns the replication a file is written with: InputRepl,
+// capped at the node count, for an external input, its producer's output
+// replication otherwise.
+func (d *Driver) fileRepl(name string) int {
+	if p := d.topo.ProducerOf(name); p > 0 {
+		return d.outputRepl(p)
+	}
+	return min(d.cfg.InputRepl, d.clus.NumNodes())
 }
 
 // newRun assembles the shared parts of any job run and registers
@@ -450,8 +457,7 @@ func (d *Driver) onDetect(node int) {
 				in := d.fs.File(name)
 				for _, p := range in.Partitions {
 					if p.Written() && !d.fs.PartitionAvailable(name, p.Index) {
-						d.unrecoverable(fmt.Errorf("hadoop: input %s/p%d lost; replication %d insufficient",
-							name, p.Index, d.cfg.OutputRepl))
+						d.unrecoverable(HadoopInputLost(name, p.Index, d.fileRepl(name)))
 						return
 					}
 				}
@@ -480,6 +486,13 @@ func (d *Driver) onDetect(node int) {
 	}
 	d.cur.Recover(plan)
 	d.next()
+}
+
+// HadoopInputLost is the error that ends a Hadoop-mode run: partition part
+// of a file the running job reads is lost, and within-job recovery cannot
+// regenerate it. repl is the file's replication.
+func HadoopInputLost(file string, part, repl int) error {
+	return fmt.Errorf("hadoop: input %s/p%d lost; replication %d insufficient", file, part, repl)
 }
 
 // padStepMappers grows a step's mapper set to ForceRecomputeMappers entries
