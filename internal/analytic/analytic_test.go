@@ -381,3 +381,73 @@ func TestDecisionsAgreeWithDES(t *testing.T) {
 		})
 	}
 }
+
+// TestMultiFailureRunSequencesPinned states a limit of the twin (ROADMAP
+// item 11) by pinning it: where a second failure follows a recovery, the
+// twin prices the recompute step or the restart differently, so the second
+// detection lands in a different run than the simulator's and the
+// (job, kind, cancelled) sequences part. A pulse of k victims gives the
+// simulator k detections at one instant and the twin one, so each extra
+// simulator detection cancels the recompute step the previous one just
+// started. The cases are the six quick-scale chain runs of figures 9,
+// double-failure and trace-replay whose sequences differ, and a 3-victim
+// pulse. Both sequences are pinned so a pricing or detection change that
+// moves either one shows here before any digest moves.
+func TestMultiFailureRunSequencesPinned(t *testing.T) {
+	at := func(run, node, count int) mapreduce.Injection {
+		return mapreduce.Injection{AtRun: run, After: 15, Node: node, Count: count}
+	}
+	split := func(cfg *mapreduce.ChainConfig) { cfg.Split, cfg.SplitRatio = true, 4 }
+	for _, c := range []struct {
+		name      string
+		failures  []mapreduce.Injection
+		edit      func(*mapreduce.ChainConfig)
+		des, twin string
+	}{
+		{"fig9 2,3", []mapreduce.Injection{at(2, 3, 0), at(3, 4, 0)}, nil,
+			"1ini 2ini✗ 1rec 2res✗ 1rec 2res 3ini 4ini",
+			"1ini 2ini✗ 1rec✗ 1rec 2res 3ini 4ini"},
+		{"fig9 3,4", []mapreduce.Injection{at(3, 3, 0), at(4, 4, 0)}, nil,
+			"1ini 2ini 3ini✗ 1rec 2rec✗ 1rec 2rec 3res 4ini",
+			"1ini 2ini 3ini✗ 1rec✗ 1rec 2rec 3res 4ini"},
+		{"double-failure random split", []mapreduce.Injection{at(3, -1, 1), at(4, -1, 1)}, split,
+			"1ini 2ini 3ini✗ 1rec 2rec✗ 1rec 2rec 3res 4ini",
+			"1ini 2ini 3ini✗ 1rec 2rec 3res✗ 1rec 2rec 3res 4ini"},
+		{"double-failure random", []mapreduce.Injection{at(3, -1, 1), at(4, -1, 1)}, nil,
+			"1ini 2ini 3ini✗ 1rec 2rec✗ 1rec 2rec 3res 4ini",
+			"1ini 2ini 3ini✗ 1rec✗ 1rec 2rec 3res 4ini"},
+		{"trace-replay pulse 2 then 1", []mapreduce.Injection{at(1, -1, 2), at(4, -1, 1)},
+			func(cfg *mapreduce.ChainConfig) { cfg.InputRepl = 5 },
+			"1ini✗ 1res✗ 1res 2ini✗ 1rec 2res 3ini 4ini",
+			"1ini✗ 1res 2ini 3ini✗ 1rec 2rec 3res 4ini"},
+		{"trace-replay pulse 2 then 1 split", []mapreduce.Injection{at(1, -1, 2), at(4, -1, 1)},
+			func(cfg *mapreduce.ChainConfig) { cfg.InputRepl = 5; split(cfg) },
+			"1ini✗ 1res✗ 1res 2ini✗ 1rec 2res 3ini 4ini",
+			"1ini✗ 1res 2ini 3ini✗ 1rec 2rec 3res 4ini"},
+		{"pulse 3 at 2", []mapreduce.Injection{at(2, -1, 3)}, nil,
+			"1ini 2ini✗ 1rec✗ 1rec✗ 1rec 2res 3ini 4ini",
+			"1ini 2ini✗ 1rec 2res 3ini 4ini"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cc, cfg := sticQuick(1, 1, 4)
+			cfg.Failures = c.failures
+			if c.edit != nil {
+				c.edit(&cfg)
+			}
+			des, err := mapreduce.NewContext(cc).RunChain(cfg)
+			if err != nil {
+				t.Fatalf("DES: %v", err)
+			}
+			twin, err := RunChain(cc, cfg)
+			if err != nil {
+				t.Fatalf("twin: %v", err)
+			}
+			if got := runSequence(des); got != c.des {
+				t.Errorf("DES ran  %s\n          pinned %s", got, c.des)
+			}
+			if got := runSequence(twin); got != c.twin {
+				t.Errorf("twin ran %s\n          pinned %s", got, c.twin)
+			}
+		})
+	}
+}
