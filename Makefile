@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-smoke bench-compare bench-full profile-scale profile-scale-fail profile-figs profile-dmr verify
+.PHONY: all build test race bench-smoke bench-compare bench-full profile-scale profile-scale-fail profile-figs profile-dmr profile-serve verify
 
 all: build test
 
@@ -73,6 +73,18 @@ profile-dmr:
 		-cpuprofile profiles/dmr.cpu.pprof \
 		-memprofile profiles/dmr.mem.pprof .
 	$(GO) tool pprof -top -nodecount=10 profiles/dmr.cpu.pprof
+
+# profile-serve profiles the layer that owns bench/'s serve_hit workload: a
+# fully cached 4-job sweep served through the handler, streamed and
+# stream:false (BenchmarkSweepHit) — decode, digest, cache lookup and the
+# copy of cached report rows, without the loopback socket. The one cache
+# fill runs before the timer starts. The captures stay local (.gitignore).
+profile-serve:
+	@mkdir -p profiles
+	$(GO) test -run xxx -bench 'BenchmarkSweepHit' -benchtime 20000x \
+		-cpuprofile profiles/serve.cpu.pprof \
+		-memprofile profiles/serve.mem.pprof ./internal/server
+	$(GO) tool pprof -top -nodecount=10 profiles/serve.cpu.pprof
 
 # bench-full runs every benchmark at paper scale (seconds of wall time each).
 bench-full:

@@ -1,9 +1,12 @@
 package runner
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strings"
 
 	"rcmp/internal/experiments"
@@ -30,11 +33,12 @@ type ReportResult struct {
 	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
 }
 
-// Report is a full result set ready for JSON encoding.
+// Report is the schema of a JSON report: AppendReport writes it from
+// encoded rows, and clients decode into it.
 type Report struct {
 	Results []ReportResult `json:"results"`
 	// Aggregates holds the per-dispersion-set mean/CI95 columns of any
-	// seed sweeps in the result set (see NewReport). Absent entirely when
+	// seed sweeps in the result set (see AppendReport). Absent entirely when
 	// no group spans more than one seed, so single-seed reports are
 	// byte-identical to reports produced before aggregation existed.
 	Aggregates []AggregateResult `json:"aggregates,omitempty"`
@@ -63,61 +67,136 @@ type AggregateValue struct {
 	CI95 float64 `json:"ci95"`
 }
 
-// NewReport converts runner results. With withTiming false the report is a
-// pure function of the jobs' Configs: encoding it for the same jobs and
-// seeds yields byte-identical output whatever the worker count.
-//
-// Results that differ only in their Config's Seed form a dispersion set;
-// every set with at least two successful members is summarized in
-// Aggregates with per-key mean and CI95 columns. This is how a Grid
-// SeedSet sweep reports signal vs seed noise, and the form the analytic
-// engine's calibration consumes (mean probe totals, not one seed's).
-func NewReport(results []Result, withTiming bool) Report {
-	rep := Report{Results: make([]ReportResult, 0, len(results))}
-	for _, res := range results {
-		rr := ReportResult{
-			Name:  res.Name,
-			Echo:  res.Config.Echo(),
-			Error: res.ErrMessage(),
-		}
-		if res.Res != nil {
-			rr.Experiment = res.Res.Name
-			rr.Text = res.Res.Text
-			rr.Values = finiteValues(res.Res.Values)
-		}
-		if withTiming {
-			rr.ElapsedMS = float64(res.Elapsed.Microseconds()) / 1000
-		}
-		rep.Results = append(rep.Results, rr)
+// EncodeRow returns res's report row: the compact JSON of its
+// ReportResult, the one row encoding WriteJSON, the sweep server's
+// reports and its plan answers share. With withTiming false the row is a
+// pure function of the job's Config, so a caller may encode it once and
+// serve the bytes for as long as it likes.
+func EncodeRow(res Result, withTiming bool) []byte {
+	rr := ReportResult{
+		Name:  res.Name,
+		Echo:  res.Config.Echo(),
+		Error: res.ErrMessage(),
 	}
-	rep.Aggregates = aggregateSeedSets(results)
-	return rep
+	if res.Res != nil {
+		rr.Experiment = res.Res.Name
+		rr.Text = res.Res.Text
+		rr.Values = finiteValues(res.Res.Values)
+	}
+	if withTiming {
+		rr.ElapsedMS = float64(res.Elapsed.Microseconds()) / 1000
+	}
+	b, err := json.Marshal(rr)
+	if err != nil {
+		// finiteValues leaves only finite floats and strings, and no other
+		// field can fail to encode.
+		panic(fmt.Sprintf("runner: encode row %q: %v", res.Name, err))
+	}
+	return b
 }
 
-// aggregateSeedSets groups successful results by job name modulo the seed
-// component and summarizes every group that spans more than one result.
-// Groups appear in first-member order and nothing is emitted when no
-// group qualifies, keeping aggregation-free reports byte-stable.
-func aggregateSeedSets(results []Result) []AggregateResult {
+// Row is one job's encoded report row (EncodeRow) and its job name, which
+// seed-set aggregation groups by without decoding the row.
+type Row struct {
+	Name string
+	JSON []byte
+}
+
+// AppendReport appends the compact JSON of the Report over rows to dst:
+// the rows in order, then the Aggregates.
+//
+// Rows whose job names differ only in the "/seed=N" component form a
+// dispersion set; every set with at least two successful members (rows
+// without an error) is summarized with per-key mean and CI95 columns, in
+// first-member order. This is how a Grid SeedSet sweep reports signal vs
+// seed noise. Only the rows of names that repeat are decoded, and JSON
+// floats round-trip exactly, so the columns are those of the unencoded
+// values. The aggregates key is absent when no set qualifies, so
+// single-seed reports are byte-identical to reports produced before
+// aggregation existed.
+func AppendReport(dst []byte, rows []Row) ([]byte, error) {
+	n := len(`{"results":[]}`) + len(rows)
+	for _, r := range rows {
+		n += len(r.JSON)
+	}
+	dst = slices.Grow(dst, n)
+	dst = append(dst, `{"results":[`...)
+	for i, r := range rows {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, r.JSON...)
+	}
+	dst = append(dst, ']')
+	aggs, err := aggregateRows(rows)
+	if err != nil {
+		return nil, err
+	}
+	if len(aggs) > 0 {
+		b, err := json.Marshal(aggs)
+		if err != nil {
+			return nil, fmt.Errorf("runner: encode aggregates: %w", err)
+		}
+		dst = append(dst, `,"aggregates":`...)
+		dst = append(dst, b...)
+	}
+	return append(dst, '}'), nil
+}
+
+// IndentReport returns the indented form of a compact report
+// (AppendReport) and a newline: the bytes WriteJSON writes.
+func IndentReport(compact []byte) ([]byte, error) {
+	buf := bytes.NewBuffer(make([]byte, 0, 2*len(compact)))
+	if err := json.Indent(buf, compact, "", "  "); err != nil {
+		return nil, fmt.Errorf("runner: indent report: %w", err)
+	}
+	buf.WriteByte('\n')
+	return buf.Bytes(), nil
+}
+
+// aggregateRows summarizes the dispersion sets among rows (see
+// AppendReport). It returns nil when no set qualifies.
+func aggregateRows(rows []Row) ([]AggregateResult, error) {
+	names := make([]string, len(rows))
+	count := make(map[string]int, len(rows))
+	repeats := false
+	for i, r := range rows {
+		names[i] = stripSeed(r.Name)
+		count[names[i]]++
+		repeats = repeats || count[names[i]] > 1
+	}
+	if !repeats {
+		return nil, nil
+	}
 	type group struct {
 		seeds  []int64
 		values []map[string]float64
 	}
 	byName := make(map[string]*group)
 	var order []string
-	for _, res := range results {
-		if res.Res == nil {
+	for i, r := range rows {
+		if count[names[i]] < 2 {
 			continue
 		}
-		name := stripSeed(res.Name)
-		g, ok := byName[name]
+		var row struct {
+			Seed   int64          `json:"seed"`
+			Error  string         `json:"error"`
+			Values map[string]any `json:"values"`
+		}
+		if err := json.Unmarshal(r.JSON, &row); err != nil {
+			return nil, fmt.Errorf("runner: decode row %q: %w", r.Name, err)
+		}
+		if row.Error != "" {
+			continue
+		}
+		g, ok := byName[names[i]]
 		if !ok {
 			g = &group{}
-			byName[name] = g
-			order = append(order, name)
+			byName[names[i]] = g
+			order = append(order, names[i])
 		}
-		g.seeds = append(g.seeds, res.Config.Seed)
-		g.values = append(g.values, res.Res.Values)
+		g.seeds = append(g.seeds, row.Seed)
+		g.values = append(g.values, finiteOnly(row.Values))
 	}
 	var out []AggregateResult
 	for _, name := range order {
@@ -126,6 +205,19 @@ func aggregateSeedSets(results []Result) []AggregateResult {
 			continue
 		}
 		out = append(out, AggregateResult{Name: name, Seeds: g.seeds, Values: dispersion(g.values)})
+	}
+	return out, nil
+}
+
+// finiteOnly keeps a decoded row's numeric values. The strings
+// finiteValues wrote for NaN and infinities are dropped, which is what
+// dispersion does with a non-finite key anyway.
+func finiteOnly(vals map[string]any) map[string]float64 {
+	out := make(map[string]float64, len(vals))
+	for k, v := range vals {
+		if f, ok := v.(float64); ok {
+			out[k] = f
+		}
 	}
 	return out
 }
@@ -198,15 +290,20 @@ func finiteValues(vals map[string]float64) map[string]any {
 	return out
 }
 
-// WriteJSON encodes results as indented JSON.
+// WriteJSON writes the indented JSON report of results and a newline.
 func WriteJSON(w io.Writer, results []Result, withTiming bool) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(NewReport(results, withTiming))
-}
-
-// MarshalJSONDeterministic returns the timing-free encoding of results —
-// the byte string the determinism guarantee is stated over.
-func MarshalJSONDeterministic(results []Result) ([]byte, error) {
-	return json.MarshalIndent(NewReport(results, false), "", "  ")
+	rows := make([]Row, len(results))
+	for i, res := range results {
+		rows[i] = Row{Name: res.Name, JSON: EncodeRow(res, withTiming)}
+	}
+	compact, err := AppendReport(nil, rows)
+	if err != nil {
+		return err
+	}
+	b, err := IndentReport(compact)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }

@@ -58,9 +58,9 @@ type Result struct {
 	// way the error stays in its job's slot — one bad grid point cannot
 	// take down the pool or the sweep. For recovered panics the first line
 	// is the panic message and the rest is the goroutine stack at the
-	// panic site (see ErrMessage): long-running consumers like the sweep
-	// server log the full value, while deterministic JSON reports keep the
-	// message line only.
+	// panic site (see ErrMessage): a caller holding the Result can read
+	// the stack, while report rows (EncodeRow), and so the sweep server's
+	// cache, keep the message line only.
 	Err string
 	// Elapsed is per-job wall-clock time. It is reported for scheduling
 	// insight only and excluded from deterministic JSON output.

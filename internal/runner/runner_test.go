@@ -42,11 +42,11 @@ func TestDeterminismAcrossWorkerCounts(t *testing.T) {
 				s.Name, s.Res.Text, p.Res.Text)
 		}
 	}
-	js, err := MarshalJSONDeterministic(serial)
+	js, err := marshalReport(serial)
 	if err != nil {
 		t.Fatal(err)
 	}
-	jp, err := MarshalJSONDeterministic(parallel)
+	jp, err := marshalReport(parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestBadGridPointReportsErrorNotPanic(t *testing.T) {
 		t.Fatalf("invalid grid point: res=%v err=%q, want a recorded config error", results[1].Res, results[1].Err)
 	}
 	// The sweep's JSON report must carry the error in place.
-	b, err := MarshalJSONDeterministic(results)
+	b, err := marshalReport(results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestGridScheduleDimension(t *testing.T) {
 	if results[0].Res.Text == results[1].Res.Text {
 		t.Fatal("schedule override produced identical figures")
 	}
-	b, err := MarshalJSONDeterministic(results)
+	b, err := marshalReport(results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestJSONSanitizesNonFinite(t *testing.T) {
 			Values: map[string]float64{"nan": math.NaN(), "inf": math.Inf(1), "ninf": math.Inf(-1), "ok": 2.5},
 		},
 	}}
-	b, err := MarshalJSONDeterministic(res)
+	b, err := marshalReport(res)
 	if err != nil {
 		t.Fatalf("marshal failed on non-finite values: %v", err)
 	}
@@ -293,7 +293,7 @@ func TestJSONSanitizesNonFinite(t *testing.T) {
 	}
 	// Timing must be absent from deterministic output even when set.
 	res[0].Elapsed = time.Second
-	b2, err := MarshalJSONDeterministic(res)
+	b2, err := marshalReport(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestPanicStackCapturedAndStrippedFromReports(t *testing.T) {
 
 	// The JSON report strips the stack — and stays byte-identical across
 	// two independent panics whose stacks differ in addresses.
-	b1, err := MarshalJSONDeterministic([]Result{res})
+	b1, err := marshalReport([]Result{res})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +342,7 @@ func TestPanicStackCapturedAndStrippedFromReports(t *testing.T) {
 	if !bytes.Contains(b1, []byte(`"error": "simulated simulator bug"`)) {
 		t.Fatalf("report lost the panic message:\n%s", b1)
 	}
-	b2, err := MarshalJSONDeterministic([]Result{RunOne(job, nil)})
+	b2, err := marshalReport([]Result{RunOne(job, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

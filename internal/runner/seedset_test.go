@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -72,7 +73,14 @@ func TestGridEngineDimension(t *testing.T) {
 func TestReportAggregatesSeedSets(t *testing.T) {
 	g := Grid{Specs: []experiments.Spec{fakeSeedSpec()}, Seeds: []int64{0}, SeedSet: 3}
 	results := (&Runner{Workers: 2}).Run(g.Jobs())
-	rep := NewReport(results, false)
+	b, err := marshalReport(results)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep Report
+	if err := json.Unmarshal(b, &rep); err != nil {
+		t.Fatal(err)
+	}
 	if len(rep.Aggregates) != 1 {
 		t.Fatalf("%d aggregate groups, want 1", len(rep.Aggregates))
 	}
@@ -99,11 +107,11 @@ func TestReportAggregatesSeedSets(t *testing.T) {
 	}
 
 	// Deterministic across worker counts.
-	serial, err := MarshalJSONDeterministic((&Runner{Workers: 1}).Run(g.Jobs()))
+	serial, err := marshalReport((&Runner{Workers: 1}).Run(g.Jobs()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := MarshalJSONDeterministic(results)
+	parallel, err := marshalReport(results)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +122,7 @@ func TestReportAggregatesSeedSets(t *testing.T) {
 	// No seed sweep → no aggregates key at all: single-seed reports stay
 	// byte-identical to pre-aggregation reports.
 	g.SeedSet = 0
-	single, err := MarshalJSONDeterministic((&Runner{Workers: 1}).Run(g.Jobs()))
+	single, err := marshalReport((&Runner{Workers: 1}).Run(g.Jobs()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,13 @@
 // Three mechanisms sit between the HTTP surface and the simulation pool:
 //
 //   - a result cache keyed by experiments.ConfigDigest (cache.go). Every
-//     experiment is a pure function of (spec, Config), so a cached Result
-//     is byte-for-byte the Result a fresh run would produce; concurrent
-//     requests for the same digest single-flight onto one simulation.
+//     experiment is a pure function of (spec, Config), so a job's report
+//     row is byte-for-byte the row a fresh run would produce. The cache
+//     stores that row, encoded once by the worker that ran the job
+//     (runner.EncodeRow), and a hit copies it into the reply: the stream's
+//     result events, the final report and the stream:false body are all
+//     composed from cached rows. Concurrent requests for the same digest
+//     single-flight onto one simulation.
 //   - admission control and fair scheduling (sched.go): a bounded global
 //     job queue whose overflow surfaces as HTTP 429 + Retry-After,
 //     per-client backlog caps, and round-robin interleaving of clients'
@@ -30,11 +34,14 @@ import (
 // entry is one cache slot. Its lifecycle is: created by the first
 // requester (the owner), executed once by a scheduler worker, fulfilled,
 // then shared read-only forever. done is closed exactly once, at fulfill
-// or abort; res must only be read after done is closed.
+// or abort; row must only be read after done is closed.
 type entry struct {
 	key  string
 	done chan struct{}
-	res  runner.Result
+	// row is the job's timing-free report row (runner.EncodeRow). The
+	// entry holds it in place of the decoded runner.Result: a hit only
+	// copies it, and a full cache holds bytes, not value maps.
+	row []byte
 
 	// All fields below are guarded by the owning cache's mu and are only
 	// meaningful until the entry completes or dies.
@@ -138,12 +145,13 @@ func (c *resultCache) markStarted(e *entry) bool {
 	return true
 }
 
-// fulfill publishes the result and wakes every waiter. The stored Result
-// has its Elapsed zeroed: cached payloads must be byte-identical to a
-// fresh run's deterministic encoding, and wall-clock time is the one
-// nondeterministic field.
+// fulfill encodes the result's timing-free row, publishes it and wakes
+// every waiter. The row leaves out wall-clock time, the one
+// nondeterministic field, so cached payloads are byte-identical to a
+// fresh run's deterministic encoding. The encoding runs on the calling
+// worker, outside the lock.
 func (c *resultCache) fulfill(e *entry, res runner.Result) {
-	res.Elapsed = 0
+	row := runner.EncodeRow(res, false)
 	c.mu.Lock()
 	if e.dead {
 		// Aborted between start and completion; waiters were already
@@ -151,15 +159,15 @@ func (c *resultCache) fulfill(e *entry, res runner.Result) {
 		c.mu.Unlock()
 		return
 	}
-	e.res = res
+	e.row = row
 	e.completed = true
 	c.mu.Unlock()
 	close(e.done)
 }
 
 // abort fails a not-yet-started entry without caching anything: the entry
-// leaves the map (a later request re-runs the job) and waiters see a
-// Result carrying only the given error. Entries a worker has claimed are
+// leaves the map (a later request re-runs the job) and waiters see a row
+// carrying only the given error. Entries a worker has claimed are
 // left alone — their run is about to fulfill them.
 func (c *resultCache) abort(e *entry, job runner.Job, errMsg string) {
 	c.mu.Lock()
@@ -169,7 +177,7 @@ func (c *resultCache) abort(e *entry, job runner.Job, errMsg string) {
 	}
 	e.dead = true
 	delete(c.entries, e.key)
-	e.res = runner.Result{Name: job.Name, Config: job.Config, Err: errMsg}
+	e.row = runner.EncodeRow(runner.Result{Name: job.Name, Config: job.Config, Err: errMsg}, false)
 	c.mu.Unlock()
 	close(e.done)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,15 +25,19 @@ func syntheticJob(name string, cost float64, run func(experiments.Config) (*expe
 	}
 }
 
-func waitDone(t *testing.T, e *entry) runner.Result {
+// waitDone waits for e and decodes its cached row.
+func waitDone(t *testing.T, e *entry) runner.ReportResult {
 	t.Helper()
+	var row runner.ReportResult
 	select {
 	case <-e.done:
-		return e.res
+		if err := json.Unmarshal(e.row, &row); err != nil {
+			t.Errorf("cached row %q: %v", e.row, err)
+		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("entry never fulfilled")
-		return runner.Result{}
+		t.Error("entry never fulfilled")
 	}
+	return row
 }
 
 // TestCacheSingleFlight: N goroutines acquiring the same key produce one
@@ -52,7 +57,7 @@ func TestCacheSingleFlight(t *testing.T) {
 
 	const n = 12
 	var wg sync.WaitGroup
-	results := make([]runner.Result, n)
+	results := make([]runner.ReportResult, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -74,7 +79,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		t.Fatalf("simulation ran %d times, want 1", got)
 	}
 	for i := 1; i < n; i++ {
-		if results[i].Res == nil || results[i].Res.Text != results[0].Res.Text {
+		if results[i].Text != "payload" || results[i].Text != results[0].Text {
 			t.Fatalf("waiter %d saw a different result", i)
 		}
 	}
@@ -200,8 +205,10 @@ func TestSchedulerLPTWithinLane(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicConfined: a panicking simulation fails its own job with a
-// stack in Result.Err and the worker keeps serving.
+// TestWorkerPanicConfined: a panicking simulation fails its own job with
+// the panic message as its row's error and the worker keeps serving. (The
+// stack RunOne captures stays out of the row: runner's
+// TestPanicStackCapturedAndStrippedFromReports pins both halves.)
 func TestWorkerPanicConfined(t *testing.T) {
 	cache := newResultCache(16)
 	sched := newScheduler(cache, 1, 64, 64)
@@ -224,10 +231,10 @@ func TestWorkerPanicConfined(t *testing.T) {
 	cache.release(eBad)
 	cache.release(eGood)
 
-	if !strings.HasPrefix(resBad.Err, "simulator bug\n") || !strings.Contains(resBad.Err, "goroutine") {
-		t.Fatalf("panic not captured with stack: %q", resBad.Err)
+	if resBad.Error != "simulator bug" {
+		t.Fatalf("panic not recorded as the job's error: %q", resBad.Error)
 	}
-	if resGood.Err != "" || resGood.Res == nil {
+	if resGood.Error != "" || resGood.Experiment != "good" {
 		t.Fatalf("panic took the worker down with it: %+v", resGood)
 	}
 }
@@ -300,7 +307,7 @@ func TestForcedShutdownAbortsQueued(t *testing.T) {
 	go func() { done <- sched.shutdown(ctx) }()
 
 	res := waitDone(t, eQ) // must be aborted promptly, not wait on slow
-	if res.Err == "" || !strings.Contains(res.Err, "shut down") {
+	if !strings.Contains(res.Error, "shut down") {
 		t.Fatalf("queued job not aborted: %+v", res)
 	}
 	cache.release(eQ)
@@ -309,7 +316,7 @@ func TestForcedShutdownAbortsQueued(t *testing.T) {
 	if err := <-done; err == nil {
 		t.Fatal("forced shutdown should report an error")
 	}
-	if res := waitDone(t, eS); res.Err != "" {
+	if res := waitDone(t, eS); res.Error != "" || res.Experiment != "slow" {
 		t.Fatalf("running job should still complete: %+v", res)
 	}
 	cache.release(eS)

@@ -154,10 +154,7 @@ func TestSweepUnderConcurrentLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := runner.MarshalJSONDeterministic(pool.Run(g.Jobs()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := runnerReport(t, pool.Run(g.Jobs()))
 		if !bytes.Equal(bytes.TrimRight(body, "\n"), bytes.TrimRight(want, "\n")) {
 			t.Fatalf("grid %d: served body differs from a direct runner report", grid)
 		}

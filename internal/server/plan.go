@@ -113,24 +113,27 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	res := e.res
-	rep := runner.NewReport([]runner.Result{res}, false)
-	resp := PlanResponse{Result: rep.Results[0], Cache: "hit"}
+	var row runner.ReportResult
+	if err := json.Unmarshal(e.row, &row); err != nil {
+		http.Error(w, fmt.Sprintf("decode cached plan: %v", err), http.StatusInternalServerError)
+		return
+	}
+	resp := PlanResponse{Result: row, Cache: "hit"}
 	if owner {
 		resp.Cache = "miss"
 	}
-	if res.Res != nil && req.DeadlineSec > 0 {
-		if v, ok := res.Res.Values["SPLIT meets deadline"]; ok {
+	if req.DeadlineSec > 0 {
+		if v, ok := row.Values["SPLIT meets deadline"].(float64); ok {
 			b := v == 1
 			resp.SplitMeetsDeadline = &b
 		}
-		if v, ok := res.Res.Values["NO-SPLIT meets deadline"]; ok {
+		if v, ok := row.Values["NO-SPLIT meets deadline"].(float64); ok {
 			b := v == 1
 			resp.NoSplitMeetsDeadline = &b
 		}
 	}
 	status := http.StatusOK
-	if res.Err != "" {
+	if row.Error != "" {
 		// A config error (nodes out of even the analytic range, bad
 		// failure position) is the client's, not the server's.
 		status = http.StatusBadRequest

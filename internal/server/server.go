@@ -377,7 +377,12 @@ type jobState struct {
 	owner bool
 }
 
-// Stream event payloads (one JSON object per NDJSON line / SSE data frame).
+// Stream events are one JSON object per NDJSON line or SSE data frame:
+// "accepted" first, one "result" per job as it completes
+// ({"type":"result","index":i,"cache":"hit"|"miss","result":<row>}), an
+// "error" if the request timed out, and the final "report". Result and
+// report events are composed from the cached rows; the two rare ones are
+// encoded from these types.
 type acceptedEvent struct {
 	Type    string `json:"type"` // "accepted"
 	Jobs    int    `json:"jobs"`
@@ -385,21 +390,59 @@ type acceptedEvent struct {
 	Timeout string `json:"timeout"`
 }
 
-type resultEvent struct {
-	Type   string              `json:"type"` // "result"
-	Index  int                 `json:"index"`
-	Cache  string              `json:"cache"` // "hit" | "miss"
-	Result runner.ReportResult `json:"result"`
-}
-
 type errorEvent struct {
 	Type  string `json:"type"` // "error"
 	Error string `json:"error"`
 }
 
-type reportEvent struct {
-	Type   string        `json:"type"` // "report"
-	Report runner.Report `json:"report"`
+// eventWriter frames stream events as NDJSON lines or SSE data frames and
+// flushes after each one. After the first failed write (the client is
+// gone) it drops every later event.
+type eventWriter struct {
+	w       io.Writer
+	flusher http.Flusher
+	sse     bool
+	buf     []byte
+	failed  bool
+}
+
+// begin returns the frame buffer, emptied and holding the frame prefix;
+// the caller appends one event's JSON and passes the result to send.
+func (ew *eventWriter) begin() []byte {
+	ew.buf = ew.buf[:0]
+	if ew.sse {
+		ew.buf = append(ew.buf, "data: "...)
+	}
+	return ew.buf
+}
+
+// send terminates the frame begun in b and writes it.
+func (ew *eventWriter) send(b []byte) {
+	if ew.sse {
+		b = append(b, "\n\n"...)
+	} else {
+		b = append(b, '\n')
+	}
+	ew.buf = b
+	if ew.failed {
+		return
+	}
+	if _, err := ew.w.Write(b); err != nil {
+		ew.failed = true
+	}
+	if ew.flusher != nil {
+		ew.flusher.Flush()
+	}
+}
+
+// sendJSON encodes v as one event.
+func (ew *eventWriter) sendJSON(v any) {
+	b, err := json.Marshal(v)
+	if err != nil {
+		// The event types above hold strings and ints only.
+		panic(fmt.Sprintf("server: encode %T: %v", v, err))
+	}
+	ew.send(append(ew.begin(), b...))
 }
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
@@ -443,33 +486,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}()
 
 	stream := req.Stream == nil || *req.Stream
-	sse := stream && strings.Contains(r.Header.Get("Accept"), "text/event-stream")
-
-	var write func(v any) error
+	var ew *eventWriter
 	if stream {
-		if sse {
+		ew = &eventWriter{w: w, sse: strings.Contains(r.Header.Get("Accept"), "text/event-stream")}
+		ew.flusher, _ = w.(http.Flusher)
+		if ew.sse {
 			w.Header().Set("Content-Type", "text/event-stream")
 		} else {
 			w.Header().Set("Content-Type", "application/x-ndjson")
 		}
 		w.Header().Set("Cache-Control", "no-store")
-		flusher, _ := w.(http.Flusher)
-		write = func(v any) error {
-			b, err := json.Marshal(v)
-			if err != nil {
-				return err
-			}
-			if sse {
-				_, err = fmt.Fprintf(w, "data: %s\n\n", b)
-			} else {
-				_, err = fmt.Fprintf(w, "%s\n", b)
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
-			return err
-		}
-		_ = write(acceptedEvent{Type: "accepted", Jobs: len(jobs), Client: client, Timeout: timeout.String()})
+		ew.sendJSON(acceptedEvent{Type: "accepted", Jobs: len(jobs), Client: client, Timeout: timeout.String()})
 	}
 
 	// Completion fan-in: one goroutine per job parks on its entry and
@@ -486,26 +513,26 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}(i)
 	}
 
-	results := make([]runner.Result, len(states))
+	rows := make([]runner.Row, len(states))
 	timedOut := false
 	for n := 0; n < len(states); n++ {
 		select {
 		case i := <-completions:
-			res := states[i].e.res
-			results[i] = res
+			rows[i] = runner.Row{Name: states[i].job.Name, JSON: states[i].e.row}
 			s.cache.release(states[i].e)
 			released[i] = true
 			if stream {
-				rep := runner.NewReport([]runner.Result{res}, false)
-				kind := "hit"
+				// A client that is gone stops the writes, not the loop:
+				// admitted jobs still land in the cache.
+				b := append(ew.begin(), `{"type":"result","index":`...)
+				b = strconv.AppendInt(b, int64(i), 10)
 				if states[i].owner {
-					kind = "miss"
+					b = append(b, `,"cache":"miss","result":`...)
+				} else {
+					b = append(b, `,"cache":"hit","result":`...)
 				}
-				if err := write(resultEvent{Type: "result", Index: i, Cache: kind, Result: rep.Results[0]}); err != nil {
-					// Client gone; keep draining completions so admitted
-					// jobs still land in the cache, but stop writing.
-					write = func(any) error { return nil }
-				}
+				b = append(b, rows[i].JSON...)
+				ew.send(append(b, '}'))
 			}
 		case <-ctx.Done():
 			timedOut = true
@@ -515,21 +542,26 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	for i := range states {
+	for i, st := range states {
 		if !released[i] {
-			results[i] = runner.Result{
-				Name:   states[i].job.Name,
-				Config: states[i].job.Config,
+			rows[i] = runner.Row{Name: st.job.Name, JSON: runner.EncodeRow(runner.Result{
+				Name:   st.job.Name,
+				Config: st.job.Config,
 				Err:    "server: request timed out before the job completed",
-			}
+			}, false)}
 		}
 	}
 
 	if stream {
 		if timedOut {
-			_ = write(errorEvent{Type: "error", Error: "request timed out; unfinished jobs reported as errors"})
+			ew.sendJSON(errorEvent{Type: "error", Error: "request timed out; unfinished jobs reported as errors"})
 		}
-		_ = write(reportEvent{Type: "report", Report: runner.NewReport(results, false)})
+		b, err := runner.AppendReport(append(ew.begin(), `{"type":"report","report":`...), rows)
+		if err != nil {
+			ew.sendJSON(errorEvent{Type: "error", Error: err.Error()})
+			return
+		}
+		ew.send(append(b, '}'))
 		return
 	}
 	status := http.StatusOK
@@ -538,7 +570,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	}
 	// The non-streaming body is exactly the deterministic runner report —
 	// byte-identical to `rcmpsim -json` over the same grid.
-	b, err := runner.MarshalJSONDeterministic(results)
+	compact, err := runner.AppendReport(nil, rows)
+	var b []byte
+	if err == nil {
+		b, err = runner.IndentReport(compact)
+	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
@@ -546,5 +582,4 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_, _ = w.Write(b)
-	_, _ = w.Write([]byte("\n"))
 }

@@ -217,10 +217,7 @@ func TestSweepMatchesCLIReport(t *testing.T) {
 		Seeds:  []int64{7},
 	}.Jobs()
 	pool := runner.Runner{Workers: 1}
-	want, err := runner.MarshalJSONDeterministic(pool.Run(jobs))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := runnerReport(t, pool.Run(jobs))
 	if !bytes.Equal(bytes.TrimRight(body, "\n"), bytes.TrimRight(want, "\n")) {
 		t.Fatalf("server report diverges from CLI report:\n%s\n----\n%s", body, want)
 	}
