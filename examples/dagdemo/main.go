@@ -2,8 +2,9 @@
 // chains but defines its mechanisms for any DAG of jobs; this example runs
 // a diamond-shaped computation on a small simulated cluster, kills a node
 // while the final join runs, and prints the recovery plan the planner
-// (core.BuildGraphPlan) builds: only the jobs whose lost partitions the
-// join needs recompute, and the surviving branch is skipped.
+// (core.BuildGraphPlan) builds, as the run's record of adopted plans holds
+// it: only the jobs whose lost partitions the join needs recompute, and
+// the surviving branch is skipped.
 package main
 
 import (
@@ -13,8 +14,6 @@ import (
 	"os"
 
 	"rcmp/internal/cluster"
-	"rcmp/internal/core"
-	"rcmp/internal/lineage"
 	"rcmp/internal/mapreduce"
 	"rcmp/internal/middleware"
 )
@@ -49,25 +48,20 @@ func run(w io.Writer) error {
 		},
 	}
 	name := func(job int) string { return string(cfg.Jobs[job-1].ID) }
-	cfg.PlanObserver = func(frontier int, plan *core.Plan, ch *lineage.Chain) {
-		fmt.Fprintf(w, "node lost while %s runs; recovery plan:\n", name(frontier))
-		for _, s := range plan.Steps {
-			rec := ch.Job(s.Job)
-			parts := make([]int, 0, len(s.Reducers))
-			for _, r := range s.Reducers {
-				parts = append(parts, r.Reducer)
-			}
-			fmt.Fprintf(w, "  recompute %-6s partitions %v of %s, re-running %d of %d mappers\n",
-				rec.Name, parts, rec.OutputFile, len(s.Mappers), len(rec.Mappers))
-		}
-		fmt.Fprintf(w, "  then restart %s\n", name(plan.RestartJob))
-	}
 
 	ccfg := cluster.DCOConfig(4, 1, 1)
 	ccfg.FailureDetectionTimeout = 3
 	res, err := mapreduce.NewContext(ccfg).RunGraph(cfg)
 	if err != nil {
 		return err
+	}
+	for _, ep := range res.Episodes {
+		fmt.Fprintf(w, "node lost while %s runs; recovery plan:\n", name(ep.Frontier))
+		for _, s := range ep.Steps {
+			fmt.Fprintf(w, "  recompute %-6s partitions %v of %s, re-running mappers of input partitions %v\n",
+				name(s.Job), s.Partitions, cfg.Jobs[s.Job-1].Output, s.RerunParts)
+		}
+		fmt.Fprintf(w, "  then restart %s\n", name(ep.RestartJob))
 	}
 	fmt.Fprintln(w, "runs:")
 	for _, r := range res.Runs {

@@ -11,8 +11,8 @@ func Example() {
 	}
 	// Output:
 	// node lost while join runs; recovery plan:
-	//   recompute ingest partitions [1] of clean, re-running 2 of 8 mappers
-	//   recompute filter partitions [1] of flt, re-running 2 of 8 mappers
+	//   recompute ingest partitions [1] of clean, re-running mappers of input partitions [0 3]
+	//   recompute filter partitions [1] of flt, re-running mappers of input partitions [1]
 	//   then restart join
 	// runs:
 	//   ingest initial

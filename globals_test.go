@@ -20,9 +20,14 @@ import (
 // each with the reason it is not mutable state. An entry that matches
 // nothing is itself a violation, so the list cannot go stale.
 
-// globalsPackages are the packages a simulation runs in, the recovery
-// planner and cursor every engine drives, and the analytic twin.
-var globalsPackages = []string{"internal/analytic", "internal/core", "internal/des", "internal/flow", "internal/mapreduce"}
+// globalsPackages are the packages a simulation runs in (the event loop,
+// flow network, cluster, DFS, lineage, metrics and job graph under the
+// driver), the recovery planner and cursor every engine drives, and the
+// analytic twin.
+var globalsPackages = []string{
+	"internal/analytic", "internal/cluster", "internal/core", "internal/des", "internal/dfs", "internal/flow",
+	"internal/lineage", "internal/mapreduce", "internal/metrics", "internal/middleware",
+}
 
 // globalsAllowed are the package-level variables that stay, as
 // "pkg.name" keys, each with the reason.

@@ -26,6 +26,7 @@ outer:
 	for {
 		run, ok := cur.Next()
 		if !ok {
+			ev.episodes = cur.Episodes()
 			return nil
 		}
 		ev.runCounter++
@@ -469,6 +470,7 @@ func (ev *eval) result() *mapreduce.Result {
 		Runs:                ev.rec.Runs,
 		Recorder:            ev.rec,
 		StartedRuns:         ev.runCounter,
+		Episodes:            ev.episodes,
 		SpeculativeLaunched: ev.specLaunched,
 		SpeculativeWasted:   ev.specWasted,
 	}

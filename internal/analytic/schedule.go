@@ -51,6 +51,7 @@ type eval struct {
 
 	now        float64
 	runCounter int
+	episodes   []core.Episode // the cursor's record of adopted plans
 	rec        *metrics.Recorder
 	samples    bool
 

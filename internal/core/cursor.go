@@ -18,13 +18,11 @@ import (
 // (AliveNodes is set at each loss). Job j's output is replicated
 // ReplicationForJob(j, HybridEveryK, HybridRepl) times; with
 // ReclaimAtCheckpoints each completed replicated job reclaims what it makes
-// unreachable (Section IV-C). PlanObserver, when non-nil, sees every
-// adopted plan before its steps run; it must mutate neither argument.
+// unreachable (Section IV-C).
 type Policy struct {
 	Options
 	HybridEveryK, HybridRepl int
 	ReclaimAtCheckpoints     bool
-	PlanObserver             func(frontier int, plan *Plan, ch *lineage.Chain)
 }
 
 // Run is one job run a cursor hands out: the recomputation step Step, or
@@ -36,12 +34,14 @@ type Run struct {
 	Step *JobStep
 }
 
-// Cursor walks one job graph. Beyond the lineage it allocates nothing, so
-// a backend holds it by value in its driver.
+// Cursor walks one job graph. Beyond the lineage and the record of the
+// plans it adopts it allocates nothing, so a backend holds it by value in
+// its driver.
 type Cursor struct {
-	ch     *lineage.Chain
-	topo   *Topology
-	policy Policy
+	ch       *lineage.Chain
+	topo     *Topology
+	policy   Policy
+	episodes []Episode // one per adopted plan, in order
 
 	frontier   int       // the job whose full run is next or running
 	submitted  int       // the last job whose full run was handed out
@@ -69,6 +69,10 @@ func (c *Cursor) Frontier() int { return c.frontier }
 
 // Finished reports whether every job's full run has been committed.
 func (c *Cursor) Finished() bool { return c.frontier > c.topo.NumJobs() }
+
+// Episodes returns the record of the plans the cursor adopted, one
+// Episode per Recover call, in order.
+func (c *Cursor) Episodes() []Episode { return c.episodes }
 
 // Queued returns the number of plan steps left to hand out; at zero the
 // next run is the frontier's full run.
@@ -112,7 +116,7 @@ func (c *Cursor) Plan(fs *dfs.FS, failed map[int]bool, alive int) (*Plan, error)
 }
 
 // Recover adopts a plan from Plan: it marks the plan's invalidated map
-// outputs, shows the plan to the observer, and queues its steps ahead of
+// outputs, records the plan as an Episode, and queues its steps ahead of
 // the frontier's restart, replacing any left from an earlier plan. It
 // reports whether the loss opened a recovery episode; a loss found before
 // the previous plan's restart was handed out folds into that episode.
@@ -120,9 +124,7 @@ func (c *Cursor) Recover(plan *Plan) (episode bool) {
 	for _, ref := range plan.Invalidated {
 		c.ch.InvalidateMapperOutput(ref.Job, ref.Mapper)
 	}
-	if c.policy.PlanObserver != nil {
-		c.policy.PlanObserver(c.frontier, plan, c.ch)
-	}
+	c.episodes = append(c.episodes, captureEpisode(c.frontier, plan, c.ch))
 	c.queue = plan.Steps
 	episode, c.recovering = !c.recovering, true
 	return episode

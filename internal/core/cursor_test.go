@@ -61,7 +61,8 @@ func (h *cursorHarness) step(to int) Reclamation {
 // job 2 runs, a second loss before job 2's restart, and a loss at the
 // boundary before job 3. Plan steps come first, a job handed out again is
 // a restart, a first hand-out is initial even after a boundary loss, and
-// only a loss found outside a recovery opens an episode.
+// only a loss found outside a recovery opens an episode, while every
+// adopted plan is recorded.
 func TestCursorRunKindsAndEpisodes(t *testing.T) {
 	ref, fs := buildChain(t, 4, 3, 1, 3, 1)
 	h := newCursorHarness(t, ref, Policy{})
@@ -113,6 +114,14 @@ func TestCursorRunKindsAndEpisodes(t *testing.T) {
 	if !reflect.DeepEqual(h.runs, want) {
 		t.Fatalf("runs %q, want %q", h.runs, want)
 	}
+	// The record holds every adopted plan, the folded loss's too.
+	var frontiers []int
+	for _, ep := range h.cur.Episodes() {
+		frontiers = append(frontiers, ep.Frontier)
+	}
+	if !reflect.DeepEqual(frontiers, []int{2, 2, 3}) {
+		t.Fatalf("recorded plans at frontiers %v, want [2 2 3]", frontiers)
+	}
 	ch := h.cur.Lineage()
 	if rec := ch.Job(2); rec.Name != "job2" || rec.InputFile != "out1" || rec.OutputFile != "out2" || !rec.Completed {
 		t.Fatalf("job 2 record named %q %q -> %q, completed %v", rec.Name, rec.InputFile, rec.OutputFile, rec.Completed)
@@ -145,5 +154,41 @@ func TestCursorReclaimsBehindCheckpoints(t *testing.T) {
 		if got := h.cur.Lineage().Job(1).UnavailableMappers(nil); len(got) != len(ref.Job(1).Mappers) {
 			t.Fatalf("job 1 mappers %v gone after reclamation, want all", got)
 		}
+	}
+}
+
+// TestCaptureEpisode holds the record's partition-granularity snapshot:
+// regenerated partitions ascending with their splits (0 read as 1), and
+// the step's input partitions split by whether a mapper re-runs or keeps
+// its persisted output.
+func TestCaptureEpisode(t *testing.T) {
+	ch := lineage.NewChain()
+	if err := ch.AppendRecord(&lineage.JobRecord{
+		ID: 1, Name: "j1", InputFile: "in", OutputFile: "f1", Splittable: true, Completed: true,
+		Mappers: []lineage.MapperMeta{
+			{Index: 0, InputPartition: 0, Node: 2},
+			{Index: 1, InputPartition: 1, Node: 1},
+			{Index: 2, InputPartition: 1, Node: 1},
+		},
+		Reducers: []lineage.ReducerMeta{{Index: 0}, {Index: 1}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	plan := &Plan{
+		RestartJob: 2,
+		Steps: []JobStep{{
+			Job:     1,
+			Mappers: []int{0},
+			Reducers: []ReducerRun{
+				{Reducer: 1, Splits: 2},
+				{Reducer: 0, Splits: 0},
+			},
+		}},
+	}
+	want := Episode{Frontier: 2, RestartJob: 2, Steps: []StepDecision{{
+		Job: 1, Partitions: []int{0, 1}, Splits: []int{1, 2}, RerunParts: []int{0}, ReusedParts: []int{1},
+	}}}
+	if ep := captureEpisode(2, plan, ch); !reflect.DeepEqual(ep, want) {
+		t.Fatalf("episode = %+v, want %+v", ep, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"rcmp/internal/metrics"
 	"rcmp/internal/workload"
 )
 
@@ -284,8 +285,8 @@ func TestFailureMidJobCancelsAndRecovers(t *testing.T) {
 	// before detection.
 	killed := make(chan struct{})
 	cfg2 := cfg
-	cfg2.OnRunStart = func(_, job int, kind string) {
-		if job != 3 || kind != "initial" {
+	cfg2.OnRunStart = func(_, job int, kind metrics.RunKind) {
+		if job != 3 || kind != metrics.RunInitial {
 			return
 		}
 		before := mapOutputs()
@@ -334,8 +335,8 @@ func TestNestedFailureDuringRecovery(t *testing.T) {
 		}
 	}
 	killed := false
-	cfg2.OnRunStart = func(run, job int, kind string) {
-		if kind == "recompute" && !killed {
+	cfg2.OnRunStart = func(run, job int, kind metrics.RunKind) {
+		if kind == metrics.RunRecompute && !killed {
 			killed = true
 			c.workers[5].Kill()
 		}

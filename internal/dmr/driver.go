@@ -9,6 +9,7 @@ import (
 	"rcmp/internal/core"
 	"rcmp/internal/dfs"
 	"rcmp/internal/lineage"
+	"rcmp/internal/metrics"
 	"rcmp/internal/middleware"
 	"rcmp/internal/workload"
 )
@@ -62,17 +63,11 @@ type ChainConfig struct {
 	// interrupted-job path is exercised with asynchronous kills).
 	AfterJob func(job int)
 
-	// PlanObserver, when non-nil, observes every recovery plan immediately
-	// after it is built and invariant-checked, before any of its steps run.
-	// The cross-validation harness captures recovery decisions through it;
-	// the chain is the driver's live lineage and must not be mutated.
-	PlanObserver func(frontier int, plan *core.Plan, ch *lineage.Chain)
-
 	// OnRunStart, when non-nil, fires as each run is submitted, with the
 	// 1-based run counter (matching the simulator's Injection.AtRun
 	// numbering), the job, and the run kind. The cross-validation harness
 	// schedules its failure injections from it.
-	OnRunStart func(run, job int, kind string)
+	OnRunStart func(run, job int, kind metrics.RunKind)
 }
 
 func (c *ChainConfig) withDefaults(aliveWorkers int) ChainConfig {
@@ -162,22 +157,27 @@ func NewDriver(m *Master, cfg ChainConfig) (*Driver, error) {
 		cur: core.NewCursor(topo, core.Policy{
 			Options:      core.Options{Split: cfg.Split, SplitRatio: cfg.SplitRatio, NoMapOutputReuse: cfg.NoMapOutputReuse},
 			HybridEveryK: cfg.HybridEveryK, HybridRepl: cfg.HybridRepl,
-			ReclaimAtCheckpoints: cfg.ReclaimAtCheckpoints, PlanObserver: cfg.PlanObserver,
+			ReclaimAtCheckpoints: cfg.ReclaimAtCheckpoints,
 		}),
 	}, nil
 }
 
 // RunSpan is one submitted job run in the driver's RunLog.
 type RunSpan struct {
-	Run        int    // 0-based submission index
-	Job        int    // chain job ID
-	Kind       string // "initial", "restart", or "recompute"
+	Run        int             // 0-based submission index
+	Job        int             // chain job ID
+	Kind       metrics.RunKind // initial, restart or recompute
 	Start, End time.Time
 	Err        bool // the run ended in an error (typically data loss)
 }
 
 // Chain exposes the recorded lineage.
 func (d *Driver) Chain() *lineage.Chain { return d.cur.Lineage() }
+
+// Episodes returns every recovery plan the driver's cursor adopted, in
+// order (RecoveryEpisodes counts fewer when a loss folds into an open
+// recovery).
+func (d *Driver) Episodes() []core.Episode { return d.cur.Episodes() }
 
 func (d *Driver) repl(job int) int {
 	if d.cfg.OutputRepl > 1 {
@@ -334,12 +334,11 @@ func (d *Driver) runOne(run core.Run) error {
 // step rc tags, or a full run when rc is nil.
 func (d *Driver) submit(run core.Run, rc *RecomputeSpec) (*JobReport, error) {
 	_, in, out := middleware.ChainNames(run.Job)
-	kind := string(run.Kind)
-	d.RunLog = append(d.RunLog, RunSpan{Run: d.StartedRuns, Job: run.Job, Kind: kind, Start: time.Now()})
+	d.RunLog = append(d.RunLog, RunSpan{Run: d.StartedRuns, Job: run.Job, Kind: run.Kind, Start: time.Now()})
 	span := &d.RunLog[len(d.RunLog)-1]
 	d.StartedRuns++
 	if d.cfg.OnRunStart != nil {
-		d.cfg.OnRunStart(d.StartedRuns, run.Job, kind)
+		d.cfg.OnRunStart(d.StartedRuns, run.Job, run.Kind)
 	}
 	rep, err := d.m.RunJob(JobSpec{
 		ID:           run.Job,

@@ -101,7 +101,7 @@ var dims = [...]Dim{
 		name:   func(b []byte, c Config) []byte { return namePart(b, c.Speculation, "/spec", "") },
 	},
 	{Name: "engine", Field: "Engine", Flag: "engine", Kind: KindString, JSON: "engines", Report: "engine",
-		Usage: "execution engine: 'des' (default, the simulator) or 'analytic' (calibrated closed-form twin; instant answers, -nodes up to 1048576)",
+		Usage: "execution engine: 'des' (default, the simulator) or 'analytic' (closed-form twin; instant answers, -nodes up to 1048576)",
 		Parse: func(s string) (c Config, err error) {
 			c.Engine, err = ParseEngine(strings.ToLower(strings.TrimSpace(s)))
 			return

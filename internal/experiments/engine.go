@@ -41,12 +41,3 @@ func ParseEngine(s string) (Engine, error) {
 		return 0, fmt.Errorf("experiments: unknown engine %q (want des or analytic)", s)
 	}
 }
-
-// validateEngine rejects Engine values outside the enum, the same per-job
-// convention validateNodes follows.
-func (c Config) validateEngine() error {
-	if c.Engine != EngineDES && c.Engine != EngineAnalytic {
-		return fmt.Errorf("experiments: Engine=%d out of range", int(c.Engine))
-	}
-	return nil
-}

@@ -52,7 +52,7 @@ func TestNodesBoundsPerEngine(t *testing.T) {
 		{EngineAnalytic, minNodesOverride - 1, false},
 	}
 	for _, c := range cases {
-		err := Config{Nodes: c.nodes, Engine: c.engine}.validateNodes()
+		err := Config{Nodes: c.nodes, Engine: c.engine}.validate()
 		if c.ok && err != nil {
 			t.Errorf("engine=%s nodes=%d: unexpected error %v", c.engine, c.nodes, err)
 		}

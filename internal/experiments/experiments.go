@@ -75,7 +75,7 @@ type Config struct {
 	// Nodes, when positive, overrides the simulated cluster size of the
 	// experiment's setup, reducer counts following it. Fig11 ignores it
 	// (its x-axis is the cluster size); WeakScaling runs just that point.
-	// Out-of-range values are per-job errors (see validateNodes).
+	// Out-of-range values are per-job errors (see Config.validate).
 	Nodes int
 	// Tenants, when positive, selects a multi-tenant experiment's tenant
 	// count (0 keeps its own sweep); above 1 it is a per-job error on any
@@ -88,7 +88,7 @@ type Config struct {
 	// Engine selects the evaluator of every simulated run: EngineDES, the
 	// discrete-event simulator, or EngineAnalytic, the closed-form
 	// model, which answers in microseconds and so accepts
-	// Nodes far beyond the DES ceiling (see validateNodes).
+	// Nodes far beyond the DES ceiling (see Config.validate).
 	Engine Engine
 
 	// worker owns the simulation context the experiment's DES runs reuse
@@ -115,12 +115,22 @@ const (
 // the capacity-planning endpoint advertises.
 const maxAnalyticNodes = 1 << 20
 
-// validateNodes checks the Config.Nodes override range for the selected
-// engine. The registry wraps every experiment with this check so a sweep
-// grid containing an out-of-range point records a per-job error instead
-// of panicking. The DES ceiling stays at maxNodesOverride; the analytic
-// engine, with no event loop to grow, accepts up to maxAnalyticNodes.
-func (c Config) validateNodes() error {
+// maxTenants bounds the Config.Tenants override: every tenant is a full
+// graph execution sharing one simulated cluster, so the session cost grows
+// linearly and a runaway sweep point should fail fast, not crawl.
+const maxTenants = 64
+
+// validate is the per-job Config check Spec.Exec and CapacityPlan run
+// first, so a sweep grid containing an out-of-range point records a
+// per-job error instead of panicking deep inside a setup. It rejects an
+// Engine outside the enum, a Nodes override outside the selected engine's
+// range (the DES ceiling stays at maxNodesOverride; the analytic engine,
+// with no event loop to grow, accepts up to maxAnalyticNodes) and a
+// Tenants override outside [0, maxTenants].
+func (c Config) validate() error {
+	if c.Engine != EngineDES && c.Engine != EngineAnalytic {
+		return fmt.Errorf("experiments: Engine=%d out of range", int(c.Engine))
+	}
 	max := maxNodesOverride
 	if c.Engine == EngineAnalytic {
 		max = maxAnalyticNodes
@@ -128,17 +138,6 @@ func (c Config) validateNodes() error {
 	if c.Nodes != 0 && (c.Nodes < minNodesOverride || c.Nodes > max) {
 		return fmt.Errorf("experiments: Nodes=%d out of range [%d, %d] for engine %s", c.Nodes, minNodesOverride, max, c.Engine)
 	}
-	return nil
-}
-
-// maxTenants bounds the Config.Tenants override: every tenant is a full
-// graph execution sharing one simulated cluster, so the session cost grows
-// linearly and a runaway sweep point should fail fast, not crawl.
-const maxTenants = 64
-
-// validateTenants checks the Config.Tenants override range, the same
-// per-job convention validateNodes follows.
-func (c Config) validateTenants() error {
 	if c.Tenants < 0 || c.Tenants > maxTenants {
 		return fmt.Errorf("experiments: Tenants=%d out of range [0, %d]", c.Tenants, maxTenants)
 	}

@@ -43,10 +43,7 @@ func PlanDigest(c Config, deadline PlanDeadline) string {
 // range), and the digest keyspace stays one-dimensional for it.
 func CapacityPlan(c Config, deadline PlanDeadline) (*Result, error) {
 	c.Engine = EngineAnalytic
-	if err := c.validateNodes(); err != nil {
-		return nil, err
-	}
-	if err := c.validateTenants(); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, err
 	}
 	if deadline < 0 {

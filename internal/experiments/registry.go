@@ -52,13 +52,7 @@ func (sp Spec) RelativeCost(sc Scale) float64 {
 // the job's error as well; any other panic propagates with its stack. A
 // Config without a Worker (see WithWorker) runs on a fresh one.
 func (sp Spec) Exec(c Config) (res *Result, err error) {
-	if err := c.validateEngine(); err != nil {
-		return nil, err
-	}
-	if err := c.validateNodes(); err != nil {
-		return nil, err
-	}
-	if err := c.validateTenants(); err != nil {
+	if err := c.validate(); err != nil {
 		return nil, err
 	}
 	if c.Tenants > 1 && !sp.MultiTenant {

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"rcmp/internal/cluster"
-	"rcmp/internal/core"
-	"rcmp/internal/lineage"
 	"rcmp/internal/mapreduce"
 )
 
@@ -27,20 +25,19 @@ func TestWorkerOwnsOneContext(t *testing.T) {
 	failing.Failures = []mapreduce.Injection{{AtRun: 2, After: 1, Node: 3}}
 	invalid := clean
 	invalid.NumJobs = -1
-	panicking := failing
-	panicking.PlanObserver = func(int, *core.Plan, *lineage.Chain) { panic("plan observer") }
 
 	for _, c := range []struct {
-		name string
-		ccfg cluster.Config
-		cfg  mapreduce.ChainConfig
-		slot string // after the second run: "kept", "replaced" or "empty"
+		name   string
+		ccfg   cluster.Config
+		cfg    mapreduce.ChainConfig
+		panics bool   // the second run panics inside onContext instead
+		slot   string // after the second run: "kept", "replaced" or "empty"
 	}{
-		{"same config reuses the context", small, clean, "kept"},
-		{"a failing chain on a reused context", small, failing, "kept"},
-		{"another config replaces the context", big, clean, "replaced"},
-		{"an errored run empties the slot", small, invalid, "empty"},
-		{"a panicking run empties the slot", small, panicking, "empty"},
+		{"same config reuses the context", small, clean, false, "kept"},
+		{"a failing chain on a reused context", small, failing, false, "kept"},
+		{"another config replaces the context", big, clean, false, "replaced"},
+		{"an errored run empties the slot", small, invalid, false, "empty"},
+		{"a panicking run empties the slot", small, failing, true, "empty"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var w Worker
@@ -58,6 +55,14 @@ func TestWorkerOwnsOneContext(t *testing.T) {
 						t.Fatalf("unexpected panic: %v", p)
 					}
 				}()
+				if c.panics {
+					return onContext(&w, c.ccfg, func(ctx *mapreduce.Context) (*mapreduce.Result, error) {
+						if _, err := ctx.RunChain(c.cfg); err != nil {
+							return nil, err
+						}
+						panic("run")
+					})
+				}
 				return w.runChain(EngineDES, c.ccfg, c.cfg)
 			}()
 			switch c.slot {

@@ -86,7 +86,7 @@ func newDriver(ctx *Context, cfg ChainConfig, topo *core.Topology) *Driver {
 		cur: core.NewCursor(topo, core.Policy{
 			Options:      core.Options{Split: cfg.Split, SplitRatio: cfg.SplitRatio, NoMapOutputReuse: cfg.NoMapOutputReuse},
 			HybridEveryK: cfg.HybridEveryK, HybridRepl: cfg.HybridRepl,
-			ReclaimAtCheckpoints: cfg.ReclaimAtCheckpoints, PlanObserver: cfg.PlanObserver,
+			ReclaimAtCheckpoints: cfg.ReclaimAtCheckpoints,
 		}),
 		failedNodes: make(map[int]bool),
 	}
@@ -124,6 +124,7 @@ func (d *Driver) finish() (*Result, error) {
 		Runs:                d.rec.Runs,
 		Recorder:            d.rec,
 		StartedRuns:         d.runCounter,
+		Episodes:            d.cur.Episodes(),
 		SpeculativeLaunched: d.specLaunched,
 		SpeculativeWasted:   d.specWasted,
 		Events:              d.sim.Processed,

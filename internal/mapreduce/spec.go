@@ -21,7 +21,6 @@ import (
 	"rcmp/internal/cluster"
 	"rcmp/internal/core"
 	"rcmp/internal/des"
-	"rcmp/internal/lineage"
 	"rcmp/internal/metrics"
 )
 
@@ -167,13 +166,6 @@ type ChainConfig struct {
 	Failures []Injection
 	// Seed drives deterministic victim selection for Node:-1 injections.
 	Seed int64
-
-	// PlanObserver, when non-nil, observes every recovery plan right after
-	// it is built (NoMapOutputReuse is a planner option), invariant-checked
-	// and padded by ForceRecomputeMappers, before any step runs. The
-	// cross-validation harness captures recovery decisions through it. The
-	// chain argument is the driver's live lineage; do not mutate either.
-	PlanObserver func(frontier int, plan *core.Plan, ch *lineage.Chain)
 }
 
 // ShuffleAggregation selects the shuffle modelling tier; see the
@@ -271,6 +263,11 @@ type Result struct {
 	// StartedRuns is the total number of job runs started (the paper's job
 	// numbering: 7 for a failure-free 7-job chain, 14 for case (c)).
 	StartedRuns int
+	// Episodes records every recovery plan the chain's cursor adopted, in
+	// order, as built, checked and padded by ForceRecomputeMappers. The
+	// analytic twin keeps no per-task layout, so its steps name their job
+	// only.
+	Episodes []core.Episode
 	// SpeculativeLaunched and SpeculativeWasted count duplicate mapper
 	// launches and the subset that lost the race (killed after the other
 	// copy finished) — the paper's "speculative tasks that provide no

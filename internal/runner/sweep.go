@@ -25,9 +25,8 @@ type Grid struct {
 	// SeedSet, when > 1, expands every seed in the grid into that many
 	// consecutive seeds (base, base+1, ...). The JSON report aggregates
 	// each such dispersion set into mean and CI95 columns (see
-	// Report.Aggregates) — the input the analytic engine's calibration
-	// consumes, and the cheap way to tell signal from seed noise in any
-	// sweep. 0 and 1 mean no expansion.
+	// Report.Aggregates), the cheap way to tell signal from seed noise in
+	// any sweep. 0 and 1 mean no expansion.
 	SeedSet int
 }
 

@@ -177,8 +177,8 @@ func TestSweepHitAllocs(t *testing.T) {
 		stream  bool
 		ceiling float64
 	}{
-		{"stream", true, 180},
-		{"report", false, 175},
+		{"stream", true, 171},
+		{"report", false, 167},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			serve := cachedSweep(t, c.stream)

@@ -24,7 +24,7 @@ import (
 // position, no deadline.
 type PlanRequest struct {
 	// Scale is "paper", "quick" or "smoke" ("" = quick: capacity planning
-	// wants the calibrated quick shape, not a bigger chain).
+	// scales the cluster, not the chain, so the small quick shape will do).
 	Scale string `json:"scale,omitempty"`
 	Seed  int64  `json:"seed,omitempty"`
 	// Nodes is the cluster size to plan for (up to 1048576).
@@ -65,7 +65,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Scale == "" {
-		req.Scale = "quick" // capacity planning's calibrated shape
+		req.Scale = "quick" // capacity planning's default shape
 	}
 	scale, err := experiments.ParseScale(req.Scale)
 	if err != nil {

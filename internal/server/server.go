@@ -499,11 +499,18 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		ew.sendJSON(acceptedEvent{Type: "accepted", Jobs: len(jobs), Client: client, Timeout: timeout.String()})
 	}
 
-	// Completion fan-in: one goroutine per job parks on its entry and
-	// reports the index. The channel is buffered to len(jobs) so no
+	// Completion fan-in: a complete entry (every job of a cache hit)
+	// reports its index at once; one goroutine per other job parks on its
+	// entry and reports it. The channel is buffered to len(jobs) so no
 	// goroutine can leak blocked on send after a timeout.
 	completions := make(chan int, len(states))
 	for i := range states {
+		select {
+		case <-states[i].e.done:
+			completions <- i
+			continue
+		default:
+		}
 		go func(i int) {
 			select {
 			case <-states[i].e.done:

@@ -2,116 +2,15 @@ package xval
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"rcmp/internal/core"
-	"rcmp/internal/lineage"
+	"rcmp/internal/metrics"
 )
 
-// Episode is one recovery decision as both engines expose it through their
-// PlanObserver hooks: the frontier the plan was built for and, per
-// recomputation step, what regenerates and what is reused — all at
-// partition granularity, because the two engines agree on where partitions
-// live but not on how many blocks (and hence mappers) each one carves into
-// from job 2 on.
-type Episode struct {
-	// Frontier is the job that was running (or next) when the failure was
-	// detected; RestartJob is the job the plan restarts after its steps.
-	// On chain workloads they coincide.
-	Frontier   int
-	RestartJob int
-	// Invalidated counts cross-branch map-output invalidations (always 0
-	// on chains; meaningful for DAG plans).
-	Invalidated int
-	Steps       []StepDecision
-}
-
-// StepDecision is one recomputation step of an episode.
-type StepDecision struct {
-	Job int
-	// Partitions lists the output partitions this step regenerates,
-	// ascending; Splits holds the aligned split count for each (1 = run
-	// whole).
-	Partitions []int
-	Splits     []int
-	// RerunParts / ReusedParts partition the step's input by mapper fate:
-	// input partitions with at least one re-executed mapper, and input
-	// partitions with at least one mapper whose persisted output is
-	// reused. The reuse set is the paper's surviving-branch reuse claim:
-	// a non-empty ReusedParts proves the step recomputes less than the
-	// whole job.
-	RerunParts  []int
-	ReusedParts []int
-	// SplitInvalidated reports whether the split-correctness rule forced
-	// any of the re-runs (Figure 5).
-	SplitInvalidated bool
-}
-
-// captureEpisode snapshots a plan the instant an engine is about to execute
-// it. Both engines call their PlanObserver after building, invariant-
-// checking (core.CheckPlan), and policy-adjusting the plan, so the snapshot
-// is exactly what runs.
-func captureEpisode(frontier int, plan *core.Plan, ch *lineage.Chain) Episode {
-	ep := Episode{
-		Frontier:    frontier,
-		RestartJob:  plan.RestartJob,
-		Invalidated: len(plan.Invalidated),
-	}
-	for _, step := range plan.Steps {
-		sd := StepDecision{
-			Job:              step.Job,
-			SplitInvalidated: len(step.SplitInvalidated) > 0,
-		}
-		type regen struct{ part, splits int }
-		regens := make([]regen, 0, len(step.Reducers))
-		for _, rr := range step.Reducers {
-			regens = append(regens, regen{rr.Reducer, rr.Splits})
-		}
-		sort.Slice(regens, func(i, j int) bool { return regens[i].part < regens[j].part })
-		for _, r := range regens {
-			sd.Partitions = append(sd.Partitions, r.part)
-			splits := r.splits
-			if splits < 1 {
-				splits = 1
-			}
-			sd.Splits = append(sd.Splits, splits)
-		}
-		rec := ch.Job(step.Job)
-		rerun := make(map[int]bool, len(step.Mappers))
-		for _, mi := range step.Mappers {
-			rerun[mi] = true
-		}
-		rerunParts := map[int]bool{}
-		reusedParts := map[int]bool{}
-		for _, m := range rec.Mappers {
-			if rerun[m.Index] {
-				rerunParts[m.InputPartition] = true
-			} else {
-				reusedParts[m.InputPartition] = true
-			}
-		}
-		sd.RerunParts = sortedKeys(rerunParts)
-		sd.ReusedParts = sortedKeys(reusedParts)
-		ep.Steps = append(ep.Steps, sd)
-	}
-	return ep
-}
-
-func sortedKeys(set map[int]bool) []int {
-	if len(set) == 0 {
-		return nil
-	}
-	out := make([]int, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
-// compareEpisodes checks two episode sequences for exact decision equality
-// and names the first divergence.
-func compareEpisodes(sim, dmr []Episode) (bool, string) {
+// compareEpisodes checks two engines' records of adopted plans for exact
+// decision equality and names the first divergence.
+func compareEpisodes(sim, dmr []core.Episode) (bool, string) {
 	if len(sim) != len(dmr) {
 		return false, fmt.Sprintf("episode count: sim %d, dmr %d", len(sim), len(dmr))
 	}
@@ -123,7 +22,7 @@ func compareEpisodes(sim, dmr []Episode) (bool, string) {
 	return true, ""
 }
 
-func compareEpisode(a, b Episode) string {
+func compareEpisode(a, b core.Episode) string {
 	switch {
 	case a.Frontier != b.Frontier:
 		return fmt.Sprintf("frontier: sim %d, dmr %d", a.Frontier, b.Frontier)
@@ -139,13 +38,13 @@ func compareEpisode(a, b Episode) string {
 		switch {
 		case sa.Job != sb.Job:
 			return fmt.Sprintf("step %d job: sim %d, dmr %d", i, sa.Job, sb.Job)
-		case !intsEqual(sa.Partitions, sb.Partitions):
+		case !slices.Equal(sa.Partitions, sb.Partitions):
 			return fmt.Sprintf("step %d (job %d) regenerated partitions: sim %v, dmr %v", i, sa.Job, sa.Partitions, sb.Partitions)
-		case !intsEqual(sa.Splits, sb.Splits):
+		case !slices.Equal(sa.Splits, sb.Splits):
 			return fmt.Sprintf("step %d (job %d) split counts: sim %v, dmr %v", i, sa.Job, sa.Splits, sb.Splits)
-		case !intsEqual(sa.RerunParts, sb.RerunParts):
+		case !slices.Equal(sa.RerunParts, sb.RerunParts):
 			return fmt.Sprintf("step %d (job %d) re-run input partitions: sim %v, dmr %v", i, sa.Job, sa.RerunParts, sb.RerunParts)
-		case !intsEqual(sa.ReusedParts, sb.ReusedParts):
+		case !slices.Equal(sa.ReusedParts, sb.ReusedParts):
 			return fmt.Sprintf("step %d (job %d) reused input partitions: sim %v, dmr %v", i, sa.Job, sa.ReusedParts, sb.ReusedParts)
 		case sa.SplitInvalidated != sb.SplitInvalidated:
 			return fmt.Sprintf("step %d (job %d) split-invalidation: sim %v, dmr %v", i, sa.Job, sa.SplitInvalidated, sb.SplitInvalidated)
@@ -154,14 +53,37 @@ func compareEpisode(a, b Episode) string {
 	return ""
 }
 
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// startedRun is one run as both engines log it: the job, why the cursor
+// handed it out, and whether a loss cancelled it.
+type startedRun struct {
+	job       int
+	kind      metrics.RunKind
+	cancelled bool
+}
+
+func (r startedRun) String() string {
+	s := fmt.Sprintf("job %d %s", r.job, r.kind)
+	if r.cancelled {
+		s += " (cancelled)"
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	return s
+}
+
+// compareRuns checks two engines' run sequences and names the first run,
+// counted from 1 as failure pulses count them, where they differ.
+func compareRuns(sim, dmr []startedRun) string {
+	for i := range max(len(sim), len(dmr)) {
+		if i < len(sim) && i < len(dmr) && sim[i] == dmr[i] {
+			continue
 		}
+		return fmt.Sprintf("run %d: sim %s, dmr %s", i+1, runAt(sim, i), runAt(dmr, i))
 	}
-	return true
+	return ""
+}
+
+func runAt(runs []startedRun, i int) string {
+	if i < len(runs) {
+		return runs[i].String()
+	}
+	return "none"
 }

@@ -8,7 +8,7 @@ import (
 	"rcmp/internal/core"
 	"rcmp/internal/dmr"
 	"rcmp/internal/failure"
-	"rcmp/internal/lineage"
+	"rcmp/internal/metrics"
 	"rcmp/internal/wire"
 	"rcmp/internal/workload"
 )
@@ -17,8 +17,8 @@ import (
 type dmrOutcome struct {
 	runDurations []time.Duration // per started run, in order
 	total        time.Duration   // wall time of the chain execution
-	started      int
-	episodes     []Episode
+	runs         []startedRun
+	episodes     []core.Episode
 	digests      []workload.Digest
 }
 
@@ -123,10 +123,6 @@ func runDMR(spec Spec, timing dmr.Timing, sched failure.Schedule, kills [][]int,
 	defer c.close()
 
 	cfg := dmrChain(spec)
-	out := &dmrOutcome{}
-	cfg.PlanObserver = func(frontier int, plan *core.Plan, ch *lineage.Chain) {
-		out.episodes = append(out.episodes, captureEpisode(frontier, plan, ch))
-	}
 
 	// Arm one timer per pulse when its run starts; the timer kills the
 	// pre-selected victims after the scaled offset. Timers are stopped on
@@ -141,7 +137,7 @@ func runDMR(spec Spec, timing dmr.Timing, sched failure.Schedule, kills [][]int,
 		timerMu.Unlock()
 	}()
 	if !sched.Empty() {
-		cfg.OnRunStart = func(run, job int, kind string) {
+		cfg.OnRunStart = func(run, job int, kind metrics.RunKind) {
 			for i, p := range sched.Pulses {
 				if p.AtRun != run {
 					continue
@@ -170,10 +166,10 @@ func runDMR(spec Spec, timing dmr.Timing, sched failure.Schedule, kills [][]int,
 	if err := d.RunChain(); err != nil {
 		return nil, fmt.Errorf("xval: dmr run %q: %w", sched.Label(), err)
 	}
-	out.total = time.Since(start)
-	out.started = d.StartedRuns
+	out := &dmrOutcome{total: time.Since(start), episodes: d.Episodes()}
 	for _, span := range d.RunLog {
 		out.runDurations = append(out.runDurations, span.End.Sub(span.Start))
+		out.runs = append(out.runs, startedRun{span.Job, span.Kind, span.Err})
 	}
 	digs, err := d.OutputDigests()
 	if err != nil {

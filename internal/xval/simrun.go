@@ -7,7 +7,6 @@ import (
 	"rcmp/internal/core"
 	"rcmp/internal/des"
 	"rcmp/internal/failure"
-	"rcmp/internal/lineage"
 	"rcmp/internal/mapreduce"
 )
 
@@ -21,8 +20,8 @@ const simBlockBytes = 64 * cluster.MB
 type simOutcome struct {
 	runSeconds []float64 // per started run, in order
 	total      float64   // chain makespan, simulated seconds
-	started    int
-	episodes   []Episode
+	runs       []startedRun
+	episodes   []core.Episode
 }
 
 // simCluster shapes the simulated cluster from the spec: the paper's DCO
@@ -67,18 +66,14 @@ func runSim(spec Spec, sched failure.Schedule, kills [][]int, offsets []float64,
 			})
 		}
 	}
-	out := &simOutcome{}
-	cfg.PlanObserver = func(frontier int, plan *core.Plan, ch *lineage.Chain) {
-		out.episodes = append(out.episodes, captureEpisode(frontier, plan, ch))
-	}
 	res, err := mapreduce.RunChain(simCluster(spec, detect), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("xval: simulator run %q: %w", sched.Label(), err)
 	}
-	out.total = float64(res.Total)
-	out.started = res.StartedRuns
+	out := &simOutcome{total: float64(res.Total), episodes: res.Episodes}
 	for _, r := range res.Runs {
 		out.runSeconds = append(out.runSeconds, r.Duration())
+		out.runs = append(out.runs, startedRun{r.Job, r.Kind, r.Cancelled})
 	}
 	return out, nil
 }

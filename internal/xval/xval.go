@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"rcmp/internal/core"
 	"rcmp/internal/dmr"
 	"rcmp/internal/failure"
 	"rcmp/internal/workload"
@@ -15,11 +16,14 @@ import (
 type CaseResult struct {
 	Schedule string
 
-	SimEpisodes []Episode
-	DMREpisodes []Episode
+	// SimEpisodes / DMREpisodes are each engine's record of the recovery
+	// plans its cursor adopted.
+	SimEpisodes []core.Episode
+	DMREpisodes []core.Episode
 
-	// DecisionsEqual is the headline check: both engines made identical
-	// recovery decisions. Mismatch names the first divergence otherwise.
+	// DecisionsEqual is the headline check: both engines adopted identical
+	// plans and started the same run sequence (job, kind, cancelled).
+	// Mismatch names the first divergence otherwise.
 	DecisionsEqual bool
 	Mismatch       string `json:",omitempty"`
 
@@ -88,9 +92,9 @@ func Sweep(spec Spec, schedules []failure.Schedule) (*Report, error) {
 		return nil, fmt.Errorf("xval: failure-free baseline recovered (sim %d, dmr %d episodes)",
 			len(simBase.episodes), len(dmrBase.episodes))
 	}
-	if simBase.started != spec.Jobs || dmrBase.started != spec.Jobs {
+	if len(simBase.runs) != spec.Jobs || len(dmrBase.runs) != spec.Jobs {
 		return nil, fmt.Errorf("xval: baseline run counts sim %d / dmr %d, want %d",
-			simBase.started, dmrBase.started, spec.Jobs)
+			len(simBase.runs), len(dmrBase.runs), spec.Jobs)
 	}
 
 	rep := &Report{Spec: spec, OK: true}
@@ -176,13 +180,13 @@ func runCase(spec Spec, sched failure.Schedule, rep *Report, timing dmr.Timing, 
 		Schedule:       sched.Label(),
 		SimEpisodes:    simCase.episodes,
 		DMREpisodes:    dmrCase.episodes,
-		SimStartedRuns: simCase.started,
-		DMRStartedRuns: dmrCase.started,
+		SimStartedRuns: len(simCase.runs),
+		DMRStartedRuns: len(dmrCase.runs),
 	}
 	cr.DecisionsEqual, cr.Mismatch = compareEpisodes(simCase.episodes, dmrCase.episodes)
-	if cr.DecisionsEqual && cr.SimStartedRuns != cr.DMRStartedRuns {
-		cr.DecisionsEqual = false
-		cr.Mismatch = fmt.Sprintf("started runs: sim %d, dmr %d", cr.SimStartedRuns, cr.DMRStartedRuns)
+	if cr.DecisionsEqual {
+		cr.Mismatch = compareRuns(simCase.runs, dmrCase.runs)
+		cr.DecisionsEqual = cr.Mismatch == ""
 	}
 
 	cr.SimSlowdown = simCase.total / simBase.total

@@ -1,12 +1,13 @@
 package xval
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"rcmp/internal/core"
 	"rcmp/internal/failure"
-	"rcmp/internal/lineage"
+	"rcmp/internal/metrics"
 )
 
 func TestSpecValidate(t *testing.T) {
@@ -93,50 +94,47 @@ func TestOffsetSweep(t *testing.T) {
 	}
 }
 
-func TestCaptureEpisode(t *testing.T) {
-	ch := lineage.NewChain()
-	if err := ch.AppendRecord(&lineage.JobRecord{
-		ID: 1, Name: "j1", InputFile: "in", OutputFile: "f1", Splittable: true, Completed: true,
-		Mappers: []lineage.MapperMeta{
-			{Index: 0, InputPartition: 0, Node: 2},
-			{Index: 1, InputPartition: 1, Node: 1},
-			{Index: 2, InputPartition: 1, Node: 1},
-		},
-		Reducers: []lineage.ReducerMeta{{Index: 0}, {Index: 1}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	plan := &core.Plan{
-		RestartJob: 2,
-		Steps: []core.JobStep{{
-			Job:     1,
-			Mappers: []int{0},
-			Reducers: []core.ReducerRun{
-				{Reducer: 1, Splits: 2},
-				{Reducer: 0, Splits: 1},
-			},
-		}},
-	}
-	ep := captureEpisode(2, plan, ch)
-	if ep.Frontier != 2 || ep.RestartJob != 2 || len(ep.Steps) != 1 {
-		t.Fatalf("episode = %+v", ep)
-	}
-	st := ep.Steps[0]
-	if !intsEqual(st.Partitions, []int{0, 1}) || !intsEqual(st.Splits, []int{1, 2}) {
-		t.Fatalf("regen = %v / %v", st.Partitions, st.Splits)
-	}
-	if !intsEqual(st.RerunParts, []int{0}) || !intsEqual(st.ReusedParts, []int{1}) {
-		t.Fatalf("rerun/reuse = %v / %v", st.RerunParts, st.ReusedParts)
-	}
-
-	twin := captureEpisode(2, plan, ch)
-	if ok, msg := compareEpisodes([]Episode{ep}, []Episode{twin}); !ok {
+// TestCompareNamesFirstDivergence holds the two comparisons' reports: a
+// divergent step names its job and the differing partitions, and a run
+// sequence that differs in one run's kind or cancelled flag names that
+// run's index, job and both kinds.
+func TestCompareNamesFirstDivergence(t *testing.T) {
+	ep := core.Episode{Frontier: 2, RestartJob: 2, Steps: []core.StepDecision{{
+		Job: 1, Partitions: []int{0, 1}, Splits: []int{1, 2}, RerunParts: []int{0}, ReusedParts: []int{1},
+	}}}
+	twin := ep
+	twin.Steps = slices.Clone(ep.Steps)
+	if ok, msg := compareEpisodes([]core.Episode{ep}, []core.Episode{twin}); !ok {
 		t.Fatalf("identical episodes compared unequal: %s", msg)
 	}
 	twin.Steps[0].Partitions = []int{1}
 	twin.Steps[0].Splits = []int{2}
-	if ok, msg := compareEpisodes([]Episode{ep}, []Episode{twin}); ok || !strings.Contains(msg, "regenerated partitions") {
+	if ok, msg := compareEpisodes([]core.Episode{ep}, []core.Episode{twin}); ok || msg != "episode 0: step 0 (job 1) regenerated partitions: sim [0 1], dmr [1]" {
 		t.Fatalf("divergence not reported: ok=%v msg=%q", ok, msg)
+	}
+
+	// 1ini 2ini✗ 1rec 2res 3ini
+	runs := []startedRun{
+		{1, metrics.RunInitial, false}, {2, metrics.RunInitial, true},
+		{1, metrics.RunRecompute, false}, {2, metrics.RunRestart, false}, {3, metrics.RunInitial, false},
+	}
+	if msg := compareRuns(runs, slices.Clone(runs)); msg != "" {
+		t.Fatalf("identical run sequences compared unequal: %s", msg)
+	}
+	for _, c := range []struct {
+		edit func([]startedRun)
+		n    int // runs kept on the dmr side
+		want string
+	}{
+		{func(r []startedRun) { r[3].kind = metrics.RunInitial }, 5, "run 4: sim job 2 restart, dmr job 2 initial"},
+		{func(r []startedRun) { r[1].cancelled = false }, 5, "run 2: sim job 2 initial (cancelled), dmr job 2 initial"},
+		{func([]startedRun) {}, 4, "run 5: sim job 3 initial, dmr none"},
+	} {
+		dmr := slices.Clone(runs)
+		c.edit(dmr)
+		if got := compareRuns(runs, dmr[:c.n]); got != c.want {
+			t.Errorf("compareRuns = %q, want %q", got, c.want)
+		}
 	}
 }
 
