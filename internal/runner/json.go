@@ -144,14 +144,82 @@ func AppendReport(dst []byte, rows []Row) ([]byte, error) {
 }
 
 // IndentReport returns the indented form of a compact report
-// (AppendReport) and a newline: the bytes WriteJSON writes.
-func IndentReport(compact []byte) ([]byte, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, 2*len(compact)))
-	if err := json.Indent(buf, compact, "", "  "); err != nil {
-		return nil, fmt.Errorf("runner: indent report: %w", err)
+// (AppendReport) and a newline: the bytes WriteJSON writes, exactly what
+// json.Indent(dst, compact, "", "  ") writes. The input must be compact
+// JSON as json.Marshal writes it, with no space outside strings; it is not
+// validated. Strings are copied in bulk up to their next quote or
+// backslash, so only the structure is visited byte by byte.
+func IndentReport(compact []byte) []byte {
+	dst := make([]byte, 0, len(compact)+len(compact)/2+1)
+	depth := 0
+	for i := 0; i < len(compact); i++ {
+		switch c := compact[i]; c {
+		case '"':
+			end := stringEnd(compact, i+1)
+			dst = append(dst, compact[i:end]...)
+			i = end - 1
+		case '{', '[':
+			if i+1 < len(compact) && (compact[i+1] == '}' || compact[i+1] == ']') {
+				// An empty object or array stays on its line.
+				dst = append(dst, c, compact[i+1])
+				i++
+				continue
+			}
+			depth++
+			dst = appendNewline(append(dst, c), depth)
+		case '}', ']':
+			depth--
+			dst = append(appendNewline(dst, depth), c)
+		case ',':
+			dst = appendNewline(append(dst, c), depth)
+		case ':':
+			dst = append(dst, ':', ' ')
+		default:
+			// A number, true, false or null: copy it up to the next
+			// structural byte.
+			end := i + 1
+			for end < len(compact) && !isStructural(compact[end]) {
+				end++
+			}
+			dst = append(dst, compact[i:end]...)
+			i = end - 1
+		}
 	}
-	buf.WriteByte('\n')
-	return buf.Bytes(), nil
+	return append(dst, '\n')
+}
+
+// stringEnd returns the index just past the closing quote of the JSON
+// string whose contents start at src[i], or len(src) if it is unterminated.
+func stringEnd(src []byte, i int) int {
+	for {
+		q := bytes.IndexByte(src[i:], '"')
+		if q < 0 {
+			return len(src)
+		}
+		q += i
+		// Skip the escapes before q; one that escapes q itself moves the
+		// search past it.
+		for i <= q {
+			b := bytes.IndexByte(src[i:q], '\\')
+			if b < 0 {
+				return q + 1
+			}
+			i += b + 2
+		}
+	}
+}
+
+func isStructural(c byte) bool {
+	return c == ',' || c == ':' || c == '}' || c == ']'
+}
+
+// appendNewline starts a new line indented to depth.
+func appendNewline(dst []byte, depth int) []byte {
+	dst = append(dst, '\n')
+	for ; depth > 0; depth-- {
+		dst = append(dst, ' ', ' ')
+	}
+	return dst
 }
 
 // aggregateRows summarizes the dispersion sets among rows (see
@@ -300,10 +368,6 @@ func WriteJSON(w io.Writer, results []Result, withTiming bool) error {
 	if err != nil {
 		return err
 	}
-	b, err := IndentReport(compact)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
+	_, err = w.Write(IndentReport(compact))
 	return err
 }

@@ -42,8 +42,10 @@ func (g Grid) Validate() error {
 
 // Size returns how many jobs Jobs builds, without building them; it
 // saturates at math.MaxInt.
-func (g Grid) Size() int {
-	axes := g.axes()
+func (g Grid) Size() int { return g.size(g.axes()) }
+
+// size is Size over axes, the grid's g.axes().
+func (g Grid) size(axes experiments.Axes) int {
 	n := mulSat(len(g.Specs), max(g.SeedSet, 1))
 	for _, d := range experiments.Dims() {
 		n = mulSat(n, max(len(axes[d.Name]), 1))
@@ -66,7 +68,7 @@ func mulSat(a, b int) int {
 func (g Grid) Jobs() []Job {
 	axes := g.axes()
 	scales, seeds := axes["scale"], axes["seed"]
-	var out []Job
+	out := make([]Job, 0, g.size(axes))
 	for _, sp := range g.Specs {
 		axes["scale"], axes["seed"] = scales, seeds
 		if len(scales) == 0 {

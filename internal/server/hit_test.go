@@ -9,8 +9,11 @@ import (
 	"runtime/debug"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
+	"rcmp/internal/experiments"
 	"rcmp/internal/runner"
 )
 
@@ -125,35 +128,41 @@ func TestHitBodiesMatchMiss(t *testing.T) {
 const hitBody = `{"specs":["8b","9","dag-recovery","double-failure"],"scale":"quick","seeds":[0]`
 
 // discardWriter is a ResponseWriter and Flusher that keeps nothing but
-// the status and the body length, so a measurement counts the handler's
-// work and not the recorder's.
+// the status, the body length and the number of flushes, so a measurement
+// counts the handler's work and not the recorder's.
 type discardWriter struct {
-	header http.Header
-	status int
-	n      int
+	header  http.Header
+	status  int
+	n       int
+	flushes int
 }
 
 func (d *discardWriter) Header() http.Header         { return d.header }
 func (d *discardWriter) WriteHeader(status int)      { d.status = status }
 func (d *discardWriter) Write(b []byte) (int, error) { d.n += len(b); return len(b), nil }
-func (d *discardWriter) Flush()                      {}
+func (d *discardWriter) Flush()                      { d.flushes++ }
 
 // cachedSweep returns a server whose cache holds every job of hitBody and
 // a function that serves one fully cached request of the given form
 // through Handler().ServeHTTP, failing tb on anything but a 200 with a
-// body.
-func cachedSweep(tb testing.TB, stream bool) func() {
+// body, and returns its writer. accept is the request's Accept header.
+func cachedSweep(tb testing.TB, stream bool, accept string) func() *discardWriter {
 	tb.Helper()
 	s := New(Config{Workers: 2})
 	tb.Cleanup(func() { _ = s.Shutdown(context.Background()) })
 	body := []byte(hitBody + fmt.Sprintf(`,"stream":%t}`, stream))
 	h := s.Handler()
-	serve := func() {
+	serve := func() *discardWriter {
 		w := &discardWriter{header: http.Header{}}
-		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body)))
+		r := httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body))
+		if accept != "" {
+			r.Header.Set("Accept", accept)
+		}
+		h.ServeHTTP(w, r)
 		if w.status != 0 && w.status != http.StatusOK || w.n == 0 {
 			tb.Fatalf("cached sweep: status %d, %d body bytes", w.status, w.n)
 		}
+		return w
 	}
 	serve() // fills the cache
 	if st := s.statsNow(); st.ExecutedJobs != 4 {
@@ -177,15 +186,123 @@ func TestSweepHitAllocs(t *testing.T) {
 		stream  bool
 		ceiling float64
 	}{
-		{"stream", true, 171},
-		{"report", false, 167},
+		{"stream", true, 128},
+		{"report", false, 124},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			serve := cachedSweep(t, c.stream)
-			if got := testing.AllocsPerRun(50, serve); got > c.ceiling {
+			serve := cachedSweep(t, c.stream, "")
+			if got := testing.AllocsPerRun(50, func() { serve() }); got > c.ceiling {
 				t.Fatalf("%v allocs per cached request, ceiling %v", got, c.ceiling)
 			} else {
 				t.Logf("%v allocs per cached request", got)
+			}
+		})
+	}
+}
+
+// TestCachedSweepFlushesOnce pins the writes of a fully cached streamed
+// sweep: every event is ready at once, so the handler flushes at most once
+// (the server's own flush at the handler's return comes on top), as NDJSON
+// and as SSE. A flush per event was six for this sweep.
+func TestCachedSweepFlushesOnce(t *testing.T) {
+	for _, accept := range []string{"", "text/event-stream"} {
+		serve := cachedSweep(t, true, accept)
+		if w := serve(); w.flushes > 1 {
+			t.Errorf("Accept %q: %d flushes for a fully cached sweep, want at most 1", accept, w.flushes)
+		}
+	}
+}
+
+// flushRecorder is a ResponseWriter and Flusher that keeps the body and
+// hands a copy of it to flushed at every flush. Each copy holds the whole
+// body so far, so a flush that finds the channel full loses nothing the
+// next copy does not carry; the tests size it above the flushes they
+// expect.
+type flushRecorder struct {
+	header  http.Header
+	mu      sync.Mutex
+	body    []byte
+	flushed chan []byte
+}
+
+func (f *flushRecorder) Header() http.Header { return f.header }
+func (f *flushRecorder) WriteHeader(int)     {}
+func (f *flushRecorder) Write(b []byte) (int, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.body = append(f.body, b...)
+	return len(b), nil
+}
+func (f *flushRecorder) Flush() {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	select {
+	case f.flushed <- slices.Clone(f.body):
+	default:
+	}
+}
+
+// TestReadyEventsPrecedeRunningJob requires a stream to deliver what is
+// ready before it waits: with four of five jobs cached and the fifth still
+// running, the accepted event and the four hits' result events reach the
+// client before the fifth job completes, as NDJSON and as SSE.
+func TestReadyEventsPrecedeRunningJob(t *testing.T) {
+	for _, accept := range []string{"", "text/event-stream"} {
+		t.Run("accept="+accept, func(t *testing.T) {
+			s := New(Config{Workers: 2})
+			t.Cleanup(func() { _ = s.Shutdown(context.Background()) })
+			h := s.Handler()
+			fill := &discardWriter{header: http.Header{}}
+			h.ServeHTTP(fill, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(hitBody+"}")))
+			body := `{"specs":["8b","9","dag-recovery","double-failure","cost"],"scale":"quick","seeds":[0]}`
+			_, g, err := decodeSweep([]byte(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The test owns the fifth job's entry and schedules nothing, so
+			// the job runs until the test fulfills it.
+			last := g.Jobs()[4]
+			e, owner := s.cache.acquire(experiments.ConfigDigest(last.Key, last.Config))
+			if !owner {
+				t.Fatal("the fifth job is already cached")
+			}
+			defer s.cache.release(e)
+
+			w := &flushRecorder{header: http.Header{}, flushed: make(chan []byte, 16)}
+			r := httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body))
+			if accept != "" {
+				r.Header.Set("Accept", accept)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				h.ServeHTTP(w, r)
+			}()
+			timeout := time.After(10 * time.Second)
+			for delivered := false; !delivered; {
+				select {
+				case sent := <-w.flushed:
+					if bytes.Contains(sent, []byte(`"index":4`)) || bytes.Contains(sent, []byte(`"type":"report"`)) {
+						t.Fatalf("the fifth job was reported before it completed:\n%s", sent)
+					}
+					delivered = bytes.Contains(sent, []byte(`"type":"accepted"`)) && bytes.Count(sent, []byte(`"cache":"hit"`)) == 4
+				case <-timeout:
+					t.Fatal("the accepted event and the four hits were not flushed while the fifth job ran")
+				}
+			}
+			if !s.cache.markStarted(e) {
+				t.Fatal("the fifth job's entry died")
+			}
+			s.cache.fulfill(e, runner.Result{Name: last.Name, Config: last.Config, Err: "completed by the test"})
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the stream did not finish after the fifth job completed")
+			}
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			if !bytes.Contains(w.body, []byte(`"index":4`)) || !bytes.Contains(w.body, []byte(`"type":"report"`)) {
+				t.Fatalf("the stream lacks the fifth result or the report:\n%s", w.body)
 			}
 		})
 	}
@@ -201,7 +318,7 @@ func BenchmarkSweepHit(b *testing.B) {
 		stream bool
 	}{{"stream", true}, {"report", false}} {
 		b.Run(c.name, func(b *testing.B) {
-			serve := cachedSweep(b, c.stream)
+			serve := cachedSweep(b, c.stream, "")
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -2,6 +2,8 @@ package server
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,6 +101,11 @@ func TestPinnedSweepDecoding(t *testing.T) {
 		{`{"specs":["cost"],"nodes":["x"]}`, []string{
 			"error: bad request body: json: cannot unmarshal string into Go struct field SweepRequest.nodes of type int",
 		}},
+		// Keys that differ only in case: the last one wins, as encoding/json
+		// decides for the typed field.
+		{collidingBody, []string{
+			"Fig8b/quick/nodes=20 | scale=quick seed=0 failure-at=0 schedule=\"\" label=\"(empty)\" nodes=20 tenants=0 speculation=false engine=des",
+		}},
 	} {
 		var got []string
 		_, g, err := decodeSweep([]byte(c.body))
@@ -111,6 +118,55 @@ func TestPinnedSweepDecoding(t *testing.T) {
 		}
 		if strings.Join(got, "\n") != strings.Join(c.want, "\n") {
 			t.Errorf("%s:\n got %#v\nwant %#v", c.body, got, c.want)
+		}
+	}
+}
+
+// collidingBody spells the nodes key twice in different cases.
+const collidingBody = `{"specs":["8b"],"scale":"quick","Nodes":[16],"NODES":[20]}`
+
+// TestCaseCollidingKeysDecodeOneGrid requires one body to decode to one
+// grid every time, also when its keys collide without regard to case: the
+// grid names the cache keys, so it may not depend on map order.
+func TestCaseCollidingKeysDecodeOneGrid(t *testing.T) {
+	counts := map[string]int{}
+	for range 100 {
+		_, g, err := decodeSweep([]byte(collidingBody))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, j := range g.Jobs() {
+			lines = append(lines, j.Name+" | "+pinConfig(j.Config))
+		}
+		counts[strings.Join(lines, "\n")]++
+	}
+	if len(counts) != 1 {
+		t.Fatalf("one body decoded to %d grids: %v", len(counts), counts)
+	}
+}
+
+// TestDimFieldsMatchTable ties every sweep dimension to exactly one
+// SweepRequest field, the one decodeSweep reads: its json key is the
+// dimension's JSON key, and it holds one string or a list of strings,
+// integers or booleans.
+func TestDimFieldsMatchTable(t *testing.T) {
+	rt := reflect.TypeFor[SweepRequest]()
+	for i, d := range experiments.Dims() {
+		var fields []int
+		for f := range rt.NumField() {
+			if key, _, _ := strings.Cut(rt.Field(f).Tag.Get("json"), ","); key == d.JSON {
+				fields = append(fields, f)
+			}
+		}
+		if len(fields) != 1 || fields[0] != dimFields[i] {
+			t.Errorf("dimension %s: fields %v carry key %q, decodeSweep reads field %d", d.Name, fields, d.JSON, dimFields[i])
+			continue
+		}
+		ft := rt.Field(fields[0]).Type
+		list := []reflect.Kind{reflect.String, reflect.Bool, reflect.Int, reflect.Int64}
+		if ft.Kind() != reflect.String && (ft.Kind() != reflect.Slice || !slices.Contains(list, ft.Elem().Kind())) {
+			t.Errorf("dimension %s: field %s has type %s", d.Name, rt.Field(fields[0]).Name, rt.Field(fields[0]).Type)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -147,12 +148,13 @@ func (s *Server) statsNow() Stats {
 }
 
 // SweepRequest is the /v1/sweep body: the rcmpsim CLI's sweep grid, with
-// specs for -fig/-run and one key per experiments.Dims row holding a list
-// of values in the flag's spelling — except scale, which holds one
-// ("paper", "quick" or "smoke"; "" = per-spec default). Empty dimensions
-// fall back exactly like runner.Grid's. The typed fields are the wire
-// schema, and decoding into them type-checks a body; decodeSweep then
-// parses each dimension's values through its row.
+// specs for -fig/-run and one field per experiments.Dims row, whose json
+// key is the row's JSON key, holding a list of values in the flag's
+// spelling — except scale, which holds one ("paper", "quick" or "smoke";
+// "" = per-spec default). Empty dimensions fall back exactly like
+// runner.Grid's. The typed fields are the wire schema: decoding into them
+// type-checks a body, and decodeSweep parses each dimension's values
+// through its row.
 type SweepRequest struct {
 	// Specs lists registry keys ("8b", "trace-replay", ...) or "all".
 	Specs       []string `json:"specs"`
@@ -174,16 +176,33 @@ type SweepRequest struct {
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 }
 
+// dimFields holds, per experiments.Dims row in table order, the index of
+// the SweepRequest field whose json key is the row's JSON key.
+var dimFields = sweepDimFields()
+
+func sweepDimFields() []int {
+	rt := reflect.TypeFor[SweepRequest]()
+	dims := experiments.Dims()
+	fields := make([]int, len(dims))
+	for i, d := range dims {
+		fields[i] = -1
+		for f := range rt.NumField() {
+			if key, _, _ := strings.Cut(rt.Field(f).Tag.Get("json"), ","); key == d.JSON {
+				fields[i] = f
+			}
+		}
+		if fields[i] < 0 {
+			panic(fmt.Sprintf("server: SweepRequest has no %q field for dimension %s", d.JSON, d.Name))
+		}
+	}
+	return fields
+}
+
 // decodeSweep decodes a /v1/sweep body and lowers it onto the runner grid,
 // parsing each dimension's values through its row as rcmpsim does.
 func decodeSweep(body []byte) (SweepRequest, runner.Grid, error) {
 	var req SweepRequest
-	var keys map[string]json.RawMessage
-	err := json.Unmarshal(body, &req)
-	if err == nil {
-		err = json.Unmarshal(body, &keys)
-	}
-	if err != nil {
+	if err := json.Unmarshal(body, &req); err != nil {
 		return req, runner.Grid{}, fmt.Errorf("bad request body: %v", err)
 	}
 	if len(req.Specs) == 0 {
@@ -202,8 +221,9 @@ func decodeSweep(body []byte) (SweepRequest, runner.Grid, error) {
 		}
 		g.Specs = append(g.Specs, sp)
 	}
-	for _, d := range experiments.Dims() {
-		vals, err := decodeAxis(d, bodyKey(keys, d.JSON))
+	rv := reflect.ValueOf(&req).Elem()
+	for i, d := range experiments.Dims() {
+		vals, err := axisValues(d, rv.Field(dimFields[i]))
 		if err != nil {
 			return req, runner.Grid{}, err
 		}
@@ -212,42 +232,31 @@ func decodeSweep(body []byte) (SweepRequest, runner.Grid, error) {
 	return req, g, g.Validate()
 }
 
-// bodyKey returns the body's value for key, matched as encoding/json
-// matches a struct field: exactly, else case-insensitively.
-func bodyKey(keys map[string]json.RawMessage, key string) json.RawMessage {
-	if v, ok := keys[key]; ok {
-		return v
-	}
-	for k, v := range keys {
-		if strings.EqualFold(k, key) {
-			return v
-		}
-	}
-	return nil
-}
-
-// decodeAxis parses one dimension's request value: a list of values, or a
-// single one (scale, where "" is none). A null list element is the zero
-// value, as typed decoding makes it.
-func decodeAxis(d experiments.Dim, raw json.RawMessage) ([]experiments.Config, error) {
-	elems := []json.RawMessage{raw}
-	if s := string(raw); s == "" || s == `""` {
+// axisValues parses one dimension's request field through its row: each
+// element of a list, or a single string (scale), where "" is none. A null
+// list element decoded to the zero value, which parses to the dimension's
+// zero value.
+func axisValues(d experiments.Dim, v reflect.Value) ([]experiments.Config, error) {
+	if v.Len() == 0 {
 		return nil, nil
-	} else if raw[0] == '[' || s == "null" {
-		if err := json.Unmarshal(raw, &elems); err != nil {
+	}
+	if v.Kind() == reflect.String {
+		c, err := d.Parse(v.String())
+		if err != nil {
 			return nil, err
 		}
+		return []experiments.Config{c}, nil
 	}
-	vals := make([]experiments.Config, len(elems))
-	for i, e := range elems {
-		s := string(e)
-		if s == "null" {
-			continue
-		}
-		if e[0] == '"' {
-			if err := json.Unmarshal(e, &s); err != nil {
-				return nil, err
-			}
+	vals := make([]experiments.Config, v.Len())
+	for i := range vals {
+		var s string
+		switch e := v.Index(i); e.Kind() {
+		case reflect.String:
+			s = e.String()
+		case reflect.Bool:
+			s = strconv.FormatBool(e.Bool())
+		default:
+			s = strconv.FormatInt(e.Int(), 10)
 		}
 		var err error
 		if vals[i], err = d.Parse(s); err != nil {
@@ -395,9 +404,11 @@ type errorEvent struct {
 	Error string `json:"error"`
 }
 
-// eventWriter frames stream events as NDJSON lines or SSE data frames and
-// flushes after each one. After the first failed write (the client is
-// gone) it drops every later event.
+// eventWriter frames stream events as NDJSON lines or SSE data frames. It
+// does not flush: handleSweep flushes when it is about to wait, so events
+// that are ready together are written together, and the handler's return
+// flushes the rest. After the first failed write (the client is gone) it
+// drops every later event.
 type eventWriter struct {
 	w       io.Writer
 	flusher http.Flusher
@@ -430,7 +441,11 @@ func (ew *eventWriter) send(b []byte) {
 	if _, err := ew.w.Write(b); err != nil {
 		ew.failed = true
 	}
-	if ew.flusher != nil {
+}
+
+// flush sends the events written so far to the client.
+func (ew *eventWriter) flush() {
+	if ew.flusher != nil && !ew.failed {
 		ew.flusher.Flush()
 	}
 }
@@ -522,30 +537,40 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	rows := make([]runner.Row, len(states))
 	timedOut := false
-	for n := 0; n < len(states); n++ {
+	for range states {
+		var i int
 		select {
-		case i := <-completions:
-			rows[i] = runner.Row{Name: states[i].job.Name, JSON: states[i].e.row}
-			s.cache.release(states[i].e)
-			released[i] = true
+		case i = <-completions:
+		default:
+			// Nothing is ready: send what is written, then wait. Events
+			// that are ready together so go out together.
 			if stream {
-				// A client that is gone stops the writes, not the loop:
-				// admitted jobs still land in the cache.
-				b := append(ew.begin(), `{"type":"result","index":`...)
-				b = strconv.AppendInt(b, int64(i), 10)
-				if states[i].owner {
-					b = append(b, `,"cache":"miss","result":`...)
-				} else {
-					b = append(b, `,"cache":"hit","result":`...)
-				}
-				b = append(b, rows[i].JSON...)
-				ew.send(append(b, '}'))
+				ew.flush()
 			}
-		case <-ctx.Done():
-			timedOut = true
+			select {
+			case i = <-completions:
+			case <-ctx.Done():
+				timedOut = true
+			}
 		}
 		if timedOut {
 			break
+		}
+		rows[i] = runner.Row{Name: states[i].job.Name, JSON: states[i].e.row}
+		s.cache.release(states[i].e)
+		released[i] = true
+		if stream {
+			// A client that is gone stops the writes, not the loop:
+			// admitted jobs still land in the cache.
+			b := append(ew.begin(), `{"type":"result","index":`...)
+			b = strconv.AppendInt(b, int64(i), 10)
+			if states[i].owner {
+				b = append(b, `,"cache":"miss","result":`...)
+			} else {
+				b = append(b, `,"cache":"hit","result":`...)
+			}
+			b = append(b, rows[i].JSON...)
+			ew.send(append(b, '}'))
 		}
 	}
 
@@ -578,15 +603,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// The non-streaming body is exactly the deterministic runner report —
 	// byte-identical to `rcmpsim -json` over the same grid.
 	compact, err := runner.AppendReport(nil, rows)
-	var b []byte
-	if err == nil {
-		b, err = runner.IndentReport(compact)
-	}
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_, _ = w.Write(b)
+	_, _ = w.Write(runner.IndentReport(compact))
 }

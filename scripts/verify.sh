@@ -5,10 +5,10 @@
 # detector over the full suite, then twice over the packages whose state
 # is reused across runs or shared between goroutines; the pinned chains
 # and golden digests; the analytic-vs-DES tolerance suite; a few seconds
-# of fuzzing on the dmr record-frame decoder, the job-graph validator and
-# the sweep request decoder; one smoke pass of every benchmark. The
-# commands have no smoke step: their tests drive them in-process under
-# tier-1. Nothing here is timed; wall-clock comparisons
+# of fuzzing on the dmr record-frame decoder, the job-graph validator, the
+# sweep request decoder and the report indenter; one smoke pass of every
+# benchmark. The commands have no smoke step: their tests drive them
+# in-process under tier-1. Nothing here is timed; wall-clock comparisons
 # need paired rounds, which `make bench-compare BASE=<rev>` runs
 # (docs/perf.md, "Measuring a change").
 set -eu
@@ -57,6 +57,9 @@ go test -run xxx -fuzz 'FuzzNewGraph$' -fuzztime 5s ./internal/middleware
 
 echo "== fuzz (sweep request decoder, 5 s) =="
 go test -run xxx -fuzz 'FuzzSweepRequest$' -fuzztime 5s ./internal/server
+
+echo "== fuzz (report indenter against json.Indent, 5 s) =="
+go test -run xxx -fuzz 'FuzzIndentReport$' -fuzztime 5s ./internal/runner
 
 echo "== bench-smoke =="
 RCMP_BENCH_SCALE=smoke go test -run xxx -bench . -benchtime 1x ./...
