@@ -421,6 +421,7 @@ func BenchmarkDMRChain(b *testing.B) {
 	if os.Getenv("RCMP_BENCH_SCALE") != "" {
 		cfg.RecordsPerPartition = 300
 	}
+	b.ReportAllocs()
 	var rpcs int
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

@@ -4,7 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"slices"
+	"iter"
 	"strconv"
 	"strings"
 
@@ -130,8 +130,18 @@ func nameInt(b []byte, on bool, prefix string, v int64) []byte {
 	return strconv.AppendInt(append(b, prefix...), v, 10)
 }
 
-// Dims returns a copy of the dimension table, in its order.
-func Dims() []Dim { return slices.Clone(dims[:]) }
+// Dims yields the dimension table's rows with their indices, in its
+// order. Each row is a copy, so ranging over the table clones nothing and
+// no caller can edit it.
+func Dims() iter.Seq2[int, Dim] {
+	return func(yield func(int, Dim) bool) {
+		for i := range dims {
+			if !yield(i, dims[i]) {
+				return
+			}
+		}
+	}
+}
 
 // ConfigDigest returns a stable cache key for one experiment execution:
 // the hex SHA-256 of the spec key and every dimension of c, each framed

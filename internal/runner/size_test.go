@@ -19,6 +19,11 @@ func TestGridSize(t *testing.T) {
 			"engine":     {{}, {Engine: experiments.EngineAnalytic}},
 			"unknown":    {{}, {}, {}},
 		}},
+		// The typed Scales and Seeds replace Axes' scale and seed entries.
+		{Specs: specs, Scales: []experiments.Scale{experiments.ScaleQuick}, Seeds: []int64{5, 6}, Axes: experiments.Axes{
+			"scale": {{}, {}, {}},
+			"seed":  {{Seed: 1}, {Seed: 2}, {Seed: 3}},
+		}},
 	} {
 		if n, want := g.Size(), len(g.Jobs()); n != want {
 			t.Errorf("Size() = %d, Jobs() built %d", n, want)

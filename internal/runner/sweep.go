@@ -40,15 +40,19 @@ func (g Grid) Validate() error {
 	return nil
 }
 
-// Size returns how many jobs Jobs builds, without building them; it
-// saturates at math.MaxInt.
-func (g Grid) Size() int { return g.size(g.axes()) }
-
-// size is Size over axes, the grid's g.axes().
-func (g Grid) size(axes experiments.Axes) int {
+// Size returns how many jobs Jobs builds, without building them or the
+// axes they cross; it saturates at math.MaxInt.
+func (g Grid) Size() int {
 	n := mulSat(len(g.Specs), max(g.SeedSet, 1))
 	for _, d := range experiments.Dims() {
-		n = mulSat(n, max(len(axes[d.Name]), 1))
+		vals := len(g.Axes[d.Name])
+		switch {
+		case d.Name == "scale" && len(g.Scales) > 0:
+			vals = len(g.Scales)
+		case d.Name == "seed" && len(g.Seeds) > 0:
+			vals = len(g.Seeds)
+		}
+		n = mulSat(n, max(vals, 1))
 	}
 	return n
 }
@@ -68,7 +72,7 @@ func mulSat(a, b int) int {
 func (g Grid) Jobs() []Job {
 	axes := g.axes()
 	scales, seeds := axes["scale"], axes["seed"]
-	out := make([]Job, 0, g.size(axes))
+	out := make([]Job, 0, g.Size())
 	for _, sp := range g.Specs {
 		axes["scale"], axes["seed"] = scales, seeds
 		if len(scales) == 0 {

@@ -186,8 +186,8 @@ func TestSweepHitAllocs(t *testing.T) {
 		stream  bool
 		ceiling float64
 	}{
-		{"stream", true, 128},
-		{"report", false, 124},
+		{"stream", true, 123},
+		{"report", false, 119},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			serve := cachedSweep(t, c.stream, "")

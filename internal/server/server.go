@@ -182,18 +182,18 @@ var dimFields = sweepDimFields()
 
 func sweepDimFields() []int {
 	rt := reflect.TypeFor[SweepRequest]()
-	dims := experiments.Dims()
-	fields := make([]int, len(dims))
-	for i, d := range dims {
-		fields[i] = -1
+	var fields []int
+	for _, d := range experiments.Dims() {
+		field := -1
 		for f := range rt.NumField() {
 			if key, _, _ := strings.Cut(rt.Field(f).Tag.Get("json"), ","); key == d.JSON {
-				fields[i] = f
+				field = f
 			}
 		}
-		if fields[i] < 0 {
+		if field < 0 {
 			panic(fmt.Sprintf("server: SweepRequest has no %q field for dimension %s", d.JSON, d.Name))
 		}
+		fields = append(fields, field)
 	}
 	return fields
 }

@@ -18,23 +18,23 @@ type Digest struct {
 	Sum    uint64
 }
 
-// Add folds one record into the digest.
+// Add folds one record into the digest. The key and value are hashed from
+// one buffer on the stack, so a record of up to digestBuf bytes allocates
+// nothing.
 func (d *Digest) Add(r Record) {
 	d.Count++
-	var key [8]byte
-	binary.LittleEndian.PutUint64(key[:], r.Key)
-	h := md5.New()
-	h.Write(key[:])
-	h.Write(r.Value)
-	var sum [16]byte
-	copy(sum[:], h.Sum(nil))
+	var buf [digestBuf]byte
+	b := binary.LittleEndian.AppendUint64(buf[:0], r.Key)
+	sum := md5.Sum(append(b, r.Value...))
 	for i := range d.XorMD5 {
 		d.XorMD5[i] ^= sum[i]
 	}
-	for _, b := range r.Value {
-		d.Sum += uint64(b)
-	}
+	d.Sum += sumBytes(r.Value)
 }
+
+// digestBuf is Add's stack buffer: the key plus a ValueSize value, with
+// room to spare.
+const digestBuf = 256
 
 // Merge folds another digest into d. Merging is commutative and
 // associative, so per-block digests combine into a partition digest in any

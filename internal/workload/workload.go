@@ -14,11 +14,12 @@
 package workload
 
 import (
+	"cmp"
 	"crypto/md5"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"rcmp/internal/core"
 )
@@ -61,12 +62,33 @@ func stamp(v []byte) {
 	binary.LittleEndian.PutUint32(v[8:12], byteSum(payload))
 }
 
-func byteSum(b []byte) uint32 {
-	var s uint32
-	for _, x := range b {
-		s += uint32(x)
+// byteSum is the value check's byte sum: the sum of b's bytes, modulo 2^32.
+func byteSum(b []byte) uint32 { return uint32(sumBytes(b)) }
+
+// lowBytes selects the low byte of each 16-bit lane of a word.
+const lowBytes = 0x00ff00ff00ff00ff
+
+// sumBytes returns the sum of b's bytes, a word at a time: each 8-byte
+// word adds its bytes pairwise into four 16-bit lanes, at most 2*255 a
+// lane, so 128 words (65 280) fit a lane before the lanes must be folded
+// into the total. The tail shorter than a word is summed byte by byte.
+func sumBytes(b []byte) uint64 {
+	var total uint64
+	for len(b) >= 8 {
+		words := min(len(b)/8, 128)
+		var lanes uint64
+		for i := 0; i < words; i++ {
+			w := binary.LittleEndian.Uint64(b[8*i:])
+			lanes += w&lowBytes + w>>8&lowBytes
+		}
+		lanes = lanes&0x0000ffff0000ffff + lanes>>16&0x0000ffff0000ffff
+		total += lanes&0xffffffff + lanes>>32
+		b = b[8*words:]
 	}
-	return s
+	for _, x := range b {
+		total += uint64(x)
+	}
+	return total
 }
 
 // Verify checks a record's embedded MD5 fragment and byte-sum; it returns
@@ -115,18 +137,27 @@ func mix(x uint64) uint64 {
 // payload (a byte-wise rotation keeps sizes identical for the 1:1 ratio),
 // re-stamp the checks, and emit under a randomized-but-deterministic key.
 func Map(r Record, emit func(Record)) error {
-	if err := Verify(r); err != nil {
+	o, err := mapInto(r, make([]byte, len(r.Value)))
+	if err != nil {
 		return err
 	}
-	v := make([]byte, len(r.Value))
+	emit(o)
+	return nil
+}
+
+// mapInto is Map writing the output value into v, which must be
+// len(r.Value) bytes; it returns the output record.
+func mapInto(r Record, v []byte) (Record, error) {
+	if err := Verify(r); err != nil {
+		return Record{}, err
+	}
 	copy(v, r.Value)
 	payload := v[checkLen:]
 	for i := range payload {
 		payload[i] = payload[i]<<1 | payload[i]>>7
 	}
 	stamp(v)
-	emit(Record{Key: rekey(r.Key, v), Value: v})
-	return nil
+	return Record{Key: rekey(r.Key, v), Value: v}, nil
 }
 
 // Reduce is the chain job's reducer UDF: verify every value of the key and
@@ -155,20 +186,43 @@ func KeyBytes(key uint64) []byte {
 // bucket per reducer by key hash — the partitioning every runtime shares.
 // It also returns the output's size in bytes (an 8-byte key plus the
 // value, per record).
+//
+// A block allocates a fixed handful of times, whatever its length: the
+// output values are cap-limited windows of one arena, and the buckets are
+// cap-limited windows of one record slice, each in input order. A reducer
+// that gets no record keeps a nil bucket.
 func MapBlock(rows []Record, numReducers int) ([][]Record, int64, error) {
-	buckets := make([][]Record, numReducers)
-	var bytes int64
+	size := 0
 	for _, r := range rows {
-		err := Map(r, func(o Record) {
-			red := core.ReducerOf(core.HashKey(KeyBytes(o.Key)), numReducers)
-			buckets[red] = append(buckets[red], o)
-			bytes += int64(8 + len(o.Value))
-		})
+		size += len(r.Value)
+	}
+	arena := make([]byte, size)
+	mapped := make([]Record, len(rows))
+	reducer := make([]int, len(rows))
+	counts := make([]int, numReducers)
+	for i, r := range rows {
+		v := arena[:len(r.Value):len(r.Value)]
+		arena = arena[len(r.Value):]
+		o, err := mapInto(r, v)
 		if err != nil {
 			return nil, 0, err
 		}
+		mapped[i] = o
+		reducer[i] = core.ReducerOf(core.HashKey(KeyBytes(o.Key)), numReducers)
+		counts[reducer[i]]++
 	}
-	return buckets, bytes, nil
+	buckets := make([][]Record, numReducers)
+	backing := make([]Record, len(rows))
+	for red, n := range counts {
+		if n > 0 {
+			buckets[red] = backing[:0:n]
+			backing = backing[n:]
+		}
+	}
+	for i, o := range mapped {
+		buckets[reducer[i]] = append(buckets[reducer[i]], o)
+	}
+	return buckets, int64(8*len(rows) + size), nil
 }
 
 // SplitSlice returns the records of one map-output bucket that belong to
@@ -192,26 +246,48 @@ func SplitSlice(rows []Record, split, splits int) []Record {
 // on each key in ascending key order, so the output does not depend on
 // the order the sources arrived in. It also returns the output's size in
 // bytes, counted as MapBlock counts it.
+//
+// The grouping sorts (key, position) pairs over the concatenated sources,
+// so equal keys keep their source order, and hands Reduce each run of
+// equal keys through one reused values slice: a task allocates a fixed
+// handful of times, not once per key.
 func ReduceGroups(sources [][]Record) ([]Record, int64, error) {
-	grouped := make(map[uint64][][]byte)
-	var keys []uint64
+	n := 0
 	for _, rows := range sources {
-		for _, r := range rows {
-			if _, ok := grouped[r.Key]; !ok {
-				keys = append(keys, r.Key)
-			}
-			grouped[r.Key] = append(grouped[r.Key], r.Value)
-		}
+		n += len(rows)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	var out []Record
+	all := make([]Record, 0, n)
+	for _, rows := range sources {
+		all = append(all, rows...)
+	}
+	type keyPos struct {
+		key uint64
+		pos int
+	}
+	order := make([]keyPos, n)
+	for i, r := range all {
+		order[i] = keyPos{r.Key, i}
+	}
+	slices.SortFunc(order, func(a, b keyPos) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
+	})
+	out := make([]Record, 0, n)
 	var bytes int64
-	for _, k := range keys {
-		err := Reduce(k, grouped[k], func(r Record) {
-			out = append(out, r)
-			bytes += int64(8 + len(r.Value))
-		})
-		if err != nil {
+	emit := func(r Record) {
+		out = append(out, r)
+		bytes += int64(8 + len(r.Value))
+	}
+	var values [][]byte
+	for i := 0; i < n; {
+		k := order[i].key
+		values = values[:0]
+		for ; i < n && order[i].key == k; i++ {
+			values = append(values, all[order[i].pos].Value)
+		}
+		if err := Reduce(k, values, emit); err != nil {
 			return nil, 0, err
 		}
 	}

@@ -6,11 +6,11 @@
 # is reused across runs or shared between goroutines; the pinned chains
 # and golden digests; the analytic-vs-DES tolerance suite; a few seconds
 # of fuzzing on the dmr record-frame decoder, the job-graph validator, the
-# sweep request decoder and the report indenter; one smoke pass of every
-# benchmark. The commands have no smoke step: their tests drive them
-# in-process under tier-1. Nothing here is timed; wall-clock comparisons
-# need paired rounds, which `make bench-compare BASE=<rev>` runs
-# (docs/perf.md, "Measuring a change").
+# sweep request decoder, the report indenter and the record byte sum; one
+# smoke pass of every benchmark. The commands have no smoke step: their
+# tests drive them in-process under tier-1. Nothing here is timed;
+# wall-clock comparisons need paired rounds, which `make bench-compare
+# BASE=<rev>` runs (docs/perf.md, "Measuring a change").
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -60,6 +60,9 @@ go test -run xxx -fuzz 'FuzzSweepRequest$' -fuzztime 5s ./internal/server
 
 echo "== fuzz (report indenter against json.Indent, 5 s) =="
 go test -run xxx -fuzz 'FuzzIndentReport$' -fuzztime 5s ./internal/runner
+
+echo "== fuzz (word-wise byte sum against the byte loop, 5 s) =="
+go test -run xxx -fuzz 'FuzzByteSum$' -fuzztime 5s ./internal/workload
 
 echo "== bench-smoke =="
 RCMP_BENCH_SCALE=smoke go test -run xxx -bench . -benchtime 1x ./...
