@@ -55,26 +55,13 @@ func DAGRecovery(c Config) (*Result, error) {
 	}
 	st.cfg.Failures = fails
 
-	type variant struct {
-		label  string
-		mutate func(*mapreduce.ChainConfig)
-	}
-	variants := []variant{
-		{"RCMP SPLIT", func(cc *mapreduce.ChainConfig) { cc.Split = true; cc.SplitRatio = splitRatioFor(st) }},
-		{"RCMP NO-SPLIT", func(*mapreduce.ChainConfig) {}},
-		{"HADOOP REPL-2", func(cc *mapreduce.ChainConfig) { cc.Mode = mapreduce.ModeHadoop; cc.OutputRepl = 2 }},
-		{"HADOOP REPL-3", func(cc *mapreduce.ChainConfig) { cc.Mode = mapreduce.ModeHadoop; cc.OutputRepl = 3 }},
-	}
-	var labels []string
+	strategies := []strategy{rcmpSplit, rcmpNoSplit, hadoopRepl2, hadoopRepl3}
 	var totals []float64
-	for _, v := range variants {
-		stv := st
-		v.mutate(&stv.cfg)
-		res := runGraph(stv, diamondJobs())
-		labels = append(labels, v.label)
+	for _, s := range strategies {
+		res := runGraph(st.with(s), diamondJobs())
 		totals = append(totals, float64(res.Total))
-		addSpeculationValues(r, c, v.label, res)
-		if v.label == "RCMP NO-SPLIT" {
+		addSpeculationValues(r, c, s.String(), res)
+		if s == rcmpNoSplit {
 			recompRuns, recompTasks := 0, 0
 			for _, rs := range res.Runs {
 				if rs.Kind == metrics.RunRecompute {
@@ -90,15 +77,9 @@ func DAGRecovery(c Config) (*Result, error) {
 			r.Values["recompute tasks"] = float64(recompTasks)
 		}
 	}
-	best := totals[0]
-	for _, v := range totals {
-		if v < best {
-			best = v
-		}
-	}
 	var rows [][]string
-	for i, l := range labels {
-		slow := totals[i] / best
+	for i, slow := range vsBest(totals) {
+		l := strategies[i].String()
 		r.Values[l] = slow
 		rows = append(rows, []string{l, textplot.Num(slow)})
 	}
@@ -132,12 +113,8 @@ func MultiTenant(c Config) (*Result, error) {
 
 	jobs := middleware.Chain(st.cfg.NumJobs)
 
-	session := func(tenants int, split bool, failed bool) *mapreduce.MultiResult {
-		cfg := st.cfg
-		cfg.Split = split
-		if split {
-			cfg.SplitRatio = splitRatioFor(st)
-		}
+	session := func(tenants int, s strategy, failed bool) *mapreduce.MultiResult {
+		cfg := st.with(s).cfg
 		if failed {
 			cfg.Failures = fails
 		}
@@ -152,10 +129,10 @@ func MultiTenant(c Config) (*Result, error) {
 	for _, tn := range tenantCounts {
 		// Splitting only changes recovery planning, so one failure-free
 		// session is the baseline for both strategies.
-		free := session(tn, false, false)
+		free := session(tn, rcmpNoSplit, false)
 		util := sessionUtilization(free, st.ccfg)
-		splitRec := float64(session(tn, true, true).Makespan) - float64(free.Makespan)
-		noSplitRec := float64(session(tn, false, true).Makespan) - float64(free.Makespan)
+		splitRec := float64(session(tn, rcmpSplit, true).Makespan) - float64(free.Makespan)
+		noSplitRec := float64(session(tn, rcmpNoSplit, true).Makespan) - float64(free.Makespan)
 		r.Values[fmt.Sprintf("utilization @ %d tenants", tn)] = util
 		r.Values[fmt.Sprintf("SPLIT recovery @ %d tenants", tn)] = splitRec
 		r.Values[fmt.Sprintf("NO-SPLIT recovery @ %d tenants", tn)] = noSplitRec

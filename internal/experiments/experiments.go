@@ -15,6 +15,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"rcmp/internal/analysis"
 	"rcmp/internal/cluster"
@@ -211,6 +212,58 @@ func splitRatioFor(st setup) int {
 	return 8
 }
 
+// strategy is one of the failure-resilience strategies Section V compares.
+// setup.with is the one place each says what it changes in a chain config.
+type strategy int
+
+const (
+	// rcmpNoSplit is RCMP recomputation without reducer splitting: the
+	// setup as built.
+	rcmpNoSplit strategy = iota
+	// rcmpSplit splits recomputed reducers at the paper's ratio.
+	rcmpSplit
+	// scatter is the scatter-only alternative of Section IV-B2.
+	scatter
+	// hadoopRepl2 and hadoopRepl3 are Hadoop with every job output
+	// replicated twice or three times.
+	hadoopRepl2
+	hadoopRepl3
+)
+
+// String is the strategy's label in the paper's Figure 8 legend, which
+// DAGRecovery and DoubleFailure share; other figures label their own.
+func (s strategy) String() string {
+	return [...]string{"RCMP NO-SPLIT", "RCMP SPLIT", "SCATTER", "HADOOP REPL-2", "HADOOP REPL-3"}[s]
+}
+
+// with returns st running strategy s.
+func (st setup) with(s strategy) setup {
+	switch s {
+	case rcmpSplit:
+		st.cfg.Split, st.cfg.SplitRatio = true, splitRatioFor(st)
+	case scatter:
+		st.cfg.ScatterOnly = true
+	case hadoopRepl2:
+		st.cfg.Mode, st.cfg.OutputRepl = mapreduce.ModeHadoop, 2
+	case hadoopRepl3:
+		st.cfg.Mode, st.cfg.OutputRepl = mapreduce.ModeHadoop, 3
+	}
+	return st
+}
+
+// vsBest returns each total as a slowdown versus the fastest of them.
+func vsBest(totals []float64) []float64 {
+	best := math.Inf(1)
+	for _, t := range totals {
+		best = min(best, t)
+	}
+	out := make([]float64, len(totals))
+	for i, t := range totals {
+		out[i] = metrics.Slowdown(t, best)
+	}
+	return out
+}
+
 // victim is the node failures target; fixed so every strategy loses the
 // same share of work.
 const victim = 3
@@ -372,43 +425,18 @@ func Fig2(c Config) (*Result, error) {
 
 // ---- Figure 8 ----
 
-// fig8Strategies builds the five compared strategies for one setup.
-type strategyRun struct {
-	label string
-	res   *mapreduce.Result
-	total float64
-}
-
-func fig8Run(st setup, failures []mapreduce.Injection) map[string]strategyRun {
-	out := make(map[string]strategyRun)
-
-	rcmpSplit := st
-	rcmpSplit.cfg.Failures = failures
-	rcmpSplit.cfg.Split = true
-	rcmpSplit.cfg.SplitRatio = splitRatioFor(st)
-	res := run(rcmpSplit)
-	out["RCMP SPLIT"] = strategyRun{"RCMP SPLIT", res, float64(res.Total)}
-
-	rcmpNo := st
-	rcmpNo.cfg.Failures = failures
-	res = run(rcmpNo)
-	out["RCMP NO-SPLIT"] = strategyRun{"RCMP NO-SPLIT", res, float64(res.Total)}
-
-	for _, repl := range []int{2, 3} {
-		h := st
-		h.cfg.Mode = mapreduce.ModeHadoop
-		h.cfg.OutputRepl = repl
-		h.cfg.Failures = failures
-		res = run(h)
-		label := fmt.Sprintf("HADOOP REPL-%d", repl)
-		out[label] = strategyRun{label, res, float64(res.Total)}
+// fig8Run runs the four simulated Figure 8 strategies on one setup and
+// models OPTIMISTIC from the RCMP NO-SPLIT run. It returns each one's
+// label, total time and simulated result (nil for OPTIMISTIC).
+func fig8Run(st setup, failures []mapreduce.Injection) (labels []string, totals []float64, results []*mapreduce.Result) {
+	for _, s := range []strategy{rcmpSplit, rcmpNoSplit, hadoopRepl2, hadoopRepl3} {
+		stv := st.with(s)
+		stv.cfg.Failures = failures
+		res := run(stv)
+		labels, totals, results = append(labels, s.String()), append(totals, float64(res.Total)), append(results, res)
 	}
-
-	// OPTIMISTIC: numerical, from the RCMP NO-SPLIT measurements.
-	noSplit := out["RCMP NO-SPLIT"].res
-	opt := optimisticTotal(st, noSplit, failures)
-	out["OPTIMISTIC"] = strategyRun{"OPTIMISTIC", nil, opt}
-	return out
+	opt := optimisticTotal(st, results[1], failures)
+	return append(labels, "OPTIMISTIC"), append(totals, opt), append(results, nil)
 }
 
 // optimisticTotal models OPTIMISTIC with the paper's method: average job
@@ -454,35 +482,25 @@ func fig8(name string, c Config, failures func(setup) ([]mapreduce.Injection, er
 	for _, st := range setups {
 		header = append(header, st.name)
 	}
-	totals := make(map[string][]float64)
+	slowdowns := make(map[string][]float64)
 	for _, st := range setups {
 		fails, err := failures(st)
 		if err != nil {
 			return nil, err
 		}
-		runs := fig8Run(st, fails)
-		best := math.Inf(1)
-		for _, sr := range runs {
-			if sr.total < best {
-				best = sr.total
-			}
-		}
+		labels, totals, results := fig8Run(st, fails)
+		slow := vsBest(totals)
 		for _, label := range strategies {
-			sr, ok := runs[label]
-			if !ok {
-				totals[label] = append(totals[label], math.NaN())
-				continue
-			}
-			slow := metrics.Slowdown(sr.total, best)
-			totals[label] = append(totals[label], slow)
-			r.Values[label+" @ "+st.name] = slow
-			addSpeculationValues(r, c, label+" @ "+st.name, sr.res)
+			i := slices.Index(labels, label)
+			slowdowns[label] = append(slowdowns[label], slow[i])
+			r.Values[label+" @ "+st.name] = slow[i]
+			addSpeculationValues(r, c, label+" @ "+st.name, results[i])
 		}
 	}
 	var rows [][]string
 	for _, label := range strategies {
 		row := []string{label}
-		for _, v := range totals[label] {
+		for _, v := range slowdowns[label] {
 			row = append(row, textplot.Num(v))
 		}
 		rows = append(rows, row)
@@ -539,46 +557,32 @@ func Fig9(c Config) (*Result, error) {
 		{fmt.Sprintf("FAIL 2,%d", mid), 2, mid, 2, mid},
 		{fmt.Sprintf("FAIL %d,%d nested", mid, last), mid, last, mid, last},
 	}
-	var labels []string
-	var rcmpSplitV, rcmpNoV, hadV []float64
-	for _, sc := range scenarios {
-		inject := func(x, y int) []mapreduce.Injection {
-			first := mapreduce.Injection{AtRun: x, After: 15, Node: victim}
-			second := mapreduce.Injection{AtRun: y, After: 15, Node: victim + 1}
-			if x == y {
-				second.After = 30 // paper: second failure 15s after the first
-			}
-			return []mapreduce.Injection{first, second}
+	inject := func(x, y int) []mapreduce.Injection {
+		first := mapreduce.Injection{AtRun: x, After: 15, Node: victim}
+		second := mapreduce.Injection{AtRun: y, After: 15, Node: victim + 1}
+		if x == y {
+			second.After = 30 // paper: second failure 15s after the first
 		}
-		rs := st
-		rs.cfg.Split = true
-		rs.cfg.SplitRatio = splitRatioFor(st)
-		rs.cfg.Failures = inject(sc.rcmpX, sc.rcmpY)
-		split := float64(run(rs).Total)
-
-		rn := st
-		rn.cfg.Failures = inject(sc.rcmpX, sc.rcmpY)
-		nosplit := float64(run(rn).Total)
-
-		h := st
-		h.cfg.Mode = mapreduce.ModeHadoop
-		h.cfg.OutputRepl = 3
-		h.cfg.Failures = inject(sc.hadX, sc.hadY)
-		had := float64(run(h).Total)
-
-		best := math.Min(split, math.Min(nosplit, had))
-		labels = append(labels, sc.label)
-		rcmpSplitV = append(rcmpSplitV, split/best)
-		rcmpNoV = append(rcmpNoV, nosplit/best)
-		hadV = append(hadV, had/best)
-		r.Values["RCMP S @ "+sc.label] = split / best
-		r.Values["RCMP NO @ "+sc.label] = nosplit / best
-		r.Values["REPL-3 @ "+sc.label] = had / best
+		return []mapreduce.Injection{first, second}
 	}
+	cols := []string{"RCMP S", "RCMP NO", "REPL-3"}
 	var rows [][]string
-	for i, l := range labels {
-		rows = append(rows, []string{l,
-			textplot.Num(rcmpSplitV[i]), textplot.Num(rcmpNoV[i]), textplot.Num(hadV[i])})
+	for _, sc := range scenarios {
+		var totals []float64
+		for _, s := range []strategy{rcmpSplit, rcmpNoSplit, hadoopRepl3} {
+			stv := st.with(s)
+			stv.cfg.Failures = inject(sc.rcmpX, sc.rcmpY)
+			if s == hadoopRepl3 {
+				stv.cfg.Failures = inject(sc.hadX, sc.hadY)
+			}
+			totals = append(totals, float64(run(stv).Total))
+		}
+		row := []string{sc.label}
+		for i, slow := range vsBest(totals) {
+			r.Values[cols[i]+" @ "+sc.label] = slow
+			row = append(row, textplot.Num(slow))
+		}
+		rows = append(rows, row)
 	}
 	r.Text = textplot.Table(r.Name+" (slowdown vs best per scenario)",
 		[]string{"scenario", "RCMP S" + textplot.Num(float64(splitRatioFor(st))), "RCMP NO", "REPL-3"}, rows)
@@ -604,24 +608,20 @@ func Fig10(c Config) (*Result, error) {
 		return nil, err
 	}
 
-	rcmp := st
-	rcmp.cfg.Split = true
-	rcmp.cfg.SplitRatio = splitRatioFor(st)
+	rcmp := st.with(rcmpSplit)
 	rcmp.cfg.Failures = fails
 	rcmpRes := run(rcmp)
 	rcmpP := perJobFromRuns(rcmpRes, failAt)
 	rec := recoveryFromRuns(rcmpRes, st)
 
-	hadoopTotals := make(map[int]func(int) float64)
-	for _, repl := range []int{2, 3} {
-		h := st
-		h.cfg.Mode = mapreduce.ModeHadoop
-		h.cfg.OutputRepl = repl
+	hadoopTotals := make(map[strategy]func(int) float64)
+	for _, s := range []strategy{hadoopRepl2, hadoopRepl3} {
+		h := st.with(s)
 		h.cfg.Failures = fails
 		hres := run(h)
 		p := perJobFromRuns(hres, failAt)
 		failedJob := failedRunDuration(hres, failAt)
-		hadoopTotals[repl] = func(jobs int) float64 {
+		hadoopTotals[s] = func(jobs int) float64 {
 			return analysis.HadoopTotalWithFailure(jobs, failAt, p, failedJob)
 		}
 	}
@@ -635,8 +635,8 @@ func Fig10(c Config) (*Result, error) {
 		xs = append(xs, float64(l))
 	}
 	series := map[string][]float64{
-		"REPL-3": analysis.SlowdownSeries(lengths, hadoopTotals[3], rcmpTotal),
-		"REPL-2": analysis.SlowdownSeries(lengths, hadoopTotals[2], rcmpTotal),
+		"REPL-3": analysis.SlowdownSeries(lengths, hadoopTotals[hadoopRepl3], rcmpTotal),
+		"REPL-2": analysis.SlowdownSeries(lengths, hadoopTotals[hadoopRepl2], rcmpTotal),
 		"RCMP":   analysis.SlowdownSeries(lengths, rcmpTotal, rcmpTotal),
 	}
 	for _, repl := range []int{2, 3} {
@@ -795,54 +795,24 @@ func Fig12(c Config) (*Result, error) {
 // reducer waves; recomputed reducers always fit one wave; map outputs are
 // not reused so the reduce phase is isolated; FAST vs SLOW shuffle.
 func Fig13(c Config) (*Result, error) {
-	r := newResult("Fig13: speed-up from fewer reducer waves")
-	labels := []string{"1:1", "2:1", "4:1"}
-	waveCounts := []int{1, 2, 4}
-	series := map[string][]float64{}
-	var xs []float64
-	for i, w := range waveCounts {
-		for _, slow := range []bool{false, true} {
-			st := sticSetup(c, 1, 1)
-			st.cfg.NumJobs = 2
+	return waveSweep(c, "Fig13: speed-up from fewer reducer waves", " (x = initial reducer waves : recompute waves)",
+		"waves", "%d:1", []int{1, 2, 4}, func(st *setup, w int) {
 			st.cfg.NumReducers = st.ccfg.Nodes * w
 			st.cfg.NoMapOutputReuse = true
-			st.cfg.Failures = fixedFailure(2)
-			if slow {
-				st.ccfg.ShuffleTransferDelay = 10
-			}
-			res := run(st)
-			su := recomputeSpeedup(res)
-			name := "FAST SHUFFLE"
-			if slow {
-				name = "SLOW SHUFFLE"
-			}
-			series[name] = append(series[name], su)
-			r.Values[fmt.Sprintf("%s @ %s", name, labels[i])] = su
-		}
-		xs = append(xs, float64(w))
-	}
-	r.Text = textplot.Series(r.Name+" (x = initial reducer waves : recompute waves)",
-		"waves", xs, []string{"FAST SHUFFLE", "SLOW SHUFFLE"}, series)
-	return r, nil
+		}), nil
 }
 
 // Fig14 reproduces the mapper-wave speed-up: one reducer wave throughout,
 // and the number of mapper waves during recomputation dialed from 2 to 18
 // via ForceRecomputeMappers; FAST vs SLOW shuffle.
 func Fig14(c Config) (*Result, error) {
-	r := newResult("Fig14: speed-up vs recomputation mapper waves")
 	waves := []int{2, 6, 10, 14, 18}
 	if c.Scale == ScaleQuick {
 		waves = []int{2, 6}
 	}
-	series := map[string][]float64{}
-	var xs []float64
-	for _, w := range waves {
-		for _, slow := range []bool{false, true} {
-			st := sticSetup(c, 1, 1)
-			st.cfg.NumJobs = 2
+	return waveSweep(c, "Fig14: speed-up vs recomputation mapper waves", "",
+		"recompute mapper waves", "%d waves", waves, func(st *setup, w int) {
 			st.cfg.NumReducers = st.ccfg.Nodes
-			st.cfg.Failures = fixedFailure(2)
 			if c.Scale == ScaleQuick {
 				// Keep enough initial mapper waves that the map phase
 				// dominates, so the wave effect is visible at small scale.
@@ -851,23 +821,35 @@ func Fig14(c Config) (*Result, error) {
 			}
 			// w waves over the surviving nodes' map slots.
 			st.cfg.ForceRecomputeMappers = w * (st.ccfg.Nodes - 1) * st.ccfg.MapSlots
-			if slow {
+		}), nil
+}
+
+// waveSweep is the experiment of Figures 13 and 14: a 2-job STIC chain
+// that loses a node in job 2, run at each wave count (which shape dials
+// into the setup) under FAST and SLOW shuffle and scored by
+// recomputeSpeedup. point formats a wave count into its Values key.
+func waveSweep(c Config, name, note, xLabel, point string, waves []int, shape func(st *setup, w int)) *Result {
+	r := newResult(name)
+	shuffles := []string{"FAST SHUFFLE", "SLOW SHUFFLE"}
+	series := map[string][]float64{}
+	var xs []float64
+	for _, w := range waves {
+		for _, shuffle := range shuffles {
+			st := sticSetup(c, 1, 1)
+			st.cfg.NumJobs = 2
+			st.cfg.Failures = fixedFailure(2)
+			shape(&st, w)
+			if shuffle == "SLOW SHUFFLE" {
 				st.ccfg.ShuffleTransferDelay = 10
 			}
-			res := run(st)
-			su := recomputeSpeedup(res)
-			name := "FAST SHUFFLE"
-			if slow {
-				name = "SLOW SHUFFLE"
-			}
-			series[name] = append(series[name], su)
-			r.Values[fmt.Sprintf("%s @ %d waves", name, w)] = su
+			su := recomputeSpeedup(run(st))
+			series[shuffle] = append(series[shuffle], su)
+			r.Values[shuffle+" @ "+fmt.Sprintf(point, w)] = su
 		}
 		xs = append(xs, float64(w))
 	}
-	r.Text = textplot.Series(r.Name, "recompute mapper waves", xs,
-		[]string{"FAST SHUFFLE", "SLOW SHUFFLE"}, series)
-	return r, nil
+	r.Text = textplot.Series(r.Name+note, xLabel, xs, shuffles, series)
+	return r
 }
 
 // ---- Hybrid (Section IV-C) ----
@@ -884,18 +866,13 @@ func Hybrid(c Config) (*Result, error) {
 		return nil, err
 	}
 
-	pure := st
-	pure.cfg.Split = true
-	pure.cfg.SplitRatio = splitRatioFor(st)
+	pure := st.with(rcmpSplit)
 	pure.cfg.Failures = fails
 	pureT := float64(run(pure).Total)
 
-	hyb := st
-	hyb.cfg.Split = true
-	hyb.cfg.SplitRatio = splitRatioFor(st)
+	hyb := pure
 	hyb.cfg.HybridEveryK = 5
 	hyb.cfg.HybridRepl = 2
-	hyb.cfg.Failures = fails
 	hybT := float64(run(hyb).Total)
 
 	r.Values["pure RCMP"] = 1
@@ -918,32 +895,14 @@ func AblationScatterVsSplit(c Config) (*Result, error) {
 	}
 	st.cfg.Failures = fails
 
-	variants := []struct {
-		name   string
-		mutate func(*mapreduce.ChainConfig)
-	}{
-		{"NO-SPLIT", func(c *mapreduce.ChainConfig) {}},
-		{"SCATTER", func(c *mapreduce.ChainConfig) { c.ScatterOnly = true }},
-		{"SPLIT", func(c *mapreduce.ChainConfig) { c.Split = true; c.SplitRatio = splitRatioFor(st) }},
+	labels := []string{"NO-SPLIT", "SCATTER", "SPLIT"}
+	var totals []float64
+	for _, s := range []strategy{rcmpNoSplit, scatter, rcmpSplit} {
+		totals = append(totals, float64(run(st.with(s)).Total))
 	}
-	var labels []string
-	var vals []float64
-	for _, v := range variants {
-		stv := st
-		v.mutate(&stv.cfg)
-		res := run(stv)
-		labels = append(labels, v.name)
-		vals = append(vals, float64(res.Total))
-	}
-	best := vals[0]
-	for _, v := range vals {
-		if v < best {
-			best = v
-		}
-	}
-	for i := range vals {
-		vals[i] /= best
-		r.Values[labels[i]] = vals[i]
+	vals := vsBest(totals)
+	for i, l := range labels {
+		r.Values[l] = vals[i]
 	}
 	r.Text = textplot.Bars(r.Name+" (total time vs best)", labels, vals, 0.05)
 	return r, nil
@@ -987,9 +946,8 @@ func AblationMapReuse(c Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	st = st.with(rcmpSplit)
 	st.cfg.Failures = fails
-	st.cfg.Split = true
-	st.cfg.SplitRatio = splitRatioFor(st)
 
 	withReuse := float64(run(st).Total)
 	stNo := st
@@ -1038,10 +996,7 @@ func AblationIORatio(c Config) (*Result, error) {
 		rcmp.cfg.ReduceOutputRatio = sh.redRatio
 		rcmpT := float64(run(rcmp).Total)
 
-		repl := rcmp
-		repl.cfg.Mode = mapreduce.ModeHadoop
-		repl.cfg.OutputRepl = 3
-		replT := float64(run(repl).Total)
+		replT := float64(run(rcmp.with(hadoopRepl3)).Total)
 
 		labels = append(labels, sh.name)
 		vals = append(vals, replT/rcmpT)
@@ -1149,10 +1104,8 @@ func AblationDetectionTimeout(c Config) (*Result, error) {
 	var labels []string
 	var vals []float64
 	for _, to := range timeouts {
-		st := sticSetup(c, 1, 1)
+		st := sticSetup(c, 1, 1).with(rcmpSplit)
 		st.ccfg.FailureDetectionTimeout = des.Time(to)
-		st.cfg.Split = true
-		st.cfg.SplitRatio = splitRatioFor(st)
 		fails, err := failureScenario(c, st, st.cfg.NumJobs)
 		if err != nil {
 			return nil, err

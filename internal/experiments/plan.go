@@ -62,20 +62,16 @@ func CapacityPlan(c Config, deadline PlanDeadline) (*Result, error) {
 	jobs := middleware.Chain(st.cfg.NumJobs)
 
 	r := newResult(fmt.Sprintf("CapacityPlan: %s, %d tenants", st.name, tenants))
-	plan := func(split bool) (analytic.SessionPlan, error) {
-		cfg := st.cfg
+	plan := func(s strategy) (analytic.SessionPlan, error) {
+		cfg := st.with(s).cfg
 		cfg.Failures = fails
-		cfg.Split = split
-		if split {
-			cfg.SplitRatio = splitRatioFor(st)
-		}
 		return analytic.PlanSession(st.ccfg, mapreduce.GraphConfig{ChainConfig: cfg, Jobs: jobs}, tenants)
 	}
-	splitPlan, err := plan(true)
+	splitPlan, err := plan(rcmpSplit)
 	if err != nil {
 		return nil, err
 	}
-	noSplitPlan, err := plan(false)
+	noSplitPlan, err := plan(rcmpNoSplit)
 	if err != nil {
 		return nil, err
 	}

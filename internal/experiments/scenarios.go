@@ -29,11 +29,11 @@ func DoubleFailure(c Config) (*Result, error) {
 	sched := c.Schedule
 	if sched.Empty() {
 		mid := st.cfg.NumJobs/2 + 1
-		first := effectiveFailureAt(c, mid)
-		if first > st.cfg.NumJobs {
-			return nil, fmt.Errorf("experiments: FailureAt=%d exceeds the %d-job chain (%s); the injection would never fire",
-				first, st.cfg.NumJobs, st.name)
+		fails, err := singleFailure(c, st, mid)
+		if err != nil {
+			return nil, err
 		}
+		first := fails[0].AtRun
 		sched = failure.Schedule{
 			Name: fmt.Sprintf("nested-%d", first),
 			Pulses: []failure.Pulse{
@@ -47,25 +47,15 @@ func DoubleFailure(c Config) (*Result, error) {
 	r := newResult(fmt.Sprintf("DoubleFailure: schedule %s (STIC, SLOTS 1-1)", sched.Label()))
 	inj := scheduleInjections(sched)
 
-	type variant struct {
-		label string
-		mut   func(*setup)
-	}
-	variants := []variant{
-		{"RCMP SPLIT", func(s *setup) { s.cfg.Split = true; s.cfg.SplitRatio = splitRatioFor(*s) }},
-		{"RCMP NO-SPLIT", func(*setup) {}},
-		{"HADOOP REPL-3", func(s *setup) { s.cfg.Mode = mapreduce.ModeHadoop; s.cfg.OutputRepl = 3 }},
-	}
 	var labels []string
 	var totals []float64
-	for _, v := range variants {
-		stv := st
-		v.mut(&stv)
+	for _, s := range []strategy{rcmpSplit, rcmpNoSplit, hadoopRepl3} {
+		stv := st.with(s)
 		stv.cfg.Failures = inj
 		res := run(stv)
-		labels = append(labels, v.label)
+		labels = append(labels, s.String())
 		totals = append(totals, float64(res.Total))
-		if v.label == "RCMP NO-SPLIT" {
+		if s == rcmpNoSplit {
 			// The nested signature: the second pulse cancels a run the first
 			// failure's cascade started, so recomputation must both be
 			// interrupted and resume.
@@ -73,16 +63,9 @@ func DoubleFailure(c Config) (*Result, error) {
 			r.Values["started runs"] = float64(res.StartedRuns)
 		}
 	}
-	best := totals[0]
-	for _, t := range totals {
-		if t < best {
-			best = t
-		}
-	}
-	vals := make([]float64, len(totals))
-	for i, t := range totals {
-		vals[i] = t / best
-		r.Values[labels[i]] = vals[i]
+	vals := vsBest(totals)
+	for i, l := range labels {
+		r.Values[l] = vals[i]
 	}
 	r.Text = textplot.Bars(r.Name+" (slowdown vs best)", labels, vals, 0.05)
 	return r, nil
@@ -132,7 +115,7 @@ func TraceReplay(c Config) (*Result, error) {
 		tc.Seed += c.Seed
 		days := 0
 		pulses := 0
-		work := make(map[bool]float64)
+		work := make(map[strategy]float64)
 		for s := 0; s < traceReplaySamples || (pulses == 0 && s < 4*traceReplaySamples); s++ {
 			sched, err := failure.FromTrace(tc, st.cfg.NumJobs, maxPulse, c.Seed*1009+int64(s))
 			if err != nil {
@@ -141,18 +124,14 @@ func TraceReplay(c Config) (*Result, error) {
 			sched = sched.Capped(budget)
 			pulses += len(sched.Pulses)
 			days += st.cfg.NumJobs
-			for _, split := range []bool{false, true} {
-				stv := st
+			for _, s := range []strategy{rcmpNoSplit, rcmpSplit} {
+				stv := st.with(s)
 				stv.cfg.Failures = scheduleInjections(sched)
-				stv.cfg.Split = split
-				if split {
-					stv.cfg.SplitRatio = splitRatioFor(st)
-				}
-				work[split] += recomputeSeconds(run(stv))
+				work[s] += recomputeSeconds(run(stv))
 			}
 		}
-		noSplit := work[false] / float64(days)
-		withSplit := work[true] / float64(days)
+		noSplit := work[rcmpNoSplit] / float64(days)
+		withSplit := work[rcmpSplit] / float64(days)
 		r.Values[tc.Name+" NO-SPLIT s/day"] = noSplit
 		r.Values[tc.Name+" SPLIT s/day"] = withSplit
 		r.Values[tc.Name+" SPLIT/NO-SPLIT"] = withSplit / noSplit
