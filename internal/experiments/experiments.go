@@ -174,12 +174,13 @@ func sticSetup(c Config, mapSlots, redSlots int) setup {
 		mapreduce.ChainConfig{InputPerNode: 4 * cluster.GB}, redSlots, 5)
 }
 
-// dcoSetup builds the DCO configuration: 60 nodes, one reducer wave.
-// Per-node volume is 2 GB (vs the paper's 20 GB) to keep simulation event
-// counts tractable; wave structure per node is preserved via block size.
+// dcoSetup builds the DCO configuration: the given number of nodes at
+// both scales (Fig11's x-axis is that number), one reducer wave. Per-node
+// volume is 2 GB (vs the paper's 20 GB) to keep simulation event counts
+// tractable; wave structure per node is preserved via block size.
 func dcoSetup(c Config, nodes int) setup {
 	return newSetup(c, "SLOTS 1-1, DCO", cluster.DCOConfig(nodes, 1, 1),
-		mapreduce.ChainConfig{InputPerNode: 2 * cluster.GB, BlockSize: 256 * cluster.MB}, 1, 8)
+		mapreduce.ChainConfig{InputPerNode: 2 * cluster.GB, BlockSize: 256 * cluster.MB}, 1, nodes)
 }
 
 // newSetup applies a Config to a base cluster and chain shape: a 7-job
@@ -697,20 +698,10 @@ func Fig11(c Config) (*Result, error) {
 	for _, n := range nodeCounts {
 		st := dcoSetup(c, n)
 		st.cfg.NumJobs = 3
-		st.cfg.NumReducers = n
 		st.cfg.Failures = fixedFailure(3)
-		for _, split := range []bool{false, true} {
-			stv := st
-			stv.cfg.Split = split
-			if split {
-				stv.cfg.SplitRatio = n - 1
-			}
-			res := run(stv)
-			su := recomputeSpeedup(res)
-			name := "RCMP NO-SPLIT"
-			if split {
-				name = "RCMP SPLIT"
-			}
+		for _, s := range []strategy{rcmpNoSplit, rcmpSplit} {
+			su := recomputeSpeedup(run(st.with(s)))
+			name := s.String()
 			series[name] = append(series[name], su)
 			r.Values[fmt.Sprintf("%s @ %d nodes", name, n)] = su
 		}

@@ -112,6 +112,18 @@ func TestFig11Shape(t *testing.T) {
 	}
 }
 
+// TestDCOSetupKeepsNodes holds dcoSetup to the cluster size it is given at
+// both scales: Fig11's x-axis is that size.
+func TestDCOSetupKeepsNodes(t *testing.T) {
+	for _, c := range []Config{Paper(), Quick()} {
+		for _, n := range []int{6, 10, 60} {
+			if got := dcoSetup(c, n).ccfg.Nodes; got != n {
+				t.Errorf("dcoSetup(%s, %d) simulates %d nodes", c.Scale, n, got)
+			}
+		}
+	}
+}
+
 func TestFig12Shape(t *testing.T) {
 	r := runOK(t, Fig12, Quick())
 	noSplit := r.Values["RCMP NO-SPLIT median"]

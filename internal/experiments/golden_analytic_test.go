@@ -18,7 +18,7 @@ var goldenAnalyticDigests = map[string]string{
 	"8c":                   "4c1112ff377c2c5159ecc8fc029cfd69e7a03011798c888633328c54c2b63ecd",
 	"9":                    "8cbccc01b0a125104906754abd2960ed9d34483af8b812b1c0a22eea6e14cc1d",
 	"10":                   "73a8bb7b6c1ab945cdd2a2284b135f58b9126aac65ebf72952baf513d8ffc778",
-	"11":                   "80a9f9d87523a01e9423f3509085d6c4029fd3d6aaa6de2c560231a048a4a1c9",
+	"11":                   "f231d62e3b362b088b2cfe3d0ec6587dfccdd2bade4456700b13a5061bda06df",
 	"12":                   "3fe37e10d621f772e713c3366e86d3201ac9e0450ed4387ef332e57f6efd3d0c",
 	"13":                   "0f04974cda9281488142f33f7fb3a9a8063a7cfbace7076d294c30465ee8650c",
 	"14":                   "8cdc69f7bc207b64f66ff8208786b4353f6421b808ca3dc14179bf669e9aca1f",

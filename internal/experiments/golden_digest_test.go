@@ -30,7 +30,7 @@ var goldenDigests = map[string]string{
 	"8c":                   "0786c682a0f65cf3b3c3a7592bb1c019160d4b4fa31fcc0335dc1b267b503b03",
 	"9":                    "8550e52539b87d3e76bb1c28660cfde616f1bad22e447a4c58ecaa4b4a142eca",
 	"10":                   "2b81219c30226d011fe71f90ca3c7ddf25c815c63c4838e35a6706c00ff147f0",
-	"11":                   "060dfe30db814f7a10b5a0b2eaf5649f9dcedb2989035905d72dc552888cb469",
+	"11":                   "7c2b6f1fb07f53b201e6747e919d74eb6bbccbe85b5bc34f874c4fe718300a90", // re-baselined: quick Fig11 simulates the node counts on its x-axis
 	"12":                   "fa07612c8674913073dc51709615924da6ac1bfa9b4698ceafe33a94acfb1d29",
 	"13":                   "e88346f9e2ae3c508206e07717da67abc45f194c0f295164bd065a44d88f7104",
 	"14":                   "21653678505042b7e37488635960378fea5704fc4032d3936494e742802777dc",
