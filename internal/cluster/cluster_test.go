@@ -76,26 +76,6 @@ func TestFailure(t *testing.T) {
 	}
 }
 
-func TestTransferUsesLocal(t *testing.T) {
-	c := New(des.New(), STICConfig(1, 1))
-	uses := c.TransferUses(2, 2)
-	if len(uses) != 1 || uses[0].R != c.Node(2).Disk || uses[0].Weight != 2 {
-		t.Fatalf("local transfer uses = %+v, want single disk at weight 2", uses)
-	}
-}
-
-func TestTransferUsesRemote(t *testing.T) {
-	c := New(des.New(), STICConfig(1, 1))
-	uses := c.TransferUses(1, 4)
-	if len(uses) != 5 {
-		t.Fatalf("remote transfer crosses %d resources, want 5", len(uses))
-	}
-	if uses[0].R != c.Node(1).Disk || uses[1].R != c.Node(1).Up ||
-		uses[2].R != c.Core || uses[3].R != c.Node(4).Down || uses[4].R != c.Node(4).Disk {
-		t.Fatalf("remote transfer path wrong: %+v", uses)
-	}
-}
-
 func TestReadAndWriteUses(t *testing.T) {
 	c := New(des.New(), STICConfig(1, 1))
 	if got := c.ReadUsesScratch(5, 5); len(got) != 1 || got[0].Weight != 1 {

@@ -207,9 +207,16 @@ func TestLostPartitionsAccumulate(t *testing.T) {
 	}
 	fs.FailNode(0)
 	fs.FailNode(1)
-	lost := fs.LostPartitions()
-	if len(lost) != 4 { // a/p0, a/p1, b/p0, b/p1
-		t.Fatalf("lost %d partitions, want 4: %+v", len(lost), lost)
+	lost := 0
+	for _, name := range []string{"a", "b"} {
+		for i := 0; i < 3; i++ {
+			if !fs.PartitionAvailable(name, i) {
+				lost++
+			}
+		}
+	}
+	if lost != 4 { // a/p0, a/p1, b/p0, b/p1
+		t.Fatalf("lost %d partitions, want 4", lost)
 	}
 }
 
@@ -277,7 +284,12 @@ func TestReplicationToleranceProperty(t *testing.T) {
 		for k := 0; k < r-1; k++ {
 			fs.FailNode((int(seed) + k*2) % n)
 		}
-		return len(fs.LostPartitions()) == 0
+		for i := 0; i < 8; i++ {
+			if !fs.PartitionAvailable("f", i) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -3,18 +3,6 @@
 
 package experiments
 
-import "sort"
-
-// Keys returns every registered CLI key, sorted.
-func Keys() []string {
-	var out []string
-	for _, sp := range Registry() {
-		out = append(out, sp.Key)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Paper returns the default paper-scale configuration.
 func Paper() Config { return Config{Scale: ScalePaper} }
 

@@ -44,22 +44,6 @@ func TestJobLookup(t *testing.T) {
 	}
 }
 
-func TestLostMappers(t *testing.T) {
-	j := record(1, "input", "out1")
-	got := j.LostMappers(map[int]bool{1: true, 2: true})
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("LostMappers = %v, want [1 2]", got)
-	}
-	if j.LostMappers(nil) != nil {
-		t.Fatal("no failures should lose no mappers")
-	}
-	// Unpersisted outputs (Node -1) are never "lost".
-	j.Mappers[0].Node = -1
-	if got := j.LostMappers(map[int]bool{-1: true}); len(got) != 0 {
-		t.Fatalf("unpersisted mapper counted as lost: %v", got)
-	}
-}
-
 func TestMappersReading(t *testing.T) {
 	j := record(1, "input", "out1")
 	got := j.MappersReading(0)

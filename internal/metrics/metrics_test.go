@@ -134,27 +134,11 @@ func TestCDFMonotoneProperty(t *testing.T) {
 	}
 }
 
-func TestSlowdownAndMean(t *testing.T) {
+func TestSlowdown(t *testing.T) {
 	if got := Slowdown(150, 100); got != 1.5 {
 		t.Fatalf("slowdown %v", got)
 	}
 	if !math.IsNaN(Slowdown(1, 0)) {
 		t.Fatal("slowdown with zero baseline not NaN")
-	}
-	if got := Mean([]float64{1, 2, 3}); got != 2 {
-		t.Fatalf("mean %v", got)
-	}
-	if !math.IsNaN(Mean(nil)) {
-		t.Fatal("mean of empty not NaN")
-	}
-}
-
-func TestSummary(t *testing.T) {
-	s := Summary("x", []float64{1, 2, 3, 4})
-	if s == "" || s == "x: no samples" {
-		t.Fatalf("summary %q", s)
-	}
-	if got := Summary("y", nil); got != "y: no samples" {
-		t.Fatalf("empty summary %q", got)
 	}
 }
