@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-smoke bench-compare bench-full profile-scale profile-scale-fail profile-figs profile-dmr profile-serve verify
+.PHONY: all build test race bench-smoke bench-compare bench-full profile-scale profile-scale-fail profile-figs profile-dmr profile-serve verify loc
 
 all: build test
 
@@ -94,3 +94,9 @@ bench-full:
 # command.
 verify:
 	./scripts/verify.sh
+
+# loc prints the non-test Go line count of every package under internal/,
+# cmd/ and examples/ and their total, by the rule CHANGES.md uses for LoC
+# figures. A report, not a check: it never fails on a count.
+loc:
+	./scripts/loc.sh
