@@ -430,13 +430,17 @@ func Fig2(c Config) (*Result, error) {
 // models OPTIMISTIC from the RCMP NO-SPLIT run. It returns each one's
 // label, total time and simulated result (nil for OPTIMISTIC).
 func fig8Run(st setup, failures []mapreduce.Injection) (labels []string, totals []float64, results []*mapreduce.Result) {
+	var noSplit *mapreduce.Result
 	for _, s := range []strategy{rcmpSplit, rcmpNoSplit, hadoopRepl2, hadoopRepl3} {
 		stv := st.with(s)
 		stv.cfg.Failures = failures
 		res := run(stv)
+		if s == rcmpNoSplit {
+			noSplit = res
+		}
 		labels, totals, results = append(labels, s.String()), append(totals, float64(res.Total)), append(results, res)
 	}
-	opt := optimisticTotal(st, results[1], failures)
+	opt := optimisticTotal(st, noSplit, failures)
 	return append(labels, "OPTIMISTIC"), append(totals, opt), append(results, nil)
 }
 
@@ -479,7 +483,7 @@ func fig8(name string, c Config, failures func(setup) ([]mapreduce.Injection, er
 	if c.Scale == ScaleQuick {
 		setups = setups[:1]
 	}
-	header := append([]string{"strategy"}, nil...)
+	header := []string{"strategy"}
 	for _, st := range setups {
 		header = append(header, st.name)
 	}
