@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"math"
 	"runtime/debug"
 	"testing"
 
@@ -12,7 +11,7 @@ import (
 // allocates on a warm Context the caller owns: the same count on every
 // fresh Context, and no more than a committed ceiling (about 10 % above
 // the 86, 103 and 1192 allocs per run measured on go1.24 when they were
-// set; the chains now make 78, 95 and 1181), so an allocation regression
+// set; the chains now make 84, 101 and 1190), so an allocation regression
 // on the simulator's hot path fails here deterministically. The count
 // depends on the order dfs.Reset refills its free lists, which is why that
 // order is by file name.
@@ -29,17 +28,6 @@ import (
 // others under GOGC=5). The collector is therefore held off while a chain
 // is measured. The race runtime drops sync.Pool entries at random, so the
 // pin does not run under -race.
-//
-// AllocsPerRun counts the whole process's allocations, the runtime's own
-// included. An allocation profile of the chain loop at MemProfileRate 1
-// shows some: the background scavenger, which every collection wakes,
-// growing a P's timer heap as it resets its timer, and sysmon starting a new
-// M. Under CPU load one lands inside a measured run now and then: context 0
-// of the 1024-node chain read 96 allocs/run against 95 for contexts 1 to 5,
-// in about one of thirty `go test` runs of three packages at once, and never
-// with the measurement repeated. Such allocations only ever add, so each
-// context is measured three times and keeps its fewest; a count that
-// depends on the context shows in all three.
 func TestWeakScalingAllocsDeterministic(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("sync.Pool drops entries at random under the race detector")
@@ -73,9 +61,8 @@ func TestWeakScalingAllocsDeterministic(t *testing.T) {
 }
 
 // chainAllocs builds a fresh Context the caller owns, warms it with one
-// chain and returns the fewest allocations of three later ones. (The second
-// chain on a Context still fills free lists; AllocsPerRun's own warm-up
-// runs it.)
+// chain and returns the allocations of a later one. (The second chain on a
+// Context still fills free lists; AllocsPerRun's own warm-up runs it.)
 func chainAllocs(t *testing.T, nodes int, fail bool) float64 {
 	t.Helper()
 	ccfg, cfg := WeakScalingSetup(Paper(), nodes)
@@ -89,18 +76,15 @@ func chainAllocs(t *testing.T, nodes int, fail bool) float64 {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var err error
-	fewest := math.Inf(1)
-	for range 3 {
-		fewest = min(fewest, testing.AllocsPerRun(1, func() {
-			if _, e := ctx.RunChain(cfg); e != nil {
-				err = e
-			}
-		}))
-	}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, e := ctx.RunChain(cfg); e != nil {
+			err = e
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fewest
+	return allocs
 }
 
 func raceEnabled() bool {

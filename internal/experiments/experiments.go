@@ -426,10 +426,18 @@ func Fig2(c Config) (*Result, error) {
 
 // ---- Figure 8 ----
 
+// fig8Row is one Figure 8 strategy's label, total time and simulated
+// result (nil for OPTIMISTIC).
+type fig8Row struct {
+	label string
+	total float64
+	res   *mapreduce.Result
+}
+
 // fig8Run runs the four simulated Figure 8 strategies on one setup and
-// models OPTIMISTIC from the RCMP NO-SPLIT run. It returns each one's
-// label, total time and simulated result (nil for OPTIMISTIC).
-func fig8Run(st setup, failures []mapreduce.Injection) (labels []string, totals []float64, results []*mapreduce.Result) {
+// models OPTIMISTIC from the RCMP NO-SPLIT run.
+func fig8Run(st setup, failures []mapreduce.Injection) []fig8Row {
+	var rows []fig8Row
 	var noSplit *mapreduce.Result
 	for _, s := range []strategy{rcmpSplit, rcmpNoSplit, hadoopRepl2, hadoopRepl3} {
 		stv := st.with(s)
@@ -438,10 +446,9 @@ func fig8Run(st setup, failures []mapreduce.Injection) (labels []string, totals 
 		if s == rcmpNoSplit {
 			noSplit = res
 		}
-		labels, totals, results = append(labels, s.String()), append(totals, float64(res.Total)), append(results, res)
+		rows = append(rows, fig8Row{s.String(), float64(res.Total), res})
 	}
-	opt := optimisticTotal(st, noSplit, failures)
-	return append(labels, "OPTIMISTIC"), append(totals, opt), append(results, nil)
+	return append(rows, fig8Row{"OPTIMISTIC", optimisticTotal(st, noSplit, failures), nil})
 }
 
 // optimisticTotal models OPTIMISTIC with the paper's method: average job
@@ -493,13 +500,21 @@ func fig8(name string, c Config, failures func(setup) ([]mapreduce.Injection, er
 		if err != nil {
 			return nil, err
 		}
-		labels, totals, results := fig8Run(st, fails)
+		runs := fig8Run(st, fails)
+		totals := make([]float64, len(runs))
+		for i, sr := range runs {
+			totals[i] = sr.total
+		}
 		slow := vsBest(totals)
 		for _, label := range strategies {
-			i := slices.Index(labels, label)
+			i := slices.IndexFunc(runs, func(sr fig8Row) bool { return sr.label == label })
+			if i < 0 {
+				slowdowns[label] = append(slowdowns[label], math.NaN())
+				continue
+			}
 			slowdowns[label] = append(slowdowns[label], slow[i])
 			r.Values[label+" @ "+st.name] = slow[i]
-			addSpeculationValues(r, c, label+" @ "+st.name, results[i])
+			addSpeculationValues(r, c, label+" @ "+st.name, runs[i].res)
 		}
 	}
 	var rows [][]string

