@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"rcmp/internal/core"
@@ -449,7 +450,8 @@ func (d *Driver) Evict(needBytes int64) error {
 }
 
 // OutputDigests fingerprints the final job's output partitions, reading
-// blocks from their live replicas.
+// blocks from their live replicas. The partitions are digested
+// concurrently; an error is the lowest failing partition's.
 func (d *Driver) OutputDigests() ([]workload.Digest, error) {
 	_, _, out := middleware.ChainNames(d.cfg.Jobs)
 	exists := false
@@ -458,12 +460,20 @@ func (d *Driver) OutputDigests() ([]workload.Digest, error) {
 		return nil, fmt.Errorf("dmr: chain output %q missing (chain not run?)", out)
 	}
 	digests := make([]workload.Digest, d.cfg.NumReducers)
+	errs := make([]error, len(digests))
+	var wg sync.WaitGroup
 	for p := range digests {
-		dg, err := d.m.PartitionDigest(out, p)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			digests[p], errs[p] = d.m.PartitionDigest(out, p)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		digests[p] = dg
 	}
 	return digests, nil
 }

@@ -3,6 +3,7 @@ package dmr
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -405,19 +406,19 @@ func replyAs[T any](resp any, peer string) (T, error) {
 	return v, nil
 }
 
-// serveShuffle answers one batched shuffle fetch from the local store.
+// serveShuffle answers one batched shuffle fetch from the local store,
+// concatenating the refs' slices into one batch sized up front.
 func (w *Worker) serveShuffle(r FetchMapOutReq) (any, error) {
-	var batch RecordBatch
+	parts := make([][]workload.Record, len(r.Refs))
 	counts := make([]int, len(r.Refs))
 	for i, ref := range r.Refs {
 		rows, err := w.store.MapOutputSlice(r.Job, ref.Part, ref.Block, r.Reducer, r.Split, r.Splits)
 		if err != nil {
 			return nil, err
 		}
-		batch = append(batch, rows...)
-		counts[i] = len(rows)
+		parts[i], counts[i] = rows, len(rows)
 	}
-	return FetchMapOutResp{Records: batch, Counts: counts}, nil
+	return FetchMapOutResp{Records: slices.Concat(parts...), Counts: counts}, nil
 }
 
 // splitShuffleReply checks a source worker's reply to a fetch of nrefs map

@@ -3,6 +3,19 @@
 // and reply bodies inside framed envelopes, multiplexes concurrent calls
 // over one connection, and propagates application errors by value.
 //
+// A body that implements Bulk sends its payload as a raw bulk section
+// after its envelope instead of inside the gob stream: the envelope
+// carries the body's head (what SplitBulk returns) and the section's
+// length, and the section's bytes follow it unencoded. The receiver checks
+// the length, reads the section into one buffer of its own and hands that
+// buffer to the head's JoinBulk, which rebuilds the body and may keep the
+// buffer: nothing else ever touches it. So a record payload is written
+// once by its sender and read once by its receiver, with no gob copy on
+// either side. An envelope and its section go out as exactly one Write, so
+// a transport that loses writes loses whole messages. A section that
+// cannot be read or rebuilt is a transport error, and it poisons the
+// connection like any other broken frame.
+//
 // It deliberately avoids net/rpc: the runtime needs (a) one bidirectional
 // connection per peer pair with many in-flight calls, (b) interface-typed
 // bodies dispatched by a single handler (the master and worker switch on
@@ -12,23 +25,75 @@
 package wire
 
 import (
+	"bufio"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
 
 // Envelope frames one message. Exactly one of Body or Err is meaningful in
 // a reply; requests carry Body. The Body is interface-typed: concrete
-// message types must be registered with gob (see Register).
+// message types must be registered with gob (see Register). Bulk is the
+// length of the raw section that follows the envelope on the wire; it is
+// set by the sender for a Bulk body and is 0 otherwise.
 type Envelope struct {
 	ID    uint64
 	Reply bool
 	Err   string
 	Body  any
+	Bulk  int
+}
+
+// Bulk is implemented by a message body whose payload crosses the
+// connection as a raw section after its envelope. The head SplitBulk
+// returns is gob-encoded in the body's place (register its type); it must
+// implement BulkHead so the receiver can rebuild the body. AppendBulk must
+// append exactly size bytes.
+type Bulk interface {
+	SplitBulk() (head any, size int)
+	AppendBulk(dst []byte) []byte
+}
+
+// BulkHead is implemented by the head of a Bulk body. JoinBulk returns the
+// body rebuilt from the head and the section it was sent with. The section
+// is a buffer the receiver allocated for this message alone, so the body
+// may keep windows of it; an error breaks the connection.
+type BulkHead interface {
+	JoinBulk(section []byte) (any, error)
+}
+
+// maxBulk bounds the section length an envelope may claim, and bulkChunk
+// is how much of a longer claim is allocated before bytes arrive to back
+// it: readBulk sizes its buffer by what it has read, never by the claim
+// alone, so a corrupt or hostile length costs at most a chunk.
+const (
+	maxBulk   = 1 << 30
+	bulkChunk = 1 << 20
+)
+
+// readBulk reads an n-byte section from r into a buffer of its own.
+func readBulk(r io.Reader, n int) ([]byte, error) {
+	if n < 0 || n > maxBulk {
+		return nil, fmt.Errorf("wire: bulk section of %d bytes", n)
+	}
+	buf := make([]byte, 0, min(n, bulkChunk))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(n-len(buf), len(buf)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return nil, fmt.Errorf("wire: bulk section: %d of %d bytes: %w", len(buf), n, err)
+		}
+	}
+	return buf, nil
 }
 
 // Register makes a concrete message type transmissible in an Envelope body.
@@ -63,27 +128,119 @@ func transportf(format string, args ...any) error {
 
 // conn wraps a net.Conn with gob codecs and a write lock. Gob streams are
 // stateful (type definitions are sent once), so each direction must be
-// written by one encoder guarded against interleaving.
+// written by one encoder guarded against interleaving. The encoder writes
+// into out, which send hands to the connection in one Write.
 type conn struct {
 	c   net.Conn
 	enc *gob.Encoder
-	dec *gob.Decoder
+	out sendBuffer
+	in  *reader
 	wmu sync.Mutex
 }
 
-func newConn(c net.Conn) *conn {
-	return &conn{c: c, enc: gob.NewEncoder(c), dec: gob.NewDecoder(c)}
+// sendBuffer is the io.Writer the gob encoder appends an envelope to.
+type sendBuffer struct{ b []byte }
+
+func (s *sendBuffer) Write(p []byte) (int, error) {
+	s.b = append(s.b, p...)
+	return len(p), nil
 }
 
+// keepSendBuffer bounds the send buffer a connection keeps between
+// messages, so one large message does not pin its size for the life of
+// an idle connection.
+const keepSendBuffer = 256 << 10
+
+// sendHeadroom is what send reserves for a Bulk body's envelope on top of
+// its section; a first envelope that also defines its types may outgrow it.
+const sendHeadroom = 512
+
+func newConn(c net.Conn) *conn {
+	cn := &conn{c: c, in: newReader(c)}
+	cn.enc = gob.NewEncoder(&cn.out)
+	return cn
+}
+
+// send writes one envelope, and the section of a Bulk body, in one Write.
+// A body that fails to encode still flushes the type definitions gob has
+// already recorded as sent, so the stream stays in step with the encoder.
 func (c *conn) send(e *Envelope) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	return c.enc.Encode(e)
+	var bulk Bulk
+	c.out.b = c.out.b[:0]
+	if b, ok := e.Body.(Bulk); ok {
+		env := *e
+		env.Body, env.Bulk = b.SplitBulk()
+		bulk, e = b, &env
+		// Room for the section and a small head: one allocation at most.
+		c.out.b = slices.Grow(c.out.b, env.Bulk+sendHeadroom)
+	}
+	err := c.enc.Encode(e)
+	if err == nil && bulk != nil {
+		start := len(c.out.b)
+		c.out.b = bulk.AppendBulk(c.out.b)
+		if n := len(c.out.b) - start; n != e.Bulk {
+			// The encoder counts this envelope's type definitions as sent,
+			// so the stream cannot go on without them.
+			c.c.Close()
+			return fmt.Errorf("wire: %T appended a %d-byte section, announced %d", bulk, n, e.Bulk)
+		}
+	}
+	if len(c.out.b) > 0 {
+		if _, werr := c.c.Write(c.out.b); err == nil {
+			err = werr
+		}
+	}
+	if cap(c.out.b) > keepSendBuffer {
+		c.out.b = nil
+	}
+	return err
+}
+
+// reader is the receive half of a connection: gob envelopes, each followed
+// by its bulk section, if any.
+type reader struct {
+	r   *bufio.Reader
+	dec *gob.Decoder
+}
+
+func newReader(r io.Reader) *reader {
+	br := bufio.NewReader(r)
+	return &reader{r: br, dec: gob.NewDecoder(br)}
+}
+
+// read decodes the next envelope and rebuilds a Bulk body from its
+// section. The section's length is checked before any buffer is sized
+// from it; an envelope that claims a section its body cannot take, a
+// short section and a section its head rejects are all errors.
+func (rd *reader) read(env *Envelope) error {
+	if err := rd.dec.Decode(env); err != nil {
+		return err
+	}
+	if env.Bulk == 0 {
+		return nil
+	}
+	head, ok := env.Body.(BulkHead)
+	if !ok {
+		return fmt.Errorf("wire: %T takes no bulk section, envelope claims %d bytes", env.Body, env.Bulk)
+	}
+	section, err := readBulk(rd.r, env.Bulk)
+	if err != nil {
+		return err
+	}
+	body, err := head.JoinBulk(section)
+	if err != nil {
+		return fmt.Errorf("wire: bulk section of %T: %w", env.Body, err)
+	}
+	env.Body = body
+	return nil
 }
 
 // Server accepts connections and dispatches request envelopes to a Handler.
 type Server struct {
 	ln      net.Listener
+	addr    string
 	handler Handler
 
 	mu     sync.Mutex
@@ -94,14 +251,14 @@ type Server struct {
 
 // NewServer starts serving on ln immediately. Close the server to stop.
 func NewServer(ln net.Listener, h Handler) *Server {
-	s := &Server{ln: ln, handler: h, conns: make(map[*conn]struct{})}
+	s := &Server{ln: ln, addr: ln.Addr().String(), handler: h, conns: make(map[*conn]struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
 }
 
-// Addr returns the server's listen address.
-func (s *Server) Addr() string { return s.ln.Addr().String() }
+// Addr returns the server's listen address, formatted once at start.
+func (s *Server) Addr() string { return s.addr }
 
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
@@ -134,7 +291,7 @@ func (s *Server) serveConn(c *conn) {
 	}()
 	for {
 		var env Envelope
-		if err := c.dec.Decode(&env); err != nil {
+		if err := c.in.read(&env); err != nil {
 			return
 		}
 		if env.Reply {
@@ -227,7 +384,7 @@ func NewClient(nc net.Conn) *Client {
 func (cl *Client) readLoop() {
 	for {
 		var env Envelope
-		if err := cl.c.dec.Decode(&env); err != nil {
+		if err := cl.c.in.read(&env); err != nil {
 			cl.failAll(err)
 			return
 		}

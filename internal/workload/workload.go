@@ -14,12 +14,10 @@
 package workload
 
 import (
-	"cmp"
 	"crypto/md5"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
-	"slices"
 
 	"rcmp/internal/core"
 )
@@ -151,13 +149,31 @@ func mapInto(r Record, v []byte) (Record, error) {
 	if err := Verify(r); err != nil {
 		return Record{}, err
 	}
-	copy(v, r.Value)
-	payload := v[checkLen:]
-	for i := range payload {
-		payload[i] = payload[i]<<1 | payload[i]>>7
-	}
-	stamp(v)
+	rotateBytes(v[checkLen:], r.Value[checkLen:])
+	stamp(v) // overwrites the whole check prefix
 	return Record{Key: rekey(r.Key, v), Value: v}, nil
+}
+
+// Masks of the bits of each byte of a word that a one-bit left rotation
+// of every byte moves up within the byte, and that wrap to its bottom.
+const (
+	rotLow  = 0xfefefefefefefefe
+	rotWrap = 0x0101010101010101
+)
+
+// rotateBytes writes each byte of src, rotated left by one bit, into dst
+// (len(src) bytes), a word at a time; the tail shorter than a word goes
+// byte by byte.
+func rotateBytes(dst, src []byte) {
+	dst = dst[:len(src)]
+	for len(src) >= 8 {
+		w := binary.LittleEndian.Uint64(src)
+		binary.LittleEndian.PutUint64(dst, w<<1&rotLow|w>>7&rotWrap)
+		dst, src = dst[8:], src[8:]
+	}
+	for i, x := range src {
+		dst[i] = x<<1 | x>>7
+	}
 }
 
 // Reduce is the chain job's reducer UDF: verify every value of the key and
@@ -247,33 +263,22 @@ func SplitSlice(rows []Record, split, splits int) []Record {
 // the order the sources arrived in. It also returns the output's size in
 // bytes, counted as MapBlock counts it.
 //
-// The grouping sorts (key, position) pairs over the concatenated sources,
-// so equal keys keep their source order, and hands Reduce each run of
-// equal keys through one reused values slice: a task allocates a fixed
-// handful of times, not once per key.
+// The grouping orders (key, position) pairs over the sources by key with a
+// stable radix sort, so equal keys keep their source order,
+// and hands Reduce each run of equal keys through one reused values slice:
+// a task allocates a fixed handful of times, not once per key.
 func ReduceGroups(sources [][]Record) ([]Record, int64, error) {
 	n := 0
 	for _, rows := range sources {
 		n += len(rows)
 	}
-	all := make([]Record, 0, n)
-	for _, rows := range sources {
-		all = append(all, rows...)
-	}
-	type keyPos struct {
-		key uint64
-		pos int
-	}
-	order := make([]keyPos, n)
-	for i, r := range all {
-		order[i] = keyPos{r.Key, i}
-	}
-	slices.SortFunc(order, func(a, b keyPos) int {
-		if c := cmp.Compare(a.key, b.key); c != 0 {
-			return c
+	pairs := make([]keyPos, 0, 2*n) // the pairs, then the sort's scratch
+	for s, rows := range sources {
+		for i, r := range rows {
+			pairs = append(pairs, keyPos{r.Key, int32(s), int32(i)})
 		}
-		return cmp.Compare(a.pos, b.pos)
-	})
+	}
+	order := radixSort(pairs, pairs[n:2*n])
 	out := make([]Record, 0, n)
 	var bytes int64
 	emit := func(r Record) {
@@ -285,11 +290,53 @@ func ReduceGroups(sources [][]Record) ([]Record, int64, error) {
 		k := order[i].key
 		values = values[:0]
 		for ; i < n && order[i].key == k; i++ {
-			values = append(values, all[order[i].pos].Value)
+			values = append(values, sources[order[i].src][order[i].row].Value)
 		}
 		if err := Reduce(k, values, emit); err != nil {
 			return nil, 0, err
 		}
 	}
 	return out, bytes, nil
+}
+
+// keyPos is one record of a reduce task's input: its key and where it is
+// in the sources. Listed source by source, the pairs are in (src, row)
+// order, which is the order equal keys keep.
+type keyPos struct {
+	key      uint64
+	src, row int32
+}
+
+// radixSort orders a by key with a least-significant-digit radix sort, one
+// key byte a pass, moving the pairs between a and tmp (as long as a); it
+// returns whichever of the two holds the result. Each pass is stable, so
+// pairs with equal keys keep the order they came in, and a byte every key
+// shares costs no pass.
+func radixSort(a, tmp []keyPos) []keyPos {
+	if len(a) < 2 {
+		return a
+	}
+	var counts [8][256]int
+	for _, p := range a {
+		for b := range counts {
+			counts[b][byte(p.key>>(8*b))]++
+		}
+	}
+	for b := range counts {
+		c := &counts[b]
+		if c[byte(a[0].key>>(8*b))] == len(a) {
+			continue
+		}
+		sum := 0
+		for d, k := range c {
+			c[d], sum = sum, sum+k
+		}
+		for _, p := range a {
+			d := byte(p.key >> (8 * b))
+			tmp[c[d]] = p
+			c[d]++
+		}
+		a, tmp = tmp, a
+	}
+	return a
 }
