@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -167,7 +168,9 @@ func TestRecordBatchDecodeRejectsMalformed(t *testing.T) {
 // reads them off a socket in production. It must never panic; whatever it
 // accepts must be canonical up to length-prefix padding (it re-encodes to a
 // frame that decodes to the same batch) and must not hold more memory than
-// a fixed multiple of the input.
+// a fixed multiple of the input. The aliasing parse, which a bulk section
+// goes through, must accept and reject exactly what the copying parse
+// does, with the same records and the same error.
 func FuzzRecordBatchDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0})
@@ -175,6 +178,11 @@ func FuzzRecordBatchDecode(f *testing.F) {
 	f.Add(mustEncode(f, RecordBatch{{Key: 1}, {Key: 2, Value: []byte{}}, {Key: 3, Value: []byte("x")}}))
 	f.Add(binary.AppendUvarint(nil, 1<<62))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		aliased, aerr := parseFrame(bytes.Clone(data), true)
+		copied, cerr := parseFrame(data, false)
+		if fmt.Sprint(aerr) != fmt.Sprint(cerr) || !reflect.DeepEqual(aliased, copied) {
+			t.Fatalf("aliasing parse gave %d records, %v; copying parse %d, %v", len(aliased), aerr, len(copied), cerr)
+		}
 		var got RecordBatch
 		if err := got.GobDecode(data); err != nil {
 			if got != nil {

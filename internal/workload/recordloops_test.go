@@ -48,6 +48,47 @@ func narrowKeys(rows []Record, keys int, rng *rand.Rand) []Record {
 	return rows
 }
 
+// checkMapBlock holds MapBlock to the reference over one block.
+func checkMapBlock(t *testing.T, name string, rows []Record, reducers int) {
+	t.Helper()
+	got, gotBytes, gotErr := MapBlock(rows, reducers)
+	want, wantBytes, wantErr := mapBlockRef(rows, reducers)
+	if !sameErr(gotErr, wantErr) || gotBytes != wantBytes || len(got) != len(want) {
+		t.Fatalf("%s: MapBlock gave %d buckets, %d bytes, %v; reference %d, %d, %v",
+			name, len(got), gotBytes, gotErr, len(want), wantBytes, wantErr)
+	}
+	for red := range got {
+		if (got[red] == nil) != (want[red] == nil) {
+			t.Fatalf("%s: bucket %d nil=%t, reference nil=%t", name, red, got[red] == nil, want[red] == nil)
+		}
+		if d := sameRecords(got[red], want[red]); d != "" {
+			t.Fatalf("%s: bucket %d: %s", name, red, d)
+		}
+	}
+}
+
+// checkReduceGroups holds ReduceGroups to the reference over one task.
+func checkReduceGroups(t *testing.T, name string, sources [][]Record) {
+	t.Helper()
+	got, gotBytes, gotErr := ReduceGroups(sources)
+	want, wantBytes, wantErr := reduceGroupsRef(sources)
+	if !sameErr(gotErr, wantErr) || gotBytes != wantBytes {
+		t.Fatalf("%s: ReduceGroups gave %d bytes, %v; reference %d, %v", name, gotBytes, gotErr, wantBytes, wantErr)
+	}
+	if d := sameRecords(got, want); d != "" {
+		t.Fatalf("%s: %s", name, d)
+	}
+}
+
+// stamped returns a record whose value carries a valid check over a
+// random payload of the given length.
+func stamped(rng *rand.Rand, key uint64, payload int) Record {
+	v := make([]byte, checkLen+payload)
+	rng.Read(v[checkLen:])
+	stamp(v)
+	return Record{Key: key, Value: v}
+}
+
 // TestRecordLoopsMatchReference holds MapBlock and ReduceGroups to the
 // per-record loops they replaced: the same buckets (nil where a reducer
 // gets nothing), the same records in the same order with the same value
@@ -69,20 +110,7 @@ func TestRecordLoopsMatchReference(t *testing.T) {
 			blocks = append(blocks, block{corrupt(rows, n/2), reducers})
 		}
 		for bi, b := range blocks {
-			got, gotBytes, gotErr := MapBlock(b.rows, b.reducers)
-			want, wantBytes, wantErr := mapBlockRef(b.rows, b.reducers)
-			if !sameErr(gotErr, wantErr) || gotBytes != wantBytes || len(got) != len(want) {
-				t.Fatalf("seed %d block %d: MapBlock gave %d buckets, %d bytes, %v; reference %d, %d, %v",
-					seed, bi, len(got), gotBytes, gotErr, len(want), wantBytes, wantErr)
-			}
-			for red := range got {
-				if (got[red] == nil) != (want[red] == nil) {
-					t.Fatalf("seed %d block %d: bucket %d nil=%t, reference nil=%t", seed, bi, red, got[red] == nil, want[red] == nil)
-				}
-				if d := sameRecords(got[red], want[red]); d != "" {
-					t.Fatalf("seed %d block %d: bucket %d: %s", seed, bi, red, d)
-				}
-			}
+			checkMapBlock(t, fmt.Sprintf("seed %d block %d", seed, bi), b.rows, b.reducers)
 		}
 
 		// Shuffle the block's records into sources the way a reducer sees
@@ -110,16 +138,56 @@ func TestRecordLoopsMatchReference(t *testing.T) {
 			cases = append(cases, bad)
 		}
 		for ci, srcs := range cases {
-			got, gotBytes, gotErr := ReduceGroups(srcs)
-			want, wantBytes, wantErr := reduceGroupsRef(srcs)
-			if !sameErr(gotErr, wantErr) || gotBytes != wantBytes {
-				t.Fatalf("seed %d case %d: ReduceGroups gave %d bytes, %v; reference %d, %v", seed, ci, gotBytes, gotErr, wantBytes, wantErr)
-			}
-			if d := sameRecords(got, want); d != "" {
-				t.Fatalf("seed %d case %d: %s", seed, ci, d)
-			}
+			checkReduceGroups(t, fmt.Sprintf("seed %d case %d", seed, ci), srcs)
 		}
 	}
+
+	// Shapes the random blocks reach rarely or never. Blocks of 0 and 1
+	// records:
+	one := stamped(rng, 7, 88)
+	checkMapBlock(t, "no records", nil, 4)
+	checkMapBlock(t, "one record", []Record{one}, 4)
+	checkReduceGroups(t, "one record", [][]Record{{one}})
+	checkReduceGroups(t, "one record among empty sources", [][]Record{nil, {}, {one}, {}})
+
+	// Payloads of every length from 0 to 40 bytes, most not a multiple of
+	// the word the rotation and the byte sum step by:
+	var odd []Record
+	for size := 0; size <= 40; size++ {
+		odd = append(odd, stamped(rng, rng.Uint64(), size))
+	}
+	checkMapBlock(t, "odd payloads", odd, 5)
+	checkMapBlock(t, "odd payloads, one corrupt", corrupt(odd, 21), 5)
+	checkReduceGroups(t, "odd payloads", [][]Record{odd[:20], odd[20:]})
+
+	// Keys that differ in one byte only, for each of the eight: only that
+	// byte's radix pass orders them. Each set is its own task and then
+	// all are one, duplicates included, in shuffled sources.
+	base := rng.Uint64()
+	var all []Record
+	for b := 0; b < 8; b++ {
+		var set []Record
+		for _, x := range []uint64{0xff, 0, 0x80, 1, 0x7f, 0x80, base >> (8 * b) & 0xff} {
+			key := base&^(0xff<<(8*b)) | x<<(8*b)
+			set = append(set, stamped(rng, key, 88))
+		}
+		checkReduceGroups(t, fmt.Sprintf("keys differing in byte %d", b), [][]Record{set[:3], set[3:]})
+		all = append(all, set...)
+	}
+	rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	checkReduceGroups(t, "keys differing in one byte", [][]Record{all[:17], all[17:30], all[30:]})
+
+	// Equal keys spread over many sources, some empty: the values of a key
+	// must come out in source order.
+	var many [][]Record
+	for s := 0; s < 64; s++ {
+		var src []Record
+		for k := 0; k < s%4; k++ {
+			src = append(src, stamped(rng, uint64(k%2)<<56|3, 88))
+		}
+		many = append(many, src)
+	}
+	checkReduceGroups(t, "equal keys over 64 sources", many)
 }
 
 // TestMapBlockValuesIsolated checks that the arena windows and bucket
@@ -192,6 +260,27 @@ func FuzzByteSum(f *testing.F) {
 		want.addRef(r)
 		if got := DigestRecords([]Record{r}); !got.Equal(want) {
 			t.Fatalf("digest over %d bytes = %v, want %v", len(b), got, want)
+		}
+	})
+}
+
+// BenchmarkRecordLoops times the shapes TestRecordLoopAllocs pins: one
+// 250-record map task over 8 reducers and one 3 000-record reduce task
+// over four sources.
+func BenchmarkRecordLoops(b *testing.B) {
+	block := Generate(250, 1)
+	shuffled := Generate(3000, 2)
+	sources := [][]Record{shuffled[:750], shuffled[750:1500], shuffled[1500:2250], shuffled[2250:]}
+	b.Run("MapBlock", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, _, _ = MapBlock(block, 8)
+		}
+	})
+	b.Run("ReduceGroups", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_, _, _ = ReduceGroups(sources)
 		}
 	})
 }

@@ -5,10 +5,11 @@
 # detector over the full suite, then twice over the packages whose state
 # is reused across runs or shared between goroutines; the pinned chains
 # and golden digests; the analytic-vs-DES tolerance suite; a few seconds
-# of fuzzing on the dmr record-frame decoder, the job-graph validator, the
-# sweep request decoder, the report indenter and the record byte sum; one
-# smoke pass of every benchmark. The commands have no smoke step: their
-# tests drive them in-process under tier-1. Nothing here is timed;
+# of fuzzing on the dmr record-frame decoder, the wire receive path
+# (envelope plus bulk section), the job-graph validator, the sweep request
+# decoder, the report indenter and the record byte sum; one smoke pass of
+# every benchmark. The commands have no smoke step: their tests drive
+# them in-process under tier-1. Nothing here is timed;
 # wall-clock comparisons need paired rounds, which `make bench-compare
 # BASE=<rev>` runs (docs/perf.md, "Measuring a change").
 set -eu
@@ -51,6 +52,9 @@ go test -count=1 -run 'TestAnalyticEngineToleranceRegistryWide' ./internal/exper
 
 echo "== fuzz (dmr record-batch frame decoder, 5 s) =="
 go test -run xxx -fuzz 'FuzzRecordBatchDecode$' -fuzztime 5s ./internal/dmr
+
+echo "== fuzz (wire receive path: envelope plus bulk section, 5 s) =="
+go test -run xxx -fuzz 'FuzzReadEnvelope$' -fuzztime 5s ./internal/wire
 
 echo "== fuzz (job-graph validator against core.Topology, 5 s) =="
 go test -run xxx -fuzz 'FuzzNewGraph$' -fuzztime 5s ./internal/middleware
