@@ -6,9 +6,12 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
+	"rcmp/internal/dfs"
+	"rcmp/internal/middleware"
 	"rcmp/internal/wire"
 	"rcmp/internal/workload"
 )
@@ -121,8 +124,9 @@ func TestFetchMapOutRoundTripBytes(t *testing.T) {
 		call()
 	}
 	// The collector is held off so a collection cannot empty a sync.Pool
-	// mid-measurement; the least of three rounds sheds allocations the
-	// runtime makes for itself in the background.
+	// mid-measurement. The least of three rounds sheds allocations the
+	// runtime makes for itself in the background; every round makes the
+	// same calls, so a regression in them shows in all three.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const calls = 20
 	best := uint64(1 << 62)
@@ -195,4 +199,36 @@ func raceEnabled() bool {
 		}
 	}
 	return false
+}
+
+// TestOutputDigestsReportsLowestLostPartition kills a worker after the
+// chain, so some output partitions lose their only replica. The partitions
+// are digested concurrently, yet the error must name the lowest lost one,
+// as a serial pass would.
+func TestOutputDigestsReportsLowestLostPartition(t *testing.T) {
+	cfg := ChainConfig{Jobs: 1, NumReducers: 8, RecordsPerPartition: 60, Seed: 5}
+	c := startCluster(t, 4, 2, 40)
+	d := runChain(t, c, cfg)
+	_, _, out := middleware.ChainNames(cfg.Jobs)
+	const victim = 2
+	lowest := -1
+	_ = c.m.WithFS(func(fs *dfs.FS) error {
+		for p := 0; p < cfg.NumReducers && lowest < 0; p++ {
+			for _, nodes := range fs.BlockLocations(out, p) {
+				if len(nodes) == 1 && nodes[0] == victim {
+					lowest = p
+					break
+				}
+			}
+		}
+		return nil
+	})
+	if lowest < 0 {
+		t.Fatalf("worker %d holds no output block alone", victim)
+	}
+	c.killAndAwaitDetection(t, victim)
+	_, err := d.OutputDigests()
+	if want := fmt.Sprintf("%s/p%d/", out, lowest); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want it to name %s", err, want)
+	}
 }

@@ -8,9 +8,11 @@ import (
 	"rcmp/internal/workload"
 )
 
-// RecordBatch is a record slice that crosses the gob stream as one packed,
-// length-prefixed frame instead of one reflected struct per record. It is
-// the payload type of every data-plane message (PutBlockReq, FetchBlockResp,
+// RecordBatch is a record slice that crosses a connection as one packed,
+// length-prefixed frame instead of one reflected struct per record: as the
+// bulk section of its message's envelope on a wire connection, or through
+// GobEncode and GobDecode wherever gob encodes it. It is the payload type
+// of every data-plane message (PutBlockReq, FetchBlockResp,
 // FetchMapOutResp) and converts freely to and from []workload.Record.
 //
 // Frame format:

@@ -451,7 +451,8 @@ func (d *Driver) Evict(needBytes int64) error {
 
 // OutputDigests fingerprints the final job's output partitions, reading
 // blocks from their live replicas. The partitions are digested
-// concurrently; an error is the lowest failing partition's.
+// concurrently, as many at once as one reducer fetches from; an error is
+// the lowest failing partition's.
 func (d *Driver) OutputDigests() ([]workload.Digest, error) {
 	_, _, out := middleware.ChainNames(d.cfg.Jobs)
 	exists := false
@@ -462,10 +463,12 @@ func (d *Driver) OutputDigests() ([]workload.Digest, error) {
 	digests := make([]workload.Digest, d.cfg.NumReducers)
 	errs := make([]error, len(digests))
 	var wg sync.WaitGroup
+	sem := make(chan struct{}, shuffleParallelCopies)
 	for p := range digests {
+		sem <- struct{}{}
 		wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer func() { <-sem; wg.Done() }()
 			digests[p], errs[p] = d.m.PartitionDigest(out, p)
 		}()
 	}

@@ -29,7 +29,13 @@
 // so the reducer's output does not depend on network timing. Record
 // payloads — blocks and shuffle batches alike — cross the wire as one
 // packed frame per message (RecordBatch in codec.go) rather than as one
-// reflected gob struct per record.
+// reflected gob struct per record. The frame travels as the envelope's
+// bulk section (wire.Bulk), outside the gob stream: the sender writes it
+// once, straight into the connection's send buffer, and the receiver
+// reads it into one buffer it owns and keeps each received Value as a
+// cap-limited window of that buffer rather than a copy. A stored block
+// or a reducer's output may therefore hold a received buffer alive; no
+// reader ever writes to a record, so sharing it is safe.
 //
 // The runtime is chaos-hardened: every connection can carry a fault
 // injector (wire.Chaos — deterministic latency, jitter, drops, one-way
