@@ -13,11 +13,12 @@ import (
 // net.Listener and dialed net.Conn values and perturbs the *writer* side of
 // every wrapped connection with latency, whole-message drops, one-way
 // partitions and mid-stream resets. Faults are injected per Write call —
-// gob frames are length-prefixed, so dropping a whole Write never corrupts
-// the stream; the peer simply never sees that message and the caller's RPC
-// times out (or, when a dropped type-definition frame breaks a later
-// decode, the connection surfaces a transport error and the Pool re-dials).
-// Both outcomes are exactly what a lossy network produces.
+// wire writes each envelope, with its type definitions and its bulk
+// section, in one Write, so dropping a whole Write never misaligns the
+// stream; the peer simply never sees that message and the caller's RPC
+// times out (or, when the dropped message defined a type a later one uses,
+// the connection surfaces a transport error and the Pool re-dials). Both
+// outcomes are exactly what a lossy network produces.
 //
 // Partitions block writes until the partition heals, the way TCP
 // retransmission hides a short outage: a partition shorter than the

@@ -70,8 +70,9 @@ type BulkHead interface {
 
 // maxBulk bounds the section length an envelope may claim, and bulkChunk
 // is how much of a longer claim is allocated before bytes arrive to back
-// it: readBulk sizes its buffer by what it has read, never by the claim
-// alone, so a corrupt or hostile length costs at most a chunk.
+// it: past that, readBulk at most doubles its buffer once bytes fill it,
+// never sizing it by the claim alone, so a corrupt or hostile length costs
+// at most a chunk, or twice what actually arrived.
 const (
 	maxBulk   = 1 << 30
 	bulkChunk = 1 << 20

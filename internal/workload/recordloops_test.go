@@ -232,7 +232,7 @@ func TestRecordLoopAllocs(t *testing.T) {
 		run     func()
 	}{
 		{"MapBlock", 6, func() { _, _, _ = MapBlock(block, 8) }},
-		{"ReduceGroups", 4, func() { _, _, _ = ReduceGroups(sources) }},
+		{"ReduceGroups", 3, func() { _, _, _ = ReduceGroups(sources) }},
 		{"DigestRecords", 0, func() { _ = DigestRecords(block) }},
 	} {
 		if got := testing.AllocsPerRun(20, c.run); got > c.ceiling {

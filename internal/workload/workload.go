@@ -264,9 +264,9 @@ func SplitSlice(rows []Record, split, splits int) []Record {
 // bytes, counted as MapBlock counts it.
 //
 // The grouping orders (key, position) pairs over the sources by key with a
-// stable radix sort, so equal keys keep their source order,
-// and hands Reduce each run of equal keys through one reused values slice:
-// a task allocates a fixed handful of times, not once per key.
+// stable radix sort, so equal keys keep their source order, and hands
+// Reduce each run of equal keys through one reused values slice: a task
+// allocates a fixed handful of times, not once per key.
 func ReduceGroups(sources [][]Record) ([]Record, int64, error) {
 	n := 0
 	for _, rows := range sources {
