@@ -53,8 +53,11 @@ profile-scale-fail:
 # profile-figs profiles the layer that owns bench/'s figs_paper workload:
 # five paper-scale passes over every registered figure
 # (BenchmarkAllSerial) — des, strict flow accounting and the exact shuffle
-# tier on 10-60 node clusters, about a second a pass. The captures stay
-# local (.gitignore).
+# tier on 10-60 node clusters, about a second a pass. Each figure runs on
+# one lane here, while figs_paper now fans a figure's runs out across
+# GOMAXPROCS lanes, so this profile stays comparable with docs/perf.md's
+# history but not with figs_paper's wall clock. The captures stay local
+# (.gitignore).
 profile-figs:
 	@mkdir -p profiles
 	$(GO) test -run xxx -bench 'BenchmarkAllSerial$$' -benchtime 5x \

@@ -67,14 +67,17 @@ func benchCfg() experiments.Config {
 
 // BenchmarkAllSerial regenerates every registered artifact one-by-one, the
 // pre-runner execution path and the baseline for BenchmarkAllParallel.
-// Registry construction is hoisted: the loop times simulation only.
+// Registry construction is hoisted: the loop times simulation only. Each
+// figure runs on a Worker of width 1, so its runs too go one at a time
+// and the profile stays comparable with earlier ones.
 func BenchmarkAllSerial(b *testing.B) {
 	specs := experiments.Registry()
 	scale := benchCfg().Scale
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, sp := range specs {
-			res, err := sp.Run(experiments.Config{Scale: scale, Seed: sp.Seed})
+			cfg := experiments.Config{Scale: scale, Seed: sp.Seed}
+			res, err := sp.Run(cfg.WithWorker(experiments.NewWorker(1)))
 			if err != nil {
 				b.Fatalf("%s: %v", sp.Name, err)
 			}

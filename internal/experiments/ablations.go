@@ -9,6 +9,7 @@ import (
 
 	"rcmp/internal/cluster"
 	"rcmp/internal/des"
+	"rcmp/internal/mapreduce"
 	"rcmp/internal/metrics"
 	"rcmp/internal/textplot"
 )
@@ -27,9 +28,13 @@ func AblationScatterVsSplit(c Config) (*Result, error) {
 	st.cfg.Failures = fails
 
 	labels := []string{"NO-SPLIT", "SCATTER", "SPLIT"}
-	var totals []float64
+	var sts []setup
 	for _, s := range []strategy{rcmpNoSplit, scatter, rcmpSplit} {
-		totals = append(totals, float64(run(st.with(s)).Total))
+		sts = append(sts, st.with(s))
+	}
+	var totals []float64
+	for _, res := range runAll(sts) {
+		totals = append(totals, float64(res.Total))
 	}
 	vals := vsBest(totals)
 	for i, l := range labels {
@@ -52,15 +57,19 @@ func AblationSplitRatio(c Config) (*Result, error) {
 	if n := st.ccfg.Nodes - 1; n < 8 {
 		ratios = []int{1, 2, n}
 	}
+	sts := make([]setup, len(ratios))
+	for i, k := range ratios {
+		sts[i] = st
+		if k > 1 {
+			sts[i].cfg.Split = true
+			sts[i].cfg.SplitRatio = k
+		}
+	}
+	runs := runAll(sts)
 	var labels []string
 	var vals []float64
-	for _, k := range ratios {
-		stv := st
-		if k > 1 {
-			stv.cfg.Split = true
-			stv.cfg.SplitRatio = k
-		}
-		res := run(stv)
+	for i, k := range ratios {
+		res := runs[i]
 		labels = append(labels, fmt.Sprintf("split %d", k))
 		vals = append(vals, float64(res.Total))
 		r.Values[fmt.Sprintf("split %d", k)] = float64(res.Total)
@@ -80,10 +89,10 @@ func AblationMapReuse(c Config) (*Result, error) {
 	st = st.with(rcmpSplit)
 	st.cfg.Failures = fails
 
-	withReuse := float64(run(st).Total)
 	stNo := st
 	stNo.cfg.NoMapOutputReuse = true
-	without := float64(run(stNo).Total)
+	res := runAll([]setup{st, stNo})
+	withReuse, without := float64(res[0].Total), float64(res[1].Total)
 	r.Values["with reuse"] = 1
 	r.Values["without reuse"] = without / withReuse
 	r.Text = textplot.Bars(r.Name+" (total time vs with-reuse)",
@@ -118,16 +127,19 @@ func AblationIORatio(c Config) (*Result, error) {
 		{"1:1:1 (sort)", 1, 1},
 		{"1:1:2 (cogroup)", 1, 2},
 	}
-	var labels []string
-	var vals []float64
+	var sts []setup
 	for _, sh := range shapes {
 		rcmp := sticSetup(c, 1, 1)
 		rcmp.cfg.NumJobs = 1
 		rcmp.cfg.MapOutputRatio = sh.mapRatio
 		rcmp.cfg.ReduceOutputRatio = sh.redRatio
-		rcmpT := float64(run(rcmp).Total)
-
-		replT := float64(run(rcmp.with(hadoopRepl3)).Total)
+		sts = append(sts, rcmp, rcmp.with(hadoopRepl3))
+	}
+	res := runAll(sts)
+	var labels []string
+	var vals []float64
+	for i, sh := range shapes {
+		rcmpT, replT := float64(res[2*i].Total), float64(res[2*i+1].Total)
 
 		labels = append(labels, sh.name)
 		vals = append(vals, replT/rcmpT)
@@ -150,10 +162,10 @@ func AblationReclamation(c Config) (*Result, error) {
 		return nil, err
 	}
 	st.cfg.Failures = fails
-	base := float64(run(st).Total)
-
-	st.cfg.ReclaimAtCheckpoints = true
-	reclaimed := float64(run(st).Total)
+	reclaim := st
+	reclaim.cfg.ReclaimAtCheckpoints = true
+	res := runAll([]setup{st, reclaim})
+	base, reclaimed := float64(res[0].Total), float64(res[1].Total)
 	r.Values["hybrid"] = 1
 	r.Values["hybrid+reclaim"] = reclaimed / base
 	r.Text = textplot.Bars(r.Name+" (total time vs hybrid)",
@@ -171,10 +183,10 @@ func AblationSpeculation(c Config) (*Result, error) {
 	st.cfg.NumJobs = 2
 	st.ccfg.NodeDiskScale = map[int]float64{victim: 0.25}
 
-	plain := run(st)
 	spec := st
 	spec.cfg.Speculation = true
-	specRes := run(spec)
+	res := runAll([]setup{st, spec})
+	plain, specRes := res[0], res[1]
 
 	r.Values["no speculation"] = 1
 	r.Values["speculation"] = float64(specRes.Total) / float64(plain.Total)
@@ -200,26 +212,32 @@ func AblationSpeculation(c Config) (*Result, error) {
 func AblationLocality(c Config) (*Result, error) {
 	r := newResult("Ablation: data locality vs network oversubscription")
 	oversubs := []float64{1, 4, 16}
-	var labels []string
-	var vals []float64
+	var sts []setup
 	for _, ov := range oversubs {
-		mapEnd := func(disable bool) float64 {
+		for _, disable := range []bool{true, false} {
 			st := sticSetup(c, 1, 1)
 			st.cfg.NumJobs = 1
 			st.cfg.InputRepl = 1
 			st.cfg.DisableLocality = disable
 			st.ccfg.Oversubscription = ov
 			st.ccfg.NICBW = 50 * cluster.MB
-			res := run(st)
-			var end float64
-			for _, ts := range res.Recorder.Tasks {
-				if ts.Kind == metrics.TaskMap && float64(ts.End) > end {
-					end = float64(ts.End)
-				}
-			}
-			return end
+			sts = append(sts, st)
 		}
-		penalty := mapEnd(true) / mapEnd(false)
+	}
+	mapEnd := func(res *mapreduce.Result) float64 {
+		var end float64
+		for _, ts := range res.Recorder.Tasks {
+			if ts.Kind == metrics.TaskMap && float64(ts.End) > end {
+				end = float64(ts.End)
+			}
+		}
+		return end
+	}
+	res := runAll(sts)
+	var labels []string
+	var vals []float64
+	for i, ov := range oversubs {
+		penalty := mapEnd(res[2*i]) / mapEnd(res[2*i+1])
 		labels = append(labels, fmt.Sprintf("oversub %.0f:1", ov))
 		vals = append(vals, penalty)
 		r.Values[fmt.Sprintf("penalty @ %.0f:1", ov)] = penalty
@@ -232,17 +250,29 @@ func AblationLocality(c Config) (*Result, error) {
 func AblationDetectionTimeout(c Config) (*Result, error) {
 	r := newResult(failureNote(c, "Ablation: failure detection timeout"))
 	timeouts := []float64{10, 30, 60, 120}
-	var labels []string
-	var vals []float64
+	// A timeout whose failure scenario is invalid ends the list, and its
+	// error comes after any error of the runs before it.
+	var sts []setup
+	var scenarioErr error
 	for _, to := range timeouts {
 		st := sticSetup(c, 1, 1).with(rcmpSplit)
 		st.ccfg.FailureDetectionTimeout = des.Time(to)
 		fails, err := failureScenario(c, st, st.cfg.NumJobs)
 		if err != nil {
-			return nil, err
+			scenarioErr = err
+			break
 		}
 		st.cfg.Failures = fails
-		res := run(st)
+		sts = append(sts, st)
+	}
+	runs := runAll(sts)
+	if scenarioErr != nil {
+		return nil, scenarioErr
+	}
+	var labels []string
+	var vals []float64
+	for i, to := range timeouts {
+		res := runs[i]
 		labels = append(labels, fmt.Sprintf("%.0fs", to))
 		vals = append(vals, float64(res.Total))
 		r.Values[fmt.Sprintf("timeout %.0fs", to)] = float64(res.Total)

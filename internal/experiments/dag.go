@@ -56,9 +56,15 @@ func DAGRecovery(c Config) (*Result, error) {
 	st.cfg.Failures = fails
 
 	strategies := []strategy{rcmpSplit, rcmpNoSplit, hadoopRepl2, hadoopRepl3}
+	runs := make([]*mapreduce.Result, len(strategies))
+	st.w.each(st.engine, len(strategies), nil, nil, func(lane *Worker, i int) {
+		stv := st.with(strategies[i])
+		stv.w = lane
+		runs[i] = runGraph(stv, diamondJobs())
+	})
 	var totals []float64
-	for _, s := range strategies {
-		res := runGraph(st.with(s), diamondJobs())
+	for i, s := range strategies {
+		res := runs[i]
 		totals = append(totals, float64(res.Total))
 		addSpeculationValues(r, c, s.String(), res)
 		if s == rcmpNoSplit {
@@ -113,26 +119,38 @@ func MultiTenant(c Config) (*Result, error) {
 
 	jobs := middleware.Chain(st.cfg.NumJobs)
 
-	session := func(tenants int, s strategy, failed bool) *mapreduce.MultiResult {
-		cfg := st.with(s).cfg
-		if failed {
-			cfg.Failures = fails
-		}
-		mr, err := st.w.runMultiTenant(st.engine, st.ccfg, mapreduce.GraphConfig{ChainConfig: cfg, Jobs: jobs}, tenants)
-		if err != nil {
-			panic(chainError{fmt.Errorf("experiment %s (tenants=%d): %w", st.name, tenants, err)})
-		}
-		return mr
+	type session struct {
+		tenants int
+		s       strategy
+		failed  bool
 	}
-
-	var rows [][]string
+	var sessions []session
 	for _, tn := range tenantCounts {
 		// Splitting only changes recovery planning, so one failure-free
 		// session is the baseline for both strategies.
-		free := session(tn, rcmpNoSplit, false)
+		sessions = append(sessions, session{tn, rcmpNoSplit, false}, session{tn, rcmpSplit, true}, session{tn, rcmpNoSplit, true})
+	}
+	out := make([]*mapreduce.MultiResult, len(sessions))
+	// The sessions with the most tenants take longest, so they start first.
+	st.w.each(st.engine, len(sessions), descending(len(sessions)), nil, func(lane *Worker, i int) {
+		se := sessions[i]
+		cfg := st.with(se.s).cfg
+		if se.failed {
+			cfg.Failures = fails
+		}
+		mr, err := lane.runMultiTenant(st.engine, st.ccfg, mapreduce.GraphConfig{ChainConfig: cfg, Jobs: jobs}, se.tenants)
+		if err != nil {
+			panic(chainError{fmt.Errorf("experiment %s (tenants=%d): %w", st.name, se.tenants, err)})
+		}
+		out[i] = mr
+	})
+
+	var rows [][]string
+	for k, tn := range tenantCounts {
+		free, split, noSplit := out[3*k], out[3*k+1], out[3*k+2]
 		util := sessionUtilization(free, st.ccfg)
-		splitRec := float64(session(tn, rcmpSplit, true).Makespan) - float64(free.Makespan)
-		noSplitRec := float64(session(tn, rcmpNoSplit, true).Makespan) - float64(free.Makespan)
+		splitRec := float64(split.Makespan) - float64(free.Makespan)
+		noSplitRec := float64(noSplit.Makespan) - float64(free.Makespan)
 		r.Values[fmt.Sprintf("utilization @ %d tenants", tn)] = util
 		r.Values[fmt.Sprintf("SPLIT recovery @ %d tenants", tn)] = splitRec
 		r.Values[fmt.Sprintf("NO-SPLIT recovery @ %d tenants", tn)] = noSplitRec

@@ -361,7 +361,8 @@ func failureNote(c Config, name string) string {
 // line or to the server may lose every replica of a file — so it is the
 // job's error, not a bug: run, runGraph and the multi-tenant session panic
 // with it, and Spec.Exec recovers this type and no other, so a genuine
-// panic keeps its stack.
+// panic keeps its stack. Worker.each raises the lowest-indexed one of a
+// fanned-out figure, the one a serial loop would have met first.
 type chainError struct{ err error }
 
 func (e chainError) Error() string { return e.err.Error() }
@@ -374,6 +375,24 @@ func run(st setup) *mapreduce.Result {
 		panic(chainError{fmt.Errorf("experiment %s: %w", st.name, err)})
 	}
 	return res
+}
+
+// runAll runs every setup's chain across the Worker lanes of the first
+// setup (a figure's setups share one engine and one Worker) and returns
+// the results by index. A failure panics as run's does; the lowest-indexed
+// one decides (see Worker.each).
+func runAll(sts []setup) []*mapreduce.Result {
+	out := make([]*mapreduce.Result, len(sts))
+	if len(sts) == 0 {
+		return out
+	}
+	key := func(i int) string { return contextKey(sts[i].ccfg) }
+	sts[0].w.each(sts[0].engine, len(sts), nil, key, func(lane *Worker, i int) {
+		st := sts[i]
+		st.w = lane
+		out[i] = run(st)
+	})
+	return out
 }
 
 // addSpeculationValues surfaces the speculative-execution counters of one
@@ -434,20 +453,27 @@ type fig8Row struct {
 	res   *mapreduce.Result
 }
 
-// fig8Run runs the four simulated Figure 8 strategies on one setup and
-// models OPTIMISTIC from the RCMP NO-SPLIT run.
-func fig8Run(st setup, failures []mapreduce.Injection) []fig8Row {
-	var rows []fig8Row
-	var noSplit *mapreduce.Result
-	for _, s := range []strategy{rcmpSplit, rcmpNoSplit, hadoopRepl2, hadoopRepl3} {
-		stv := st.with(s)
-		stv.cfg.Failures = failures
-		res := run(stv)
-		if s == rcmpNoSplit {
-			noSplit = res
-		}
-		rows = append(rows, fig8Row{s.String(), float64(res.Total), res})
+// fig8Strategies are the simulated Figure 8 strategies, in run order.
+var fig8Strategies = []strategy{rcmpSplit, rcmpNoSplit, hadoopRepl2, hadoopRepl3}
+
+// fig8Runs returns the simulated Figure 8 strategies' setups on st.
+func fig8Runs(st setup, failures []mapreduce.Injection) []setup {
+	out := make([]setup, len(fig8Strategies))
+	for i, s := range fig8Strategies {
+		out[i] = st.with(s)
+		out[i].cfg.Failures = failures
 	}
+	return out
+}
+
+// fig8Rows labels the results of fig8Runs(st, failures) and models
+// OPTIMISTIC from the RCMP NO-SPLIT run.
+func fig8Rows(st setup, failures []mapreduce.Injection, res []*mapreduce.Result) []fig8Row {
+	rows := make([]fig8Row, 0, len(res)+1)
+	for i, s := range fig8Strategies {
+		rows = append(rows, fig8Row{s.String(), float64(res[i].Total), res[i]})
+	}
+	noSplit := res[slices.Index(fig8Strategies, rcmpNoSplit)]
 	return append(rows, fig8Row{"OPTIMISTIC", optimisticTotal(st, noSplit, failures), nil})
 }
 
@@ -494,13 +520,29 @@ func fig8(name string, c Config, failures func(setup) ([]mapreduce.Injection, er
 	for _, st := range setups {
 		header = append(header, st.name)
 	}
-	slowdowns := make(map[string][]float64)
+	// Every setup's chains run at once. A setup whose failure scenario is
+	// invalid ends the list, and its error comes after any error of the
+	// runs before it, as in a serial loop.
+	var sts []setup
+	var fails [][]mapreduce.Injection
+	var scenarioErr error
 	for _, st := range setups {
-		fails, err := failures(st)
+		f, err := failures(st)
 		if err != nil {
-			return nil, err
+			scenarioErr = err
+			break
 		}
-		runs := fig8Run(st, fails)
+		fails = append(fails, f)
+		sts = append(sts, fig8Runs(st, f)...)
+	}
+	res := runAll(sts)
+	if scenarioErr != nil {
+		return nil, scenarioErr
+	}
+	slowdowns := make(map[string][]float64)
+	for k, st := range setups {
+		n := len(fig8Strategies)
+		runs := fig8Rows(st, fails[k], res[k*n:(k+1)*n])
 		totals := make([]float64, len(runs))
 		for i, sr := range runs {
 			totals[i] = sr.total
@@ -585,17 +627,25 @@ func Fig9(c Config) (*Result, error) {
 		}
 		return []mapreduce.Injection{first, second}
 	}
-	cols := []string{"RCMP S", "RCMP NO", "REPL-3"}
-	var rows [][]string
+	strategies := []strategy{rcmpSplit, rcmpNoSplit, hadoopRepl3}
+	var sts []setup
 	for _, sc := range scenarios {
-		var totals []float64
-		for _, s := range []strategy{rcmpSplit, rcmpNoSplit, hadoopRepl3} {
+		for _, s := range strategies {
 			stv := st.with(s)
 			stv.cfg.Failures = inject(sc.rcmpX, sc.rcmpY)
 			if s == hadoopRepl3 {
 				stv.cfg.Failures = inject(sc.hadX, sc.hadY)
 			}
-			totals = append(totals, float64(run(stv).Total))
+			sts = append(sts, stv)
+		}
+	}
+	res := runAll(sts)
+	cols := []string{"RCMP S", "RCMP NO", "REPL-3"}
+	var rows [][]string
+	for k, sc := range scenarios {
+		var totals []float64
+		for _, rr := range res[k*len(strategies) : (k+1)*len(strategies)] {
+			totals = append(totals, float64(rr.Total))
 		}
 		row := []string{sc.label}
 		for i, slow := range vsBest(totals) {
@@ -628,17 +678,20 @@ func Fig10(c Config) (*Result, error) {
 		return nil, err
 	}
 
-	rcmp := st.with(rcmpSplit)
-	rcmp.cfg.Failures = fails
-	rcmpRes := run(rcmp)
+	strategies := []strategy{rcmpSplit, hadoopRepl2, hadoopRepl3}
+	sts := make([]setup, len(strategies))
+	for i, s := range strategies {
+		sts[i] = st.with(s)
+		sts[i].cfg.Failures = fails
+	}
+	res := runAll(sts)
+	rcmpRes := res[0]
 	rcmpP := perJobFromRuns(rcmpRes, failAt)
 	rec := recoveryFromRuns(rcmpRes, st)
 
 	hadoopTotals := make(map[strategy]func(int) float64)
-	for _, s := range []strategy{hadoopRepl2, hadoopRepl3} {
-		h := st.with(s)
-		h.cfg.Failures = fails
-		hres := run(h)
+	for i, s := range strategies[1:] {
+		hres := res[1+i]
 		p := perJobFromRuns(hres, failAt)
 		failedJob := failedRunDuration(hres, failAt)
 		hadoopTotals[s] = func(jobs int) float64 {
@@ -712,14 +765,22 @@ func Fig11(c Config) (*Result, error) {
 	if c.Scale == ScaleQuick {
 		nodeCounts = []int{6, 10}
 	}
-	var xs []float64
-	series := map[string][]float64{}
+	strategies := []strategy{rcmpNoSplit, rcmpSplit}
+	var sts []setup
 	for _, n := range nodeCounts {
 		st := dcoSetup(c, n)
 		st.cfg.NumJobs = 3
 		st.cfg.Failures = fixedFailure(3)
-		for _, s := range []strategy{rcmpNoSplit, rcmpSplit} {
-			su := recomputeSpeedup(run(st.with(s)))
+		for _, s := range strategies {
+			sts = append(sts, st.with(s))
+		}
+	}
+	res := runAll(sts)
+	var xs []float64
+	series := map[string][]float64{}
+	for k, n := range nodeCounts {
+		for j, s := range strategies {
+			su := recomputeSpeedup(res[k*len(strategies)+j])
 			name := s.String()
 			series[name] = append(series[name], su)
 			r.Values[fmt.Sprintf("%s @ %d nodes", name, n)] = su
@@ -754,15 +815,20 @@ func Fig12(c Config) (*Result, error) {
 	}
 	st.cfg.Failures = fails
 
+	splits := []bool{false, true}
+	sts := make([]setup, len(splits))
+	for i, split := range splits {
+		sts[i] = st
+		sts[i].cfg.Split = split
+		if split {
+			sts[i].cfg.SplitRatio = 8
+		}
+	}
+	runs := runAll(sts)
 	var names []string
 	cdfs := make(map[string]metrics.CDF)
-	for _, split := range []bool{false, true} {
-		stv := st
-		stv.cfg.Split = split
-		if split {
-			stv.cfg.SplitRatio = 8
-		}
-		res := run(stv)
+	for i, split := range splits {
+		res := runs[i]
 		durs := res.Recorder.TaskDurations(func(ts metrics.TaskSample) bool {
 			return ts.Kind == metrics.TaskMap && ts.RunKind == metrics.RunRecompute
 		})
@@ -842,7 +908,7 @@ func waveSweep(c Config, name, note, xLabel, point string, waves []int, shape fu
 	r := newResult(name)
 	shuffles := []string{"FAST SHUFFLE", "SLOW SHUFFLE"}
 	series := map[string][]float64{}
-	var xs []float64
+	var sts []setup
 	for _, w := range waves {
 		for _, shuffle := range shuffles {
 			st := sticSetup(c, 1, 1)
@@ -852,7 +918,14 @@ func waveSweep(c Config, name, note, xLabel, point string, waves []int, shape fu
 			if shuffle == "SLOW SHUFFLE" {
 				st.ccfg.ShuffleTransferDelay = 10
 			}
-			su := recomputeSpeedup(run(st))
+			sts = append(sts, st)
+		}
+	}
+	res := runAll(sts)
+	var xs []float64
+	for k, w := range waves {
+		for j, shuffle := range shuffles {
+			su := recomputeSpeedup(res[k*len(shuffles)+j])
 			series[shuffle] = append(series[shuffle], su)
 			r.Values[shuffle+" @ "+fmt.Sprintf(point, w)] = su
 		}
@@ -878,12 +951,11 @@ func Hybrid(c Config) (*Result, error) {
 
 	pure := st.with(rcmpSplit)
 	pure.cfg.Failures = fails
-	pureT := float64(run(pure).Total)
-
 	hyb := pure
 	hyb.cfg.HybridEveryK = 5
 	hyb.cfg.HybridRepl = 2
-	hybT := float64(run(hyb).Total)
+	res := runAll([]setup{pure, hyb})
+	pureT, hybT := float64(res[0].Total), float64(res[1].Total)
 
 	r.Values["pure RCMP"] = 1
 	r.Values["hybrid vs pure"] = hybT / pureT

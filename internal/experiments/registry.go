@@ -50,7 +50,8 @@ func (sp Spec) RelativeCost(sc Scale) float64 {
 // out-of-range override is the job's error instead of a deep panic inside
 // a setup. A simulation that fails inside the figure (see chainError) is
 // the job's error as well; any other panic propagates with its stack. A
-// Config without a Worker (see WithWorker) runs on a fresh one.
+// Config without a Worker (see WithWorker) runs on a fresh one as wide as
+// GOMAXPROCS.
 func (sp Spec) Exec(c Config) (res *Result, err error) {
 	if err := c.validate(); err != nil {
 		return nil, err
@@ -59,9 +60,7 @@ func (sp Spec) Exec(c Config) (res *Result, err error) {
 		return nil, fmt.Errorf("experiments: %s is single-tenant; Tenants=%d only applies to multi-tenant experiments",
 			sp.Name, c.Tenants)
 	}
-	if c.worker == nil {
-		c.worker = new(Worker)
-	}
+	c.worker = c.owner()
 	defer func() {
 		if p := recover(); p != nil {
 			ce, ok := p.(chainError)

@@ -47,12 +47,17 @@ func DoubleFailure(c Config) (*Result, error) {
 	r := newResult(fmt.Sprintf("DoubleFailure: schedule %s (STIC, SLOTS 1-1)", sched.Label()))
 	inj := scheduleInjections(sched)
 
+	strategies := []strategy{rcmpSplit, rcmpNoSplit, hadoopRepl3}
+	sts := make([]setup, len(strategies))
+	for i, s := range strategies {
+		sts[i] = st.with(s)
+		sts[i].cfg.Failures = inj
+	}
+	runs := runAll(sts)
 	var labels []string
 	var totals []float64
-	for _, s := range []strategy{rcmpSplit, rcmpNoSplit, hadoopRepl3} {
-		stv := st.with(s)
-		stv.cfg.Failures = inj
-		res := run(stv)
+	for i, s := range strategies {
+		res := runs[i]
 		labels = append(labels, s.String())
 		totals = append(totals, float64(res.Total))
 		if s == rcmpNoSplit {
@@ -110,24 +115,48 @@ func TraceReplay(c Config) (*Result, error) {
 		maxPulse = 3
 	}
 
-	var rows [][]string
-	for _, tc := range []failure.TraceConfig{failure.STICTrace(), failure.SUGARTrace()} {
+	// Every schedule is drawn first, in the serial loop's order; then the
+	// runs fan out. A draw that fails ends the list, and its error comes
+	// after any error of the runs before it.
+	traces := []failure.TraceConfig{failure.STICTrace(), failure.SUGARTrace()}
+	strategies := []strategy{rcmpNoSplit, rcmpSplit}
+	samples := make([]int, len(traces))
+	pulses := make([]int, len(traces))
+	var sts []setup
+	var drawErr error
+draw:
+	for t, tc := range traces {
 		tc.Seed += c.Seed
-		days := 0
-		pulses := 0
-		work := make(map[strategy]float64)
-		for s := 0; s < traceReplaySamples || (pulses == 0 && s < 4*traceReplaySamples); s++ {
+		for s := 0; s < traceReplaySamples || (pulses[t] == 0 && s < 4*traceReplaySamples); s++ {
 			sched, err := failure.FromTrace(tc, st.cfg.NumJobs, maxPulse, c.Seed*1009+int64(s))
 			if err != nil {
-				return nil, err
+				drawErr = err
+				break draw
 			}
 			sched = sched.Capped(budget)
-			pulses += len(sched.Pulses)
-			days += st.cfg.NumJobs
-			for _, s := range []strategy{rcmpNoSplit, rcmpSplit} {
+			pulses[t] += len(sched.Pulses)
+			samples[t]++
+			for _, s := range strategies {
 				stv := st.with(s)
 				stv.cfg.Failures = scheduleInjections(sched)
-				work[s] += recomputeSeconds(run(stv))
+				sts = append(sts, stv)
+			}
+		}
+	}
+	res := runAll(sts)
+	if drawErr != nil {
+		return nil, drawErr
+	}
+
+	var rows [][]string
+	next := 0
+	for t, tc := range traces {
+		days := samples[t] * st.cfg.NumJobs
+		work := make(map[strategy]float64)
+		for range samples[t] {
+			for _, s := range strategies {
+				work[s] += recomputeSeconds(res[next])
+				next++
 			}
 		}
 		noSplit := work[rcmpNoSplit] / float64(days)
@@ -135,10 +164,10 @@ func TraceReplay(c Config) (*Result, error) {
 		r.Values[tc.Name+" NO-SPLIT s/day"] = noSplit
 		r.Values[tc.Name+" SPLIT s/day"] = withSplit
 		r.Values[tc.Name+" SPLIT/NO-SPLIT"] = withSplit / noSplit
-		r.Values[tc.Name+" pulses"] = float64(pulses)
+		r.Values[tc.Name+" pulses"] = float64(pulses[t])
 		rows = append(rows, []string{tc.Name,
 			textplot.Num(noSplit), textplot.Num(withSplit),
-			textplot.Num(withSplit / noSplit), fmt.Sprintf("%d", pulses)})
+			textplot.Num(withSplit / noSplit), fmt.Sprintf("%d", pulses[t])})
 	}
 	r.Text = textplot.Table(r.Name+" (mean recompute seconds per simulated day)",
 		[]string{"trace", "NO-SPLIT", "SPLIT", "SPLIT/NO-SPLIT", "pulses"}, rows)

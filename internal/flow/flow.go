@@ -330,12 +330,14 @@ type component struct {
 // bank accrues progress up to now at the current rates — class accounting
 // only; strict mode banks globally (bankAll). The accrual is one addition
 // per trunk (the shared-rate integral); members materialize their progress
-// from it when they leave.
+// from it when they leave. The conversion rounds the product before the
+// sum, so no compiler fuses them into one multiply-add (the Go spec
+// allows it, and arm64 builds would).
 func (c *component) bank(now des.Time) {
 	dt := float64(now - c.lastBank)
 	if dt > 0 {
 		for _, t := range c.trunks {
-			t.cum += t.rate * dt
+			t.cum += float64(t.rate * dt)
 		}
 	}
 	c.lastBank = now
@@ -519,12 +521,12 @@ func (n *Network) EnableClassAccounting() {
 
 // bankAll banks progress for every active flow up to now (strict mode),
 // with the same per-flow arithmetic and chunk boundaries as the historical
-// global rebalance.
+// global rebalance, and, as bank does, the product rounded before the sum.
 func (n *Network) bankAll(now des.Time) {
 	dt := float64(now - n.lastUpdate)
 	if dt > 0 {
 		for _, f := range n.flows {
-			f.done += f.rate * dt
+			f.done += float64(f.rate * dt)
 			if f.done > f.size {
 				f.done = f.size
 			}

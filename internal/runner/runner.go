@@ -9,6 +9,13 @@
 // while keeping results in input order, so a parallel run is byte-identical
 // to a serial run of the same jobs — reproducibility is never traded for
 // wall-clock speed.
+//
+// A job can fan out too: a figure's independent simulations run across its
+// Worker's lanes (experiments.NewWorker). Run gives each pool worker
+// max(1, workers/jobs) lanes, so CPUs that a short job list leaves idle
+// run the runs of one figure, and a list with at least as many jobs as
+// workers runs each job on one lane. The width changes no result and no
+// error: a failing figure reports what its serial loop would have.
 package runner
 
 import (
@@ -60,7 +67,9 @@ type Result struct {
 	// is the panic message and the rest is the goroutine stack at the
 	// panic site (see ErrMessage): a caller holding the Result can read
 	// the stack, while report rows (EncodeRow), and so the sweep server's
-	// cache, keep the message line only.
+	// cache, keep the message line only. A panic in one of a figure's
+	// fanned-out runs reads the same: its message, then the stack of the
+	// lane it began on, then the stack where the figure raised it again.
 	Err string
 	// Elapsed is per-job wall-clock time. It is reported for scheduling
 	// insight only and excluded from deterministic JSON output.
@@ -84,19 +93,22 @@ func (r *Runner) workers() int {
 // and ordered like the input regardless of completion order. Jobs are
 // handed to workers cost-descending (ties in input order): with more
 // jobs than workers this is the LPT heuristic, which keeps one long-pole
-// job from starting last and dominating the wall clock.
+// job from starting last and dominating the wall clock. Each worker's
+// experiments.Worker has max(1, workers/jobs) lanes.
 func (r *Runner) Run(jobs []Job) []Result {
 	out := make([]Result, len(jobs))
 	order := scheduleOrder(jobs)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < r.workers(); w++ {
+	workers := r.workers()
+	width := laneWidth(workers, len(jobs))
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var w experiments.Worker
+			w := experiments.NewWorker(width)
 			for i := range idx {
-				out[i] = RunOne(jobs[i], &w)
+				out[i] = RunOne(jobs[i], w)
 			}
 		}()
 	}
@@ -107,6 +119,11 @@ func (r *Runner) Run(jobs []Job) []Result {
 	wg.Wait()
 	return out
 }
+
+// laneWidth is how many lanes each of a pool's workers gives its jobs:
+// the CPUs a short job list would leave idle, shared out, and one lane
+// once there are at least as many jobs as workers.
+func laneWidth(workers, jobs int) int { return max(1, workers/max(1, jobs)) }
 
 // scheduleOrder returns job indices sorted by descending Cost, stable on
 // the input order for equal costs.
@@ -133,11 +150,12 @@ func (r Result) ErrMessage() string {
 }
 
 // RunOne executes a single job on w, the caller's experiments.Worker (nil
-// for a fresh one), with the panic confinement every pool worker uses: a
-// panicking experiment becomes that job's Err — message first, then the
-// stack at the panic site — and never unwinds the caller. Long-running
-// services schedule jobs one at a time through this, one Worker per
-// service goroutine. Result.Config is the job's Config, without w.
+// for a fresh one as wide as GOMAXPROCS), with the panic confinement every
+// pool worker uses: a panicking experiment becomes that job's Err — message
+// first, then the stack at the panic site — and never unwinds the caller.
+// Long-running services schedule jobs one at a time through this, one
+// Worker per service goroutine. Result.Config is the job's Config, without
+// w.
 func RunOne(j Job, w *experiments.Worker) (res Result) {
 	res.Name = j.Name
 	res.Config = j.Config

@@ -4,7 +4,10 @@
 # an internal API deletion that breaks it is caught here; tier-1; the race
 # detector over the full suite, then twice over the packages whose state
 # is reused across runs or shared between goroutines; the pinned chains
-# and golden digests; the analytic-vs-DES tolerance suite; a few seconds
+# and golden digests; fan-out (a figure's runs across Worker lanes) under
+# the race detector at one CPU and at four, against the serial outputs, the
+# dimension pin and the golden digests; the analytic-vs-DES tolerance
+# suite; a few seconds
 # of fuzzing on the dmr record-frame decoder, the wire receive path
 # (envelope plus bulk section), the job-graph validator, the sweep request
 # decoder, the report indenter and the record byte sum; one smoke pass of
@@ -43,6 +46,9 @@ go test -race -count=2 ./internal/des ./internal/flow ./internal/mapreduce ./int
 
 echo "== race (pinned chain outcomes + ready bits + golden digests, repeated) =="
 go test -race -count=2 -run 'TestPinned|TestGoldenDigests|TestReadyBitsMatchBuckets' ./internal/mapreduce ./internal/experiments
+
+echo "== fan-out (a figure's runs across Worker lanes, race, 1 and 4 CPUs) =="
+go test -race -cpu 1,4 -run 'TestFanOut|TestPinnedDimensionOutputs|TestGoldenDigests' ./internal/experiments ./internal/runner
 
 echo "== golden digests (ladder queue + rate-class flow core on) =="
 go test -count=1 -run 'TestGoldenDigests' ./internal/experiments

@@ -52,6 +52,7 @@ var surfaceAllowed = map[string]string{
 	"lineage.JobRecord.MappersReading": "internal/core's planner_test.go (the chain oracle, kept unedited) and graphplan_test.go pick mappers by input partition with it",
 	"wire.Chaos.Heal":                  "internal/dmr's chaos and shuffle tests heal the partitions they inject",
 	"wire.Chaos.HealAll":               "internal/dmr's chaos tests heal every injected partition on cleanup",
+	"experiments.Worker.Each":          "internal/runner's fan-out tests run stub figures on a Worker's lanes with it, to pin how a lane's failure reaches a job's Err",
 }
 
 // surfaceScan returns the exported functions and methods declared in
