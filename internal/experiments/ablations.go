@@ -219,6 +219,7 @@ func AblationLocality(c Config) (*Result, error) {
 			st.cfg.NumJobs = 1
 			st.cfg.InputRepl = 1
 			st.cfg.DisableLocality = disable
+			st.cfg.NoTaskSamples = false
 			st.ccfg.Oversubscription = ov
 			st.ccfg.NICBW = 50 * cluster.MB
 			sts = append(sts, st)

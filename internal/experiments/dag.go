@@ -59,6 +59,7 @@ func DAGRecovery(c Config) (*Result, error) {
 	runs := make([]*mapreduce.Result, len(strategies))
 	st.w.each(st.engine, len(strategies), nil, nil, func(lane *Worker, i int) {
 		stv := st.with(strategies[i])
+		stv.cfg.NoTaskSamples = strategies[i] != rcmpNoSplit // its cascade size is counted in tasks
 		stv.w = lane
 		runs[i] = runGraph(stv, diamondJobs())
 	})
@@ -137,6 +138,8 @@ func MultiTenant(c Config) (*Result, error) {
 		cfg := st.with(se.s).cfg
 		if se.failed {
 			cfg.Failures = fails
+		} else {
+			cfg.NoTaskSamples = false // sessionUtilization reads its tasks
 		}
 		mr, err := lane.runMultiTenant(st.engine, st.ccfg, mapreduce.GraphConfig{ChainConfig: cfg, Jobs: jobs}, se.tenants)
 		if err != nil {

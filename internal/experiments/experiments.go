@@ -186,9 +186,15 @@ func dcoSetup(c Config, nodes int) setup {
 // newSetup applies a Config to a base cluster and chain shape: a 7-job
 // RCMP chain, shrunk at ScaleQuick to quickNodes nodes and 4 jobs of
 // 512 MB/node; the Nodes override, with one wave of redSlots reducers per
-// node; the seed, speculation and engine.
+// node; the seed, speculation and engine. Per-task samples are off: most
+// figures read only run stats, and the samples are a third of what a
+// paper-scale figure allocates, so they decide how often the collector
+// runs, and with it what each lane pays in write barriers while the
+// other lanes run (docs/perf.md). A run whose Recorder.Tasks a figure
+// reads turns them back on.
 func newSetup(c Config, name string, ccfg cluster.Config, cfg mapreduce.ChainConfig, redSlots, quickNodes int) setup {
 	cfg.Mode, cfg.NumJobs, cfg.Seed, cfg.Speculation = mapreduce.ModeRCMP, 7, c.Seed, c.Speculation
+	cfg.NoTaskSamples = true
 	if c.Scale == ScaleQuick {
 		ccfg.Nodes, cfg.NumJobs = quickNodes, 4
 		cfg.InputPerNode, cfg.BlockSize = 512*cluster.MB, 128*cluster.MB
@@ -814,6 +820,7 @@ func Fig12(c Config) (*Result, error) {
 		return nil, err
 	}
 	st.cfg.Failures = fails
+	st.cfg.NoTaskSamples = false
 
 	splits := []bool{false, true}
 	sts := make([]setup, len(splits))
