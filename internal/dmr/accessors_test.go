@@ -24,13 +24,13 @@ func TestAccessorsAndTeardown(t *testing.T) {
 		t.Fatalf("DataLossError text %q", loss.Error())
 	}
 
-	// Graceful shutdown is idempotent and equivalent to Kill.
-	w.Shutdown()
-	w.Shutdown()
+	// Kill is idempotent.
+	w.Kill()
+	w.Kill()
 	deadline := time.Now().Add(5 * time.Second)
 	for !c.m.FailedNodes()[0] {
 		if time.Now().After(deadline) {
-			t.Fatal("shutdown worker never declared dead")
+			t.Fatal("killed worker never declared dead")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -213,19 +213,17 @@ func TestResetDuringCommitRetriesThrough(t *testing.T) {
 }
 
 // TestHeartbeatRedialAfterClientFailure pins the re-dial fix: when the
-// worker's cached master client dies (here: closed underneath it, the same
-// poisoned state a transport fault leaves behind), the heartbeat loop must
-// dial a fresh client instead of erroring forever — before the fix the
-// master declared the worker dead within one detection timeout.
+// pool's master client dies (here: closed underneath it, the same poisoned
+// state a transport fault leaves behind), the heartbeat loop must dial a
+// fresh client instead of erroring forever — before the fix the master
+// declared the worker dead within one detection timeout.
 func TestHeartbeatRedialAfterClientFailure(t *testing.T) {
 	c := startCluster(t, 2, 2, 40)
 	w := c.workers[0]
 
-	w.mcMu.Lock()
-	cl := w.master
-	w.mcMu.Unlock()
-	if cl == nil {
-		t.Fatal("worker has no master client")
+	cl, err := w.peers.Get(w.cfg.MasterAddr)
+	if err != nil {
+		t.Fatalf("worker has no master client: %v", err)
 	}
 	cl.Close()
 

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"rcmp/internal/core"
@@ -461,22 +460,12 @@ func (d *Driver) OutputDigests() ([]workload.Digest, error) {
 		return nil, fmt.Errorf("dmr: chain output %q missing (chain not run?)", out)
 	}
 	digests := make([]workload.Digest, d.cfg.NumReducers)
-	errs := make([]error, len(digests))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, shuffleParallelCopies)
-	for p := range digests {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			digests[p], errs[p] = d.m.PartitionDigest(out, p)
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := runTasks(len(digests), shuffleParallelCopies, func(p int) (err error) {
+		digests[p], err = d.m.PartitionDigest(out, p)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return digests, nil
 }

@@ -39,12 +39,14 @@
 //
 // The runtime is chaos-hardened: every connection can carry a fault
 // injector (wire.Chaos — deterministic latency, jitter, drops, one-way
-// partitions, mid-stream resets), RPCs retry transport errors with
-// jittered exponential backoff (wire.RetryPolicy), and the worker's
-// heartbeat loop re-dials a poisoned master client instead of letting a
-// transient transport fault masquerade as a death. Only faults that
-// outlive the detection timeout become failures; the chaos regression
-// tests pin that boundary from both sides.
+// partitions, mid-stream resets), and RPCs retry transport errors with
+// jittered exponential backoff (wire.RetryPolicy). A worker reaches the
+// master through the same wire.Pool as every other peer, so a heartbeat is
+// retried like any other call, and the pool drops a poisoned client so the
+// next heartbeat re-dials instead of letting a transient transport fault
+// masquerade as a death. Only faults that outlive the detection timeout
+// become failures; the chaos regression tests pin that boundary from both
+// sides.
 //
 // The same planner, partitioner, and UDFs drive the simulator and the
 // functional engine, so a chain executed on this runtime with failures

@@ -118,17 +118,24 @@ type deathSuspect struct{ error }
 
 func (e deathSuspect) Unwrap() error { return e.error }
 
-// runTasks runs fn(i) for i in [0,n) concurrently and returns the first
-// error. Concurrency is bounded by worker slots, not here.
-func runTasks(n int, fn func(i int) error) error {
+// runTasks runs fn(i) for every i in [0,n), at most limit at once (0 means
+// all at once), and returns the lowest-indexed error, whichever task
+// failed first in time. The map and reduce phases pass 0: worker slots
+// bound them, not this.
+func runTasks(n, limit int, fn func(i int) error) error {
+	if limit <= 0 || limit > n {
+		limit = n
+	}
 	errs := make([]error, n)
+	sem := make(chan struct{}, limit)
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := range n {
+		sem <- struct{}{}
 		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
+		go func() {
+			defer func() { <-sem; wg.Done() }()
 			errs[i] = fn(i)
-		}(i)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -268,7 +275,7 @@ func (m *Master) runMapPhase(spec JobSpec, descs []lineage.MapperMeta, cancel <-
 	stats := &mapPhaseStats{}
 
 	results := make([]mapTaskResult, len(descs))
-	err := runTasks(len(descs), func(i int) error {
+	err := runTasks(len(descs), 0, func(i int) error {
 		primary, err := m.placeMapper(holders[i], i, cancel)
 		if err != nil {
 			return err
@@ -423,7 +430,7 @@ type reduceOutcome struct {
 // sources and returns per-task outcomes.
 func (m *Master) runReducePhase(spec JobSpec, places []reducePlacement, sources []MapSrc, cancel <-chan struct{}) ([]reduceOutcome, error) {
 	outcomes := make([]reduceOutcome, len(places))
-	err := runTasks(len(places), func(i int) error {
+	err := runTasks(len(places), 0, func(i int) error {
 		p := places[i]
 		if err := acquire(p.worker.reduceSlots, cancel); err != nil {
 			return err

@@ -128,21 +128,14 @@ type WorkerConfig struct {
 
 // Worker is one compute-plus-storage node: it runs tasks, stores blocks and
 // persisted map outputs, serves peer fetches, and heartbeats the master.
+// Every outbound call, the master's included, goes through peers: the pool
+// drops a client that a transport fault poisoned, so the next heartbeat
+// re-dials instead of a healthy worker going silent to the master.
 type Worker struct {
 	cfg    WorkerConfig
 	store  *store
 	server *wire.Server
 	peers  *wire.Pool
-
-	// The master client is a re-dialable slot, not a permanent handle: a
-	// mid-call send fault poisons a wire.Client forever, and a worker whose
-	// heartbeats all land on a poisoned client is silently dead to the
-	// master while perfectly healthy. mcMu guards the slot; a discarded
-	// client is re-dialed with capped exponential backoff.
-	mcMu       sync.Mutex
-	master     *wire.Client
-	hbBackoff  time.Duration
-	nextRedial time.Time
 
 	mu        sync.Mutex
 	killed    bool
@@ -153,7 +146,7 @@ type Worker struct {
 }
 
 // StartWorker binds the worker's server, registers with the master, and
-// starts heartbeating. The returned worker runs until Kill or Shutdown.
+// starts heartbeating. The returned worker runs until Kill.
 func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	cfg.Timing = cfg.Timing.withDefaults()
 	if err := cfg.Timing.Validate(); err != nil {
@@ -174,30 +167,27 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		store:  newStore(),
 		stopHB: make(chan struct{}),
 	}
-	w.peers = wire.NewPoolOpts(cfg.Timing.DialTimeout, w.poolOpts())
+	w.peers = wire.NewPoolOpts(cfg.Timing.DialTimeout, wire.PoolOptions{
+		Chaos: cfg.Chaos,
+		Self:  fmt.Sprintf("w%d", cfg.ID),
+		Retry: cfg.Retry,
+	})
 	w.server = wire.NewServer(ln, w.handle)
 
-	w.master, err = wire.DialOpts(cfg.MasterAddr, cfg.Timing.DialTimeout, w.poolOpts())
+	// Register is single-shot, not a retried Pool.Call: a retry after a
+	// lost reply would fail as "already registered".
+	master, err := w.peers.Get(cfg.MasterAddr)
+	if err == nil {
+		_, err = master.Call(RegisterReq{Worker: cfg.ID, Addr: w.Addr()}, cfg.Timing.CallTimeout)
+	}
 	if err != nil {
 		w.server.Close()
-		return nil, fmt.Errorf("dmr: worker %d dial master: %w", cfg.ID, err)
-	}
-	if _, err := w.master.Call(RegisterReq{Worker: cfg.ID, Addr: w.Addr()}, cfg.Timing.CallTimeout); err != nil {
-		w.server.Close()
-		w.master.Close()
+		w.peers.Close()
 		return nil, fmt.Errorf("dmr: worker %d register: %w", cfg.ID, err)
 	}
 	w.hbStopped.Add(1)
 	go w.heartbeatLoop()
 	return w, nil
-}
-
-func (w *Worker) poolOpts() wire.PoolOptions {
-	return wire.PoolOptions{
-		Chaos: w.cfg.Chaos,
-		Self:  fmt.Sprintf("w%d", w.cfg.ID),
-		Retry: w.cfg.Retry,
-	}
 }
 
 // Addr returns the worker's data/task address.
@@ -220,70 +210,12 @@ func (w *Worker) heartbeatLoop() {
 	}
 }
 
-// heartbeat sends one liveness refresh. A transport failure discards the
-// client (a poisoned gob stream can never carry another call) so a later
-// tick re-dials; an unreachable master is still not fatal — it declares us
-// dead on its own timeout, which is the detection path under test.
+// heartbeat sends one liveness refresh. A transport failure is not fatal:
+// the pool drops the poisoned client, so a later tick re-dials, and a
+// master that stays unreachable declares us dead on its own timeout, which
+// is the detection path under test.
 func (w *Worker) heartbeat() {
-	cl := w.masterClient()
-	if cl == nil {
-		return // re-dial backoff in force, or master unreachable
-	}
-	_, err := cl.Call(HeartbeatReq{Worker: w.cfg.ID}, w.cfg.Timing.CallTimeout)
-	if err != nil && wire.IsTransportError(err) {
-		w.discardMaster(cl)
-	}
-}
-
-// masterClient returns the live master client, re-dialing if the slot is
-// empty and the backoff window has passed. Returns nil while backing off.
-func (w *Worker) masterClient() *wire.Client {
-	w.mcMu.Lock()
-	defer w.mcMu.Unlock()
-	if w.master != nil {
-		return w.master
-	}
-	if time.Now().Before(w.nextRedial) {
-		return nil
-	}
-	cl, err := wire.DialOpts(w.cfg.MasterAddr, w.cfg.Timing.DialTimeout, w.poolOpts())
-	if err != nil {
-		w.bumpHBBackoffLocked()
-		return nil
-	}
-	w.master = cl
-	w.hbBackoff = 0
-	return cl
-}
-
-// discardMaster closes a failed client and vacates the slot (unless a
-// newer client already replaced it), arming the re-dial backoff.
-func (w *Worker) discardMaster(cl *wire.Client) {
-	cl.Close()
-	w.mcMu.Lock()
-	if w.master == cl {
-		w.master = nil
-		w.bumpHBBackoffLocked()
-	}
-	w.mcMu.Unlock()
-}
-
-// bumpHBBackoffLocked doubles the re-dial backoff, starting at half a
-// heartbeat interval and capped at half the detection timeout so a worker
-// that can reconnect always does so with detection headroom to spare.
-func (w *Worker) bumpHBBackoffLocked() {
-	if w.hbBackoff <= 0 {
-		w.hbBackoff = w.cfg.Timing.HeartbeatInterval / 2
-		if w.hbBackoff < time.Millisecond {
-			w.hbBackoff = time.Millisecond
-		}
-	} else {
-		w.hbBackoff *= 2
-	}
-	if limit := w.cfg.Timing.DetectionTimeout / 2; w.hbBackoff > limit {
-		w.hbBackoff = limit
-	}
-	w.nextRedial = time.Now().Add(w.hbBackoff)
+	w.peers.Call(w.cfg.MasterAddr, HeartbeatReq{Worker: w.cfg.ID}, w.cfg.Timing.CallTimeout)
 }
 
 // Kill simulates node death: heartbeats stop and the data/task server goes
@@ -301,15 +233,7 @@ func (w *Worker) Kill() {
 	w.hbStopped.Wait()
 	w.server.Close()
 	w.peers.Close()
-	w.mcMu.Lock()
-	if w.master != nil {
-		w.master.Close()
-	}
-	w.mcMu.Unlock()
 }
-
-// Shutdown is a graceful Kill (same teardown; named for intent at call sites).
-func (w *Worker) Shutdown() { w.Kill() }
 
 // RemoteReads returns how many mapper inputs this worker fetched from peers
 // (each one is a would-be hot-spot access during recomputation).
@@ -460,7 +384,6 @@ func (w *Worker) shuffle(r RunReducerReq) ([][]workload.Record, error) {
 		addr string
 		idx  []int // positions in r.Sources, ascending
 		req  FetchMapOutReq
-		err  error
 	}
 	out := make([][]workload.Record, len(r.Sources))
 	var fetches []*fetch
@@ -484,32 +407,23 @@ func (w *Worker) shuffle(r RunReducerReq) ([][]workload.Record, error) {
 		f.req.Refs = append(f.req.Refs, BlockRef{Part: src.Part, Block: src.Block})
 	}
 
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, shuffleParallelCopies)
-	for _, f := range fetches {
-		sem <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer func() { <-sem; wg.Done() }()
-			resp, err := w.peers.Call(f.addr, f.req, w.cfg.Timing.CallTimeout)
-			var parts [][]workload.Record
-			if err == nil {
-				parts, err = splitShuffleReply(resp, f.addr, len(f.idx))
-			}
-			if err != nil {
-				f.err = fmt.Errorf("shuffle from %s: %w", f.addr, err)
-				return
-			}
-			for k, i := range f.idx {
-				out[i] = parts[k] // each fetch fills its own elements: no lock needed
-			}
-		}()
-	}
-	wg.Wait()
-	for _, f := range fetches {
-		if f.err != nil {
-			return nil, f.err
+	err := runTasks(len(fetches), shuffleParallelCopies, func(j int) error {
+		f := fetches[j]
+		resp, err := w.peers.Call(f.addr, f.req, w.cfg.Timing.CallTimeout)
+		var parts [][]workload.Record
+		if err == nil {
+			parts, err = splitShuffleReply(resp, f.addr, len(f.idx))
 		}
+		if err != nil {
+			return fmt.Errorf("shuffle from %s: %w", f.addr, err)
+		}
+		for k, i := range f.idx {
+			out[i] = parts[k] // each fetch fills its own elements: no lock needed
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

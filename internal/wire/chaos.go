@@ -47,9 +47,6 @@ type Chaos struct {
 	// ResetAfter, when positive, closes every connection after that many
 	// writes from the wrapped side — a mid-stream RST.
 	ResetAfter int
-	// PartitionPairs are directed (from, to) pairs blocked from the start;
-	// "*" matches any endpoint. Heal or HealAll unblocks them.
-	PartitionPairs []PartitionPair
 	// Trace, when non-nil, observes every injected fault. Called with an
 	// internal lock held: keep it cheap and do not call back into Chaos.
 	Trace func(TraceEvent)
@@ -60,11 +57,6 @@ type Chaos struct {
 	blocked map[[2]string]bool
 	connSeq map[[2]string]int
 	inited  bool
-}
-
-// PartitionPair is one directed blocked link; "*" is a wildcard endpoint.
-type PartitionPair struct {
-	From, To string
 }
 
 // TraceEvent describes one injected fault.
@@ -86,9 +78,6 @@ func (c *Chaos) initLocked() {
 	c.dialers = make(map[string]string)
 	c.blocked = make(map[[2]string]bool)
 	c.connSeq = make(map[[2]string]int)
-	for _, p := range c.PartitionPairs {
-		c.blocked[[2]string{p.From, p.To}] = true
-	}
 	c.inited = true
 }
 

@@ -180,7 +180,8 @@ func TestChaosPartitionIsOneWay(t *testing.T) {
 }
 
 func TestChaosWildcardPartition(t *testing.T) {
-	c := &Chaos{Seed: 1, PartitionPairs: []PartitionPair{{From: "cli", To: "*"}}}
+	c := &Chaos{Seed: 1}
+	c.Partition("cli", "*")
 	s := startChaosServer(t, c, "srv")
 	if _, err := c.Dial("cli", s.Addr(), 50*time.Millisecond); err == nil {
 		t.Fatal("dial succeeded across a wildcard partition")
@@ -241,7 +242,7 @@ func TestPoolRetriesTransportErrors(t *testing.T) {
 	p := NewPoolOpts(time.Second, PoolOptions{
 		Chaos: c,
 		Self:  "cli",
-		Retry: RetryPolicy{Max: 4, Base: time.Millisecond, Cap: 4 * time.Millisecond, Seed: 1},
+		Retry: RetryPolicy{Max: 4, Seed: 1},
 	})
 	defer p.Close()
 	for i := 0; i < 10; i++ {
@@ -267,7 +268,7 @@ func TestPoolNeverRetriesAppErrors(t *testing.T) {
 	})
 	defer s.Close()
 	p := NewPoolOpts(time.Second, PoolOptions{
-		Retry: RetryPolicy{Max: 5, Base: time.Millisecond, Seed: 1},
+		Retry: RetryPolicy{Max: 5, Seed: 1},
 	})
 	defer p.Close()
 	_, err = p.Call(s.Addr(), echoReq{N: 1}, time.Second)
@@ -284,7 +285,7 @@ func TestPoolNeverRetriesAppErrors(t *testing.T) {
 
 func TestPoolRetryStopsWhenClosed(t *testing.T) {
 	p := NewPoolOpts(50*time.Millisecond, PoolOptions{
-		Retry: RetryPolicy{Max: 1000, Base: 10 * time.Millisecond, Cap: 10 * time.Millisecond, Seed: 1},
+		Retry: RetryPolicy{Max: 1000, Seed: 1},
 	})
 	p.Close()
 	start := time.Now()
@@ -298,22 +299,20 @@ func TestPoolRetryStopsWhenClosed(t *testing.T) {
 }
 
 func TestRetryPolicyBackoffBounds(t *testing.T) {
-	rp := RetryPolicy{Max: 5, Base: 2 * time.Millisecond, Cap: 8 * time.Millisecond}.withDefaults()
+	if retryBase != 2*time.Millisecond || retryCap != 250*time.Millisecond {
+		t.Fatalf("backoff constants = %v, %v; want 2ms, 250ms", retryBase, retryCap)
+	}
 	rng := rand.New(rand.NewSource(1))
-	for k := 0; k < 8; k++ {
-		bound := rp.Base << k
-		if bound > rp.Cap || bound <= 0 {
-			bound = rp.Cap
+	for k := 0; k < 12; k++ {
+		bound := retryBase << k
+		if bound > retryCap {
+			bound = retryCap
 		}
 		for i := 0; i < 100; i++ {
-			d := rp.backoff(k, rng)
+			d := backoff(k, rng)
 			if d <= 0 || d > bound {
 				t.Fatalf("backoff(%d) = %v outside (0, %v]", k, d, bound)
 			}
 		}
-	}
-	zero := RetryPolicy{}.withDefaults()
-	if zero.Max != 0 || zero.Base != 0 {
-		t.Fatalf("zero policy gained defaults: %+v", zero)
 	}
 }

@@ -506,41 +506,30 @@ func (cl *Client) Close() error {
 // handler returned by value is the application's answer and is never
 // retried. Each retry re-resolves the client, so a poisoned connection is
 // replaced by a fresh dial. Backoff is exponential with full jitter:
-// attempt k sleeps a uniformly random duration in (0, min(Cap, Base<<k)].
+// attempt k sleeps a uniformly random duration in
+// (0, min(retryCap, retryBase<<k)].
 //
 // The zero value disables retries, preserving the historical single-shot
 // behavior (and the byte-identical golden paths that depend on it).
 type RetryPolicy struct {
-	Max  int           // retries after the first attempt; 0 disables
-	Base time.Duration // first backoff bound (default 2ms when Max > 0)
-	Cap  time.Duration // backoff ceiling (default 250ms)
-	Seed int64         // jitter seed, for deterministic tests
+	Max  int   // retries after the first attempt; 0 disables
+	Seed int64 // jitter seed, for deterministic tests
 }
 
-func (rp RetryPolicy) withDefaults() RetryPolicy {
-	if rp.Max > 0 {
-		if rp.Base <= 0 {
-			rp.Base = 2 * time.Millisecond
-		}
-		if rp.Cap <= 0 {
-			rp.Cap = 250 * time.Millisecond
-		}
-	}
-	return rp
-}
+// retryBase and retryCap are the first backoff bound and the backoff
+// ceiling of every RetryPolicy.
+const (
+	retryBase = 2 * time.Millisecond
+	retryCap  = 250 * time.Millisecond
+)
 
 // backoff returns the jittered sleep before retry attempt k (0-based).
-func (rp RetryPolicy) backoff(k int, rng *rand.Rand) time.Duration {
-	d := rp.Base
-	for i := 0; i < k && d < rp.Cap; i++ {
+func backoff(k int, rng *rand.Rand) time.Duration {
+	d := retryBase
+	for i := 0; i < k && d < retryCap; i++ {
 		d *= 2
 	}
-	if d > rp.Cap {
-		d = rp.Cap
-	}
-	if d <= 0 {
-		return 0
-	}
+	d = min(d, retryCap)
 	return time.Duration(rng.Int63n(int64(d))) + 1
 }
 
@@ -576,7 +565,6 @@ func NewPool(dialTimeout time.Duration) *Pool {
 
 // NewPoolOpts creates a pool with chaos and retry options.
 func NewPoolOpts(dialTimeout time.Duration, o PoolOptions) *Pool {
-	o.Retry = o.Retry.withDefaults()
 	return &Pool{
 		timeout: dialTimeout,
 		opts:    o,
@@ -669,11 +657,9 @@ func (p *Pool) closedNow() bool {
 // its own lock (never held across the sleep).
 func (p *Pool) sleepBackoff(attempt int) {
 	p.rngMu.Lock()
-	d := p.opts.Retry.backoff(attempt, p.rng)
+	d := backoff(attempt, p.rng)
 	p.rngMu.Unlock()
-	if d > 0 {
-		time.Sleep(d)
-	}
+	time.Sleep(d)
 }
 
 // IsTransportError reports whether err was raised by the transport layer —
