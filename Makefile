@@ -100,6 +100,7 @@ verify:
 
 # loc prints the non-test Go line count of every package under internal/,
 # cmd/ and examples/ and their total, by the rule CHANGES.md uses for LoC
-# figures. A report, not a check: it never fails on a count.
+# figures; with BASE=<rev> it prints BASE's count, this tree's and the
+# delta per package. A report, not a check: it never fails on a count.
 loc:
-	./scripts/loc.sh
+	./scripts/loc.sh $(BASE)

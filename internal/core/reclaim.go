@@ -98,7 +98,6 @@ func PlanEviction(ch *lineage.Chain, needBytes int64, waveSlots int) (EvictionPl
 	}
 	total := ch.Len()
 	var candidates []WaveRef
-	weight := make(map[*WaveRef]float64)
 	for j := 1; j <= total; j++ {
 		rec := ch.Job(j)
 		if !rec.Completed {
@@ -118,16 +117,13 @@ func PlanEviction(ch *lineage.Chain, needBytes int64, waveSlots int) (EvictionPl
 			ref.Mappers = append(ref.Mappers, m.Index)
 			ref.Bytes += m.OutputBytes
 		}
-		// P(job j's outputs needed) ~ frontiers after j.
-		p := float64(total-j) / float64(total)
 		for _, ref := range byWave {
 			candidates = append(candidates, *ref)
-			weight[&candidates[len(candidates)-1]] = p
 		}
 	}
 	// Cheapest expected cost per byte freed first: lower need-probability
-	// wins; ties broken by larger waves, then by (job, wave) for
-	// determinism.
+	// (P(job j's outputs needed) ~ frontiers after j) wins; ties broken by
+	// larger waves, then by (job, wave) for determinism.
 	sort.Slice(candidates, func(a, b int) bool {
 		pa := float64(total-candidates[a].Job) / float64(total)
 		pb := float64(total-candidates[b].Job) / float64(total)

@@ -915,9 +915,11 @@ func waveSweep(c Config, name, note, xLabel, point string, waves []int, shape fu
 	r := newResult(name)
 	shuffles := []string{"FAST SHUFFLE", "SLOW SHUFFLE"}
 	series := map[string][]float64{}
+	// The runs go shuffle-major: each shuffle is its own cluster
+	// configuration, so on one lane consecutive runs share a context.
 	var sts []setup
-	for _, w := range waves {
-		for _, shuffle := range shuffles {
+	for _, shuffle := range shuffles {
+		for _, w := range waves {
 			st := sticSetup(c, 1, 1)
 			st.cfg.NumJobs = 2
 			st.cfg.Failures = fixedFailure(2)
@@ -932,7 +934,7 @@ func waveSweep(c Config, name, note, xLabel, point string, waves []int, shape fu
 	var xs []float64
 	for k, w := range waves {
 		for j, shuffle := range shuffles {
-			su := recomputeSpeedup(res[k*len(shuffles)+j])
+			su := recomputeSpeedup(res[j*len(waves)+k])
 			series[shuffle] = append(series[shuffle], su)
 			r.Values[shuffle+" @ "+fmt.Sprintf(point, w)] = su
 		}

@@ -205,7 +205,6 @@ func (r *jobRun) cancel() {
 		return
 	}
 	r.done = true
-	r.cancelled = true
 	if r.specEv != nil {
 		r.sim().Cancel(r.specEv)
 		r.specEv = nil

@@ -324,9 +324,8 @@ type jobRun struct {
 	locHeap          []locKey
 	locHeapBuilt     bool
 
-	commits   []partCommit // indexed by reducer ID, opened when the first split lands
-	done      bool
-	cancelled bool
+	commits []partCommit // indexed by reducer ID, opened when the first split lands
+	done    bool
 
 	// Aggregated-tier offer accounting (see offerAggOutput in
 	// shuffle_phase.go): aggOfferBytes is the cumulative map-output volume
