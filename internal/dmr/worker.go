@@ -205,17 +205,12 @@ func (w *Worker) heartbeatLoop() {
 		case <-w.stopHB:
 			return
 		case <-t.C:
-			w.heartbeat()
+			// A failed heartbeat is not fatal: a master that stays
+			// unreachable declares us dead on its own timeout, which is
+			// the detection path under test.
+			w.peers.Call(w.cfg.MasterAddr, HeartbeatReq{Worker: w.cfg.ID}, w.cfg.Timing.CallTimeout)
 		}
 	}
-}
-
-// heartbeat sends one liveness refresh. A transport failure is not fatal:
-// the pool drops the poisoned client, so a later tick re-dials, and a
-// master that stays unreachable declares us dead on its own timeout, which
-// is the detection path under test.
-func (w *Worker) heartbeat() {
-	w.peers.Call(w.cfg.MasterAddr, HeartbeatReq{Worker: w.cfg.ID}, w.cfg.Timing.CallTimeout)
 }
 
 // Kill simulates node death: heartbeats stop and the data/task server goes

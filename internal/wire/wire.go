@@ -360,20 +360,6 @@ func Dial(addr string, timeout time.Duration) (*Client, error) {
 	return NewClient(nc), nil
 }
 
-// DialOpts is Dial through an optional chaos transport: with o.Chaos set
-// the connection is dialed via the fault injector under o.Self's endpoint
-// name; otherwise it is a plain Dial.
-func DialOpts(addr string, timeout time.Duration, o PoolOptions) (*Client, error) {
-	if o.Chaos == nil {
-		return Dial(addr, timeout)
-	}
-	nc, err := o.Chaos.Dial(o.Self, addr, timeout)
-	if err != nil {
-		return nil, transportf("wire: dial %s: %w", addr, err)
-	}
-	return NewClient(nc), nil
-}
-
 // NewClient wraps an established connection in a Client. The caller hands
 // over ownership; closing the client closes the connection.
 func NewClient(nc net.Conn) *Client {
@@ -586,7 +572,7 @@ func (p *Pool) Get(addr string) (*Client, error) {
 	}
 	p.mu.Unlock()
 
-	cl, err := DialOpts(addr, p.timeout, p.opts)
+	cl, err := p.dial(addr)
 	if err != nil {
 		return nil, err
 	}
@@ -602,6 +588,20 @@ func (p *Pool) Get(addr string) (*Client, error) {
 	}
 	p.clients[addr] = cl
 	return cl, nil
+}
+
+// dial is Dial through the pool's optional chaos transport: with a Chaos
+// set the connection is dialed via the fault injector under the pool's
+// Self endpoint name; otherwise it is a plain Dial.
+func (p *Pool) dial(addr string) (*Client, error) {
+	if p.opts.Chaos == nil {
+		return Dial(addr, p.timeout)
+	}
+	nc, err := p.opts.Chaos.Dial(p.opts.Self, addr, p.timeout)
+	if err != nil {
+		return nil, transportf("wire: dial %s: %w", addr, err)
+	}
+	return NewClient(nc), nil
 }
 
 // Drop discards the cached client for addr (e.g. after a call error), so the
