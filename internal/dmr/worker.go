@@ -208,7 +208,7 @@ func (w *Worker) heartbeatLoop() {
 			// A failed heartbeat is not fatal: a master that stays
 			// unreachable declares us dead on its own timeout, which is
 			// the detection path under test.
-			w.peers.Call(w.cfg.MasterAddr, HeartbeatReq{Worker: w.cfg.ID}, w.cfg.Timing.CallTimeout)
+			_, _ = w.peers.Call(w.cfg.MasterAddr, HeartbeatReq{Worker: w.cfg.ID}, w.cfg.Timing.CallTimeout)
 		}
 	}
 }
