@@ -2,6 +2,7 @@ package dmr
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -233,5 +234,32 @@ func TestHeartbeatRedialAfterClientFailure(t *testing.T) {
 	}
 	if got := len(c.m.AliveWorkers()); got != 2 {
 		t.Fatalf("alive workers = %d, want 2", got)
+	}
+}
+
+// TestKillDoesNotWaitOnABlockedHeartbeat: a heartbeat stuck in a write on
+// a partitioned master link, with retries armed, must not hold Kill back.
+// The death happens when Kill is called, whatever the heartbeat is doing.
+func TestKillDoesNotWaitOnABlockedHeartbeat(t *testing.T) {
+	blocked := make(chan struct{})
+	var once sync.Once
+	chaos := &wire.Chaos{Seed: 5, Trace: func(ev wire.TraceEvent) {
+		if ev.Op == "block" && strings.HasPrefix(ev.Conn, "w0->master#") {
+			once.Do(func() { close(blocked) })
+		}
+	}}
+	c := startChaosCluster(t, 2, 1, 40, chaos, wire.RetryPolicy{Max: 3, Seed: 5})
+	chaos.Partition("w0", "master")
+	select {
+	case <-blocked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no heartbeat blocked on the partitioned link")
+	}
+	done := make(chan struct{})
+	go func() { c.workers[0].Kill(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Kill waited on a heartbeat blocked by a partition")
 	}
 }

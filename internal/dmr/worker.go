@@ -225,9 +225,11 @@ func (w *Worker) Kill() {
 	w.killed = true
 	close(w.stopHB)
 	w.mu.Unlock()
-	w.hbStopped.Wait()
 	w.server.Close()
+	// Closing the pool fails a heartbeat still in flight, retries and
+	// all, so it cannot hold the death back.
 	w.peers.Close()
+	w.hbStopped.Wait()
 }
 
 // RemoteReads returns how many mapper inputs this worker fetched from peers

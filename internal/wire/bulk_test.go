@@ -209,6 +209,12 @@ func TestBadSectionPoisonsTheConnection(t *testing.T) {
 			return
 		}
 		defer nc.Close()
+		// Reply once the request has begun to arrive: the call is then
+		// pending, so the bad section fails it rather than a client that
+		// the reply already poisoned.
+		if _, err := nc.Read(make([]byte, 1)); err != nil {
+			return
+		}
 		_, _ = nc.Write(reply)
 		_, _ = io.Copy(io.Discard, nc)
 	}()
